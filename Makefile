@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench microbench repro repro-fast smoke-serve smoke-metrics smoke-chaos smoke-bgdedup smoke-globalfp smoke-shardcrash smoke-flood smoke-streams smoke-cdc bench-delta fuzz clean
+.PHONY: all build vet test check bench microbench repro repro-fast smoke-serve smoke-metrics smoke-chaos smoke-bgdedup smoke-globalfp smoke-shardcrash smoke-flood smoke-streams smoke-cdc full-run bench-delta repro-check fuzz clean
 
 all: build vet test
 
@@ -24,7 +24,7 @@ check:
 	$(MAKE) smoke-flood
 	$(MAKE) smoke-streams
 	$(MAKE) smoke-cdc
-	$(MAKE) bench-delta
+	$(MAKE) repro-check bench-delta
 
 # Serving-mode smoke: a small sharded podload run. podload exits
 # non-zero on any error or when zero requests complete, so the target
@@ -121,15 +121,32 @@ smoke-cdc:
 		./internal/experiments/ ./internal/chunk/ ./internal/workload/
 	$(GO) run -race ./cmd/podsim -scheme POD -trace shifted -chunking gear -scale 0.05
 
-# Bench-delta gate: regenerate the full-scale trajectory (now cheap
-# enough to run in CI) and fail on regressions against the committed
-# BENCH_replay.json — >10% on allocations (deterministic, the tight
-# gate) and >15% on wall for entries over a second (wall is noisy,
-# especially right after the race suite). Entries only in the
-# reference (the podload flood sweep) are skipped, not failed.
-bench-delta:
+# One full-scale regeneration (cheap enough to run in CI) feeds the two
+# gates below: its perf trajectory goes to bench-delta, its stdout to
+# repro-check.
+full-run:
+	$(GO) run ./cmd/podbench -scale 1 -bench-json /tmp/pod-bench-delta.json all chunking >/tmp/pod-bench-delta.txt
+
+# Reproduction gate: the full-scale paper outputs just regenerated must
+# equal the committed results_full.txt byte for byte. Only
+# wall-clock-derived text is set aside first: the "[… done in …]"
+# lines, the measured SHA-1 row of the overhead table, and the chunking
+# section (on demand, not part of results_full.txt; its MB/s column is
+# wall-clock).
+REPRO_STRIP = grep -v -e 'done in' -e 'µs measured'
+repro-check: full-run
+	sed '/^Chunking axis/,$$d' /tmp/pod-bench-delta.txt | $(REPRO_STRIP) >/tmp/pod-repro-new.txt
+	$(REPRO_STRIP) results_full.txt >/tmp/pod-repro-ref.txt
+	diff /tmp/pod-repro-ref.txt /tmp/pod-repro-new.txt
+
+# Bench-delta gate: fail on regressions of the regenerated trajectory
+# against the committed BENCH_replay.json — >10% on allocations
+# (deterministic, the tight gate) and >15% on wall for entries over a
+# second (wall is noisy, especially right after the race suite, and
+# machine-specific). Entries only in the reference (the podload flood
+# sweep) are skipped, not failed.
+bench-delta: full-run
 	$(GO) test -run '^$$' -bench 'BenchmarkGearChunk|BenchmarkSeqCDCChunk' -benchmem ./internal/cdc/
-	$(GO) run ./cmd/podbench -scale 1 -bench-json /tmp/pod-bench-delta.json all chunking >/dev/null
 	$(GO) run ./cmd/benchdelta -ref BENCH_replay.json -new /tmp/pod-bench-delta.json
 
 build:

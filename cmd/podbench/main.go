@@ -196,7 +196,6 @@ func main() {
 				fmt.Println(env.StripeUnitSweep("web-vm", nil))
 				fmt.Println(env.DupSweep(nil))
 				fmt.Println(env.LayoutSweep("web-vm"))
-				fmt.Println(env.ChurnSweep())
 				h, d := env.DegradedPoint("homes")
 				fmt.Printf("Degraded-mode ablation (homes, POD): healthy read %.2fms, one disk failed %.2fms\n\n", h/1000, d/1000)
 			default:

@@ -63,11 +63,10 @@
 // time through the same disk queues as foreground I/O, yielding
 // whenever the array has backlog, and reclaims the duplicate copies
 // the inline path intentionally wrote; the run prints a background
-// verdict block with cleaner, allocator, and scanner counters.
+// verdict block with allocator and scanner counters.
 // -bgdedup-rate budgets it in blocks per simulated second and
 // -bgdedup-expect-reclaim turns "reclaimed > 0" into an exit-code
-// assertion (the CI smoke check). -cleaner enables the background
-// segment cleaner alongside.
+// assertion (the CI smoke check).
 //
 // Chaos: -chaos <scenario> runs a named, seeded fault schedule
 // (internal/chaos; sector, diskfail, storm, limp, full, bgdedup,
@@ -164,7 +163,6 @@ func main() {
 	bgDedup := flag.Bool("bgdedup", false, "attach the idle-aware background dedup scanner to every shard (POD / Select-Dedupe only)")
 	bgRate := flag.Int64("bgdedup-rate", 0, "background scanner budget, 4 KiB blocks per simulated second (0 = default)")
 	bgExpect := flag.Bool("bgdedup-expect-reclaim", false, "fail the run unless the background scanner reclaimed at least one block")
-	cleanerOn := flag.Bool("cleaner", false, "enable the background segment cleaner on every shard")
 	gfp := flag.Bool("globalfp", false, "enable the global fingerprint tier: async cross-shard dedup recovery (implies -bgdedup; needs 2-64 shards)")
 	gfpQueue := flag.Int("globalfp-queue", 0, "per-partition advertisement queue capacity (0 = default)")
 	gfpRate := flag.Int("globalfp-rate", 0, "remap folds the tier applies per shard per engine tick (0 = default)")
@@ -181,7 +179,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "               [-metrics-out f] [-metrics-prom f] [-trace-sample n]\n")
 		fmt.Fprintf(os.Stderr, "               [-chunking fixed4k|gear|seqcdc] [-streams] [-stream-profile adversarial|scan]\n")
 		fmt.Fprintf(os.Stderr, "               [-chaos scenario] [-chaos-seed n] [-deadline-us n]\n")
-		fmt.Fprintf(os.Stderr, "               [-bgdedup] [-bgdedup-rate n] [-bgdedup-expect-reclaim] [-cleaner]\n")
+		fmt.Fprintf(os.Stderr, "               [-bgdedup] [-bgdedup-rate n] [-bgdedup-expect-reclaim]\n")
 		fmt.Fprintf(os.Stderr, "               [-globalfp] [-globalfp-queue n] [-globalfp-rate n] [-globalfp-expect-remaps]\n")
 		fmt.Fprintf(os.Stderr, "               [-crash-shard n] [-crash-at-us n] [-recover-at-us n]\n")
 		flag.PrintDefaults()
@@ -460,7 +458,6 @@ func main() {
 		},
 		NewEngine: func(shard int) engine.Engine {
 			cfg := experiments.BuildConfig(prof, *scale)
-			cfg.Cleaner = engine.CleanerParams{Enabled: *cleanerOn}
 			cfg.Chunking = cdc.Params{Algo: chunkAlgo}
 			if *streamsOn {
 				cfg.Streams = engine.StreamParams{Enabled: true}
@@ -766,23 +763,19 @@ func main() {
 
 	// --- background-work verdict ---
 	// Unlabeled substrate gauges sum across shards in the merged snapshot.
-	if *cleanerOn || *bgDedup {
+	if *bgDedup {
 		g := snap.Metrics.Gauges
-		fmt.Printf("cleaner: passes=%d moved=%d reclaimed=%d\n",
-			g["cleaner_passes"], g["cleaner_blocks_moved"], g["cleaner_reclaimed_blocks"])
 		fmt.Printf("alloc: used=%d blocks, free extents=%d, largest free=%d\n",
 			g["alloc_used_blocks"], g["alloc_free_extents"], g["alloc_largest_free"])
-		if *bgDedup {
-			fmt.Printf("bgdedup: steps=%d wraps=%d scan-ios=%d scanned=%d dups=%d remapped=%d reclaimed=%d seq-swaps=%d\n",
-				g["bgdedup_steps"], g["bgdedup_wraps"], g["bgdedup_scan_ios"],
-				g["bgdedup_scanned_blocks"], g["bgdedup_duplicate_blocks"],
-				g["bgdedup_remapped_lbas"], g["bgdedup_reclaimed_blocks"], g["bgdedup_seq_swaps"])
-			fmt.Printf("bgdedup: paused busy=%d load=%d, skipped extents=%d\n",
-				g["bgdedup_paused_busy"], g["bgdedup_paused_load"], g["bgdedup_skipped_extents"])
-			if *bgExpect && g["bgdedup_reclaimed_blocks"] == 0 {
-				fmt.Fprintln(os.Stderr, "podload: -bgdedup-expect-reclaim: scanner reclaimed zero blocks")
-				os.Exit(1)
-			}
+		fmt.Printf("bgdedup: steps=%d wraps=%d scan-ios=%d scanned=%d dups=%d remapped=%d reclaimed=%d seq-swaps=%d\n",
+			g["bgdedup_steps"], g["bgdedup_wraps"], g["bgdedup_scan_ios"],
+			g["bgdedup_scanned_blocks"], g["bgdedup_duplicate_blocks"],
+			g["bgdedup_remapped_lbas"], g["bgdedup_reclaimed_blocks"], g["bgdedup_seq_swaps"])
+		fmt.Printf("bgdedup: paused busy=%d load=%d, skipped extents=%d\n",
+			g["bgdedup_paused_busy"], g["bgdedup_paused_load"], g["bgdedup_skipped_extents"])
+		if *bgExpect && g["bgdedup_reclaimed_blocks"] == 0 {
+			fmt.Fprintln(os.Stderr, "podload: -bgdedup-expect-reclaim: scanner reclaimed zero blocks")
+			os.Exit(1)
 		}
 	}
 	if *gfp {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
 )
@@ -43,24 +44,16 @@ func TestIODedupContentAddressedCacheHits(t *testing.T) {
 	}
 }
 
-func TestIODedupReadYourWrites(t *testing.T) {
-	d := NewIODedup(cfg())
-	d.Write(wr(0, 1, 2))
-	d.Write(at(wr(0, 3, 4), sim.Time(sim.Second)))
-	if id, ok := d.ReadContent(0); !ok || id != 3 {
-		t.Fatalf("readback = %d,%v want 3", id, ok)
-	}
-}
-
 func TestIODedupReplicaDirectoryBounded(t *testing.T) {
-	d := NewIODedup(cfg())
+	pol := newIODedup(cfg())
+	d := engine.New("I/O-Dedup", engine.NewBase(cfg()), pol)
 	var tm sim.Time
 	for i := 0; i < maxReplicasTracked+3; i++ {
 		d.Write(at(wr(uint64(i*10), 42), tm))
 		tm = tm.Add(sim.Duration(sim.Millisecond) * 100)
 	}
 	maxLen := 0
-	d.replicas.Each(func(_ chunkFingerprint, list []allocPBA) bool {
+	pol.replicas.Each(func(_ chunkFingerprint, list []allocPBA) bool {
 		if len(list) > maxLen {
 			maxLen = len(list)
 		}
@@ -71,7 +64,39 @@ func TestIODedupReplicaDirectoryBounded(t *testing.T) {
 	}
 }
 
+// The replica directory is a hint: an overwrite frees a block without
+// telling it, so the read path must never be sent to a listed block
+// that no longer holds the content.
+func TestIODedupNeverReadsStaleReplica(t *testing.T) {
+	pol := newIODedup(cfg())
+	d := engine.New("I/O-Dedup", engine.NewBase(cfg()), pol)
+	b := d.Base()
+	d.Write(wr(0, 7))
+	stale, _ := b.Map.Lookup(0)
+	d.Write(at(wr(100, 7), sim.Time(sim.Millisecond)))
+	d.Write(at(wr(0, 8), sim.Time(2*sim.Millisecond))) // frees the first copy of 7
+	if _, live := b.Store.Read(stale); live {
+		t.Fatal("setup: the overwritten block is still live")
+	}
+
+	var fper chunk.SyntheticFingerprinter
+	list, _ := pol.replicas.Peek(fper.Fingerprint(&chunk.Chunk{Content: 7}))
+	home, _ := b.Map.Lookup(100)
+	pol.lastPBA = stale // the freed block is now the nearest candidate
+	got := pol.nearest(b, list, home, 7)
+	if id, ok := b.Store.Read(got); !ok || id != 7 {
+		t.Fatalf("read of content 7 steered to block %d holding %d,%v (directory %v)", got, id, ok, list)
+	}
+}
+
 // --- Post-Process ---
+
+// scans reads the scanner's progress the way an operator would: from
+// the engine's registry.
+func scans(p *engine.Pipeline) (scanned, merged int64) {
+	g := p.Metrics().Snapshot().Gauges
+	return g["postprocess_blocks_scanned"], g["postprocess_blocks_merged"]
+}
 
 func TestPostProcessWritesHaveNoInlineCost(t *testing.T) {
 	n := NewNative(cfg())
@@ -99,7 +124,7 @@ func TestPostProcessBackgroundMergeReclaimsSpace(t *testing.T) {
 	if p.UsedBlocks() != 4 {
 		t.Fatalf("after scan: used = %d, want 4 (duplicates merged)", p.UsedBlocks())
 	}
-	_, scanned, merged := p.Scans()
+	scanned, merged := scans(p)
 	if scanned == 0 || merged != 4 {
 		t.Fatalf("scanned=%d merged=%d", scanned, merged)
 	}
@@ -129,12 +154,12 @@ func TestPostProcessScanIntervalHonored(t *testing.T) {
 	p := NewPostProcess(cfg())
 	p.Write(wr(0, 1))
 	p.Write(at(wr(10, 1), sim.Time(sim.Millisecond))) // before the first interval
-	if _, scanned, _ := p.Scans(); scanned != 0 {
+	if scanned, _ := scans(p); scanned != 0 {
 		t.Fatal("scanner ran before its interval")
 	}
 	// a request arriving after the interval triggers the pass
 	p.Write(at(wr(20, 99), sim.Time(3*sim.Second)))
-	if _, scanned, _ := p.Scans(); scanned == 0 {
+	if scanned, _ := scans(p); scanned == 0 {
 		t.Fatal("scanner did not run after its interval")
 	}
 }

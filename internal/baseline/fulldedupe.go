@@ -3,24 +3,21 @@ package baseline
 import (
 	"encoding/binary"
 
-	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/index"
-	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/sim"
-	"github.com/pod-dedup/pod/internal/trace"
 )
 
-// FullDedupe is traditional inline deduplication: every redundant chunk
+// fullDedupe is traditional inline deduplication: every redundant chunk
 // is eliminated, using the complete fingerprint table. Only the hot
 // portion of that table fits in the index cache; a lookup that misses
 // it pays an on-disk index I/O (§II-B), except when a Bloom filter
 // proves the fingerprint absent. Deduplicating partially redundant
 // requests freely is what exposes Full-Dedupe to the read-amplification
 // problem the paper dissects.
-type FullDedupe struct {
-	base *engine.Base
+type fullDedupe struct {
+	engine.Passthrough
 	full *index.Full
 }
 
@@ -31,34 +28,13 @@ type FullDedupe struct {
 const BloomFalsePositivePermille = 10
 
 // NewFullDedupe returns a Full-Dedupe engine.
-func NewFullDedupe(cfg engine.Config) *FullDedupe {
+func NewFullDedupe(cfg engine.Config) *engine.Pipeline {
 	b := engine.NewBase(cfg)
-	f := &FullDedupe{
-		base: b,
-		// the in-memory portion of the full table is the index cache
-		full: index.NewFull(b.IC.IndexCapTotal()),
-	}
+	// the in-memory portion of the full table is the index cache
+	f := fullDedupe{full: index.NewFull(b.IC.IndexCapTotal())}
 	b.OnFree = f.full.Forget
-	return f
+	return engine.New("Full-Dedupe", b, f)
 }
-
-// Name implements engine.Engine.
-func (f *FullDedupe) Name() string { return "Full-Dedupe" }
-
-// Release implements replay.Releaser.
-func (f *FullDedupe) Release() { f.base.Release() }
-
-// Stats implements engine.Engine.
-func (f *FullDedupe) Stats() *engine.Stats { return f.base.St }
-
-// Metrics implements engine.Engine.
-func (f *FullDedupe) Metrics() *metrics.Registry { return f.base.Metrics() }
-
-// UsedBlocks implements engine.Engine.
-func (f *FullDedupe) UsedBlocks() uint64 { return f.base.UsedBlocks() }
-
-// ReadContent implements engine.Engine.
-func (f *FullDedupe) ReadContent(lba uint64) (uint64, bool) { return f.base.ReadContent(lba) }
 
 // bloomAdmits reports whether the Bloom filter (falsely) claims an
 // absent fingerprint might be present, forcing a disk lookup. The
@@ -68,69 +44,29 @@ func bloomAdmits(fp chunk.Fingerprint) bool {
 	return int(v%1000) < BloomFalsePositivePermille
 }
 
-// Write deduplicates every redundant chunk of the request.
-func (f *FullDedupe) Write(req *trace.Request) (sim.Duration, error) {
-	t := req.Time
-	f.base.StartRequest()
-	chs, fpCost := f.base.SplitAndFingerprint(req)
-	ready := t.Add(fpCost)
-
-	found, _, target := f.base.WriteScratch(len(chs))
+// Lookup consults the full table and pays one index-zone read per
+// chunk the memory-resident portion (or the Bloom filter) cannot
+// answer; a failed index read fails the request.
+func (f fullDedupe) Lookup(b *engine.Base, w *engine.WriteOp, at sim.Time) (sim.Time, error) {
 	diskLookups := 0
-	for i := range chs {
-		pba, ok, memHit := f.full.Lookup(chs[i].FP)
-		found[i] = ok
-		target[i] = pba
+	for i := range w.Chunks {
+		pba, ok, memHit := f.full.Lookup(w.Chunks[i].FP)
+		w.Dup[i] = ok
+		w.Target[i] = pba
 		if ok && !memHit {
 			diskLookups++
-		} else if !ok && bloomAdmits(chs[i].FP) {
+		} else if !ok && bloomAdmits(w.Chunks[i].FP) {
 			diskLookups++
 		}
 	}
-	lookupDone, err := f.base.IndexZoneIO(ready, diskLookups)
-	if err != nil {
-		f.base.St.WriteErrors++
-		return lookupDone.Sub(t), err
-	}
-
-	positions := f.base.PositionsScratch(len(chs))
-	for i := range chs {
-		if found[i] && f.base.TryDedupe(req.LBA+uint64(i), target[i], chs[i].Content) {
-			continue
-		} else {
-			positions = append(positions, i)
-		}
-	}
-
-	done := lookupDone
-	if len(positions) > 0 {
-		var pbas []alloc.PBA
-		done, pbas, err = f.base.WriteFresh(lookupDone, req, positions, chs)
-		if err != nil {
-			return done.Sub(t), err
-		}
-		for k, pos := range positions {
-			f.full.Insert(chs[pos].FP, pbas[k])
-		}
-	} else {
-		done = f.base.AbsorbWrite(done)
-	}
-
-	f.base.St.Writes++
-	f.base.VerifyWrite(req, chs)
-	rt := done.Sub(t)
-	f.base.St.WriteRT.Add(int64(rt))
-	return rt, nil
+	return b.IndexZoneIO(at, diskLookups)
 }
 
-// Read services a read through the Map table.
-func (f *FullDedupe) Read(req *trace.Request) (sim.Duration, error) {
-	f.base.StartRequest()
-	rt, err := f.base.ReadMapped(req, false)
-	if err != nil {
-		return rt, err
+// Decide deduplicates every hit.
+func (fullDedupe) Decide(_ *engine.Base, w *engine.WriteOp) { copy(w.Dedupe, w.Dup) }
+
+func (f fullDedupe) Placed(_ *engine.Base, w *engine.WriteOp) {
+	for k, pos := range w.Placed {
+		f.full.Insert(w.Chunks[pos].FP, w.PBAs[k])
 	}
-	f.base.St.Reads++
-	f.base.St.ReadRT.Add(int64(rt))
-	return rt, nil
 }

@@ -1,145 +1,69 @@
 package baseline
 
 import (
-	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/engine"
-	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
 )
 
-// IDedup reproduces the capacity-oriented scheme of Srinivasan et al.
+// iDedup reproduces the capacity-oriented scheme of Srinivasan et al.
 // (FAST'12): deduplicate only *large sequential* duplicate runs, and
 // bypass all small requests entirely — they contribute little capacity
 // and selective bypass caps the latency impact. Small requests are not
 // even fingerprinted, which is why iDedup's overhead (and its benefit)
 // is minimal on small-write-dominated primary workloads.
-type IDedup struct {
-	base *engine.Base
-}
+type iDedup struct{}
 
 // NewIDedup returns an iDedup engine; cfg.IDedupThreshold (chunks) sets
 // the minimum duplicate sequence worth deduplicating.
-func NewIDedup(cfg engine.Config) *IDedup {
-	return &IDedup{base: engine.NewBase(cfg)}
+func NewIDedup(cfg engine.Config) *engine.Pipeline {
+	return engine.New("iDedup", engine.NewBase(cfg), iDedup{})
 }
 
-// Name implements engine.Engine.
-func (d *IDedup) Name() string { return "iDedup" }
+func (iDedup) Fingerprinted(b *engine.Base, req *trace.Request) bool {
+	return req.N >= b.Cfg.IDedupThreshold
+}
 
-// Release implements replay.Releaser.
-func (d *IDedup) Release() { d.base.Release() }
-
-// Stats implements engine.Engine.
-func (d *IDedup) Stats() *engine.Stats { return d.base.St }
-
-// Metrics implements engine.Engine.
-func (d *IDedup) Metrics() *metrics.Registry { return d.base.Metrics() }
-
-// UsedBlocks implements engine.Engine.
-func (d *IDedup) UsedBlocks() uint64 { return d.base.UsedBlocks() }
-
-// ReadContent implements engine.Engine.
-func (d *IDedup) ReadContent(lba uint64) (uint64, bool) { return d.base.ReadContent(lba) }
-
-// Write deduplicates only sequential duplicate runs of at least the
-// threshold length within sufficiently large requests.
-func (d *IDedup) Write(req *trace.Request) (sim.Duration, error) {
-	t := req.Time
-	d.base.StartRequest()
-	st := d.base.St
-	st.Writes++
-
-	if req.N < d.base.Cfg.IDedupThreshold {
-		// small request: bypass deduplication, skip hashing
-		chs := d.base.SplitRequest(req)
-		positions := allPositions(d.base.PositionsScratch(len(chs)), len(chs))
-		done, _, err := d.base.WriteFresh(t, req, positions, chs)
-		if err != nil {
-			return done.Sub(t), err
-		}
-		d.base.VerifyWrite(req, chs)
-		rt := done.Sub(t)
-		st.WriteRT.Add(int64(rt))
-		return rt, nil
-	}
-
-	chs, fpCost := d.base.SplitAndFingerprint(req)
-	ready := t.Add(fpCost)
-
-	dup, dedupe, target := d.base.WriteScratch(len(chs))
-	for i := range chs {
-		if e, ok := d.base.IC.IndexLookup(chs[i].FP); ok {
-			dup[i] = true
-			target[i] = e.PBA
+func (iDedup) Lookup(b *engine.Base, w *engine.WriteOp, at sim.Time) (sim.Time, error) {
+	for i := range w.Chunks {
+		if e, ok := b.IC.IndexLookup(w.Chunks[i].FP); ok {
+			w.Dup[i] = true
+			w.Target[i] = e.PBA
 		}
 	}
+	return at, nil
+}
 
-	// deduplicate maximal sequential duplicate runs ≥ threshold
+// Decide selects the maximal sequential duplicate runs of at least the
+// threshold length.
+func (iDedup) Decide(b *engine.Base, w *engine.WriteOp) {
+	dup, target := w.Dup, w.Target
 	i := 0
-	for i < len(chs) {
+	for i < len(dup) {
 		if !dup[i] {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(chs) && dup[j] && target[j] == target[j-1]+1 {
+		for j < len(dup) && dup[j] && target[j] == target[j-1]+1 {
 			j++
 		}
-		if j-i >= d.base.Cfg.IDedupThreshold {
+		if j-i >= b.Cfg.IDedupThreshold {
 			for k := i; k < j; k++ {
-				dedupe[k] = true
+				w.Dedupe[k] = true
 			}
 		}
 		i = j
 	}
-
-	positions := d.base.PositionsScratch(len(chs))
-	for i := 0; i < len(chs); i++ {
-		if dedupe[i] && d.base.TryDedupe(req.LBA+uint64(i), target[i], chs[i].Content) {
-			continue
-		} else {
-			positions = append(positions, i)
-		}
-	}
-
-	done := ready
-	if len(positions) > 0 {
-		var pbas []alloc.PBA
-		var err error
-		done, pbas, err = d.base.WriteFresh(ready, req, positions, chs)
-		if err != nil {
-			return done.Sub(t), err
-		}
-		for k, pos := range positions {
-			d.base.InsertIndex(chs[pos].FP, pbas[k])
-		}
-	} else {
-		done = d.base.AbsorbWrite(done)
-	}
-
-	d.base.VerifyWrite(req, chs)
-	rt := done.Sub(t)
-	st.WriteRT.Add(int64(rt))
-	return rt, nil
 }
 
-// Read services a read through the Map table.
-func (d *IDedup) Read(req *trace.Request) (sim.Duration, error) {
-	d.base.StartRequest()
-	rt, err := d.base.ReadMapped(req, false)
-	if err != nil {
-		return rt, err
+// Placed indexes what was fingerprinted; bypassed requests leave no
+// trace in the index.
+func (iDedup) Placed(b *engine.Base, w *engine.WriteOp) {
+	if !w.Hashed {
+		return
 	}
-	d.base.St.Reads++
-	d.base.St.ReadRT.Add(int64(rt))
-	return rt, nil
-}
-
-// allPositions fills p (an empty scratch with capacity n) with 0..n-1.
-func allPositions(p []int, n int) []int {
-	for i := 0; i < n; i++ {
-		p = append(p, i)
+	for k, pos := range w.Placed {
+		b.IC.IndexInsert(w.Chunks[pos].FP, w.PBAs[k])
 	}
-	return p
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/pod-dedup/pod/internal/trace"
 )
 
-// IODedup reproduces the scheme of Koller & Rangaswami (FAST'10),
+// ioDedup reproduces the scheme of Koller & Rangaswami (FAST'10),
 // "I/O Deduplication: Utilizing Content Similarity to Improve I/O
 // Performance" — the first column of the paper's Table I. It uses
 // content fingerprints to improve *read* performance only:
@@ -26,10 +26,12 @@ import (
 //     (dynamic replica retrieval reducing seek distance).
 //
 // Fingerprinting happens on the write path (the scheme must learn where
-// content lives), so IODedup pays the hash latency without the write
-// savings — exactly the trade Table I summarizes.
-type IODedup struct {
-	base *engine.Base
+// content lives), so it pays the hash latency without the write savings
+// — exactly the trade Table I summarizes. As a policy: every request is
+// fingerprinted, nothing is looked up or deduplicated, placements feed
+// the replica directory, and the read is its own.
+type ioDedup struct {
+	engine.Passthrough
 
 	// content-addressed read cache: contents, not addresses
 	ccache *cache.LRU[chunk.ContentID, struct{}]
@@ -42,8 +44,11 @@ type IODedup struct {
 const maxReplicasTracked = 4
 
 // NewIODedup returns an I/O Deduplication engine.
-func NewIODedup(cfg engine.Config) *IODedup {
-	b := engine.NewBase(cfg)
+func NewIODedup(cfg engine.Config) *engine.Pipeline {
+	return engine.New("I/O-Dedup", engine.NewBase(cfg), newIODedup(cfg))
+}
+
+func newIODedup(cfg engine.Config) *ioDedup {
 	// the whole DRAM budget serves the content cache + replica
 	// directory (no dedup index cache is needed on the write path)
 	blocks := int(cfg.WithDefaults().MemoryBytes) / chunk.Size / 2
@@ -54,57 +59,21 @@ func NewIODedup(cfg engine.Config) *IODedup {
 	if entries < 1 {
 		entries = 1
 	}
-	return &IODedup{
-		base:     b,
+	return &ioDedup{
 		ccache:   cache.NewLRU[chunk.ContentID, struct{}](blocks),
 		replicas: cache.NewLRU[chunk.Fingerprint, []alloc.PBA](entries),
 	}
 }
 
-// Name implements engine.Engine.
-func (d *IODedup) Name() string { return "I/O-Dedup" }
-
-// Release implements replay.Releaser.
-func (d *IODedup) Release() { d.base.Release() }
-
-// Stats implements engine.Engine.
-func (d *IODedup) Stats() *engine.Stats { return d.base.St }
-
-// Metrics implements engine.Engine.
-func (d *IODedup) Metrics() *metrics.Registry { return d.base.Metrics() }
-
-// UsedBlocks implements engine.Engine: no elimination, full footprint.
-func (d *IODedup) UsedBlocks() uint64 { return d.base.UsedBlocks() }
-
-// ReadContent implements engine.Engine.
-func (d *IODedup) ReadContent(lba uint64) (uint64, bool) { return d.base.ReadContent(lba) }
-
-// Write stores everything (log-structured, like the other engines) and
-// records replica locations for the read path.
-func (d *IODedup) Write(req *trace.Request) (sim.Duration, error) {
-	t := req.Time
-	d.base.StartRequest()
-	st := d.base.St
-	st.Writes++
-
-	chs, fpCost := d.base.SplitAndFingerprint(req)
-	ready := t.Add(fpCost)
-
-	positions := allPositions(d.base.PositionsScratch(len(chs)), len(chs))
-	done, pbas, err := d.base.WriteFresh(ready, req, positions, chs)
-	if err != nil {
-		return done.Sub(t), err
+// Placed records where the request's content now lives, for the read
+// path's replica choice.
+func (d *ioDedup) Placed(_ *engine.Base, w *engine.WriteOp) {
+	for k, pos := range w.Placed {
+		d.recordReplica(w.Chunks[pos].FP, w.PBAs[k])
 	}
-	for i, pba := range pbas {
-		d.recordReplica(chs[i].FP, pba)
-	}
-	d.base.VerifyWrite(req, chs)
-	rt := done.Sub(t)
-	st.WriteRT.Add(int64(rt))
-	return rt, nil
 }
 
-func (d *IODedup) recordReplica(fp chunk.Fingerprint, pba alloc.PBA) {
+func (d *ioDedup) recordReplica(fp chunk.Fingerprint, pba alloc.PBA) {
 	list, _ := d.replicas.Peek(fp)
 	for _, p := range list {
 		if p == pba {
@@ -117,31 +86,17 @@ func (d *IODedup) recordReplica(fp chunk.Fingerprint, pba alloc.PBA) {
 	d.replicas.Put(fp, append(append([]alloc.PBA(nil), list...), pba))
 }
 
-// dropReplica removes a reclaimed block from the directory.
-func (d *IODedup) dropReplica(fp chunk.Fingerprint, pba alloc.PBA) {
-	list, ok := d.replicas.Peek(fp)
-	if !ok {
-		return
-	}
-	out := list[:0]
-	for _, p := range list {
-		if p != pba {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		d.replicas.Remove(fp)
-	} else {
-		d.replicas.Put(fp, out)
-	}
-}
-
-// nearest picks the replica closest to the previous access position —
-// the scheme's seek-reduction mechanism.
-func (d *IODedup) nearest(candidates []alloc.PBA, home alloc.PBA) alloc.PBA {
+// nearest picks the replica of content id closest to the previous
+// access position — the scheme's seek-reduction mechanism. The directory
+// is a hint (blocks are freed and reused behind its back), so each
+// candidate is checked against the content model first.
+func (d *ioDedup) nearest(b *engine.Base, candidates []alloc.PBA, home alloc.PBA, id chunk.ContentID) alloc.PBA {
 	best := home
 	bestDist := dist(home, d.lastPBA)
 	for _, c := range candidates {
+		if got, ok := b.Store.Read(c); !ok || got != id {
+			continue
+		}
 		if dd := dist(c, d.lastPBA); dd < bestDist {
 			best, bestDist = c, dd
 		}
@@ -158,22 +113,20 @@ func dist(a, b alloc.PBA) uint64 {
 
 // Read serves each chunk through the content-addressed cache, fetching
 // misses from the nearest replica of the content.
-func (d *IODedup) Read(req *trace.Request) (sim.Duration, error) {
+func (d *ioDedup) Read(b *engine.Base, req *trace.Request) (sim.Duration, error) {
 	t := req.Time
-	d.base.StartRequest()
-	st := d.base.St
-	st.Reads++
+	st := b.St
 
 	done := t
 	anyMiss := false
 	var fp chunk.SyntheticFingerprinter
 	for i := 0; i < req.N; i++ {
 		lba := req.LBA + uint64(i)
-		pba, ok := d.base.Map.Lookup(lba)
+		pba, ok := b.Map.Lookup(lba)
 		if !ok {
-			pba = alloc.PBA(lba % d.base.DataBlocks())
+			pba = alloc.PBA(lba % b.DataBlocks())
 		}
-		id, known := d.base.Store.Read(pba)
+		id, known := b.Store.Read(pba)
 		if known {
 			if _, hit := d.ccache.Get(id); hit {
 				st.CacheHits++
@@ -185,14 +138,13 @@ func (d *IODedup) Read(req *trace.Request) (sim.Duration, error) {
 		if known {
 			c := chunk.Chunk{Content: id}
 			if list, ok := d.replicas.Peek(fp.Fingerprint(&c)); ok {
-				target = d.nearest(list, pba)
+				target = d.nearest(b, list, pba, id)
 			}
 		}
-		c, err := d.base.Array.Read(t, uint64(target), 1)
+		c, err := b.Array.Read(t, uint64(target), 1)
 		done = sim.MaxTime(done, c)
 		st.ReadIOs++
 		if err != nil {
-			st.ReadErrors++
 			return done.Sub(t), err
 		}
 		d.lastPBA = target
@@ -201,13 +153,9 @@ func (d *IODedup) Read(req *trace.Request) (sim.Duration, error) {
 			d.ccache.Put(id, struct{}{})
 		}
 	}
-	var rt sim.Duration
 	if !anyMiss {
-		rt = engine.MemHitUS
-	} else {
-		rt = done.Sub(t)
-		d.base.Ph.Observe(metrics.PhaseDiskRead, int64(rt))
+		return engine.MemHitUS, nil
 	}
-	st.ReadRT.Add(int64(rt))
-	return rt, nil
+	b.Ph.Observe(metrics.PhaseDiskRead, int64(done.Sub(t)))
+	return done.Sub(t), nil
 }

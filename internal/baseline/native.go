@@ -1,9 +1,10 @@
-// Package baseline implements the three comparison systems of the POD
-// evaluation (§IV): the plain HDD array without deduplication
-// (Native), traditional full inline deduplication (Full-Dedupe), and
-// the capacity-oriented selective scheme iDedup. All three share the
-// substrates in package engine so that differences between schemes come
-// only from their policies.
+// Package baseline implements the comparison systems of the POD
+// evaluation (§IV) — the plain HDD array without deduplication
+// (Native), traditional full inline deduplication (Full-Dedupe), the
+// capacity-oriented selective scheme iDedup — and the two remaining
+// Table I columns (I/O Deduplication, post-processing). Each is a
+// policy over the one engine.Pipeline, so differences between schemes
+// come only from what their policies answer.
 package baseline
 
 import (
@@ -14,71 +15,47 @@ import (
 	"github.com/pod-dedup/pod/internal/trace"
 )
 
-// Native is the paper's reference system: writes go to disk in place at
+// native is the paper's reference system: writes go to disk in place at
 // their logical addresses, reads pass through the storage read cache.
-// No fingerprinting, no Map table, no space savings.
-type Native struct {
-	base *engine.Base
-}
+// No fingerprinting, no Map table, no space savings — so it services
+// both request types itself and answers occupancy and content from the
+// identity mapping.
+type native struct{ engine.Passthrough }
 
 // NewNative returns a Native engine over cfg's array and cache budget.
-func NewNative(cfg engine.Config) *Native {
-	return &Native{base: engine.NewBase(cfg)}
+func NewNative(cfg engine.Config) *engine.Pipeline {
+	cfg.NVRAMBytes = 0 // no Map table, so nothing to journal or recover
+	return engine.New("Native", engine.NewBase(cfg), native{})
 }
-
-// Name implements engine.Engine.
-func (n *Native) Name() string { return "Native" }
-
-// Release implements replay.Releaser.
-func (n *Native) Release() { n.base.Release() }
-
-// Stats implements engine.Engine.
-func (n *Native) Stats() *engine.Stats { return n.base.St }
-
-// Metrics implements engine.Engine.
-func (n *Native) Metrics() *metrics.Registry { return n.base.Metrics() }
 
 // UsedBlocks reports the in-place footprint: every distinct logical
 // block ever written occupies its own physical block.
-func (n *Native) UsedBlocks() uint64 { return uint64(n.base.Store.Len()) }
+func (native) UsedBlocks(b *engine.Base) uint64 { return uint64(b.Store.Len()) }
 
-// ReadContent implements engine.Engine via the identity mapping.
-func (n *Native) ReadContent(lba uint64) (uint64, bool) {
-	id, ok := n.base.Store.Read(alloc.PBA(lba % n.base.DataBlocks()))
+// ReadContent resolves lba via the identity mapping.
+func (native) ReadContent(b *engine.Base, lba uint64) (uint64, bool) {
+	id, ok := b.Store.Read(alloc.PBA(lba % b.DataBlocks()))
 	return uint64(id), ok
 }
 
 // Write services a write in place. A failed write leaves the content
 // model untouched — the old blocks remain visible.
-func (n *Native) Write(req *trace.Request) (sim.Duration, error) {
+func (native) Write(b *engine.Base, req *trace.Request) (sim.Duration, error) {
 	t := req.Time
-	n.base.StartRequest()
-	start := req.LBA % n.base.DataBlocks()
-	done, err := n.base.Array.Write(t, start, uint64(req.N))
+	start := req.LBA % b.DataBlocks()
+	done, err := b.Array.Write(t, start, uint64(req.N))
 	if err != nil {
-		n.base.St.WriteErrors++
 		return done.Sub(t), err
 	}
-	n.base.Ph.Observe(metrics.PhaseDiskWrite, int64(done.Sub(t)))
+	b.Ph.Observe(metrics.PhaseDiskWrite, int64(done.Sub(t)))
 	for i := 0; i < req.N; i++ {
-		pba := alloc.PBA(start + uint64(i))
-		n.base.Store.Write(pba, req.Content[i])
+		b.Store.Write(alloc.PBA(start+uint64(i)), req.Content[i])
 	}
-	n.base.St.Writes++
-	n.base.St.ChunksWritten += int64(req.N)
-	rt := done.Sub(t)
-	n.base.St.WriteRT.Add(int64(rt))
-	return rt, nil
+	b.St.ChunksWritten += int64(req.N)
+	return done.Sub(t), nil
 }
 
 // Read services a read at identity addresses.
-func (n *Native) Read(req *trace.Request) (sim.Duration, error) {
-	n.base.StartRequest()
-	rt, err := n.base.ReadMapped(req, true)
-	if err != nil {
-		return rt, err
-	}
-	n.base.St.Reads++
-	n.base.St.ReadRT.Add(int64(rt))
-	return rt, nil
+func (native) Read(b *engine.Base, req *trace.Request) (sim.Duration, error) {
+	return b.ReadMapped(req, true)
 }

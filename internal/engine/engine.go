@@ -1,13 +1,14 @@
-// Package engine defines the common machinery shared by every storage
-// engine in this repository: the Engine interface the replayer drives,
-// per-engine statistics, the physical content model used to verify
-// read-your-writes, and the Base substrate (array + allocator + map
-// table + partitioned cache) that the deduplicating engines build on.
+// Package engine is the storage engine of this repository: the Engine
+// interface the replayer drives and its one implementation, Pipeline —
+// the Base substrate (array + allocator + map table + partitioned
+// cache + content model), the request walk every scheme shares, and
+// the Policy that makes it one scheme or another — plus per-engine
+// statistics.
 //
-// All engines are log-structured above the RAID array: a write
+// All schemes are log-structured above the RAID array: a write
 // request's non-deduplicated chunks are placed in freshly allocated
 // contiguous physical extents, and a physical block whose last
-// reference disappears returns to the allocator. The Native baseline
+// reference disappears returns to the allocator. The Native policy
 // is the exception — it writes in place at identity addresses, exactly
 // like the plain HDD system the paper normalizes against.
 package engine

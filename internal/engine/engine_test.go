@@ -152,7 +152,7 @@ func TestFreeBlocksPurgesEverywhere(t *testing.T) {
 	chs := chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false)
 	_, pbas, _ := b.WriteFresh(0, req, []int{0}, chs)
 	b.IC.ReadInsert(pbas[0])
-	b.InsertIndex(chs[0].FP, pbas[0])
+	b.IC.IndexInsert(chs[0].FP, pbas[0])
 
 	freed := b.Map.Unset(0)
 	b.FreeBlocks(freed)

@@ -7,8 +7,6 @@ import (
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/raid"
-	"github.com/pod-dedup/pod/internal/replay"
-	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/stats"
 	"github.com/pod-dedup/pod/internal/workload"
 )
@@ -268,66 +266,6 @@ func (e *Env) LayoutSweep(traceName string) *stats.Table {
 		n := e.LayoutPoint(Native, traceName, l.level)
 		p := e.LayoutPoint(POD, traceName, l.level)
 		t.AddRowf("%s	%s	%s	%.1f%%", l.name, stats.Ms(n), stats.Ms(p), 100*p/n)
-	}
-	return t
-}
-
-// ChurnPoint replays a sustained-overwrite workload (a small logical
-// region rewritten with fresh content far beyond its size) under POD,
-// with or without the segment cleaner, returning the mean write RT (µs)
-// and the final free-extent count (fragmentation). The replay stays on
-// the calling goroutine instead of becoming a planner cell: the
-// measurement needs the engine's allocator state after the run, which
-// pool jobs release.
-func (e *Env) ChurnPoint(cleaner bool) (float64, int) {
-	prof := workload.Profile{
-		Name:            "churn",
-		Seed:            0xC09D,
-		IOs:             int(20000 * e.Scale * 10),
-		WriteRatio:      0.9,
-		WriteSizes:      []workload.SizeWeight{{Chunks: 3, Weight: 25}, {Chunks: 5, Weight: 25}, {Chunks: 8, Weight: 30}, {Chunks: 16, Weight: 20}},
-		ReadSizes:       []workload.SizeWeight{{Chunks: 1, Weight: 60}, {Chunks: 4, Weight: 40}},
-		FullDupFrac:     0.10,
-		SameLBAFrac:     0.9, // overwhelmingly in-place rewrites: maximum churn
-		WriteDeepFrac:   0.3,
-		FootprintChunks: 1 << 14, // small region: the log wraps many times
-		MemoryBytes:     4 << 20,
-		PhaseLen:        256,
-		WritePhase:      0.95,
-		ReadPhase:       0.7,
-		BurstGapUS:      24000, // light load: latency reflects allocation quality, not queueing
-		IdleGapUS:       2_000_000,
-		WarmupFrac:      0.2,
-	}
-	if prof.IOs < 4000 {
-		prof.IOs = 4000
-	}
-	tr, warmup := workload.Generate(prof, 1.0)
-	cfg := BuildConfig(prof, 1.0)
-	cfg.Cleaner = engine.CleanerParams{
-		Enabled:     cleaner,
-		TriggerFree: 1 << 13,
-		MaxGap:      256,
-		Interval:    sim.Second,
-	}
-	eng := core.NewPOD(cfg)
-	r := replay.Run(eng, tr, warmup)
-	frag := eng.Base().Alloc.NumFreeExtents()
-	eng.Release()
-	return r.MeanWriteRT, frag
-}
-
-// ChurnSweep formats the cleaner on/off comparison.
-func (e *Env) ChurnSweep() *stats.Table {
-	t := stats.NewTable("Ablation — segment cleaner under sustained overwrite churn (POD; a negative result: extent coalescing already contains fragmentation)",
-		"Cleaner", "Mean write RT", "Free extents at end")
-	for _, on := range []bool{false, true} {
-		rt, frag := e.ChurnPoint(on)
-		label := "off"
-		if on {
-			label = "on"
-		}
-		t.AddRowf("%s	%s	%d", label, stats.Ms(rt), frag)
 	}
 	return t
 }

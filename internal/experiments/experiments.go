@@ -324,12 +324,6 @@ func (e *Env) MetricsSnapshot() *metrics.Snapshot {
 	return out
 }
 
-// SampledTraces returns the sampled request timelines collected across
-// every replay run so far (empty unless TraceEvery was set).
-func (e *Env) SampledTraces() []metrics.TraceRecord {
-	return e.MetricsSnapshot().Traces
-}
-
 // normalize maps a value to percent of its baseline.
 func normalize(v, base float64) float64 {
 	if base == 0 {

@@ -66,7 +66,7 @@ type recallState struct {
 // the owner-side pin/parole/recall protocol.
 //
 // All agent state is guarded by the shard lock: every entry point —
-// Tick/Flush via the engine, OnRemoteRef/OnParole via the Base hooks,
+// Tick/Flush and the engine.Tier calls via the engine,
 // settlement via the server — runs with the shard's mutex held. Tier
 // calls made from here (Advertise, Fix, Recall) take partition locks,
 // never shard locks, so the shard → partition lock order is acyclic.
@@ -100,10 +100,10 @@ type Agent struct {
 }
 
 // Attach wires a shard agent onto any engine that exposes its substrate
-// (Select-Dedupe and POD); ok is false for engines without one. The
-// shard's scanner must already be attached — the agent wraps it; a
-// missing scanner gets a Core of its own (tests), losing only the
-// cursor sweep.
+// through Base() (an engine.Pipeline, or a decorator forwarding one);
+// ok is false otherwise. The shard's scanner must already be attached —
+// the agent wraps it; a missing scanner gets a Core of its own (tests),
+// losing only the cursor sweep.
 func Attach(e engine.Engine, t *Tier, shard int) (*Agent, bool) {
 	h, ok := e.(interface{ Base() *engine.Base })
 	if !ok {
@@ -117,7 +117,7 @@ func Attach(e engine.Engine, t *Tier, shard int) (*Agent, bool) {
 func New(b *engine.Base, t *Tier, shard int) *Agent {
 	a := &Agent{
 		b: b, t: t, shard: shard,
-		inner:     b.Background(),
+		inner:     b.Background,
 		recalling: make(map[alloc.PBA]*recallState),
 		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
 	}
@@ -125,11 +125,10 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 		a.core = s.Core() // shared counters: folds show in bgdedup gauges too
 	} else {
 		a.core = bgdedup.NewCore(b)
+		b.Map.EnableReverseIndex() // folds rewire a block's referrers
 	}
-	b.SetBackground(a)
-	b.Ads = a
-	b.OnRemoteRef = a.onRemoteRef
-	b.SetOnParole(a.onParole)
+	b.Background = a
+	b.SetTier(a)
 	t.register(shard, a)
 
 	b.Reg.GaugeFunc("globalfp_hints_installed", func() int64 { return a.hintsInstalled })
@@ -153,16 +152,16 @@ func (a *Agent) hintedTest(pba alloc.PBA) bool {
 func (a *Agent) hintedSet(pba alloc.PBA)   { a.hinted[pba>>6] |= 1 << (uint(pba) & 63) }
 func (a *Agent) hintedClear(pba alloc.PBA) { a.hinted[pba>>6] &^= 1 << (uint(pba) & 63) }
 
-// Advertise implements engine.AdSink: the engine's write path publishes
+// Advertise implements engine.Tier: the engine's write path publishes
 // through the agent so the shard number rides along.
 func (a *Agent) Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool) {
 	a.t.Advertise(a.shard, fp, pba, fresh)
 }
 
-// onRemoteRef reports this shard's 0↔1 reference transitions on a
-// remote canonical to its owner (the ref-pin half of the pin
-// invariant). Fired by Base.SetRemoteRef and Base.FreeBlocks.
-func (a *Agent) onRemoteRef(c alloc.PBA, up bool) {
+// RemoteRef implements engine.Tier: it reports this shard's 0↔1
+// reference transitions on a remote canonical to its owner (the ref-pin
+// half of the pin invariant). Fired by Base.SetRemoteRef and FreeBlocks.
+func (a *Agent) RemoteRef(c alloc.PBA, up bool) {
 	owner, _ := alloc.RemoteParts(c)
 	kind := msgRefDown
 	if up {
@@ -171,14 +170,17 @@ func (a *Agent) onRemoteRef(c alloc.PBA, up bool) {
 	a.t.send(owner, message{kind: kind, canon: c, from: a.shard, epoch: a.t.Epoch(a.shard)})
 }
 
-// onParole queues a hinted canonical whose last local reference
-// disappeared; recall decides later (the block may be re-referenced
-// before the parole budget reaches it, making the entry a no-op).
-func (a *Agent) onParole(pba alloc.PBA) {
+// Parole implements engine.Tier: a hinted canonical whose last local
+// reference disappeared is queued; recall decides later (the block may
+// be re-referenced before the parole budget reaches it: a no-op then).
+func (a *Agent) Parole(pba alloc.PBA) {
 	if a.hintedTest(pba) {
 		a.paroleQ = append(a.paroleQ, pba)
 	}
 }
+
+// OwnerDown implements engine.Tier (an atomic read; safe mid-request).
+func (a *Agent) OwnerDown(owner int) bool { return a.t.Down(owner) }
 
 // Tick implements engine.BackgroundTask. Control-message processing is
 // deliberately unconditional: it is pure bookkeeping (no disk I/O), and
@@ -225,6 +227,7 @@ func (a *Agent) RecoverReset() {
 		delete(a.recalling, k)
 	}
 	a.hinted = make([]uint64, (a.b.DataBlocks()+63)/64)
+	a.b.Map.EnableReverseIndex() // the recovered table starts without one
 	if a.inner != nil {
 		a.inner.RecoverReset()
 	}
@@ -536,35 +539,4 @@ func (a *Agent) processParole(now sim.Time, budget int) int {
 func (a *Agent) freeLocal(pba alloc.PBA) {
 	a.freeBuf[0] = pba
 	a.b.FreeBlocks(a.freeBuf[:])
-}
-
-// AgentStats is a snapshot of one agent's lifetime counters.
-type AgentStats struct {
-	HintsInstalled int64
-	RemapsApplied  int64
-	RemapsRejected int64
-	Reclaimed      int64
-	PinsGranted    int64
-	PinRejects     int64
-	RecallsSent    int64
-	RecallsDone    int64
-	RecallTimeouts int64
-	StaleDropped   int64
-}
-
-// Stats snapshots the agent's counters; call with the shard lock held
-// (the server's merged snapshot path already does).
-func (a *Agent) Stats() AgentStats {
-	return AgentStats{
-		HintsInstalled: a.hintsInstalled,
-		RemapsApplied:  a.remapsApplied,
-		RemapsRejected: a.remapsRejected,
-		Reclaimed:      a.reclaimed,
-		PinsGranted:    a.pinsGranted,
-		PinRejects:     a.pinRejects,
-		RecallsSent:    a.recallsSent,
-		RecallsDone:    a.recallsDone,
-		RecallTimeouts: a.recallTimeouts,
-		StaleDropped:   a.staleDropped,
-	}
 }

@@ -46,18 +46,18 @@ func TestRecallRacingCrashReleasesPinAfterTimeout(t *testing.T) {
 	// grant.
 	c.tier.CrashShard(2)
 	c.agents[0].Tick(8000) // well inside the timeout window
-	st := c.agents[0].Stats()
-	if st.RecallsDone != 0 {
-		t.Fatalf("recall completed %d rounds before the timeout", st.RecallsDone)
+	st := c.engs[0].Metrics().Snapshot().Gauges
+	if st["globalfp_recalls_done"] != 0 {
+		t.Fatalf("recall completed %d rounds before the timeout", st["globalfp_recalls_done"])
 	}
 	c.agents[0].Tick(7000 + sim.Time(2*sim.Second))
 
-	st = c.agents[0].Stats()
-	if st.RecallsSent != 4 || st.RecallsDone != 4 {
-		t.Fatalf("recalls sent %d done %d, want 4/4", st.RecallsSent, st.RecallsDone)
+	st = c.engs[0].Metrics().Snapshot().Gauges
+	if st["globalfp_recalls_sent"] != 4 || st["globalfp_recalls_done"] != 4 {
+		t.Fatalf("recalls sent %d done %d, want 4/4", st["globalfp_recalls_sent"], st["globalfp_recalls_done"])
 	}
-	if st.RecallTimeouts != 4 {
-		t.Fatalf("recall timeouts = %d, want 4", st.RecallTimeouts)
+	if st["globalfp_recall_timeouts"] != 4 {
+		t.Fatalf("recall timeouts = %d, want 4", st["globalfp_recall_timeouts"])
 	}
 	for pba := alloc.PBA(0); pba < 4; pba++ {
 		if pins := c.engs[0].Base().Map.PinCount(pba); pins != 0 {

@@ -36,7 +36,7 @@ func testConfig(perDisk uint64) engine.Config {
 // deterministic without goroutine scheduling in the picture.
 type cluster struct {
 	tier   *globalfp.Tier
-	engs   []*core.SelectDedupe
+	engs   []*engine.Pipeline
 	agents []*globalfp.Agent
 }
 
@@ -189,8 +189,8 @@ func TestFoldMergesPreexistingDuplicates(t *testing.T) {
 	if used := c.engs[1].UsedBlocks(); used != 0 {
 		t.Fatalf("shard 1 uses %d blocks after fold, want 0", used)
 	}
-	st := c.agents[1].Stats()
-	if st.RemapsApplied == 0 {
+	st := c.engs[1].Metrics().Snapshot().Gauges
+	if st["globalfp_remaps_applied"] == 0 {
 		t.Fatalf("no remaps applied: %+v", st)
 	}
 	tc := c.tier.Snapshot()
@@ -239,9 +239,9 @@ func TestRecallFreesAbandonedCanonical(t *testing.T) {
 			t.Fatalf("abandoned canonical %d still holds %d pins", pba, pins)
 		}
 	}
-	st := c.agents[0].Stats()
-	if st.RecallsSent == 0 || st.RecallsDone != st.RecallsSent {
-		t.Fatalf("recalls sent %d done %d, want all complete", st.RecallsSent, st.RecallsDone)
+	st := c.engs[0].Metrics().Snapshot().Gauges
+	if st["globalfp_recalls_sent"] == 0 || st["globalfp_recalls_done"] != st["globalfp_recalls_sent"] {
+		t.Fatalf("recalls sent %d done %d, want all complete", st["globalfp_recalls_sent"], st["globalfp_recalls_done"])
 	}
 	// 8 old canonicals on shard 0 freed, 8 fresh blocks live on each.
 	if used := c.engs[0].UsedBlocks(); used != 8 {
@@ -270,8 +270,8 @@ func TestStaleAdvertisementIsHarmless(t *testing.T) {
 	c.tier.Advertise(0, fper.Fingerprint(&ch), 0, true)
 	c.settle(1000)
 
-	st := c.agents[0].Stats()
-	if st.PinRejects == 0 {
+	st := c.engs[0].Metrics().Snapshot().Gauges
+	if st["globalfp_pin_rejects"] == 0 {
 		t.Fatalf("stale advertisement was not rejected: %+v", st)
 	}
 	if pins := b0.Map.PinCount(0); pins != 1 {

@@ -169,9 +169,6 @@ func (c *Controller) Index() *index.Hot { return c.idx }
 // IndexFrac reports the current index-cache share of the budget.
 func (c *Controller) IndexFrac() float64 { return c.indexFrac }
 
-// ReadCacheLen reports the number of cached data blocks.
-func (c *Controller) ReadCacheLen() int { return c.read.Len() }
-
 // ReadCacheCap reports the read-cache capacity in blocks.
 func (c *Controller) ReadCacheCap() int { return c.read.Cap() }
 

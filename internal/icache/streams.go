@@ -74,9 +74,6 @@ func (c *Controller) EnableStreams(static map[uint32]float64) {
 	}
 }
 
-// StreamMode reports whether per-stream apportionment is enabled.
-func (c *Controller) StreamMode() bool { return c.streamMode }
-
 // SetStreamShares applies dynamically apportioned shares (stream →
 // fraction of the index partition, summing to ≤ 1). Streams absent from
 // the map get no quota until the next call. No-op under a static split.

@@ -296,7 +296,7 @@ type Table struct {
 	peak   int64 // high-water mark of shared mappings
 
 	// optional reverse index (PBA → referring LBAs), maintained only
-	// when the segment cleaner needs to relocate live blocks
+	// when the out-of-line scanner needs to rewire a block's referrers
 	rev map[alloc.PBA]map[uint64]struct{}
 
 	dev     *nvram.Device
@@ -390,16 +390,6 @@ func (t *Table) Referrers(pba alloc.PBA) []uint64 {
 		out = append(out, lba)
 	}
 	return out
-}
-
-// LookupFull returns the mapping and its shared flag.
-func (t *Table) LookupFull(lba uint64) (pba alloc.PBA, shared, ok bool) {
-	v := t.m.get(lba)
-	if v == 0 {
-		return 0, false, false
-	}
-	mp := decodeMapping(v)
-	return mp.pba, mp.shared, true
 }
 
 func (t *Table) revAdd(pba alloc.PBA, lba uint64) {

@@ -26,10 +26,11 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/pod-dedup/pod/internal/stats"
 )
 
 // Counter is a monotonically increasing tally. Not synchronized: owned
@@ -64,62 +65,16 @@ func (g *Gauge) Add(delta int64) { g.v += delta }
 // Value reports the current value.
 func (g *Gauge) Value() int64 { return g.v }
 
-// HistBuckets is the fixed bucket count of every histogram: bucket i
-// covers [2^(i-1), 2^i) microseconds (bucket 0 holds only zero), the
-// same log₂ layout as the response-time histograms in internal/stats,
-// so the two views of one replay always agree.
-const HistBuckets = 64
-
-// Histogram is a fixed-bucket log₂-scale histogram over non-negative
-// integer samples (simulated microseconds). Observing never allocates.
+// Histogram is a registry-named stats.Histogram: the one fixed-bucket
+// log₂-scale histogram of the repository, over non-negative integer
+// samples (simulated microseconds). Observing never allocates.
 type Histogram struct {
-	name    string
-	buckets [HistBuckets]int64
-	n       int64
-	sum     int64
-	max     int64
-}
-
-func histBucketOf(v int64) int {
-	if v < 1 {
-		return 0
-	}
-	b := 64 - bits.LeadingZeros64(uint64(v))
-	if b > HistBuckets-1 {
-		b = HistBuckets - 1
-	}
-	return b
+	name string
+	stats.Histogram
 }
 
 // Observe records one sample; negative samples clamp to zero.
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[histBucketOf(v)]++
-	h.n++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// N reports the number of samples.
-func (h *Histogram) N() int64 { return h.n }
-
-// Sum reports the sample total.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Max reports the largest sample.
-func (h *Histogram) Max() int64 { return h.max }
-
-// Mean reports the arithmetic mean, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
+func (h *Histogram) Observe(v int64) { h.Add(v) }
 
 // gaugeFunc is a callback gauge, evaluated at snapshot time. It costs
 // nothing on the hot path, which makes it the right shape for values a
@@ -256,8 +211,7 @@ func (r *Registry) Reset() {
 		g.v = 0
 	}
 	for _, h := range r.hists {
-		name := h.name
-		*h = Histogram{name: name}
+		h.Histogram.Reset()
 	}
 	if r.phases != nil {
 		r.phases.last = [NumPhases]int64{}

@@ -72,7 +72,7 @@ func TestHistogramBucketing(t *testing.T) {
 	// 0 and the clamped -5 land in bucket 0; 1 in bucket 1; 2,3 in
 	// bucket 2; 4 in bucket 3; 100 in bucket 7.
 	want := map[int]int64{0: 2, 1: 1, 2: 2, 3: 1, 7: 1}
-	for i, c := range h.buckets {
+	for i, c := range h.Counts() {
 		if c != want[i] {
 			t.Fatalf("bucket[%d] = %d, want %d", i, c, want[i])
 		}
@@ -97,6 +97,39 @@ func TestHistogramSnapshotPercentile(t *testing.T) {
 	}
 	if s.Percentile(100) > float64(h.Max()) {
 		t.Errorf("p100 %.1f exceeds max %d", s.Percentile(100), h.Max())
+	}
+}
+
+// Property: a snapshot's percentile is the live histogram's percentile.
+// Both go through stats.Percentile, so the test pins the one place they
+// could diverge — the snapshot's sparse LE-keyed buckets mapping back
+// onto the dense layout — across every bucket, all-zero samples, a
+// single sample, the overflow bucket, and p → 0.
+func TestSnapshotPercentileMatchesLive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ps := []float64{1e-9, 0.01, 1, 25, 50, 90, 99, 99.9, 100}
+	for trial := 0; trial < 200; trial++ {
+		var h Histogram
+		n := 1 + rng.Intn(300)
+		for i := 0; i < n; i++ {
+			switch trial % 4 {
+			case 0: // all zero
+				h.Observe(0)
+			case 1: // wide: any bucket, the overflow one included
+				h.Observe(rng.Int63() >> uint(rng.Intn(63)))
+			default: // latency-like
+				h.Observe(rng.Int63n(1 << uint(1+rng.Intn(24))))
+			}
+		}
+		s := snapHistogram(&h)
+		for _, p := range ps {
+			if live, snap := h.Percentile(p), s.Percentile(p); live != snap {
+				t.Fatalf("trial %d p%g: live %v, snapshot %v", trial, p, live, snap)
+			}
+		}
+		if trial%4 == 0 && s.Percentile(50) != 0 {
+			t.Fatalf("all-zero samples: p50 = %v, want 0", s.Percentile(50))
+		}
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
+
+	"github.com/pod-dedup/pod/internal/stats"
 )
 
 // Bucket is one non-empty histogram bucket in a snapshot. LE is the
@@ -29,8 +32,8 @@ type HistSnapshot struct {
 }
 
 func snapHistogram(h *Histogram) *HistSnapshot {
-	s := &HistSnapshot{N: h.n, Sum: h.sum, Max: h.max}
-	for i, c := range h.buckets {
+	s := &HistSnapshot{N: h.N(), Sum: h.Sum(), Max: h.Max()}
+	for i, c := range h.Counts() {
 		if c != 0 {
 			le := bucketUpper(i) - 1
 			if bucketUpper(i) == math.MaxInt64 {
@@ -50,35 +53,14 @@ func (s *HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.N)
 }
 
-// Percentile estimates the p-th percentile (0 < p <= 100) by linear
-// interpolation within the covering log₂ bucket, the same estimator
-// as stats.Histogram.Percentile so the two latency views agree.
+// Percentile estimates the p-th percentile (0 < p <= 100) with the
+// live histogram's estimator, over the buckets laid back out densely.
 func (s *HistSnapshot) Percentile(p float64) float64 {
-	if s.N == 0 {
-		return 0
-	}
-	rank := p / 100 * float64(s.N)
-	var cum int64
+	var dense [stats.Buckets]int64
 	for _, b := range s.Buckets {
-		cum += b.Count
-		if float64(cum) >= rank {
-			hi := float64(b.LE) + 1
-			lo := hi / 2
-			if b.LE <= 0 {
-				lo, hi = 0, 1
-			}
-			if b.LE == math.MaxInt64 {
-				return float64(s.Max)
-			}
-			frac := (rank - float64(cum-b.Count)) / float64(b.Count)
-			v := lo + frac*(hi-lo)
-			if v > float64(s.Max) && s.Max > 0 {
-				v = float64(s.Max)
-			}
-			return v
-		}
+		dense[bits.Len64(uint64(b.LE))] += b.Count // LE = 2^i − 1 ↔ bucket i
 	}
-	return float64(s.Max)
+	return stats.Percentile(&dense, s.N, s.Max, p)
 }
 
 // Merge adds other's samples into s bucket-wise. Because both sides

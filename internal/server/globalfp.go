@@ -12,9 +12,9 @@ import (
 	"github.com/pod-dedup/pod/internal/metrics"
 )
 
-// baseHolder matches engines exposing their substrate (Select-Dedupe
-// and POD); the global fingerprint tier and the cross-shard audit need
-// direct Map/Store access.
+// baseHolder matches engines exposing their substrate (engine.Pipeline
+// and decorators forwarding it); the global fingerprint tier and the
+// cross-shard audit need direct Map/Store access.
 type baseHolder interface {
 	Base() *engine.Base
 }
@@ -30,24 +30,24 @@ func (s *Server) initGlobalFP() error {
 	s.tier = tier
 	s.agents = make([]*globalfp.Agent, s.cfg.Shards)
 	for i, sh := range s.shards {
+		// The tier complements the selective inline schemes, the only
+		// ones whose write path advertises to it; on any other scheme it
+		// would attach and sit idle.
+		name := sh.eng.Name()
+		if name != "Select-Dedupe" && name != "POD" {
+			return fmt.Errorf("server: shard %d engine %s: the global fingerprint tier requires Select-Dedupe or POD engines", i, name)
+		}
 		a, ok := globalfp.Attach(sh.eng, tier, i)
 		if !ok {
-			return fmt.Errorf("server: shard %d engine %s has no Map-table substrate; the global fingerprint tier requires Select-Dedupe or POD engines", i, sh.eng.Name())
+			return fmt.Errorf("server: shard %d engine %s does not expose its substrate (no Base()); the global fingerprint tier cannot attach", i, name)
 		}
 		s.agents[i] = a
-		if h, ok := sh.eng.(baseHolder); ok {
-			// owner-down checks on the remote read/dedupe paths; the
-			// mask read is atomic, so the hook is safe mid-request
-			h.Base().RemoteDown = func(owner int) bool {
-				return s.downMask.Load()&(uint64(1)<<uint(owner)) != 0
-			}
-			// per-shard fencing epoch, exported beside the shard's other
-			// tier gauges (atomic read; safe under the registry rule)
-			shardIdx := i
-			sh.eng.Metrics().GaugeFunc(
-				metrics.Labeled("globalfp_epoch", "shard", strconv.Itoa(i)),
-				func() int64 { return int64(tier.Epoch(shardIdx)) })
-		}
+		// per-shard fencing epoch, exported beside the shard's other
+		// tier gauges (atomic read; safe under the registry rule)
+		shardIdx := i
+		sh.eng.Metrics().GaugeFunc(
+			metrics.Labeled("globalfp_epoch", "shard", strconv.Itoa(i)),
+			func() int64 { return int64(tier.Epoch(shardIdx)) })
 	}
 
 	// Tier-level gauges live in the server registry: the tier is shared

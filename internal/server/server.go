@@ -331,8 +331,7 @@ type Server struct {
 	settleOnce sync.Once
 
 	// downMask mirrors the shards' down flags as a bitmask readable
-	// without locks: engines consult it mid-request (RemoteDown) and
-	// DownShards reports it to operators.
+	// without locks: DownShards reports it to operators mid-serve.
 	downMask atomic.Uint64
 
 	wg      sync.WaitGroup
@@ -678,7 +677,7 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 	sh.consecFails = 0
 	sh.brOpen = false // a success closes a half-open breaker
 
-	// The engine's StartRequest reset the phase scratch at the top of
+	// The engine reset the phase scratch (Ph.Begin) at the top of
 	// its Write/Read, so queue wait must be observed after the engine
 	// returns for the sampled timeline to include it.
 	qw := int64(start.Sub(arrival))

@@ -1,6 +1,6 @@
 // Package sim provides the primitives of the discrete-time storage
-// simulator used throughout this repository: a virtual microsecond clock
-// and FCFS resource queues.
+// simulator used throughout this repository: virtual time in
+// microseconds and FCFS resource queues.
 //
 // All latency results in the POD reproduction are computed in virtual
 // time. Requests are replayed in arrival order against resources that
@@ -63,29 +63,3 @@ func MaxTime(a, b Time) Time {
 	}
 	return b
 }
-
-// Clock tracks the global virtual time of a replay. The replayer
-// advances it to each request's arrival timestamp; components may only
-// move it forward.
-type Clock struct {
-	now Time
-}
-
-// NewClock returns a clock starting at time zero.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current virtual time.
-func (c *Clock) Now() Time { return c.now }
-
-// AdvanceTo moves the clock forward to t. Moving backwards is a
-// programming error and panics: the replayer must feed requests in
-// arrival order.
-func (c *Clock) AdvanceTo(t Time) {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: clock moved backwards: %v -> %v", c.now, t))
-	}
-	c.now = t
-}
-
-// Reset rewinds the clock to zero for a fresh run.
-func (c *Clock) Reset() { c.now = 0 }

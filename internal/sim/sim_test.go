@@ -59,33 +59,6 @@ func TestDurationConversions(t *testing.T) {
 	}
 }
 
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	if c.Now() != 0 {
-		t.Fatal("new clock should start at 0")
-	}
-	c.AdvanceTo(100)
-	if c.Now() != 100 {
-		t.Fatalf("Now() = %d, want 100", c.Now())
-	}
-	c.AdvanceTo(100) // idempotent advance is fine
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("Reset should rewind to 0")
-	}
-}
-
-func TestClockBackwardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on backwards clock")
-		}
-	}()
-	c := NewClock()
-	c.AdvanceTo(100)
-	c.AdvanceTo(50)
-}
-
 func TestFCFSIdleServer(t *testing.T) {
 	q := NewFCFSQueue()
 	done := q.Submit(1000, 50)

@@ -12,12 +12,11 @@ type counters struct {
 	U     uint64
 	F     float64
 	Hist  *Histogram
-	Summ  *Summary
 	Empty *Histogram
 }
 
 func newCounters() *counters {
-	return &counters{Hist: NewHistogram(), Summ: NewSummary(), Empty: NewHistogram()}
+	return &counters{Hist: NewHistogram(), Empty: NewHistogram()}
 }
 
 func TestMergeStructsSumsAndMerges(t *testing.T) {
@@ -28,8 +27,6 @@ func TestMergeStructsSumsAndMerges(t *testing.T) {
 	a.F, b.F = 0.5, 0.25
 	a.Hist.Add(100)
 	b.Hist.Add(300)
-	a.Summ.Add(1)
-	b.Summ.Add(3)
 
 	MergeStructs(a, b)
 
@@ -38,9 +35,6 @@ func TestMergeStructsSumsAndMerges(t *testing.T) {
 	}
 	if a.Hist.N() != 2 || a.Hist.Sum() != 400 || a.Hist.Max() != 300 {
 		t.Fatalf("histogram merge wrong: n=%d sum=%d max=%d", a.Hist.N(), a.Hist.Sum(), a.Hist.Max())
-	}
-	if a.Summ.N() != 2 || a.Summ.Mean() != 2 {
-		t.Fatalf("summary merge wrong: %v", a.Summ)
 	}
 	// b must be untouched
 	if b.A != 4 || b.Hist.N() != 1 {
@@ -55,7 +49,6 @@ func TestMergeStructsIdentity(t *testing.T) {
 	src.A = 42
 	src.Hist.Add(7)
 	src.Hist.Add(9000)
-	src.Summ.Add(3.5)
 
 	dst := newCounters()
 	MergeStructs(dst, src)

@@ -1,122 +1,30 @@
 // Package stats provides the streaming statistics used by the POD
-// evaluation harness: Welford mean/variance accumulators, log-scale
-// latency histograms with percentile estimation, and simple counters.
+// evaluation harness: the log-scale latency histogram with percentile
+// estimation, counter-struct merging, and result tables.
 //
 // Everything here is allocation-light and deterministic so that replay
 // results are byte-for-byte reproducible.
 package stats
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
-// Summary is a streaming accumulator for mean and variance using
-// Welford's online algorithm, plus min/max tracking.
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// NewSummary returns an empty accumulator.
-func NewSummary() *Summary {
-	return &Summary{min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-}
-
-// N reports the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean reports the arithmetic mean, or 0 with no observations.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.mean
-}
-
-// Sum reports the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// Variance reports the unbiased sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min reports the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max reports the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Merge folds another summary into s (parallel-reduction friendly).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	mn, mx := s.min, s.max
-	if o.min < mn {
-		mn = o.min
-	}
-	if o.max > mx {
-		mx = o.max
-	}
-	*s = Summary{n: n, mean: mean, m2: m2, min: mn, max: mx}
-}
-
-// Reset clears the accumulator.
-func (s *Summary) Reset() { *s = *NewSummary() }
-
-// String renders "mean±std [min,max] (n)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.3f±%.3f [%.3f,%.3f] (n=%d)", s.Mean(), s.StdDev(), s.Min(), s.Max(), s.n)
-}
+// Buckets is the fixed bucket count of every histogram.
+const Buckets = 64
 
 // Histogram is a log₂-bucketed latency histogram over non-negative
 // integer samples (microseconds in this repository). Bucket i covers
-// [2^i, 2^(i+1)); bucket 0 covers [0,2). Percentiles are estimated by
-// linear interpolation within a bucket.
+// [2^(i-1), 2^i); bucket 0 holds only zero; the last bucket also takes
+// everything above it. The layout is fixed, so histograms merge exactly
+// and never allocate after creation. Percentiles are estimated by
+// linear interpolation within a bucket. It is the one histogram of the
+// repository: engine.Stats, the server's latency view and the metrics
+// registry (live and in snapshots) all count and estimate through it.
 type Histogram struct {
-	buckets [64]int64
+	buckets [Buckets]int64
 	n       int64
 	sum     int64
 	max     int64
@@ -125,33 +33,14 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-func bucketOf(v int64) int {
-	if v < 1 {
-		return 0
-	}
-	return 64 - leadingZeros64(uint64(v))
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
-}
-
 // Add records one sample; negative samples are clamped to zero.
 func (h *Histogram) Add(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	b := bucketOf(v)
-	if b > 63 {
-		b = 63
+	b := bits.Len64(uint64(v))
+	if b > Buckets-1 {
+		b = Buckets - 1
 	}
 	h.buckets[b]++
 	h.n++
@@ -160,6 +49,9 @@ func (h *Histogram) Add(v int64) {
 		h.max = v
 	}
 }
+
+// Counts returns the per-bucket sample counts.
+func (h *Histogram) Counts() [Buckets]int64 { return h.buckets }
 
 // N reports the number of samples.
 func (h *Histogram) N() int64 { return h.n }
@@ -180,34 +72,40 @@ func (h *Histogram) Max() int64 { return h.max }
 
 // Percentile estimates the p-th percentile (0 < p ≤ 100).
 func (h *Histogram) Percentile(p float64) float64 {
-	if h.n == 0 {
+	return Percentile(&h.buckets, h.n, h.max, p)
+}
+
+// Percentile is the estimator behind Histogram.Percentile, over bare
+// bucket counts (n samples in total, the largest max) so a histogram
+// rebuilt from a snapshot answers exactly as the live one did. Ranks
+// below the first sample resolve to the first sample's bucket; the
+// estimate never exceeds max; the overflow bucket has no upper edge to
+// interpolate toward and reports max.
+func Percentile(buckets *[Buckets]int64, n, max int64, p float64) float64 {
+	if n == 0 {
 		return 0
 	}
-	rank := p / 100 * float64(h.n)
+	rank := p / 100 * float64(n)
 	if rank < 1 {
 		rank = 1
 	}
 	var seen float64
-	for i, c := range h.buckets {
+	for i, c := range buckets[:Buckets-1] {
 		if c == 0 {
 			continue
 		}
 		if seen+float64(c) >= rank {
-			lo := float64(int64(1) << uint(i-1))
-			if i == 0 {
-				lo = 0
-			}
+			lo := float64(int64(1) << uint(i) >> 1)
 			hi := float64(int64(1) << uint(i))
-			frac := (rank - seen) / float64(c)
-			v := lo + frac*(hi-lo)
-			if v > float64(h.max) {
-				v = float64(h.max)
+			v := lo + (rank-seen)/float64(c)*(hi-lo)
+			if v > float64(max) {
+				v = float64(max)
 			}
 			return v
 		}
 		seen += float64(c)
 	}
-	return float64(h.max)
+	return float64(max)
 }
 
 // Merge folds another histogram into h.
@@ -224,18 +122,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Reset clears the histogram.
 func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Counter is a named monotonically increasing tally.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.Value += n }
 
 // Ratio returns a/b as a percentage, 0 when b is 0.
 func Ratio(a, b int64) float64 {

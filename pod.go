@@ -152,11 +152,6 @@ type Config struct {
 	// intended for tests).
 	Verify bool
 
-	// Cleaner enables the background segment cleaner, which defragments
-	// the log-structured store during idle periods (recommended for
-	// long-running overwrite-heavy workloads).
-	Cleaner bool
-
 	// BGDedup enables the idle-aware background out-of-line
 	// deduplication scanner, which reclaims the duplicate copies the
 	// selective inline path intentionally wrote. Supported by the
@@ -275,24 +270,23 @@ func New(cfg Config) (*System, error) {
 		IDedupThreshold: cfg.IDedupThreshold,
 		NVRAMBytes:      nvram,
 		Verify:          cfg.Verify,
-		Cleaner:         engine.CleanerParams{Enabled: cfg.Cleaner},
 		Streams:         engine.StreamParams{Enabled: cfg.StreamAware},
 		Chunking:        chunking,
 	}
-	if cfg.StreamAware {
-		switch scheme {
-		case SchemeSelectDedupe, SchemePOD:
-		default:
-			return nil, fmt.Errorf("pod: scheme %s does not support stream-aware apportionment (want %s or %s)",
-				scheme, SchemeSelectDedupe, SchemePOD)
-		}
+	// Both features complement the selective inline path; on any other
+	// scheme they would run but mean nothing.
+	selective := scheme == SchemeSelectDedupe || scheme == SchemePOD
+	if cfg.StreamAware && !selective {
+		return nil, fmt.Errorf("pod: scheme %s does not support stream-aware apportionment (want %s or %s)",
+			scheme, SchemeSelectDedupe, SchemePOD)
 	}
-	eng := experiments.NewEngine(string(cfg.Scheme), ecfg)
+	if cfg.BGDedup && !selective {
+		return nil, fmt.Errorf("pod: scheme %s does not support background deduplication (want %s or %s)",
+			scheme, SchemeSelectDedupe, SchemePOD)
+	}
+	eng := experiments.NewEngine(string(scheme), ecfg)
 	if cfg.BGDedup {
-		if _, ok := bgdedup.Attach(eng, bgdedup.Params{BlocksPerSec: cfg.BGDedupBlocksPerSec}); !ok {
-			return nil, fmt.Errorf("pod: scheme %s does not support background deduplication (want %s or %s)",
-				cfg.Scheme, SchemeSelectDedupe, SchemePOD)
-		}
+		bgdedup.Attach(eng, bgdedup.Params{BlocksPerSec: cfg.BGDedupBlocksPerSec})
 	}
 	return &System{eng: eng}, nil
 }

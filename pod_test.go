@@ -310,24 +310,3 @@ func TestLayoutSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCleanerConfigAccepted(t *testing.T) {
-	sys, err := New(Config{Scheme: SchemePOD, Cleaner: true, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := int64(0)
-	for i := 0; i < 200; i++ {
-		now += 20_000
-		if _, err := sys.Do(wr(now, uint64(i%50)*4, ContentID(1000+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// consistency preserved under churn with the cleaner armed
-	for i := 150; i < 200; i++ {
-		lba := uint64(i%50) * 4
-		if _, ok := sys.ReadBack(lba); !ok {
-			t.Fatalf("lba %d lost", lba)
-		}
-	}
-}
