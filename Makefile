@@ -162,6 +162,14 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# Hot-path microbenchmarks, one layer each: the CDC landmark sweeps
+# (BenchmarkSeqMarks / BenchmarkGearMarks) beside the whole split
+# (rotating windows: *Chunk; sequential requests: *Stream), fixed-4K
+# split and fingerprinting, and the Map table. The CDC split
+# benchmarks fail unless they run at 0 allocs/op.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/
+
 # Full-scale reproduction of every table and figure (a few minutes).
 repro:
 	$(GO) run ./cmd/podbench
@@ -170,11 +178,14 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass over the parsers and the journal recovery.
+# Short fuzz pass over the parsers, the journal recovery and the CDC
+# landmark sweeps (batched bitmap vs the scalar predicate).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzLoad -fuzztime 20s ./internal/maptable/
+	$(GO) test -fuzz FuzzSeqMarks -fuzztime 20s ./internal/cdc/
+	$(GO) test -fuzz FuzzGearMarks -fuzztime 20s ./internal/cdc/
 
 clean:
 	$(GO) clean ./...

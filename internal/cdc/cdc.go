@@ -58,9 +58,10 @@ const (
 	Gear
 	// SeqCDC is a hashless sequence-based chunker in the style of
 	// SeqCDC/VectorCDC: a landmark is a run of SeqLen consecutive
-	// strictly-increasing byte steps. Cheaper per byte than Gear and
-	// SIMD-friendly in spirit: the batched sweep is branch-light and
-	// processes bitmap words, not per-byte calls.
+	// strictly-increasing byte steps. Cheaper per byte than Gear: the
+	// sweep is bit-parallel and branch-free — a SWAR byte compare per 8
+	// input bytes builds a 64-bit step bitmap, and shifts and ANDs of
+	// that word find the run ends of 64 positions at once.
 	SeqCDC
 )
 

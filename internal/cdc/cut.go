@@ -81,7 +81,7 @@ func appendChainedCuts(cuts []int32, marks []uint64, n, minB, maxB int) []int32 
 // they consume: positions closer than minB to the buffer start cannot
 // see landmarks before the buffer (their acceptance may differ from
 // the stream's truth), and the first 64 bytes carry a cold Gear
-// window. streamLookback covers both with margin.
+// window. Params.lookback covers both with margin.
 func appendStreamCuts(cuts []int32, marks []uint64, n int, base int64, minB, maxB int) []int32 {
 	// anchor: the previous cut. At the stream head it is offset 0
 	// (forced, and emitted). Mid-stream, fall back to the absolute

@@ -1,6 +1,9 @@
 package cdc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // testRand is a tiny deterministic byte stream for tests (SplitMix64
 // walk), so every run sees identical buffers.
@@ -17,6 +20,34 @@ func testFill(buf []byte, seed uint64) {
 
 var markSizes = []int{0, 1, 7, 63, 64, 65, 127, 128, 129, 1000, 4096, 4096 + 17}
 
+// checkMarks sweeps buf and compares the bitmap against the scalar
+// predicate at every position; no bit past the buffer may be set.
+func checkMarks(t testing.TB, what string, buf []byte, sweep func(marks []uint64), scalar func(i int) bool) {
+	t.Helper()
+	marks := make([]uint64, (len(buf)+63)/64)
+	sweep(marks)
+	for i := 0; i < len(marks)*64; i++ {
+		got := marks[i>>6]>>uint(i&63)&1 == 1
+		if want := i < len(buf) && scalar(i); got != want {
+			t.Fatalf("%s n=%d pos=%d: batched=%v scalar=%v", what, len(buf), i, got, want)
+		}
+	}
+}
+
+func checkGearMarks(t testing.TB, what string, buf []byte, avgBits int) {
+	t.Helper()
+	checkMarks(t, fmt.Sprintf("%s avgBits=%d", what, avgBits), buf,
+		func(marks []uint64) { gearMarks(buf, avgBits, marks) },
+		func(i int) bool { return gearMarkScalar(buf, i, avgBits) })
+}
+
+func checkSeqMarks(t testing.TB, what string, buf []byte, seqLen int) {
+	t.Helper()
+	checkMarks(t, fmt.Sprintf("%s seqLen=%d", what, seqLen), buf,
+		func(marks []uint64) { seqMarks(buf, seqLen, marks) },
+		func(i int) bool { return seqMarkScalar(buf, i, seqLen) })
+}
+
 // TestGearMarksMatchScalar cross-checks the batched 64-byte-word Gear
 // sweep against the per-position scalar reference on buffers that
 // exercise every word-boundary case.
@@ -25,41 +56,84 @@ func TestGearMarksMatchScalar(t *testing.T) {
 		for _, n := range markSizes {
 			buf := make([]byte, n)
 			testFill(buf, uint64(n)*1000+uint64(avgBits))
-			marks := make([]uint64, (n+63)/64)
-			gearMarks(buf, avgBits, marks)
-			for i := 0; i < n; i++ {
-				got := marks[i>>6]>>uint(i&63)&1 == 1
-				want := gearMarkScalar(buf, i, avgBits)
-				if got != want {
-					t.Fatalf("avgBits=%d n=%d pos=%d: batched=%v scalar=%v", avgBits, n, i, got, want)
-				}
-			}
+			checkGearMarks(t, "random", buf, avgBits)
 		}
 	}
 }
 
-// TestSeqMarksMatchScalar does the same for the sequence-based sweep,
-// including crafted monotone regions longer than SeqLen (which must
-// mark exactly one position each).
+// TestSeqMarksMatchScalar does the same for the sequence-based sweep
+// at every legal SeqLen, on random bytes with spliced monotone ramps
+// (shorter than, equal to and longer than SeqLen; longer than one and
+// two bitmap words; starting at position 0, where there is no left
+// neighbour) and on low-entropy bytes, where equal neighbours and
+// short runs are the common case rather than the exception.
 func TestSeqMarksMatchScalar(t *testing.T) {
-	for _, seqLen := range []int{3, 4, 6} {
+	ramp := func(buf []byte, at, length int) {
+		at = max(at, 0)
+		for j := 0; j < length && at+j < len(buf); j++ {
+			buf[at+j] = byte(1 + j) // strictly increasing for up to 255 steps
+		}
+	}
+	for seqLen := 3; seqLen <= 16; seqLen++ {
 		for _, n := range markSizes {
 			buf := make([]byte, n)
 			testFill(buf, uint64(n)*77+uint64(seqLen))
-			// splice in monotone ramps of assorted lengths, some
-			// crossing 64-byte word boundaries
+			checkSeqMarks(t, "random", buf, seqLen)
+
+			// ramps of assorted lengths, some crossing 64-byte word
+			// boundaries, one ending exactly on the buffer end
 			for _, at := range []int{5, 60, 120, 1020} {
-				for j := 0; j < 2*seqLen+3 && at+j < n; j++ {
-					buf[at+j] = byte(10 + 3*j)
-				}
+				ramp(buf, at, 2*seqLen+3)
 			}
-			marks := make([]uint64, (n+63)/64)
-			seqMarks(buf, seqLen, marks)
-			for i := 0; i < n; i++ {
-				got := marks[i>>6]>>uint(i&63)&1 == 1
-				want := seqMarkScalar(buf, i, seqLen)
-				if got != want {
-					t.Fatalf("seqLen=%d n=%d pos=%d: batched=%v scalar=%v", seqLen, n, i, got, want)
+			ramp(buf, n-seqLen-1, seqLen+1)
+			checkSeqMarks(t, "ramps", buf, seqLen)
+
+			for _, length := range []int{seqLen, seqLen + 1, 70, 130, 200} {
+				testFill(buf, uint64(length))
+				ramp(buf, 0, length)
+				checkSeqMarks(t, "ramp at 0", buf, seqLen)
+				testFill(buf, uint64(length))
+				ramp(buf, 61, length)
+				checkSeqMarks(t, "long ramp", buf, seqLen)
+			}
+
+			testFill(buf, uint64(n)+uint64(seqLen)<<32)
+			for i := range buf {
+				buf[i] &= 3
+			}
+			checkSeqMarks(t, "low entropy", buf, seqLen)
+		}
+	}
+}
+
+// TestStepBits8 pins the SWAR compare under the sequence sweep against
+// the per-byte comparison, over byte pairs chosen to hit every
+// high-bit/low-bits combination in every lane.
+func TestStepBits8(t *testing.T) {
+	vals := []byte{0, 1, 2, 0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF}
+	for lane := 0; lane < 8; lane++ {
+		for _, a := range vals {
+			for _, b := range vals {
+				// the other lanes hold the reverse comparison, so a bit
+				// leaking across lanes shows
+				var x, y uint64
+				for k := 0; k < 8; k++ {
+					if k == lane {
+						x |= uint64(a) << (8 * k)
+						y |= uint64(b) << (8 * k)
+					} else {
+						x |= uint64(b) << (8 * k)
+						y |= uint64(a) << (8 * k)
+					}
+				}
+				var want uint64
+				for k := 0; k < 8; k++ {
+					if byte(x>>(8*k)) > byte(y>>(8*k)) {
+						want |= 1 << k
+					}
+				}
+				if got := stepBits8(x, y); got != want {
+					t.Fatalf("stepBits8(%#016x, %#016x) = %08b, want %08b", x, y, got, want)
 				}
 			}
 		}

@@ -29,9 +29,27 @@ type Splitter struct {
 	marks []uint64
 	cuts  []int32
 
-	// Cumulative emission gauges (engine instrumentation reads these).
-	EmittedChunks int64
-	EmittedBytes  int64
+	// held names the stream bytes buf holds and marks covers after a
+	// stream split (zero after a plain one). Stream content is a pure
+	// function of (object, gen, offset), so the next window of the same
+	// stream reuses its overlap with them instead of rebuilding it, and
+	// nothing — crash, recovery, shard reset — can make them stale.
+	held span
+
+	// Cumulative gauges (engine instrumentation reads these). Swept ÷
+	// emitted is the sweep amplification: how many bytes the landmark
+	// detector reads per byte of chunk handed downstream.
+	EmittedChunks     int64
+	EmittedBytes      int64
+	MaterializedBytes int64
+	SweptBytes        int64
+}
+
+// span is the byte range [from, to) of one stream generation.
+type span struct {
+	obj      uint32
+	gen      uint8
+	from, to int64
 }
 
 // NewSplitter returns a splitter for p (panics on invalid parameters
@@ -132,9 +150,22 @@ func (s *Splitter) splitStream(dst []chunk.Chunk, obj uint32, gen uint8, idx0 ui
 	bufEnd := wEnd + int64(s.p.MaxBytes)
 	bn := int(bufEnd - bufStart)
 
-	s.buf = growBytes(s.buf, bn)
-	MaterializeStream(obj, gen, bufStart, s.buf)
-	s.sweep(s.buf)
+	// Carry over what the previous window left: when this buffer
+	// starts a whole number of bitmap words into the held one (every
+	// sequential request of a stream does), its first keep bytes and
+	// their landmark words are already there. Nothing held, or nothing
+	// usable, is keep = 0.
+	shift, keep := 0, 0
+	if d := bufStart - s.held.from; obj == s.held.obj && gen == s.held.gen &&
+		d >= 0 && d < s.held.to-s.held.from && d%64 == 0 {
+		shift, keep = int(d), int(min(s.held.to, bufEnd)-bufStart)
+	}
+	s.buf = slide(s.buf, shift, keep, bn)
+	s.marks = slide(s.marks, shift/64, keep/64, (bn+63)/64)
+	MaterializeStream(obj, gen, bufStart+int64(keep), s.buf[keep:])
+	s.MaterializedBytes += int64(bn - keep)
+	s.sweepFrom(keep / 64)
+	s.held = span{obj, gen, bufStart, bufEnd}
 	s.cuts = appendStreamCuts(s.cuts[:0], s.marks, bn, bufStart, s.p.MinBytes, s.p.MaxBytes)
 
 	// emit every chunk starting in the window [wb0, wb1): cuts are
@@ -168,9 +199,11 @@ func (s *Splitter) splitStream(dst []chunk.Chunk, obj uint32, gen uint8, idx0 ui
 
 func (s *Splitter) splitPlain(dst []chunk.Chunk, ids []chunk.ContentID) ([]chunk.Chunk, int64) {
 	bn := len(ids) * int(slotBytes)
-	s.buf = growBytes(s.buf, bn)
+	s.buf, s.marks = growTo(s.buf, bn), growTo(s.marks, (bn+63)/64)
+	s.held = span{} // buf no longer holds stream bytes
 	s.mt.FillAll(s.buf, ids)
-	s.sweep(s.buf)
+	s.MaterializedBytes += int64(bn)
+	s.sweepFrom(0)
 	s.cuts = appendChainedCuts(s.cuts[:0], s.marks, bn, s.p.MinBytes, s.p.MaxBytes)
 
 	start := 0
@@ -193,18 +226,32 @@ func (s *Splitter) emit(dst []chunk.Chunk, content []byte) []chunk.Chunk {
 	return append(dst, c)
 }
 
-// sweep runs the configured landmark detector over buf into s.marks.
-func (s *Splitter) sweep(buf []byte) {
-	need := (len(buf) + 63) / 64
-	if cap(s.marks) < need {
-		s.marks = make([]uint64, need)
+// sweepFrom brings s.marks up to date with s.buf, given that the first
+// kept words of s.marks are a sweep of the same bytes that began
+// further left. Both detectors are pure functions of at most 64 bytes
+// of left context, so a sweep restarted cold one word early is exact
+// from the next word on: the kept words stand, except word 0, whose
+// left context is now the buffer edge — it is swept again cold, and
+// s.marks equals a cold sweep of all of s.buf word for word.
+func (s *Splitter) sweepFrom(kept int) {
+	from := max(kept-1, 0)
+	warm := s.marks[from] // exact; the cold restart is about to get it wrong
+	s.detect(s.buf[from*64:], s.marks[from:])
+	s.SweptBytes += int64(len(s.buf) - from*64)
+	if from > 0 {
+		s.marks[from] = warm
+		s.detect(s.buf[:64], s.marks[:1])
+		s.SweptBytes += 64
 	}
-	s.marks = s.marks[:need]
+}
+
+// detect runs the configured landmark detector over buf into marks.
+func (s *Splitter) detect(buf []byte, marks []uint64) {
 	switch s.p.Algo {
 	case Gear:
-		gearMarks(buf, s.p.AvgBits, s.marks)
+		gearMarks(buf, s.p.AvgBits, marks)
 	case SeqCDC:
-		seqMarks(buf, s.p.SeqLen, s.marks)
+		seqMarks(buf, s.p.SeqLen, marks)
 	default:
 		panic("cdc: sweep with no algorithm")
 	}
@@ -230,9 +277,19 @@ func bytesHash(b []byte) uint64 {
 	return mix64(h)
 }
 
-func growBytes(s []byte, n int) []byte {
+// growTo returns s resliced to n elements, reallocated if its capacity
+// falls short; the contents are unspecified.
+func growTo[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]byte, n)
+		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// slide returns s resliced to n elements with its old elements
+// [shift, shift+keep) moved to the front.
+func slide[T any](s []T, shift, keep, n int) []T {
+	out := growTo(s, n)
+	copy(out, s[shift:shift+keep])
+	return out
 }

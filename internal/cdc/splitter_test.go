@@ -1,6 +1,8 @@
 package cdc
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -167,5 +169,111 @@ func TestSplitterSteadyStateAllocFree(t *testing.T) {
 		dst, _ = s.Split(dst[:0], plain)
 	}); avg != 0 {
 		t.Fatalf("plain split: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestSplitterSweepAmplification pins the carried window as exact byte
+// counts over one stream written in sequential requests: the first
+// request builds its whole buffer, and every later one materializes
+// exactly its own window's worth of new bytes and sweeps them plus two
+// bitmap words (the warm-up word before the resume point and the cold
+// word 0) — so swept ÷ emitted, 1.39 when every request rebuilt its
+// lookback and lookahead, is within half a percent of 1.
+func TestSplitterSweepAmplification(t *testing.T) {
+	for _, algo := range []Algo{Gear, SeqCDC} {
+		s := NewSplitter(Params{Algo: algo})
+		const blocks, requests = 32, 32
+		window := int64(blocks) * slotBytes
+		for r := 0; r < requests; r++ {
+			s.Split(nil, editWindow(3, 1, r*blocks, blocks))
+		}
+		first := window + int64(s.p.MaxBytes) // clamped at the stream head: no lookback yet
+		if lb := s.p.lookback(); lb%64 != 0 || lb > window {
+			t.Fatalf("lookback %d: the counts below assume a word-aligned lookback inside one window", lb)
+		}
+		if want := first + (requests-1)*window; s.MaterializedBytes != want {
+			t.Fatalf("%v: materialized %d bytes, want %d", algo, s.MaterializedBytes, want)
+		}
+		if want := first + (requests-1)*(window+2*64); s.SweptBytes != want {
+			t.Fatalf("%v: swept %d bytes, want %d", algo, s.SweptBytes, want)
+		}
+		if s.EmittedBytes < requests*window {
+			t.Fatalf("%v: emitted %d bytes < stream %d", algo, s.EmittedBytes, requests*window)
+		}
+		if amp := float64(s.SweptBytes) / float64(s.EmittedBytes); amp > 1.005 {
+			t.Fatalf("%v: sweep amplification %.4f, want ≤ 1.005", algo, amp)
+		}
+	}
+}
+
+// TestSplitterCarryMatchesFresh is the carried window's correctness
+// property: one long-lived Splitter fed an arbitrary sequence of
+// requests — sequential, overlapping, gapped, backwards, switching
+// object and generation, changing size, interleaved with plain
+// requests, under bounds that leave the buffer start and end off the
+// 64-byte grid — emits exactly the chunks a fresh Splitter emits for
+// each request alone, and its buffer and landmark bitmap equal the
+// fresh (cold, whole-buffer) ones byte for byte and word for word.
+func TestSplitterCarryMatchesFresh(t *testing.T) {
+	plain := make([]chunk.ContentID, 8)
+	for i := range plain {
+		plain[i] = chunk.ContentID(i*4099 + 1)
+	}
+	for _, p := range []Params{
+		{Algo: Gear},
+		{Algo: SeqCDC},
+		{Algo: SeqCDC, SeqLen: 16},
+		{Algo: Gear, MinBytes: 300, MaxBytes: 1000, AvgBits: 8},   // lookback 2364, lookahead 1000: nothing aligned
+		{Algo: SeqCDC, MinBytes: 257, MaxBytes: 4097, SeqLen: 3},  // lookback 8515
+		{Algo: SeqCDC, MinBytes: 2048, MaxBytes: 8192, SeqLen: 4}, // aligned, smaller than one block
+	} {
+		carried := NewSplitter(p)
+		// a window shorter than MaxBytes need not contain a chunk start,
+		// and Split panics on one that does not
+		minBlocks := (carried.p.MaxBytes + int(slotBytes) - 1) / int(slotBytes)
+		next := rand.New(rand.NewSource(0x5EED)).Intn
+		obj, gen, idx := uint32(1), uint8(0), 0
+		for step := 0; step < 200; step++ {
+			n := minBlocks + next(40)
+			switch next(10) {
+			case 0, 1, 2, 3, 4: // sequential: idx already sits past the last window
+			case 5:
+				idx += next(64) // gap
+			case 6:
+				idx = max(idx-next(96), 0) // backwards, possibly overlapping
+			case 7:
+				obj, gen = uint32(1+next(3)), uint8(next(4))
+			case 8:
+				idx = next(4) // back to the clamped stream head
+			case 9:
+				carried.Split(nil, plain) // clobbers the buffer
+			}
+			ids := editWindow(obj, gen, idx, n)
+			idx += n
+
+			fresh := NewSplitter(p)
+			want, wantBytes := fresh.Split(nil, ids)
+			got, gotBytes := carried.Split(nil, ids)
+			if gotBytes != wantBytes || len(got) != len(want) {
+				t.Fatalf("%+v step %d (%d/%d idx %d n %d): carried emits %d chunks / %d bytes, fresh %d / %d",
+					p, step, obj, gen, idx-n, n, len(got), gotBytes, len(want), wantBytes)
+			}
+			for i := range want {
+				if got[i].Content != want[i].Content || got[i].FP != want[i].FP {
+					t.Fatalf("%+v step %d: chunk %d differs between carried and fresh splitters", p, step, i)
+				}
+			}
+			if !bytes.Equal(carried.buf, fresh.buf) {
+				t.Fatalf("%+v step %d: carried buffer differs from a fresh materialization", p, step)
+			}
+			if len(carried.marks) != len(fresh.marks) {
+				t.Fatalf("%+v step %d: %d landmark words, fresh has %d", p, step, len(carried.marks), len(fresh.marks))
+			}
+			for w := range fresh.marks {
+				if carried.marks[w] != fresh.marks[w] {
+					t.Fatalf("%+v step %d: landmark word %d = %#x, cold sweep gives %#x", p, step, w, carried.marks[w], fresh.marks[w])
+				}
+			}
+		}
 	}
 }

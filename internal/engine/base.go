@@ -287,6 +287,8 @@ func (b *Base) instrument() {
 	if b.splitter != nil {
 		b.Reg.GaugeFunc("cdc_emitted_chunks", func() int64 { return b.splitter.EmittedChunks })
 		b.Reg.GaugeFunc("cdc_emitted_bytes", func() int64 { return b.splitter.EmittedBytes })
+		b.Reg.GaugeFunc("cdc_materialized_bytes", func() int64 { return b.splitter.MaterializedBytes })
+		b.Reg.GaugeFunc("cdc_swept_bytes", func() int64 { return b.splitter.SweptBytes })
 	}
 	// Allocator health, published for every scheme: occupancy, the
 	// fragmentation of the free space, and the headroom the

@@ -266,11 +266,19 @@ func TestSubmitBatchAfterCloseRefused(t *testing.T) {
 // path: with the sole worker paused and a depth-1 queue, surplus
 // submissions must be refused with ErrShed and counted, never queued
 // without bound or blocked.
+//
+// A paused shard holds QueueDepth requests in its queue plus whatever
+// its worker drained into the current batch before blocking on the
+// shard lock — up to MaxBatch, and how many depends on how the
+// worker's non-blocking refill interleaves with the submissions.
+// MaxBatch 1 pins that to the one request the worker blocks with, so
+// the bound below is exact instead of a race the test usually wins.
 func TestShedPolicyBoundsQueue(t *testing.T) {
 	_, prof := testTrace(t)
 	srv, err := New(Config{
 		Shards:     1,
 		QueueDepth: 1,
+		MaxBatch:   1,
 		Policy:     Shed,
 		NewEngine:  podFactory(prof),
 	})
