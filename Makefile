@@ -165,10 +165,12 @@ bench:
 # Hot-path microbenchmarks, one layer each: the CDC landmark sweeps
 # (BenchmarkSeqMarks / BenchmarkGearMarks) beside the whole split
 # (rotating windows: *Chunk; sequential requests: *Stream), fixed-4K
-# split and fingerprinting, and the Map table. The CDC split
-# benchmarks fail unless they run at 0 allocs/op.
+# split and fingerprinting, the Map table, and the tier's control plane
+# (hint-table put/get, a tick's grant drain, the inbox behind a 1k and a
+# 100k backlog). The CDC split and the hint/grant benchmarks fail unless
+# they run at 0 allocs/op.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/globalfp/
 
 # Full-scale reproduction of every table and figure (a few minutes).
 repro:

@@ -788,6 +788,10 @@ func main() {
 			g["globalfp_remaps_applied"], g["globalfp_remaps_rejected"], g["globalfp_reclaimed_blocks"],
 			g["globalfp_pins_granted"], g["globalfp_pin_rejects"],
 			g["globalfp_recalls_sent"], g["globalfp_recalls_done"])
+		fmt.Printf("globalfp: hint tables %d KiB | hits=%d of %d installed (%.1f%%) overwrites=%d\n",
+			g["globalfp_hint_table_bytes"]>>10, g["globalfp_hint_hits"], g["globalfp_hints_installed"],
+			100*float64(g["globalfp_hint_hits"])/float64(max(1, g["globalfp_hints_installed"])),
+			g["globalfp_hint_overwrites"])
 		fmt.Printf("globalfp: remote inline dedupes=%d remote reads=%d\n",
 			snap.Engine.RemoteDeduped, snap.Engine.RemoteReads)
 		if *gfpExpect && g["globalfp_remaps_applied"] == 0 && snap.Engine.RemoteDeduped == 0 {

@@ -8,8 +8,9 @@ import (
 
 // selectDedupe is POD's write-path policy: request-based selective
 // inline deduplication (Figure 6). The hot index is consulted in memory
-// only, the request is classified per Figure 5, and everything written
-// fresh is indexed under the request's stream.
+// only — and, where the shard has a seat in the global fingerprint tier,
+// the tier's hints on a miss — the request is classified per Figure 5,
+// and everything written fresh is indexed under the request's stream.
 type selectDedupe struct{ engine.Passthrough }
 
 // NewSelectDedupe returns the Select-Dedupe engine with the fixed
@@ -32,6 +33,8 @@ func (selectDedupe) Lookup(b *engine.Base, w *engine.WriteOp, at sim.Time) (sim.
 		if e, ok := b.IC.IndexLookupS(stream, w.Chunks[i].FP); ok {
 			w.Dup[i] = true
 			w.Target[i] = e.PBA
+		} else if b.Tier != nil {
+			w.Target[i], w.Dup[i] = b.Tier.Hint(w.Chunks[i].FP)
 		}
 	}
 	return at, nil

@@ -354,6 +354,11 @@ type Tier interface {
 	// must never block, so the inline path stays shard-local whatever
 	// the tier's load.
 	Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool)
+	// Hint reports the remote-encoded canonical a peer shard holds for
+	// fp, if the tier granted this shard one. The lookup stage asks on a
+	// hot-index miss; hints live in the agent's own bounded table, never
+	// in the iCache.
+	Hint(fp chunk.Fingerprint) (alloc.PBA, bool)
 	// RemoteRef reports a reference-count transition of remote-encoded
 	// canonical c: up when the first local mapping referencing it
 	// appears, !up when the last disappears — pin traffic toward the
@@ -577,9 +582,7 @@ func (b *Base) SplitAndFingerprint(req *trace.Request) ([]chunk.Chunk, sim.Durat
 // purge, and the engine-specific hook. A remote-encoded canonical that
 // lost its last local reference has nothing local to reclaim — the
 // block lives on the owning shard — so only the tier's RemoteRef down
-// transition fires; the index hint stays valid (the binding holds as
-// long as the owner keeps the canonical pinned, and a revoke purges it
-// before the owner ever frees the block).
+// transition fires; the tier's hint for it stays valid.
 func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 	for _, pba := range pbas {
 		if alloc.IsRemote(pba) {
@@ -618,15 +621,13 @@ func (b *Base) SetRemoteRef(lba uint64, c alloc.PBA) {
 func (b *Base) TryDedupe(lba uint64, pba alloc.PBA, id chunk.ContentID) bool {
 	if alloc.IsRemote(pba) {
 		// Cross-shard dedupe against a tier-granted hint. The local
-		// content model cannot validate a peer's block; instead the
-		// binding itself is trusted: a hint enters the hot index only
-		// under a grant that pinned the canonical on its owner, the
-		// owner never mutates a pinned block, and a revoke purges the
-		// hint before the owner frees it — so an index hit on a
-		// remote target is valid by construction (fingerprints are
-		// injective over content IDs in both fingerprint modes).
-		// A down owner breaks the chain — its hints are purged on
-		// crash, but refuse defensively in case one survives.
+		// content model cannot validate a peer's block; the binding
+		// itself is trusted instead — Tier.Hint returns only bindings
+		// valid by construction (globalfp's hint table says why;
+		// fingerprints are injective over content IDs in both
+		// fingerprint modes). A down owner breaks the chain — its
+		// hints are dropped on crash, but refuse defensively in case
+		// one survives.
 		if owner, _ := alloc.RemoteParts(pba); b.Tier != nil && b.Tier.OwnerDown(owner) {
 			return false
 		}

@@ -62,8 +62,9 @@ type recallState struct {
 // requires background dedup — candidates apply through its revalidated
 // merge path). It publishes the shard's advertisements, drains the
 // shard's control inbox every tick (never idle-gated: hints must land
-// under load), applies budgeted remap folds in idle windows, and runs
-// the owner-side pin/parole/recall protocol.
+// under load) into the shard's hint table, answers the write path's
+// lookup-stage Hint probes from it, applies budgeted remap folds in idle
+// windows, and runs the owner-side pin/parole/recall protocol.
 //
 // All agent state is guarded by the shard lock: every entry point —
 // Tick/Flush and the engine.Tier calls via the engine,
@@ -77,6 +78,7 @@ type Agent struct {
 	inner engine.BackgroundTask
 	core  *bgdedup.Core
 
+	hints     *hintTable // every tier hint this shard holds
 	foldQ     []foldReq
 	nextFold  sim.Time
 	paroleQ   []alloc.PBA
@@ -113,11 +115,15 @@ func Attach(e engine.Engine, t *Tier, shard int) (*Agent, bool) {
 }
 
 // New builds the agent, interposes it as the engine's background task
-// and advertisement sink, and registers its gauges.
+// and tier seat, and registers its gauges. The hint table gets as many
+// slots as the shard's hot index has entries right now: a hint is worth
+// what an index entry is worth, and the table must not outgrow the
+// cache it serves.
 func New(b *engine.Base, t *Tier, shard int) *Agent {
 	a := &Agent{
 		b: b, t: t, shard: shard,
 		inner:     b.Background,
+		hints:     newHintTable(b.IC.IndexCapTotal()),
 		recalling: make(map[alloc.PBA]*recallState),
 		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
 	}
@@ -132,6 +138,9 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	t.register(shard, a)
 
 	b.Reg.GaugeFunc("globalfp_hints_installed", func() int64 { return a.hintsInstalled })
+	b.Reg.GaugeFunc("globalfp_hint_hits", func() int64 { return a.hints.hits })
+	b.Reg.GaugeFunc("globalfp_hint_overwrites", func() int64 { return a.hints.overwrites })
+	b.Reg.GaugeFunc("globalfp_hint_table_bytes", a.hints.bytes)
 	b.Reg.GaugeFunc("globalfp_remaps_applied", func() int64 { return a.remapsApplied })
 	b.Reg.GaugeFunc("globalfp_remaps_rejected", func() int64 { return a.remapsRejected })
 	b.Reg.GaugeFunc("globalfp_reclaimed_blocks", func() int64 { return a.reclaimed })
@@ -179,6 +188,10 @@ func (a *Agent) Parole(pba alloc.PBA) {
 	}
 }
 
+// Hint implements engine.Tier: the write path's lookup stage asks, on a
+// hot-index miss, whether a peer holds the content.
+func (a *Agent) Hint(fp chunk.Fingerprint) (alloc.PBA, bool) { return a.hints.get(fp) }
+
 // OwnerDown implements engine.Tier (an atomic read; safe mid-request).
 func (a *Agent) OwnerDown(owner int) bool { return a.t.Down(owner) }
 
@@ -216,11 +229,12 @@ func (a *Agent) Flush(now sim.Time) {
 }
 
 // RecoverReset implements engine.BackgroundTask: all agent state is
-// volatile DRAM bookkeeping — queued folds, paroles, in-flight recalls,
-// and the hinted bitset die with the crash. Post-recovery pins are
-// rebuilt by the serving layer as ref pins only; the hinted pins are
+// volatile DRAM bookkeeping — hints, queued folds, paroles, in-flight
+// recalls, and the hinted bitset die with the crash. Post-recovery pins
+// are rebuilt by the serving layer as ref pins only; the hinted pins are
 // simply gone, consistent with their table entries (tier.Reset).
 func (a *Agent) RecoverReset() {
+	a.hints.clear()
 	a.foldQ = a.foldQ[:0]
 	a.paroleQ = a.paroleQ[:0]
 	for k := range a.recalling {
@@ -233,6 +247,11 @@ func (a *Agent) RecoverReset() {
 	}
 }
 
+// drainAllChunk is how many control messages DrainAll lifts out of the
+// inbox at a time: a flood leaves millions queued at Close, and copying
+// them all out before handling the first doubles their memory.
+const drainAllChunk = 4096
+
 // DrainAll processes everything currently queued — messages, folds,
 // paroles — without budgets or idle gates, repeating until nothing
 // moves. Returns the number of items processed; settlement loops over
@@ -240,7 +259,7 @@ func (a *Agent) RecoverReset() {
 func (a *Agent) DrainAll(now sim.Time) int {
 	total := 0
 	for {
-		n := a.drainMsgs(now, -1)
+		n := a.drainMsgs(now, drainAllChunk)
 		n += a.applyFolds(now, -1)
 		n += a.processParole(now, -1)
 		n += a.sweepRecalls(now, true)
@@ -276,8 +295,8 @@ func (a *Agent) ReAdvertise() {
 	})
 }
 
-// drainMsgs handles up to budget queued control messages (all when
-// budget < 0) and returns the number handled.
+// drainMsgs handles up to budget queued control messages and returns the
+// number handled.
 func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	a.msgBuf = a.t.inbox[a.shard].take(a.msgBuf[:0], budget)
 	for _, m := range a.msgBuf {
@@ -318,9 +337,10 @@ func (a *Agent) handle(now sim.Time, m message) {
 			a.freeLocal(local)
 		}
 	case msgRevoke:
-		// Purge the hint binding (and any cached read of the remote
+		// Delete the hint binding (and any cached read of the remote
 		// block) so no new references form, then ack. Existing remote
 		// mappings stay valid: this shard's ref pin holds the block.
+		a.hints.remove(m.fp, m.canon)
 		a.b.IC.PurgePBA(m.canon)
 		owner, _ := alloc.RemoteParts(m.canon)
 		a.t.send(owner, message{kind: msgRevokeAck, canon: m.canon, from: a.shard, epoch: a.t.Epoch(a.shard)})
@@ -378,17 +398,17 @@ func (a *Agent) validCanonical(local alloc.PBA, fp chunk.Fingerprint) bool {
 }
 
 // handleGrant is the beneficiary side: install the fp → canonical hint
-// into the hot index and queue a fold of any local duplicate — the
+// into the hint table and queue a fold of any local duplicate — the
 // targeted copy a duplicate-hit ad named, or whatever local block the
-// index previously bound this fingerprint to.
+// hot index binds this fingerprint to.
 func (a *Agent) handleGrant(m message) {
 	dup, hasDup := m.dup, m.hasDup
 	if !hasDup {
-		if e, ok := a.b.IC.IndexPeek(m.fp); ok && !alloc.IsRemote(e.PBA) {
+		if e, ok := a.b.IC.IndexPeek(m.fp); ok {
 			dup, hasDup = e.PBA, true
 		}
 	}
-	a.b.IC.IndexInsert(m.fp, m.canon)
+	a.hints.put(m.fp, m.canon)
 	a.hintsInstalled++
 	if hasDup {
 		a.foldQ = append(a.foldQ, foldReq{dup: dup, fp: m.fp, canon: m.canon})
@@ -474,9 +494,9 @@ func (a *Agent) applyFolds(now sim.Time, budget int) int {
 		f := a.foldQ[len(a.foldQ)-1]
 		a.foldQ = a.foldQ[:len(a.foldQ)-1]
 		n++
-		// The hint must still be the index's live binding: a revoke or
-		// eviction since enqueue invalidates the candidate.
-		if e, ok := a.b.IC.IndexPeek(f.fp); !ok || e.PBA != f.canon {
+		// The hint must still be the table's live binding: a revoke or
+		// overwrite since enqueue invalidates the candidate.
+		if c, ok := a.hints.peek(f.fp); !ok || c != f.canon {
 			a.remapsRejected++
 			continue
 		}

@@ -31,7 +31,7 @@ func fenceConfig() engine.Config {
 
 // fenceCluster builds a stopped (synchronous-ad) tier over n engines
 // with direct access to the agents' internals.
-func fenceCluster(t *testing.T, n int) (*Tier, []*Agent) {
+func fenceCluster(t testing.TB, n int) (*Tier, []*Agent) {
 	t.Helper()
 	tier, err := NewTier(n, Params{})
 	if err != nil {
@@ -82,8 +82,8 @@ func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 	if agents[0].hintsInstalled != 0 {
 		t.Fatal("stale grant installed a hint")
 	}
-	if _, ok := agents[0].b.IC.IndexPeek(fp); ok {
-		t.Fatal("stale grant reached the index")
+	if _, ok := agents[0].Hint(fp); ok {
+		t.Fatal("stale grant reached the hint table")
 	}
 
 	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, from: 1, epoch: tier.Epoch(1)})
@@ -91,8 +91,8 @@ func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 	if agents[0].hintsInstalled != 1 {
 		t.Fatalf("current-epoch grant not installed (hints=%d)", agents[0].hintsInstalled)
 	}
-	if e, ok := agents[0].b.IC.IndexPeek(fp); !ok || e.PBA != canon {
-		t.Fatalf("index binding %v,%v want %d", e.PBA, ok, canon)
+	if c, ok := agents[0].Hint(fp); !ok || c != canon {
+		t.Fatalf("hint binding %v,%v want %d", c, ok, canon)
 	}
 }
 

@@ -18,13 +18,16 @@
 //     targeted remap candidate for the advertiser's copy.
 //   - Each shard's background actor (Agent, wrapping the bgdedup
 //     scanner) consumes grants and candidates in virtual time from the
-//     engine's per-request Tick: hints install fp → remote-canonical
-//     bindings into the local hot index (so the shard's next write of
-//     that content deduplicates inline against the peer's copy), and
-//     candidates fold existing local duplicates through the bgdedup
-//     revalidated-merge path (re-read, re-hash, journaled Map.Set,
-//     refcount handoff) — so a stale advertisement is harmless by
-//     construction.
+//     engine's per-request Tick: a grant puts its fp → remote-canonical
+//     binding into the agent's bounded hint table, which the write
+//     path's lookup stage consults on a hot-index miss (so the shard's
+//     next write of that content deduplicates inline against the peer's
+//     copy), and candidates fold existing local duplicates through the
+//     bgdedup revalidated-merge path (re-read, re-hash, journaled
+//     Map.Set, refcount handoff) — so a stale advertisement is harmless
+//     by construction. Hints never enter the iCache: its index side
+//     holds the shard's own fingerprints only, and its Swap Module sees
+//     the shard's own locality.
 //
 // Correctness hangs on one invariant: a remote-encoded mapping may
 // only reference a canonical block its owner holds pinned, and the
@@ -33,7 +36,7 @@
 // 0↔1 local-reference transitions (RefUp/RefDown → one ref pin per
 // referencing shard); and a canonical whose local references vanished
 // while pinned goes on parole, triggering a recall: the tier drops its
-// table entry and broadcasts a revoke, every shard purges the hint and
+// table entry and broadcasts a revoke, every shard deletes the hint and
 // acks, and the owner releases the hinted pin once all acks are in —
 // freeing the block unless ref pins remain. In-process delivery is a
 // single FIFO per receiving shard in real send order, which gives the
@@ -50,8 +53,9 @@
 // (recall timeout): the dead peer cannot hold a hint, and any remote
 // reference it journaled is re-audited by the RecoverLoad/RecoverFinish
 // remote-reference scan when it rejoins. A crash drops only the dead
-// shard's advertisements and pins from the tier tables (partial reset);
-// the survivors' entries stay live. See DESIGN.md §12.
+// shard's advertisements and pins from the tier tables, and the hints
+// naming its canonicals from the survivors' hint tables (partial
+// reset); the survivors' entries stay live. See DESIGN.md §12.
 //
 // The tier itself is volatile: on CrashAndRecover it is rebuilt from
 // the shard indexes — remote mappings recover through the journaled
@@ -161,42 +165,63 @@ type message struct {
 	hasDup bool
 }
 
-// inbox is a shard's reliable control queue: a mutex-guarded slice
-// appended to in real send order (the single-process FIFO the protocol
-// orderings rely on).
+// inbox is a shard's reliable control queue: a mutex-guarded ring
+// filled in real send order (the single-process FIFO the protocol
+// orderings rely on). Draining costs the messages taken, whatever the
+// backlog behind them.
 type inbox struct {
-	mu sync.Mutex
-	q  []message
+	mu   sync.Mutex
+	buf  []message // ring; len is zero or a power of two
+	head int       // index of the oldest queued message
+	n    int       // queued messages
 }
 
 func (in *inbox) push(m message) {
 	in.mu.Lock()
-	in.q = append(in.q, m)
+	if in.n == len(in.buf) {
+		in.grow()
+	}
+	in.buf[(in.head+in.n)&(len(in.buf)-1)] = m
+	in.n++
 	in.mu.Unlock()
 }
 
-// take moves up to n queued messages into dst (all of them when n < 0).
+// grow doubles the ring, unwrapping the queue to the front.
+func (in *inbox) grow() {
+	buf := make([]message, max(64, 2*len(in.buf)))
+	k := copy(buf, in.buf[in.head:])
+	copy(buf[k:], in.buf[:in.head])
+	in.buf, in.head = buf, 0
+}
+
+// take moves up to n queued messages into dst.
 func (in *inbox) take(dst []message, n int) []message {
 	in.mu.Lock()
-	k := len(in.q)
-	if n >= 0 && k > n {
-		k = n
+	k := min(n, in.n)
+	if k > 0 {
+		end := in.head + k
+		if wrap := end - len(in.buf); wrap > 0 {
+			dst = append(dst, in.buf[in.head:]...)
+			dst = append(dst, in.buf[:wrap]...)
+		} else {
+			dst = append(dst, in.buf[in.head:end]...)
+		}
+		in.head = end & (len(in.buf) - 1)
+		in.n -= k
 	}
-	dst = append(dst, in.q[:k]...)
-	in.q = in.q[:copy(in.q, in.q[k:])]
 	in.mu.Unlock()
 	return dst
 }
 
 func (in *inbox) len() int {
 	in.mu.Lock()
-	n := len(in.q)
+	n := in.n
 	in.mu.Unlock()
 	return n
 }
 
 func (in *inbox) clear() {
 	in.mu.Lock()
-	in.q = in.q[:0]
+	in.head, in.n = 0, 0
 	in.mu.Unlock()
 }

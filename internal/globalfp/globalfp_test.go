@@ -13,6 +13,7 @@ import (
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
+	"github.com/pod-dedup/pod/internal/index"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
@@ -371,4 +372,109 @@ func TestRemoteReadResolvesThroughMapping(t *testing.T) {
 	if st.CacheHits <= before {
 		t.Fatalf("repeat remote read missed the read cache (hits %d → %d)", before, st.CacheHits)
 	}
+}
+
+// TestHintsNeverEnterICache: the iCache holds the shard's own
+// fingerprints and nothing a peer wrote. Two shards with adaptive caches
+// run the same disjoint-content workload with and without the tier — a
+// working set that fits shard 0's hot index beside a peer streaming four
+// times as many first sightings at it, a read scan that shrinks the
+// index share, a write scan that grows it back. With the tier every one
+// of those first sightings is granted to the other shard, none is ever
+// used, and the Swap Module must not notice: same repartitions, same
+// final split. Then the hints are used, and the index side still binds
+// local blocks only.
+func TestHintsNeverEnterICache(t *testing.T) {
+	const reqGap = 10 * sim.Millisecond
+	run := func(tier bool) (*cluster, [2]int64, [2]float64) {
+		c := &cluster{}
+		if tier {
+			tr, err := globalfp.NewTier(2, globalfp.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Stop()
+			c.tier = tr
+		}
+		for i := 0; i < 2; i++ {
+			e := core.NewPOD(testConfig(1 << 14))
+			if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
+				t.Fatal("bgdedup.Attach refused POD")
+			}
+			c.engs = append(c.engs, e)
+			if tier {
+				a, _ := globalfp.Attach(e, c.tier, i)
+				c.agents = append(c.agents, a)
+			}
+		}
+		now := sim.Time(0)
+		step := func() {
+			now = now.Add(reqGap)
+			if tier {
+				c.settle(now)
+			}
+		}
+		// shard 0 cycles over 1200 contents (its hot index holds 2048);
+		// shard 1 streams 4800 contents it never repeats
+		for r := 0; r < 600; r++ {
+			write(t, c.engs[0], now, uint64(r%150*8), seq(100000+r%150*8, 8))
+			write(t, c.engs[1], now, uint64(r*8), seq(200000+r*8, 8))
+			step()
+		}
+		// a cyclic read scan one and a half times the read cache
+		for r := 0; r < 400; r++ {
+			if _, err := c.engs[0].Read(&trace.Request{Time: now, Op: trace.Read, LBA: uint64(r % 6 * 8), N: 8}); err != nil {
+				t.Fatal(err)
+			}
+			step()
+		}
+		// a cyclic write scan larger than the shrunken hot index
+		for r := 0; r < 900; r++ {
+			write(t, c.engs[0], now, uint64(2000+r%225*8), seq(300000+r%225*8, 8))
+			step()
+		}
+		var reps [2]int64
+		var frac [2]float64
+		for i, e := range c.engs {
+			reps[i] = e.Base().IC.Repartitions()
+			frac[i] = e.Base().IC.IndexFrac()
+		}
+		return c, reps, frac
+	}
+
+	_, offReps, offFrac := run(false)
+	c, onReps, onFrac := run(true)
+	if offReps[0] < 4 {
+		t.Fatalf("shard 0 repartitioned %d times without the tier; the workload should move the split both ways", offReps[0])
+	}
+	if onReps != offReps || onFrac != offFrac {
+		t.Fatalf("repartitions %v (index share %v) with the tier, %v (%v) without", onReps, onFrac, offReps, offFrac)
+	}
+	for i, e := range c.engs {
+		if n := e.Metrics().Snapshot().Gauges["globalfp_hints_installed"]; n == 0 {
+			t.Fatalf("shard %d was granted no hints; the comparison proves nothing", i)
+		}
+	}
+
+	// use the hints: shard 1 writes shard 0's working set
+	for r := 0; r < 150; r++ {
+		write(t, c.engs[1], sim.Time(30*sim.Second), uint64(100000+r*8), seq(100000+r*8, 8))
+	}
+	c.settle(sim.Time(31 * sim.Second))
+	if c.engs[1].Stats().RemoteDeduped == 0 {
+		t.Fatal("shard 1 deduplicated nothing against shard 0's hints")
+	}
+	for i, e := range c.engs {
+		ic := e.Base().IC
+		if err := ic.CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		ic.Index().Each(func(fp chunk.Fingerprint, en index.Entry) bool {
+			if alloc.IsRemote(en.PBA) {
+				t.Errorf("shard %d: hot index binds %v to remote block %d", i, fp, en.PBA)
+			}
+			return true
+		})
+	}
+	c.check(t)
 }

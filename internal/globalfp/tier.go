@@ -273,17 +273,22 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 
 // CrashShard marks shard i a dead failure domain: its fencing epoch is
 // bumped (everything it sent in its previous life is now stale), its
-// inbox is discarded, and the partition tables drop only its state —
-// entries whose canonical it owns are deleted (peers' hints are purged
-// by the serving layer), and its bit is cleared from surviving
-// entries' granted masks so post-rejoin advertisements re-grant it.
-// The survivors' canonicals, pins, and hints stay live. Callers must
-// ensure no shard agent is mid-Tick (the serving layer holds every
-// shard lock).
+// inbox is discarded, every other shard's hint table drops the bindings
+// naming its canonicals (its recovery may free them), and the partition
+// tables drop only its state — entries whose canonical it owns are
+// deleted, and its bit is cleared from surviving entries' granted masks
+// so post-rejoin advertisements re-grant it. The survivors' canonicals,
+// pins, and hints on each other stay live. Callers must ensure no shard
+// agent is mid-Tick (the serving layer holds every shard lock).
 func (t *Tier) CrashShard(i int) {
 	t.epochs[i].Add(1)
 	t.down[i].Store(true)
 	t.inbox[i].clear()
+	for j, a := range t.agents {
+		if j != i && a != nil {
+			a.hints.dropOwner(i)
+		}
+	}
 	bit := uint64(1) << uint(i)
 	var dead []chunk.Fingerprint
 	for pi := range t.parts {

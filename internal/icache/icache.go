@@ -299,45 +299,26 @@ func (c *Controller) PurgePBA(pba alloc.PBA) {
 	}
 }
 
-// PurgeWhere removes every trace of every cached block whose PBA
-// matches pred — index hints (hot and ghost, via the reverse map), read
-// cache, and read ghost — and reports how many distinct PBAs were
-// purged. The serving layer uses it with a remote-owner predicate when
-// a peer shard crashes: hints naming the dead shard's canonicals must
-// go before its recovery frees unpinned blocks, or a surviving shard
-// could dedupe new writes against physical blocks that no longer hold
-// the hinted content.
-func (c *Controller) PurgeWhere(pred func(alloc.PBA) bool) int {
+// PurgeWhere drops every cached and ghosted read block whose PBA
+// matches pred. The serving layer uses it with a remote-owner predicate
+// when a peer shard crashes: a remote read cached under the dead shard's
+// canonical must not outlive the block, which the shard's recovery may
+// free. The index side needs no such sweep — it only ever binds the
+// shard's own blocks, which PurgePBA drops as they are freed.
+func (c *Controller) PurgeWhere(pred func(alloc.PBA) bool) {
 	var victims []alloc.PBA
-	c.idxRev.Each(func(pba alloc.PBA, _ revEntry) bool {
+	collect := func(pba alloc.PBA) bool {
 		if pred(pba) {
 			victims = append(victims, pba)
 		}
 		return true
-	})
-	c.read.Each(func(pba alloc.PBA, _ struct{}) bool {
-		if pred(pba) {
-			victims = append(victims, pba)
-		}
-		return true
-	})
-	c.ghostRead.EachMRU(func(pba alloc.PBA) bool {
-		if pred(pba) {
-			victims = append(victims, pba)
-		}
-		return true
-	})
-	n := 0
-	seen := make(map[alloc.PBA]struct{}, len(victims))
-	for _, pba := range victims {
-		if _, dup := seen[pba]; dup {
-			continue
-		}
-		seen[pba] = struct{}{}
-		c.PurgePBA(pba)
-		n++
 	}
-	return n
+	c.read.Each(func(pba alloc.PBA, _ struct{}) bool { return collect(pba) })
+	c.ghostRead.EachMRU(collect)
+	for _, pba := range victims {
+		c.read.Remove(pba)
+		c.ghostRead.Remove(pba)
+	}
 }
 
 func (c *Controller) revAdd(pba alloc.PBA, fp chunk.Fingerprint) {
@@ -508,15 +489,27 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	return rep
 }
 
-// CheckInvariants verifies the budget is never exceeded and ghosts hold
-// no live entries; in stream mode it additionally audits the owner
-// directory and per-stream quotas. Exposed for property tests.
+// CheckInvariants verifies the budget is never exceeded, the index side
+// (hot or ghost) binds only local blocks — a tier hint lives in the
+// tier's own table — and ghosts hold no live entries; in stream mode it
+// additionally audits the owner directory and per-stream quotas.
+// Exposed for property tests.
 func (c *Controller) CheckInvariants() error {
 	idxBytes := int64(c.IndexCapTotal()) * int64(c.p.IndexEntryBytes)
 	readBytes := int64(c.read.Cap()) * int64(c.p.BlockBytes)
 	slack := int64(c.p.IndexEntryBytes) + int64(c.p.BlockBytes) // integer division slack
 	if idxBytes+readBytes > c.p.TotalBytes+slack {
 		return fmt.Errorf("icache: partition exceeds budget: %d + %d > %d", idxBytes, readBytes, c.p.TotalBytes)
+	}
+	var remote error
+	c.idxRev.Each(func(pba alloc.PBA, _ revEntry) bool {
+		if alloc.IsRemote(pba) {
+			remote = fmt.Errorf("icache: index binds remote-encoded block %d", pba)
+		}
+		return remote == nil
+	})
+	if remote != nil {
+		return remote
 	}
 	if c.streamMode {
 		return c.checkStreamInvariants()

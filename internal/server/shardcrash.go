@@ -14,9 +14,9 @@ import (
 // errors until RecoverShard, and the tier fences the dead shard out —
 // its epoch is bumped (in-flight messages and ads from its previous
 // life are dropped on receipt), its advertisements and table entries
-// are swept, and every live shard eagerly purges cached hints and
-// remote-read entries naming the dead shard's canonicals, so no new
-// cross-shard references toward it can form during the outage.
+// are swept, and every live shard eagerly drops its hints on (the
+// tier's part) and cached remote reads of the dead shard's canonicals,
+// so no new cross-shard references toward it can form during the outage.
 //
 // The crash lands at a batch boundary: all shard locks are taken
 // (ascending, the canonical order), so no serving round, agent tick,
@@ -44,11 +44,13 @@ func (s *Server) CrashShard(i int) error {
 	if s.tier == nil {
 		return nil
 	}
-	s.tier.CrashShard(i)
 	// A surviving hint naming a dead canonical is a time bomb: the
 	// rejoin re-audit frees canonicals whose references vanished, so a
 	// peer deduping against a stale hint after that could share a
-	// reused block. Purge them now, while every shard is quiescent.
+	// reused block. The tier drops them from every survivor's hint
+	// table now, while every shard is quiescent; the read caches drop
+	// their remote-keyed copies of the same blocks.
+	s.tier.CrashShard(i)
 	for j, sh := range s.shards {
 		if j == i {
 			continue
