@@ -165,12 +165,14 @@ bench:
 # Hot-path microbenchmarks, one layer each: the CDC landmark sweeps
 # (BenchmarkSeqMarks / BenchmarkGearMarks) beside the whole split
 # (rotating windows: *Chunk; sequential requests: *Stream), fixed-4K
-# split and fingerprinting, the Map table, and the tier's control plane
-# (hint-table put/get, a tick's grant drain, the inbox behind a 1k and a
-# 100k backlog). The CDC split and the hint/grant benchmarks fail unless
-# they run at 0 allocs/op.
+# split and fingerprinting, the Map table, the iCache's fingerprint
+# directory (a miss's insert + evict + ghost-evict, one Swap Module
+# repartition, one three-stream re-apportionment), and the tier's
+# control plane (hint-table put/get, a tick's grant drain, the inbox
+# behind a 1k and a 100k backlog). The CDC split, the directory and the
+# hint/grant benchmarks fail unless they run at 0 allocs/op.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/globalfp/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 
 # Full-scale reproduction of every table and figure (a few minutes).
 repro:
@@ -180,14 +182,17 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass over the parsers, the journal recovery and the CDC
-# landmark sweeps (batched bitmap vs the scalar predicate).
+# Short fuzz pass over the parsers, the journal recovery, the CDC
+# landmark sweeps (batched bitmap vs the scalar predicate) and the
+# iCache's fingerprint directory (vs its slice-and-linear-search model;
+# an input is a thousand operations, so minimising one is capped).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzLoad -fuzztime 20s ./internal/maptable/
 	$(GO) test -fuzz FuzzSeqMarks -fuzztime 20s ./internal/cdc/
 	$(GO) test -fuzz FuzzGearMarks -fuzztime 20s ./internal/cdc/
+	$(GO) test -fuzz FuzzDirectoryOps -fuzztime 20s -fuzzminimizetime 1s ./internal/icache/
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,5 @@
 // Package cache provides the replacement-policy building blocks used by
-// POD's storage cache: a generic LRU, a metadata-only ghost LRU, and a
-// reference ARC implementation used as an ablation baseline for iCache.
+// POD's storage cache: a generic LRU and a metadata-only ghost LRU.
 package cache
 
 import "github.com/pod-dedup/pod/internal/probe"

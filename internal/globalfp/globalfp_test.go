@@ -469,7 +469,7 @@ func TestHintsNeverEnterICache(t *testing.T) {
 		if err := ic.CheckInvariants(); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		ic.Index().Each(func(fp chunk.Fingerprint, en index.Entry) bool {
+		ic.IndexEach(func(_ uint32, fp chunk.Fingerprint, en index.Entry) bool {
 			if alloc.IsRemote(en.PBA) {
 				t.Errorf("shard %d: hot index binds %v to remote block %d", i, fp, en.PBA)
 			}

@@ -1,0 +1,730 @@
+package icache
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/pod-dedup/pod/internal/alloc"
+	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/index"
+	"github.com/pod-dedup/pod/internal/sim"
+)
+
+// --- the reference ---
+
+// mEntry is one fingerprint the model index side knows.
+type mEntry struct {
+	fp    chunk.Fingerprint
+	pba   alloc.PBA
+	count uint32
+	home  uint32 // the stream whose quota holds it, or held it
+}
+
+// model is the index side of the controller written the obvious way:
+// one slice per stream and one for the ghost, most recent first, linear
+// search for everything. It states the behaviour the directory must
+// reproduce; it follows the controller's partition decisions (the Swap
+// Module's arithmetic is not under test) and reproduces everything that
+// happens to the entries.
+type model struct {
+	adaptive, streamMode bool
+	static, shares       map[uint32]float64
+	icEntries, maxIndex  int
+	order                []uint32 // streams, first seen first
+	live                 map[uint32][]mEntry
+	caps                 map[uint32]int
+	ghost                []mEntry
+	ghostCap             int
+	lookups, hits, gHits map[uint32]int64
+	ghostHits            int64
+}
+
+func newModel(p Params, streamMode bool, static map[uint32]float64) *model {
+	m := &model{
+		adaptive: p.Adaptive, streamMode: streamMode, static: static,
+		maxIndex: int(p.TotalBytes) / p.IndexEntryBytes,
+		live:     map[uint32][]mEntry{}, caps: map[uint32]int{},
+		lookups: map[uint32]int64{}, hits: map[uint32]int64{}, gHits: map[uint32]int64{},
+	}
+	m.icEntries = int(int64(p.IndexFrac*float64(p.TotalBytes))) / p.IndexEntryBytes
+	m.ghostCap = m.maxIndex - m.icEntries
+	if !streamMode {
+		m.order = []uint32{0}
+		m.caps[0] = m.icEntries
+	}
+	return m
+}
+
+func (m *model) capFor(id uint32) int {
+	share := 1.0
+	switch {
+	case !m.streamMode:
+	case m.static != nil:
+		share = m.static[id]
+	case m.shares != nil:
+		share = m.shares[id]
+	default:
+		share = 1.0 / float64(len(m.order))
+	}
+	if c := int(share * float64(m.icEntries)); c > 0 {
+		return c
+	}
+	return 0
+}
+
+// toGhost parks an evicted entry in the ghost, whose oldest entry falls
+// off when it is over capacity; the fixed partition keeps no ghost.
+func (m *model) toGhost(e mEntry) {
+	if !m.adaptive {
+		return
+	}
+	m.ghost = append([]mEntry{e}, m.ghost...)
+	if len(m.ghost) > m.ghostCap {
+		m.ghost = m.ghost[:len(m.ghost)-1]
+	}
+}
+
+// shrink evicts stream id's oldest entries until it fits its quota.
+func (m *model) shrink(id uint32) {
+	for l := m.live[id]; len(l) > m.caps[id]; l = m.live[id] {
+		m.live[id] = l[:len(l)-1]
+		m.toGhost(l[len(l)-1])
+	}
+}
+
+func (m *model) applyQuotas() {
+	for _, id := range m.order {
+		m.caps[id] = m.capFor(id)
+		m.shrink(id)
+	}
+}
+
+// sub resolves the stream a request is served under, creating it on
+// first sight — which, during the equal-split start-up, re-divides
+// every quota.
+func (m *model) sub(stream uint32) uint32 {
+	if !m.streamMode {
+		return 0
+	}
+	if _, ok := m.caps[stream]; ok {
+		return stream
+	}
+	m.order = append(m.order, stream)
+	m.caps[stream] = 0
+	if m.static == nil && m.shares == nil {
+		m.applyQuotas()
+	} else {
+		m.caps[stream] = m.capFor(stream)
+	}
+	return stream
+}
+
+func (m *model) findLive(fp chunk.Fingerprint) (uint32, int) {
+	for _, id := range m.order {
+		for k, e := range m.live[id] {
+			if e.fp == fp {
+				return id, k
+			}
+		}
+	}
+	return 0, -1
+}
+
+func (m *model) findGhost(fp chunk.Fingerprint) int {
+	for k, e := range m.ghost {
+		if e.fp == fp {
+			return k
+		}
+	}
+	return -1
+}
+
+func without(l []mEntry, k int) []mEntry {
+	return append(append([]mEntry{}, l[:k]...), l[k+1:]...)
+}
+
+func (m *model) promote(id uint32, k int, e mEntry) {
+	m.live[id] = append([]mEntry{e}, without(m.live[id], k)...)
+}
+
+func (m *model) lookup(stream uint32, fp chunk.Fingerprint) (index.Entry, bool) {
+	s := m.sub(stream)
+	m.lookups[s]++
+	if id, k := m.findLive(fp); k >= 0 {
+		e := m.live[id][k]
+		e.count++
+		m.promote(id, k, e)
+		m.hits[s]++
+		return index.Entry{PBA: e.pba, Count: e.count}, true
+	}
+	if k := m.findGhost(fp); k >= 0 {
+		m.ghostHits++
+		m.gHits[m.ghost[k].home]++
+	}
+	return index.Entry{}, false
+}
+
+func (m *model) peek(fp chunk.Fingerprint) (index.Entry, bool) {
+	if id, k := m.findLive(fp); k >= 0 {
+		e := m.live[id][k]
+		return index.Entry{PBA: e.pba, Count: e.count}, true
+	}
+	return index.Entry{}, false
+}
+
+func (m *model) insert(stream uint32, fp chunk.Fingerprint, pba alloc.PBA) {
+	if id, k := m.findLive(fp); k >= 0 {
+		if e := m.live[id][k]; e.pba != pba {
+			e.pba, e.count = pba, 0
+			m.promote(id, k, e)
+		}
+		return
+	}
+	if k := m.findGhost(fp); k >= 0 {
+		m.ghost = without(m.ghost, k)
+	}
+	s := m.sub(stream)
+	if m.caps[s] == 0 {
+		return
+	}
+	m.live[s] = append([]mEntry{{fp: fp, pba: pba, home: s}}, m.live[s]...)
+	m.shrink(s)
+}
+
+func (m *model) purge(pba alloc.PBA) {
+	keep := func(l []mEntry) []mEntry {
+		var out []mEntry
+		for _, e := range l {
+			if e.pba != pba {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for _, id := range m.order {
+		m.live[id] = keep(m.live[id])
+	}
+	m.ghost = keep(m.ghost)
+}
+
+func (m *model) setShares(shares map[uint32]float64) {
+	if !m.streamMode || m.static != nil {
+		return
+	}
+	m.shares = map[uint32]float64{}
+	for id, s := range shares {
+		m.shares[id] = s
+	}
+	m.applyQuotas()
+}
+
+// repartition applies a Swap Module decision: quotas shrink into the
+// ghost at its old capacity, then the ghost takes its new capacity,
+// then — if the index grew — the most recent ghosts come back, each
+// while its own stream has room, inserted in the order they were chosen.
+func (m *model) repartition(icEntries int, grew bool) (swapIns int) {
+	m.icEntries = icEntries
+	m.applyQuotas()
+	m.ghostCap = m.maxIndex - icEntries
+	if len(m.ghost) > m.ghostCap {
+		m.ghost = m.ghost[:m.ghostCap]
+	}
+	if !grew {
+		return 0
+	}
+	room, total := map[uint32]int{}, 0
+	for _, id := range m.order {
+		if r := m.caps[id] - len(m.live[id]); r > 0 {
+			room[id] = r
+			total += r
+		}
+	}
+	var chosen, rest []mEntry
+	for _, e := range m.ghost {
+		if total > 0 && room[e.home] > 0 {
+			room[e.home]--
+			total--
+			chosen = append(chosen, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	m.ghost = rest
+	for _, e := range chosen {
+		e.count = 0
+		m.live[e.home] = append([]mEntry{e}, m.live[e.home]...)
+	}
+	return len(chosen)
+}
+
+// --- what the controller shows ---
+
+// ghostOrder lists the controller's ghost index, most recent first, as
+// model entries.
+func ghostOrder(c *Controller) []mEntry {
+	var out []mEntry
+	d := &c.dir
+	h := d.lists[ghostList].head
+	for i := d.slab[h].next; i != h; i = d.slab[i].next {
+		s := d.slab[i]
+		out = append(out, mEntry{fp: s.fp, pba: s.pba, count: s.count, home: c.acct[s.home-firstIndexList].id})
+	}
+	return out
+}
+
+// agree compares everything observable about the index side.
+func agree(c *Controller, m *model) error {
+	var got, want []mEntry
+	c.IndexEach(func(stream uint32, fp chunk.Fingerprint, e index.Entry) bool {
+		got = append(got, mEntry{fp: fp, pba: e.PBA, count: e.Count, home: stream})
+		return true
+	})
+	for _, id := range m.order {
+		want = append(want, m.live[id]...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("index order (stream by stream, MRU first) differs:\n got  %v\n want %v", got, want)
+	}
+	// a ghost's Count is not observable: it restarts on re-admission
+	gg, mg := ghostOrder(c), append([]mEntry(nil), m.ghost...)
+	for k := range gg {
+		gg[k].count = 0
+	}
+	for k := range mg {
+		mg[k].count = 0
+	}
+	if !reflect.DeepEqual(gg, mg) {
+		return fmt.Errorf("ghost order differs:\n got  %v\n want %v", gg, mg)
+	}
+	if c.totalGhostIdxHits != m.ghostHits {
+		return fmt.Errorf("ghost hits = %d, want %d", c.totalGhostIdxHits, m.ghostHits)
+	}
+	if c.IndexCapTotal() != m.icEntries {
+		return fmt.Errorf("index partition = %d entries, want %d", c.IndexCapTotal(), m.icEntries)
+	}
+	var wantQ []StreamQuota
+	if m.streamMode {
+		wantQ = []StreamQuota{}
+		for _, id := range m.order {
+			q := StreamQuota{Stream: id, Cap: m.caps[id], Len: len(m.live[id]),
+				Lookups: m.lookups[id], Hits: m.hits[id], GhostHits: m.gHits[id]}
+			wantQ = append(wantQ, q)
+		}
+	}
+	gotQ := c.StreamQuotas()
+	for k := range gotQ {
+		gotQ[k].Share = 0 // the model keeps capacities, which are what shares are for
+	}
+	if !reflect.DeepEqual(gotQ, wantQ) {
+		return fmt.Errorf("stream quotas differ:\n got  %+v\n want %+v", gotQ, wantQ)
+	}
+	if !m.streamMode {
+		s := c.acct[0]
+		if s.lookups != m.lookups[0] || s.hits != m.hits[0] || s.ghostHits != m.gHits[0] {
+			return fmt.Errorf("lookups/hits/ghost hits = %d/%d/%d, want %d/%d/%d",
+				s.lookups, s.hits, s.ghostHits, m.lookups[0], m.hits[0], m.gHits[0])
+		}
+	}
+	return c.CheckInvariants()
+}
+
+// --- the driver ---
+
+// The shapes the directory serves, over a budget so small every list
+// overflows: 64 index entries or 16 read blocks at most.
+var dirModes = []struct {
+	name             string
+	adaptive, stream bool
+	static           map[uint32]float64
+	// arrivals: no shares are ever set and a new stream shows up every
+	// 64 operations, so the equal split keeps being re-divided under load
+	arrivals bool
+}{
+	{name: "classic-fixed"},
+	{name: "classic-adaptive", adaptive: true},
+	// stream 3 is named with no quota, stream 4 not named at all
+	{name: "streams-static", adaptive: true, stream: true, static: map[uint32]float64{1: 0.5, 2: 0.3, 3: 0}},
+	{name: "streams-dynamic", adaptive: true, stream: true},
+	{name: "streams-dynamic-fixed", stream: true},
+	{name: "streams-arriving", adaptive: true, stream: true, arrivals: true},
+}
+
+func dirParams(adaptive bool) Params {
+	p := DefaultParams(4096)
+	p.Adaptive = adaptive
+	p.IndexEntryBytes = 64
+	p.BlockBytes = 256
+	return p
+}
+
+// runDirectoryOps interprets data as a sequence of index-side
+// operations (three bytes each), applies it to a controller and to the
+// model, compares every returned entry as it goes and everything
+// observable every few operations.
+func runDirectoryOps(mode int, data []byte) error {
+	cfg := dirModes[mode%len(dirModes)]
+	p := dirParams(cfg.adaptive)
+	c := New(p)
+	if cfg.stream {
+		c.EnableStreams(cfg.static)
+	}
+	m := newModel(p, cfg.stream, cfg.static)
+	now := sim.Time(0)
+	for n := 0; len(data) >= 3; n++ {
+		op, a, b := data[0], data[1], data[2]
+		data = data[3:]
+		// 96 fingerprints over 40 blocks: more than the directory holds,
+		// with several fingerprints to a block and frequent remaps
+		stream, f, pba := uint32(1+a>>6), fp(uint64(a%96)), alloc.PBA(b%40)
+		if cfg.arrivals {
+			stream = 1 + uint32(a>>4)%uint32(1+n/64)
+			if op %= 32; op >= 29 {
+				op = 0
+			}
+		}
+		what := ""
+		switch op %= 32; {
+		case op < 10:
+			what = fmt.Sprintf("lookup(%d, fp %d)", stream, a%96)
+			ge, gok := c.IndexLookupS(stream, f)
+			we, wok := m.lookup(stream, f)
+			if ge != we || gok != wok {
+				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
+			}
+		case op < 21:
+			what = fmt.Sprintf("insert(%d, fp %d, block %d)", stream, a%96, pba)
+			c.IndexInsertS(stream, f, pba)
+			m.insert(stream, f, pba)
+		case op < 23:
+			what = fmt.Sprintf("peek(fp %d)", a%96)
+			ge, gok := c.IndexPeek(f)
+			we, wok := m.peek(f)
+			if ge != we || gok != wok {
+				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
+			}
+		case op < 25:
+			what = fmt.Sprintf("purge(block %d)", pba)
+			c.PurgePBA(pba)
+			m.purge(pba)
+		case op < 27:
+			// read-side traffic, so the Swap Module has a reason to
+			// shrink the index as well as grow it
+			what = "read"
+			for k := alloc.PBA(0); k < 12; k++ {
+				if blk := 100 + (alloc.PBA(b)+k)%24; !c.ReadHit(blk) {
+					c.ReadInsert(blk)
+				}
+			}
+		case op < 29:
+			what = "tick"
+			now = now.Add(p.Interval)
+			before := c.IndexFrac()
+			rep := c.Tick(now)
+			if rep.Changed {
+				if want := m.repartition(c.IndexCapTotal(), c.IndexFrac() > before); rep.IndexSwapIns != want {
+					return fmt.Errorf("op %d tick: %d index swap-ins, want %d", n, rep.IndexSwapIns, want)
+				}
+			}
+		default:
+			// shares as the apportioner hands them out: a floor each, the
+			// rest by weight, and now and then a stream left out
+			w := [3]float64{float64(a & 7), float64(a >> 3 & 7), float64(b & 7)}
+			sum := w[0] + w[1] + w[2] + 1e-9
+			shares := map[uint32]float64{}
+			for k, wk := range w {
+				if b>>4&3 != uint8(k) {
+					shares[uint32(k+1)] = 0.1 + 0.7*wk/sum
+				}
+			}
+			what = fmt.Sprintf("shares(%v)", shares)
+			c.SetStreamShares(shares)
+			m.setShares(shares)
+		}
+		if n%8 == 0 || len(data) < 3 {
+			if err := agree(c, m); err != nil {
+				return fmt.Errorf("after op %d %s: %w", n, what, err)
+			}
+		}
+	}
+	return nil
+}
+
+// TestDirectoryMatchesModel drives long random operation sequences
+// through every mode.
+func TestDirectoryMatchesModel(t *testing.T) {
+	for mode, cfg := range dirModes {
+		t.Run(cfg.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				data := make([]byte, 3*4000)
+				rand.New(rand.NewSource(seed)).Read(data)
+				if err := runDirectoryOps(mode, data); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzDirectoryOps is the same driver under the fuzzer.
+func FuzzDirectoryOps(f *testing.F) {
+	for mode := range dirModes {
+		data := make([]byte, 3*400)
+		rand.New(rand.NewSource(int64(mode))).Read(data)
+		f.Add(uint8(mode), data)
+	}
+	// overflow one stream, re-divide with a first-seen one, re-admit
+	// through the write path, purge a shared block, tick
+	f.Add(uint8(3), []byte{
+		10, 0, 0, 10, 1, 1, 10, 2, 2, 10, 3, 3, 10, 4, 0, 10, 5, 1,
+		0, 0, 0, 10, 64, 7, 10, 0, 9, 23, 0, 0, 27, 0, 0, 31, 9, 18, 27, 0, 0,
+	})
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
+		if err := runDirectoryOps(int(mode), data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// --- the three ordering rules, by name ---
+
+// fillIndex inserts n fresh fingerprints on stream, ids from first.
+func fillIndex(c *Controller, stream uint32, first, n int) {
+	for i := first; i < first+n; i++ {
+		c.IndexInsertS(stream, fp(uint64(i)), alloc.PBA(i))
+	}
+}
+
+func ghostLen(c *Controller) int { return c.dir.lists[ghostList].n }
+
+// A shrinking index pushes its victims into the ghost, oldest first,
+// while the ghost still has its old capacity — each pushes an old ghost
+// out — and only then does the ghost take its new, larger capacity.
+func TestGhostResizedAfterTheShrink(t *testing.T) {
+	c := New(testParams(true)) // 512 index entries, 512 ghosts, 8 of 16 read blocks
+	fillIndex(c, 0, 0, 1024)   // ids 0..511 ghosts (full), 512..1023 cached
+	for i := 0; i < 64; i++ {
+		c.ReadInsert(alloc.PBA(i))
+	}
+	for i := 48; i < 56; i++ { // the read ghost holds blocks 48..55
+		c.ReadHit(alloc.PBA(i))
+	}
+	rep := c.Tick(sim.Time(sim.Second))
+	if !rep.Changed || c.IndexCapTotal() != 448 {
+		t.Fatalf("index partition = %d entries after the tick, want 448", c.IndexCapTotal())
+	}
+	// 64 victims (ids 512..575) went in at capacity 512 and pushed ids
+	// 0..63 out; resizing the ghost first would have kept all 576
+	if n := ghostLen(c); n != 512 {
+		t.Fatalf("ghost holds %d entries, want the 512 of its old capacity", n)
+	}
+	g := ghostOrder(c)
+	if g[0].fp != fp(575) || g[63].fp != fp(512) || g[len(g)-1].fp != fp(64) {
+		t.Fatalf("ghost runs %v … %v … %v, want the victims youngest first, then ids 511 down to 64",
+			g[0].fp, g[63].fp, g[len(g)-1].fp)
+	}
+	checkAll(t, c)
+}
+
+// A fingerprint re-admitted through the write path leaves the ghost
+// before its stream — seen for the first time — re-divides every quota
+// and floods the ghost with the other streams' victims.
+func TestReadmissionLeavesGhostBeforeStreamsRedivide(t *testing.T) {
+	c := streamController(t, true, nil)
+	fillIndex(c, 1, 0, 1024) // stream 1 alone: ids 0..511 ghosts (full), 512..1023 cached
+	// stream 2 appears, writing ghost id 400: that ghost leaves (511
+	// left), stream 1 halves and its 256 victims push out the 255 oldest
+	// ghosts, ids 0..254. Had the victims arrived first they would have
+	// pushed out id 255 as well.
+	c.IndexInsertS(2, fp(400), alloc.PBA(5000))
+	if n := ghostLen(c); n != 512 {
+		t.Fatalf("ghost holds %d entries, want 512", n)
+	}
+	if g := ghostOrder(c); g[len(g)-1].fp != fp(255) {
+		t.Fatalf("oldest ghost is %v, want id 255 (%v)", g[len(g)-1].fp, fp(255))
+	}
+	if e, ok := c.IndexPeek(fp(400)); !ok || e.PBA != 5000 {
+		t.Fatalf("re-admitted entry = %+v, %v", e, ok)
+	}
+	qs := c.StreamQuotas()
+	if qs[0].Len != 256 || qs[1].Len != 1 {
+		t.Fatalf("streams hold %d and %d entries, want 256 and 1", qs[0].Len, qs[1].Len)
+	}
+	checkAll(t, c)
+}
+
+// A stream with no quota caches nothing, but its write still consumes
+// the ghost entry: the fingerprint now names a block the ghost does not
+// know.
+func TestZeroQuotaStreamConsumesGhostEntry(t *testing.T) {
+	c := streamController(t, true, map[uint32]float64{1: 1, 2: 0})
+	fillIndex(c, 1, 0, 513) // id 0 is the one ghost
+	if ghostLen(c) != 1 {
+		t.Fatalf("ghost holds %d entries, want 1", ghostLen(c))
+	}
+	c.IndexInsertS(2, fp(0), alloc.PBA(9000))
+	if ghostLen(c) != 0 {
+		t.Fatal("the zero-quota stream's write left the ghost entry behind")
+	}
+	if _, ok := c.IndexPeek(fp(0)); ok {
+		t.Fatal("zero-quota stream cached an entry")
+	}
+	c.IndexLookupS(1, fp(0))
+	if c.totalGhostIdxHits != 0 || c.StreamQuotas()[0].GhostHits != 0 {
+		t.Fatal("consumed ghost entry still counted a ghost hit")
+	}
+	checkAll(t, c)
+}
+
+// A ghost hit is charged to the stream whose quota lost the entry, not
+// to the stream that came looking for it.
+func TestStreamGhostHitsNameTheHomeStream(t *testing.T) {
+	c := streamController(t, true, map[uint32]float64{1: 0.5, 2: 0.5})
+	fillIndex(c, 1, 0, 257) // id 0 falls out of stream 1's 256
+	c.IndexLookupS(2, fp(0))
+	qs := c.StreamQuotas()
+	if qs[0].GhostHits != 1 || qs[1].GhostHits != 0 {
+		t.Fatalf("ghost hits = %d for stream 1, %d for stream 2; want 1, 0", qs[0].GhostHits, qs[1].GhostHits)
+	}
+	if qs[1].Lookups != 1 || qs[1].Hits != 0 {
+		t.Fatalf("stream 2 accounting = %d lookups, %d hits", qs[1].Lookups, qs[1].Hits)
+	}
+}
+
+// CheckInvariants must notice a directory whose parts disagree.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	for name, corrupt := range map[string]func(*Controller){
+		"table names the wrong slot": func(c *Controller) { c.dir.byFP.Put(fp(1), c.dir.find(fp(2))) },
+		"list count":                 func(c *Controller) { c.dir.lists[firstIndexList].n++ },
+		"list membership":            func(c *Controller) { c.dir.slab[c.dir.find(fp(100))].list = ghostList },
+		"block chain dropped":        func(c *Controller) { c.dir.byPBA.Delete(1) },
+		"block chain crossed":        func(c *Controller) { c.dir.slab[c.dir.find(fp(1))].pba = 2 },
+		"remote block":               func(c *Controller) { c.dir.slab[c.dir.find(fp(1))].pba = alloc.MakeRemote(1, 1) },
+		"over capacity":              func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
+		"leaked slot":                func(c *Controller) { c.dir.free = 0 },
+	} {
+		c := New(testParams(true))
+		fillIndex(c, 0, 0, 600)
+		c.PurgePBA(3) // something on the free list
+		checkAll(t, c)
+		corrupt(c)
+		if c.CheckInvariants() == nil {
+			t.Errorf("%s: not detected", name)
+		}
+	}
+}
+
+// --- microbenchmarks ---
+
+func failOnAllocs(b *testing.B, what string, f func()) {
+	b.Helper()
+	b.StopTimer()
+	if avg := testing.AllocsPerRun(100, f); avg != 0 {
+		b.Fatalf("%s: %.2f allocs/op, want 0", what, avg)
+	}
+}
+
+func benchFPs(n int) []chunk.Fingerprint {
+	fps := make([]chunk.Fingerprint, n)
+	for i := range fps {
+		fps[i] = fp(uint64(i))
+	}
+	return fps
+}
+
+// benchParams is a 2 MB budget: 32 768 index entries at most, half of
+// them cached at the initial split.
+func benchParams() Params {
+	p := DefaultParams(2 << 20)
+	p.Adaptive = true
+	return p
+}
+
+// BenchmarkIndexMissInsertEvict is the write path of a chunk the index
+// does not know, on a full adaptive controller: a lookup that misses,
+// an insert, the eviction of the oldest entry into the ghost and of the
+// oldest ghost out of the directory.
+func BenchmarkIndexMissInsertEvict(b *testing.B) {
+	c := New(benchParams())
+	fps := benchFPs(1 << 17) // four times what index and ghost hold
+	step := func(i int) {
+		f := fps[i&(len(fps)-1)]
+		if _, ok := c.IndexLookupS(0, f); !ok {
+			c.IndexInsertS(0, f, alloc.PBA(i))
+		}
+	}
+	for i := 0; i < len(fps); i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	n := b.N
+	failOnAllocs(b, "miss + insert + evict", func() { step(n); n++ })
+}
+
+// BenchmarkRepartition moves the partition one step toward the index
+// and one step back, alternately, on a controller whose index and ghost
+// are full: 2 048 entries swapped in, then 2 048 pushed out.
+func BenchmarkRepartition(b *testing.B) {
+	c := New(benchParams())
+	fillIndex(c, 0, 0, 1<<16)
+	now := sim.Time(0)
+	step := func(i int) {
+		// the Access Monitor's verdict for the interval, set by hand
+		c.ghostIdxHits, c.ghostReadHits = int64(1-i&1), int64(i&1)
+		now = now.Add(c.p.Interval)
+		if !c.Tick(now).Changed {
+			b.Fatal("tick did not repartition")
+		}
+	}
+	step(0)
+	step(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	n := b.N
+	failOnAllocs(b, "repartition", func() { step(n); n++ })
+	b.ReportMetric(float64(c.swapInsIdx)/float64(c.repartitions), "swapins/op")
+}
+
+// BenchmarkReapportion re-divides a full index between three streams
+// the way locality.Apportion swings them — each in turn the
+// high-locality stream, the others at the floor — with the partition
+// moving under them as in BenchmarkRepartition, so that the quota a
+// stream wins back is refilled from the ghost.
+func BenchmarkReapportion(b *testing.B) {
+	c := New(benchParams())
+	c.EnableStreams(nil)
+	for i := 0; i < 1<<16; i++ {
+		c.IndexInsertS(uint32(1+i%3), fp(uint64(i)), alloc.PBA(i))
+	}
+	var swings [3]map[uint32]float64
+	for k := range swings {
+		swings[k] = map[uint32]float64{1: 0.1, 2: 0.1, 3: 0.1}
+		swings[k][uint32(k+1)] = 0.8
+	}
+	now := sim.Time(0)
+	step := func(i int) {
+		c.SetStreamShares(swings[i%3])
+		c.ghostIdxHits, c.ghostReadHits = int64(1-i&1), int64(i&1)
+		now = now.Add(c.p.Interval)
+		c.Tick(now)
+	}
+	for i := 0; i < 12; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	n := b.N
+	failOnAllocs(b, "re-apportion", func() { step(n); n++ })
+	b.ReportMetric(float64(c.swapInsIdx)/float64(c.repartitions), "swapins/op")
+}

@@ -3,15 +3,21 @@
 // fingerprint index cache and the data read cache.
 //
 // The controller owns both actual caches and their metadata-only ghost
-// caches. The Access Monitor counts, per evaluation interval, how often
-// a miss in an actual cache *would have been* a hit with a larger cache
-// (a ghost hit). The Swap Module then compares the cost-benefit of the
-// two ghosts — ghost hits weighted by the I/O time each kind of hit
-// saves — and repartitions the budget toward the cache whose growth
-// pays more, swapping the most recent ghost entries back in. Swapped-in
-// read blocks must be fetched from the back-end store, so the
-// controller surfaces them to the engine, which charges background disk
-// reads.
+// caches. The index side — the index cache, its ghost and, in stream
+// mode, every tenant stream's quota — is one fingerprint directory
+// (directory.go): a fingerprint is one slot found by one probe, and
+// whether it is cached, under whose quota, or only remembered is which
+// recency list the slot is linked into, so eviction, swap-in and
+// re-apportionment relink slots and never rehash them.
+//
+// The Access Monitor counts, per evaluation interval, how often a miss
+// in an actual cache *would have been* a hit with a larger cache (a
+// ghost hit). The Swap Module then compares the cost-benefit of the two
+// ghosts — ghost hits weighted by the I/O time each kind of hit saves —
+// and repartitions the budget toward the cache whose growth pays more,
+// swapping the most recent ghost entries back in. Swapped-in read
+// blocks must be fetched from the back-end store, so the controller
+// surfaces them to the engine, which charges background disk reads.
 //
 // With adaptation disabled the controller degrades to the fixed
 // partition used by the paper's Full-Dedupe / iDedup / Select-Dedupe
@@ -26,7 +32,6 @@ import (
 	"github.com/pod-dedup/pod/internal/cache"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/index"
-	"github.com/pod-dedup/pod/internal/probe"
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
@@ -65,30 +70,20 @@ func DefaultParams(totalBytes int64) Params {
 	}
 }
 
-// ghostIndexEntry preserves the metadata needed to re-admit an index
-// entry on swap-in; stream remembers the owning tenant so stream-mode
-// swap-ins return the entry to the right quota.
-type ghostIndexEntry struct {
-	pba    alloc.PBA
-	stream uint32
-}
-
 // Controller manages the partitioned storage cache.
 type Controller struct {
 	p Params
 
 	streamState
 
-	idx      *index.Hot
-	ghostIdx *cache.LRU[chunk.Fingerprint, ghostIndexEntry]
-	// idxRev maps a physical block to the fingerprints referencing it
-	// from the hot index or the ghost index, so PurgePBA can drop
-	// every entry for a freed block — the consistency mechanism that
-	// replaces in-place overwrite protection in this log-structured
-	// substrate. Nearly every block is referenced by exactly one
-	// fingerprint, so the first one lives inline in the map value and
-	// only collisions beyond it pay for an overflow slice.
-	idxRev *probe.Map[alloc.PBA, revEntry]
+	// dir is the index side: the index cache (one recency list, or one
+	// per stream) and the ghost index; acct[k] is the accounting for
+	// index list firstIndexList+k, streams in first-seen order.
+	dir  directory
+	acct []streamAcct
+	// icEntries is the index partition budget in entries, moved by the
+	// Swap Module; every index list's capacity is a share of it.
+	icEntries int
 
 	read      *cache.LRU[alloc.PBA, struct{}]
 	ghostRead *cache.Ghost[alloc.PBA]
@@ -98,8 +93,7 @@ type Controller struct {
 
 	// Access Monitor counters for the current interval.
 	ghostIdxHits, ghostReadHits int64
-	idxHits, readHits           int64
-	idxMisses, readMisses       int64
+	readHits, readMisses        int64
 
 	// lifetime accounting
 	repartitions          int64
@@ -130,25 +124,26 @@ func New(p Params) *Controller {
 	c := &Controller{p: p, indexFrac: p.IndexFrac, nextEval: sim.Time(p.Interval)}
 	ic, rc := c.capacitiesFor(p.IndexFrac)
 	c.icEntries = ic
-	c.idx = index.NewHot(ic)
 	c.read = cache.NewLRU[alloc.PBA, struct{}](rc)
-	// each ghost may grow to the whole budget minus its actual cache
-	c.ghostIdx = cache.NewLRU[chunk.Fingerprint, ghostIndexEntry](c.maxIndexEntries() - ic)
 	c.ghostRead = cache.NewGhost[alloc.PBA](c.maxReadBlocks() - rc)
-	c.idxRev = probe.NewMap[alloc.PBA, revEntry](0)
+	c.dir = newDirectory(c.ghostIndexCap())
+	c.acct = []streamAcct{{}}
+	c.dir.addList(ic)
 	return c
-}
-
-// revEntry holds the fingerprints referencing one physical block: the
-// first inline (the overwhelmingly common case), the rest in an
-// overflow slice allocated only on collision.
-type revEntry struct {
-	first chunk.Fingerprint
-	rest  []chunk.Fingerprint
 }
 
 func (c *Controller) maxIndexEntries() int { return int(c.p.TotalBytes) / c.p.IndexEntryBytes }
 func (c *Controller) maxReadBlocks() int   { return int(c.p.TotalBytes) / c.p.BlockBytes }
+
+// ghostIndexCap is the ghost index's capacity under the current
+// partition: each ghost may grow to the whole budget minus its actual
+// cache. The fixed partition never consults a ghost and keeps none.
+func (c *Controller) ghostIndexCap() int {
+	if !c.p.Adaptive {
+		return 0
+	}
+	return c.maxIndexEntries() - c.icEntries
+}
 
 func (c *Controller) capacitiesFor(frac float64) (idxEntries, readBlocks int) {
 	idxBytes := int64(frac * float64(c.p.TotalBytes))
@@ -162,9 +157,6 @@ func (c *Controller) capacitiesFor(frac float64) (idxEntries, readBlocks int) {
 	}
 	return idxEntries, readBlocks
 }
-
-// Index exposes the hot index (for engines and tests).
-func (c *Controller) Index() *index.Hot { return c.idx }
 
 // IndexFrac reports the current index-cache share of the budget.
 func (c *Controller) IndexFrac() float64 { return c.indexFrac }
@@ -190,36 +182,52 @@ func (c *Controller) IndexLookup(fp chunk.Fingerprint) (index.Entry, bool) {
 
 // IndexLookupS searches the index on behalf of a tenant stream,
 // counting a ghost hit on miss (the Access Monitor's signal that a
-// larger index cache would have deduplicated this chunk). Outside
-// stream mode the stream is ignored.
+// larger index cache would have deduplicated this chunk). The lookup is
+// attributed to the requesting stream; the hit may come from any
+// stream's quota — the index is one directory and only eviction is
+// partitioned. Outside stream mode the stream is ignored.
 func (c *Controller) IndexLookupS(stream uint32, fp chunk.Fingerprint) (index.Entry, bool) {
-	if c.streamMode {
-		return c.streamLookup(stream, fp)
+	a := &c.acct[c.listFor(stream)-firstIndexList]
+	a.lookups++
+	i := c.dir.find(fp)
+	if i == 0 {
+		return index.Entry{}, false
 	}
-	if e, ok := c.idx.Lookup(fp); ok {
-		c.idxHits++
-		return e, true
-	}
-	c.idxMisses++
-	if c.p.Adaptive && c.ghostIdx.Contains(fp) {
+	if s := &c.dir.slab[i]; s.list == ghostList {
 		c.ghostIdxHits++
 		c.totalGhostIdxHits++
+		c.acct[s.home-firstIndexList].ghostHits++
+		return index.Entry{}, false
+	}
+	a.hits++
+	return c.dir.touch(i), true
+}
+
+// IndexPeek reads the index without touching recency, hit statistics,
+// or the ghost — the global fingerprint tier uses it to find a shard's
+// local copy of a fingerprint before a granted hint overwrites the
+// binding.
+func (c *Controller) IndexPeek(fp chunk.Fingerprint) (index.Entry, bool) {
+	if i := c.dir.find(fp); i != 0 && c.dir.slab[i].list != ghostList {
+		return c.dir.entry(i), true
 	}
 	return index.Entry{}, false
 }
 
-// IndexPeek reads the hot index without touching recency, hit
-// statistics, or the ghost — the global fingerprint tier uses it to
-// find a shard's local copy of a fingerprint before a granted hint
-// overwrites the binding.
-func (c *Controller) IndexPeek(fp chunk.Fingerprint) (index.Entry, bool) {
-	if c.streamMode {
-		if o, ok := c.fpOwner.Find(fp); ok {
-			return c.strs[*o].idx.Peek(fp)
+// IndexEach visits every cached index entry — stream by stream in
+// first-seen order, each from most to least recently used — with the
+// stream whose quota holds it (0 outside stream mode). Return false
+// from fn to stop.
+func (c *Controller) IndexEach(fn func(stream uint32, fp chunk.Fingerprint, e index.Entry) bool) {
+	d := &c.dir
+	for k, a := range c.acct {
+		h := d.lists[k+firstIndexList].head
+		for i := d.slab[h].next; i != h; i = d.slab[i].next {
+			if !fn(a.id, d.slab[i].fp, d.entry(i)) {
+				return
+			}
 		}
-		return index.Entry{}, false
 	}
-	return c.idx.Peek(fp)
 }
 
 // IndexInsert adds fp → pba to the hot index on the default stream.
@@ -228,36 +236,44 @@ func (c *Controller) IndexInsert(fp chunk.Fingerprint, pba alloc.PBA) {
 }
 
 // IndexInsertS adds fp → pba to the index on behalf of a tenant
-// stream. In adaptive mode evicted entries move to the ghost index;
-// either way the reverse map tracks every live entry for
-// purge-on-free. In stream mode the entry lands in (and can only
-// evict from) the inserting stream's quota.
+// stream. A cached fingerprint is remapped where it is — in stream mode
+// its quota stays the first inserter's — and promoted; a fresh one, or
+// one the ghost remembers, lands in (and can only evict from) the
+// inserting stream's quota. In adaptive mode evicted entries move to
+// the ghost index. A stream with no quota gets nothing cached — bgdedup
+// catches what inline then skips.
 func (c *Controller) IndexInsertS(stream uint32, fp chunk.Fingerprint, pba alloc.PBA) {
-	if c.streamMode {
-		if e, ok := c.IndexPeek(fp); ok && e.PBA == pba {
+	d := &c.dir
+	i := d.find(fp)
+	if i != 0 {
+		s := &d.slab[i]
+		if s.list != ghostList {
+			if s.pba != pba {
+				d.unlink(i)
+				d.admit(s.home, i, pba)
+			}
 			return
 		}
-		c.streamInsert(stream, fp, pba)
-		return
+		// re-admission through the real path: the entry leaves the ghost
+		// before a first-seen stream below may re-divide every quota and
+		// push victims into it
+		d.unlink(i)
 	}
-	if e, ok := c.idx.Peek(fp); ok && e.PBA == pba {
-		return
-	}
-	c.ghostRemoveFP(fp) // re-admission through the real path
-	ev, evicted := c.idx.Insert(fp, pba)
-	c.revAdd(pba, fp)
-	if evicted {
-		if ev.FP == fp {
-			// remap of the same fingerprint: drop the old block's link
-			c.revRemove(ev.Entry.PBA, fp)
-		} else if c.p.Adaptive {
-			// victim moves to the ghost; its reverse link stays
-			if gev, gevicted := c.ghostIdx.Put(ev.FP, ghostIndexEntry{pba: ev.Entry.PBA}); gevicted {
-				c.revRemove(gev.Val.pba, gev.Key)
-			}
-		} else {
-			c.revRemove(ev.Entry.PBA, ev.FP)
+	l := c.listFor(stream)
+	lst := &d.lists[l]
+	switch {
+	case lst.cap == 0:
+		if i != 0 {
+			d.release(i)
 		}
+		return
+	case i != 0:
+		d.admit(l, i, pba)
+	default:
+		d.insert(l, fp, pba)
+	}
+	if lst.n > lst.cap {
+		d.evictTail(l)
 	}
 }
 
@@ -286,17 +302,12 @@ func (c *Controller) ReadInsert(pba alloc.PBA) {
 }
 
 // PurgePBA removes every trace of a freed physical block — read cache,
-// read ghost, hot index, and ghost index — so a reused block can never
+// read ghost, index cache, and ghost index — so a reused block can never
 // serve stale data or be dedup-referenced under its old content.
 func (c *Controller) PurgePBA(pba alloc.PBA) {
 	c.read.Remove(pba)
 	c.ghostRead.Remove(pba)
-	if e, ok := c.idxRev.Take(pba); ok {
-		c.dropFP(e.first)
-		for _, fp := range e.rest {
-			c.dropFP(fp)
-		}
-	}
+	c.dir.purge(pba)
 }
 
 // PurgeWhere drops every cached and ghosted read block whose PBA
@@ -321,52 +332,6 @@ func (c *Controller) PurgeWhere(pred func(alloc.PBA) bool) {
 	}
 }
 
-func (c *Controller) revAdd(pba alloc.PBA, fp chunk.Fingerprint) {
-	e, inserted := c.idxRev.Ref(pba)
-	if inserted {
-		*e = revEntry{first: fp}
-		return
-	}
-	if e.first == fp {
-		return
-	}
-	for _, f := range e.rest {
-		if f == fp {
-			return
-		}
-	}
-	e.rest = append(e.rest, fp)
-}
-
-func (c *Controller) ghostRemoveFP(fp chunk.Fingerprint) {
-	if e, ok := c.ghostIdx.Take(fp); ok {
-		c.revRemove(e.pba, fp)
-	}
-}
-
-func (c *Controller) revRemove(pba alloc.PBA, fp chunk.Fingerprint) {
-	e, ok := c.idxRev.Find(pba)
-	if !ok {
-		return
-	}
-	if e.first == fp {
-		if len(e.rest) == 0 {
-			c.idxRev.Delete(pba)
-			return
-		}
-		e.first = e.rest[len(e.rest)-1]
-		e.rest = e.rest[:len(e.rest)-1]
-		return
-	}
-	for i, f := range e.rest {
-		if f == fp {
-			e.rest[i] = e.rest[len(e.rest)-1]
-			e.rest = e.rest[:len(e.rest)-1]
-			return
-		}
-	}
-}
-
 // --- Swap Module ---
 
 // Repartition is the outcome of one evaluation tick.
@@ -387,7 +352,7 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	benefitIdx := c.ghostIdxHits * c.p.WriteBenefitUS
 	benefitRead := c.ghostReadHits * c.p.ReadBenefitUS
 	c.ghostIdxHits, c.ghostReadHits = 0, 0
-	c.idxHits, c.idxMisses, c.readHits, c.readMisses = 0, 0, 0, 0
+	c.readHits, c.readMisses = 0, 0
 
 	// require clear dominance before moving the partition — reacting
 	// to noise thrashes both caches (each move costs transient misses
@@ -419,55 +384,21 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	c.repartitions++
 	c.history = append(c.history, FracPoint{Time: now, IndexFrac: target})
 
-	// shrink one side; hot-index victims keep their reverse links as
-	// they move into the ghost
+	// shrink one side: index victims move into the ghost, oldest first,
+	// against the ghost's old capacity
 	c.icEntries = ic
-	if c.streamMode {
-		c.recomputeStreamCaps()
-	} else {
-		for _, ev := range c.idx.Resize(ic) {
-			if c.p.Adaptive {
-				if gev, gevicted := c.ghostIdx.Put(ev.FP, ghostIndexEntry{pba: ev.Entry.PBA}); gevicted {
-					c.revRemove(gev.Val.pba, gev.Key)
-				}
-			} else {
-				c.revRemove(ev.Entry.PBA, ev.FP)
-			}
-		}
-	}
+	c.applyQuotas()
 	for _, ev := range c.read.Resize(rc) {
 		c.ghostRead.Add(ev.Key)
 	}
 	// rebalance ghost capacities to mirror the actual caches
-	for _, gev := range c.ghostIdx.Resize(c.maxIndexEntries() - ic) {
-		c.revRemove(gev.Val.pba, gev.Key)
-	}
+	c.dir.resize(ghostList, c.ghostIndexCap())
 	c.ghostRead.Resize(c.maxReadBlocks() - rc)
 
 	// grow the other side by swapping in the most recent ghosts
 	if grewIndex {
-		if c.streamMode {
-			rep.IndexSwapIns = c.streamSwapIns()
-		} else {
-			room := ic - c.idx.Len()
-			var fps []chunk.Fingerprint
-			var pbas []alloc.PBA
-			c.ghostIdx.Each(func(fp chunk.Fingerprint, e ghostIndexEntry) bool {
-				if len(fps) >= room {
-					return false
-				}
-				fps = append(fps, fp)
-				pbas = append(pbas, e.pba)
-				return true
-			})
-			for i, fp := range fps {
-				c.ghostRemoveFP(fp)
-				c.idx.Insert(fp, pbas[i])
-				c.revAdd(pbas[i], fp)
-				rep.IndexSwapIns++
-				c.swapInsIdx++
-			}
-		}
+		rep.IndexSwapIns = c.dir.swapIn()
+		c.swapInsIdx += int64(rep.IndexSwapIns)
 	} else {
 		room := rc - c.read.Len()
 		// ghost read keeps only keys; re-admit the most recent ones
@@ -489,41 +420,25 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	return rep
 }
 
-// CheckInvariants verifies the budget is never exceeded, the index side
-// (hot or ghost) binds only local blocks — a tier hint lives in the
-// tier's own table — and ghosts hold no live entries; in stream mode it
-// additionally audits the owner directory and per-stream quotas.
-// Exposed for property tests.
+// CheckInvariants verifies the budget is never exceeded, the stream
+// quotas fit the index partition, and the fingerprint directory is
+// structurally sound (directory.check). Exposed for property tests.
 func (c *Controller) CheckInvariants() error {
-	idxBytes := int64(c.IndexCapTotal()) * int64(c.p.IndexEntryBytes)
+	idxBytes := int64(c.icEntries) * int64(c.p.IndexEntryBytes)
 	readBytes := int64(c.read.Cap()) * int64(c.p.BlockBytes)
 	slack := int64(c.p.IndexEntryBytes) + int64(c.p.BlockBytes) // integer division slack
 	if idxBytes+readBytes > c.p.TotalBytes+slack {
 		return fmt.Errorf("icache: partition exceeds budget: %d + %d > %d", idxBytes, readBytes, c.p.TotalBytes)
 	}
-	var remote error
-	c.idxRev.Each(func(pba alloc.PBA, _ revEntry) bool {
-		if alloc.IsRemote(pba) {
-			remote = fmt.Errorf("icache: index binds remote-encoded block %d", pba)
-		}
-		return remote == nil
-	})
-	if remote != nil {
-		return remote
+	capSum := 0
+	for _, lst := range c.dir.lists[firstIndexList:] {
+		capSum += lst.cap
 	}
-	if c.streamMode {
-		return c.checkStreamInvariants()
+	if capSum > c.icEntries+len(c.acct) { // +rounding slack per stream
+		return fmt.Errorf("icache: stream quotas %d exceed index partition %d", capSum, c.icEntries)
 	}
-	violation := ""
-	c.idx.Each(func(fp chunk.Fingerprint, _ index.Entry) bool {
-		if c.ghostIdx.Contains(fp) {
-			violation = "fingerprint live in both index cache and ghost"
-			return false
-		}
-		return true
-	})
-	if violation != "" {
-		return fmt.Errorf("icache: %s", violation)
+	if len(c.acct) != len(c.dir.lists)-firstIndexList {
+		return fmt.Errorf("icache: %d streams over %d index lists", len(c.acct), len(c.dir.lists)-firstIndexList)
 	}
-	return nil
+	return c.dir.check()
 }

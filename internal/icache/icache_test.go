@@ -42,8 +42,8 @@ func TestNewValidation(t *testing.T) {
 func TestInitialPartition(t *testing.T) {
 	c := New(testParams(false))
 	// 50 % of 64 KB = 32 KB: 512 index entries, 8 read blocks
-	if c.Index().Cap() != 512 {
-		t.Errorf("index cap = %d, want 512", c.Index().Cap())
+	if c.IndexCapTotal() != 512 {
+		t.Errorf("index cap = %d, want 512", c.IndexCapTotal())
 	}
 	if c.ReadCacheCap() != 8 {
 		t.Errorf("read cap = %d, want 8", c.ReadCacheCap())

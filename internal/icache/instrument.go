@@ -9,8 +9,10 @@ import "github.com/pod-dedup/pod/internal/metrics"
 // the swap traffic repartitioning causes. The engine re-calls it after
 // crash recovery rebuilds the caches.
 func (c *Controller) Instrument(reg *metrics.Registry) {
-	reg.GaugeFunc("icache_index_entries", func() int64 { return int64(c.indexLen()) })
-	reg.GaugeFunc("icache_index_cap", func() int64 { return int64(c.IndexCapTotal()) })
+	reg.GaugeFunc("icache_index_entries", func() int64 { return int64(c.dir.live()) })
+	reg.GaugeFunc("icache_index_cap", func() int64 { return int64(c.icEntries) })
+	reg.GaugeFunc("icache_ghost_index_entries", func() int64 { return int64(c.dir.lists[ghostList].n) })
+	reg.GaugeFunc("icache_index_dir_bytes", func() int64 { return int64(c.dir.bytes()) })
 	reg.GaugeFunc("icache_read_blocks", func() int64 { return int64(c.read.Len()) })
 	reg.GaugeFunc("icache_read_cap", func() int64 { return int64(c.read.Cap()) })
 	reg.GaugeFunc("icache_index_frac_permille", func() int64 { return int64(c.indexFrac * 1000) })
@@ -19,16 +21,16 @@ func (c *Controller) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("icache_ghost_read_hits_total", func() int64 { return c.totalGhostReadHits })
 	reg.GaugeFunc("icache_swapins_index", func() int64 { return c.swapInsIdx })
 	reg.GaugeFunc("icache_swapins_read", func() int64 { return c.swapInsRd })
+	reg.GaugeFunc("index_hot_entries", func() int64 { return int64(c.dir.live()) })
+	reg.GaugeFunc("index_hot_cap", func() int64 { return int64(c.icEntries) })
 	if c.streamMode {
-		// per-stream quota/hit gauges, registered lazily as streams
-		// appear; the hot-index gauges aggregate the sub-indexes
+		// hit accounting is per stream, registered lazily as streams appear
 		c.streamReg = reg
-		for _, id := range c.strOrder {
-			c.instrumentStream(c.strs[id])
+		for k := range c.acct {
+			c.instrumentStream(int32(k) + firstIndexList)
 		}
-		reg.GaugeFunc("index_hot_entries", func() int64 { return int64(c.indexLen()) })
-		reg.GaugeFunc("index_hot_cap", func() int64 { return int64(c.IndexCapTotal()) })
 		return
 	}
-	c.idx.Instrument(reg)
+	reg.GaugeFunc("index_hot_hits", func() int64 { return c.acct[0].hits })
+	reg.GaugeFunc("index_hot_misses", func() int64 { return c.acct[0].lookups - c.acct[0].hits })
 }

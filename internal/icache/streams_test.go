@@ -158,7 +158,7 @@ func TestStreamPurgePBA(t *testing.T) {
 
 // TestStreamGhostSwapIn exercises the adaptive path: entries evicted by
 // a quota shrink park in the ghost with their stream identity and
-// return to the right sub-index when capacity comes back.
+// return to the right quota when capacity comes back.
 func TestStreamGhostSwapIn(t *testing.T) {
 	c := streamController(t, true, nil)
 	total := c.IndexCapTotal()

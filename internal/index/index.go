@@ -6,7 +6,9 @@
 // blocks (the engine pins an entry's physical block in the Map table
 // for as long as the entry is cached). A miss in the hot index simply
 // means a lost deduplication opportunity; POD never performs on-disk
-// index lookups on the write path.
+// index lookups on the write path. POD's own hot index is the iCache's
+// fingerprint directory (internal/icache), which hands out this
+// package's Entry; Hot below is the in-memory portion of Full.
 //
 // Full-Dedupe, the traditional baseline, instead maintains the complete
 // fingerprint table. Entries not present in its in-memory hot portion
@@ -50,16 +52,6 @@ func NewHot(capacity int) *Hot {
 // Len reports the number of cached entries.
 func (h *Hot) Len() int { return h.lru.Len() }
 
-// Cap reports the capacity in entries.
-func (h *Hot) Cap() int { return h.lru.Cap() }
-
-// Hits and Misses report Lookup accounting.
-func (h *Hot) Hits() int64   { return h.lru.Hits() }
-func (h *Hot) Misses() int64 { return h.lru.Misses() }
-
-// ResetStats clears hit/miss accounting.
-func (h *Hot) ResetStats() { h.lru.ResetStats() }
-
 // Lookup finds fp, increments its Count (a write-request hit, per the
 // paper), promotes it, and returns the updated entry. The update is
 // in-place via LRU.Touch — one map lookup and one list move, where the
@@ -102,22 +94,6 @@ func (h *Hot) Remove(fp chunk.Fingerprint) (Entry, bool) {
 	return h.lru.Take(fp)
 }
 
-// Resize changes the capacity, returning all evicted entries (the
-// caller releases their pins). Used by iCache's Swap Module.
-func (h *Hot) Resize(capacity int) []Evicted {
-	evs := h.lru.Resize(capacity)
-	out := make([]Evicted, 0, len(evs))
-	for _, ev := range evs {
-		out = append(out, Evicted{FP: ev.Key, Entry: ev.Val})
-	}
-	return out
-}
-
-// Each visits entries from most- to least-recently used.
-func (h *Hot) Each(fn func(chunk.Fingerprint, Entry) bool) {
-	h.lru.Each(func(fp chunk.Fingerprint, e Entry) bool { return fn(fp, e) })
-}
-
 // Full is the complete fingerprint table used by the Full-Dedupe
 // baseline: every stored chunk's fingerprint is known, but only the hot
 // subset lives in memory — a lookup that misses the hot portion costs
@@ -142,9 +118,6 @@ func NewFull(hotCapacity int) *Full {
 
 // Len reports the total number of indexed fingerprints.
 func (f *Full) Len() int { return f.all.Len() }
-
-// Hot exposes the in-memory portion (for resize and accounting).
-func (f *Full) Hot() *Hot { return f.hot }
 
 // MemHits and DiskLookups report where lookups were served.
 func (f *Full) MemHits() int64     { return f.memHits }

@@ -118,10 +118,11 @@ func (e *Estimator) Record(stream uint32, fp chunk.Fingerprint) {
 		e.order = append(e.order, stream)
 	}
 	s.samples++
-	if _, ok := s.sketch.Get(k); ok {
+	if _, ok := s.sketch.Touch(k); ok {
 		s.hits++
+	} else {
+		s.sketch.Put(k, struct{}{})
 	}
-	s.sketch.Put(k, struct{}{})
 }
 
 // Apportion closes the current measurement interval and returns the

@@ -2,8 +2,10 @@ package locality
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
+	"github.com/pod-dedup/pod/internal/cache"
 	"github.com/pod-dedup/pod/internal/chunk"
 )
 
@@ -37,16 +39,50 @@ func TestSampling(t *testing.T) {
 	}
 }
 
+// TestRecordKeepsTheSketch pins Record's single probe per sample
+// against the Get-then-Put it replaced: same reuse hits, same sketch
+// contents in the same recency order, same hit/miss counts on the LRU.
+func TestRecordKeepsTheSketch(t *testing.T) {
+	e := New(Params{WindowEntries: 16})
+	ref := cache.NewLRU[uint64, struct{}](16)
+	var hits int64
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		k := uint64(rng.Intn(40)) * 4
+		e.Record(1, sfp(k))
+		if _, ok := ref.Get(k); ok {
+			hits++
+		}
+		ref.Put(k, struct{}{})
+	}
+	s := e.streams[1]
+	if s.hits != hits || s.sketch.Hits() != ref.Hits() || s.sketch.Misses() != ref.Misses() {
+		t.Fatalf("hits %d (sketch %d/%d), want %d (%d/%d)",
+			s.hits, s.sketch.Hits(), s.sketch.Misses(), hits, ref.Hits(), ref.Misses())
+	}
+	var got, want []uint64
+	s.sketch.Each(func(k uint64, _ struct{}) bool { got = append(got, k); return true })
+	ref.Each(func(k uint64, _ struct{}) bool { want = append(want, k); return true })
+	if len(got) != len(want) {
+		t.Fatalf("sketch holds %d keys, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sketch order %v, want %v", got, want)
+		}
+	}
+}
+
 func TestReuseBoostsShare(t *testing.T) {
 	e := est()
 	// stream 1 re-references a tight working set; stream 2 never reuses
 	for round := 0; round < 3; round++ {
 		for k := uint64(0); k < 32; k++ {
-			e.Record(1, sfp(k * 4))
+			e.Record(1, sfp(k*4))
 		}
 	}
 	for k := uint64(0); k < 96; k++ {
-		e.Record(2, sfp(10000 + k*4))
+		e.Record(2, sfp(10000+k*4))
 	}
 	shares := e.Apportion()
 	if shares == nil {
@@ -135,7 +171,7 @@ func TestDecayForgetsOldLocality(t *testing.T) {
 	// stream 2 starts reusing
 	for round := 0; round < 3; round++ {
 		for k := uint64(0); k < 32; k++ {
-			e.Record(1, sfp(k * 4))
+			e.Record(1, sfp(k*4))
 		}
 	}
 	e.Apportion()
@@ -144,7 +180,7 @@ func TestDecayForgetsOldLocality(t *testing.T) {
 		for k := uint64(0); k < 32; k++ {
 			e.Record(1, sfp((fresh+k)*4))
 			fresh += 32
-			e.Record(2, sfp(5000 + k*4))
+			e.Record(2, sfp(5000+k*4))
 		}
 		e.Apportion()
 	}

@@ -143,7 +143,10 @@ func (m *Map[K, V]) Put(k K, v V) {
 		if p, ok := m.fb[k]; ok {
 			*p = v
 		} else {
-			m.fb[k] = &v
+			// box a copy: taking v's own address would move the
+			// parameter to the heap on every call, fast path included
+			boxed := v
+			m.fb[k] = &boxed
 		}
 		return
 	}
@@ -316,4 +319,12 @@ func (m *Map[K, V]) Each(fn func(K, V) bool) {
 			return
 		}
 	}
+}
+
+// Bytes reports the memory held by the table's arrays (0 on the
+// fallback path, whose footprint the runtime does not expose).
+func (m *Map[K, V]) Bytes() int {
+	var k K
+	var v V
+	return len(m.used) * int(unsafe.Sizeof(k)+unsafe.Sizeof(v)+1)
 }
