@@ -53,8 +53,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if algo != cdc.Fixed4K && schemeName == pod.SchemeNative {
-		fatal(fmt.Errorf("-chunking %s needs a deduplicating scheme; Native never consults chunk content", algo))
+	if err := experiments.CheckAxes(*scheme, experiments.Axes{Chunking: algo}); err != nil {
+		fatal(err)
 	}
 
 	var tr *trace.Trace

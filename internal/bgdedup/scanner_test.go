@@ -334,21 +334,6 @@ func drive(t *testing.T, srv *server.Server, oracle *chaos.Oracle, reqs []trace.
 	}
 }
 
-func checkShards(t *testing.T, srv *server.Server, shards int) {
-	t.Helper()
-	for k := 0; k < shards; k++ {
-		var cerr error
-		srv.WithEngine(k, func(e engine.Engine) {
-			if be, ok := e.(interface{ Base() *engine.Base }); ok {
-				cerr = be.Base().CheckConsistency()
-			}
-		})
-		if cerr != nil {
-			t.Fatalf("shard %d inconsistent: %v", k, cerr)
-		}
-	}
-}
-
 // TestConcurrentScannerForegroundRace is the -race property test: four
 // shards serve concurrent clients while each engine runs an aggressive
 // background scanner. The m-to-1 sharing invariant, the allocator's
@@ -402,7 +387,9 @@ func TestConcurrentScannerForegroundRace(t *testing.T) {
 	if got := uint64(g["alloc_used_blocks"]); got != snap.UsedBlocks {
 		t.Fatalf("alloc_used_blocks gauge %d != snapshot used %d", got, snap.UsedBlocks)
 	}
-	checkShards(t, srv, shards)
+	if err := srv.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestChaosScenarioBgdedupRecovers runs the chaos "bgdedup" scenario
@@ -461,5 +448,7 @@ func TestChaosScenarioBgdedupRecovers(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("oracle verified nothing after recovery")
 	}
-	checkShards(t, srv, shards)
+	if err := srv.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -25,21 +25,77 @@ import (
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
-// Scenarios returns the known scenario names.
-func Scenarios() []string {
-	return []string{"sector", "diskfail", "storm", "limp", "full", "bgdedup", "globalfp", "shardcrash"}
+// Scenario says what a named scenario is: the fault plan Build compiles
+// against every shard's array, and what a serving run arms beside it.
+type Scenario struct {
+	Name string
+	Plan string // the fault plan, when it is another scenario's ("" = its own)
+	// Scanner attaches the background dedup scanner to every shard, its
+	// relocation and remap traffic racing the faults. Any oracle run with
+	// the scanner attached ends in a whole-node crash recovery, a second
+	// oracle pass and a per-shard consistency audit.
+	Scanner bool
+	// Tier enables the global fingerprint tier (whose shard agents wrap
+	// the scanner): hints, folds and pins race the faults, and the
+	// cross-shard pin audit joins the verdict.
+	Tier bool
+	// Outage crashes one shard mid-run as an isolated failure domain and
+	// rejoins it later; the survivors are the point, so it needs two.
+	Outage bool
 }
 
-// Build compiles a named scenario for one array: ndisks spindles of
-// perDisk data blocks each, over a run of roughly horizon virtual time.
-// Seed drives the transient coin; the same (name, seed, horizon) is the
-// same schedule.
+var scenarios = []Scenario{
+	{Name: "sector"},
+	{Name: "diskfail"},
+	{Name: "storm"},
+	{Name: "limp"},
+	{Name: "full"},
+	{Name: "bgdedup", Plan: "full", Scanner: true},
+	{Name: "globalfp", Tier: true},
+	// the disk-level plan stays modest so the verdict isolates the
+	// outage machinery: epoch fencing, recall timeouts, hint purges and
+	// the rejoin pin re-audit
+	{Name: "shardcrash", Plan: "sector", Tier: true, Outage: true},
+}
+
+// Scenarios returns the known scenario names.
+func Scenarios() []string {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.Name
+	}
+	return names
+}
+
+// Lookup resolves a scenario by name.
+func Lookup(name string) (Scenario, error) {
+	for _, sc := range scenarios {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return Scenario{}, fmt.Errorf("chaos: unknown scenario %q (want one of %s)",
+		name, strings.Join(Scenarios(), ", "))
+}
+
+// Build compiles a named scenario's fault plan for one array: ndisks
+// spindles of perDisk data blocks each, over a run of roughly horizon
+// virtual time. Seed drives the transient coin; the same (name, seed,
+// horizon) is the same schedule.
 func Build(name string, ndisks int, perDisk uint64, horizon sim.Time, seed uint64) (fault.Schedule, error) {
 	if ndisks < 1 || perDisk == 0 {
 		return fault.Schedule{}, fmt.Errorf("chaos: degenerate array (%d disks, %d blocks)", ndisks, perDisk)
 	}
 	if horizon <= 0 {
 		return fault.Schedule{}, fmt.Errorf("chaos: non-positive horizon %v", horizon)
+	}
+	sc, err := Lookup(name)
+	if err != nil {
+		return fault.Schedule{}, err
+	}
+	plan := sc.Plan
+	if plan == "" {
+		plan = sc.Name
 	}
 	s := fault.Schedule{Seed: seed}
 
@@ -66,7 +122,7 @@ func Build(name string, ndisks int, perDisk uint64, horizon sim.Time, seed uint6
 		})
 	}
 
-	switch name {
+	switch plan {
 	case "sector":
 		sectors()
 	case "diskfail":
@@ -84,39 +140,15 @@ func Build(name string, ndisks int, perDisk uint64, horizon sim.Time, seed uint6
 		sectors()
 		s.Fails = append(s.Fails, fault.DiskFail{Disk: ndisks - 1, At: horizon / 2})
 		storm(horizon*5/8, horizon*7/8, 100)
-	case "bgdedup":
-		// the full combo with the background out-of-line dedup scanner
-		// active (podload arms the scanner when it sees this name): the
-		// scanner's relocation/remap traffic runs concurrently with latent
-		// sectors, a mid-run disk failure, and a late transient storm, and
-		// the oracle plus a post-recovery consistency sweep must still hold
-		sectors()
-		s.Fails = append(s.Fails, fault.DiskFail{Disk: ndisks - 1, At: horizon / 2})
-		storm(horizon*5/8, horizon*7/8, 100)
 	case "globalfp":
-		// cross-shard remap traffic racing faults: latent sectors from
-		// the start (fold revalidation reads hit them), a whole-disk
-		// failure mid-run, and an early storm while hints and folds are
-		// still landing (podload arms the global fingerprint tier and
-		// the scanner when it sees this name). The oracle, the per-shard
-		// sweeps, and the cross-shard pin audit must all hold.
+		// latent sectors from the start (fold revalidation reads hit
+		// them), a whole-disk failure mid-run, and an early storm while
+		// hints and folds are still landing
 		sectors()
 		s.Fails = append(s.Fails, fault.DiskFail{Disk: ndisks - 1, At: horizon / 2})
 		storm(horizon/4, horizon/2, 100)
-	case "shardcrash":
-		// per-shard failure domain: one shard is crashed mid-run and
-		// rejoined later with the global fingerprint tier live (podload
-		// arms the tier and drives Server.CrashShard/RecoverShard from
-		// its -crash-shard/-crash-at-us/-recover-at-us flags when it
-		// sees this name). The disk-level schedule stays modest — latent
-		// sectors on the survivors — so the verdict isolates the outage
-		// machinery: epoch fencing, recall timeouts, hint purges, and
-		// the rejoin pin re-audit, all under the read-back oracle and
-		// the cluster-wide consistency sweep.
-		sectors()
 	default:
-		return fault.Schedule{}, fmt.Errorf("chaos: unknown scenario %q (want one of %s)",
-			name, strings.Join(Scenarios(), ", "))
+		panic("chaos: scenario table names plan " + plan + ", which Build does not compile")
 	}
 	return s, nil
 }

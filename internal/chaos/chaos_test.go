@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,6 +30,31 @@ func TestBuildScenarios(t *testing.T) {
 	}
 	if _, err := Build("full", 4, 1<<16, 0, 7); err == nil {
 		t.Fatal("zero horizon accepted")
+	}
+}
+
+// TestScenarioTable: a scenario that borrows another's fault plan
+// compiles to exactly that plan — what sets it apart is what it arms.
+func TestScenarioTable(t *testing.T) {
+	for _, name := range Scenarios() {
+		sc, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Plan == "" {
+			continue
+		}
+		if !sc.Scanner && !sc.Tier && !sc.Outage {
+			t.Fatalf("%s borrows the %s plan and arms nothing: it is that scenario", name, sc.Plan)
+		}
+		got, _ := Build(name, 4, 1<<16, 1_000_000, 7)
+		want, _ := Build(sc.Plan, 4, 1<<16, 1_000_000, 7)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s compiles to %+v, its plan %s to %+v", name, got, sc.Plan, want)
+		}
+	}
+	if _, err := Lookup("nope"); err == nil {
+		t.Fatal("unknown scenario resolved")
 	}
 }
 

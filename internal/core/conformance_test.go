@@ -198,3 +198,51 @@ func conformCDC(t *testing.T, mk func(engine.Config) *engine.Pipeline) {
 		t.Fatal(err)
 	}
 }
+
+// TestCDCStreamWrittenSlotBySlot: a stream written one slot at a time
+// hands the splitter windows shorter than a chunk, many of which hold
+// no chunk start. Such a write emits nothing — its bytes belong to the
+// chunk the preceding window emitted past its edge — and is absorbed
+// without data I/O; the pieces together emit exactly the chunks of the
+// whole-extent split.
+func TestCDCStreamWrittenSlotBySlot(t *testing.T) {
+	const obj, gen, slots = 5, 1, 256
+	ids := make([]chunk.ContentID, slots)
+	for i := range ids {
+		ids[i] = cdc.EncodeEdit(obj, gen, uint32(i))
+	}
+	for _, algo := range []cdc.Algo{cdc.Gear, cdc.SeqCDC} {
+		p := cdc.Params{Algo: algo}
+		whole, _ := cdc.NewSplitter(p).Split(nil, ids)
+		var empty int64
+		for i := range ids {
+			if chs, _ := cdc.NewSplitter(p).Split(nil, ids[i:i+1]); len(chs) == 0 {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatalf("%v: every one-slot window holds a chunk start; the case is not exercised", algo)
+		}
+
+		cfg := testConfig() // Verify on
+		cfg.Chunking = p
+		e := NewPOD(cfg)
+		for i := range ids {
+			req := trace.Request{Time: sim.Time(i) * sim.Time(sim.Millisecond), Op: trace.Write,
+				LBA: uint64(i), N: 1, Content: ids[i : i+1]}
+			if _, err := e.Write(&req); err != nil {
+				t.Fatalf("%v: slot %d: %v", algo, i, err)
+			}
+		}
+		if g := e.Metrics().Snapshot().Gauges["cdc_emitted_chunks"]; g != int64(len(whole)) {
+			t.Fatalf("%v: slot-by-slot writes emitted %d chunks, the whole-extent split %d", algo, g, len(whole))
+		}
+		if st := e.Stats(); st.Writes != slots || st.WritesRemoved < empty {
+			t.Fatalf("%v: %d writes, %d removed; want %d writes with the %d empty ones removed",
+				algo, st.Writes, st.WritesRemoved, slots, empty)
+		}
+		if err := e.Base().CheckConsistency(); err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/baseline"
 	"github.com/pod-dedup/pod/internal/bgdedup"
+	"github.com/pod-dedup/pod/internal/cdc"
 	"github.com/pod-dedup/pod/internal/core"
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
@@ -99,6 +100,42 @@ func NewEngine(name string, cfg engine.Config) engine.Engine {
 	default:
 		panic(fmt.Sprintf("experiments: unknown engine %q", name))
 	}
+}
+
+// Axes are the beyond-paper features a run switches on over a scheme.
+type Axes struct {
+	Chunking cdc.Algo
+	Streams  bool // per-stream index-cache apportionment
+	BGDedup  bool // background out-of-line dedup scanner
+	Tier     bool // global fingerprint tier across Shards shards
+	Shards   int
+}
+
+// CheckAxes states the scheme × feature rules once, for the library
+// facade, the replay CLI and the serving run spec alike. scheme is a
+// canonical engine name; the error leads with the axis at fault under
+// the name its command-line flag has.
+func CheckAxes(scheme string, a Axes) error {
+	if a.Chunking != cdc.Fixed4K && scheme == Native {
+		return fmt.Errorf("chunking %s needs a deduplicating scheme; %s never consults chunk content", a.Chunking, Native)
+	}
+	// These complement the selective inline path (the tier's agents
+	// wrap the scanner, the scanner reclaims what the selection wrote
+	// on purpose); on any other scheme they would run but mean nothing.
+	if scheme != SelectDedupe && scheme != POD {
+		for _, f := range []struct {
+			on   bool
+			name string
+		}{{a.Streams, "streams"}, {a.BGDedup, "bgdedup"}, {a.Tier, "globalfp"}} {
+			if f.on {
+				return fmt.Errorf("%s supports schemes %s and %s only (got %s)", f.name, SelectDedupe, POD, scheme)
+			}
+		}
+	}
+	if a.Tier && (a.Shards < 2 || a.Shards > 64) {
+		return fmt.Errorf("globalfp needs 2-64 shards (got %d); the tier recovers cross-shard dedup losses, one shard has none", a.Shards)
+	}
+	return nil
 }
 
 // Env caches replay results so that experiments sharing runs (Figures

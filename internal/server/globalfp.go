@@ -23,7 +23,7 @@ type baseHolder interface {
 // New after every shard engine exists (so an engine-hook-attached
 // bgdedup scanner is already in place for the agent to wrap).
 func (s *Server) initGlobalFP() error {
-	tier, err := globalfp.NewTier(s.cfg.Shards, s.cfg.GlobalFPParams)
+	tier, err := globalfp.NewTier(s.cfg.Shards, globalfp.Params{})
 	if err != nil {
 		return err
 	}
@@ -213,8 +213,8 @@ func (s *Server) CheckConsistency() error {
 		if sh.down {
 			continue
 		}
-		if c, ok := sh.eng.(interface{ CheckConsistency() error }); ok {
-			if err := c.CheckConsistency(); err != nil {
+		if h, ok := sh.eng.(baseHolder); ok {
+			if err := h.Base().CheckConsistency(); err != nil {
 				return fmt.Errorf("server: shard %d: %w", i, err)
 			}
 		}

@@ -122,8 +122,6 @@ type Config struct {
 	// Requires 2–64 shards and engines exposing a Map-table substrate
 	// (Select-Dedupe or POD); see internal/globalfp.
 	GlobalFP bool
-	// GlobalFPParams tunes the tier; zero values select defaults.
-	GlobalFPParams globalfp.Params
 
 	// TraceSample, when positive, records every TraceSample-th request
 	// served by each shard as a structured trace (full phase timeline)
@@ -160,6 +158,9 @@ type Config struct {
 	BreakerCooldownUS int64
 }
 
+// DefaultMaxBatch is what a zero Config.MaxBatch selects.
+const DefaultMaxBatch = 32
+
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -174,7 +175,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("server: queue depth %d", c.QueueDepth)
 	}
 	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
+		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.MaxBatch < 1 {
 		return c, fmt.Errorf("server: max batch %d", c.MaxBatch)

@@ -257,10 +257,12 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pod: %w", err)
 		}
-		if algo != cdc.Fixed4K && scheme == SchemeNative {
-			return nil, fmt.Errorf("pod: scheme %s does not support content-defined chunking (it never splits requests)", scheme)
-		}
 		chunking = cdc.Params{Algo: algo}
+	}
+	if err := experiments.CheckAxes(string(scheme), experiments.Axes{
+		Chunking: chunking.Algo, Streams: cfg.StreamAware, BGDedup: cfg.BGDedup,
+	}); err != nil {
+		return nil, fmt.Errorf("pod: %w", err)
 	}
 
 	ecfg := engine.Config{
@@ -273,17 +275,6 @@ func New(cfg Config) (*System, error) {
 		Streams:         engine.StreamParams{Enabled: cfg.StreamAware},
 		Chunking:        chunking,
 	}
-	// Both features complement the selective inline path; on any other
-	// scheme they would run but mean nothing.
-	selective := scheme == SchemeSelectDedupe || scheme == SchemePOD
-	if cfg.StreamAware && !selective {
-		return nil, fmt.Errorf("pod: scheme %s does not support stream-aware apportionment (want %s or %s)",
-			scheme, SchemeSelectDedupe, SchemePOD)
-	}
-	if cfg.BGDedup && !selective {
-		return nil, fmt.Errorf("pod: scheme %s does not support background deduplication (want %s or %s)",
-			scheme, SchemeSelectDedupe, SchemePOD)
-	}
 	eng := experiments.NewEngine(string(scheme), ecfg)
 	if cfg.BGDedup {
 		bgdedup.Attach(eng, bgdedup.Params{BlocksPerSec: cfg.BGDedupBlocksPerSec})
@@ -293,9 +284,6 @@ func New(cfg Config) (*System, error) {
 
 // Scheme reports the engine in use.
 func (s *System) Scheme() Scheme { return Scheme(s.eng.Name()) }
-
-// CapacityBlocks reports the physical data capacity in 4 KiB blocks.
-func (s *System) CapacityBlocks() uint64 { return s.eng.UsedBlocks() } // see UsedBlocks
 
 func (s *System) checkTime(atMicros int64) error {
 	if sim.Time(atMicros) < s.last {

@@ -27,9 +27,13 @@ func TestNewDefaults(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	cases := []Config{
 		{Scheme: "bogus"},
-		{Disks: 2},        // too few for RAID5
-		{StripeUnitKB: 6}, // not chunk-aligned
-		{MemoryMB: -1},    // negative budget
+		{Disks: 2},                                // too few for RAID5
+		{StripeUnitKB: 6},                         // not chunk-aligned
+		{MemoryMB: -1},                            // negative budget
+		{Scheme: SchemeNative, Chunking: "gear"},  // CDC needs a deduplicating scheme
+		{Scheme: SchemeFullDedupe, BGDedup: true}, // the scanner complements the selective schemes
+		{Scheme: SchemeIDedup, StreamAware: true}, // so does stream apportionment
+		{Scheme: SchemePOD, Chunking: "rabin"},    // unknown chunker
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
