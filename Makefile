@@ -12,11 +12,15 @@ all: build vet test
 # that feature promises) and podload's argv tests —, the CLI smoke, and
 # the two gates over one full-scale regeneration. The experiment-matrix
 # tests already run at reduced scale (see internal/experiments
-# testScale), which keeps the race run to a couple of minutes.
+# testScale), which keeps the race run to a couple of minutes. The
+# tier's packages run again at one, two and four threads: settlement
+# runs every shard's agent at once, so what it converges to must not
+# depend on how many cores interleave them.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta
 
@@ -81,10 +85,13 @@ bench:
 # directory (a miss's insert + evict + ghost-evict, one Swap Module
 # repartition, one three-stream re-apportionment), and the tier's
 # control plane (hint-table put/get, a tick's grant drain, the inbox
-# behind a 1k and a 100k backlog). The CDC split, the directory and the
-# hint/grant benchmarks fail unless they run at 0 allocs/op.
+# behind a 1k and a 100k backlog and filled in runs of 1 / 7 / 256,
+# Close settling eight loaded agents on one core and on two). The CDC
+# split, the directory, the hint/grant benchmarks and the Map table's
+# Set with the reverse index on fail unless they run at 0 allocs/op.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
+	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/
 
 # Full-scale reproduction of every table and figure (a few minutes).
 repro:
@@ -95,9 +102,10 @@ repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
 # Short fuzz pass over the parsers, the journal recovery, the CDC
-# landmark sweeps (batched bitmap vs the scalar predicate) and the
+# landmark sweeps (batched bitmap vs the scalar predicate), the
 # iCache's fingerprint directory (vs its slice-and-linear-search model;
-# an input is a thousand operations, so minimising one is capped).
+# an input is a thousand operations, so minimising one is capped) and
+# the Map table's reverse index (vs a map of sets).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
@@ -105,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSeqMarks -fuzztime 20s ./internal/cdc/
 	$(GO) test -fuzz FuzzGearMarks -fuzztime 20s ./internal/cdc/
 	$(GO) test -fuzz FuzzDirectoryOps -fuzztime 20s -fuzzminimizetime 1s ./internal/icache/
+	$(GO) test -fuzz FuzzReverseIndexOps -fuzztime 20s -fuzzminimizetime 1s ./internal/maptable/
 
 clean:
 	$(GO) clean ./...

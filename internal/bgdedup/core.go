@@ -30,7 +30,7 @@
 package bgdedup
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -46,6 +46,8 @@ import (
 type Core struct {
 	b   *engine.Base
 	fps *index.Full
+
+	refs []uint64 // Referrers scratch, reused by every merge
 
 	scanned    int64 // live blocks fingerprinted
 	mergedLBAs int64 // single-LBA merges (post-process path)
@@ -96,7 +98,7 @@ func (c *Core) Reset() {
 // model before any merge.
 func (c *Core) ReadBatch(now sim.Time, pbas []alloc.PBA, maxIOs int) map[alloc.PBA]bool {
 	sorted := append([]alloc.PBA(nil), pbas...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	read := make(map[alloc.PBA]bool, len(sorted))
 	ios := 0
@@ -187,9 +189,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	}
 	c.dupBlocks++
 
-	refs := c.b.Map.Referrers(drop)
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	for _, lba := range refs {
+	for _, lba := range c.referrers(drop) {
 		freed := c.b.Map.Set(lba, keep, true)
 		remapped++
 		reclaimed += len(freed)
@@ -230,10 +230,8 @@ func (c *Core) FoldRemote(now sim.Time, dup alloc.PBA, fp chunk.Fingerprint, can
 	c.scanned++
 	c.dupBlocks++
 
-	refs := c.b.Map.Referrers(dup)
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
 	before := c.b.Alloc.Used()
-	for _, lba := range refs {
+	for _, lba := range c.referrers(dup) {
 		c.b.SetRemoteRef(lba, canon)
 		remapped++
 	}
@@ -244,12 +242,22 @@ func (c *Core) FoldRemote(now sim.Time, dup alloc.PBA, fp chunk.Fingerprint, can
 	return remapped, reclaimed, true
 }
 
+// referrers lists the LBAs mapped to pba in ascending order, in the
+// core's scratch: valid until the next call, and unaffected by the
+// remaps the caller applies while walking it.
+func (c *Core) referrers(pba alloc.PBA) []uint64 {
+	c.refs = c.b.Map.Referrers(c.refs[:0], pba)
+	slices.Sort(c.refs)
+	return c.refs
+}
+
 // seqScore counts how many of a block's referrers have a logical
 // neighbour mapped to the corresponding physical neighbour — the
 // "sequentially stored" property Select-Dedupe's classifier tests.
 func (c *Core) seqScore(pba alloc.PBA) int {
 	score := 0
-	for _, lba := range c.b.Map.Referrers(pba) {
+	c.refs = c.b.Map.Referrers(c.refs[:0], pba)
+	for _, lba := range c.refs {
 		if lba > 0 && pba > 0 {
 			if p, ok := c.b.Map.Lookup(lba - 1); ok && p == pba-1 {
 				score++

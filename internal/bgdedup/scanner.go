@@ -52,8 +52,9 @@ type Scanner struct {
 	core *Core
 	p    Params
 
-	cursor   uint64   // next block of the sweep
-	nextStep sim.Time // earliest virtual time of the next step
+	cursor   uint64      // next block of the sweep
+	nextStep sim.Time    // earliest virtual time of the next step
+	live     []alloc.PBA // liveIn's result, reused by every segment
 
 	// arrival-rate estimator: every Tick is one foreground request
 	winStart sim.Time
@@ -82,6 +83,8 @@ func New(b *engine.Base, p Params) *Scanner {
 	b.Background = s
 	b.Map.EnableReverseIndex()
 
+	// read through b.Map: crash recovery replaces the table
+	b.Reg.GaugeFunc("maptable_reverse_index_bytes", func() int64 { return b.Map.ReverseIndexBytes() })
 	b.Reg.GaugeFunc("bgdedup_steps", func() int64 { return s.steps })
 	b.Reg.GaugeFunc("bgdedup_wraps", func() int64 { return s.wraps })
 	b.Reg.GaugeFunc("bgdedup_cursor_blocks", func() int64 { return int64(s.cursor) })
@@ -213,9 +216,15 @@ func (s *Scanner) step(now sim.Time, n uint64) {
 	}
 }
 
-// liveIn lists the live, referenced blocks in [off, off+cnt).
+// liveIn lists the live, referenced blocks in [off, off+cnt), in the
+// scanner's scratch (valid until the next call). A segment on pages the
+// content model never allocated holds none and is not probed: a flush
+// sweeps the whole data region, most of which was never written.
 func (s *Scanner) liveIn(off, cnt uint64) []alloc.PBA {
-	var out []alloc.PBA
+	if !s.b.Store.Touched(off, cnt) {
+		return nil
+	}
+	out := s.live[:0]
 	for pba := alloc.PBA(off); pba < alloc.PBA(off+cnt); pba++ {
 		if _, ok := s.b.Store.Read(pba); !ok {
 			continue
@@ -225,6 +234,7 @@ func (s *Scanner) liveIn(off, cnt uint64) []alloc.PBA {
 		}
 		out = append(out, pba)
 	}
+	s.live = out
 	return out
 }
 

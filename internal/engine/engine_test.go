@@ -65,6 +65,39 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreTouched: the page-granular "ever written" query is true
+// exactly for ranges overlapping a page some write reached — whatever
+// became of the block since — and never probes past the directory.
+func TestStoreTouched(t *testing.T) {
+	s := NewStore()
+	if s.Touched(0, 1<<40) {
+		t.Fatal("empty store reports a written page")
+	}
+	const pg = storePageSize
+	s.Write(3*pg+7, 1) // page 3; pages 0–2 stay unallocated
+	s.Free(3*pg + 7)   // dead, but written once
+	for _, c := range []struct {
+		from, n uint64
+		want    bool
+	}{
+		{0, 3 * pg, false},       // everything below the page
+		{0, 3*pg + 1, true},      // one block into it
+		{3*pg + 100, 1, true},    // a block of the page that was never written itself
+		{4*pg - 1, 256, true},    // its last block, running past the directory
+		{4 * pg, 1 << 30, false}, // everything above it
+		{3 * pg, 0, false},       // an empty range
+		{2*pg + 5, pg - 5, false},
+	} {
+		if got := s.Touched(c.from, c.n); got != c.want {
+			t.Errorf("Touched(%d, %d) = %v, want %v", c.from, c.n, got, c.want)
+		}
+	}
+	s.Release()
+	if s.Touched(0, 1<<40) {
+		t.Fatal("released store reports a written page")
+	}
+}
+
 func TestStoreMustMatchPanics(t *testing.T) {
 	s := NewStore()
 	s.Write(1, 10)

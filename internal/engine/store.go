@@ -112,6 +112,23 @@ func (s *Store) Read(pba alloc.PBA) (chunk.ContentID, bool) {
 	return c.id, true
 }
 
+// Touched reports whether any block of [from, from+n) lies on a page
+// some write has reached. It answers per page, so true promises
+// nothing about the range itself; false says every block in it is in
+// the never-written state, without probing one — what lets a sweep of a
+// mostly unwritten region cost its written part.
+func (s *Store) Touched(from, n uint64) bool {
+	if n == 0 {
+		return false
+	}
+	for pg, last := from>>storePageBits, (from+n-1)>>storePageBits; pg <= last && pg < uint64(len(s.pages)); pg++ {
+		if s.pages[pg] != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // Residual returns the content remaining at pba even if the block is
 // dead (what a disk forensics pass would see).
 func (s *Store) Residual(pba alloc.PBA) (chunk.ContentID, bool) {

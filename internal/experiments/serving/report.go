@@ -84,6 +84,7 @@ var (
 		"globalfp: ads queued=${globalfp_ads_queued} dropped=${globalfp_ads_dropped} | dups detected=${globalfp_dups_detected} hints broadcast=${globalfp_hints_broadcast} installed=${globalfp_hints_installed} | table entries=${globalfp_table_entries} fixes=${globalfp_table_fixes}",
 		"globalfp: remaps applied=${globalfp_remaps_applied} rejected=${globalfp_remaps_rejected} reclaimed=${globalfp_reclaimed_blocks} blocks | pins granted=${globalfp_pins_granted} rejects=${globalfp_pin_rejects} | recalls ${globalfp_recalls_sent} sent ${globalfp_recalls_done} done",
 		"globalfp: hint tables ${hint-table-kib} KiB | hits=${globalfp_hint_hits} of ${globalfp_hints_installed} installed (${hint-hit-pct}%) overwrites=${globalfp_hint_overwrites}",
+		"globalfp: inboxes ${inbox-kib} KiB held, ${globalfp_inbox_peak_msgs} messages at the shards' peaks | map reverse indexes ${reverse-index-kib} KiB",
 		"globalfp: remote inline dedupes=${remote-deduped} remote reads=${remote-reads}",
 		"globalfp: cross-shard consistency PASS",
 	}
@@ -107,11 +108,13 @@ func (r *Report) WriteText(w io.Writer) {
 	pf := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 	shard := func(gauge string, k int) int64 { return g[metrics.Labeled(gauge, "shard", strconv.Itoa(k))] }
 	own := map[string]any{
-		"remote-deduped": snap.Engine.RemoteDeduped,
-		"remote-reads":   snap.Engine.RemoteReads,
-		"read-failures":  r.ReadFailures,
-		"hint-table-kib": g["globalfp_hint_table_bytes"] >> 10,
-		"hint-hit-pct":   fmt.Sprintf("%.1f", 100*float64(g["globalfp_hint_hits"])/float64(max(1, g["globalfp_hints_installed"]))),
+		"remote-deduped":    snap.Engine.RemoteDeduped,
+		"remote-reads":      snap.Engine.RemoteReads,
+		"read-failures":     r.ReadFailures,
+		"hint-table-kib":    g["globalfp_hint_table_bytes"] >> 10,
+		"inbox-kib":         g["globalfp_inbox_bytes"] >> 10,
+		"reverse-index-kib": g["maptable_reverse_index_bytes"] >> 10,
+		"hint-hit-pct":      fmt.Sprintf("%.1f", 100*float64(g["globalfp_hint_hits"])/float64(max(1, g["globalfp_hints_installed"]))),
 	}
 	if o := r.Outage; o != nil {
 		epochs := make([]string, snap.Shards) // one fencing generation per shard

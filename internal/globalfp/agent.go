@@ -87,6 +87,11 @@ type Agent struct {
 	msgBuf    []message                  // inbox drain scratch
 	freeBuf   [1]alloc.PBA
 
+	// out[s] is the run of messages toward shard s staged by the
+	// drainMsgs call in progress (staging); empty whenever none is.
+	out     [][]message
+	staging bool
+
 	hintsInstalled int64
 	remapsApplied  int64
 	remapsRejected int64
@@ -126,6 +131,7 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 		hints:     newHintTable(b.IC.IndexCapTotal()),
 		recalling: make(map[alloc.PBA]*recallState),
 		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
+		out:       make([][]message, t.shards),
 	}
 	if s, ok := a.inner.(*bgdedup.Scanner); ok {
 		a.core = s.Core() // shared counters: folds show in bgdedup gauges too
@@ -141,6 +147,8 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	b.Reg.GaugeFunc("globalfp_hint_hits", func() int64 { return a.hints.hits })
 	b.Reg.GaugeFunc("globalfp_hint_overwrites", func() int64 { return a.hints.overwrites })
 	b.Reg.GaugeFunc("globalfp_hint_table_bytes", a.hints.bytes)
+	b.Reg.GaugeFunc("globalfp_inbox_peak_msgs", t.inbox[shard].peakLen)
+	b.Reg.GaugeFunc("globalfp_inbox_bytes", t.inbox[shard].bytes)
 	b.Reg.GaugeFunc("globalfp_remaps_applied", func() int64 { return a.remapsApplied })
 	b.Reg.GaugeFunc("globalfp_remaps_rejected", func() int64 { return a.remapsRejected })
 	b.Reg.GaugeFunc("globalfp_reclaimed_blocks", func() int64 { return a.reclaimed })
@@ -176,7 +184,7 @@ func (a *Agent) RemoteRef(c alloc.PBA, up bool) {
 	if up {
 		kind = msgRefUp
 	}
-	a.t.send(owner, message{kind: kind, canon: c, from: a.shard, epoch: a.t.Epoch(a.shard)})
+	a.send(owner, message{kind: kind, canon: c})
 }
 
 // Parole implements engine.Tier: a hinted canonical whose last local
@@ -296,13 +304,61 @@ func (a *Agent) ReAdvertise() {
 }
 
 // drainMsgs handles up to budget queued control messages and returns the
-// number handled.
+// number handled. What the handlers send is staged per destination and
+// delivered in runs (see send); every run is out before drainMsgs
+// returns.
 func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	a.msgBuf = a.t.inbox[a.shard].take(a.msgBuf[:0], budget)
+	a.staging = true
 	for _, m := range a.msgBuf {
 		a.handle(now, m)
 	}
+	a.staging = false
+	for to := range a.out {
+		a.flush(to)
+	}
 	return len(a.msgBuf)
+}
+
+// outboxRun is the longest run send stages before delivering it: it
+// bounds an agent's outboxes at shards × 16 KiB however many messages a
+// settlement drain handles at once.
+const outboxRun = 256
+
+// send is the one way the agent sends: every message it originates,
+// stamped with its shard and current epoch. Outside drainMsgs the
+// message goes straight to the destination's inbox. Inside, where a
+// drain of pin requests emits seven grants apiece, it joins the
+// destination's staged run, delivered under one lock hold when the run
+// reaches outboxRun or the drain ends.
+//
+// Per-(sender, receiver) FIFO — grant before revoke, RefUp before
+// RevokeAck — survives because a run keeps send order, runs toward one
+// destination are delivered in the order they filled, and nothing
+// staged outlives the drainMsgs call (so the shard-lock hold) that
+// staged it: a direct send always finds the outboxes empty, and
+// Tier.Backlog misses nothing between lock holds. A shard cannot go
+// down while a peer holds its own shard lock (Server.CrashShard takes
+// them all), so checking the down flag once per run drops, and counts,
+// exactly the messages checking it per message would.
+func (a *Agent) send(to int, m message) {
+	m.from, m.epoch = a.shard, a.t.Epoch(a.shard)
+	if !a.staging {
+		a.t.send(to, m)
+		return
+	}
+	a.out[to] = append(a.out[to], m)
+	if len(a.out[to]) == outboxRun {
+		a.flush(to)
+	}
+}
+
+// flush delivers the run staged toward one shard.
+func (a *Agent) flush(to int) {
+	if len(a.out[to]) > 0 {
+		a.t.sendAll(to, a.out[to])
+		a.out[to] = a.out[to][:0]
+	}
 }
 
 func (a *Agent) handle(now sim.Time, m message) {
@@ -343,7 +399,7 @@ func (a *Agent) handle(now sim.Time, m message) {
 		a.hints.remove(m.fp, m.canon)
 		a.b.IC.PurgePBA(m.canon)
 		owner, _ := alloc.RemoteParts(m.canon)
-		a.t.send(owner, message{kind: msgRevokeAck, canon: m.canon, from: a.shard, epoch: a.t.Epoch(a.shard)})
+		a.send(owner, message{kind: msgRevokeAck, canon: m.canon})
 	case msgRevokeAck:
 		a.handleRevokeAck(m)
 	}
@@ -368,11 +424,7 @@ func (a *Agent) handlePinReq(m message) {
 		if m.bene&(uint64(1)<<uint(s)) == 0 {
 			continue
 		}
-		a.t.send(s, message{
-			kind: msgGrant, fp: m.fp, canon: m.canon,
-			dup: m.dup, hasDup: m.hasDup,
-			from: a.shard, epoch: a.t.Epoch(a.shard),
-		})
+		a.send(s, message{kind: msgGrant, fp: m.fp, canon: m.canon, dup: m.dup, hasDup: m.hasDup})
 	}
 }
 
@@ -538,7 +590,13 @@ func (a *Agent) processParole(now sim.Time, budget int) int {
 			continue
 		}
 		ch := chunk.Chunk{Content: id}
-		waiting := a.t.Recall(fper.Fingerprint(&ch), a.shard, pba)
+		revoke := message{kind: msgRevoke, fp: fper.Fingerprint(&ch), canon: alloc.MakeRemote(a.shard, pba)}
+		waiting := a.t.Recall(revoke.fp, a.shard, pba)
+		for s := 0; s < a.t.shards; s++ {
+			if waiting&(uint64(1)<<uint(s)) != 0 {
+				a.send(s, revoke)
+			}
+		}
 		a.recallsSent++
 		epochs := make([]uint32, a.t.shards)
 		for s := range epochs {

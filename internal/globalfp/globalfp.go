@@ -36,12 +36,23 @@
 // 0↔1 local-reference transitions (RefUp/RefDown → one ref pin per
 // referencing shard); and a canonical whose local references vanished
 // while pinned goes on parole, triggering a recall: the tier drops its
-// table entry and broadcasts a revoke, every shard deletes the hint and
-// acks, and the owner releases the hinted pin once all acks are in —
-// freeing the block unless ref pins remain. In-process delivery is a
-// single FIFO per receiving shard in real send order, which gives the
-// grant-before-revoke and RefUp-before-ack orderings the protocol
-// needs.
+// table entry, the owner sends every live peer a revoke, every shard
+// deletes the hint and acks, and the owner releases the hinted pin once
+// all acks are in — freeing the block unless ref pins remain.
+//
+// In-process delivery is one FIFO per receiving shard, and what the
+// protocol needs of it is per-(sender, receiver) order: a grant before
+// the revoke that recalls it, a RefUp before the RevokeAck that lets the
+// owner count references. Messages move in batches without losing it.
+// Everything an agent sends goes through Agent.send; inside a message
+// drain — where one pin request emits up to seven grants — the send is
+// staged per destination and each destination's run is delivered under
+// one inbox lock hold, in order, before the drain returns, so nothing
+// staged outlives the shard-lock hold that staged it and a later direct
+// send can never overtake it. Settlement at Close runs every shard's
+// agent at once, in rounds with a barrier between them (the serving
+// layer's settleGlobalFP), under the same shard → partition → inbox
+// lock order the agents' ticks use while serving.
 //
 // Shards are individual failure domains. Every shard carries a
 // monotonic epoch, bumped when the shard crashes; every control
@@ -66,6 +77,7 @@ package globalfp
 
 import (
 	"sync"
+	"unsafe"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -140,7 +152,7 @@ const (
 	// msgRefDown: beneficiary → owner. Last local mapping vanished;
 	// drop the ref pin.
 	msgRefDown
-	// msgRevoke: tier → everyone but the owner. The owner is
+	// msgRevoke: owner → every other live shard. The owner is
 	// recalling the canonical; purge the hint and ack.
 	msgRevoke
 	// msgRevokeAck: shard → owner. Revoke processed.
@@ -165,49 +177,102 @@ type message struct {
 	hasDup bool
 }
 
-// inbox is a shard's reliable control queue: a mutex-guarded ring
-// filled in real send order (the single-process FIFO the protocol
-// orderings rely on). Draining costs the messages taken, whatever the
-// backlog behind them.
+// inbox is a shard's reliable control queue: a mutex-guarded list of
+// fixed-size chunks filled in real send order (the single-process FIFO
+// the protocol orderings rely on). Growing it links one more chunk and
+// never re-copies the backlog; draining costs the messages taken,
+// whatever is queued behind them, and hands each emptied chunk back for
+// the next fill, so a steady tick allocates nothing and a flood's
+// backlog is returned to the collector as it drains.
 type inbox struct {
-	mu   sync.Mutex
-	buf  []message // ring; len is zero or a power of two
-	head int       // index of the oldest queued message
-	n    int       // queued messages
+	mu         sync.Mutex
+	head, tail *inboxChunk // queued: head.msgs[r:] … tail.msgs[:w]
+	r, w       int
+	n          int         // queued messages
+	peak       int         // high-water mark of n
+	spare      *inboxChunk // emptied chunks kept for reuse
+	chunks     int         // chunks held, queued and spare
+	spares     int
 }
 
-func (in *inbox) push(m message) {
+const (
+	inboxChunkLen = 256 // messages per chunk: 16 KiB
+	inboxSpareMax = 16  // emptied chunks an inbox keeps
+)
+
+type inboxChunk struct {
+	msgs [inboxChunkLen]message
+	next *inboxChunk
+}
+
+func (in *inbox) push(m message) { in.pushAll([]message{m}) }
+
+// pushAll queues a run of messages, in order, under one lock hold.
+func (in *inbox) pushAll(ms []message) {
 	in.mu.Lock()
-	if in.n == len(in.buf) {
-		in.grow()
+	in.n += len(ms)
+	in.peak = max(in.peak, in.n)
+	for len(ms) > 0 {
+		if in.tail == nil || in.w == inboxChunkLen {
+			in.link()
+		}
+		k := copy(in.tail.msgs[in.w:], ms)
+		in.w += k
+		ms = ms[k:]
 	}
-	in.buf[(in.head+in.n)&(len(in.buf)-1)] = m
-	in.n++
 	in.mu.Unlock()
 }
 
-// grow doubles the ring, unwrapping the queue to the front.
-func (in *inbox) grow() {
-	buf := make([]message, max(64, 2*len(in.buf)))
-	k := copy(buf, in.buf[in.head:])
-	copy(buf[k:], in.buf[:in.head])
-	in.buf, in.head = buf, 0
+// link appends an empty chunk, a spare one when there is one.
+func (in *inbox) link() {
+	c := in.spare
+	if c != nil {
+		in.spare, c.next = c.next, nil
+		in.spares--
+	} else {
+		c = new(inboxChunk)
+		in.chunks++
+	}
+	if in.tail == nil {
+		in.head, in.r = c, 0
+	} else {
+		in.tail.next = c
+	}
+	in.tail, in.w = c, 0
+}
+
+// unlink retires the head chunk, every message of which was taken.
+func (in *inbox) unlink() {
+	c := in.head
+	in.head, in.r = c.next, 0
+	if in.head == nil {
+		in.tail, in.w = nil, 0
+	}
+	if in.spares < inboxSpareMax {
+		c.next, in.spare = in.spare, c
+		in.spares++
+	} else {
+		in.chunks--
+	}
 }
 
 // take moves up to n queued messages into dst.
 func (in *inbox) take(dst []message, n int) []message {
 	in.mu.Lock()
 	k := min(n, in.n)
-	if k > 0 {
-		end := in.head + k
-		if wrap := end - len(in.buf); wrap > 0 {
-			dst = append(dst, in.buf[in.head:]...)
-			dst = append(dst, in.buf[:wrap]...)
-		} else {
-			dst = append(dst, in.buf[in.head:end]...)
+	in.n -= k
+	for k > 0 {
+		end := inboxChunkLen
+		if in.head == in.tail {
+			end = in.w
 		}
-		in.head = end & (len(in.buf) - 1)
-		in.n -= k
+		run := min(k, end-in.r)
+		dst = append(dst, in.head.msgs[in.r:in.r+run]...)
+		in.r += run
+		k -= run
+		if in.r == inboxChunkLen || in.n == 0 {
+			in.unlink()
+		}
 	}
 	in.mu.Unlock()
 	return dst
@@ -220,8 +285,25 @@ func (in *inbox) len() int {
 	return n
 }
 
+// peakLen reports the most messages the inbox ever held at once.
+func (in *inbox) peakLen() int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return int64(in.peak)
+}
+
+// bytes reports the memory the inbox holds, queued and spare chunks.
+func (in *inbox) bytes() int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return int64(in.chunks) * int64(unsafe.Sizeof(inboxChunk{}))
+}
+
 func (in *inbox) clear() {
 	in.mu.Lock()
-	in.head, in.n = 0, 0
+	for in.head != nil {
+		in.unlink()
+	}
+	in.n = 0
 	in.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package globalfp
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -185,24 +186,35 @@ func TestCrashDropsDeadOwnersHints(t *testing.T) {
 	}
 }
 
-// TestInboxMatchesSliceModel interleaves push, take and clear against a
-// plain slice.
+// TestInboxMatchesSliceModel interleaves push, pushAll (runs from empty
+// to several chunks), take and clear against a plain slice, holding the
+// chunk list to its accounting at every step: the chunks it says it
+// holds are the ones queued plus the spares, and the spares stay
+// bounded.
 func TestInboxMatchesSliceModel(t *testing.T) {
 	var in inbox
-	var model, got []message
+	var model, got, run []message
 	rng := rand.New(rand.NewSource(2))
-	next := 0
+	next, peak := 0, 0
 	for step := 0; step < 50000; step++ {
 		switch op := rng.Intn(100); {
-		case op < 60:
+		case op < 40:
 			for k := rng.Intn(40); k >= 0; k-- {
 				m := message{from: next}
 				next++
 				in.push(m)
 				model = append(model, m)
 			}
+		case op < 60:
+			run = run[:0]
+			for k := rng.Intn(3*inboxChunkLen) * rng.Intn(2); k > 0; k-- {
+				run = append(run, message{from: next})
+				next++
+			}
+			in.pushAll(run)
+			model = append(model, run...)
 		case op < 97:
-			n := rng.Intn(80)
+			n := rng.Intn(80) << uint(rng.Intn(5))
 			got = in.take(got[:0], n)
 			k := min(n, len(model))
 			if len(got) != k {
@@ -218,9 +230,50 @@ func TestInboxMatchesSliceModel(t *testing.T) {
 			in.clear()
 			model = model[:0]
 		}
-		if in.len() != len(model) {
-			t.Fatalf("step %d: len %d, model %d", step, in.len(), len(model))
+		peak = max(peak, len(model))
+		if in.len() != len(model) || in.peakLen() != int64(peak) {
+			t.Fatalf("step %d: len %d peak %d, model %d peak %d", step, in.len(), in.peakLen(), len(model), peak)
 		}
+		queued, spares := 0, 0
+		for c := in.head; c != nil; c = c.next {
+			queued++
+		}
+		for c := in.spare; c != nil; c = c.next {
+			spares++
+		}
+		if want := (len(model) + in.r + inboxChunkLen - 1) / inboxChunkLen; queued != want {
+			t.Fatalf("step %d: %d messages from offset %d sit in %d chunks, want %d", step, len(model), in.r, queued, want)
+		}
+		if spares != in.spares || spares > inboxSpareMax || in.chunks != queued+spares {
+			t.Fatalf("step %d: %d queued + %d spare chunks (bound %d); inbox counts %d spare, %d held", step, queued, spares, inboxSpareMax, in.spares, in.chunks)
+		}
+	}
+}
+
+// TestInboxRecyclesChunks: a tick's traffic — a few runs in, a budget
+// out — goes through spare chunks and allocates nothing, whatever the
+// backlog did before; and a drained flood leaves only the spares held.
+func TestInboxRecyclesChunks(t *testing.T) {
+	var in inbox
+	flood := make([]message, 100*inboxChunkLen)
+	in.pushAll(flood)
+	if got := in.bytes(); got < int64(len(flood))*int64(unsafe.Sizeof(message{})) {
+		t.Fatalf("inbox reports %d bytes for %d queued messages", got, len(flood))
+	}
+	buf := in.take(nil, len(flood))
+	if in.chunks != inboxSpareMax {
+		t.Fatalf("drained flood leaves %d chunks held, want the %d spares", in.chunks, inboxSpareMax)
+	}
+	run := flood[:7]
+	tick := func() {
+		for k := 0; k < 60; k++ {
+			in.pushAll(run)
+		}
+		buf = in.take(buf[:0], 256)
+		buf = in.take(buf[:0], 256)
+	}
+	if avg := testing.AllocsPerRun(100, tick); avg != 0 {
+		t.Fatalf("steady tick: %.2f allocs, want 0", avg)
 	}
 }
 

@@ -127,6 +127,17 @@ func (t *Tier) send(shard int, m message) {
 	t.inbox[shard].push(m)
 }
 
+// sendAll delivers a run of control messages to one shard's inbox in
+// order, under one lock hold; toward a down shard the whole run is
+// dropped and counted, message for message as send would.
+func (t *Tier) sendAll(shard int, ms []message) {
+	if t.down[shard].Load() {
+		t.downDropped.Add(int64(len(ms)))
+		return
+	}
+	t.inbox[shard].pushAll(ms)
+}
+
 // Epoch reports a shard's current fencing epoch.
 func (t *Tier) Epoch(shard int) uint32 { return t.epochs[shard].Load() }
 
@@ -245,11 +256,11 @@ func (t *Tier) Fix(fp chunk.Fingerprint, canon alloc.PBA) {
 }
 
 // Recall starts reclaiming a canonical whose owner paroled it: the
-// table entry is dropped and a revoke is broadcast to every other live
-// shard. Returns the bitmask of peers whose acks the owner must
-// collect before releasing the hinted pin; currently-down peers are
-// excluded up front (they hold no hint, and their rejoin re-audit
-// covers any reference they journaled before crashing).
+// table entry is dropped, so no new grant can name the block. Returns
+// the bitmask of peers the owner must now revoke and collect acks from
+// before it releases the hinted pin; currently-down peers are excluded
+// up front (they hold no hint, and their rejoin re-audit covers any
+// reference they journaled before crashing).
 func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 	enc := alloc.MakeRemote(shard, pba)
 	p := t.part(fp)
@@ -258,17 +269,8 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 		p.tbl.Delete(fp)
 	}
 	p.mu.Unlock()
-	var waiting uint64
-	ep := t.epochs[shard].Load()
-	for s := 0; s < t.shards; s++ {
-		if s == shard || t.down[s].Load() {
-			continue
-		}
-		t.send(s, message{kind: msgRevoke, fp: fp, canon: enc, from: shard, epoch: ep})
-		waiting |= uint64(1) << uint(s)
-	}
 	t.recalls.Add(1)
-	return waiting
+	return (uint64(1)<<uint(t.shards) - 1) &^ (uint64(1) << uint(shard)) &^ t.downMask()
 }
 
 // CrashShard marks shard i a dead failure domain: its fencing epoch is

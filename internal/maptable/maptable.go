@@ -297,7 +297,7 @@ type Table struct {
 
 	// optional reverse index (PBA → referring LBAs), maintained only
 	// when the out-of-line scanner needs to rewire a block's referrers
-	rev map[alloc.PBA]map[uint64]struct{}
+	rev *revIndex
 
 	dev     *nvram.Device
 	epoch   uint32
@@ -361,7 +361,112 @@ func (t *Table) Release() {
 	t.m.release()
 	t.refs.release()
 	t.pins.release()
-	t.rev = nil
+	if t.rev != nil {
+		t.rev.head.release()
+		t.rev.link.release()
+		t.rev = nil
+	}
+}
+
+// revIndex is the reverse index, intrusive in the table's own key
+// spaces: the LBAs mapped to a block form a doubly linked chain through
+// one link word per LBA, entered through one head per block, and both
+// live in the pooled paged arrays the forward map and the counters use.
+// Adding and removing a referrer relink in O(1) — nothing is hashed and
+// nothing allocated per block, where the map of sets this replaces paid
+// two hash operations and, per newly referenced block, a map.
+//
+// A link names an LBA as lba+1 in 32 bits (0 = none), which reaches
+// every key below pagedCap. An LBA at or above it (hostile journals
+// only) cannot be named by a link and is kept in the far sets instead;
+// a block at or above it — every remote-encoded canonical — has its
+// head in head.far, as any sparse counter key would.
+type revIndex struct {
+	head pagedCount // block → its newest chained referrer, as lba+1
+	// link holds next<<32 | prev per chained LBA. The first entry of a
+	// chain names itself as prev, so a chained LBA's word is never zero
+	// and link.n counts the chained LBAs.
+	link pagedMap
+	far  map[alloc.PBA]map[uint64]struct{} // referrers at or above pagedCap
+}
+
+const linkMask = 1<<32 - 1
+
+// add makes lba the first referrer of pba's chain.
+func (r *revIndex) add(pba alloc.PBA, lba uint64) {
+	if lba >= pagedCap {
+		set := r.far[pba]
+		if set == nil {
+			if r.far == nil {
+				r.far = make(map[alloc.PBA]map[uint64]struct{})
+			}
+			set = make(map[uint64]struct{})
+			r.far[pba] = set
+		}
+		set[lba] = struct{}{}
+		return
+	}
+	me := lba + 1
+	first := uint64(r.head.get(uint64(pba)))
+	r.link.set(lba, first<<32|me)
+	if first != 0 {
+		r.link.set(first-1, r.link.get(first-1)&^linkMask|me)
+	}
+	r.head.add(uint64(pba), int32(me)-int32(first)) // head = me
+}
+
+// remove unlinks lba from pba's chain.
+func (r *revIndex) remove(pba alloc.PBA, lba uint64) {
+	if lba >= pagedCap {
+		if set := r.far[pba]; set != nil {
+			delete(set, lba)
+			if len(set) == 0 {
+				delete(r.far, pba)
+			}
+		}
+		return
+	}
+	me := lba + 1
+	w := r.link.get(lba)
+	next, prev := w>>32, w&linkMask
+	r.link.del(lba)
+	if prev == me {
+		// first of its chain: the head moves on, and the new first
+		// names itself
+		r.head.add(uint64(pba), int32(next)-int32(me)) // head = next
+		prev = next
+	} else {
+		r.link.set(prev-1, next<<32|r.link.get(prev-1)&linkMask)
+	}
+	if next != 0 {
+		r.link.set(next-1, r.link.get(next-1)&^linkMask|prev)
+	}
+}
+
+// ReverseIndexBytes reports the memory the reverse index holds (0 while
+// it is not enabled): its pages, plus an estimate of 16 bytes per far
+// head and far referrer for the spill maps.
+func (t *Table) ReverseIndexBytes() int64 {
+	r := t.rev
+	if r == nil {
+		return 0
+	}
+	var n int64
+	for _, pg := range r.link.pages {
+		if pg != nil {
+			n += tblPageSize * 8
+		}
+	}
+	for _, pg := range r.head.pages {
+		if pg != nil {
+			n += tblPageSize * 4
+		}
+	}
+	n += 16 * int64(len(r.head.far))
+	for _, set := range r.far {
+		n += 16 * int64(len(set))
+	}
+	return n
 }
 
 // EnableReverseIndex starts maintaining the PBA → LBAs reverse index
@@ -371,49 +476,27 @@ func (t *Table) EnableReverseIndex() {
 	if t.rev != nil {
 		return
 	}
-	t.rev = make(map[alloc.PBA]map[uint64]struct{})
+	t.rev = new(revIndex)
 	t.m.each(func(lba, v uint64) bool {
-		t.revAdd(decodeMapping(v).pba, lba)
+		t.rev.add(decodeMapping(v).pba, lba)
 		return true
 	})
 }
 
-// Referrers returns the LBAs currently mapped to pba. It panics unless
-// EnableReverseIndex was called.
-func (t *Table) Referrers(pba alloc.PBA) []uint64 {
+// Referrers appends the LBAs currently mapped to pba to dst, each once,
+// in no particular order. It panics unless EnableReverseIndex was
+// called.
+func (t *Table) Referrers(dst []uint64, pba alloc.PBA) []uint64 {
 	if t.rev == nil {
 		panic("maptable: Referrers requires EnableReverseIndex")
 	}
-	set := t.rev[pba]
-	out := make([]uint64, 0, len(set))
-	for lba := range set {
-		out = append(out, lba)
+	for v := uint64(t.rev.head.get(uint64(pba))); v != 0; v = t.rev.link.get(v-1) >> 32 {
+		dst = append(dst, v-1)
 	}
-	return out
-}
-
-func (t *Table) revAdd(pba alloc.PBA, lba uint64) {
-	if t.rev == nil {
-		return
+	for lba := range t.rev.far[pba] {
+		dst = append(dst, lba)
 	}
-	set := t.rev[pba]
-	if set == nil {
-		set = make(map[uint64]struct{})
-		t.rev[pba] = set
-	}
-	set[lba] = struct{}{}
-}
-
-func (t *Table) revRemove(pba alloc.PBA, lba uint64) {
-	if t.rev == nil {
-		return
-	}
-	if set := t.rev[pba]; set != nil {
-		delete(set, lba)
-		if len(set) == 0 {
-			delete(t.rev, pba)
-		}
-	}
+	return dst
 }
 
 // SharedEntries reports the number of live mappings that were created
@@ -476,7 +559,9 @@ func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 	freed := t.dropMapping(lba)
 	t.m.set(lba, encodeMapping(mapping{pba: pba, shared: shared}))
 	t.refs.add(uint64(pba), 1)
-	t.revAdd(pba, lba)
+	if t.rev != nil {
+		t.rev.add(pba, lba)
+	}
 	if shared {
 		t.shared++
 		if t.shared > t.peak {
@@ -506,7 +591,9 @@ func (t *Table) dropMapping(lba uint64) []alloc.PBA {
 	}
 	mp := decodeMapping(v)
 	t.m.del(lba)
-	t.revRemove(mp.pba, lba)
+	if t.rev != nil {
+		t.rev.remove(mp.pba, lba)
+	}
 	if mp.shared {
 		t.shared--
 	}
@@ -535,24 +622,14 @@ func (t *Table) dropMapping(lba uint64) []alloc.PBA {
 func (t *Table) CheckConsistency() error {
 	refs := make(map[alloc.PBA]int32, t.refs.n)
 	var shared int64
-	var bad error
 	t.m.each(func(lba, v uint64) bool {
 		mp := decodeMapping(v)
 		refs[mp.pba]++
 		if mp.shared {
 			shared++
 		}
-		if t.rev != nil {
-			if _, ok := t.rev[mp.pba][lba]; !ok {
-				bad = fmt.Errorf("maptable: lba %d -> pba %d missing from reverse index", lba, mp.pba)
-				return false
-			}
-		}
 		return true
 	})
-	if bad != nil {
-		return bad
-	}
 	if shared != t.shared {
 		return fmt.Errorf("maptable: shared counter %d, but %d mappings carry the flag", t.shared, shared)
 	}
@@ -565,13 +642,62 @@ func (t *Table) CheckConsistency() error {
 		}
 	}
 	if t.rev != nil {
-		total := 0
-		for _, set := range t.rev {
-			total += len(set)
+		return t.rev.check(&t.m, refs)
+	}
+	return nil
+}
+
+// check audits the index against the forward map, given each block's
+// (already verified) reference count: every block's chain is walked
+// once — each entry must map to the block and name its predecessor —
+// chain and far set together must number the block's references, and no
+// head, link word or far set may be left over. Entries that all map to
+// the block, are distinct (the walk is bounded, so a cycle fails) and
+// number its references are exactly its referrers. O(mappings) in all.
+func (r *revIndex) check(m *pagedMap, refs map[alloc.PBA]int32) error {
+	heads, chained, fars := 0, 0, 0
+	mapsTo := func(lba uint64, pba alloc.PBA) error {
+		if v := m.get(lba); v == 0 || decodeMapping(v).pba != pba {
+			return fmt.Errorf("maptable: reverse index lists lba %d under pba %d, which it does not map to", lba, pba)
 		}
-		if total != t.m.n {
-			return fmt.Errorf("maptable: reverse index holds %d entries, forward map %d", total, t.m.n)
+		return nil
+	}
+	for pba, want := range refs {
+		first := uint64(r.head.get(uint64(pba)))
+		if first != 0 {
+			heads++
 		}
+		n := int32(0)
+		for v, prev := first, first; v != 0; {
+			if n++; n > want {
+				return fmt.Errorf("maptable: reverse chain of pba %d runs past its %d references", pba, want)
+			}
+			if err := mapsTo(v-1, pba); err != nil {
+				return err
+			}
+			w := r.link.get(v - 1)
+			if w&linkMask != prev {
+				return fmt.Errorf("maptable: reverse chain of pba %d: lba %d names predecessor link %d, want %d", pba, v-1, w&linkMask, prev)
+			}
+			prev, v = v, w>>32
+		}
+		chained += int(n)
+		if set := r.far[pba]; set != nil {
+			fars++
+			for lba := range set {
+				if err := mapsTo(lba, pba); err != nil {
+					return err
+				}
+			}
+			n += int32(len(set))
+		}
+		if n != want {
+			return fmt.Errorf("maptable: reverse index lists %d referrers of pba %d, %d mappings reference it", n, pba, want)
+		}
+	}
+	if heads != r.head.n || chained != r.link.n || fars != len(r.far) {
+		return fmt.Errorf("maptable: reverse index holds %d heads, %d links, %d far sets; the referenced blocks account for %d, %d, %d",
+			r.head.n, r.link.n, len(r.far), heads, chained, fars)
 	}
 	return nil
 }

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
 	"github.com/pod-dedup/pod/internal/metrics"
+	"github.com/pod-dedup/pod/internal/sim"
 )
 
 // baseHolder matches engines exposing their substrate (engine.Pipeline
@@ -96,17 +99,21 @@ func (s *Server) initRemovalGauges() {
 // the tier's ad queues are stopped and drained, every shard republishes
 // its distinct live blocks (retrying candidates that were dropped under
 // load or aborted by injected faults), and the shards exchange
-// grant/fold/recall traffic round-robin until a full round moves
-// nothing — the quiescent point the cross-shard audit assumes.
+// grant/fold/recall traffic in rounds until a full round moves nothing
+// — the quiescent point the cross-shard audit assumes.
+//
+// Both phases run every live shard at once, each agent under its own
+// shard lock, exactly as the agents' ticks interleave while serving
+// (shard → partition → inbox lock order, never two shard locks). A
+// round ends at a barrier, so the termination test reads a still
+// system: no agent is mid-drain and nothing is staged, so a round that
+// moved nothing with every inbox empty leaves no work anywhere.
 func (s *Server) settleGlobalFP() {
 	s.tier.Stop()
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		if !sh.down {
-			s.agents[i].ReAdvertise()
-		}
-		sh.mu.Unlock()
-	}
+	s.eachLiveAgent(func(a *globalfp.Agent, _ sim.Time) int {
+		a.ReAdvertise()
+		return 0
+	})
 	// Each round's work strictly shrinks the remaining protocol state
 	// (folds consume duplicates, recalls consume paroles); the cap is a
 	// backstop against an invariant bug turning Close into a hang. A
@@ -114,18 +121,32 @@ func (s *Server) settleGlobalFP() {
 	// tier drops sends toward it), and DrainAll's forced recall sweep
 	// implicitly grants its acks, so settlement still converges.
 	for round := 0; round < 256; round++ {
-		moved := 0
-		for i, sh := range s.shards {
-			sh.mu.Lock()
-			if !sh.down {
-				moved += s.agents[i].DrainAll(sh.lastStart)
-			}
-			sh.mu.Unlock()
-		}
+		moved := s.eachLiveAgent((*globalfp.Agent).DrainAll)
 		if moved == 0 && s.tier.Backlog() == 0 {
 			return
 		}
 	}
+}
+
+// eachLiveAgent runs fn on every live shard's agent concurrently, each
+// under its shard's lock with the shard's last virtual time, waits for
+// all of them, and returns the sum of what they report.
+func (s *Server) eachLiveAgent(fn func(a *globalfp.Agent, now sim.Time) int) int {
+	var wg sync.WaitGroup
+	var total atomic.Int64
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func(a *globalfp.Agent, sh *shard) {
+			defer wg.Done()
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			if !sh.down {
+				total.Add(int64(fn(a, sh.lastStart)))
+			}
+		}(s.agents[i], sh)
+	}
+	wg.Wait()
+	return int(total.Load())
 }
 
 // recoverGlobalFP is CrashAndRecover with the tier enabled. Recovery is
