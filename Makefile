@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check smoke smoke-cli bench microbench repro repro-fast full-run bench-delta repro-check fuzz clean
+.PHONY: all build vet test check smoke smoke-cli bench microbench repro repro-fast full-run bench-delta repro-check fuzz loc clean
 
 all: build vet test
 
@@ -15,7 +15,8 @@ all: build vet test
 # testScale), which keeps the race run to a couple of minutes. The
 # tier's packages run again at one, two and four threads: settlement
 # runs every shard's agent at once, so what it converges to must not
-# depend on how many cores interleave them.
+# depend on how many cores interleave them. It ends by printing the
+# size figures (loc), which gate nothing.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -23,6 +24,17 @@ check:
 	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta
+	$(MAKE) loc
+
+# The size figures a refactor PR states its delta in and every
+# ROADMAP re-anchor quotes: Go lines of non-test code outside bench/, of
+# tests, and of bench/, and engine.Base's nil checks. Print only.
+GOFILES = find . -name '*.go' -not -path './.*'
+loc:
+	@echo "non-test lines outside bench/: $$($(GOFILES) -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test lines outside bench/:     $$($(GOFILES) -not -path './bench/*' -name '*_test.go' | xargs cat | wc -l)"
+	@echo "bench/ lines:                  $$($(GOFILES) -path './bench/*' | xargs cat | wc -l)"
+	@echo "'!= nil' in engine/base.go:    $$(grep -c '!= nil' internal/engine/base.go)"
 
 # Smoke, on its own: the serving-layer table (serve, metrics, the chaos
 # scenarios under the read-back oracle, background dedup, the tier, a

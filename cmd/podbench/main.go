@@ -7,14 +7,12 @@
 //	         [-metrics-out f] [-metrics-prom f] [-trace-sample n]
 //	         [experiment ...]
 //
-// Experiments: table1 table2 fig1 fig2 fig3 fig8 fig9 fig10 fig11
-// overhead all (default: all), plus the on-demand "capacity"
-// (background-dedup reclamation), "streams" (per-stream index-cache
-// apportionment), and "chunking" (fixed4k vs gear vs seqcdc on the
-// shifted-content trace) experiments — excluded from "all" so the
-// default artifact set matches the paper's engine matrix. Scale 1.0
-// replays the paper's full request counts; smaller scales subsample
-// proportionally.
+// The experiments are the entries of experiments.Catalogue, by id;
+// "all" (the default) runs the ones the catalogue marks as part of it —
+// the paper's engine matrix, the set committed as results_full.txt —
+// and the rest run on demand only. `podbench -h` lists both groups off
+// the same table. Scale 1.0 replays the paper's full request counts;
+// smaller scales subsample proportionally.
 //
 // The profiling flags measure the harness itself (how fast the
 // experiments regenerate), never the simulated system: -cpuprofile and
@@ -33,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,9 +47,6 @@ import (
 	"github.com/pod-dedup/pod/internal/perf"
 )
 
-var allExperiments = []string{"table1", "table2", "fig1", "fig2", "fig3", "fig8", "fig9",
-	"fig10", "fig11", "overhead", "raw", "schemes", "ablations"}
-
 func main() {
 	// The replay working set is dominated by long-lived index and map
 	// structures, so the default GOGC=100 re-traces that stable heap
@@ -60,184 +56,127 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(200)
 	}
-	scale := flag.Float64("scale", 1.0, "trace scale (1.0 = paper request counts)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel replays")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	benchJSON := flag.String("bench-json", "", "write a perf trajectory (per-experiment wall/allocs/RSS) to this file")
-	benchLabel := flag.String("bench-label", "run", "label recorded in the -bench-json trajectory")
-	metricsOut := flag.String("metrics-out", "", "write the merged replay metrics snapshot as JSON to this file")
-	metricsProm := flag.String("metrics-prom", "", "write the merged replay metrics snapshot as Prometheus text to this file")
-	traceSample := flag.Int("trace-sample", 0, "sample every nth measured request of each replay with its phase timeline (0 = off)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: podbench [-scale f] [-workers n] [-cpuprofile f] [-memprofile f]\n")
-		fmt.Fprintf(os.Stderr, "                [-bench-json f] [-bench-label s] [-metrics-out f] [-metrics-prom f]\n")
-		fmt.Fprintf(os.Stderr, "                [-trace-sample n] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 table2 fig1 fig2 fig3 fig8 fig9 fig10 fig11 overhead raw schemes ablations all\n")
-		fmt.Fprintf(os.Stderr, "             capacity (background-dedup reclamation; on demand, not in \"all\")\n")
-		fmt.Fprintf(os.Stderr, "             streams (per-stream index-cache apportionment sweep; on demand, not in \"all\")\n")
-		fmt.Fprintf(os.Stderr, "             chunking (fixed4k vs gear vs seqcdc on the shifted trace; on demand, not in \"all\")\n")
-		fmt.Fprintf(os.Stderr, "profiling flags measure the harness itself: -cpuprofile/-memprofile write pprof\n")
-		fmt.Fprintf(os.Stderr, "profiles, -bench-json writes a perf trajectory tagged with -bench-label\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *traceSample < 0 {
-		fmt.Fprintf(os.Stderr, "podbench: -trace-sample must be >= 0 (got %d)\n", *traceSample)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// flag parsing stops at the first positional argument, so a
-	// misplaced or misspelled flag ("podbench table2 -bogus") would
-	// otherwise ride along as an experiment name; reject everything
-	// up front rather than failing after minutes of replay.
-	// "capacity" (background dedup reclamation), "streams" (per-stream
-	// index-cache apportionment), and "chunking" (the content-defined
-	// chunking axis) are on-demand only: they are not part of "all" so
-	// the default artifact set stays identical to the paper's engine
-	// matrix.
-	known := map[string]bool{"all": true, "capacity": true, "streams": true, "chunking": true}
-	for _, n := range allExperiments {
-		known[n] = true
+// plan resolves the experiment arguments against the catalogue: "all"
+// (also the default) expands to its members in catalogue order.
+// Flag parsing stops at the first positional argument, so a misplaced
+// or misspelled flag ("podbench table2 -bogus") would otherwise ride
+// along as an experiment name; everything is rejected up front rather
+// than failing after minutes of replay.
+func plan(args []string) ([]experiments.Experiment, error) {
+	if len(args) == 0 {
+		args = []string{"all"}
 	}
-	for _, name := range flag.Args() {
+	var out []experiments.Experiment
+	for _, name := range args {
 		if strings.HasPrefix(name, "-") {
-			fmt.Fprintf(os.Stderr, "podbench: flag %q must come before the experiment names\n", name)
-			flag.Usage()
-			os.Exit(2)
+			return nil, fmt.Errorf("flag %q must come before the experiment names", name)
 		}
-		if !known[strings.ToLower(name)] {
-			fmt.Fprintf(os.Stderr, "podbench: unknown experiment %q\n", name)
-			flag.Usage()
-			os.Exit(2)
+		if strings.EqualFold(name, "all") {
+			for _, x := range experiments.Catalogue {
+				if x.InAll {
+					out = append(out, x)
+				}
+			}
+			continue
 		}
+		x, err := experiments.FindExperiment(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+	}
+	return out, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("podbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 1.0, "trace scale (1.0 = paper request counts)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel replays")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	benchJSON := fs.String("bench-json", "", "write a perf trajectory (per-experiment wall/allocs/RSS) to this file")
+	benchLabel := fs.String("bench-label", "run", "label recorded in the -bench-json trajectory")
+	metricsOut := fs.String("metrics-out", "", "write the merged replay metrics snapshot as JSON to this file")
+	metricsProm := fs.String("metrics-prom", "", "write the merged replay metrics snapshot as Prometheus text to this file")
+	traceSample := fs.Int("trace-sample", 0, "sample every nth measured request of each replay with its phase timeline (0 = off)")
+	fs.Usage = func() {
+		var inAll, onDemand []string
+		for _, x := range experiments.Catalogue {
+			if x.InAll {
+				inAll = append(inAll, x.ID)
+			} else {
+				onDemand = append(onDemand, x.ID)
+			}
+		}
+		fmt.Fprintf(stderr, "usage: podbench [-scale f] [-workers n] [-cpuprofile f] [-memprofile f]\n")
+		fmt.Fprintf(stderr, "                [-bench-json f] [-bench-label s] [-metrics-out f] [-metrics-prom f]\n")
+		fmt.Fprintf(stderr, "                [-trace-sample n] [experiment ...]\n")
+		fmt.Fprintf(stderr, "experiments: %s all\n", strings.Join(inAll, " "))
+		fmt.Fprintf(stderr, "             on demand, not in \"all\": %s\n", strings.Join(onDemand, " "))
+		fmt.Fprintf(stderr, "profiling flags measure the harness itself: -cpuprofile/-memprofile write pprof\n")
+		fmt.Fprintf(stderr, "profiles, -bench-json writes a perf trajectory tagged with -bench-label\n")
+		fs.PrintDefaults()
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "podbench: %v\n", err)
+		if code == 2 {
+			fs.Usage()
+		}
+		return code
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *traceSample < 0 {
+		return fail(2, fmt.Errorf("-trace-sample must be >= 0 (got %d)", *traceSample))
+	}
+	wanted, err := plan(fs.Args())
+	if err != nil {
+		return fail(2, err)
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 
-	wanted := flag.Args()
-	if len(wanted) == 0 {
-		wanted = []string{"all"}
-	}
 	env := experiments.NewEnv(*scale, *workers)
 	defer env.Close()
 	env.TraceEvery = *traceSample
 	var track perf.Tracker
-
-	run := func(name string) bool {
+	for _, x := range wanted {
 		start := time.Now()
-		ok := true
-		var chunkRows []experiments.ChunkingRow
-		track.Measure(name, func() {
-			switch name {
-			case "table1":
-				fmt.Println(experiments.Table1())
-			case "table2":
-				t, _ := env.Table2()
-				fmt.Println(t)
-			case "fig1":
-				t, _ := env.Fig1()
-				fmt.Println(t)
-			case "fig2":
-				t, _ := env.Fig2()
-				fmt.Println(t)
-			case "fig3":
-				t, _ := env.Fig3(nil)
-				fmt.Println(t)
-			case "fig8":
-				t, _ := env.Fig8()
-				fmt.Println(t)
-			case "fig9":
-				t, _ := env.Fig9Write()
-				fmt.Println(t)
-				t, _ = env.Fig9Read()
-				fmt.Println(t)
-			case "fig10":
-				t, _ := env.Fig10()
-				fmt.Println(t)
-			case "fig11":
-				t, _ := env.Fig11()
-				fmt.Println(t)
-			case "overhead":
-				t, _, _ := env.Overhead()
-				fmt.Println(t)
-			case "raw":
-				fmt.Println(env.Raw())
-			case "capacity":
-				t, _ := env.Capacity()
-				fmt.Println(t)
-			case "streams":
-				t, _ := env.Streams()
-				fmt.Println(t)
-				t, _ = env.StreamsScan()
-				fmt.Println(t)
-			case "chunking":
-				t, rows := env.Chunking()
-				fmt.Println(t)
-				chunkRows = rows
-			case "schemes":
-				fmt.Println(env.SchemesTable())
-			case "ablations":
-				fmt.Println(env.ThresholdSweep("homes", nil))
-				fmt.Println(env.StripeUnitSweep("web-vm", nil))
-				fmt.Println(env.DupSweep(nil))
-				fmt.Println(env.LayoutSweep("web-vm"))
-				h, d := env.DegradedPoint("homes")
-				fmt.Printf("Degraded-mode ablation (homes, POD): healthy read %.2fms, one disk failed %.2fms\n\n", h/1000, d/1000)
-			default:
-				ok = false
+		track.Measure(x.ID, func() { x.Print(env, stdout) })
+		if x.ID == "chunking" {
+			// chunking-throughput numbers join the trajectory entry so the
+			// bench-delta gate watches the splitters' wall-clock rate
+			_, rows := env.Chunking()
+			for _, r := range rows {
+				track.Annotate("chunking_"+r.Algo+"_mbps", r.ThroughputMBs)
+				track.Annotate("chunking_"+r.Algo+"_removed", float64(r.Removed))
 			}
-		})
-		if !ok {
-			return false
 		}
-		// chunking-throughput numbers join the trajectory entry so the
-		// bench-delta gate watches the splitters' wall-clock rate
-		for _, r := range chunkRows {
-			track.Annotate("chunking_"+r.Algo+"_mbps", r.ThroughputMBs)
-			track.Annotate("chunking_"+r.Algo+"_removed", float64(r.Removed))
-		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		return true
-	}
-
-	for _, name := range wanted {
-		name = strings.ToLower(name)
-		if name == "all" {
-			for _, n := range allExperiments {
-				run(n)
-			}
-			continue
-		}
-		run(name)
+		fmt.Fprintf(stdout, "[%s done in %v]\n\n", x.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	snap := env.MetricsSnapshot()
-	if *metricsOut != "" {
-		if err := writeSnapshot(*metricsOut, snap.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsProm != "" {
-		if err := writeSnapshot(*metricsProm, snap.WritePrometheus); err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
-		}
+	if err := errors.Join(writeSnapshot(*metricsOut, stdout, snap.WriteJSON),
+		writeSnapshot(*metricsProm, stdout, snap.WritePrometheus)); err != nil {
+		return fail(1, err)
 	}
 	if *benchJSON != "" {
 		// Per-phase latency summaries ride the trajectory as their own
@@ -256,23 +195,21 @@ func main() {
 			}
 		}
 		if err := track.WriteJSON(*benchJSON, *benchLabel, *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
+		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "podbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		f.Close()
 	}
+	return 0
 }
 
 // phasesEntry condenses the merged snapshot's per-phase latency
@@ -296,19 +233,18 @@ func phasesEntry(snap *metrics.Snapshot) *perf.Entry {
 	return &perf.Entry{Name: "phases", Extra: extra}
 }
 
-// writeSnapshot writes one snapshot encoding ("-" = stdout) via the
-// given writer method.
-func writeSnapshot(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
+// writeSnapshot writes one snapshot encoding via the given writer
+// method ("" = nowhere, "-" = stdout).
+func writeSnapshot(path string, stdout io.Writer, write func(io.Writer) error) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(write(f), f.Close())
 }

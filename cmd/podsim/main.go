@@ -15,7 +15,6 @@ import (
 
 	pod "github.com/pod-dedup/pod"
 	"github.com/pod-dedup/pod/internal/cdc"
-	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
 	"github.com/pod-dedup/pod/internal/raid"
@@ -99,10 +98,6 @@ func main() {
 			blocks = 1 << 19
 		}
 	}
-	ds := make([]*disk.Disk, *disks)
-	for i := range ds {
-		ds[i] = disk.New(disk.DefaultParams(blocks))
-	}
 	mem := int64(*memoryMB * (1 << 20))
 	if mem == 0 {
 		switch {
@@ -119,15 +114,11 @@ func main() {
 			mem = 1 << 19
 		}
 	}
-	cfg := engine.Config{
-		Array:           raid.New(raid.RAID5, ds, uint64(*stripeKB/4)),
-		MemoryBytes:     mem,
-		IndexFrac:       *indexFrac,
-		Threshold:       *threshold,
-		IDedupThreshold: *idedupThresh,
-		NVRAMBytes:      int(blocks * uint64(*disks) * 24),
-		Chunking:        cdc.Params{Algo: algo},
-	}
+	cfg := experiments.Platform(*disks, blocks, raid.RAID5, uint64(*stripeKB/4), mem, int(blocks*uint64(*disks)*24))
+	cfg.IndexFrac = *indexFrac
+	cfg.Threshold = *threshold
+	cfg.IDedupThreshold = *idedupThresh
+	cfg.Chunking = cdc.Params{Algo: algo}
 	eng := experiments.NewEngine(*scheme, cfg)
 
 	var lat *os.File
@@ -176,18 +167,14 @@ func main() {
 	fmt.Println(t)
 
 	if *history {
-		type baser interface{ Base() *engine.Base }
-		if b, ok := eng.(baser); ok {
-			pts := b.Base().IC.History()
-			ht := stats.NewTable(fmt.Sprintf("iCache partition trajectory (%d repartitions)", len(pts)),
-				"Virtual time", "Index share")
-			for _, p := range pts {
-				ht.AddRow(p.Time.String(), stats.Pct(p.IndexFrac*100))
-			}
-			fmt.Println(ht)
-		} else {
-			fmt.Println("(-history: scheme exposes no cache controller)")
+		// every scheme is an *engine.Pipeline over a Base with an iCache
+		pts := eng.(*engine.Pipeline).Base().IC.History()
+		ht := stats.NewTable(fmt.Sprintf("iCache partition trajectory (%d repartitions)", len(pts)),
+			"Virtual time", "Index share")
+		for _, p := range pts {
+			ht.AddRow(p.Time.String(), stats.Pct(p.IndexFrac*100))
 		}
+		fmt.Println(ht)
 	}
 }
 

@@ -283,7 +283,6 @@ func (b *Base) instrument() {
 	b.Array.Instrument(b.Reg)
 	b.Map.Instrument(b.Reg)
 	b.IC.Instrument(b.Reg)
-	b.Reg.GaugeFunc("engine_used_blocks", func() int64 { return int64(b.Alloc.Used()) })
 	if b.splitter != nil {
 		b.Reg.GaugeFunc("cdc_emitted_chunks", func() int64 { return b.splitter.EmittedChunks })
 		b.Reg.GaugeFunc("cdc_emitted_bytes", func() int64 { return b.splitter.EmittedBytes })

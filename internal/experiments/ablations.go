@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/pod-dedup/pod/internal/core"
-	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/stats"
@@ -79,14 +78,7 @@ func (e *Env) stripeCell(traceName string, stripeKB int) Cell {
 	return Cell{
 		Key: fmt.Sprintf("ablate/stripe/%s/%d", traceName, stripeKB),
 		Factory: func() engine.Engine {
-			diskBlocks := p.prof.FootprintChunks / 2
-			disks := make([]*disk.Disk, 4)
-			for i := range disks {
-				disks[i] = disk.New(disk.DefaultParams(diskBlocks))
-			}
-			cfg := BuildConfig(p.prof, e.Scale)
-			cfg.Array = raid.New(raid.RAID5, disks, uint64(stripeKB/4))
-			return core.NewPOD(cfg)
+			return core.NewPOD(profileConfig(p.prof, e.Scale, p.prof.FootprintChunks/2, raid.RAID5, uint64(stripeKB/4)))
 		},
 		TraceFn: p.generate,
 	}
@@ -219,7 +211,6 @@ func (e *Env) layoutCell(engineName, traceName string, level raid.Level) Cell {
 		Key: fmt.Sprintf("ablate/layout/%s/%s/%d", engineName, traceName, level),
 		Factory: func() engine.Engine {
 			diskBlocks := p.prof.FootprintChunks / 2
-			nd := 4
 			if level == raid.RAID0 {
 				// RAID0 over 4 disks has 4/3 the data capacity; keep capacity
 				// comparable by shrinking the disks
@@ -229,13 +220,7 @@ func (e *Env) layoutCell(engineName, traceName string, level raid.Level) Cell {
 				// mirrored pairs halve capacity: double the disk size
 				diskBlocks = diskBlocks * 3 / 2
 			}
-			disks := make([]*disk.Disk, nd)
-			for i := range disks {
-				disks[i] = disk.New(disk.DefaultParams(diskBlocks))
-			}
-			cfg := BuildConfig(p.prof, e.Scale)
-			cfg.Array = raid.New(level, disks, 16)
-			return NewEngine(engineName, cfg)
+			return NewEngine(engineName, profileConfig(p.prof, e.Scale, diskBlocks, level, 16))
 		},
 		TraceFn: p.generate,
 	}

@@ -20,6 +20,7 @@ import (
 	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/replay"
+	"github.com/pod-dedup/pod/internal/stats"
 	"github.com/pod-dedup/pod/internal/trace"
 	"github.com/pod-dedup/pod/internal/workload"
 )
@@ -52,28 +53,52 @@ var Fig11Engines = []string{Native, FullDedupe, IDedup, SelectDedupe, POD}
 // TraceNames are the evaluation traces in Table II order.
 var TraceNames = []string{"web-vm", "homes", "mail"}
 
-// BuildConfig assembles the experimental platform of §IV-A for one
-// trace: a 4-disk RAID5 array with a 64 KB stripe unit and the trace's
-// DRAM budget, split 50/50 between index and read cache unless an
-// engine adapts it. memScale shrinks the cache budget along with the
-// trace scale so that sub-sampled runs keep the paper's cache pressure
-// (an unscaled cache would hold the whole scaled-down working set and
-// hide every miss-path effect).
-func BuildConfig(p workload.Profile, memScale float64) engine.Config {
-	diskBlocks := p.FootprintChunks / 2
-	disks := make([]*disk.Disk, 4)
-	for i := range disks {
-		disks[i] = disk.New(disk.DefaultParams(diskBlocks))
+// Platform assembles a simulated storage platform — the one place a
+// disk array is built: disks spindles of diskBlocks 4 KiB blocks each
+// under the given RAID level with a stripe unit of stripeChunks chunks,
+// memoryBytes of storage-cache DRAM and nvramBytes of Map-table journal.
+// Every other engine.Config field is the caller's to set on the result.
+func Platform(disks int, diskBlocks uint64, level raid.Level, stripeChunks uint64, memoryBytes int64, nvramBytes int) engine.Config {
+	ds := make([]*disk.Disk, disks)
+	for i := range ds {
+		ds[i] = disk.New(disk.DefaultParams(diskBlocks))
 	}
+	return engine.Config{
+		Array:       raid.New(level, ds, stripeChunks),
+		MemoryBytes: memoryBytes,
+		NVRAMBytes:  nvramBytes,
+	}
+}
+
+// BuildConfig assembles the experimental platform of §IV-A for one
+// trace: a 4-disk RAID5 array with a 64 KB stripe unit (16 chunks) and
+// the trace's DRAM budget, split 50/50 between index and read cache
+// unless an engine adapts it.
+func BuildConfig(p workload.Profile, memScale float64) engine.Config {
+	return profileConfig(p, memScale, p.FootprintChunks/2, raid.RAID5, 16)
+}
+
+// profileConfig is BuildConfig with the array shape left open (the
+// ablations vary disk size, layout and stripe unit under one trace's
+// cache and journal budgets). memScale shrinks the cache budget along
+// with the trace scale so that sub-sampled runs keep the paper's cache
+// pressure (an unscaled cache would hold the whole scaled-down working
+// set and hide every miss-path effect).
+func profileConfig(p workload.Profile, memScale float64, diskBlocks uint64, level raid.Level, stripeChunks uint64) engine.Config {
 	mem := int64(float64(p.MemoryBytes) * memScale)
 	if mem < 1<<18 {
 		mem = 1 << 18
 	}
-	return engine.Config{
-		Array:       raid.New(raid.RAID5, disks, 16), // 16 chunks = 64 KB
-		MemoryBytes: mem,
-		NVRAMBytes:  int(p.FootprintChunks * 40),
-	}
+	return Platform(4, diskBlocks, level, stripeChunks, mem, int(p.FootprintChunks*40))
+}
+
+// dimsConfig is the fixed platform of the merged-trace experiments
+// (stream sweep, chunking axis): the §IV-A array shape over the mix's
+// footprint with the DRAM budget its pools are tuned against —
+// deliberately NOT scaled with the trace; the pool / partition ratios
+// are the experiment.
+func dimsConfig(dims workload.MixedDims) engine.Config {
+	return Platform(4, dims.FootprintChunks, raid.RAID5, 16, dims.MemoryBytes, int(dims.FootprintChunks*40))
 }
 
 // NewEngine constructs a scheme by name over cfg.
@@ -159,6 +184,10 @@ type Env struct {
 	// dupPacks caches the synthetic redundancy-sweep traces by dup
 	// fraction, so Native and POD replay the same generated trace.
 	dupPacks map[float64]*tracePack
+
+	// the chunking experiment's outcome, kept once computed
+	chunkTable *stats.Table
+	chunkRows  []ChunkingRow
 
 	poolOnce sync.Once
 	pool     *replay.Pool
@@ -336,9 +365,7 @@ func (e *Env) EnsureMatrix(engines, traces []string) {
 // needed.
 func (e *Env) Result(engineName, traceName string) *replay.Result {
 	e.EnsureMatrix([]string{engineName}, []string{traceName})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.results[key(engineName, traceName)]
+	return e.cellResult(key(engineName, traceName))
 }
 
 // MetricsSnapshot merges the metrics of every replay this Env has run

@@ -102,7 +102,6 @@ func (e *Env) Fig3(fracs []float64) (*stats.Table, []Fig3Row) {
 	p := corpusPack("mail", e.Scale)
 	cells := make([]Cell, len(fracs))
 	for i, f := range fracs {
-		f := f
 		c := Cell{
 			Key: fmt.Sprintf("fig3/%.0f", f*100),
 			Factory: func() engine.Engine {

@@ -219,6 +219,6 @@ func (r *Report) WriteText(w io.Writer) {
 		for _, h := range m.Histograms {
 			samples += h.N
 		}
-		pf("metrics: %d series (%d histogram samples) -> %s", len(m.Histograms)+len(m.Gauges)+len(m.Counters), samples, s.MetricsOut)
+		pf("metrics: %d series (%d histogram samples) -> %s", len(m.Histograms)+len(m.Gauges), samples, s.MetricsOut)
 	}
 }

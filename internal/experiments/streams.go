@@ -5,10 +5,8 @@ import (
 	"strconv"
 
 	"github.com/pod-dedup/pod/internal/core"
-	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/metrics"
-	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/replay"
 	"github.com/pod-dedup/pod/internal/stats"
 	"github.com/pod-dedup/pod/internal/trace"
@@ -65,31 +63,17 @@ func streamSweep() []streamVariant {
 	return vs
 }
 
-// streamConfig is the fixed platform every sweep variant runs on: the
-// §IV-A array shape with the DRAM budget the adversarial pools are
-// tuned against (deliberately NOT scaled with the trace — the pool /
-// partition ratios are the experiment).
-func streamConfig(dims workload.MixedDims, sp engine.StreamParams) engine.Config {
-	disks := make([]*disk.Disk, 4)
-	for i := range disks {
-		disks[i] = disk.New(disk.DefaultParams(dims.FootprintChunks))
-	}
-	return engine.Config{
-		Array:       raid.New(raid.RAID5, disks, 16),
-		MemoryBytes: dims.MemoryBytes,
-		NVRAMBytes:  int(dims.FootprintChunks * 40),
-		Streams:     sp,
-	}
-}
-
 // streamCells plans one replay per variant over the given mix.
 func (e *Env) streamCells(prefix string, tr *trace.Trace, warm int, dims workload.MixedDims, variants []streamVariant) []Cell {
 	cells := make([]Cell, 0, len(variants))
 	for _, v := range variants {
-		sp := v.streams
 		cells = append(cells, Cell{
-			Key:     prefix + "/" + v.key,
-			Factory: func() engine.Engine { return core.NewSelectDedupe(streamConfig(dims, sp)) },
+			Key: prefix + "/" + v.key,
+			Factory: func() engine.Engine {
+				cfg := dimsConfig(dims)
+				cfg.Streams = v.streams
+				return core.NewSelectDedupe(cfg)
+			},
 			TraceFn: func() (*trace.Trace, int) { return tr, warm },
 		})
 	}

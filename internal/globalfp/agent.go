@@ -106,24 +106,13 @@ type Agent struct {
 	staleDropped   int64
 }
 
-// Attach wires a shard agent onto any engine that exposes its substrate
-// through Base() (an engine.Pipeline, or a decorator forwarding one);
-// ok is false otherwise. The shard's scanner must already be attached —
-// the agent wraps it; a missing scanner gets a Core of its own (tests),
-// losing only the cursor sweep.
-func Attach(e engine.Engine, t *Tier, shard int) (*Agent, bool) {
-	h, ok := e.(interface{ Base() *engine.Base })
-	if !ok {
-		return nil, false
-	}
-	return New(h.Base(), t, shard), true
-}
-
-// New builds the agent, interposes it as the engine's background task
-// and tier seat, and registers its gauges. The hint table gets as many
-// slots as the shard's hot index has entries right now: a hint is worth
-// what an index entry is worth, and the table must not outgrow the
-// cache it serves.
+// New builds the agent on a shard engine's substrate, interposes it as
+// the engine's background task and tier seat, and registers its gauges.
+// The shard's scanner must already be attached — the agent wraps it; a
+// missing scanner gets a Core of its own (tests), losing only the cursor
+// sweep. The hint table gets as many slots as the shard's hot index has
+// entries right now: a hint is worth what an index entry is worth, and
+// the table must not outgrow the cache it serves.
 func New(b *engine.Base, t *Tier, shard int) *Agent {
 	a := &Agent{
 		b: b, t: t, shard: shard,

@@ -44,11 +44,7 @@ func fenceCluster(t testing.TB, n int) (*Tier, []*Agent) {
 		if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
 			t.Fatal("bgdedup.Attach refused Select-Dedupe")
 		}
-		a, ok := Attach(e, tier, i)
-		if !ok {
-			t.Fatal("globalfp.Attach refused Select-Dedupe")
-		}
-		agents[i] = a
+		agents[i] = New(e.Base(), tier, i)
 	}
 	return tier, agents
 }

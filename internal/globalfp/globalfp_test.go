@@ -54,12 +54,8 @@ func newCluster(t *testing.T, n int) *cluster {
 		if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
 			t.Fatal("bgdedup.Attach refused Select-Dedupe")
 		}
-		a, ok := globalfp.Attach(e, tier, i)
-		if !ok {
-			t.Fatal("globalfp.Attach refused Select-Dedupe")
-		}
 		c.engs = append(c.engs, e)
-		c.agents = append(c.agents, a)
+		c.agents = append(c.agents, globalfp.New(e.Base(), tier, i))
 	}
 	return c
 }
@@ -403,8 +399,7 @@ func TestHintsNeverEnterICache(t *testing.T) {
 			}
 			c.engs = append(c.engs, e)
 			if tier {
-				a, _ := globalfp.Attach(e, c.tier, i)
-				c.agents = append(c.agents, a)
+				c.agents = append(c.agents, globalfp.New(e.Base(), c.tier, i))
 			}
 		}
 		now := sim.Time(0)

@@ -100,7 +100,7 @@ func NewTier(shards int, p Params) (*Tier, error) {
 // Shards reports the shard count the tier was built for.
 func (t *Tier) Shards() int { return t.shards }
 
-// Agent returns the shard's registered agent (nil before Attach).
+// Agent returns the shard's registered agent (nil before New seats one).
 func (t *Tier) Agent(shard int) *Agent { return t.agents[shard] }
 
 func (t *Tier) register(shard int, a *Agent) {

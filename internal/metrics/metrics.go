@@ -5,10 +5,12 @@
 //
 // Design rules:
 //
-//   - Handles (Counter, Gauge, Histogram) are resolved by name once, at
+//   - Histogram handles are resolved by name once, at
 //     construction/instrumentation time; the hot path then performs
 //     plain integer arithmetic on pre-allocated state. No map lookups,
-//     no interface boxing, no allocation per observation.
+//     no interface boxing, no allocation per observation. Everything
+//     else is a GaugeFunc: a value its substrate already tracks, read at
+//     snapshot time.
 //   - A Registry is single-writer: it belongs to one engine (one shard)
 //     and is mutated only by that engine's serving goroutine. Readers
 //     (snapshots) must synchronize externally — the sharded server
@@ -33,65 +35,22 @@ import (
 	"github.com/pod-dedup/pod/internal/stats"
 )
 
-// Counter is a monotonically increasing tally. Not synchronized: owned
-// by the registry's single writer.
-type Counter struct {
-	name string
-	v    int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n (negative deltas are a bug; they are added as-is so tests
-// catch them in snapshots rather than silently clamping).
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Value reports the current tally.
-func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is an instantaneous value set by its owner.
-type Gauge struct {
-	name string
-	v    int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
-// Value reports the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
 // Histogram is a registry-named stats.Histogram: the one fixed-bucket
 // log₂-scale histogram of the repository, over non-negative integer
 // samples (simulated microseconds). Observing never allocates.
 type Histogram struct {
-	name string
 	stats.Histogram
 }
 
 // Observe records one sample; negative samples clamp to zero.
 func (h *Histogram) Observe(v int64) { h.Add(v) }
 
-// gaugeFunc is a callback gauge, evaluated at snapshot time. It costs
-// nothing on the hot path, which makes it the right shape for values a
-// substrate already tracks (cache occupancy, journal tail, hit totals).
-type gaugeFunc struct {
-	name string
-	fn   func() int64
-}
-
 // Registry holds the named metrics of one engine shard (or one
 // process-level component). The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	gaugeFuncs map[string]*gaugeFunc
+	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
 	phases     *PhaseSet
 }
@@ -99,69 +58,25 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]*gaugeFunc),
+		gaugeFuncs: make(map[string]func() int64),
 		hists:      make(map[string]*Histogram),
 	}
 }
 
-func (r *Registry) checkFree(name, kind string) {
-	if _, ok := r.counters[name]; ok && kind != "counter" {
-		panic(fmt.Sprintf("metrics: %q already registered as a counter", name))
-	}
-	if _, ok := r.gauges[name]; ok && kind != "gauge" {
-		panic(fmt.Sprintf("metrics: %q already registered as a gauge", name))
-	}
-	if _, ok := r.gaugeFuncs[name]; ok && kind != "gaugefunc" {
-		panic(fmt.Sprintf("metrics: %q already registered as a gauge func", name))
-	}
-	if _, ok := r.hists[name]; ok && kind != "histogram" {
-		panic(fmt.Sprintf("metrics: %q already registered as a histogram", name))
-	}
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use. Registering a name under two different kinds panics.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	r.checkFree(name, "counter")
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.checkFree(name, "gauge")
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
-}
-
 // GaugeFunc registers fn to be evaluated at snapshot time under name.
-// Re-registering the same name replaces the callback — substrates that
+// A callback costs nothing on the hot path, which makes it the right
+// shape for values a substrate already tracks (cache occupancy, journal
+// tail, hit totals). Re-registering the same name replaces the callback — substrates that
 // are rebuilt (crash recovery replaces the map table and caches)
-// re-instrument so the callbacks follow the live object.
+// re-instrument so the callbacks follow the live object. Registering a
+// name under two different kinds panics.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gaugeFuncs[name]; ok {
-		g.fn = fn
-		return
+	if _, ok := r.hists[name]; ok {
+		panic(fmt.Sprintf("metrics: %q already registered as a histogram", name))
 	}
-	r.checkFree(name, "gaugefunc")
-	r.gaugeFuncs[name] = &gaugeFunc{name: name, fn: fn}
+	r.gaugeFuncs[name] = fn
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -172,8 +87,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	r.checkFree(name, "histogram")
-	h := &Histogram{name: name}
+	if _, ok := r.gaugeFuncs[name]; ok {
+		panic(fmt.Sprintf("metrics: %q already registered as a gauge func", name))
+	}
+	h := &Histogram{}
 	r.hists[name] = h
 	return h
 }
@@ -197,19 +114,13 @@ func (r *Registry) Phases() *PhaseSet {
 	return ps
 }
 
-// Reset zeroes every counter, gauge and histogram in place (gauge
-// callbacks are left registered — they always report live state). The
+// Reset zeroes every histogram in place (gauge callbacks are left
+// registered — they always report live state). The
 // replay harness calls it at the end of the warm-up window, mirroring
 // engine.Stats.Reset.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v = 0
-	}
-	for _, g := range r.gauges {
-		g.v = 0
-	}
 	for _, h := range r.hists {
 		h.Histogram.Reset()
 	}
@@ -224,14 +135,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := NewSnapshot()
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v
-	}
 	for name, g := range r.gaugeFuncs {
-		s.Gauges[name] = g.fn()
+		s.Gauges[name] = g()
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = snapHistogram(h)

@@ -9,34 +9,41 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestHistogramGaugeFuncBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("writes")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	h := r.Histogram("write_rt_us")
+	h.Observe(1)
+	h.Observe(4)
+	if h.N() != 2 || h.Sum() != 5 {
+		t.Fatalf("histogram n=%d sum=%d, want 2 and 5", h.N(), h.Sum())
 	}
-	if r.Counter("writes") != c {
-		t.Fatal("second registration returned a different counter")
+	if r.Histogram("write_rt_us") != h {
+		t.Fatal("second registration returned a different histogram")
 	}
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
+	depth := int64(7)
+	r.GaugeFunc("depth", func() int64 { return depth })
+	depth -= 2
+	if got := r.Snapshot().Gauges["depth"]; got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
 }
 
 func TestKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a histogram under a counter name did not panic")
-		}
-	}()
-	r.Histogram("x")
+	clash := func(what string, first, second func(r *Registry)) {
+		t.Helper()
+		r := NewRegistry()
+		first(r)
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("registering %s did not panic", what)
+			}
+		}()
+		second(r)
+	}
+	gauge := func(r *Registry) { r.GaugeFunc("x", func() int64 { return 0 }) }
+	hist := func(r *Registry) { r.Histogram("x") }
+	clash("a histogram under a gauge func's name", gauge, hist)
+	clash("a gauge func under a histogram's name", hist, gauge)
 }
 
 func TestGaugeFuncReplaceOnReregister(t *testing.T) {
@@ -182,12 +189,17 @@ func TestHistSnapshotMergeEmptyAndNil(t *testing.T) {
 func TestSnapshotMergeClonesHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("h").Observe(5)
+	r.GaugeFunc("g", func() int64 { return 3 })
 	a := r.Snapshot()
 	dst := NewSnapshot()
 	dst.Merge(a)
 	dst.Histograms["h"].Merge(a.Histograms["h"])
 	if a.Histograms["h"].N != 1 {
 		t.Fatal("merging into the destination mutated the source snapshot")
+	}
+	dst.Merge(a)
+	if dst.Gauges["g"] != 6 || dst.Histograms["h"].N != 3 {
+		t.Fatalf("merged twice: gauge %d, histogram n %d; want 6 and 3", dst.Gauges["g"], dst.Histograms["h"].N)
 	}
 }
 
@@ -227,14 +239,14 @@ func TestPhaseSetTimeline(t *testing.T) {
 
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Add(9)
-	r.Gauge("g").Set(3)
 	r.Histogram("h").Observe(100)
+	ps := r.Phases()
+	ps.Observe(PhaseDiskWrite, 9)
 	live := int64(11)
 	r.GaugeFunc("f", func() int64 { return live })
 	r.Reset()
 	s := r.Snapshot()
-	if s.Counters["c"] != 0 || s.Gauges["g"] != 0 || s.Histograms["h"].N != 0 {
+	if s.Histograms["h"].N != 0 || s.Histograms["phase_disk_write_us"].N != 0 || ps.Last(PhaseDiskWrite) != 0 {
 		t.Fatalf("reset left residue: %+v", s)
 	}
 	if s.Gauges["f"] != 11 {
@@ -261,7 +273,7 @@ func TestTraceRing(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reqs").Add(2)
+	r.GaugeFunc("reqs", func() int64 { return 2 })
 	r.Histogram("lat_us").Observe(300)
 	s := r.Snapshot()
 	s.Traces = []TraceRecord{{Seq: 1, Op: "W", Phases: map[string]int64{"disk_write": 120}}}
@@ -273,15 +285,15 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Counters["reqs"] != 2 || back.Histograms["lat_us"].N != 1 || len(back.Traces) != 1 {
+	if back.Gauges["reqs"] != 2 || back.Histograms["lat_us"].N != 1 || len(back.Traces) != 1 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("server_shed_total").Add(3)
-	r.Gauge(Labeled("server_queue_depth", "shard", "0")).Set(4)
+	r.GaugeFunc("server_shed_total", func() int64 { return 3 })
+	r.GaugeFunc(Labeled("server_queue_depth", "shard", "0"), func() int64 { return 4 })
 	h := r.Histogram(Labeled("server_queue_wait_us", "shard", "0"))
 	h.Observe(1)
 	h.Observe(500)
@@ -291,8 +303,9 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE server_shed_total counter\nserver_shed_total 3\n",
-		`server_queue_depth{shard="0"} 4`,
+		"# TYPE server_shed_total gauge\nserver_shed_total 3\n",
+		"# TYPE server_queue_depth gauge\nserver_queue_depth{shard=\"0\"} 4\n",
+		"# TYPE server_queue_wait_us histogram\n",
 		`server_queue_wait_us_bucket{shard="0",le="1"} 1`,
 		`server_queue_wait_us_bucket{shard="0",le="+Inf"} 2`,
 		`server_queue_wait_us_sum{shard="0"} 501`,
@@ -331,17 +344,13 @@ func TestBucketUpperSaturates(t *testing.T) {
 	}
 }
 
-// The hot path must not allocate: observing counters, gauges,
-// histograms and phases goes through pre-resolved handles only.
+// The hot path must not allocate: observing histograms and phases goes
+// through pre-resolved handles only.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h")
 	ps := r.Phases()
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		g.Set(9)
 		h.Observe(123)
 		ps.Begin()
 		ps.Observe(PhaseDiskWrite, 77)

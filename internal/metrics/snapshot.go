@@ -102,7 +102,6 @@ func (s *HistSnapshot) Clone() *HistSnapshot {
 // plus any sampled traces collected alongside. It is plain data: safe
 // to merge, marshal, and hand across goroutines.
 type Snapshot struct {
-	Counters   map[string]int64         `json:"counters"`
 	Gauges     map[string]int64         `json:"gauges"`
 	Histograms map[string]*HistSnapshot `json:"histograms"`
 	Traces     []TraceRecord            `json:"traces,omitempty"`
@@ -111,23 +110,19 @@ type Snapshot struct {
 // NewSnapshot returns an empty snapshot.
 func NewSnapshot() *Snapshot {
 	return &Snapshot{
-		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]*HistSnapshot),
 	}
 }
 
-// Merge folds other into s: counters and gauges sum (note the gauge
-// caveat: summing occupancy-style gauges across shards gives fleet
-// totals, but ratio-style gauges such as index_frac_permille become
-// sums — divide by shard count, or read the per-shard labeled series),
-// histograms merge bucket-wise, traces append.
+// Merge folds other into s: gauges sum (note the caveat: summing
+// occupancy-style gauges across shards gives fleet totals, but
+// ratio-style gauges such as index_frac_permille become sums — divide
+// by shard count, or read the per-shard labeled series), histograms
+// merge bucket-wise, traces append.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if other == nil {
 		return
-	}
-	for k, v := range other.Counters {
-		s.Counters[k] += v
 	}
 	for k, v := range other.Gauges {
 		s.Gauges[k] += v
@@ -155,10 +150,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // _sum and _count series.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	for _, name := range sortedKeys(s.Counters) {
-		base, labels := splitName(name)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", base, promName(base, labels, ""), s.Counters[name])
-	}
 	for _, name := range sortedKeys(s.Gauges) {
 		base, labels := splitName(name)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", base, promName(base, labels, ""), s.Gauges[name])

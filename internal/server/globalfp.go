@@ -15,13 +15,6 @@ import (
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
-// baseHolder matches engines exposing their substrate (engine.Pipeline
-// and decorators forwarding it); the global fingerprint tier and the
-// cross-shard audit need direct Map/Store access.
-type baseHolder interface {
-	Base() *engine.Base
-}
-
 // initGlobalFP builds the tier and wires one agent per shard. Called by
 // New after every shard engine exists (so an engine-hook-attached
 // bgdedup scanner is already in place for the agent to wrap).
@@ -40,17 +33,15 @@ func (s *Server) initGlobalFP() error {
 		if name != "Select-Dedupe" && name != "POD" {
 			return fmt.Errorf("server: shard %d engine %s: the global fingerprint tier requires Select-Dedupe or POD engines", i, name)
 		}
-		a, ok := globalfp.Attach(sh.eng, tier, i)
-		if !ok {
+		if sh.base == nil {
 			return fmt.Errorf("server: shard %d engine %s does not expose its substrate (no Base()); the global fingerprint tier cannot attach", i, name)
 		}
-		s.agents[i] = a
+		s.agents[i] = globalfp.New(sh.base, tier, i)
 		// per-shard fencing epoch, exported beside the shard's other
 		// tier gauges (atomic read; safe under the registry rule)
-		shardIdx := i
 		sh.eng.Metrics().GaugeFunc(
 			metrics.Labeled("globalfp_epoch", "shard", strconv.Itoa(i)),
-			func() int64 { return int64(tier.Epoch(shardIdx)) })
+			func() int64 { return int64(tier.Epoch(i)) })
 	}
 
 	// Tier-level gauges live in the server registry: the tier is shared
@@ -79,7 +70,6 @@ func (s *Server) initGlobalFP() error {
 // each shard's mu in turn.
 func (s *Server) initRemovalGauges() {
 	for _, sh := range s.shards {
-		sh := sh
 		sh.eng.Metrics().GaugeFunc(
 			metrics.Labeled("server_writes_removed_pct_x100", "shard", strconv.Itoa(sh.id)),
 			func() int64 { return int64(sh.eng.Stats().WriteRemovalPct() * 100) })
@@ -140,68 +130,13 @@ func (s *Server) eachLiveAgent(fn func(a *globalfp.Agent, now sim.Time) int) int
 			defer wg.Done()
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			if !sh.down {
+			if !sh.down.Load() {
 				total.Add(int64(fn(a, sh.lastStart)))
 			}
 		}(s.agents[i], sh)
 	}
 	wg.Wait()
 	return int(total.Load())
-}
-
-// recoverGlobalFP is CrashAndRecover with the tier enabled. Recovery is
-// three-phase because cross-shard references must be re-pinned before
-// any allocator is rebuilt:
-//
-//  1. every shard replays its NVRAM journal into a recovered Map table;
-//  2. the recovered maps are scanned for remote mappings, yielding one
-//     pin per (referencing shard, canonical) pair — the durable remote
-//     references are the tier's only crash-surviving state;
-//  3. every shard finishes recovery with its pin list, rebuilding
-//     allocator/store occupancy with canonicals protected.
-//
-// The tier tables and all agent bookkeeping are volatile and reset;
-// they re-learn from fresh advertisements (rebuild-on-recover).
-func (s *Server) recoverGlobalFP() (int, error) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	bases := make([]*engine.Base, len(s.shards))
-	for i, sh := range s.shards {
-		h, ok := sh.eng.(baseHolder)
-		if !ok {
-			return 0, fmt.Errorf("server: shard %d engine %s does not support crash recovery", i, sh.eng.Name())
-		}
-		bases[i] = h.Base()
-	}
-	total := 0
-	for i, b := range bases {
-		n, err := b.RecoverLoad()
-		if err != nil {
-			return total, fmt.Errorf("server: shard %d: %w", i, err)
-		}
-		total += n
-	}
-	pinned := make([][]alloc.PBA, len(bases))
-	for _, b := range bases {
-		seen := make(map[alloc.PBA]bool)
-		b.Map.Each(func(_ uint64, pba alloc.PBA, _ bool) bool {
-			if !alloc.IsRemote(pba) || seen[pba] {
-				return true
-			}
-			seen[pba] = true
-			owner, canon := alloc.RemoteParts(pba)
-			pinned[owner] = append(pinned[owner], canon)
-			return true
-		})
-	}
-	for i, b := range bases {
-		b.RecoverFinish(pinned[i])
-	}
-	s.tier.Reset()
-	s.clearDown()
-	return total, nil
 }
 
 // CheckConsistency audits the whole server: each shard's engine-level
@@ -220,58 +155,30 @@ func (s *Server) recoverGlobalFP() (int, error) {
 // mid-outage and the rejoin re-audit rebuilds those pins exactly.
 // Liveness of its canonicals is still enforced.
 func (s *Server) CheckConsistency() error {
-	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
-	if !closed {
+	if !s.isClosed() {
 		return errors.New("server: CheckConsistency before Close")
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	defer s.lockAll()()
 	for i, sh := range s.shards {
-		if sh.down {
+		if sh.down.Load() || sh.base == nil {
 			continue
 		}
-		if h, ok := sh.eng.(baseHolder); ok {
-			if err := h.Base().CheckConsistency(); err != nil {
-				return fmt.Errorf("server: shard %d: %w", i, err)
-			}
+		if err := sh.base.CheckConsistency(); err != nil {
+			return fmt.Errorf("server: shard %d: %w", i, err)
 		}
-	}
-	if s.tier == nil {
-		return nil
-	}
-	bases := make([]*engine.Base, len(s.shards))
-	for i, sh := range s.shards {
-		h, ok := sh.eng.(baseHolder)
-		if !ok {
-			return fmt.Errorf("server: shard %d engine %s lacks a substrate for the cross-shard audit", i, sh.eng.Name())
-		}
-		bases[i] = h.Base()
 	}
 	refs := make(map[alloc.PBA]uint64) // canonical (encoded) → referencing shards
-	for i, b := range bases {
-		seen := make(map[alloc.PBA]bool)
-		b.Map.Each(func(_ uint64, pba alloc.PBA, _ bool) bool {
-			if alloc.IsRemote(pba) && !seen[pba] {
-				seen[pba] = true
-				refs[pba] |= uint64(1) << uint(i)
-			}
-			return true
-		})
-	}
+	s.eachRemoteRef(func(from int, enc alloc.PBA) { refs[enc] |= uint64(1) << uint(from) })
 	for enc, mask := range refs {
 		owner, canon := alloc.RemoteParts(enc)
-		ob := bases[owner]
-		if _, live := ob.Store.Read(canon); !live {
+		osh := s.shards[owner]
+		if _, live := osh.base.Store.Read(canon); !live {
 			return fmt.Errorf("server: shards %b reference dead canonical %d on shard %d", mask, canon, owner)
 		}
-		if s.shards[owner].down {
+		if osh.down.Load() {
 			continue // degraded: pin state frozen until the rejoin re-audit
 		}
-		pins := ob.Map.PinCount(canon)
+		pins := osh.base.Map.PinCount(canon)
 		nrefs := bits.OnesCount64(mask)
 		if slack := pins - nrefs; slack < 0 || slack > 1 {
 			return fmt.Errorf("server: canonical %d on shard %d holds %d pins for %d referencing shards (want refs or refs+1)", canon, owner, pins, nrefs)

@@ -259,10 +259,20 @@ type envelope struct {
 	batch []*Request
 }
 
+// baseHolder matches engines exposing their substrate: every scheme is
+// an *engine.Pipeline, and decorators forward its Base.
+type baseHolder interface {
+	Base() *engine.Base
+}
+
 type shard struct {
 	id  int
 	ch  chan envelope
 	eng engine.Engine
+	// base is the engine's substrate, resolved once in New; nil for an
+	// engine that exposes none (a null engine, a test fake). Recovery,
+	// the cross-shard audit and the remote read hop go through it.
+	base *engine.Base
 
 	// metric handles resolved at construction: the engine's phase set
 	// (queue wait is observed into it after each serve so sampled
@@ -304,8 +314,9 @@ type shard struct {
 
 	// per-shard failure domain (CrashShard/RecoverShard): while down,
 	// the queue fail-replies everything with KindShardDown instead of
-	// touching the engine
-	down        bool
+	// touching the engine. Written with every shard lock held; atomic so
+	// DownShards can report it to operators mid-serve without one.
+	down        atomic.Bool
 	downRefused int64
 }
 
@@ -330,10 +341,6 @@ type Server struct {
 	tier       *globalfp.Tier
 	agents     []*globalfp.Agent
 	settleOnce sync.Once
-
-	// downMask mirrors the shards' down flags as a bitmask readable
-	// without locks: DownShards reports it to operators mid-serve.
-	downMask atomic.Uint64
 
 	wg      sync.WaitGroup
 	closeMu sync.RWMutex
@@ -384,6 +391,9 @@ func New(cfg Config) (*Server, error) {
 			qwait: reg.Histogram(metrics.Labeled("server_queue_wait_us", "shard", label)),
 			svc:   reg.Histogram(metrics.Labeled("server_service_us", "shard", label)),
 		}
+		if h, ok := eng.(baseHolder); ok {
+			sh.base = h.Base()
+		}
 		if cfg.TraceSample > 0 {
 			sh.ring = metrics.NewTraceRing(cfg.TraceBuf)
 		}
@@ -413,7 +423,7 @@ func New(cfg Config) (*Server, error) {
 			})
 		reg.GaugeFunc(metrics.Labeled("server_shard_down", "shard", label),
 			func() int64 {
-				if sh.down {
+				if sh.down.Load() {
 					return 1
 				}
 				return 0
@@ -523,7 +533,7 @@ func (s *Server) worker(sh *shard) {
 		defer sh.mu.Unlock()
 		// a crashed shard's engine is conceptually powered off; its
 		// background work is rebuilt at recovery, not flushed
-		if f, ok := sh.eng.(flusher); ok && !sh.down {
+		if f, ok := sh.eng.(flusher); ok && !sh.down.Load() {
 			f.Flush(sh.lastStart)
 		}
 	}()
@@ -567,7 +577,7 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 	// crashed shard: fail-reply everything with a typed transient error
 	// — the engine is conceptually powered off. Clients retry against
 	// their own deadlines; the other shards keep serving.
-	if sh.down {
+	if sh.down.Load() {
 		sh.downRefused++
 		sh.failed++
 		if env.done != nil {
@@ -850,78 +860,137 @@ func (s *Server) WithEngine(i int, fn func(engine.Engine)) {
 func (s *Server) ReadContent(lba uint64) (uint64, bool) {
 	sh := s.shards[s.router.Shard(lba)]
 	sh.mu.Lock()
-	if id, ok := sh.eng.ReadContent(lba); ok {
-		sh.mu.Unlock()
-		return id, true
-	}
-	if s.tier != nil {
-		if h, ok := sh.eng.(baseHolder); ok {
-			if enc, ok := h.Base().ResolveRemote(lba); ok {
-				owner, canon := alloc.RemoteParts(enc)
-				sh.mu.Unlock()
-				osh := s.shards[owner]
-				osh.mu.Lock()
-				defer osh.mu.Unlock()
-				if oh, ok := osh.eng.(baseHolder); ok {
-					if id, live := oh.Base().Store.Read(canon); live {
-						return uint64(id), true
-					}
-				}
-				return 0, false
-			}
-		}
+	id, ok := sh.eng.ReadContent(lba)
+	var enc alloc.PBA
+	remote := false
+	if !ok && sh.base != nil {
+		enc, remote = sh.base.ResolveRemote(lba)
 	}
 	sh.mu.Unlock()
-	return 0, false
+	if !remote {
+		return id, ok
+	}
+	owner, canon := alloc.RemoteParts(enc)
+	osh := s.shards[owner]
+	osh.mu.Lock()
+	defer osh.mu.Unlock()
+	c, live := osh.base.Store.Read(canon)
+	return uint64(c), live
 }
 
-// CrashAndRecover simulates a whole-node power failure after Close:
-// every shard loses DRAM state and rebuilds its map table from its
-// NVRAM journal. It returns the total journal records replayed across
-// shards, and an error if the server is still serving or any shard's
-// engine lacks recovery support.
-func (s *Server) CrashAndRecover() (int, error) {
+// isClosed reports whether Close has begun.
+func (s *Server) isClosed() bool {
 	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
-	if !closed {
-		return 0, errors.New("server: CrashAndRecover before Close")
-	}
-	if s.tier != nil {
-		return s.recoverGlobalFP()
-	}
-	total := 0
+	defer s.closeMu.RUnlock()
+	return s.closed
+}
+
+// lockAll takes every shard lock, ascending (the canonical order), and
+// returns the release: `defer s.lockAll()()` holds the whole server
+// still — no serving round, agent tick or recall snapshot interleaves.
+func (s *Server) lockAll() (unlock func()) {
 	for _, sh := range s.shards {
-		r, ok := sh.eng.(interface{ CrashAndRecover() (int, error) })
-		if !ok {
+		sh.mu.Lock()
+	}
+	return func() {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
+	}
+}
+
+// eachRemoteRef calls fn once per (referencing shard, remote-encoded
+// canonical) pair found in the shards' Map tables — the durable
+// cross-shard references, the tier's only crash-surviving state.
+// Without the tier no mapping is remote-encoded and fn is never called.
+// Caller holds every shard lock.
+func (s *Server) eachRemoteRef(fn func(from int, enc alloc.PBA)) {
+	for _, sh := range s.shards {
+		if sh.base == nil {
+			continue
+		}
+		seen := make(map[alloc.PBA]bool)
+		sh.base.Map.Each(func(_ uint64, pba alloc.PBA, _ bool) bool {
+			if alloc.IsRemote(pba) && !seen[pba] {
+				seen[pba] = true
+				fn(sh.id, pba)
+			}
+			return true
+		})
+	}
+}
+
+// recover is the one crash-recovery path, for the whole node and for a
+// single failure domain, with the tier and without: the shards in set
+// lose their DRAM state and rebuild from their NVRAM journals. It is
+// three-phase because cross-shard references must be re-pinned before
+// any allocator is rebuilt:
+//
+//  1. every shard in set replays its journal into a recovered Map table;
+//  2. all shards' maps — recovered or live, both journal-backed — are
+//     walked for remote mappings: one pin per (referencing shard,
+//     canonical) pair on the canonical's owner, which also heals any
+//     RefDown dropped toward a dead inbox;
+//  3. every shard in set rebuilds allocator/store occupancy with its
+//     pinned canonicals protected.
+//
+// Without the tier the walk finds nothing and phase 3 is
+// RecoverFinish(nil): engine.Base.Recover, shard by shard. It returns
+// the journal records replayed; a shard that cannot load fails the call,
+// by name, before anything is rebuilt. Caller holds every shard lock.
+func (s *Server) recover(set []*shard) (int, error) {
+	total := 0
+	for _, sh := range set {
+		if sh.base == nil {
 			return total, fmt.Errorf("server: shard %d engine %s does not support crash recovery", sh.id, sh.eng.Name())
 		}
-		n, err := r.CrashAndRecover()
+		n, err := sh.base.RecoverLoad()
 		if err != nil {
 			return total, fmt.Errorf("server: shard %d: %w", sh.id, err)
 		}
 		total += n
 	}
-	s.clearDown()
+	pinned := make([][]alloc.PBA, len(s.shards))
+	s.eachRemoteRef(func(_ int, enc alloc.PBA) {
+		owner, canon := alloc.RemoteParts(enc)
+		pinned[owner] = append(pinned[owner], canon)
+	})
+	for _, sh := range set {
+		sh.base.RecoverFinish(pinned[sh.id])
+	}
 	return total, nil
 }
 
-// clearDown marks every shard live again — whole-node recovery
-// supersedes any per-shard outage.
-func (s *Server) clearDown() {
-	for _, sh := range s.shards {
-		sh.down = false
+// CrashAndRecover simulates a whole-node power failure after Close:
+// recover over every shard; the tier's tables and agent bookkeeping are
+// volatile, reset, and re-learn from fresh advertisements; any per-shard
+// outage is superseded. It returns the total journal records replayed,
+// and an error if the server is still serving or any shard's engine
+// lacks recovery support.
+func (s *Server) CrashAndRecover() (int, error) {
+	if !s.isClosed() {
+		return 0, errors.New("server: CrashAndRecover before Close")
 	}
-	s.downMask.Store(0)
+	defer s.lockAll()()
+	total, err := s.recover(s.shards)
+	if err != nil {
+		return total, err
+	}
+	if s.tier != nil {
+		s.tier.Reset()
+	}
+	for _, sh := range s.shards {
+		sh.down.Store(false)
+	}
+	return total, nil
 }
 
 // DownShards lists the shards currently crashed by CrashShard, in
 // ascending order. Lock-free; usable mid-serve and from gauges.
 func (s *Server) DownShards() []int {
-	mask := s.downMask.Load()
 	var out []int
-	for i := 0; i < s.cfg.Shards; i++ {
-		if mask&(uint64(1)<<uint(i)) != 0 {
+	for i, sh := range s.shards {
+		if sh.down.Load() {
 			out = append(out, i)
 		}
 	}

@@ -20,7 +20,7 @@ func settleSerial(s *Server) {
 	s.tier.Stop()
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		if !sh.down {
+		if !sh.down.Load() {
 			s.agents[i].ReAdvertise()
 		}
 		sh.mu.Unlock()
@@ -29,7 +29,7 @@ func settleSerial(s *Server) {
 		moved := 0
 		for i, sh := range s.shards {
 			sh.mu.Lock()
-			if !sh.down {
+			if !sh.down.Load() {
 				moved += s.agents[i].DrainAll(sh.lastStart)
 			}
 			sh.mu.Unlock()

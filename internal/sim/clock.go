@@ -22,7 +22,6 @@ type Duration int64
 
 // Common durations.
 const (
-	Microsecond Duration = 1
 	Millisecond Duration = 1000
 	Second      Duration = 1000 * 1000
 )

@@ -41,8 +41,6 @@ const (
 	// are tuned against: 1 MiB split 50/50 gives an 8192-entry index
 	// partition at the default 64-byte entry footprint.
 	AdvMemoryBytes = 1 << 20
-	// advIndexEntries = AdvMemoryBytes/2 / 64-byte entries.
-	advIndexEntries = 8192
 
 	// advPhaseDur spans 16 of the default 250 ms apportionment
 	// intervals: the estimator needs ~2-3 pool cycles (≈5 intervals) to

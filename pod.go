@@ -33,7 +33,6 @@ import (
 	"github.com/pod-dedup/pod/internal/api"
 	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/cdc"
-	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
 	"github.com/pod-dedup/pod/internal/raid"
@@ -183,7 +182,7 @@ type Config struct {
 
 // System is a storage system under one scheme.
 type System struct {
-	eng  engine.Engine
+	eng  *engine.Pipeline // what every scheme constructor returns
 	last sim.Time
 }
 
@@ -237,49 +236,36 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("pod: memory budget %d MB is too small", cfg.MemoryMB)
 	}
 
-	disks := make([]*disk.Disk, cfg.Disks)
-	for i := range disks {
-		disks[i] = disk.New(disk.DefaultParams(cfg.DiskBlocks))
-	}
-	array := raid.New(level, disks, uint64(cfg.StripeUnitKB/4))
-
-	nvram := 0
+	ecfg := experiments.Platform(cfg.Disks, cfg.DiskBlocks, level, uint64(cfg.StripeUnitKB/4), int64(cfg.MemoryMB)<<20, 0)
 	switch {
 	case cfg.NVRAMKB > 0:
-		nvram = cfg.NVRAMKB * 1024
+		ecfg.NVRAMBytes = cfg.NVRAMKB * 1024
 	case cfg.NVRAMKB == 0:
-		nvram = int(array.DataBlocks() * 24)
+		ecfg.NVRAMBytes = int(ecfg.Array.DataBlocks() * 24)
 	}
 
-	chunking := cdc.Params{}
 	if cfg.Chunking != "" {
 		algo, err := cdc.ParseAlgo(cfg.Chunking)
 		if err != nil {
 			return nil, fmt.Errorf("pod: %w", err)
 		}
-		chunking = cdc.Params{Algo: algo}
+		ecfg.Chunking = cdc.Params{Algo: algo}
 	}
 	if err := experiments.CheckAxes(string(scheme), experiments.Axes{
-		Chunking: chunking.Algo, Streams: cfg.StreamAware, BGDedup: cfg.BGDedup,
+		Chunking: ecfg.Chunking.Algo, Streams: cfg.StreamAware, BGDedup: cfg.BGDedup,
 	}); err != nil {
 		return nil, fmt.Errorf("pod: %w", err)
 	}
 
-	ecfg := engine.Config{
-		Array:           array,
-		MemoryBytes:     int64(cfg.MemoryMB) << 20,
-		Threshold:       cfg.Threshold,
-		IDedupThreshold: cfg.IDedupThreshold,
-		NVRAMBytes:      nvram,
-		Verify:          cfg.Verify,
-		Streams:         engine.StreamParams{Enabled: cfg.StreamAware},
-		Chunking:        chunking,
-	}
+	ecfg.Threshold = cfg.Threshold
+	ecfg.IDedupThreshold = cfg.IDedupThreshold
+	ecfg.Verify = cfg.Verify
+	ecfg.Streams = engine.StreamParams{Enabled: cfg.StreamAware}
 	eng := experiments.NewEngine(string(scheme), ecfg)
 	if cfg.BGDedup {
 		bgdedup.Attach(eng, bgdedup.Params{BlocksPerSec: cfg.BGDedupBlocksPerSec})
 	}
-	return &System{eng: eng}, nil
+	return &System{eng: eng.(*engine.Pipeline)}, nil
 }
 
 // Scheme reports the engine in use.
@@ -342,10 +328,7 @@ func (s *System) UsedBlocks() uint64 { return s.eng.UsedBlocks() }
 // journal records replayed, and an error for schemes without NVRAM
 // journaling support.
 func (s *System) CrashAndRecover() (int, error) {
-	if r, ok := s.eng.(interface{ CrashAndRecover() (int, error) }); ok {
-		return r.CrashAndRecover()
-	}
-	return 0, fmt.Errorf("pod: scheme %s does not support crash recovery", s.eng.Name())
+	return s.eng.CrashAndRecover()
 }
 
 // Summary is an exported snapshot of a system's statistics.

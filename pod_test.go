@@ -3,6 +3,8 @@ package pod
 import (
 	"strings"
 	"testing"
+
+	"github.com/pod-dedup/pod/internal/experiments"
 )
 
 // wr and rd build requests for the shared Do API.
@@ -226,10 +228,29 @@ func TestRunExperimentSmall(t *testing.T) {
 	}
 }
 
+// TestExperimentIDs: the catalogue is the only list. Every id it holds
+// runs through the facade, nothing else does, and the refusal of an
+// unknown id names exactly that list (cmd/podbench's tests check the
+// command against the same one).
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 12 {
-		t.Fatalf("ids = %v", ids)
+	if len(ids) != len(experiments.Catalogue) {
+		t.Fatalf("ids = %v, the catalogue holds %d", ids, len(experiments.Catalogue))
+	}
+	for i, id := range ids {
+		if id != experiments.Catalogue[i].ID {
+			t.Fatalf("ids[%d] = %s, the catalogue has %s", i, id, experiments.Catalogue[i].ID)
+		}
+		t.Run(id, func(t *testing.T) {
+			out, err := RunExperiment(strings.ToUpper(id), 0.01, 2)
+			if err != nil || !strings.Contains(out, "\n") {
+				t.Fatalf("RunExperiment(%s) = %q, %v", id, out, err)
+			}
+		})
+	}
+	_, err := RunExperiment("fig12", 0.01, 1)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(ids, ", ")) {
+		t.Fatalf("unknown id: %v, want an error listing %v", err, ids)
 	}
 }
 

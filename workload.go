@@ -58,57 +58,35 @@ func (s *System) Replay(reqs []Request) (Summary, error) {
 // warm-up prefix).
 func (s *System) ResetStats() { s.eng.Stats().Reset() }
 
-// ExperimentIDs lists the reproducible paper artifacts.
+// ExperimentIDs lists the reproducible artifacts — the ids of the
+// experiment catalogue cmd/podbench runs from: the paper's tables and
+// figures first, then the beyond-paper experiments podbench keeps out of
+// "all".
 func ExperimentIDs() []string {
-	return []string{"table1", "table2", "fig1", "fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "overhead", "raw", "schemes"}
+	ids := make([]string, len(experiments.Catalogue))
+	for i, x := range experiments.Catalogue {
+		ids[i] = x.ID
+	}
+	return ids
 }
 
-// RunExperiment regenerates one paper artifact and returns its
-// formatted table. Scale 1.0 replays the full request counts; workers
-// bounds replay parallelism (≤ 0 = one per replay).
+// RunExperiment regenerates one artifact and returns its formatted
+// tables, exactly as podbench prints them. Scale 1.0 replays the full
+// request counts; workers bounds replay parallelism (≤ 0 = one per
+// replay).
 func RunExperiment(id string, scale float64, workers int) (string, error) {
 	if scale <= 0 {
 		return "", fmt.Errorf("pod: non-positive scale %f", scale)
 	}
-	env := experiments.NewEnv(scale, workers)
-	switch strings.ToLower(id) {
-	case "table1":
-		return experiments.Table1().String(), nil
-	case "table2":
-		t, _ := env.Table2()
-		return t.String(), nil
-	case "fig1":
-		t, _ := env.Fig1()
-		return t.String(), nil
-	case "fig2":
-		t, _ := env.Fig2()
-		return t.String(), nil
-	case "fig3":
-		t, _ := env.Fig3(nil)
-		return t.String(), nil
-	case "fig8":
-		t, _ := env.Fig8()
-		return t.String(), nil
-	case "fig9":
-		a, _ := env.Fig9Write()
-		b, _ := env.Fig9Read()
-		return a.String() + "\n" + b.String(), nil
-	case "fig10":
-		t, _ := env.Fig10()
-		return t.String(), nil
-	case "fig11":
-		t, _ := env.Fig11()
-		return t.String(), nil
-	case "overhead":
-		t, _, _ := env.Overhead()
-		return t.String(), nil
-	case "raw":
-		return env.Raw().String(), nil
-	case "schemes":
-		return env.SchemesTable().String(), nil
-	default:
-		return "", fmt.Errorf("pod: unknown experiment %q (have %s)", id, strings.Join(ExperimentIDs(), ", "))
+	x, err := experiments.FindExperiment(id)
+	if err != nil {
+		return "", fmt.Errorf("pod: %w", err)
 	}
+	env := experiments.NewEnv(scale, workers)
+	defer env.Close()
+	var out strings.Builder
+	x.Print(env, &out)
+	return strings.TrimSuffix(out.String(), "\n"), nil
 }
 
 // ChunkSize is the deduplication granularity in bytes.
