@@ -72,9 +72,11 @@ repro-check: full-run
 # committed BENCH_replay.json. Wall deltas are printed, not judged:
 # they are machine-specific and noisy right after the race suite, and
 # belong to `bench -compare`'s alternating pairs. Entries only in the
-# reference (the podload flood sweep) are skipped, not failed.
+# reference (the podload flood sweep) are skipped, not failed. The CDC
+# split benchmarks — rotating windows and, the shape a replay issues,
+# sequential requests down one stream — fail unless 0 allocs/op.
 bench-delta: full-run
-	$(GO) test -run '^$$' -bench 'BenchmarkGearChunk|BenchmarkSeqCDCChunk' -benchmem ./internal/cdc/
+	$(GO) test -run '^$$' -bench 'BenchmarkGearChunk|BenchmarkSeqCDCChunk|BenchmarkGearStream|BenchmarkSeqCDCStream' -benchmem ./internal/cdc/
 	$(GO) run ./cmd/benchdelta -ref BENCH_replay.json -new /tmp/pod-bench-delta.json
 
 build:
@@ -91,16 +93,18 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path microbenchmarks, one layer each: the CDC landmark sweeps
-# (BenchmarkSeqMarks / BenchmarkGearMarks) beside the whole split
-# (rotating windows: *Chunk; sequential requests: *Stream), fixed-4K
-# split and fingerprinting, the Map table, the iCache's fingerprint
-# directory (a miss's insert + evict + ghost-evict, one Swap Module
-# repartition, one three-stream re-apportionment), and the tier's
-# control plane (hint-table put/get, a tick's grant drain, the inbox
-# behind a 1k and a 100k backlog and filled in runs of 1 / 7 / 256,
-# Close settling eight loaded agents on one core and on two). The CDC
-# split, the directory, the hint/grant benchmarks and the Map table's
-# Set with the reverse index on fail unless they run at 0 allocs/op.
+# (BenchmarkSeqMarks / BenchmarkGearMarks), the byte materializer and
+# the content hash (BenchmarkBytesHash, three chunk sizes) beside the
+# whole split (rotating windows: *Chunk; sequential requests:
+# *Stream), fixed-4K split and fingerprinting, the Map table, the
+# iCache's fingerprint directory (a miss's insert + evict +
+# ghost-evict, one Swap Module repartition, one three-stream
+# re-apportionment), and the tier's control plane (hint-table put/get,
+# a tick's grant drain, the inbox behind a 1k and a 100k backlog and
+# filled in runs of 1 / 7 / 256, Close settling eight loaded agents on
+# one core and on two). The CDC split and hash, the directory, the
+# hint/grant benchmarks and the Map table's Set with the reverse index
+# on fail unless they run at 0 allocs/op.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/
@@ -113,17 +117,22 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass over the parsers, the journal recovery, the CDC
-# landmark sweeps (batched bitmap vs the scalar predicate), the
-# iCache's fingerprint directory (vs its slice-and-linear-search model;
-# an input is a thousand operations, so minimising one is capped) and
-# the Map table's reverse index (vs a map of sets).
+# Short fuzz pass, nine targets: the parsers, the journal recovery,
+# the CDC landmark sweeps (batched bitmap vs the scalar predicate), the
+# carried split window (one long-lived Splitter vs a fresh one per
+# request) and normalized cut derivation (spacing invariants; a window
+# with lookback vs the whole stream), the iCache's fingerprint
+# directory (vs its slice-and-linear-search model; an input is a
+# thousand operations, so minimising one is capped) and the Map table's
+# reverse index (vs a map of sets).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzLoad -fuzztime 20s ./internal/maptable/
 	$(GO) test -fuzz FuzzSeqMarks -fuzztime 20s ./internal/cdc/
 	$(GO) test -fuzz FuzzGearMarks -fuzztime 20s ./internal/cdc/
+	$(GO) test -fuzz FuzzSplitterCarried -fuzztime 20s ./internal/cdc/
+	$(GO) test -fuzz FuzzStreamCuts -fuzztime 20s ./internal/cdc/
 	$(GO) test -fuzz FuzzDirectoryOps -fuzztime 20s -fuzzminimizetime 1s ./internal/icache/
 	$(GO) test -fuzz FuzzReverseIndexOps -fuzztime 20s -fuzzminimizetime 1s ./internal/maptable/
 

@@ -1,6 +1,7 @@
 package cdc
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -100,3 +101,25 @@ func BenchmarkSeqMarks(b *testing.B) {
 func BenchmarkGearMarks(b *testing.B) {
 	benchMarks(b, func(buf []byte, marks []uint64) { gearMarks(buf, 11, marks) })
 }
+
+// BenchmarkBytesHash isolates the content hash at a small, the mean
+// and the largest chunk size of the default bounds.
+func BenchmarkBytesHash(b *testing.B) {
+	for _, n := range []int{2048, 6400, 16384} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			buf := make([]byte, n)
+			testFill(buf, uint64(n))
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hashSink += bytesHash(buf)
+			}
+			b.StopTimer()
+			if avg := testing.AllocsPerRun(10, func() { hashSink += bytesHash(buf) }); avg != 0 {
+				b.Fatalf("bytesHash: %.2f allocs/op, want 0", avg)
+			}
+		})
+	}
+}
+
+var hashSink uint64 // keeps the compiler from dropping the hash

@@ -20,8 +20,11 @@
 //     byte-level redundancy exists between generations even though
 //     every 4 KiB block differs.
 //  2. A two-stage chunker: a batched landmark sweep (gear.go,
-//     seqcdc.go) marks candidate cutpoints in a bitmap, then cut
-//     derivation (cut.go) applies min/avg/max bounds. For stream
+//     seqcdc.go) marks candidate cutpoints in a bitmap, 64 positions a
+//     word — Gear asks each 64-byte block whether it holds a landmark
+//     at all and walks only those that do for positions, SeqCDC finds
+//     a block's run ends with shifts and ANDs of one step word — then
+//     cut derivation (cut.go) applies min/avg/max bounds. For stream
 //     (edit-ID) content the cuts are *normalized*: a landmark is
 //     accepted only when no other landmark precedes it within
 //     MinBytes, making every accepted cut a pure function of a
@@ -29,7 +32,8 @@
 //     to identical chunks within one max-chunk distance of the edit.
 //  3. A Splitter (splitter.go) that turns one write request's IDs
 //     into engine chunks: each CDC chunk occupies one logical slot,
-//     its ContentID is a 64-bit hash of its bytes, and its
+//     its ContentID is a 64-bit hash of its bytes (bytesHash: four
+//     lanes over 32-byte stripes, folded and avalanched), and its
 //     fingerprint derives from that ID exactly like the synthetic
 //     fixed-4K path — so the Map table, allocator, index cache, and
 //     every dedup decision downstream work unchanged.
@@ -54,7 +58,9 @@ const (
 	Fixed4K Algo = iota
 	// Gear is a Gear rolling-hash chunker (the FastCDC/VectorCDC hash
 	// family): h = (h<<1) + G[b], landmark where the top AvgBits bits
-	// of h are zero. The hash window is exactly 64 bytes.
+	// of h are zero. The hash window is exactly 64 bytes. The sweep
+	// keeps the smallest hash of each 64-byte block beside the chain
+	// and looks for positions only in a block whose minimum qualifies.
 	Gear
 	// SeqCDC is a hashless sequence-based chunker in the style of
 	// SeqCDC/VectorCDC: a landmark is a run of SeqLen consecutive

@@ -39,64 +39,60 @@ func gearMask(avgBits int) uint64 { return ^uint64(0) << (64 - avgBits) }
 
 // gearMarks sweeps buf and sets bit i of marks for every landmark
 // position i. marks must hold at least (len(buf)+63)/64 words; every
-// touched word is fully overwritten. The sweep is batched: one bitmap
-// word (64 input bytes) per outer iteration with an 8-way unrolled
-// body, no per-byte calls — the shape a SIMD/vector port would keep.
+// touched word is fully overwritten. The top avgBits bits of h are
+// zero exactly when h is below 1<<(64-avgBits), so a 64-byte block
+// holds a landmark iff the smallest hash in it is: the sweep carries
+// that minimum beside the hash chain (a compare and a conditional move
+// a byte, nothing data-dependent to branch on) and asks once per
+// block. Only a block that holds one — 64 in 2^avgBits of them — is
+// walked again, from the hash it was entered with, for the exact
+// positions.
 func gearMarks(buf []byte, avgBits int, marks []uint64) {
-	mask := gearMask(avgBits)
+	limit := uint64(1) << (64 - avgBits)
 	var h uint64
-	n := len(buf)
-	base := 0
 	w := 0
-	for ; base+64 <= n; base, w = base+64, w+1 {
-		b := buf[base : base+64 : base+64]
-		var bits uint64
+	for ; len(buf) >= 64; buf, w = buf[64:], w+1 {
+		b := (*[64]byte)(buf)
+		entry, lo := h, ^uint64(0)
 		for k := 0; k < 64; k += 8 {
 			h = h<<1 + gearTable[b[k]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+1]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+1)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+2]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+2)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+3]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+3)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+4]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+4)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+5]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+5)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+6]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+6)
-			}
+			lo = min(lo, h)
 			h = h<<1 + gearTable[b[k+7]]
-			if h&mask == 0 {
-				bits |= 1 << uint(k+7)
-			}
+			lo = min(lo, h)
 		}
-		marks[w] = bits
-	}
-	if base < n {
-		var bits uint64
-		for i := base; i < n; i++ {
-			h = h<<1 + gearTable[buf[i]]
-			if h&mask == 0 {
-				bits |= 1 << uint(i-base)
-			}
+		marks[w] = 0
+		if lo < limit {
+			marks[w] = gearBlockMarks(entry, b[:], limit)
 		}
-		marks[w] = bits
 	}
+	if len(buf) > 0 {
+		marks[w] = gearBlockMarks(h, buf, limit)
+	}
+}
+
+// gearBlockMarks returns the landmark bits of one block of at most 64
+// bytes entered with hash h: bit i is set iff the hash after b[i] is
+// below limit.
+func gearBlockMarks(h uint64, b []byte, limit uint64) (bits uint64) {
+	for i, c := range b {
+		h = h<<1 + gearTable[c]
+		if h < limit {
+			bits |= 1 << uint(i)
+		}
+	}
+	return bits
 }
 
 // gearMarkScalar is the reference predicate: it recomputes the rolling

@@ -50,13 +50,76 @@ func checkSeqMarks(t testing.TB, what string, buf []byte, seqLen int) {
 
 // TestGearMarksMatchScalar cross-checks the batched 64-byte-word Gear
 // sweep against the per-position scalar reference on buffers that
-// exercise every word-boundary case.
+// exercise every word-boundary case. AvgBits 6 puts a landmark in
+// nearly two blocks of three, so the exact-position walk of a block
+// that holds one is the common path there and the rare one at 11.
 func TestGearMarksMatchScalar(t *testing.T) {
 	for _, avgBits := range []int{6, 8, 11} {
 		for _, n := range markSizes {
 			buf := make([]byte, n)
 			testFill(buf, uint64(n)*1000+uint64(avgBits))
 			checkGearMarks(t, "random", buf, avgBits)
+		}
+	}
+}
+
+// forceGearMark rewrites the byte at p — and, only if no value of it
+// will do, the one or two before it as well — until p is a landmark.
+// Bytes after p are untouched, so landmarks forced earlier at lower
+// positions stand unless the search had to reach back into them, which
+// the caller's own check of the bitmap would show.
+func forceGearMark(t *testing.T, buf []byte, p, avgBits int) {
+	t.Helper()
+	for width := 1; width <= 3 && width <= p+1; width++ {
+		for c := 0; c < 1<<(8*width); c++ {
+			for j := 0; j < width; j++ {
+				buf[p-j] = byte(c >> (8 * j))
+			}
+			if gearMarkScalar(buf, p, avgBits) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no bytes make position %d a landmark at avgBits %d", p, avgBits)
+}
+
+// TestGearMarksForcedPositions places landmarks where a per-block test
+// followed by a walk from the block-entry hash goes wrong first: the
+// first and the last byte of a block (the entry hash is used at once;
+// the block's last hash is the next one's entry), several in one block,
+// blocks with none between them, and the short block at the buffer's
+// end.
+func TestGearMarksForcedPositions(t *testing.T) {
+	for _, avgBits := range []int{6, 11} {
+		for _, c := range []struct {
+			n     int
+			at    []int
+			dense bool // neighbours and position 0: one byte each must do, so AvgBits 6 only
+		}{
+			{64, []int{63}, false},
+			{128, []int{64}, false},
+			{128, []int{60, 63, 127}, false},
+			{256, []int{128, 131, 150, 191}, false}, // several in one block, none in the one after
+			{200, []int{64, 127, 192, 199}, false},  // the last two in the 8-byte tail block
+			{65, []int{64}, false},
+			{192, []int{0, 63, 64, 127, 128}, true},
+		} {
+			if c.dense && avgBits != 6 {
+				continue
+			}
+			buf := make([]byte, c.n)
+			testFill(buf, uint64(c.n)<<8|uint64(avgBits))
+			marks := make([]uint64, (c.n+63)/64)
+			for _, p := range c.at {
+				forceGearMark(t, buf, p, avgBits)
+			}
+			gearMarks(buf, avgBits, marks)
+			for _, p := range c.at {
+				if marks[p>>6]>>uint(p&63)&1 == 0 {
+					t.Fatalf("avgBits %d n=%d: forced landmark at %d is not in the bitmap", avgBits, c.n, p)
+				}
+			}
+			checkGearMarks(t, "forced", buf, avgBits)
 		}
 	}
 }

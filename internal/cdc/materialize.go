@@ -105,8 +105,12 @@ func EditOffset(object uint32, gen uint8) int {
 // baseWord returns the 8 little-endian base-stream bytes at base
 // offsets [8w, 8w+8).
 func baseWord(seed uint64, w int64) uint64 {
-	return mix64(seed + uint64(w+1)*0x9E3779B97F4A7C15)
+	return mix64(seed + uint64(w+1)*baseStep)
 }
+
+// baseStep is the distance between the mix64 inputs of consecutive
+// base words.
+const baseStep uint64 = 0x9E3779B97F4A7C15
 
 // baseByte returns base-stream byte r (r ≥ 0).
 func baseByte(seed uint64, r int64) byte {
@@ -123,38 +127,40 @@ func headByte(seed uint64, gen uint8, q int64) byte {
 // from must be ≥ 0; offsets past the generation's nominal length are
 // valid (the base stream is infinite), which the splitter uses for
 // bounded lookahead past a request window. The fill is word-granular
-// off the base stream — one mix64 per 8 output bytes — so a request
-// window materializes at memory-bandwidth-like speed.
+// off the base stream: whatever the cumulative edit offset, base words
+// land whole at (unaligned) positions of dst, so there is nothing to
+// shift — only the bytes before the first word boundary and after the
+// last whole stripe go out one at a time. Four words (32 bytes) go out
+// per iteration behind one bounds check; their mix64 inputs step by a
+// constant from one counter, so the four finalizers overlap.
 func MaterializeStream(object uint32, gen uint8, from int64, dst []byte) {
 	seed := objSeed(object)
-	head := int64(EditOffset(object, gen))
-	if head < 0 {
-		head = 0
-	}
+	off := int64(EditOffset(object, gen))
 	i := 0
 	// edited head region: tiny (≤ 16 bytes/generation), per-byte
-	for q := from; q < head && i < len(dst); q++ {
+	for q := from; q < off && i < len(dst); q++ {
 		dst[i] = headByte(seed, gen, q)
 		i++
 	}
-	if i >= len(dst) {
-		return
-	}
 	// base region, shifted by the cumulative edit offset
-	r := from + int64(i) - int64(EditOffset(object, gen))
-	w := r >> 3
-	sh := uint(r&7) * 8
-	cur := baseWord(seed, w)
-	for i+8 <= len(dst) {
-		next := baseWord(seed, w+1)
-		binary.LittleEndian.PutUint64(dst[i:], cur>>sh|next<<(64-sh))
-		cur = next
-		w++
-		i += 8
-		r += 8
-	}
-	for ; i < len(dst); i++ {
+	r := from + int64(i) - off
+	for ; r&7 != 0 && i < len(dst); i, r = i+1, r+1 {
 		dst[i] = baseByte(seed, r)
-		r++
+	}
+	x := seed + uint64(r>>3+1)*baseStep // baseWord(seed, r>>3) is mix64(x)
+	stripes := dst[i : i+(len(dst)-i)&^31]
+	i, r = i+len(stripes), r+int64(len(stripes)) // where the tail resumes
+	for ; len(stripes) >= 32; stripes = stripes[32:] {
+		binary.LittleEndian.PutUint64(stripes, mix64(x))
+		x += baseStep
+		binary.LittleEndian.PutUint64(stripes[8:], mix64(x))
+		x += baseStep
+		binary.LittleEndian.PutUint64(stripes[16:], mix64(x))
+		x += baseStep
+		binary.LittleEndian.PutUint64(stripes[24:], mix64(x))
+		x += baseStep
+	}
+	for ; i < len(dst); i, r = i+1, r+1 {
+		dst[i] = baseByte(seed, r)
 	}
 }

@@ -33,28 +33,63 @@ func TestEditCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMaterializeStreamPiecewise: random access must agree with itself
-// — materializing a range in one call equals materializing it in
-// arbitrary pieces.
+// streamByte is the stream's definition, one byte at a time: the
+// generation's own head bytes up to its cumulative edit offset, the
+// base stream shifted by that offset after it.
+func streamByte(obj uint32, gen uint8, q int64) byte {
+	off := int64(EditOffset(obj, gen))
+	if q < off {
+		return headByte(objSeed(obj), gen, q)
+	}
+	return baseByte(objSeed(obj), q-off)
+}
+
+// TestMaterializeStreamPiecewise: random access must agree with the
+// per-byte definition and with itself — materializing a range in one
+// call equals materializing it in arbitrary pieces — for a generation
+// shifted right (its head is edit bytes) and one shifted left (a
+// negative cumulative offset: its first byte is mid-word in the base
+// stream), at every combination of start offset within a base word and
+// length within a 32-byte stripe, so each of the lead-in, stripe and
+// tail loops runs for every count it can, including zero.
 func TestMaterializeStreamPiecewise(t *testing.T) {
 	const n = 20_000
-	whole := make([]byte, n)
-	MaterializeStream(3, 5, 0, whole)
-	for _, splitAt := range []int{1, 7, 4096, 13_011} {
-		a := make([]byte, splitAt)
-		b := make([]byte, n-splitAt)
-		MaterializeStream(3, 5, 0, a)
-		MaterializeStream(3, 5, int64(splitAt), b)
-		if !bytes.Equal(whole[:splitAt], a) || !bytes.Equal(whole[splitAt:], b) {
-			t.Fatalf("piecewise materialization at %d diverges", splitAt)
+	for _, c := range []struct {
+		obj  uint32
+		gen  uint8
+		sign int
+	}{{3, 5, +1}, {1, 3, -1}} {
+		obj, gen := c.obj, c.gen
+		if off := EditOffset(obj, gen); off*c.sign <= 0 {
+			t.Fatalf("stream %d/%d: cumulative offset %+d, the case wants sign %+d", obj, gen, off, c.sign)
 		}
-	}
-	// unaligned mid-stream starts (word-combine path with every shift)
-	for from := int64(9990); from < 9999; from++ {
-		p := make([]byte, 100)
-		MaterializeStream(3, 5, from, p)
-		if !bytes.Equal(whole[from:from+100], p) {
-			t.Fatalf("mid-stream read at %d diverges", from)
+		whole := make([]byte, n)
+		MaterializeStream(obj, gen, 0, whole)
+		for q := range whole {
+			if whole[q] != streamByte(obj, gen, int64(q)) {
+				t.Fatalf("stream %d/%d: byte %d differs from the per-byte definition", obj, gen, q)
+			}
+		}
+		for _, splitAt := range []int{1, 7, 4096, 13_011} {
+			a := make([]byte, splitAt)
+			b := make([]byte, n-splitAt)
+			MaterializeStream(obj, gen, 0, a)
+			MaterializeStream(obj, gen, int64(splitAt), b)
+			if !bytes.Equal(whole[:splitAt], a) || !bytes.Equal(whole[splitAt:], b) {
+				t.Fatalf("stream %d/%d: piecewise materialization at %d diverges", obj, gen, splitAt)
+			}
+		}
+		// starts inside and just past the edited head, and mid-stream
+		for _, from0 := range []int64{0, 9, 9984} {
+			for from := from0; from < from0+8; from++ {
+				for length := 64; length < 96; length++ {
+					p := make([]byte, length)
+					MaterializeStream(obj, gen, from, p)
+					if !bytes.Equal(whole[from:from+int64(length)], p) {
+						t.Fatalf("stream %d/%d: read of %d bytes at %d diverges", obj, gen, length, from)
+					}
+				}
+			}
 		}
 	}
 }

@@ -256,15 +256,30 @@ func (s *Splitter) detect(buf []byte, marks []uint64) {
 	}
 }
 
-// bytesHash is the content hash behind derived ContentIDs: a
-// mix64-chained word hash (the repository's murmur-finalizer family),
-// length-seeded so a chunk that is a prefix of another cannot collide
-// trivially.
+// bytesHash is the content hash behind derived ContentIDs. Four lanes
+// walk the 32-byte stripes of b side by side, lane l taking word l of
+// every stripe through one multiply-xorshift step, so four multiplies
+// are in flight where a single chain would wait on one; each lane
+// starts from its own seed, and all from the length, so a chunk that
+// is a prefix or a zero-extension of another cannot collide trivially.
+// The lanes fold through mix64 in order (not symmetric in them), the
+// words and bytes after the last whole stripe chain through mix64 one
+// at a time, and a last mix64 avalanches. A lane step is a bijection of
+// the lane for a fixed word and of the word for a fixed lane, as is
+// every fold and tail step, so two buffers of one length that differ
+// in a single word never share a hash.
 func bytesHash(b []byte) uint64 {
 	h := uint64(len(b))*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	for len(b) >= 8 {
+	h0, h1, h2, h3 := h^laneSeed0, h^laneSeed1, h^laneSeed2, h^laneSeed3
+	for ; len(b) >= 32; b = b[32:] {
+		h0 = laneStep(h0, binary.LittleEndian.Uint64(b))
+		h1 = laneStep(h1, binary.LittleEndian.Uint64(b[8:]))
+		h2 = laneStep(h2, binary.LittleEndian.Uint64(b[16:]))
+		h3 = laneStep(h3, binary.LittleEndian.Uint64(b[24:]))
+	}
+	h = mix64(mix64(mix64(mix64(h0)^h1)^h2) ^ h3)
+	for ; len(b) >= 8; b = b[8:] {
 		h = mix64(h ^ binary.LittleEndian.Uint64(b))
-		b = b[8:]
 	}
 	if len(b) > 0 {
 		var tail uint64
@@ -274,6 +289,20 @@ func bytesHash(b []byte) uint64 {
 		h = mix64(h ^ tail ^ 1<<63)
 	}
 	return mix64(h)
+}
+
+// The lane seeds are the fractional bits of √2, √3, √5 and √7.
+const (
+	laneSeed0 = 0x6A09E667F3BCC908
+	laneSeed1 = 0xBB67AE8584CAA73B
+	laneSeed2 = 0x3C6EF372FE94F82B
+	laneSeed3 = 0xA54FF53A5F1D36F1
+)
+
+// laneStep absorbs one word into one lane of bytesHash.
+func laneStep(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }
 
 // growTo returns s resliced to n elements, reallocated if its capacity

@@ -225,6 +225,87 @@ func TestSplitterSweepAmplification(t *testing.T) {
 	}
 }
 
+// carryParams are the bounds the carried window is checked under: the
+// defaults of both chunkers, and bounds that leave the buffer start and
+// end off the 64-byte grid.
+var carryParams = []Params{
+	{Algo: Gear},
+	{Algo: SeqCDC},
+	{Algo: SeqCDC, SeqLen: 16},
+	{Algo: Gear, MinBytes: 300, MaxBytes: 1000, AvgBits: 8},   // lookback 2364, lookahead 1000: nothing aligned
+	{Algo: SeqCDC, MinBytes: 257, MaxBytes: 4097, SeqLen: 3},  // lookback 8515
+	{Algo: SeqCDC, MinBytes: 2048, MaxBytes: 8192, SeqLen: 4}, // aligned, smaller than one block
+}
+
+// checkCarried drives one long-lived Splitter through the windows a
+// script describes and requires, window by window, exactly what a fresh
+// Splitter gives for that window alone: the same chunks (count,
+// ContentID, FP, bytes), the same buffer byte for byte and the same
+// landmark bitmap word for word. A window is three script bytes — what
+// to do, an argument, and the slot count (1–64): carry on where the
+// last window ended (half of all windows), skip ahead (a gap), step
+// back (overlapping the last window or wholly before it), switch to
+// another object (1, 2) and generation (0–7), return to the clamped
+// stream head, or let a plain request clobber the buffer first.
+func checkCarried(t testing.TB, p Params, script []byte) {
+	t.Helper()
+	plain := make([]chunk.ContentID, 8)
+	for i := range plain {
+		plain[i] = chunk.ContentID(i*4099 + 1)
+	}
+	carried := NewSplitter(p)
+	obj, gen, idx := uint32(1), uint8(0), 0
+	for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
+		arg, n := int(script[1]), 1+int(script[2])%64
+		switch script[0] % 10 {
+		case 5:
+			idx += arg
+		case 6:
+			idx = max(idx-arg, 0)
+		case 7:
+			obj, gen = uint32(1+arg&1), uint8(arg>>1&7)
+		case 8:
+			idx = arg % 4
+		case 9:
+			carried.Split(nil, plain)
+		}
+		ids := editWindow(obj, gen, idx, n)
+		idx += n
+
+		fresh := NewSplitter(p)
+		want, wantBytes := fresh.Split(nil, ids)
+		got, gotBytes := carried.Split(nil, ids)
+		if gotBytes != wantBytes || len(got) != len(want) {
+			t.Fatalf("%+v step %d (%d/%d idx %d n %d): carried emits %d chunks / %d bytes, fresh %d / %d",
+				p, step, obj, gen, idx-n, n, len(got), gotBytes, len(want), wantBytes)
+		}
+		for i := range want {
+			if got[i].Content != want[i].Content || got[i].FP != want[i].FP {
+				t.Fatalf("%+v step %d: chunk %d differs between carried and fresh splitters", p, step, i)
+			}
+		}
+		if !bytes.Equal(carried.buf, fresh.buf) {
+			t.Fatalf("%+v step %d: carried buffer differs from a fresh materialization", p, step)
+		}
+		if len(carried.marks) != len(fresh.marks) {
+			t.Fatalf("%+v step %d: %d landmark words, fresh has %d", p, step, len(carried.marks), len(fresh.marks))
+		}
+		for w := range fresh.marks {
+			if carried.marks[w] != fresh.marks[w] {
+				t.Fatalf("%+v step %d: landmark word %d = %#x, cold sweep gives %#x", p, step, w, carried.marks[w], fresh.marks[w])
+			}
+		}
+	}
+}
+
+// carryScript is the 200-window script TestSplitterCarryMatchesFresh
+// runs and FuzzSplitterCarried starts from.
+func carryScript() []byte {
+	script := make([]byte, 3*200)
+	rand.New(rand.NewSource(0x5EED)).Read(script)
+	return script
+}
+
 // TestSplitterCarryMatchesFresh is the carried window's correctness
 // property: one long-lived Splitter fed an arbitrary sequence of
 // requests — sequential, overlapping, gapped, backwards, switching
@@ -234,62 +315,7 @@ func TestSplitterSweepAmplification(t *testing.T) {
 // each request alone, and its buffer and landmark bitmap equal the
 // fresh (cold, whole-buffer) ones byte for byte and word for word.
 func TestSplitterCarryMatchesFresh(t *testing.T) {
-	plain := make([]chunk.ContentID, 8)
-	for i := range plain {
-		plain[i] = chunk.ContentID(i*4099 + 1)
-	}
-	for _, p := range []Params{
-		{Algo: Gear},
-		{Algo: SeqCDC},
-		{Algo: SeqCDC, SeqLen: 16},
-		{Algo: Gear, MinBytes: 300, MaxBytes: 1000, AvgBits: 8},   // lookback 2364, lookahead 1000: nothing aligned
-		{Algo: SeqCDC, MinBytes: 257, MaxBytes: 4097, SeqLen: 3},  // lookback 8515
-		{Algo: SeqCDC, MinBytes: 2048, MaxBytes: 8192, SeqLen: 4}, // aligned, smaller than one block
-	} {
-		carried := NewSplitter(p)
-		next := rand.New(rand.NewSource(0x5EED)).Intn
-		obj, gen, idx := uint32(1), uint8(0), 0
-		for step := 0; step < 200; step++ {
-			n := 1 + next(40)
-			switch next(10) {
-			case 0, 1, 2, 3, 4: // sequential: idx already sits past the last window
-			case 5:
-				idx += next(64) // gap
-			case 6:
-				idx = max(idx-next(96), 0) // backwards, possibly overlapping
-			case 7:
-				obj, gen = uint32(1+next(3)), uint8(next(4))
-			case 8:
-				idx = next(4) // back to the clamped stream head
-			case 9:
-				carried.Split(nil, plain) // clobbers the buffer
-			}
-			ids := editWindow(obj, gen, idx, n)
-			idx += n
-
-			fresh := NewSplitter(p)
-			want, wantBytes := fresh.Split(nil, ids)
-			got, gotBytes := carried.Split(nil, ids)
-			if gotBytes != wantBytes || len(got) != len(want) {
-				t.Fatalf("%+v step %d (%d/%d idx %d n %d): carried emits %d chunks / %d bytes, fresh %d / %d",
-					p, step, obj, gen, idx-n, n, len(got), gotBytes, len(want), wantBytes)
-			}
-			for i := range want {
-				if got[i].Content != want[i].Content || got[i].FP != want[i].FP {
-					t.Fatalf("%+v step %d: chunk %d differs between carried and fresh splitters", p, step, i)
-				}
-			}
-			if !bytes.Equal(carried.buf, fresh.buf) {
-				t.Fatalf("%+v step %d: carried buffer differs from a fresh materialization", p, step)
-			}
-			if len(carried.marks) != len(fresh.marks) {
-				t.Fatalf("%+v step %d: %d landmark words, fresh has %d", p, step, len(carried.marks), len(fresh.marks))
-			}
-			for w := range fresh.marks {
-				if carried.marks[w] != fresh.marks[w] {
-					t.Fatalf("%+v step %d: landmark word %d = %#x, cold sweep gives %#x", p, step, w, carried.marks[w], fresh.marks[w])
-				}
-			}
-		}
+	for _, p := range carryParams {
+		checkCarried(t, p, carryScript())
 	}
 }
