@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check smoke smoke-cli bench microbench repro repro-fast full-run bench-delta repro-check fuzz loc clean
+.PHONY: all build vet test check smoke smoke-cli microbench repro repro-fast full-run bench-delta repro-check fuzz loc clean
 
 all: build vet test
 
@@ -28,13 +28,15 @@ check:
 
 # The size figures a refactor PR states its delta in and every
 # ROADMAP re-anchor quotes: Go lines of non-test code outside bench/, of
-# tests, and of bench/, and engine.Base's nil checks. Print only.
+# tests, and of bench/, engine.Base's nil checks, and the exported
+# option fields the knob census counts (knobs_test.go). Print only.
 GOFILES = find . -name '*.go' -not -path './.*'
 loc:
 	@echo "non-test lines outside bench/: $$($(GOFILES) -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test lines outside bench/:     $$($(GOFILES) -not -path './bench/*' -name '*_test.go' | xargs cat | wc -l)"
 	@echo "bench/ lines:                  $$($(GOFILES) -path './bench/*' | xargs cat | wc -l)"
 	@echo "'!= nil' in engine/base.go:    $$(grep -c '!= nil' internal/engine/base.go)"
+	@echo "exported Config/Params fields: $$($(GO) test -count=1 -run '^TestKnobCensus$$' -v . | sed -n 's/.*knob census: \([0-9]*\).*/\1/p')"
 
 # Smoke, on its own: the serving-layer table (serve, metrics, the chaos
 # scenarios under the read-back oracle, background dedup, the tier, a
@@ -87,10 +89,6 @@ vet:
 
 test:
 	$(GO) test ./...
-
-# The benchmark harness regenerates every paper artifact at 0.1 scale.
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # Hot-path microbenchmarks, one layer each: the CDC landmark sweeps
 # (BenchmarkSeqMarks / BenchmarkGearMarks), the byte materializer and

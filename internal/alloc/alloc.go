@@ -8,11 +8,12 @@
 // disks", the condition POD's request classifier tests), and blocks
 // whose reference count drops to zero are returned for reuse.
 //
-// The allocator is a classic first-fit free-extent allocator with
-// eager coalescing: free extents are kept sorted by start address, and
-// Free merges with both neighbours when adjacent. Allocation prefers
-// the lowest-addressed extent that fits, which keeps the physical
-// layout compact and the fragmentation metrics meaningful.
+// The allocator is a classic free-extent allocator with eager
+// coalescing: free extents are kept sorted by start address, and
+// Free merges with both neighbours when adjacent. A run that no single
+// extent can hold (AllocScattered) fills the lowest-addressed extents
+// first, which keeps the physical layout compact and the fragmentation
+// metrics meaningful.
 //
 // AllocLargest — the per-write hot path of every log-structured engine
 // — is served by a lazy max-heap of (count, start) candidates layered
@@ -170,30 +171,6 @@ func (a *Allocator) LargestFree() uint64 {
 		}
 	}
 	return max
-}
-
-// Alloc reserves a contiguous run of n blocks, first-fit. It returns
-// the start address and true, or 0 and false when no single free extent
-// can hold n blocks (even if the total free space suffices).
-func (a *Allocator) Alloc(n uint64) (PBA, bool) {
-	if n == 0 {
-		return 0, false
-	}
-	for i := range a.free {
-		if a.free[i].Count >= n {
-			start := a.free[i].Start
-			a.free[i].Start += PBA(n)
-			a.free[i].Count -= n
-			if a.free[i].Count == 0 {
-				a.free = append(a.free[:i], a.free[i+1:]...)
-			} else {
-				a.note(a.free[i])
-			}
-			a.used += n
-			return start, true
-		}
-	}
-	return 0, false
 }
 
 // AllocLargest reserves a contiguous run of n blocks from the largest

@@ -8,7 +8,7 @@ import (
 
 func TestNewEmpty(t *testing.T) {
 	a := New(0)
-	if _, ok := a.Alloc(1); ok {
+	if _, ok := a.AllocLargest(1); ok {
 		t.Fatal("alloc from empty space should fail")
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -18,11 +18,11 @@ func TestNewEmpty(t *testing.T) {
 
 func TestAllocBasic(t *testing.T) {
 	a := New(100)
-	p, ok := a.Alloc(10)
+	p, ok := a.AllocLargest(10)
 	if !ok || p != 0 {
 		t.Fatalf("first alloc = %d,%v, want 0,true", p, ok)
 	}
-	p2, ok := a.Alloc(5)
+	p2, ok := a.AllocLargest(5)
 	if !ok || p2 != 10 {
 		t.Fatalf("second alloc = %d,%v, want 10,true", p2, ok)
 	}
@@ -33,29 +33,32 @@ func TestAllocBasic(t *testing.T) {
 
 func TestAllocZero(t *testing.T) {
 	a := New(10)
-	if _, ok := a.Alloc(0); ok {
+	if _, ok := a.AllocLargest(0); ok {
 		t.Fatal("alloc(0) should fail")
+	}
+	if _, ok := a.AllocScattered(0); ok {
+		t.Fatal("scattered alloc(0) should fail")
 	}
 }
 
 func TestAllocExhaustion(t *testing.T) {
 	a := New(10)
-	if _, ok := a.Alloc(11); ok {
+	if _, ok := a.AllocLargest(11); ok {
 		t.Fatal("oversized alloc should fail")
 	}
-	if _, ok := a.Alloc(10); !ok {
+	if _, ok := a.AllocLargest(10); !ok {
 		t.Fatal("exact-fit alloc should succeed")
 	}
-	if _, ok := a.Alloc(1); ok {
+	if _, ok := a.AllocLargest(1); ok {
 		t.Fatal("alloc from full space should fail")
 	}
 }
 
 func TestFreeCoalescing(t *testing.T) {
 	a := New(100)
-	p1, _ := a.Alloc(10) // [0,10)
-	p2, _ := a.Alloc(10) // [10,20)
-	p3, _ := a.Alloc(10) // [20,30)
+	p1, _ := a.AllocLargest(10) // [0,10)
+	p2, _ := a.AllocLargest(10) // [10,20)
+	p3, _ := a.AllocLargest(10) // [20,30)
 	a.Free(p1, 10)
 	a.Free(p3, 10)
 	if n := a.NumFreeExtents(); n != 3 { // [0,10) [20,30) [30,100)... p3 merges right with tail
@@ -78,24 +81,24 @@ func TestFreeCoalescing(t *testing.T) {
 
 func TestFirstFitReusesLowAddresses(t *testing.T) {
 	a := New(100)
-	p1, _ := a.Alloc(10)
-	a.Alloc(10)
+	p1, _ := a.AllocLargest(10)
+	a.AllocLargest(10)
 	a.Free(p1, 10)
-	p3, ok := a.Alloc(5)
-	if !ok || p3 != 0 {
-		t.Fatalf("first-fit should reuse the hole at 0, got %d", p3)
+	ext, ok := a.AllocScattered(5)
+	if !ok || len(ext) != 1 || ext[0] != (Extent{Start: 0, Count: 5}) {
+		t.Fatalf("first-fit should reuse the hole at 0, got %v", ext)
 	}
 }
 
 func TestContiguousFailureWithFragmentedSpace(t *testing.T) {
 	a := New(30)
-	p1, _ := a.Alloc(10)
-	_, _ = a.Alloc(10)
-	p3, _ := a.Alloc(10)
+	p1, _ := a.AllocLargest(10)
+	_, _ = a.AllocLargest(10)
+	p3, _ := a.AllocLargest(10)
 	a.Free(p1, 10)
 	a.Free(p3, 10)
 	// 20 blocks free but no run of 15
-	if _, ok := a.Alloc(15); ok {
+	if _, ok := a.AllocLargest(15); ok {
 		t.Fatal("contiguous alloc should fail on fragmented space")
 	}
 	ext, ok := a.AllocScattered(15)
@@ -119,9 +122,9 @@ func TestContiguousFailureWithFragmentedSpace(t *testing.T) {
 
 func TestAllocLargestPrefersFrontier(t *testing.T) {
 	a := New(100)
-	p1, _ := a.Alloc(10) // [0,10)
-	a.Alloc(10)          // [10,20)
-	a.Free(p1, 10)       // hole [0,10), frontier [20,100)
+	p1, _ := a.AllocLargest(10) // [0,10)
+	a.AllocLargest(10)          // [10,20)
+	a.Free(p1, 10)              // hole [0,10), frontier [20,100)
 	p, ok := a.AllocLargest(5)
 	if !ok || p != 20 {
 		t.Fatalf("AllocLargest = %d,%v, want frontier at 20", p, ok)
@@ -133,8 +136,8 @@ func TestAllocLargestPrefersFrontier(t *testing.T) {
 
 func TestAllocLargestFallsBackToHole(t *testing.T) {
 	a := New(30)
-	p1, _ := a.Alloc(10)
-	a.Alloc(20) // exhaust the frontier
+	p1, _ := a.AllocLargest(10)
+	a.AllocLargest(20) // exhaust the frontier
 	a.Free(p1, 10)
 	p, ok := a.AllocLargest(10)
 	if !ok || p != p1 {
@@ -144,7 +147,7 @@ func TestAllocLargestFallsBackToHole(t *testing.T) {
 
 func TestAllocLargestExhausted(t *testing.T) {
 	a := New(10)
-	a.Alloc(10)
+	a.AllocLargest(10)
 	if _, ok := a.AllocLargest(1); ok {
 		t.Fatal("alloc from full space must fail")
 	}
@@ -155,7 +158,7 @@ func TestAllocLargestExhausted(t *testing.T) {
 
 func TestAllocScatteredInsufficient(t *testing.T) {
 	a := New(10)
-	a.Alloc(8)
+	a.AllocLargest(8)
 	if _, ok := a.AllocScattered(3); ok {
 		t.Fatal("scattered alloc beyond free space must fail")
 	}
@@ -166,7 +169,7 @@ func TestAllocScatteredInsufficient(t *testing.T) {
 
 func TestDoubleFreePanics(t *testing.T) {
 	a := New(100)
-	p, _ := a.Alloc(10)
+	p, _ := a.AllocLargest(10)
 	a.Free(p, 10)
 	defer func() {
 		if recover() == nil {
@@ -223,7 +226,7 @@ func TestAllocatorProperty(t *testing.T) {
 		for _, raw := range opsRaw {
 			n := uint64(raw%64) + 1
 			if raw%3 != 0 || len(live) == 0 { // alloc twice as often as free
-				start, ok := a.Alloc(n)
+				start, ok := a.AllocLargest(n)
 				if !ok {
 					continue
 				}
@@ -267,7 +270,7 @@ func TestAllocScatteredProperty(t *testing.T) {
 		var frees []Extent
 		for _, s := range sizes {
 			sz := uint64(s%32) + 1
-			p, ok := a.Alloc(sz)
+			p, ok := a.AllocLargest(sz)
 			if !ok {
 				break
 			}
@@ -310,7 +313,7 @@ func BenchmarkAllocFree(b *testing.B) {
 	a := New(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, ok := a.Alloc(8)
+		p, ok := a.AllocLargest(8)
 		if !ok {
 			b.Fatal("space exhausted")
 		}
@@ -389,7 +392,7 @@ func refAllocLargest(free []Extent, n uint64) (PBA, bool) {
 
 // Property: the candidate-heap AllocLargest always selects exactly the
 // extent the linear reference scan would, across arbitrary interleaved
-// alloc/free/reserve traffic.
+// largest-extent / first-fit / free traffic.
 func TestAllocLargestMatchesReference(t *testing.T) {
 	f := func(ops []uint16) bool {
 		a := New(1 << 12)
@@ -411,9 +414,11 @@ func TestAllocLargestMatchesReference(t *testing.T) {
 				if ok {
 					live = append(live, held{got, n})
 				}
-			case 3: // first-fit alloc
-				if p, ok := a.Alloc(n); ok {
-					live = append(live, held{p, n})
+			case 3: // first-fit, possibly split over several extents
+				if ext, ok := a.AllocScattered(n); ok {
+					for _, e := range ext {
+						live = append(live, held{e.Start, e.Count})
+					}
 				}
 			default: // free one live run
 				if len(live) > 0 {

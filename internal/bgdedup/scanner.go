@@ -20,12 +20,6 @@ type Params struct {
 	// this much virtual time. The default (0) pauses on any backlog —
 	// the scanner runs only in fully idle windows.
 	MaxBacklog sim.Duration
-	// MaxArrivalRate additionally pauses scanning while the foreground
-	// arrival rate (requests per simulated second, estimated over
-	// RateWindow) exceeds this threshold; 0 disables the rate gate.
-	MaxArrivalRate float64
-	// RateWindow is the arrival-rate estimation window (default 1 s).
-	RateWindow sim.Duration
 }
 
 func (p Params) withDefaults() Params {
@@ -34,9 +28,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.BlocksPerSec == 0 {
 		p.BlocksPerSec = 16384
-	}
-	if p.RateWindow == 0 {
-		p.RateWindow = sim.Second
 	}
 	return p
 }
@@ -56,21 +47,16 @@ type Scanner struct {
 	nextStep sim.Time    // earliest virtual time of the next step
 	live     []alloc.PBA // liveIn's result, reused by every segment
 
-	// arrival-rate estimator: every Tick is one foreground request
-	winStart sim.Time
-	winTicks int64
-	rate     float64
-
 	steps          int64 // scan steps executed
 	wraps          int64 // complete sweeps of the data region
 	scanIOs        int64 // background read I/Os issued
 	pausedBusy     int64 // steps deferred on disk backlog
-	pausedLoad     int64 // steps deferred on arrival rate
 	skippedExtents int64 // extents skipped on read faults
 }
 
 // New attaches a scanner to the engine substrate: the Map table's
-// reverse index is enabled, the scanner joins the engine's
+// reverse index is enabled (crash recovery carries it onto the recovered
+// table), the scanner joins the engine's
 // Tick/Flush/Recover background path, and its progress gauges join the
 // engine registry. The substrate must not already run a background task
 // (Post-Process's scan queue is one): the scanner would displace it.
@@ -95,7 +81,6 @@ func New(b *engine.Base, p Params) *Scanner {
 	b.Reg.GaugeFunc("bgdedup_reclaimed_blocks", func() int64 { return s.core.reclaimed })
 	b.Reg.GaugeFunc("bgdedup_seq_swaps", func() int64 { return s.core.seqSwaps })
 	b.Reg.GaugeFunc("bgdedup_paused_busy", func() int64 { return s.pausedBusy })
-	b.Reg.GaugeFunc("bgdedup_paused_load", func() int64 { return s.pausedLoad })
 	b.Reg.GaugeFunc("bgdedup_skipped_extents", func() int64 { return s.skippedExtents })
 	return s
 }
@@ -123,27 +108,15 @@ func (s *Scanner) Core() *Core { return s.core }
 
 // Tick implements engine.BackgroundTask: it offers the scanner one
 // chance to run at the given virtual time. A step runs only when the
-// step interval elapsed, the disk queues are drained past MaxBacklog,
-// and the foreground arrival rate is below threshold — otherwise the
-// step is deferred and the pause counted.
+// step interval elapsed and the disk queues are drained past
+// MaxBacklog — otherwise the step is deferred and the pause counted.
 func (s *Scanner) Tick(now sim.Time) {
-	s.winTicks++
-	if w := now.Sub(s.winStart); w >= s.p.RateWindow {
-		s.rate = float64(s.winTicks) * 1e6 / float64(w)
-		s.winStart = now
-		s.winTicks = 0
-	}
 	if now < s.nextStep {
 		return
 	}
 	if s.b.Array.Backlog(now) > s.p.MaxBacklog {
 		s.pausedBusy++
 		s.nextStep = now.Add(s.p.Interval / 4)
-		return
-	}
-	if s.p.MaxArrivalRate > 0 && s.rate > s.p.MaxArrivalRate {
-		s.pausedLoad++
-		s.nextStep = now.Add(s.p.Interval)
 		return
 	}
 	s.nextStep = now.Add(s.p.Interval)
@@ -259,10 +232,6 @@ func (s *Scanner) Flush(now sim.Time) {
 // the base of the region. Every pre-crash remap is durable in the
 // journaled Map table, so the repeated sweep is idempotent.
 func (s *Scanner) RecoverReset() {
-	s.b.Map.EnableReverseIndex() // the recovered table starts without one
 	s.core.Reset()
 	s.cursor = 0
-	s.winStart = 0
-	s.winTicks = 0
-	s.rate = 0
 }

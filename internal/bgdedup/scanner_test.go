@@ -146,26 +146,6 @@ func TestIdleGateDefersUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestLoadGateDefersUnderArrivalRate: with a rate threshold set, a hot
-// arrival stream pauses scanning even when the disks happen to be idle.
-func TestLoadGateDefersUnderArrivalRate(t *testing.T) {
-	e := core.NewSelectDedupe(testConfig(1 << 14))
-	s, _ := bgdedup.Attach(e, bgdedup.Params{
-		Interval:       sim.Millisecond,
-		MaxArrivalRate: 10, // requests per simulated second
-		RateWindow:     sim.Millisecond,
-	})
-
-	// 20 ticks in 2ms ≈ 10k req/s, far over the 10 req/s threshold
-	for i := 1; i <= 20; i++ {
-		s.Tick(sim.Time(i * 100))
-	}
-	st := progress(e)
-	if st["bgdedup_paused_load"] == 0 {
-		t.Fatalf("no load deferrals at 10k req/s over a 10 req/s gate (stats %+v)", st)
-	}
-}
-
 // TestScanFaultSkipsExtentWithoutRemap: a typed read fault during the
 // sweep must skip the extent leaving every mapping untouched, and a
 // later healthy sweep must pick the work back up. RAID0 over one disk

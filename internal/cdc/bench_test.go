@@ -82,7 +82,7 @@ func BenchmarkMaterializeStream(b *testing.B) {
 // kernel and the whole split are separately visible.
 func benchMarks(b *testing.B, sweep func(buf []byte, marks []uint64)) {
 	p := Params{}.WithDefaults()
-	buf := make([]byte, 32*int(slotBytes)+int(p.lookback())+p.MaxBytes)
+	buf := make([]byte, 32*int(slotBytes)+int(p.lookback())+p.maxBytes)
 	MaterializeStream(1, 3, 4096, buf)
 	marks := make([]uint64, (len(buf)+63)/64)
 	b.SetBytes(int64(len(buf)))

@@ -27,7 +27,7 @@
 //     cut derivation (cut.go) applies min/avg/max bounds. For stream
 //     (edit-ID) content the cuts are *normalized*: a landmark is
 //     accepted only when no other landmark precedes it within
-//     MinBytes, making every accepted cut a pure function of a
+//     minBytes, making every accepted cut a pure function of a
 //     bounded content window — byte-shifted content re-synchronizes
 //     to identical chunks within one max-chunk distance of the edit.
 //  3. A Splitter (splitter.go) that turns one write request's IDs
@@ -57,13 +57,13 @@ const (
 	// Params leaves every existing configuration untouched.
 	Fixed4K Algo = iota
 	// Gear is a Gear rolling-hash chunker (the FastCDC/VectorCDC hash
-	// family): h = (h<<1) + G[b], landmark where the top AvgBits bits
+	// family): h = (h<<1) + G[b], landmark where the top avgBits bits
 	// of h are zero. The hash window is exactly 64 bytes. The sweep
 	// keeps the smallest hash of each 64-byte block beside the chain
 	// and looks for positions only in a block whose minimum qualifies.
 	Gear
 	// SeqCDC is a hashless sequence-based chunker in the style of
-	// SeqCDC/VectorCDC: a landmark is a run of SeqLen consecutive
+	// SeqCDC/VectorCDC: a landmark is a run of seqLen consecutive
 	// strictly-increasing byte steps. Cheaper per byte than Gear: the
 	// sweep is bit-parallel and branch-free — a SWAR byte compare per 8
 	// input bytes builds a 64-bit step bitmap, and shifts and ANDs of
@@ -117,23 +117,27 @@ func ParseAlgo(s string) (Algo, error) {
 }
 
 // Params configures one engine's chunker. The zero value selects
-// Fixed4K (CDC off); WithDefaults fills the remaining fields.
+// Fixed4K (CDC off); Algo is the one choice a caller makes. The chunk
+// shape below has a single serving value, the default WithDefaults
+// fills in; it is a set of fields only so this package's kernel
+// cross-checks and fuzz targets can sweep it (avgBits 6 makes Gear's
+// rare path the common one, every legal seqLen, small min/max bounds).
 type Params struct {
 	Algo Algo
 
-	// MinBytes and MaxBytes bound every emitted chunk (the head and
+	// minBytes and maxBytes bound every emitted chunk (the head and
 	// tail chunk of a stream may run shorter). Defaults 2048 / 16384.
-	MinBytes int
-	MaxBytes int
+	minBytes int
+	maxBytes int
 
-	// AvgBits sets Gear's landmark density: a landmark roughly every
-	// 2^AvgBits bytes before the min-bound filter. Default 11 (2 KiB).
-	AvgBits int
+	// avgBits sets Gear's landmark density: a landmark roughly every
+	// 2^avgBits bytes before the min-bound filter. Default 11 (2 KiB).
+	avgBits int
 
-	// SeqLen sets SeqCDC's landmark condition: a run of SeqLen
+	// seqLen sets SeqCDC's landmark condition: a run of seqLen
 	// consecutive strictly-increasing byte steps. Default 6 (≈1/5040
 	// positions on random bytes).
-	SeqLen int
+	seqLen int
 }
 
 // Enabled reports whether content-defined chunking is on.
@@ -141,17 +145,17 @@ func (p Params) Enabled() bool { return p.Algo != Fixed4K }
 
 // WithDefaults fills unset fields with the evaluation defaults.
 func (p Params) WithDefaults() Params {
-	if p.MinBytes == 0 {
-		p.MinBytes = 2048
+	if p.minBytes == 0 {
+		p.minBytes = 2048
 	}
-	if p.MaxBytes == 0 {
-		p.MaxBytes = 16384
+	if p.maxBytes == 0 {
+		p.maxBytes = 16384
 	}
-	if p.AvgBits == 0 {
-		p.AvgBits = 11
+	if p.avgBits == 0 {
+		p.avgBits = 11
 	}
-	if p.SeqLen == 0 {
-		p.SeqLen = 6
+	if p.seqLen == 0 {
+		p.seqLen = 6
 	}
 	return p
 }
@@ -162,20 +166,20 @@ func (p Params) Validate() error {
 	if !p.Enabled() {
 		return nil
 	}
-	if p.MinBytes < 256 {
-		return fmt.Errorf("cdc: MinBytes %d < 256", p.MinBytes)
+	if p.minBytes < 256 {
+		return fmt.Errorf("cdc: minBytes %d < 256", p.minBytes)
 	}
-	if p.MaxBytes < 2*p.MinBytes {
-		return fmt.Errorf("cdc: MaxBytes %d < 2×MinBytes %d", p.MaxBytes, p.MinBytes)
+	if p.maxBytes < 2*p.minBytes {
+		return fmt.Errorf("cdc: maxBytes %d < 2×minBytes %d", p.maxBytes, p.minBytes)
 	}
-	if p.MaxBytes > 1<<20 {
-		return fmt.Errorf("cdc: MaxBytes %d > 1 MiB", p.MaxBytes)
+	if p.maxBytes > 1<<20 {
+		return fmt.Errorf("cdc: maxBytes %d > 1 MiB", p.maxBytes)
 	}
-	if p.AvgBits < 6 || p.AvgBits > 20 {
-		return fmt.Errorf("cdc: AvgBits %d outside [6, 20]", p.AvgBits)
+	if p.avgBits < 6 || p.avgBits > 20 {
+		return fmt.Errorf("cdc: avgBits %d outside [6, 20]", p.avgBits)
 	}
-	if p.SeqLen < 3 || p.SeqLen > 16 {
-		return fmt.Errorf("cdc: SeqLen %d outside [3, 16]", p.SeqLen)
+	if p.seqLen < 3 || p.seqLen > 16 {
+		return fmt.Errorf("cdc: seqLen %d outside [3, 16]", p.seqLen)
 	}
 	return nil
 }

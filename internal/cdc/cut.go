@@ -11,18 +11,18 @@ import "math/bits"
 //
 //   - appendChainedCuts is the classic FastCDC walk for self-contained
 //     buffers (plain-ID requests): each chunk ends at the first
-//     landmark at least MinBytes after the previous cut, or at
-//     MaxBytes, whichever comes first. Simple, but each cut depends on
+//     landmark at least minBytes after the previous cut, or at
+//     maxBytes, whichever comes first. Simple, but each cut depends on
 //     the previous one, so an edit re-aligns every later cut until a
 //     landmark happens to coincide — within one request that is fine.
 //   - appendStreamCuts is the *normalized* mode for stream windows: a
 //     landmark is accepted iff no other landmark precedes it within
-//     MinBytes. Acceptance is a pure function of a bounded window
-//     (MinBytes+64 bytes of content), not of any earlier cut, so two
+//     minBytes. Acceptance is a pure function of a bounded window
+//     (minBytes+64 bytes of content), not of any earlier cut, so two
 //     streams sharing a run of content share every accepted cut inside
 //     it regardless of byte offset. Accepted landmarks are provably
-//     ≥ MinBytes apart (a closer pair would have rejected the later
-//     one), and gaps longer than MaxBytes are grid-filled with cuts
+//     ≥ minBytes apart (a closer pair would have rejected the later
+//     one), and gaps longer than maxBytes are grid-filled with cuts
 //     anchored to the preceding accepted landmark — still
 //     content-anchored, so still shift-invariant.
 

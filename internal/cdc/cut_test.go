@@ -128,7 +128,7 @@ func TestStreamCutsShiftInvariance(t *testing.T) {
 func TestStreamCutsWindowed(t *testing.T) {
 	const minB, maxB, avgBits = 2048, 16384, 11
 	const n = 1 << 18
-	lookback := Params{MinBytes: minB, MaxBytes: maxB}.lookback()
+	lookback := Params{minBytes: minB, maxBytes: maxB}.lookback()
 	full := make([]byte, n)
 	testFill(full, 99)
 	cutsFull := appendStreamCuts(nil, sweepGear(full, avgBits), n, 0, minB, maxB)

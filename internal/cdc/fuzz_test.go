@@ -2,7 +2,7 @@ package cdc
 
 import "testing"
 
-// FuzzSeqMarks: bytes + SeqLen → the bit-parallel sweep equals the
+// FuzzSeqMarks: bytes + seqLen → the bit-parallel sweep equals the
 // scalar run predicate. The seeds are the shapes a word-at-a-time
 // kernel gets wrong first: a ramp from position 0, ramps across one
 // and two bitmap-word boundaries, a run broken exactly at a boundary,
@@ -26,11 +26,11 @@ func FuzzSeqMarks(f *testing.F) {
 	f.Add([]byte{0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF, 0x00, 0x80, 0x7F, 0xFF, 0x01}, uint8(3))
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 3, 0, 1, 2, 3, 2}, uint8(3))
 	f.Fuzz(func(t *testing.T, buf []byte, sl uint8) {
-		checkSeqMarks(t, "fuzz", buf, 3+int(sl)%14) // every legal SeqLen, 3–16
+		checkSeqMarks(t, "fuzz", buf, 3+int(sl)%14) // every legal seqLen, 3–16
 	})
 }
 
-// FuzzGearMarks: bytes + AvgBits → the batched Gear sweep equals the
+// FuzzGearMarks: bytes + avgBits → the batched Gear sweep equals the
 // hash recomputed from scratch over each position's 64-byte window.
 func FuzzGearMarks(f *testing.F) {
 	long := make([]byte, 200)
@@ -40,7 +40,7 @@ func FuzzGearMarks(f *testing.F) {
 	f.Add(long[:65], uint8(11))
 	f.Add(make([]byte, 130), uint8(20))
 	f.Fuzz(func(t *testing.T, buf []byte, ab uint8) {
-		checkGearMarks(t, "fuzz", buf, 6+int(ab)%15) // every legal AvgBits, 6–20
+		checkGearMarks(t, "fuzz", buf, 6+int(ab)%15) // every legal avgBits, 6–20
 	})
 }
 
@@ -63,9 +63,9 @@ func FuzzSplitterCarried(f *testing.F) {
 
 // FuzzStreamCuts: landmark gaps + legal bounds → the invariants of
 // normalized cut derivation. Cuts strictly increase with no gap over
-// MaxBytes, buffer edges included; every landmark with no other within
-// MinBytes before it is cut at, those cuts lie ≥ MinBytes apart, and a
-// grid cut never leaves a fragment under MinBytes before one; and a
+// maxBytes, buffer edges included; every landmark with no other within
+// minBytes before it is cut at, those cuts lie ≥ minBytes apart, and a
+// grid cut never leaves a fragment under minBytes before one; and a
 // derivation over a window of the stream with lookback() behind it
 // yields the whole stream's cuts inside the window, provided the
 // lookback holds an accepted landmark (without one the windowed walk
@@ -82,10 +82,10 @@ func FuzzStreamCuts(f *testing.F) {
 	f.Add([]byte{255, 255, 0, 9, 255, 127, 3, 0, 0, 1, 255, 255}, uint16(1792), uint16(12288), uint16(3))
 	f.Add([]byte{}, uint16(0), uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, gaps []byte, minSel, maxSel, winSel uint16) {
-		p := Params{MinBytes: 256 + int(minSel)%4096}
-		p.MaxBytes = 2*p.MinBytes + int(maxSel)%32768
-		minB, maxB := p.MinBytes, p.MaxBytes
-		// landmark positions: two input bytes a gap, up to 2·MaxBytes
+		p := Params{minBytes: 256 + int(minSel)%4096}
+		p.maxBytes = 2*p.minBytes + int(maxSel)%32768
+		minB, maxB := p.minBytes, p.maxBytes
+		// landmark positions: two input bytes a gap, up to 2·maxBytes
 		var lands []int
 		pos := -1
 		for ; len(gaps) >= 2 && len(lands) < 256; gaps = gaps[2:] {
@@ -108,19 +108,19 @@ func FuzzStreamCuts(f *testing.F) {
 					t.Fatalf("[%d, %d): cut %d at %d does not follow the cut at %d", from, to, k, c, prev)
 				}
 				if int(c-prev) > maxB {
-					t.Fatalf("[%d, %d): cut %d at %d leaves a gap of %d > MaxBytes %d", from, to, k, c, c-prev, maxB)
+					t.Fatalf("[%d, %d): cut %d at %d leaves a gap of %d > maxBytes %d", from, to, k, c, c-prev, maxB)
 				}
 				prev = c
 			}
 			if to-from-int(prev) >= maxB || from == 0 && cuts[0] != 0 {
-				t.Fatalf("[%d, %d): cuts %v leave the head uncut or a tail ≥ MaxBytes", from, to, cuts)
+				t.Fatalf("[%d, %d): cuts %v leave the head uncut or a tail ≥ maxBytes", from, to, cuts)
 			}
 			return cuts
 		}
 		cuts := derive(0, n)
 
 		// the cuts isolated landmarks propose — no other landmark within
-		// MinBytes before them — are all there, ≥ MinBytes apart, with no
+		// minBytes before them — are all there, ≥ minBytes apart, with no
 		// shorter fragment between a grid cut and the next of them
 		isolated := map[int32]bool{}
 		lastLand := -(minB + 1)
@@ -137,10 +137,10 @@ func FuzzStreamCuts(f *testing.F) {
 			}
 			found++
 			if lastIsolated >= 0 && int(c-lastIsolated) < minB {
-				t.Fatalf("landmark cuts at %d and %d are under MinBytes %d apart", lastIsolated, c, minB)
+				t.Fatalf("landmark cuts at %d and %d are under minBytes %d apart", lastIsolated, c, minB)
 			}
 			if k > 1 && cuts[k-1] != lastIsolated && int(c-cuts[k-1]) < minB {
-				t.Fatalf("grid cut at %d leaves %d < MinBytes %d before the landmark cut at %d", cuts[k-1], c-cuts[k-1], minB, c)
+				t.Fatalf("grid cut at %d leaves %d < minBytes %d before the landmark cut at %d", cuts[k-1], c-cuts[k-1], minB, c)
 			}
 			lastIsolated = c
 		}
@@ -148,7 +148,7 @@ func FuzzStreamCuts(f *testing.F) {
 			t.Fatalf("%d of %d isolated landmarks were cut at", found, len(isolated))
 		}
 
-		// a window [wStart, wEnd) with lookback behind and MaxBytes ahead
+		// a window [wStart, wEnd) with lookback behind and maxBytes ahead
 		wStart := int(p.lookback()) + 1 + int(winSel)*7%(n+1)
 		wEnd := wStart + 1 + int(winSel)*131%(4*maxB)
 		bufStart, bufEnd := wStart-int(p.lookback()), wEnd+maxB

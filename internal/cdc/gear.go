@@ -3,7 +3,7 @@ package cdc
 // The Gear rolling hash: h = (h<<1) + G[b]. Each left shift retires
 // one byte's influence from the top bit, so after 64 steps a byte has
 // left the hash entirely — the effective window is exactly 64 bytes,
-// and the landmark predicate ("top AvgBits bits of h are zero") is a
+// and the landmark predicate ("top avgBits bits of h are zero") is a
 // pure function of the 64 bytes ending at the position. That locality
 // is what makes the cutpoints shift-invariant: the same 64 content
 // bytes produce the same landmark decision at any stream offset.

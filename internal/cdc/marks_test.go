@@ -50,7 +50,7 @@ func checkSeqMarks(t testing.TB, what string, buf []byte, seqLen int) {
 
 // TestGearMarksMatchScalar cross-checks the batched 64-byte-word Gear
 // sweep against the per-position scalar reference on buffers that
-// exercise every word-boundary case. AvgBits 6 puts a landmark in
+// exercise every word-boundary case. avgBits 6 puts a landmark in
 // nearly two blocks of three, so the exact-position walk of a block
 // that holds one is the common path there and the rare one at 11.
 func TestGearMarksMatchScalar(t *testing.T) {
@@ -94,7 +94,7 @@ func TestGearMarksForcedPositions(t *testing.T) {
 		for _, c := range []struct {
 			n     int
 			at    []int
-			dense bool // neighbours and position 0: one byte each must do, so AvgBits 6 only
+			dense bool // neighbours and position 0: one byte each must do, so avgBits 6 only
 		}{
 			{64, []int{63}, false},
 			{128, []int{64}, false},
@@ -125,8 +125,8 @@ func TestGearMarksForcedPositions(t *testing.T) {
 }
 
 // TestSeqMarksMatchScalar does the same for the sequence-based sweep
-// at every legal SeqLen, on random bytes with spliced monotone ramps
-// (shorter than, equal to and longer than SeqLen; longer than one and
+// at every legal seqLen, on random bytes with spliced monotone ramps
+// (shorter than, equal to and longer than seqLen; longer than one and
 // two bitmap words; starting at position 0, where there is no left
 // neighbour) and on low-entropy bytes, where equal neighbours and
 // short runs are the common case rather than the exception.

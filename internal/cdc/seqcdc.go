@@ -3,11 +3,11 @@ package cdc
 import "encoding/binary"
 
 // SeqCDC-style sequence-based landmarks: instead of a rolling hash,
-// a landmark is a monotone byte pattern — a run of SeqLen consecutive
+// a landmark is a monotone byte pattern — a run of seqLen consecutive
 // strictly-increasing steps (b[i] > b[i-1]). No multiplications, no
 // table lookups, and no hash state, which is why the SeqCDC/VectorCDC
 // line of work vectorizes so well. The predicate is a pure function of
-// the SeqLen+1 bytes ending at the position (plus one byte to its left
+// the seqLen+1 bytes ending at the position (plus one byte to its left
 // to detect the run's start), so cutpoints are shift-invariant exactly
 // like Gear's.
 //
@@ -15,8 +15,8 @@ import "encoding/binary"
 // increases" bitmap g, bit i = buf[i] > buf[i-1], eight positions per
 // SWAR compare of buf[i:] against buf[i-1:]. Stage two finds run ends
 // in g a bitmap word (64 positions) at a time: position i is a
-// landmark iff g is set at i, i-1, …, i-SeqLen+1 and clear at
-// i-SeqLen — an AND of SeqLen shifted copies of g, and-not one more.
+// landmark iff g is set at i, i-1, …, i-seqLen+1 and clear at
+// i-seqLen — an AND of seqLen shifted copies of g, and-not one more.
 // There is no run counter and no data-dependent branch: on real
 // content `b[i] > b[i-1]` is a coin flip, and a per-byte branch on it
 // mispredicts half the time.

@@ -70,12 +70,12 @@ func NewSplitter(p Params) *Splitter {
 func (s *Splitter) Params() Params { return s.p }
 
 // lookback is the content materialized behind a stream window so every
-// cut decision inside (and one straddler before) it is warm: MinBytes
+// cut decision inside (and one straddler before) it is warm: minBytes
 // of landmark-isolation history plus the 64-byte Gear window for the
 // earliest relevant position, which sits up to two max-chunks before
 // the window start (the straddler's own start, and its anchor).
 func (p Params) lookback() int64 {
-	return int64(2*p.MaxBytes + p.MinBytes + 64)
+	return int64(2*p.maxBytes + p.minBytes + 64)
 }
 
 // MaxChunksPerSlots bounds how many chunks Split can emit for a
@@ -84,8 +84,8 @@ func (p Params) lookback() int64 {
 // Workloads that interleave CDC extents use it to space LBA extents.
 func (p Params) MaxChunksPerSlots(n int) int {
 	p = p.WithDefaults()
-	span := int64(n)*slotBytes + 2*int64(p.MaxBytes)
-	return int(span/int64(p.MinBytes)) + 2
+	span := int64(n)*slotBytes + 2*int64(p.maxBytes)
+	return int(span/int64(p.minBytes)) + 2
 }
 
 // Split appends the content-defined chunks of one write request to dst
@@ -99,7 +99,7 @@ func (p Params) MaxChunksPerSlots(n int) int {
 // falls inside its window — the final chunk completes past the window
 // edge out of lookahead content, and the chunk straddling the window
 // start belongs to the preceding window (so a window shorter than
-// MaxBytes that holds no chunk start emits nothing: its bytes went out
+// maxBytes that holds no chunk start emits nothing: its bytes went out
 // with that chunk). Requests covering a stream
 // therefore tile its chunk sequence with no overlap and no gap: each
 // chunk is emitted exactly once per pass, which keeps one generation's
@@ -149,7 +149,7 @@ func (s *Splitter) splitStream(dst []chunk.Chunk, obj uint32, gen uint8, idx0 ui
 	if bufStart < 0 {
 		bufStart = 0
 	}
-	bufEnd := wEnd + int64(s.p.MaxBytes)
+	bufEnd := wEnd + int64(s.p.maxBytes)
 	bn := int(bufEnd - bufStart)
 
 	// Carry over what the previous window left: when this buffer
@@ -168,10 +168,10 @@ func (s *Splitter) splitStream(dst []chunk.Chunk, obj uint32, gen uint8, idx0 ui
 	s.MaterializedBytes += int64(bn - keep)
 	s.sweepFrom(keep / 64)
 	s.held = span{obj, gen, bufStart, bufEnd}
-	s.cuts = appendStreamCuts(s.cuts[:0], s.marks, bn, bufStart, s.p.MinBytes, s.p.MaxBytes)
+	s.cuts = appendStreamCuts(s.cuts[:0], s.marks, bn, bufStart, s.p.minBytes, s.p.maxBytes)
 
 	// emit every chunk starting in the window [wb0, wb1): cuts are
-	// chunk starts, and each chunk runs to the next cut (≤ MaxBytes
+	// chunk starts, and each chunk runs to the next cut (≤ maxBytes
 	// away by the grid guarantee, within the lookahead margin)
 	wb0 := int(wStart - bufStart)
 	wb1 := int(wEnd - bufStart)
@@ -182,8 +182,8 @@ func (s *Splitter) splitStream(dst []chunk.Chunk, obj uint32, gen uint8, idx0 ui
 	var emitted int64
 	for k < len(s.cuts) && int(s.cuts[k]) < wb1 {
 		if k+1 >= len(s.cuts) {
-			// the final cut sits within MaxBytes of the buffer end,
-			// past wb1 (the lookahead is exactly MaxBytes) — a chunk
+			// the final cut sits within maxBytes of the buffer end,
+			// past wb1 (the lookahead is exactly maxBytes) — a chunk
 			// starting before wb1 always has a successor cut
 			panic(fmt.Sprintf("cdc: no cut closing chunk at %d (stream %d/%d)", s.cuts[k], obj, gen))
 		}
@@ -203,7 +203,7 @@ func (s *Splitter) splitPlain(dst []chunk.Chunk, ids []chunk.ContentID) ([]chunk
 	s.mt.FillAll(s.buf, ids)
 	s.MaterializedBytes += int64(bn)
 	s.sweepFrom(0)
-	s.cuts = appendChainedCuts(s.cuts[:0], s.marks, bn, s.p.MinBytes, s.p.MaxBytes)
+	s.cuts = appendChainedCuts(s.cuts[:0], s.marks, bn, s.p.minBytes, s.p.maxBytes)
 
 	start := 0
 	for _, c := range s.cuts {
@@ -248,9 +248,9 @@ func (s *Splitter) sweepFrom(kept int) {
 func (s *Splitter) detect(buf []byte, marks []uint64) {
 	switch s.p.Algo {
 	case Gear:
-		gearMarks(buf, s.p.AvgBits, marks)
+		gearMarks(buf, s.p.avgBits, marks)
 	case SeqCDC:
-		seqMarks(buf, s.p.SeqLen, marks)
+		seqMarks(buf, s.p.seqLen, marks)
 	default:
 		panic("cdc: sweep with no algorithm")
 	}

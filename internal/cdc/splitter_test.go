@@ -206,7 +206,7 @@ func TestSplitterSweepAmplification(t *testing.T) {
 		for r := 0; r < requests; r++ {
 			s.Split(nil, editWindow(3, 1, r*blocks, blocks))
 		}
-		first := window + int64(s.p.MaxBytes) // clamped at the stream head: no lookback yet
+		first := window + int64(s.p.maxBytes) // clamped at the stream head: no lookback yet
 		if lb := s.p.lookback(); lb%64 != 0 || lb > window {
 			t.Fatalf("lookback %d: the counts below assume a word-aligned lookback inside one window", lb)
 		}
@@ -231,10 +231,10 @@ func TestSplitterSweepAmplification(t *testing.T) {
 var carryParams = []Params{
 	{Algo: Gear},
 	{Algo: SeqCDC},
-	{Algo: SeqCDC, SeqLen: 16},
-	{Algo: Gear, MinBytes: 300, MaxBytes: 1000, AvgBits: 8},   // lookback 2364, lookahead 1000: nothing aligned
-	{Algo: SeqCDC, MinBytes: 257, MaxBytes: 4097, SeqLen: 3},  // lookback 8515
-	{Algo: SeqCDC, MinBytes: 2048, MaxBytes: 8192, SeqLen: 4}, // aligned, smaller than one block
+	{Algo: SeqCDC, seqLen: 16},
+	{Algo: Gear, minBytes: 300, maxBytes: 1000, avgBits: 8},   // lookback 2364, lookahead 1000: nothing aligned
+	{Algo: SeqCDC, minBytes: 257, maxBytes: 4097, seqLen: 3},  // lookback 8515
+	{Algo: SeqCDC, minBytes: 2048, maxBytes: 8192, seqLen: 4}, // aligned, smaller than one block
 }
 
 // checkCarried drives one long-lived Splitter through the windows a

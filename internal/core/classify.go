@@ -40,11 +40,11 @@ func (c Category) String() string {
 	}
 }
 
-// Classify decides, for one write request, which chunks Select-Dedupe
-// deduplicates. dup[i] marks chunks whose fingerprint hit the hot
-// index; target[i] is the physical block of the existing copy (valid
-// where dup[i]). threshold is the paper's partial-redundancy threshold
-// (3 in the prototype).
+// ClassifyInto decides, for one write request, which chunks
+// Select-Dedupe deduplicates. dup[i] marks chunks whose fingerprint hit
+// the hot index; target[i] is the physical block of the existing copy
+// (valid where dup[i]). threshold is the paper's partial-redundancy
+// threshold (3 in the prototype).
 //
 // The decision follows Figure 5:
 //
@@ -58,16 +58,9 @@ func (c Category) String() string {
 //     written in full (category 2) so that subsequent reads stay
 //     sequential.
 //
-// The returned mask marks the positions to deduplicate.
-func Classify(dup []bool, target []alloc.PBA, threshold int) (Category, []bool) {
-	dedupe := make([]bool, len(dup))
-	return ClassifyInto(dedupe, dup, target, threshold), dedupe
-}
-
-// ClassifyInto is Classify writing its decision into a caller-provided
-// mask (the engines pass per-request scratch so the hot path does not
-// allocate). dedupe must have the same length as dup; it is cleared
-// before the decision is written.
+// The positions to deduplicate are marked in dedupe, a caller-provided
+// mask of dup's length (the engines pass per-request scratch so the hot
+// path does not allocate); it is cleared before the decision is written.
 func ClassifyInto(dedupe, dup []bool, target []alloc.PBA, threshold int) Category {
 	n := len(dup)
 	for i := range dedupe {

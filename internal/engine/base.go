@@ -86,14 +86,10 @@ type StreamParams struct {
 	// index partition for the engine's lifetime (no estimator) —
 	// the baseline the dynamic apportioner is evaluated against.
 	// When nil, a temporal-locality estimator re-divides the partition
-	// every Interval with a shared floor per active stream.
+	// every iCache evaluation interval (Config.Interval) with a shared
+	// floor per active stream; its sketch is sized to the index
+	// partition.
 	StaticShares map[uint32]float64
-	// Interval is the apportionment period (default: the engine's
-	// iCache evaluation interval).
-	Interval sim.Duration
-	// Locality tunes the estimator; the zero value selects defaults,
-	// with the sketch sized to the index partition.
-	Locality locality.Params
 }
 
 // WithDefaults fills unset fields with the evaluation defaults.
@@ -164,7 +160,6 @@ type Base struct {
 	// locality estimator behind dynamic apportionment, its schedule,
 	// and per-stream write-removal accounting for the fairness gauges.
 	Loc           *locality.Estimator
-	strInterval   sim.Duration
 	nextApportion sim.Time
 	strAcct       map[uint32]*streamWrites
 
@@ -203,6 +198,9 @@ func NewBase(cfg Config) *Base {
 	}
 	total := cfg.Array.DataBlocks()
 	zone := total / IndexZoneFrac
+	if zone == 0 {
+		panic(fmt.Sprintf("engine: an array of %d data blocks leaves no index zone: need at least %d", total, IndexZoneFrac))
+	}
 	data := total - zone
 
 	icp := icache.DefaultParams(cfg.MemoryBytes)
@@ -224,7 +222,6 @@ func NewBase(cfg Config) *Base {
 		Map:        maptable.New(dev),
 		Store:      NewStore(),
 		Hash:       chunk.NewHashEngine(cfg.Fingerprinter, cfg.HashWorkers),
-		IC:         icache.New(icp),
 		St:         NewStats(),
 		Reg:        reg,
 		Ph:         reg.Phases(),
@@ -238,39 +235,36 @@ func NewBase(cfg Config) *Base {
 		b.splitter = cdc.NewSplitter(cfg.Chunking)
 		b.Cfg.Chunking = b.splitter.Params() // defaults filled
 	}
-	if cfg.Streams.Enabled {
-		b.setupStreams()
-	}
+	b.coldCache()
 	b.instrument()
 	return b
 }
 
-// setupStreams puts the iCache into per-stream mode and, for dynamic
-// apportionment, builds a fresh locality estimator. Runs at
-// construction and again after recovery rebuilds the caches (the
-// estimator is DRAM state and comes back cold, like the caches).
-func (b *Base) setupStreams() {
+// coldCache is the one place Base builds its iCache: empty, and in
+// stream mode (Cfg.Streams) split per stream, with a fresh locality
+// estimator for dynamic apportionment. Construction and recovery both
+// call it — the caches and the estimator are DRAM state and come back
+// cold together; the per-stream write accounting is cumulative, like
+// Stats, and is kept.
+func (b *Base) coldCache() {
+	b.IC = icache.New(b.icparams)
 	sp := b.Cfg.Streams
-	b.IC.EnableStreams(sp.StaticShares)
-	b.strInterval = sp.Interval
-	if b.strInterval == 0 {
-		b.strInterval = b.icparams.Interval
+	if !sp.Enabled {
+		return
 	}
-	b.nextApportion = sim.Time(b.strInterval)
+	b.IC.EnableStreams(sp.StaticShares)
+	b.nextApportion = sim.Time(b.Cfg.Interval)
 	if b.strAcct == nil {
 		b.strAcct = make(map[uint32]*streamWrites)
 	}
 	if sp.StaticShares != nil {
-		b.Loc = nil
 		return
 	}
-	lp := sp.Locality.WithDefaults()
-	if sp.Locality.WindowEntries == 0 {
-		// size the sketch so a sketch hit predicts an index hit at full
-		// quota: index-partition entries, scaled by the sample rate
-		if w := b.IC.IndexCapTotal() >> lp.SampleShift; w > 0 {
-			lp.WindowEntries = w
-		}
+	// size the sketch so a sketch hit predicts an index hit at full
+	// quota: index-partition entries, scaled by the sample rate
+	lp := locality.Params{}.WithDefaults()
+	if w := b.IC.IndexCapTotal() >> lp.SampleShift; w > 0 {
+		lp.WindowEntries = w
 	}
 	b.Loc = locality.New(lp)
 }
@@ -374,8 +368,9 @@ type Tier interface {
 	OwnerDown(owner int) bool
 }
 
-// SetTier seats the shard's tier agent, on the Base and on its current
-// Map table; RecoverLoad re-seats it on the recovered table.
+// SetTier seats the shard's tier agent, on the Base and on its Map
+// table; a recovered table takes the handler over from the one it
+// replaces (RecoverLoad).
 func (b *Base) SetTier(t Tier) {
 	b.Tier = t
 	b.Map.OnParole = t.Parole
@@ -432,21 +427,21 @@ func (b *Base) Recover() (int, error) {
 }
 
 // RecoverLoad is the first phase of recovery: it rebuilds the Map
-// table from the NVRAM journal. The sharded server runs this phase on
-// every shard before any RecoverFinish, so cross-shard canonical
-// references can be re-pinned on their owners before each owner prunes
-// its physical contents.
+// table from the NVRAM journal. This is the one place a Map table is
+// replaced, so the old table is handed to the load and the new one
+// takes over its wiring (parole handler, reverse index) — nothing that
+// attached to b.Map re-attaches after recovery. The sharded server runs
+// this phase on every shard before any RecoverFinish, so cross-shard
+// canonical references can be re-pinned on their owners before each
+// owner prunes its physical contents.
 func (b *Base) RecoverLoad() (int, error) {
 	if b.nvdev == nil {
 		return 0, fmt.Errorf("engine: no NVRAM configured (Config.NVRAMBytes = 0)")
 	}
 	b.nvdev.Recover()
-	tbl, applied, err := maptable.Load(b.nvdev)
+	tbl, applied, err := maptable.Load(b.nvdev, b.Map)
 	if err != nil {
 		return 0, err
-	}
-	if b.Tier != nil {
-		tbl.OnParole = b.Tier.Parole
 	}
 	b.Map = tbl
 	return applied, nil
@@ -484,10 +479,7 @@ func (b *Base) RecoverFinish(pinned []alloc.PBA) {
 	b.Store.Retain(keep)
 
 	// volatile caches come back cold
-	b.IC = icache.New(b.icparams)
-	if b.Cfg.Streams.Enabled {
-		b.setupStreams()
-	}
+	b.coldCache()
 	// re-point the live gauges at the rebuilt substrates
 	b.instrument()
 	if b.Background != nil {
@@ -877,13 +869,13 @@ func (b *Base) ApplyRepartition(now sim.Time, rep icache.Repartition) {
 	// in costs ⌈K/batch⌉ large sequential background reads — not K
 	// scattered ones.
 	if n := uint64(len(rep.ReadSwapIns)); n > 0 {
-		const batch = 256
+		batch := min(256, b.zoneBlocks) // a small array's whole zone
 		for off := uint64(0); off < n; off += batch {
-			cnt := n - off
-			if cnt > batch {
-				cnt = batch
+			cnt := min(n-off, batch)
+			start := b.dataBlocks
+			if left := b.zoneBlocks - batch; left > 0 {
+				start += b.swapCursor % left
 			}
-			start := b.dataBlocks + (b.swapCursor % (b.zoneBlocks - batch))
 			b.swapCursor += cnt
 			// background traffic: errors are dropped, the swap-in is
 			// simply retried by the next repartition that needs it
@@ -899,7 +891,7 @@ func (b *Base) ApplyRepartition(now sim.Time, rep icache.Repartition) {
 // it, so the Pipeline ticks every scheme the same way.
 func (b *Base) Tick(now sim.Time) {
 	if b.Loc != nil && now >= b.nextApportion {
-		b.nextApportion = now.Add(b.strInterval)
+		b.nextApportion = now.Add(b.Cfg.Interval)
 		if shares := b.Loc.Apportion(); shares != nil {
 			b.IC.SetStreamShares(shares)
 		}

@@ -38,6 +38,9 @@ func TestNewBaseValidation(t *testing.T) {
 		disks := []*disk.Disk{disk.New(disk.DefaultParams(64)), disk.New(disk.DefaultParams(64)), disk.New(disk.DefaultParams(64))}
 		NewBase(Config{Array: raid.New(raid.RAID5, disks, 16)})
 	})
+	mustPanic("no index zone", func() { // 16 data blocks: 16/32 rounds to a zone of none
+		NewBase(Config{Array: raid.New(raid.RAID0, []*disk.Disk{disk.New(disk.DefaultParams(16))}, 16), MemoryBytes: 1 << 20})
+	})
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -401,5 +404,97 @@ func TestApplyRepartitionReadSwapInsChargeIO(t *testing.T) {
 	b.ApplyRepartition(2000, icacheRepartition(false, nil))
 	if b.St.SwapInIOs != before {
 		t.Fatal("no-op repartition charged I/O")
+	}
+}
+
+// wiringTier is a tier seat that only remembers what was paroled;
+// wiringTask a background task whose RecoverReset touches nothing.
+type wiringTier struct{ paroled []alloc.PBA }
+
+func (w *wiringTier) Advertise(chunk.Fingerprint, alloc.PBA, bool) {}
+func (w *wiringTier) Hint(chunk.Fingerprint) (alloc.PBA, bool)     { return 0, false }
+func (w *wiringTier) RemoteRef(alloc.PBA, bool)                    {}
+func (w *wiringTier) Parole(pba alloc.PBA)                         { w.paroled = append(w.paroled, pba) }
+func (w *wiringTier) OwnerDown(int) bool                           { return false }
+
+type wiringTask struct{ resets int }
+
+func (w *wiringTask) Tick(sim.Time)  {}
+func (w *wiringTask) Flush(sim.Time) {}
+func (w *wiringTask) RecoverReset()  { w.resets++ }
+
+// TestRecoveryCarriesWiring: recovery replaces the Map table and the
+// iCache, and Base alone must hand the new objects what was attached to
+// the old ones — the tier's parole handler, the reverse index a scanner
+// or a tier agent enabled, stream mode with its configured shares. The
+// features here are stand-ins that re-attach nothing, so a carry-over
+// Base forgets shows up as a missing parole, a Referrers panic or a
+// classic-mode iCache; a second crash must find everything in place
+// again.
+func TestRecoveryCarriesWiring(t *testing.T) {
+	disks := make([]*disk.Disk, 4)
+	for i := range disks {
+		disks[i] = disk.New(disk.DefaultParams(1 << 16))
+	}
+	shares := map[uint32]float64{1: 0.75, 2: 0.25}
+	b := NewBase(Config{
+		Array:       raid.New(raid.RAID5, disks, 16),
+		MemoryBytes: 1 << 20,
+		NVRAMBytes:  1 << 20,
+		Streams:     StreamParams{Enabled: true, StaticShares: shares},
+	})
+	tier, task := &wiringTier{}, &wiringTask{}
+	b.SetTier(tier)
+	b.Background = task
+	b.Map.EnableReverseIndex()
+
+	// two LBAs share block 7; block 9 has one referrer
+	b.Alloc.Reserve(7, 1)
+	b.Alloc.Reserve(9, 1)
+	b.Store.Write(7, 70)
+	b.Store.Write(9, 90)
+	b.Map.Set(100, 7, true)
+	b.Map.Set(200, 7, true)
+	b.Map.Set(300, 9, true)
+
+	for crash := 1; crash <= 2; crash++ {
+		if _, err := b.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if task.resets != crash {
+			t.Fatalf("crash %d: background task reset %d times", crash, task.resets)
+		}
+		// reverse index: alive and rebuilt over the recovered mappings
+		refs := b.Map.Referrers(nil, 7)
+		if len(refs) != 2 || refs[0]+refs[1] != 300 {
+			t.Fatalf("crash %d: referrers of block 7 = %v, want 100 and 200", crash, refs)
+		}
+		// parole handler: a pinned block losing its last reference
+		// reaches the seated tier
+		b.Map.Pin(9)
+		b.Map.Unset(300)
+		if len(tier.paroled) != crash || tier.paroled[crash-1] != 9 {
+			t.Fatalf("crash %d: paroled %v, want block 9 to reach the tier", crash, tier.paroled)
+		}
+		b.Map.Set(300, 9, true) // put it back (journaled) for the next round
+		b.Map.Unpin(9)
+		// stream mode, with the configured split
+		c := chunk.Chunk{Content: 1}
+		for id := range shares {
+			b.IC.IndexInsertS(id, chunk.SyntheticFingerprinter{}.Fingerprint(&c), 7)
+			c.Content++
+		}
+		quotas := b.IC.StreamQuotas()
+		if len(quotas) != len(shares) {
+			t.Fatalf("crash %d: stream quotas %+v, want one per configured stream", crash, quotas)
+		}
+		for _, q := range quotas {
+			if q.Share != shares[q.Stream] {
+				t.Fatalf("crash %d: stream %d share %v, want %v", crash, q.Stream, q.Share, shares[q.Stream])
+			}
+		}
+		if err := b.CheckConsistency(); err != nil {
+			t.Fatalf("crash %d: %v", crash, err)
+		}
 	}
 }

@@ -78,7 +78,7 @@ var (
 	scannerBlock = []string{
 		"alloc: used=${alloc_used_blocks} blocks, free extents=${alloc_free_extents}, largest free=${alloc_largest_free}",
 		"bgdedup: steps=${bgdedup_steps} wraps=${bgdedup_wraps} scan-ios=${bgdedup_scan_ios} scanned=${bgdedup_scanned_blocks} dups=${bgdedup_duplicate_blocks} remapped=${bgdedup_remapped_lbas} reclaimed=${bgdedup_reclaimed_blocks} seq-swaps=${bgdedup_seq_swaps}",
-		"bgdedup: paused busy=${bgdedup_paused_busy} load=${bgdedup_paused_load}, skipped extents=${bgdedup_skipped_extents}",
+		"bgdedup: paused busy=${bgdedup_paused_busy}, skipped extents=${bgdedup_skipped_extents}",
 	}
 	tierBlock = []string{
 		"globalfp: ads queued=${globalfp_ads_queued} dropped=${globalfp_ads_dropped} | dups detected=${globalfp_dups_detected} hints broadcast=${globalfp_hints_broadcast} installed=${globalfp_hints_installed} | table entries=${globalfp_table_entries} fixes=${globalfp_table_fixes}",

@@ -343,15 +343,6 @@ func (in *Injector) healRange(ds *diskState, start, n uint64) {
 	ds.sectors = out
 }
 
-// Heal remaps latent sectors in [start, start+n) on disk d — the RAID
-// layer calls it after reconstructing a sector and writing it back.
-func (in *Injector) Heal(d int, start, n uint64) {
-	if in == nil {
-		return
-	}
-	in.healRange(&in.disks[d], start, n)
-}
-
 // Inflate applies any active slow-disk window to a service time.
 func (in *Injector) Inflate(d int, t sim.Time, svc sim.Duration) sim.Duration {
 	if in == nil {

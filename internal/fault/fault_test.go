@@ -32,7 +32,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if got := in.Inflate(0, 0, 100); got != 100 {
 		t.Fatalf("nil injector inflated: %d", got)
 	}
-	in.Heal(0, 0, 10)
 	in.ReplaceDisk(0)
 	if s := in.Stats(); s != (Stats{}) {
 		t.Fatalf("nil injector has stats: %+v", s)
@@ -136,10 +135,13 @@ func TestSectorErrorsAndWriteHeal(t *testing.T) {
 	if err := in.Check(0, 40, false, 130, 2); err == nil {
 		t.Fatal("tail of split range silently healed")
 	}
-	// Heal (the reconstruct-and-write-back path) clears the rest
-	in.Heal(0, 100, 50)
+	// a write over the whole range (the array's reconstruct-and-write-back
+	// repair) clears the rest
+	if err := in.Check(0, 45, true, 100, 50); err != nil {
+		t.Fatalf("repair write: %v", err)
+	}
 	if err := in.Check(0, 50, false, 100, 50); err != nil {
-		t.Fatalf("after Heal: %v", err)
+		t.Fatalf("after the repair write: %v", err)
 	}
 	if s := in.Stats(); s.HealedRanges == 0 || s.Sector == 0 {
 		t.Fatalf("stats did not track activity: %+v", s)

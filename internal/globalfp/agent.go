@@ -200,13 +200,13 @@ func (a *Agent) OwnerDown(owner int) bool { return a.t.Down(owner) }
 // windows — the scanner's pacing discipline; the wrapped scanner gets
 // the tail of the tick.
 func (a *Agent) Tick(now sim.Time) {
-	a.drainMsgs(now, a.t.p.MsgsPerTick)
+	a.drainMsgs(now, msgsPerTick)
 	if now >= a.nextFold {
 		if a.b.Array.Backlog(now) > foldMaxBacklog {
 			a.nextFold = now.Add(foldStepInterval / 4)
 		} else {
 			a.nextFold = now.Add(foldStepInterval)
-			a.applyFolds(now, a.t.p.FoldsPerTick)
+			a.applyFolds(now, foldsPerTick)
 			a.processParole(now, paroleBudget)
 			a.sweepRecalls(now, false)
 		}
@@ -238,7 +238,6 @@ func (a *Agent) RecoverReset() {
 		delete(a.recalling, k)
 	}
 	a.hinted = make([]uint64, (a.b.DataBlocks()+63)/64)
-	a.b.Map.EnableReverseIndex() // the recovered table starts without one
 	if a.inner != nil {
 		a.inner.RecoverReset()
 	}

@@ -134,7 +134,7 @@ func TestRecallCompletesWhenEveryPeerIsDown(t *testing.T) {
 	// Fabricate the owner-side state a granted canonical would hold:
 	// block 0 live, hinted-pinned, unreferenced (paroled).
 	b := a.b
-	pba, ok := b.Alloc.Alloc(1)
+	pba, ok := b.Alloc.AllocLargest(1)
 	if !ok {
 		t.Fatal("alloc failed")
 	}

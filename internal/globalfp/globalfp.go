@@ -83,46 +83,35 @@ import (
 	"github.com/pod-dedup/pod/internal/chunk"
 )
 
-// Params tunes the tier; zero values select the defaults.
-type Params struct {
-	// Partitions is the number of fingerprint partitions, each with
-	// its own table, worker goroutine, and ad queue (default 8).
-	Partitions int
-	// QueueLen is the per-partition advertisement queue capacity;
-	// a full queue drops ads rather than block the write path
-	// (default 4096).
-	QueueLen int
-	// FoldsPerTick bounds the remap candidates a shard agent applies
+// The tier's sizes. No run has ever needed a second value of any of
+// them, so they are constants; DESIGN.md §12 "Architecture" gives the
+// measurements behind each.
+const (
+	// partitions is the number of fingerprint partitions, each with
+	// its own table, worker goroutine, and ad queue.
+	partitions = 8
+	// queueLen is the per-partition advertisement queue capacity; a
+	// full queue drops ads rather than block the write path.
+	queueLen = 4096
+	// foldsPerTick bounds the remap candidates a shard agent applies
 	// per paced fold step; fold I/O beyond the budget waits for the
-	// next step or an idle window (default 4). Deliberately small:
-	// every fold applied while the shard is still serving converts
-	// later reads of that block into flat-latency remote fetches, so
-	// eager folding trades read latency for capacity that settlement
-	// would reclaim for free after the serving window anyway.
-	FoldsPerTick int
-	// MsgsPerTick bounds the control messages (grants, pin traffic,
+	// next step or an idle window. Deliberately small: every fold
+	// applied while the shard is still serving converts later reads of
+	// that block into flat-latency remote fetches, so eager folding
+	// trades read latency for capacity that settlement would reclaim
+	// for free after the serving window anyway.
+	foldsPerTick = 4
+	// msgsPerTick bounds the control messages (grants, pin traffic,
 	// revokes) a shard agent processes per engine tick. Control work
 	// is pure bookkeeping — no disk I/O — so it is never idle-gated:
 	// hints must land while the system is busy or the inline recovery
-	// never happens (default 256).
-	MsgsPerTick int
-}
+	// never happens.
+	msgsPerTick = 256
+)
 
-func (p Params) withDefaults() Params {
-	if p.Partitions == 0 {
-		p.Partitions = 8
-	}
-	if p.QueueLen == 0 {
-		p.QueueLen = 4096
-	}
-	if p.FoldsPerTick == 0 {
-		p.FoldsPerTick = 4
-	}
-	if p.MsgsPerTick == 0 {
-		p.MsgsPerTick = 256
-	}
-	return p
-}
+// Params is empty: the tier has no options. The type stays because
+// NewTier's signature is among what bench/ pins (DESIGN.md §3).
+type Params struct{}
 
 // ad is one published (fingerprint, shard, PBA) advertisement, stamped
 // with the advertiser's epoch so a crashed shard's in-flight ads are

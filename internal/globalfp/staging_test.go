@@ -24,7 +24,7 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 		return fper.Fingerprint(&ch)
 	}
 	alloc1 := func(id chunk.ContentID) alloc.PBA {
-		pba, ok := b.Alloc.Alloc(1)
+		pba, ok := b.Alloc.AllocLargest(1)
 		if !ok {
 			t.Fatal("alloc failed")
 		}
@@ -116,7 +116,7 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 func TestStagedRunsFlushAtFixedLength(t *testing.T) {
 	tier, agents := fenceCluster(t, 8)
 	a, b := agents[0], agents[0].b
-	pba, ok := b.Alloc.Alloc(1)
+	pba, ok := b.Alloc.AllocLargest(1)
 	if !ok {
 		t.Fatal("alloc failed")
 	}

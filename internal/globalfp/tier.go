@@ -32,7 +32,6 @@ type partition struct {
 // server: fingerprint-partitioned tables fed by bounded ad queues,
 // plus the reliable control inboxes the shard agents drain.
 type Tier struct {
-	p      Params
 	shards int
 	parts  []partition
 	inbox  []inbox
@@ -63,18 +62,16 @@ type Tier struct {
 // NewTier builds the tier for a server of the given shard count and
 // starts its partition workers. Beneficiary sets are shard bitmasks,
 // so the tier supports 2–64 shards.
-func NewTier(shards int, p Params) (*Tier, error) {
+func NewTier(shards int, _ Params) (*Tier, error) {
 	if shards < 2 {
 		return nil, fmt.Errorf("globalfp: tier needs at least 2 shards (got %d); a single shard already sees the whole content stream", shards)
 	}
 	if shards > 64 {
 		return nil, fmt.Errorf("globalfp: tier supports at most 64 shards (got %d)", shards)
 	}
-	p = p.withDefaults()
 	t := &Tier{
-		p:      p,
 		shards: shards,
-		parts:  make([]partition, p.Partitions),
+		parts:  make([]partition, partitions),
 		inbox:  make([]inbox, shards),
 		agents: make([]*Agent, shards),
 		epochs: make([]atomic.Uint32, shards),
@@ -82,7 +79,7 @@ func NewTier(shards int, p Params) (*Tier, error) {
 	}
 	for i := range t.parts {
 		t.parts[i].tbl = probe.NewMap[chunk.Fingerprint, tierEntry](1 << 12)
-		t.parts[i].ch = make(chan ad, p.QueueLen)
+		t.parts[i].ch = make(chan ad, queueLen)
 	}
 	for i := range t.parts {
 		part := &t.parts[i]

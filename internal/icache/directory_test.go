@@ -351,11 +351,11 @@ var dirModes = []struct {
 	{name: "streams-arriving", adaptive: true, stream: true, arrivals: true},
 }
 
+// dirParams is a budget of 64 index entries or 16 read blocks.
 func dirParams(adaptive bool) Params {
-	p := DefaultParams(4096)
+	p := DefaultParams(16 * blockBytes)
 	p.Adaptive = adaptive
-	p.IndexEntryBytes = 64
-	p.BlockBytes = 256
+	p.IndexEntryBytes = blockBytes / 4
 	return p
 }
 

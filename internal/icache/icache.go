@@ -39,34 +39,36 @@ import (
 type Params struct {
 	TotalBytes      int64        // the DRAM budget to split
 	IndexEntryBytes int          // in-memory footprint of one index entry
-	BlockBytes      int          // footprint of one cached data block
 	IndexFrac       float64      // initial index-cache share (0,1)
 	Adaptive        bool         // enable iCache adaptation
 	Interval        sim.Duration // evaluation interval (virtual time)
-	MinFrac         float64      // lower bound on either share
-	Step            float64      // share moved per repartition
-	WriteBenefitUS  int64        // saved cost per avoided duplicate write
-	ReadBenefitUS   int64        // saved cost per avoided read miss
 }
 
+// The Swap Module's fixed terms: no experiment varies them.
+const (
+	// blockBytes is the footprint of one cached data block.
+	blockBytes = chunk.Size
+	// minFrac is the lower bound on either cache's share of the budget.
+	minFrac = 0.25
+	// step is the share of the budget moved per repartition.
+	step = 0.0625
+	// An avoided duplicate write saves a RAID5 read-modify-write (two
+	// serialized disk phases); an avoided read miss saves one disk
+	// access — hence the 2:1 weighting of the two ghosts' hits.
+	writeBenefitUS = 16000
+	readBenefitUS  = 8000
+)
+
 // DefaultParams returns the configuration used by the experiments: a
-// 50/50 initial split, 500 ms evaluation interval, 10 % floor, 12.5 %
-// step, and benefit weights approximating one avoided disk I/O each.
+// 50/50 initial split held fixed, 64-byte index entries and a 250 ms
+// evaluation interval.
 func DefaultParams(totalBytes int64) Params {
 	return Params{
 		TotalBytes:      totalBytes,
 		IndexEntryBytes: 64,
-		BlockBytes:      chunk.Size,
 		IndexFrac:       0.5,
 		Adaptive:        false,
 		Interval:        250 * sim.Millisecond,
-		MinFrac:         0.25,
-		Step:            0.0625,
-		// an avoided duplicate write saves a RAID5 read-modify-write
-		// (two serialized disk phases); an avoided read miss saves one
-		// disk access — hence the 2:1 benefit weighting
-		WriteBenefitUS: 16000,
-		ReadBenefitUS:  8000,
 	}
 }
 
@@ -115,8 +117,8 @@ func New(p Params) *Controller {
 	if p.TotalBytes <= 0 {
 		panic("icache: non-positive budget")
 	}
-	if p.IndexEntryBytes <= 0 || p.BlockBytes <= 0 {
-		panic("icache: non-positive entry sizes")
+	if p.IndexEntryBytes <= 0 {
+		panic("icache: non-positive index entry size")
 	}
 	if p.IndexFrac <= 0 || p.IndexFrac >= 1 {
 		panic(fmt.Sprintf("icache: index fraction %f out of (0,1)", p.IndexFrac))
@@ -133,7 +135,7 @@ func New(p Params) *Controller {
 }
 
 func (c *Controller) maxIndexEntries() int { return int(c.p.TotalBytes) / c.p.IndexEntryBytes }
-func (c *Controller) maxReadBlocks() int   { return int(c.p.TotalBytes) / c.p.BlockBytes }
+func (c *Controller) maxReadBlocks() int   { return int(c.p.TotalBytes) / blockBytes }
 
 // ghostIndexCap is the ghost index's capacity under the current
 // partition: each ghost may grow to the whole budget minus its actual
@@ -148,7 +150,7 @@ func (c *Controller) ghostIndexCap() int {
 func (c *Controller) capacitiesFor(frac float64) (idxEntries, readBlocks int) {
 	idxBytes := int64(frac * float64(c.p.TotalBytes))
 	idxEntries = int(idxBytes) / c.p.IndexEntryBytes
-	readBlocks = int(c.p.TotalBytes-idxBytes) / c.p.BlockBytes
+	readBlocks = int(c.p.TotalBytes-idxBytes) / blockBytes
 	if idxEntries < 1 {
 		idxEntries = 1
 	}
@@ -349,8 +351,8 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	}
 	c.nextEval = now.Add(c.p.Interval)
 
-	benefitIdx := c.ghostIdxHits * c.p.WriteBenefitUS
-	benefitRead := c.ghostReadHits * c.p.ReadBenefitUS
+	benefitIdx := c.ghostIdxHits * writeBenefitUS
+	benefitRead := c.ghostReadHits * readBenefitUS
 	c.ghostIdxHits, c.ghostReadHits = 0, 0
 	c.readHits, c.readMisses = 0, 0
 
@@ -361,17 +363,17 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	var target float64
 	switch {
 	case benefitIdx > 0 && float64(benefitIdx) > dominance*float64(benefitRead):
-		target = c.indexFrac + c.p.Step
+		target = c.indexFrac + step
 	case benefitRead > 0 && float64(benefitRead) > dominance*float64(benefitIdx):
-		target = c.indexFrac - c.p.Step
+		target = c.indexFrac - step
 	default:
 		return Repartition{}
 	}
-	if target < c.p.MinFrac {
-		target = c.p.MinFrac
+	if target < minFrac {
+		target = minFrac
 	}
-	if target > 1-c.p.MinFrac {
-		target = 1 - c.p.MinFrac
+	if target > 1-minFrac {
+		target = 1 - minFrac
 	}
 	if target == c.indexFrac {
 		return Repartition{}
@@ -425,8 +427,8 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 // structurally sound (directory.check). Exposed for property tests.
 func (c *Controller) CheckInvariants() error {
 	idxBytes := int64(c.icEntries) * int64(c.p.IndexEntryBytes)
-	readBytes := int64(c.read.Cap()) * int64(c.p.BlockBytes)
-	slack := int64(c.p.IndexEntryBytes) + int64(c.p.BlockBytes) // integer division slack
+	readBytes := int64(c.read.Cap()) * blockBytes
+	slack := int64(c.p.IndexEntryBytes) + blockBytes // integer division slack
 	if idxBytes+readBytes > c.p.TotalBytes+slack {
 		return fmt.Errorf("icache: partition exceeds budget: %d + %d > %d", idxBytes, readBytes, c.p.TotalBytes)
 	}

@@ -18,15 +18,14 @@ func testParams(adaptive bool) Params {
 	p := DefaultParams(64 * 1024) // 64 KB budget: 512 index entries or 16 blocks max
 	p.Adaptive = adaptive
 	p.IndexEntryBytes = 64
-	p.BlockBytes = 4096
 	return p
 }
 
 func TestNewValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"zero budget": func() { New(Params{TotalBytes: 0, IndexEntryBytes: 1, BlockBytes: 1, IndexFrac: 0.5}) },
-		"bad frac":    func() { New(Params{TotalBytes: 100, IndexEntryBytes: 1, BlockBytes: 1, IndexFrac: 1.5}) },
-		"zero entry":  func() { New(Params{TotalBytes: 100, BlockBytes: 1, IndexFrac: 0.5}) },
+		"zero budget": func() { New(Params{TotalBytes: 0, IndexEntryBytes: 1, IndexFrac: 0.5}) },
+		"bad frac":    func() { New(Params{TotalBytes: 100, IndexEntryBytes: 1, IndexFrac: 1.5}) },
+		"zero entry":  func() { New(Params{TotalBytes: 100, IndexFrac: 0.5}) },
 	} {
 		func() {
 			defer func() {
@@ -175,23 +174,27 @@ func TestTickHonorsInterval(t *testing.T) {
 
 func TestFracBounds(t *testing.T) {
 	p := testParams(true)
-	p.Step = 0.5
-	p.MinFrac = 0.1
 	c := New(p)
 	now := sim.Time(0)
-	// push hard toward index growth repeatedly
-	for round := 0; round < 5; round++ {
+	// push hard toward index growth repeatedly: (1-minFrac-0.5)/step = 4
+	// repartitions reach the bound, the rest must stay on it
+	for round := 0; round < 8; round++ {
 		for i := uint64(0); i < 2000; i++ {
 			c.IndexInsert(fp(i+uint64(round)*10000), alloc.PBA(i))
 		}
-		for i := uint64(0); i < 500; i++ {
+		// the index holds the newest entries and the ghost the ones just
+		// before them: these lookups are ghost hits
+		for i := uint64(1000); i < 1200; i++ {
 			c.IndexLookup(fp(i + uint64(round)*10000))
 		}
 		now = now.Add(p.Interval)
 		c.Tick(now)
-		if f := c.IndexFrac(); f < p.MinFrac-1e-9 || f > 1-p.MinFrac+1e-9 {
+		if f := c.IndexFrac(); f < minFrac-1e-9 || f > 1-minFrac+1e-9 {
 			t.Fatalf("frac %f out of bounds", f)
 		}
+	}
+	if f := c.IndexFrac(); f != 1-minFrac {
+		t.Fatalf("frac %f after 8 one-sided intervals, want the bound %f", f, 1-minFrac)
 	}
 }
 

@@ -38,18 +38,22 @@ type Params struct {
 	// fingerprints (default 4096). Size it to the index partition scaled
 	// by the sample rate so a sketch hit predicts an index hit.
 	WindowEntries int
-	// Decay is the per-interval retain factor of the reuse score
-	// (default 0.5): score' = score*Decay + intervalHits.
-	Decay float64
-	// FloorFrac is the minimum share of the index partition guaranteed
-	// to every active stream (default 0.10), clamped to 1/activeStreams
-	// when streams are many.
-	FloorFrac float64
-	// IdleIntervals drops a stream from apportionment after this many
-	// consecutive intervals without a sampled write (default 4). Its
-	// sketch is retained; it rejoins on the next write.
-	IdleIntervals int
 }
+
+// The apportioner's fixed terms: no run varies them.
+const (
+	// decay is the per-interval retain factor of the reuse score:
+	// score' = score*decay + intervalHits.
+	decay = 0.5
+	// floorFrac is the minimum share of the index partition guaranteed
+	// to every active stream, clamped to 1/activeStreams when streams
+	// are many.
+	floorFrac = 0.10
+	// idleIntervals drops a stream from apportionment after this many
+	// consecutive intervals without a sampled write. Its sketch is
+	// retained; it rejoins on the next write.
+	idleIntervals = 4
+)
 
 // WithDefaults fills unset fields with their defaults.
 func (p Params) WithDefaults() Params {
@@ -58,15 +62,6 @@ func (p Params) WithDefaults() Params {
 	}
 	if p.WindowEntries <= 0 {
 		p.WindowEntries = 4096
-	}
-	if p.Decay <= 0 || p.Decay >= 1 {
-		p.Decay = 0.5
-	}
-	if p.FloorFrac <= 0 {
-		p.FloorFrac = 0.10
-	}
-	if p.IdleIntervals <= 0 {
-		p.IdleIntervals = 4
 	}
 	return p
 }
@@ -100,9 +95,6 @@ func New(p Params) *Estimator {
 	}
 }
 
-// Params reports the effective (default-filled) parameters.
-func (e *Estimator) Params() Params { return e.p }
-
 // Record notes one written fingerprint on a stream. Sampling keys off
 // the fingerprint's own bits, so the same content samples identically
 // on every shard and run.
@@ -127,7 +119,7 @@ func (e *Estimator) Record(stream uint32, fp chunk.Fingerprint) {
 
 // Apportion closes the current measurement interval and returns the
 // index-partition share per active stream (values in (0,1], summing to
-// ≤ 1, each ≥ the effective floor). Streams idle beyond IdleIntervals
+// ≤ 1, each ≥ the effective floor). Streams idle beyond idleIntervals
 // are excluded. Returns nil when no stream is active, meaning "keep
 // whatever split is in force". Iteration is deterministic given the
 // same Record history.
@@ -135,14 +127,14 @@ func (e *Estimator) Apportion() map[uint32]float64 {
 	var active []uint32
 	for _, id := range e.order {
 		s := e.streams[id]
-		s.score = s.score*e.p.Decay + float64(s.hits)
+		s.score = s.score*decay + float64(s.hits)
 		if s.samples == 0 {
 			s.idle++
 		} else {
 			s.idle = 0
 		}
 		s.hits, s.samples = 0, 0
-		if s.idle < e.p.IdleIntervals {
+		if s.idle < idleIntervals {
 			active = append(active, id)
 		} else {
 			s.share = 0
@@ -151,7 +143,7 @@ func (e *Estimator) Apportion() map[uint32]float64 {
 	if len(active) == 0 {
 		return nil
 	}
-	floor := e.p.FloorFrac
+	floor := floorFrac
 	if max := 1.0 / float64(len(active)); floor > max {
 		floor = max
 	}
@@ -191,6 +183,3 @@ func (e *Estimator) Stats() []StreamStat {
 	}
 	return out
 }
-
-// FloorFrac reports the configured floor share.
-func (e *Estimator) FloorFrac() float64 { return e.p.FloorFrac }

@@ -18,13 +18,12 @@ func sfp(k uint64) chunk.Fingerprint {
 }
 
 func est() *Estimator {
-	return New(Params{WindowEntries: 64, IdleIntervals: 2})
+	return New(Params{WindowEntries: 64})
 }
 
 func TestDefaults(t *testing.T) {
 	p := Params{}.WithDefaults()
-	if p.SampleShift != 2 || p.WindowEntries != 4096 || p.Decay != 0.5 ||
-		p.FloorFrac != 0.10 || p.IdleIntervals != 4 {
+	if p.SampleShift != 2 || p.WindowEntries != 4096 {
 		t.Fatalf("defaults = %+v", p)
 	}
 }
@@ -110,15 +109,18 @@ func TestEqualSplitWithoutEvidence(t *testing.T) {
 }
 
 func TestIdleStreamDropped(t *testing.T) {
-	e := est() // IdleIntervals: 2
+	e := est()
 	e.Record(1, sfp(4))
 	e.Record(2, sfp(8))
-	e.Apportion()
-	// stream 1 keeps writing; stream 2 goes silent
-	e.Record(1, sfp(4))
-	e.Apportion()
-	e.Record(1, sfp(4))
 	shares := e.Apportion()
+	// stream 1 keeps writing; stream 2 goes silent
+	for i := 0; i < idleIntervals; i++ {
+		if _, ok := shares[2]; !ok {
+			t.Fatalf("stream dropped after %d idle intervals, want %d", i, idleIntervals)
+		}
+		e.Record(1, sfp(4))
+		shares = e.Apportion()
+	}
 	if _, ok := shares[2]; ok {
 		t.Fatalf("idle stream still apportioned: %v", shares)
 	}
@@ -136,8 +138,9 @@ func TestIdleStreamDropped(t *testing.T) {
 func TestAllIdleKeepsSplit(t *testing.T) {
 	e := est()
 	e.Record(1, sfp(4))
-	e.Apportion()
-	e.Apportion()
+	for i := 0; i < idleIntervals; i++ {
+		e.Apportion()
+	}
 	if shares := e.Apportion(); shares != nil {
 		t.Fatalf("all-idle apportionment = %v, want nil (keep current split)", shares)
 	}

@@ -470,8 +470,8 @@ func (t *Table) ReverseIndexBytes() int64 {
 }
 
 // EnableReverseIndex starts maintaining the PBA → LBAs reverse index
-// (required by Referrers), building it from any existing mappings —
-// recovery re-enables it on a freshly loaded table this way.
+// (required by Referrers), building it from any existing mappings. A
+// table loaded in place of one that had it (Load's prev) comes with it.
 func (t *Table) EnableReverseIndex() {
 	if t.rev != nil {
 		return
@@ -827,7 +827,14 @@ func (t *Table) JournalTail() int { return t.tail }
 // Index pins are volatile and come back empty; reference counts are
 // recomputed from the surviving mappings. It returns the rebuilt table
 // and the number of records applied.
-func Load(dev *nvram.Device) (*Table, int, error) {
+//
+// prev, when given, is the live table the loaded one replaces (crash
+// recovery). Whoever replaces an object carries its wiring: the new
+// table takes over prev's OnParole handler and, if prev maintained a
+// reverse index, builds one over the recovered mappings — so nothing
+// attached to the old table has to re-attach. (Variadic only because
+// bench/ calls Load(dev); at most one prev is meaningful.)
+func Load(dev *nvram.Device, prev ...*Table) (*Table, int, error) {
 	var hdr [headerBytes]byte
 	if err := dev.ReadAt(0, hdr[:]); err != nil {
 		return nil, 0, err
@@ -876,6 +883,12 @@ func Load(dev *nvram.Device) (*Table, int, error) {
 	}
 	if t.shared > t.peak {
 		t.peak = t.shared
+	}
+	for _, old := range prev {
+		t.OnParole = old.OnParole
+		if old.rev != nil {
+			t.EnableReverseIndex()
+		}
 	}
 	return t, applied, nil
 }

@@ -141,9 +141,6 @@ func New(level Level, disks []*disk.Disk, unit uint64) *Array {
 // DataBlocks reports the usable capacity in blocks.
 func (a *Array) DataBlocks() uint64 { return a.dataBlocks }
 
-// StripeUnit reports the stripe unit in blocks.
-func (a *Array) StripeUnit() uint64 { return a.unit }
-
 // NumDisks reports the number of spindles.
 func (a *Array) NumDisks() int { return len(a.disks) }
 
@@ -152,8 +149,9 @@ func (a *Array) NumDisks() int { return len(a.disks) }
 func (a *Array) PerDiskBlocks() uint64 { return a.stripes * a.unit }
 
 // SetInjector attaches a fault injector to every spindle (nil
-// detaches). The array keeps a reference so it can heal latent sectors
-// it repairs and retire the failure of a replaced device.
+// detaches). The array keeps a reference so it can retire the failure
+// of a replaced device; a latent sector it repairs heals on the repair
+// write itself.
 func (a *Array) SetInjector(in *fault.Injector) {
 	a.inj = in
 	for i, d := range a.disks {
@@ -211,14 +209,6 @@ func (a *Array) Fail(i int) {
 	}
 	a.failed = i
 	a.failEvents++
-}
-
-// Heal clears the failure (a notional instantaneous rebuild) and any
-// in-progress online rebuild.
-func (a *Array) Heal() {
-	a.failed = -1
-	a.rebuilding = false
-	a.frontier = 0
 }
 
 // Failed reports the failed disk index, or -1.
@@ -292,17 +282,14 @@ func (a *Array) advanceRebuild(t sim.Time) {
 	}
 }
 
-// onDiskFailure reacts to a KindDiskFailed error from disk i at time t:
-// with redundancy available the array degrades and self-heals (hot
-// spare + online rebuild); without it the failure is data loss.
-func (a *Array) onDiskFailure(i int, t sim.Time) error {
-	if a.level == RAID0 {
+// onDiskFailure reacts to a KindDiskFailed error from an access to
+// block off of disk i at time t: with redundancy available the array
+// degrades and self-heals (hot spare + online rebuild); without it —
+// RAID0, or another disk already lost — the failure is data loss.
+func (a *Array) onDiskFailure(i int, off uint64, t sim.Time) error {
+	if a.level == RAID0 || (a.failed >= 0 && a.failed != i) {
 		a.dataLossErrs++
-		return fault.New(fault.KindDataLoss, fault.Permanent, i, 0, t)
-	}
-	if a.failed >= 0 && a.failed != i {
-		a.dataLossErrs++
-		return fault.New(fault.KindDataLoss, fault.Permanent, i, 0, t)
+		return fault.New(fault.KindDataLoss, fault.Permanent, i, off, t)
 	}
 	if a.failed < 0 {
 		a.failed = i
@@ -418,21 +405,20 @@ func (a *Array) reconstructRead(t sim.Time, off, n uint64, avoid int) (sim.Time,
 	return done, nil
 }
 
-// readSegment serves one segment of a logical read, absorbing whatever
-// faults redundancy can absorb.
-func (a *Array) readSegment(t sim.Time, s segment) (sim.Time, error) {
-	if a.level == RAID1 {
-		return a.readSegmentMirror(t, s)
-	}
-	if s.disk == a.failed && !a.spareHolds(s.off, s.n) {
-		if a.level == RAID0 {
-			a.dataLossErrs++
-			return t, fault.New(fault.KindDataLoss, fault.Permanent, s.disk, s.off, t)
-		}
-		return a.reconstructRead(t, s.off, s.n, s.disk)
+// readDisk is the array's one fault-absorbing disk read: [off, off+n)
+// of disk d, reconstructed around a failed device, a device that fails
+// under this very access (degrade, install the spare, reconstruct) and
+// a latent sector error (reconstruct, unless redundancy is already spent
+// on another disk — that is data loss). repair writes the rebuilt range
+// back so the drive remaps the bad sectors (the injector heals on
+// write); a read-modify-write passes false, because its write phase
+// covers exactly the ranges it read. Transient errors propagate.
+func (a *Array) readDisk(t sim.Time, d int, off, n uint64, repair bool) (sim.Time, error) {
+	if d == a.failed && !a.spareHolds(off, n) {
+		return a.reconstructRead(t, off, n, d)
 	}
 	a.diskIOs++
-	c, err := a.disks[s.disk].Access(t, disk.Read, s.off, s.n)
+	c, err := a.disks[d].Access(t, disk.Read, off, n)
 	if err == nil {
 		return c, nil
 	}
@@ -441,25 +427,23 @@ func (a *Array) readSegment(t sim.Time, s segment) (sim.Time, error) {
 		return c, err
 	}
 	switch fe.Kind {
-	case fault.KindDiskFailed:
-		if lerr := a.onDiskFailure(s.disk, t); lerr != nil {
+	case fault.KindDiskFailed: // rejected up front: c is t
+		if lerr := a.onDiskFailure(d, off, t); lerr != nil {
 			return c, lerr
 		}
-		return a.reconstructRead(t, s.off, s.n, s.disk)
+		return a.reconstructRead(t, off, n, d)
 	case fault.KindSectorError:
-		if a.level == RAID0 || (a.failed >= 0 && a.failed != s.disk) {
+		if a.level == RAID0 || (a.failed >= 0 && a.failed != d) {
 			a.dataLossErrs++
-			return c, fault.New(fault.KindDataLoss, fault.Permanent, s.disk, fe.Block, t)
+			return c, fault.New(fault.KindDataLoss, fault.Permanent, d, fe.Block, t)
 		}
-		done, rerr := a.reconstructRead(t, s.off, s.n, s.disk)
+		done, rerr := a.reconstructRead(t, off, n, d)
 		done = sim.MaxTime(done, c)
-		if rerr != nil {
+		if rerr != nil || !repair {
 			return done, rerr
 		}
-		// write the reconstructed range back: the drive remaps the bad
-		// sectors (the injector heals on write), self-repairing the LSE
 		a.diskIOs++
-		wc, _ := a.disks[s.disk].AccessAfter(t, done, disk.Write, s.off, s.n)
+		wc, _ := a.disks[d].AccessAfter(t, done, disk.Write, off, n)
 		a.sectorRepairs++
 		return sim.MaxTime(done, wc), nil
 	default:
@@ -468,50 +452,19 @@ func (a *Array) readSegment(t sim.Time, s segment) (sim.Time, error) {
 	}
 }
 
-// readSegmentMirror is the RAID1 read path: serve from the less-loaded
-// healthy copy, fall back to the partner on sector errors (with
-// write-back repair) and on device loss.
-func (a *Array) readSegmentMirror(t sim.Time, s segment) (sim.Time, error) {
+// readSegment serves one segment of a logical read. RAID1 picks the
+// copy first: the partner when the segment's disk is lost, else the
+// less-loaded healthy one.
+func (a *Array) readSegment(t sim.Time, s segment) (sim.Time, error) {
 	d := s.disk
-	m := a.mirrorOf(d)
-	if d == a.failed && !a.spareHolds(s.off, s.n) {
-		d = m
-	} else if m != a.failed && a.disks[m].BusyUntil() < a.disks[d].BusyUntil() {
-		d = m // serve from the less-loaded copy
-	}
-	a.diskIOs++
-	c, err := a.disks[d].Access(t, disk.Read, s.off, s.n)
-	if err == nil {
-		return c, nil
-	}
-	fe, ok := err.(*fault.Error)
-	if !ok {
-		return c, err
-	}
-	switch fe.Kind {
-	case fault.KindDiskFailed:
-		if lerr := a.onDiskFailure(d, t); lerr != nil {
-			return c, lerr
+	if a.level == RAID1 {
+		m := a.mirrorOf(d)
+		lost := d == a.failed && !a.spareHolds(s.off, s.n)
+		if lost || m != a.failed && a.disks[m].BusyUntil() < a.disks[d].BusyUntil() {
+			d = m
 		}
-		return a.reconstructRead(t, s.off, s.n, d)
-	case fault.KindSectorError:
-		if a.failed >= 0 && a.failed != d {
-			a.dataLossErrs++
-			return c, fault.New(fault.KindDataLoss, fault.Permanent, d, fe.Block, t)
-		}
-		done, rerr := a.reconstructRead(t, s.off, s.n, d)
-		done = sim.MaxTime(done, c)
-		if rerr != nil {
-			return done, rerr
-		}
-		a.diskIOs++
-		wc, _ := a.disks[d].AccessAfter(t, done, disk.Write, s.off, s.n)
-		a.sectorRepairs++
-		return sim.MaxTime(done, wc), nil
-	default:
-		a.transientErrs++
-		return c, err
 	}
+	return a.readDisk(t, d, s.off, s.n, true)
 }
 
 // Read submits a logical read arriving at t and returns the completion
@@ -552,33 +505,19 @@ func (a *Array) Write(t sim.Time, start, n uint64) (sim.Time, error) {
 	a.logicalWrites++
 	segs := a.split(start, n)
 
-	if a.level == RAID0 {
+	if a.level != RAID5 {
+		// RAID0 writes each data unit in place; RAID1 its mirror as well
 		done := t
 		for _, s := range segs {
-			a.diskIOs++
-			c, err := a.disks[s.disk].Access(t, disk.Write, s.off, s.n)
+			c, err := a.writeTo(t, t, s.disk, s.off, s.n)
+			if err == nil && a.level == RAID1 {
+				var mc sim.Time
+				mc, err = a.writeTo(t, t, a.mirrorOf(s.disk), s.off, s.n)
+				c = sim.MaxTime(c, mc)
+			}
 			done = sim.MaxTime(done, c)
 			if err != nil {
-				if fe, ok := err.(*fault.Error); ok && fe.Kind == fault.KindDiskFailed {
-					a.dataLossErrs++
-					return done, fault.New(fault.KindDataLoss, fault.Permanent, s.disk, s.off, t)
-				}
-				a.transientErrs++
 				return done, err
-			}
-		}
-		return done, nil
-	}
-
-	if a.level == RAID1 {
-		done := t
-		for _, s := range segs {
-			for _, d := range [2]int{s.disk, a.mirrorOf(s.disk)} {
-				c, err := a.writeTo(t, t, d, s.off, s.n)
-				done = sim.MaxTime(done, c)
-				if err != nil {
-					return done, err
-				}
 			}
 		}
 		return done, nil
@@ -605,7 +544,8 @@ func (a *Array) Write(t sim.Time, start, n uint64) (sim.Time, error) {
 // a write to the failed disk completes immediately when no spare is
 // installed (parity/mirror carries it); a device failure discovered by
 // the write itself degrades the array and the write is then absorbed
-// the same way; transient errors propagate.
+// the same way (data loss where nothing is left to absorb it: RAID0, a
+// second disk); transient errors propagate.
 func (a *Array) writeTo(t, ready sim.Time, d int, off, n uint64) (sim.Time, error) {
 	if d == a.failed && !a.rebuilding {
 		return ready, nil // lost write: redundancy reconstructs it
@@ -616,7 +556,7 @@ func (a *Array) writeTo(t, ready sim.Time, d int, off, n uint64) (sim.Time, erro
 		return c, nil
 	}
 	if fe, ok := err.(*fault.Error); ok && fe.Kind == fault.KindDiskFailed {
-		if lerr := a.onDiskFailure(d, t); lerr != nil {
+		if lerr := a.onDiskFailure(d, off, t); lerr != nil {
 			return c, lerr
 		}
 		// degraded now; the write is covered by the surviving redundancy
@@ -624,43 +564,6 @@ func (a *Array) writeTo(t, ready sim.Time, d int, off, n uint64) (sim.Time, erro
 	}
 	a.transientErrs++
 	return c, err
-}
-
-// readForRMW issues one old-data/old-parity read of a read-modify-write,
-// reconstructing around failed devices and latent sectors. The
-// follow-up write phase covers exactly the ranges read, so a sector
-// error needs no explicit repair write here — the write phase remaps it.
-func (a *Array) readForRMW(t sim.Time, d int, off, n uint64) (sim.Time, error) {
-	if d == a.failed && !a.spareHolds(off, n) {
-		return a.reconstructRead(t, off, n, d)
-	}
-	a.diskIOs++
-	c, err := a.disks[d].Access(t, disk.Read, off, n)
-	if err == nil {
-		return c, nil
-	}
-	fe, ok := err.(*fault.Error)
-	if !ok {
-		return c, err
-	}
-	switch fe.Kind {
-	case fault.KindDiskFailed:
-		if lerr := a.onDiskFailure(d, t); lerr != nil {
-			return c, lerr
-		}
-		done, rerr := a.reconstructRead(t, off, n, d)
-		return sim.MaxTime(done, c), rerr
-	case fault.KindSectorError:
-		if a.failed >= 0 && a.failed != d {
-			a.dataLossErrs++
-			return c, fault.New(fault.KindDataLoss, fault.Permanent, d, fe.Block, t)
-		}
-		done, rerr := a.reconstructRead(t, off, n, d)
-		return sim.MaxTime(done, c), rerr
-	default:
-		a.transientErrs++
-		return c, err
-	}
 }
 
 // writeStripe performs the RAID5 write of one stripe's segments.
@@ -680,54 +583,41 @@ func (a *Array) writeStripe(t sim.Time, segs []segment) (sim.Time, error) {
 			hi = s.inUnit + s.n
 		}
 	}
+	// a fully covered stripe has lo = 0 and hi = unit: whole-unit parity
 	full := covered == dps*a.unit
 	parityOff := stripe*a.unit + lo
 	parityLen := hi - lo
-	if full {
-		parityOff = stripe * a.unit
-		parityLen = a.unit
-	}
 
+	ready := t // when the write phase may start
 	if full {
 		a.fullStripes++
-		done := t
+	} else {
+		// read-modify-write: read old data ranges and old parity, then
+		// write new data and parity after all reads complete.
+		a.rmwStripes++
 		for _, s := range segs {
-			c, err := a.writeTo(t, t, s.disk, s.off, s.n)
-			done = sim.MaxTime(done, c)
+			c, err := a.readDisk(t, s.disk, s.off, s.n, false)
+			ready = sim.MaxTime(ready, c)
 			if err != nil {
-				return done, err
+				return ready, err
 			}
 		}
-		c, err := a.writeTo(t, t, pdisk, parityOff, parityLen)
-		return sim.MaxTime(done, c), err
-	}
-
-	// read-modify-write: read old data ranges and old parity, then
-	// write new data and parity after all reads complete.
-	a.rmwStripes++
-	readDone := t
-	for _, s := range segs {
-		c, err := a.readForRMW(t, s.disk, s.off, s.n)
-		readDone = sim.MaxTime(readDone, c)
+		c, err := a.readDisk(t, pdisk, parityOff, parityLen, false)
+		ready = sim.MaxTime(ready, c)
 		if err != nil {
-			return readDone, err
+			return ready, err
 		}
 	}
-	c, err := a.readForRMW(t, pdisk, parityOff, parityLen)
-	readDone = sim.MaxTime(readDone, c)
-	if err != nil {
-		return readDone, err
-	}
 
-	done := readDone
+	done := ready
 	for _, s := range segs {
-		c, err := a.writeTo(t, readDone, s.disk, s.off, s.n)
+		c, err := a.writeTo(t, ready, s.disk, s.off, s.n)
 		done = sim.MaxTime(done, c)
 		if err != nil {
 			return done, err
 		}
 	}
-	c, err = a.writeTo(t, readDone, pdisk, parityOff, parityLen)
+	c, err := a.writeTo(t, ready, pdisk, parityOff, parityLen)
 	return sim.MaxTime(done, c), err
 }
 

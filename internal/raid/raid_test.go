@@ -194,9 +194,9 @@ func TestDegradedRead(t *testing.T) {
 	if s.DiskIOs-pre != 3 { // reconstruct from 3 survivors
 		t.Fatalf("degraded read issued %d IOs, want 3", s.DiskIOs-pre)
 	}
-	a.Heal()
+	a.Reset()
 	if a.Failed() != -1 {
-		t.Fatal("heal failed")
+		t.Fatal("Reset left the array degraded")
 	}
 }
 
@@ -341,7 +341,7 @@ func BenchmarkRAID5SmallWrite(b *testing.B) {
 func BenchmarkRAID5FullStripeWrite(b *testing.B) {
 	a := New(RAID5, newDisks(4), 16)
 	var tm sim.Time
-	stripe := a.StripeUnit() * uint64(a.DataDisksPerStripe())
+	stripe := a.unit * uint64(a.DataDisksPerStripe())
 	for i := 0; i < b.N; i++ {
 		tm = tm.Add(100)
 		start := (uint64(i) * stripe) % (a.DataBlocks() - stripe)

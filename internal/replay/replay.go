@@ -55,9 +55,9 @@ type Result struct {
 	Metrics *metrics.Snapshot
 
 	// Err is set when the job panicked instead of completing; every
-	// other field is zero. RunAll converts panics into errors so one
-	// corrupt combination doesn't take down the worker pool (and with
-	// it the results of every job queued behind it).
+	// other field is zero. The pool converts panics into errors so one
+	// corrupt combination doesn't take down its workers (and with them
+	// the results of every job queued behind it).
 	Err error
 }
 
@@ -146,17 +146,14 @@ func run(e engine.Engine, tr *trace.Trace, warmup, traceEvery int, observe func(
 }
 
 // Job is one replay to execute: a factory (each job needs a fresh
-// engine over fresh substrates) plus its trace. The trace is given
-// either directly (Trace/Warmup) or lazily (TraceFn); when TraceFn is
-// non-nil it wins, and it runs on the worker executing the job — so
-// trace generation overlaps with other jobs' replays instead of
-// serializing in the caller before the pool starts.
+// engine over fresh substrates) plus its trace. TraceFn runs on the
+// worker executing the job — so trace generation overlaps with other
+// jobs' replays instead of serializing in the caller before the pool
+// starts.
 type Job struct {
 	Key     string // caller-chosen identifier
 	Factory func() engine.Engine
-	Trace   *trace.Trace
-	Warmup  int
-	TraceFn func() (*trace.Trace, int) // lazy trace + warmup; overrides Trace/Warmup
+	TraceFn func() (*trace.Trace, int) // trace + warmup
 
 	// TraceEvery > 0 samples every nth measured request into the
 	// result's Metrics.Traces with its per-phase timeline.
@@ -175,10 +172,7 @@ func runJob(j Job) (res *Result) {
 			}
 		}
 	}()
-	tr, warmup := j.Trace, j.Warmup
-	if j.TraceFn != nil {
-		tr, warmup = j.TraceFn()
-	}
+	tr, warmup := j.TraceFn()
 	e := j.Factory()
 	res = run(e, tr, warmup, j.TraceEvery, nil)
 	if r, ok := e.(Releaser); ok {
@@ -222,8 +216,8 @@ func NewPool(workers int) *Pool {
 }
 
 // Run executes jobs on the pool and returns results in job order,
-// blocking until every job completes. Panicking jobs yield Results
-// with Err set, exactly like RunAll.
+// blocking until every job completes. A job that panics yields a
+// Result with Err set rather than crashing the pool.
 func (p *Pool) Run(jobs []Job) []*Result {
 	results := make([]*Result, len(jobs))
 	var wg sync.WaitGroup
@@ -237,33 +231,3 @@ func (p *Pool) Run(jobs []Job) []*Result {
 
 // Close stops the pool's workers. Run must not be called after Close.
 func (p *Pool) Close() { close(p.tasks) }
-
-// RunAll executes jobs across a pool of workers and returns results in
-// job order. workers ≤ 0 selects one worker per job. A job that panics
-// yields a Result with Err set rather than crashing the pool.
-func RunAll(jobs []Job, workers int) []*Result {
-	if workers <= 0 || workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]*Result, len(jobs))
-	if len(jobs) == 0 {
-		return results
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				results[i] = runJob(jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	return results
-}

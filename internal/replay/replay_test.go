@@ -45,6 +45,18 @@ func smallTrace(n int) *trace.Trace {
 	return tr
 }
 
+// fixed is the TraceFn of a trace already in hand.
+func fixed(tr *trace.Trace, warmup int) func() (*trace.Trace, int) {
+	return func() (*trace.Trace, int) { return tr, warmup }
+}
+
+// runAll runs one batch on a fresh pool of the given size.
+func runAll(jobs []Job, workers int) []*Result {
+	p := NewPool(workers)
+	defer p.Close()
+	return p.Run(jobs)
+}
+
 func TestRunMeasuresOnlyPostWarmup(t *testing.T) {
 	tr := smallTrace(30)
 	res := Run(newEngine(), tr, 10)
@@ -94,9 +106,9 @@ func TestRunAllParallelOrderPreserved(t *testing.T) {
 				MemoryBytes: 1 << 20,
 			})
 		}
-		jobs = append(jobs, Job{Key: "k", Factory: factory, Trace: tr})
+		jobs = append(jobs, Job{Key: "k", Factory: factory, TraceFn: fixed(tr, 0)})
 	}
-	results := RunAll(jobs, 3)
+	results := runAll(jobs, 3)
 	if len(results) != 6 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -116,9 +128,9 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	mk := func(workers int) []*Result {
 		var jobs []Job
 		for i := 0; i < 4; i++ {
-			jobs = append(jobs, Job{Factory: newEngine, Trace: tr, Warmup: 5})
+			jobs = append(jobs, Job{Factory: newEngine, TraceFn: fixed(tr, 5)})
 		}
-		return RunAll(jobs, workers)
+		return runAll(jobs, workers)
 	}
 	a, b := mk(1), mk(4)
 	for i := range a {
@@ -131,11 +143,11 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunAllRecoversPanickingJob(t *testing.T) {
 	tr := smallTrace(12)
 	jobs := []Job{
-		{Key: "good-before", Factory: newEngine, Trace: tr, Warmup: 2},
-		{Key: "bad", Factory: func() engine.Engine { panic("injected factory failure") }, Trace: tr},
-		{Key: "good-after", Factory: newEngine, Trace: tr, Warmup: 2},
+		{Key: "good-before", Factory: newEngine, TraceFn: fixed(tr, 2)},
+		{Key: "bad", Factory: func() engine.Engine { panic("injected factory failure") }, TraceFn: fixed(tr, 0)},
+		{Key: "good-after", Factory: newEngine, TraceFn: fixed(tr, 2)},
 	}
-	results := RunAll(jobs, 1) // one worker: all three share a goroutine
+	results := runAll(jobs, 1) // one worker: all three share a goroutine
 	if results[1].Err == nil {
 		t.Fatal("panicking job must surface an error result")
 	}
@@ -158,13 +170,11 @@ func TestRunAllLazyTraceFn(t *testing.T) {
 		atomic.AddInt32(&calls, 1)
 		return smallTrace(12), 2
 	}
-	// TraceFn overrides Trace/Warmup even when both are set.
-	decoy := smallTrace(3)
 	jobs := []Job{
-		{Key: "lazy-a", Factory: newEngine, Trace: decoy, Warmup: 0, TraceFn: fn},
+		{Key: "lazy-a", Factory: newEngine, TraceFn: fn},
 		{Key: "lazy-b", Factory: newEngine, TraceFn: fn},
 	}
-	results := RunAll(jobs, 2)
+	results := runAll(jobs, 2)
 	if n := atomic.LoadInt32(&calls); n != 2 {
 		t.Fatalf("TraceFn called %d times, want once per job", n)
 	}
@@ -179,7 +189,7 @@ func TestRunAllLazyTraceFn(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	if got := RunAll(nil, 4); len(got) != 0 {
+	if got := runAll(nil, 4); len(got) != 0 {
 		t.Fatal("empty jobs must produce empty results")
 	}
 }
@@ -190,9 +200,9 @@ func TestPoolReusedAcrossBatches(t *testing.T) {
 	defer p.Close()
 	for batch := 0; batch < 3; batch++ {
 		jobs := []Job{
-			{Key: "a", Factory: newEngine, Trace: tr, Warmup: 5},
-			{Key: "b", Factory: newEngine, Trace: tr, Warmup: 5},
-			{Key: "c", Factory: newEngine, Trace: tr, Warmup: 5},
+			{Key: "a", Factory: newEngine, TraceFn: fixed(tr, 5)},
+			{Key: "b", Factory: newEngine, TraceFn: fixed(tr, 5)},
+			{Key: "c", Factory: newEngine, TraceFn: fixed(tr, 5)},
 		}
 		results := p.Run(jobs)
 		if len(results) != 3 {
@@ -213,17 +223,17 @@ func TestPoolMatchesRunAll(t *testing.T) {
 	tr := smallTrace(30)
 	jobs := func() []Job {
 		return []Job{
-			{Key: "x", Factory: newEngine, Trace: tr, Warmup: 5},
-			{Key: "y", Factory: newEngine, Trace: tr, Warmup: 10},
+			{Key: "x", Factory: newEngine, TraceFn: fixed(tr, 5)},
+			{Key: "y", Factory: newEngine, TraceFn: fixed(tr, 10)},
 		}
 	}
 	p := NewPool(0) // ≤ 0 clamps to one worker
 	defer p.Close()
 	a := p.Run(jobs())
-	b := RunAll(jobs(), 2)
+	b := runAll(jobs(), 2)
 	for i := range a {
 		if a[i].MeanRT != b[i].MeanRT || a[i].UsedBlocks != b[i].UsedBlocks {
-			t.Fatalf("job %d: pool and RunAll disagree", i)
+			t.Fatalf("job %d: one worker and two disagree", i)
 		}
 	}
 }
@@ -233,8 +243,8 @@ func TestPoolRecoversPanickingJob(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	results := p.Run([]Job{
-		{Key: "bad", Factory: func() engine.Engine { panic("pool factory failure") }, Trace: tr},
-		{Key: "good", Factory: newEngine, Trace: tr, Warmup: 2},
+		{Key: "bad", Factory: func() engine.Engine { panic("pool factory failure") }, TraceFn: fixed(tr, 0)},
+		{Key: "good", Factory: newEngine, TraceFn: fixed(tr, 2)},
 	})
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "pool factory failure") {
 		t.Fatalf("panicking job must surface its error, got %+v", results[0].Err)

@@ -48,10 +48,11 @@ type Policy int
 
 // Backpressure policies.
 const (
-	// Block makes Submit wait until the shard queue has room — the
-	// default, load is pushed back onto the client.
+	// Block makes a submission wait until the shard queue has room —
+	// the default, load is pushed back onto the client.
 	Block Policy = iota
-	// Shed makes Submit fail fast with ErrShed, counting the drop.
+	// Shed drops what does not fit, counting every dropped request (Do
+	// fails fast with ErrShed).
 	Shed
 )
 
@@ -104,9 +105,6 @@ type Config struct {
 	GranChunks uint64
 	// QueueDepth bounds each shard's request channel (default 128).
 	QueueDepth int
-	// MaxBatch bounds how many queued requests a worker drains and
-	// serves per synchronization round (default 32).
-	MaxBatch int
 	// Policy is the backpressure policy when a queue is full.
 	Policy Policy
 	// Timing selects Queued (serving) or Passthrough (replay-bridge)
@@ -128,37 +126,47 @@ type Config struct {
 	// into a per-shard ring buffer drained via Traces(). 0 disables
 	// sampling.
 	TraceSample int
-	// TraceBuf caps each shard's trace ring (default 256).
-	TraceBuf int
 
 	// Fault-handling policy. All times are virtual microseconds; the
 	// whole retry/backoff machinery runs in the simulated time domain
 	// and is deterministic for a given RetrySeed.
 
-	// MaxRetries bounds re-attempts after a transient storage fault
-	// (default 3; -1 disables retries). Permanent faults never retry.
-	MaxRetries int
-	// RetryBaseUS is the first backoff (default 200 µs); each further
-	// attempt doubles it up to RetryMaxUS (default 20 ms). A
-	// deterministic jitter in [0, backoff/2) is added on top.
-	RetryBaseUS int64
-	RetryMaxUS  int64
-	// RetrySeed seeds the jitter sequence (default 1).
+	// RetrySeed seeds the backoff jitter sequence (default 1).
 	RetrySeed uint64
 	// DeadlineUS is the per-request virtual-time budget measured from
 	// arrival: when queueing or a scheduled retry would start past it,
 	// the request fails with KindDeadlineExceeded. 0 disables deadlines.
 	DeadlineUS int64
-	// BreakerThreshold opens a shard's circuit breaker after this many
+
+	// The limits below have one production value each, the default.
+	// They are fields only so this package's safety tests can reach
+	// their edges (a retry budget of 2, a breaker that trips after 3, a
+	// batch of 1); nothing outside the package can set them.
+
+	// maxBatch bounds how many queue entries a worker drains and serves
+	// per synchronization round (default DefaultMaxBatch).
+	maxBatch int
+	// maxRetries bounds re-attempts after a transient storage fault
+	// (default 3; -1 disables retries). Permanent faults never retry.
+	maxRetries int
+	// retryBaseUS is the first backoff (default 200 µs); each further
+	// attempt doubles it up to retryMaxUS (default 20 ms). A
+	// deterministic jitter in [0, backoff/2) is added on top.
+	retryBaseUS int64
+	retryMaxUS  int64
+	// breakerThreshold opens a shard's circuit breaker after this many
 	// consecutive terminal failures (default 8; -1 disables). An open
 	// breaker sheds requests with KindUnavailable until
-	// BreakerCooldownUS (default 200 ms) of virtual time passes, then
+	// breakerCooldownUS (default 200 ms) of virtual time passes, then
 	// admits one probe: success closes the breaker, failure re-opens it.
-	BreakerThreshold  int
-	BreakerCooldownUS int64
+	breakerThreshold  int
+	breakerCooldownUS int64
 }
 
-// DefaultMaxBatch is what a zero Config.MaxBatch selects.
+// traceBuf caps each shard's sampled-trace ring: newest win.
+const traceBuf = 256
+
+// DefaultMaxBatch is the serving value of a worker's drain bound.
 const DefaultMaxBatch = 32
 
 func (c Config) withDefaults() (Config, error) {
@@ -174,11 +182,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.QueueDepth < 1 {
 		return c, fmt.Errorf("server: queue depth %d", c.QueueDepth)
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxBatch < 1 {
-		return c, fmt.Errorf("server: max batch %d", c.MaxBatch)
+	if c.maxBatch == 0 {
+		c.maxBatch = DefaultMaxBatch
 	}
 	if c.NewEngine == nil {
 		return c, errors.New("server: Config.NewEngine is required")
@@ -186,31 +191,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.TraceSample < 0 {
 		return c, fmt.Errorf("server: trace sample %d (want >= 0)", c.TraceSample)
 	}
-	if c.TraceBuf == 0 {
-		c.TraceBuf = 256
+	switch c.maxRetries {
+	case 0:
+		c.maxRetries = 3
+	case -1:
+		c.maxRetries = 0
 	}
-	if c.TraceBuf < 1 {
-		return c, fmt.Errorf("server: trace buffer %d", c.TraceBuf)
+	if c.retryBaseUS == 0 {
+		c.retryBaseUS = 200
 	}
-	switch {
-	case c.MaxRetries == 0:
-		c.MaxRetries = 3
-	case c.MaxRetries == -1:
-		c.MaxRetries = 0
-	case c.MaxRetries < -1:
-		return c, fmt.Errorf("server: max retries %d", c.MaxRetries)
-	}
-	if c.RetryBaseUS == 0 {
-		c.RetryBaseUS = 200
-	}
-	if c.RetryBaseUS < 0 {
-		return c, fmt.Errorf("server: retry base %dus", c.RetryBaseUS)
-	}
-	if c.RetryMaxUS == 0 {
-		c.RetryMaxUS = 20000
-	}
-	if c.RetryMaxUS < c.RetryBaseUS {
-		return c, fmt.Errorf("server: retry max %dus below base %dus", c.RetryMaxUS, c.RetryBaseUS)
+	if c.retryMaxUS == 0 {
+		c.retryMaxUS = 20000
 	}
 	if c.RetrySeed == 0 {
 		c.RetrySeed = 1
@@ -218,19 +209,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DeadlineUS < 0 {
 		return c, fmt.Errorf("server: deadline %dus", c.DeadlineUS)
 	}
-	switch {
-	case c.BreakerThreshold == 0:
-		c.BreakerThreshold = 8
-	case c.BreakerThreshold == -1:
-		// disabled
-	case c.BreakerThreshold < -1:
-		return c, fmt.Errorf("server: breaker threshold %d", c.BreakerThreshold)
+	if c.breakerThreshold == 0 { // -1 disables
+		c.breakerThreshold = 8
 	}
-	if c.BreakerCooldownUS == 0 {
-		c.BreakerCooldownUS = 200000
-	}
-	if c.BreakerCooldownUS < 0 {
-		return c, fmt.Errorf("server: breaker cooldown %dus", c.BreakerCooldownUS)
+	if c.breakerCooldownUS == 0 {
+		c.breakerCooldownUS = 200000
 	}
 	return c, nil
 }
@@ -249,14 +232,20 @@ type Request = api.Request
 // Service under Passthrough.
 type Result = api.Result
 
-// envelope is one shard-queue entry: either a single request with its
-// optional completion channel (Submit leaves done nil, Do sets it), or
-// a batch of requests bound for the same shard (SubmitBatch; batches
-// never carry completion channels).
-type envelope struct {
-	req   *Request
-	done  chan Result
-	batch []*Request
+// entry is one shard-queue entry: the requests of one submission bound
+// for this shard, in order. done is set only by Do, whose batch is its
+// one request.
+type entry struct {
+	reqs []*Request
+	done chan Result
+}
+
+// reply hands a completion record to a waiting Do; SubmitBatch waits
+// for none.
+func (e entry) reply(res Result) {
+	if e.done != nil {
+		e.done <- res
+	}
 }
 
 // baseHolder matches engines exposing their substrate: every scheme is
@@ -267,7 +256,7 @@ type baseHolder interface {
 
 type shard struct {
 	id  int
-	ch  chan envelope
+	ch  chan entry
 	eng engine.Engine
 	// base is the engine's substrate, resolved once in New; nil for an
 	// engine that exposes none (a null engine, a test fake). Recovery,
@@ -384,7 +373,7 @@ func New(cfg Config) (*Server, error) {
 		reg := eng.Metrics()
 		sh := &shard{
 			id:    i,
-			ch:    make(chan envelope, cfg.QueueDepth),
+			ch:    make(chan entry, cfg.QueueDepth),
 			eng:   eng,
 			lat:   stats.NewHistogram(),
 			ph:    reg.Phases(),
@@ -395,7 +384,7 @@ func New(cfg Config) (*Server, error) {
 			sh.base = h.Base()
 		}
 		if cfg.TraceSample > 0 {
-			sh.ring = metrics.NewTraceRing(cfg.TraceBuf)
+			sh.ring = metrics.NewTraceRing(traceBuf)
 		}
 		// queue depth is read by snapshots while the worker serves;
 		// len() on a channel is safe from other goroutines
@@ -451,10 +440,10 @@ func (s *Server) Shards() int { return s.cfg.Shards }
 // Shard reports which shard owns lba.
 func (s *Server) Shard(lba uint64) int { return s.router.Shard(lba) }
 
-// worker serves one shard: it blocks for a request, then drains up to
-// MaxBatch-1 more without blocking and serves the whole batch under
-// one lock acquisition. When the channel closes it finishes the
-// backlog (a closed channel yields its buffered requests first) and
+// worker serves one shard: it blocks for a queue entry, then drains up
+// to DefaultMaxBatch-1 more without blocking and serves the whole batch
+// under one lock acquisition. When the channel closes it finishes the
+// backlog (a closed channel yields its buffered entries first) and
 // flushes the engine's background work.
 //
 // A panic anywhere in the serving path (a corrupted engine invariant)
@@ -464,13 +453,11 @@ func (s *Server) Shard(lba uint64) int { return s.router.Shard(lba) }
 // blocking its submitter forever.
 func (s *Server) worker(sh *shard) {
 	defer s.wg.Done()
-	batch := make([]envelope, 0, s.cfg.MaxBatch)
+	batch := make([]entry, 0, s.cfg.maxBatch)
 	served := 0 // within the current batch; the recover path fails the rest
-	failEnv := func(env envelope) {
-		if env.done != nil && env.req != nil {
-			env.done <- Result{Shard: sh.id,
-				Err: fault.New(fault.KindUnavailable, fault.Permanent, -1, 0, sim.Time(env.req.Time))}
-		}
+	fail := func(e entry) {
+		e.reply(Result{Shard: sh.id,
+			Err: fault.New(fault.KindUnavailable, fault.Permanent, -1, 0, sim.Time(e.reqs[0].Time))})
 	}
 	defer func() {
 		r := recover()
@@ -481,11 +468,11 @@ func (s *Server) worker(sh *shard) {
 		// the drained-but-unserved tail of the current batch first (the
 		// request that panicked included — its submitter is blocked in
 		// Do), then everything queued and yet to come
-		for _, env := range batch[served:] {
-			failEnv(env)
+		for _, e := range batch[served:] {
+			fail(e)
 		}
-		for env := range sh.ch {
-			failEnv(env)
+		for e := range sh.ch {
+			fail(e)
 		}
 	}()
 	// serve under the lock in a closure so a panic releases sh.mu on
@@ -493,13 +480,9 @@ func (s *Server) worker(sh *shard) {
 	serveBatch := func() {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		for _, r := range batch[served:] {
-			if r.batch != nil {
-				for _, req := range r.batch {
-					sh.serve(envelope{req: req}, &s.cfg)
-				}
-			} else {
-				sh.serve(r, &s.cfg)
+		for _, e := range batch[served:] {
+			for _, req := range e.reqs {
+				e.reply(sh.serve(req, &s.cfg))
 			}
 			served++
 		}
@@ -515,7 +498,7 @@ func (s *Server) worker(sh *shard) {
 		}
 		batch, served = append(batch[:0], r), 0
 	fill:
-		for len(batch) < s.cfg.MaxBatch {
+		for len(batch) < s.cfg.maxBatch {
 			select {
 			case r2, ok2 := <-sh.ch:
 				if !ok2 {
@@ -542,12 +525,12 @@ func (s *Server) worker(sh *shard) {
 // backoff computes the virtual-time delay before retry attempt (1-based)
 // plus a deterministic jitter in [0, delay/2).
 func (sh *shard) backoff(cfg *Config, attempt int) sim.Duration {
-	d := cfg.RetryBaseUS
-	for i := 1; i < attempt && d < cfg.RetryMaxUS; i++ {
+	d := cfg.retryBaseUS
+	for i := 1; i < attempt && d < cfg.retryMaxUS; i++ {
 		d <<= 1
 	}
-	if d > cfg.RetryMaxUS {
-		d = cfg.RetryMaxUS
+	if d > cfg.retryMaxUS {
+		d = cfg.retryMaxUS
 	}
 	sh.retrySeq++
 	if half := uint64(d / 2); half > 0 {
@@ -564,14 +547,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// refusal is the completion record of a request turned away at arrival
+// without touching the engine; the client may retry.
+func (sh *shard) refusal(at sim.Time, kind fault.Kind) Result {
+	return Result{Shard: sh.id, Start: int64(at), Complete: int64(at),
+		Err: fault.New(kind, fault.Transient, -1, 0, at)}
+}
+
 // serve runs one request through the shard engine, applying the fault
 // policy: transient engine errors are retried with exponential backoff
 // and deterministic jitter in virtual time, a virtual deadline bounds
 // queueing plus retries, and a per-shard circuit breaker sheds to
-// degraded service after sustained terminal failures. Caller holds
-// sh.mu.
-func (sh *shard) serve(env envelope, cfg *Config) {
-	r := env.req
+// degraded service after sustained terminal failures. It returns the
+// request's completion record. Caller holds sh.mu.
+func (sh *shard) serve(r *Request, cfg *Config) Result {
 	arrival := sim.Time(r.Time)
 
 	// crashed shard: fail-reply everything with a typed transient error
@@ -580,22 +569,14 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 	if sh.down.Load() {
 		sh.downRefused++
 		sh.failed++
-		if env.done != nil {
-			env.done <- Result{Shard: sh.id, Start: int64(arrival), Complete: int64(arrival),
-				Err: fault.New(fault.KindShardDown, fault.Transient, -1, 0, arrival)}
-		}
-		return
+		return sh.refusal(arrival, fault.KindShardDown)
 	}
 
 	// circuit breaker: while open, refuse without touching the engine;
 	// after the cooldown the next request is the half-open probe.
-	if cfg.BreakerThreshold > 0 && sh.brOpen && arrival < sh.brUntil {
+	if cfg.breakerThreshold > 0 && sh.brOpen && arrival < sh.brUntil {
 		sh.brShed++
-		if env.done != nil {
-			env.done <- Result{Shard: sh.id, Start: int64(arrival), Complete: int64(arrival),
-				Err: fault.New(fault.KindUnavailable, fault.Transient, -1, 0, arrival)}
-		}
-		return
+		return sh.refusal(arrival, fault.KindUnavailable)
 	}
 
 	start := arrival
@@ -631,7 +612,7 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 				rt, err = sh.eng.Read(&treq)
 			}
 			complete = start.Add(rt)
-			if err == nil || !fault.IsTransient(err) || retries >= cfg.MaxRetries {
+			if err == nil || !fault.IsTransient(err) || retries >= cfg.maxRetries {
 				break
 			}
 			next := complete.Add(sh.backoff(cfg, retries+1))
@@ -645,8 +626,9 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 		}
 	}
 
+	// rt is the last attempt's service time and complete = start + rt,
+	// also when the deadline cut the retries short
 	sojourn := complete.Sub(arrival)
-	svc := complete.Sub(start)
 	if cfg.Timing == Passthrough {
 		sojourn = rt
 	} else {
@@ -661,6 +643,8 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 		sh.lastDone = complete
 	}
 	sh.anyServed = true
+	res := Result{Shard: sh.id, Start: int64(start), Complete: int64(complete),
+		Service: int64(rt), Sojourn: int64(sojourn), Retries: retries, Err: err}
 
 	if err != nil {
 		sh.failed++
@@ -669,21 +653,17 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 		}
 		// breaker accounting: sustained terminal failures trip it; a
 		// failed half-open probe re-arms the cooldown
-		if cfg.BreakerThreshold > 0 {
+		if cfg.breakerThreshold > 0 {
 			sh.consecFails++
-			if sh.brOpen || sh.consecFails >= cfg.BreakerThreshold {
+			if sh.brOpen || sh.consecFails >= cfg.breakerThreshold {
 				if !sh.brOpen {
 					sh.brOpens++
 				}
 				sh.brOpen = true
-				sh.brUntil = complete.Add(sim.Duration(cfg.BreakerCooldownUS))
+				sh.brUntil = complete.Add(sim.Duration(cfg.breakerCooldownUS))
 			}
 		}
-		if env.done != nil {
-			env.done <- Result{Shard: sh.id, Start: int64(start), Complete: int64(complete),
-				Service: int64(svc), Sojourn: int64(sojourn), Retries: retries, Err: err}
-		}
-		return
+		return res
 	}
 	sh.consecFails = 0
 	sh.brOpen = false // a success closes a half-open breaker
@@ -714,42 +694,24 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 			Phases:   sh.ph.LastTimeline(),
 		})
 	}
-
-	if env.done != nil {
-		env.done <- Result{Shard: sh.id, Start: int64(start), Complete: int64(complete),
-			Service: int64(rt), Sojourn: int64(sojourn), Retries: retries}
-	}
+	return res
 }
 
-// Submit routes r to its shard's queue and returns without waiting for
-// completion. Under the Block policy a full queue blocks the caller;
-// under Shed it returns ErrShed. After Close it returns ErrClosed.
-func (s *Server) Submit(r *Request) error {
-	return s.submit(envelope{req: r})
-}
-
-func (s *Server) submit(env envelope) error {
-	r := env.req
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	sh := s.shards[s.router.Shard(r.LBA)]
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
+// offer hands e to shard sid's queue. Under the Block policy a full
+// queue blocks the caller; under Shed it drops the entry, counting
+// every request in it, and reports false. Caller holds closeMu (read).
+func (s *Server) offer(sid int, e entry) bool {
 	if s.cfg.Policy == Shed {
 		select {
-		case sh.ch <- env:
-			return nil
+		case s.shards[sid].ch <- e:
+			return true
 		default:
-			atomic.AddInt64(&s.shed, 1)
-			return ErrShed
+			atomic.AddInt64(&s.shed, int64(len(e.reqs)))
+			return false
 		}
 	}
-	sh.ch <- env
-	return nil
+	s.shards[sid].ch <- e
+	return true
 }
 
 // SubmitBatch routes a batch of requests in one call: the batch is
@@ -766,8 +728,8 @@ func (s *Server) submit(env envelope) error {
 // validation error rejects the batch without side effects. Under the
 // Shed policy a full shard queue drops that shard's entire bucket
 // (every dropped request is counted); other shards' buckets still
-// land. Under Block a full queue blocks the caller, exactly like
-// Submit. After Close it returns ErrClosed.
+// land. Under Block a full queue blocks the caller. After Close it
+// returns ErrClosed.
 func (s *Server) SubmitBatch(reqs []Request) error {
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
@@ -785,30 +747,31 @@ func (s *Server) SubmitBatch(reqs []Request) error {
 		return ErrClosed
 	}
 	for sid, b := range buckets {
-		if len(b) == 0 {
-			continue
+		if len(b) > 0 {
+			s.offer(sid, entry{reqs: b})
 		}
-		env := envelope{batch: b}
-		if s.cfg.Policy == Shed {
-			select {
-			case s.shards[sid].ch <- env:
-			default:
-				atomic.AddInt64(&s.shed, int64(len(b)))
-			}
-			continue
-		}
-		s.shards[sid].ch <- env
 	}
 	return nil
 }
 
-// Do submits r and waits for its completion record.
+// Do submits r and waits for its completion record. Under Shed a full
+// shard queue fails it with ErrShed; after Close it returns ErrClosed.
 func (s *Server) Do(r *Request) (Result, error) {
-	env := envelope{req: r, done: make(chan Result, 1)}
-	if err := s.submit(env); err != nil {
-		return Result{}, err
+	if err := r.Validate(); err != nil {
+		return Result{}, fmt.Errorf("server: %w", err)
 	}
-	return <-env.done, nil
+	e := entry{reqs: []*Request{r}, done: make(chan Result, 1)}
+	s.closeMu.RLock()
+	if s.closed {
+		s.closeMu.RUnlock()
+		return Result{}, ErrClosed
+	}
+	queued := s.offer(s.router.Shard(r.LBA), e)
+	s.closeMu.RUnlock()
+	if !queued {
+		return Result{}, ErrShed
+	}
+	return <-e.done, nil
 }
 
 // Close is the graceful drain: new submissions are refused, every
@@ -816,9 +779,9 @@ func (s *Server) Do(r *Request) (Result, error) {
 // workers exit. It is idempotent and safe to call concurrently — the
 // first caller closes the queues, every caller waits for the drain to
 // finish, and all callers return the same first worker failure (nil on
-// a clean drain). It is also safe to call concurrently with Submit (a
-// submitter blocked on a full queue completes its send before Close
-// proceeds, and that request is served).
+// a clean drain). It is also safe to call concurrently with a
+// submission (a submitter blocked on a full queue completes its send
+// before Close proceeds, and that request is served).
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	already := s.closed

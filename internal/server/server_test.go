@@ -2,8 +2,10 @@ package server
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -39,6 +41,11 @@ func apiReq(r *trace.Request) *Request {
 		req.Content = r.Content
 	}
 	return req
+}
+
+// submitOne queues r alone and does not wait for it: a batch of one.
+func submitOne(srv *Server, r *Request) error {
+	return srv.SubmitBatch([]Request{*r})
 }
 
 // TestBridgeByteIdenticalToReplay is the determinism bridge of the
@@ -111,7 +118,7 @@ func TestConcurrentClientsDrainCompletely(t *testing.T) {
 		Shards:     shards,
 		GranChunks: 256, // fine granules: the sub-sampled trace only touches an address-space prefix
 		QueueDepth: 64,
-		MaxBatch:   16,
+		maxBatch:   16,
 		Timing:     Queued,
 		NewEngine:  podFactory(prof),
 	})
@@ -126,7 +133,7 @@ func TestConcurrentClientsDrainCompletely(t *testing.T) {
 			defer wg.Done()
 			for i := c; i < len(tr.Requests); i += clients {
 				r := &tr.Requests[i]
-				if err := srv.Submit(apiReq(r)); err != nil {
+				if err := submitOne(srv, apiReq(r)); err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return
 				}
@@ -165,8 +172,8 @@ func TestConcurrentClientsDrainCompletely(t *testing.T) {
 }
 
 // TestSubmitBatchMatchesSubmit drives the same trace through two
-// identically configured servers — one via per-request Submit, one via
-// SubmitBatch — and checks the end states agree exactly: batching is a
+// identically configured servers — one request per submission, then 64
+// — and checks the end states agree exactly: batching is a
 // submission-path optimization, never a semantic change.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	tr, prof := testTrace(t)
@@ -184,7 +191,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tr.Requests {
-		if err := one.Submit(apiReq(&tr.Requests[i])); err != nil {
+		if err := submitOne(one, apiReq(&tr.Requests[i])); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -265,21 +272,21 @@ func TestSubmitBatchAfterCloseRefused(t *testing.T) {
 
 // TestShedPolicyBoundsQueue verifies the load-shedding backpressure
 // path: with the sole worker paused and a depth-1 queue, surplus
-// submissions must be refused with ErrShed and counted, never queued
-// without bound or blocked.
+// submissions must be dropped and counted (a Do refused with ErrShed),
+// never queued without bound or blocked.
 //
 // A paused shard holds QueueDepth requests in its queue plus whatever
 // its worker drained into the current batch before blocking on the
-// shard lock — up to MaxBatch, and how many depends on how the
+// shard lock — up to maxBatch, and how many depends on how the
 // worker's non-blocking refill interleaves with the submissions.
-// MaxBatch 1 pins that to the one request the worker blocks with, so
+// maxBatch 1 pins that to the one request the worker blocks with, so
 // the bound below is exact instead of a race the test usually wins.
 func TestShedPolicyBoundsQueue(t *testing.T) {
 	_, prof := testTrace(t)
 	srv, err := New(Config{
 		Shards:     1,
 		QueueDepth: 1,
-		MaxBatch:   1,
+		maxBatch:   1,
 		Policy:     Shed,
 		NewEngine:  podFactory(prof),
 	})
@@ -295,29 +302,49 @@ func TestShedPolicyBoundsQueue(t *testing.T) {
 	})
 	<-paused
 
-	// worker can absorb at most one in-flight request plus one queued
-	const n = 6
-	sheds := 0
-	for i := 0; i < n; i++ {
-		err := srv.Submit(&Request{Op: trace.Write, LBA: uint64(i), Content: []chunk.ContentID{chunk.ContentID(i + 1)}})
-		if err == ErrShed {
-			sheds++
-		} else if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	sent := 0
+	submit := func() {
+		t.Helper()
+		err := submitOne(srv, &Request{Op: trace.Write, LBA: uint64(sent), Content: []chunk.ContentID{chunk.ContentID(sent + 1)}})
+		if err != nil {
+			t.Fatalf("submit %d: %v", sent, err)
 		}
+		sent++
 	}
-	if sheds < n-2 {
-		t.Fatalf("only %d of %d surplus submissions shed", sheds, n)
+	// the paused shard holds its lock, so Stats would block: read the
+	// shed counter itself
+	shed := func() int { return int(atomic.LoadInt64(&srv.shed)) }
+
+	// fill the shard: the one request its worker blocks with, one queued
+	for sent-shed() < 2 {
+		if sent > 10000 {
+			t.Fatal("paused shard never filled")
+		}
+		submit()
+		runtime.Gosched()
+	}
+	// full, and staying full: everything further is shed, and a Do fails
+	// fast instead of waiting
+	const surplus = 4
+	before := shed()
+	for i := 0; i < surplus; i++ {
+		submit()
+	}
+	if got := shed() - before; got != surplus {
+		t.Fatalf("%d of %d surplus submissions shed", got, surplus)
+	}
+	if _, err := srv.Do(&Request{Op: trace.Read, LBA: 0, Chunks: 1}); err != ErrShed {
+		t.Fatalf("Do against a full queue: %v, want ErrShed", err)
 	}
 	close(release)
 	srv.Close()
 
 	snap := srv.Stats()
-	if snap.ShedCount != int64(sheds) {
-		t.Fatalf("shed counter %d, want %d", snap.ShedCount, sheds)
+	if snap.ShedCount != int64(shed()) || shed() != sent-2+1 {
+		t.Fatalf("shed counter %d (Stats %d), want %d submissions + 1 Do", shed(), snap.ShedCount, sent-2)
 	}
-	if snap.Completed != int64(n-sheds) {
-		t.Fatalf("completed %d, want %d", snap.Completed, n-sheds)
+	if snap.Completed != 2 {
+		t.Fatalf("completed %d, want the 2 the shard held", snap.Completed)
 	}
 }
 
@@ -358,7 +385,7 @@ func TestSubmitAfterCloseRefused(t *testing.T) {
 	}
 	srv.Close()
 	srv.Close() // idempotent
-	err = srv.Submit(&Request{Op: trace.Read, LBA: 0, Chunks: 1})
+	_, err = srv.Do(&Request{Op: trace.Read, LBA: 0, Chunks: 1})
 	if err != ErrClosed {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
@@ -420,7 +447,7 @@ func TestCheckConsistencyAuditsEveryShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range reqs {
-			if err := srv.Submit(apiReq(&reqs[i])); err != nil {
+			if err := submitOne(srv, apiReq(&reqs[i])); err != nil {
 				t.Fatal(err)
 			}
 		}

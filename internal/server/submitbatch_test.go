@@ -32,8 +32,8 @@ func TestSubmitBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchSingle: a one-request batch is served exactly like a
-// plain Submit — one completion, content readable back.
+// TestSubmitBatchSingle: a one-request batch is served — one
+// completion, content readable back.
 func TestSubmitBatchSingle(t *testing.T) {
 	_, prof := testTrace(t)
 	srv, err := New(Config{Shards: 2, NewEngine: podFactory(prof)})

@@ -237,6 +237,10 @@ func New(cfg Config) (*System, error) {
 	}
 
 	ecfg := experiments.Platform(cfg.Disks, cfg.DiskBlocks, level, uint64(cfg.StripeUnitKB/4), int64(cfg.MemoryMB)<<20, 0)
+	if n := ecfg.Array.DataBlocks(); n < engine.IndexZoneFrac {
+		return nil, fmt.Errorf("pod: %d disks of %d blocks hold %d data blocks under this layout; the engines need at least %d (1/%d of the array is the index zone)",
+			cfg.Disks, cfg.DiskBlocks, n, engine.IndexZoneFrac, engine.IndexZoneFrac)
+	}
 	switch {
 	case cfg.NVRAMKB > 0:
 		ecfg.NVRAMBytes = cfg.NVRAMKB * 1024

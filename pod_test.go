@@ -335,3 +335,60 @@ func TestLayoutSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSmallArrays: the index zone at the top of the array is 1/32 of
+// it, and the iCache's swap-in reads used to assume that zone exceeds
+// one 256-block batch. An array whose zone is exactly one batch, just
+// under one, or far under must survive repartitions that grow the read
+// cache (swap-ins read from the zone), and an array with no zone at all
+// must be refused by New, not panic later.
+func TestSmallArrays(t *testing.T) {
+	for _, c := range []struct {
+		diskBlocks uint64
+		ok         bool
+	}{
+		// 4-disk RAID5 with a one-block stripe unit: 3 × diskBlocks of data
+		{2731, true}, // 8193 data blocks: a zone of exactly 256
+		{2730, true}, // 8190: a zone of 255
+		{1024, true}, // 3072: a zone of 96
+		{8, false},   // 24: no zone at all
+	} {
+		sys, err := New(Config{Scheme: SchemePOD, DiskBlocks: c.diskBlocks, StripeUnitKB: 4, MemoryMB: 8})
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "at least 32") {
+				t.Errorf("%d-block disks: want a refusal naming the minimum, got %v", c.diskBlocks, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%d-block disks: %v", c.diskBlocks, err)
+			continue
+		}
+		// 8 MB of cache holds 1024 blocks on the read side and remembers
+		// as many in its ghost: cycling reads over 1536 written blocks
+		// miss the cache and hit the ghost, so the Swap Module grows the
+		// read cache 128 blocks at a time and swaps them back in
+		now := int64(0)
+		do := func(r *Request) {
+			t.Helper()
+			r.Time = now
+			res, err := sys.Do(r)
+			if err != nil || res.Err != nil {
+				t.Fatalf("%d-block disks: %v / %v", c.diskBlocks, err, res.Err)
+			}
+			now = res.Complete + 1000
+		}
+		const working = 1536
+		for i := uint64(0); i < working; i++ {
+			do(wr(0, i, ContentID(i+1)))
+		}
+		for pass := 0; pass < 8; pass++ {
+			for i := uint64(0); i < working; i++ {
+				do(rd(0, i, 1))
+			}
+		}
+		if n := sys.eng.Stats().SwapInIOs; n < 4 {
+			t.Errorf("%d-block disks: %d swap-in reads; the test no longer drives the zone reads past one batch", c.diskBlocks, n)
+		}
+	}
+}
