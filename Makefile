@@ -6,10 +6,11 @@ GO ?= go
 
 all: build vet test
 
-# CI gate: vet, build, the full test suite under the race detector —
-# which holds the serving-layer smoke table (TestSmoke in internal/
-# experiments/serving: one run per armed feature, each under the checks
-# that feature promises) and podload's argv tests —, the CLI smoke, and
+# CI gate: gofmt (fails, listing the files it would change), vet,
+# build, the full test suite under the race detector — which holds the
+# serving-layer smoke table (TestSmoke in internal/experiments/serving:
+# one run per armed feature, each under the checks that feature
+# promises) and podload's argv tests —, the CLI smoke, and
 # the two gates over one full-scale regeneration. The experiment-matrix
 # tests already run at reduced scale (see internal/experiments
 # testScale), which keeps the race run to a couple of minutes. The
@@ -18,6 +19,7 @@ all: build vet test
 # depend on how many cores interleave them. It ends by printing the
 # size figures (loc), which gate nothing.
 check:
+	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

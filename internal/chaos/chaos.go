@@ -53,7 +53,7 @@ var scenarios = []Scenario{
 	{Name: "bgdedup", Plan: "full", Scanner: true},
 	{Name: "globalfp", Tier: true},
 	// the disk-level plan stays modest so the verdict isolates the
-	// outage machinery: epoch fencing, recall timeouts, hint purges and
+	// outage machinery: epoch fencing, crash notices, hint purges and
 	// the rejoin pin re-audit
 	{Name: "shardcrash", Plan: "sector", Tier: true, Outage: true},
 }

@@ -81,7 +81,7 @@ var (
 		"bgdedup: paused busy=${bgdedup_paused_busy}, skipped extents=${bgdedup_skipped_extents}",
 	}
 	tierBlock = []string{
-		"globalfp: ads queued=${globalfp_ads_queued} dropped=${globalfp_ads_dropped} | dups detected=${globalfp_dups_detected} hints broadcast=${globalfp_hints_broadcast} installed=${globalfp_hints_installed} | table entries=${globalfp_table_entries} fixes=${globalfp_table_fixes}",
+		"globalfp: ads=${globalfp_ads_queued} | dups detected=${globalfp_dups_detected} hints broadcast=${globalfp_hints_broadcast} installed=${globalfp_hints_installed} | table entries=${globalfp_table_entries} fixes=${globalfp_table_fixes}",
 		"globalfp: remaps applied=${globalfp_remaps_applied} rejected=${globalfp_remaps_rejected} reclaimed=${globalfp_reclaimed_blocks} blocks | pins granted=${globalfp_pins_granted} rejects=${globalfp_pin_rejects} | recalls ${globalfp_recalls_sent} sent ${globalfp_recalls_done} done",
 		"globalfp: hint tables ${hint-table-kib} KiB | hits=${globalfp_hint_hits} of ${globalfp_hints_installed} installed (${hint-hit-pct}%) overwrites=${globalfp_hint_overwrites}",
 		"globalfp: inboxes ${inbox-kib} KiB held, ${globalfp_inbox_peak_msgs} messages at the shards' peaks | map reverse indexes ${reverse-index-kib} KiB",
@@ -90,7 +90,7 @@ var (
 	}
 	outageBlock = []string{
 		"shardcrash: shard ${outage-shard} crashed and rejoined, ${outage-replayed} journal records replayed, ${shards:server_shard_down_refused} requests refused while down",
-		"shardcrash: epochs=[${epochs}] stale-dropped=${globalfp_stale_dropped} down-dropped=${globalfp_down_dropped} recall-timeouts=${globalfp_recall_timeouts}",
+		"shardcrash: epochs=[${epochs}] stale-dropped=${globalfp_stale_dropped} down-dropped=${globalfp_down_dropped} implicit-grants=${globalfp_recall_implicit_grants}",
 		"shardcrash: outage window closed, cluster whole",
 	}
 	chaosBlock = []string{

@@ -26,15 +26,6 @@ const foldStepInterval = 200 * sim.Millisecond
 // paroleBudget bounds recalls started per fold step.
 const paroleBudget = 16
 
-// recallTimeoutVT is the virtual-time recall timeout: a recall still
-// waiting on a peer after this long re-checks the peer's epoch, and an
-// epoch that moved (the peer crashed since the revoke was sent) turns
-// that peer's ack into an implicit grant — a dead shard holds no hint,
-// and any remote reference it journaled before dying is re-audited by
-// the rejoin remote-reference scan. Live peers with unchanged epochs
-// are still waited on indefinitely: their acks are reliably delivered.
-const recallTimeoutVT = 500 * sim.Millisecond
-
 // fper is stateless; see bgdedup for why synthetic fingerprints are
 // always safe off the write path.
 var fper chunk.SyntheticFingerprinter
@@ -48,13 +39,11 @@ type foldReq struct {
 }
 
 // recallState tracks one in-flight revoke round: the bitmask of peers
-// whose acks are still outstanding, each peer's epoch at revoke-send
-// time (the implicit-grant comparison point), and when the round
-// started (the timeout clock).
+// whose acks are still outstanding, and the tier's crash count when the
+// round started — a crash notice numbered above it covers the round.
 type recallState struct {
 	waiting uint64
-	epochs  []uint32 // indexed by shard; valid only at waiting bits
-	started sim.Time
+	since   uint32
 }
 
 // Agent is a shard's endpoint of the global fingerprint tier: an
@@ -75,16 +64,16 @@ type Agent struct {
 	b     *engine.Base
 	t     *Tier
 	shard int
-	inner engine.BackgroundTask
+	inner *bgdedup.Scanner
 	core  *bgdedup.Core
 
 	hints     *hintTable // every tier hint this shard holds
 	foldQ     []foldReq
 	nextFold  sim.Time
 	paroleQ   []alloc.PBA
-	recalling map[alloc.PBA]*recallState // local canonical → revoke round
-	hinted    []uint64                   // bitset: local blocks holding the hinted pin
-	msgBuf    []message                  // inbox drain scratch
+	recalling map[alloc.PBA]recallState // local canonical → revoke round
+	hinted    []uint64                  // bitset: local blocks holding the hinted pin
+	msgBuf    []message                 // inbox drain scratch
 	freeBuf   [1]alloc.PBA
 
 	// out[s] is the run of messages toward shard s staged by the
@@ -102,31 +91,27 @@ type Agent struct {
 	refUnpins      int64
 	recallsSent    int64
 	recallsDone    int64
-	recallTimeouts int64
+	implicitGrants int64
 	staleDropped   int64
 }
 
 // New builds the agent on a shard engine's substrate, interposes it as
 // the engine's background task and tier seat, and registers its gauges.
-// The shard's scanner must already be attached — the agent wraps it; a
-// missing scanner gets a Core of its own (tests), losing only the cursor
-// sweep. The hint table gets as many slots as the shard's hot index has
-// entries right now: a hint is worth what an index entry is worth, and
-// the table must not outgrow the cache it serves.
+// The shard's scanner must already be attached (the serving layer checks):
+// the agent wraps it and folds through its Core, so folds show in the
+// bgdedup gauges too. The hint table gets as many slots as the shard's
+// hot index has entries right now: a hint is worth what an index entry
+// is worth, and the table must not outgrow the cache it serves.
 func New(b *engine.Base, t *Tier, shard int) *Agent {
+	inner := b.Background.(*bgdedup.Scanner)
 	a := &Agent{
 		b: b, t: t, shard: shard,
-		inner:     b.Background,
+		inner:     inner,
+		core:      inner.Core(),
 		hints:     newHintTable(b.IC.IndexCapTotal()),
-		recalling: make(map[alloc.PBA]*recallState),
+		recalling: make(map[alloc.PBA]recallState),
 		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
 		out:       make([][]message, t.shards),
-	}
-	if s, ok := a.inner.(*bgdedup.Scanner); ok {
-		a.core = s.Core() // shared counters: folds show in bgdedup gauges too
-	} else {
-		a.core = bgdedup.NewCore(b)
-		b.Map.EnableReverseIndex() // folds rewire a block's referrers
 	}
 	b.Background = a
 	b.SetTier(a)
@@ -147,7 +132,7 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	b.Reg.GaugeFunc("globalfp_ref_unpins", func() int64 { return a.refUnpins })
 	b.Reg.GaugeFunc("globalfp_recalls_sent", func() int64 { return a.recallsSent })
 	b.Reg.GaugeFunc("globalfp_recalls_done", func() int64 { return a.recallsDone })
-	b.Reg.GaugeFunc("globalfp_recall_timeouts", func() int64 { return a.recallTimeouts })
+	b.Reg.GaugeFunc("globalfp_recall_implicit_grants", func() int64 { return a.implicitGrants })
 	b.Reg.GaugeFunc("globalfp_fold_backlog", func() int64 { return int64(len(a.foldQ)) })
 	return a
 }
@@ -207,21 +192,16 @@ func (a *Agent) Tick(now sim.Time) {
 		} else {
 			a.nextFold = now.Add(foldStepInterval)
 			a.applyFolds(now, foldsPerTick)
-			a.processParole(now, paroleBudget)
-			a.sweepRecalls(now, false)
+			a.processParole(paroleBudget)
 		}
 	}
-	if a.inner != nil {
-		a.inner.Tick(now)
-	}
+	a.inner.Tick(now)
 }
 
 // Flush implements engine.BackgroundTask: converge the wrapped scanner,
 // then drain every queued message, fold, and parole to quiescence.
 func (a *Agent) Flush(now sim.Time) {
-	if a.inner != nil {
-		a.inner.Flush(now)
-	}
+	a.inner.Flush(now)
 	a.DrainAll(now)
 }
 
@@ -238,9 +218,7 @@ func (a *Agent) RecoverReset() {
 		delete(a.recalling, k)
 	}
 	a.hinted = make([]uint64, (a.b.DataBlocks()+63)/64)
-	if a.inner != nil {
-		a.inner.RecoverReset()
-	}
+	a.inner.RecoverReset()
 }
 
 // drainAllChunk is how many control messages DrainAll lifts out of the
@@ -257,8 +235,7 @@ func (a *Agent) DrainAll(now sim.Time) int {
 	for {
 		n := a.drainMsgs(now, drainAllChunk)
 		n += a.applyFolds(now, -1)
-		n += a.processParole(now, -1)
-		n += a.sweepRecalls(now, true)
+		n += a.processParole(-1)
 		total += n
 		if n == 0 {
 			return total
@@ -267,9 +244,9 @@ func (a *Agent) DrainAll(now sim.Time) int {
 }
 
 // ReAdvertise republishes every distinct live, referenced local block —
-// the settlement pass that retries fold candidates dropped under load
-// (full ad queues) or aborted by injected faults. Only meaningful after
-// Tier.Stop, when advertisements process synchronously.
+// the settlement pass that retries fold candidates an injected fault
+// aborted or whose hint binding a later grant overwrote (fresh ads
+// always re-grant).
 func (a *Agent) ReAdvertise() {
 	visited := make([]uint64, len(a.hinted))
 	a.b.Map.Each(func(_ uint64, pba alloc.PBA, _ bool) bool {
@@ -353,7 +330,7 @@ func (a *Agent) handle(now sim.Time, m message) {
 	// Fence: drop anything stamped with an epoch that is no longer the
 	// sender's current one — a message from the sender's previous life
 	// (a grant issued before its crash, a pin request for an ad it
-	// queued before dying). RefUp/RefDown are exempt: they mirror the
+	// published before dying). RefUp/RefDown are exempt: they mirror the
 	// sender's journaled (crash-durable) reference transitions, which
 	// the crash does not undo — fencing them would desynchronize this
 	// shard's pin counts from references that survive the sender's
@@ -390,6 +367,8 @@ func (a *Agent) handle(now sim.Time, m message) {
 		a.send(owner, message{kind: msgRevokeAck, canon: m.canon})
 	case msgRevokeAck:
 		a.handleRevokeAck(m)
+	case msgPeerDown:
+		a.handlePeerDown(m)
 	}
 }
 
@@ -456,27 +435,43 @@ func (a *Agent) handleGrant(m message) {
 }
 
 // handleRevokeAck clears the sender's bit in a revoke round; the last
-// ack releases the hinted pin, freeing the block unless ref pins (or a
-// revived local reference) still hold it. A RefUp that raced the
-// recall has already been processed — same-sender FIFO — so its pin
-// survives the release. Bit-clearing (rather than a countdown) makes a
-// duplicate ack harmless.
+// ack releases the hinted pin. A RefUp that raced the recall has already
+// been processed — same-sender FIFO — so its pin survives the release.
+// Bit-clearing (rather than a countdown) makes a duplicate ack harmless.
 func (a *Agent) handleRevokeAck(m message) {
 	_, local := alloc.RemoteParts(m.canon)
-	st, ok := a.recalling[local]
-	if !ok {
-		return
+	if st, ok := a.recalling[local]; ok {
+		st.waiting &^= uint64(1) << uint(m.from)
+		a.settleRecall(local, st)
 	}
-	st.waiting &^= uint64(1) << uint(m.from)
-	if st.waiting != 0 {
-		return
-	}
-	a.finishRecall(local)
 }
 
-// finishRecall completes a revoke round whose last outstanding ack
-// just arrived (explicitly or implicitly).
-func (a *Agent) finishRecall(local alloc.PBA) {
+// handlePeerDown takes a crash notice as the dead peer's ack (an
+// implicit grant) in every round started before the crash: its inbox,
+// revoke included, was discarded, and it holds no hint. The notice was
+// queued behind everything the peer sent, so a RefUp it sent before
+// dying has already pinned the block the round may now release. A round
+// started after the crash — the peer rejoined and was revoked again —
+// waits for a real ack.
+func (a *Agent) handlePeerDown(m message) {
+	bit := uint64(1) << uint(m.from)
+	for local, st := range a.recalling {
+		if st.since < m.seq && st.waiting&bit != 0 {
+			a.implicitGrants++
+			st.waiting &^= bit
+			a.settleRecall(local, st)
+		}
+	}
+}
+
+// settleRecall stores a revoke round while acks are outstanding and
+// completes it once none is: the hinted pin is released, freeing the
+// block unless ref pins (or a revived local reference) still hold it.
+func (a *Agent) settleRecall(local alloc.PBA, st recallState) {
+	if st.waiting != 0 {
+		a.recalling[local] = st
+		return
+	}
 	delete(a.recalling, local)
 	a.recallsDone++
 	if a.hintedTest(local) {
@@ -485,43 +480,6 @@ func (a *Agent) finishRecall(local alloc.PBA) {
 			a.freeLocal(local)
 		}
 	}
-}
-
-// sweepRecalls applies the recall timeout: rounds older than
-// recallTimeoutVT (every round when force — settlement must converge
-// even mid-outage) re-check each outstanding peer's epoch, and a peer
-// whose epoch moved since the revoke was sent is implicitly granted —
-// it crashed, its inbox (revoke included) was discarded, and it will
-// never ack. Returns the number of implicit grants applied.
-func (a *Agent) sweepRecalls(now sim.Time, force bool) int {
-	if len(a.recalling) == 0 {
-		return 0
-	}
-	granted := 0
-	for local, st := range a.recalling {
-		if !force && now < st.started.Add(recallTimeoutVT) {
-			continue
-		}
-		timedOut := false
-		for s := 0; s < a.t.shards; s++ {
-			bit := uint64(1) << uint(s)
-			if st.waiting&bit == 0 {
-				continue
-			}
-			if a.t.Epoch(s) != st.epochs[s] {
-				st.waiting &^= bit
-				granted++
-				timedOut = true
-			}
-		}
-		if timedOut {
-			a.recallTimeouts++
-		}
-		if st.waiting == 0 {
-			a.finishRecall(local)
-		}
-	}
-	return granted
 }
 
 // applyFolds applies up to budget queued remap candidates (all when
@@ -554,11 +512,10 @@ func (a *Agent) applyFolds(now sim.Time, budget int) int {
 // processParole starts recalls for up to budget paroled canonicals (all
 // when budget < 0) and returns the queue entries consumed. Entries are
 // re-validated: a block re-referenced, already recalled, or freed since
-// parole is skipped. Each round snapshots the peers' epochs at send
-// time — sweepRecalls' implicit-grant comparison point. The snapshot
-// cannot race a crash: recalls run under the shard lock and
-// Server.CrashShard holds every shard lock while epochs move.
-func (a *Agent) processParole(now sim.Time, budget int) int {
+// parole is skipped. Each round records the tier's crash count, which
+// cannot move under it: recalls run under the shard lock and
+// Server.CrashShard holds every shard lock.
+func (a *Agent) processParole(budget int) int {
 	n := 0
 	for (budget < 0 || n < budget) && len(a.paroleQ) > 0 {
 		pba := a.paroleQ[len(a.paroleQ)-1]
@@ -586,18 +543,8 @@ func (a *Agent) processParole(now sim.Time, budget int) int {
 			}
 		}
 		a.recallsSent++
-		epochs := make([]uint32, a.t.shards)
-		for s := range epochs {
-			epochs[s] = a.t.Epoch(s)
-		}
-		st := &recallState{waiting: waiting, epochs: epochs, started: now}
-		if waiting == 0 {
-			// Every peer was down at send time: complete immediately.
-			a.recalling[pba] = st
-			a.finishRecall(pba)
-			continue
-		}
-		a.recalling[pba] = st
+		// with every peer down at send time the round completes here
+		a.settleRecall(pba, recallState{waiting: waiting, since: a.t.crashSweeps.Load()})
 	}
 	return n
 }

@@ -1,20 +1,19 @@
 // Per-shard failure-domain tests driven through the exported surface:
-// a crash mid-recall, resolved by the virtual-time recall timeout.
+// a crash mid-recall, resolved by the crash notice.
 package globalfp_test
 
 import (
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/alloc"
-	"github.com/pod-dedup/pod/internal/sim"
 )
 
-// TestRecallRacingCrashReleasesPinAfterTimeout: shard 0 recalls a
-// paroled canonical while shard 2 holds an unacked revoke in its inbox;
-// shard 2 then crashes. The recall must not wait forever on the dead
-// peer — after recallTimeoutVT the sweep treats the moved epoch as an
-// implicit grant and the hinted pin (and the block) is finally freed.
-func TestRecallRacingCrashReleasesPinAfterTimeout(t *testing.T) {
+// TestRecallRacingCrashReleasesPinOnNotice: shard 0 recalls a paroled
+// canonical while shard 2 holds an unacked revoke in its inbox; shard 2
+// then crashes. The recall must not wait forever on the dead peer: the
+// crash notice queued at shard 0 stands in for its ack, and once shard 0
+// drains it the hinted pin (and the block) is finally freed.
+func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 	c := newCluster(t, 3)
 	ids := seq(1300, 4)
 
@@ -41,27 +40,25 @@ func TestRecallRacingCrashReleasesPinAfterTimeout(t *testing.T) {
 		}
 	}
 
-	// Shard 2 dies with the revokes unacked. Before the timeout elapses
-	// the rounds stay open; after it, the moved epoch is an implicit
-	// grant.
+	// Shard 2 dies with the revokes unacked. Until shard 0 drains the
+	// crash notice the rounds stay open; the notice is an implicit grant.
 	c.tier.CrashShard(2)
-	c.agents[0].Tick(8000) // well inside the timeout window
 	st := c.engs[0].Metrics().Snapshot().Gauges
 	if st["globalfp_recalls_done"] != 0 {
-		t.Fatalf("recall completed %d rounds before the timeout", st["globalfp_recalls_done"])
+		t.Fatalf("recall completed %d rounds before the notice was drained", st["globalfp_recalls_done"])
 	}
-	c.agents[0].Tick(7000 + sim.Time(2*sim.Second))
+	c.agents[0].DrainAll(8000)
 
 	st = c.engs[0].Metrics().Snapshot().Gauges
 	if st["globalfp_recalls_sent"] != 4 || st["globalfp_recalls_done"] != 4 {
 		t.Fatalf("recalls sent %d done %d, want 4/4", st["globalfp_recalls_sent"], st["globalfp_recalls_done"])
 	}
-	if st["globalfp_recall_timeouts"] != 4 {
-		t.Fatalf("recall timeouts = %d, want 4", st["globalfp_recall_timeouts"])
+	if st["globalfp_recall_implicit_grants"] != 4 {
+		t.Fatalf("implicit grants = %d, want 4", st["globalfp_recall_implicit_grants"])
 	}
 	for pba := alloc.PBA(0); pba < 4; pba++ {
 		if pins := c.engs[0].Base().Map.PinCount(pba); pins != 0 {
-			t.Fatalf("canonical %d still holds %d pins after the timeout", pba, pins)
+			t.Fatalf("canonical %d still holds %d pins after the notice", pba, pins)
 		}
 	}
 	if used := c.engs[0].UsedBlocks(); used != 4 {

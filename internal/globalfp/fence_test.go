@@ -14,6 +14,7 @@ import (
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/raid"
+	"github.com/pod-dedup/pod/internal/sim"
 )
 
 func fenceConfig() engine.Config {
@@ -29,15 +30,14 @@ func fenceConfig() engine.Config {
 	}
 }
 
-// fenceCluster builds a stopped (synchronous-ad) tier over n engines
-// with direct access to the agents' internals.
+// fenceCluster builds a tier over n engines with direct access to the
+// agents' internals.
 func fenceCluster(t testing.TB, n int) (*Tier, []*Agent) {
 	t.Helper()
 	tier, err := NewTier(n, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier.Stop()
 	agents := make([]*Agent, n)
 	for i := 0; i < n; i++ {
 		e := core.NewSelectDedupe(fenceConfig())
@@ -47,6 +47,22 @@ func fenceCluster(t testing.TB, n int) (*Tier, []*Agent) {
 		agents[i] = New(e.Base(), tier, i)
 	}
 	return tier, agents
+}
+
+// paroled fabricates the owner-side state a granted canonical holds once
+// its last local reference is gone: a live block holding content id,
+// hinted-pinned, unreferenced, queued for parole.
+func paroled(t testing.TB, a *Agent, id chunk.ContentID) alloc.PBA {
+	t.Helper()
+	pba, ok := a.b.Alloc.AllocLargest(1)
+	if !ok {
+		t.Fatal("alloc failed")
+	}
+	a.b.Store.Write(pba, id)
+	a.b.Map.Pin(pba)
+	a.hintedSet(pba)
+	a.paroleQ = append(a.paroleQ, pba)
+	return pba
 }
 
 // TestStaleEpochGrantDroppedAfterRejoin: a grant shard 1 issued before
@@ -129,19 +145,8 @@ func TestStaleEpochAdvertisementFenced(t *testing.T) {
 // release the hinted pin) immediately instead of leaking the round.
 func TestRecallCompletesWhenEveryPeerIsDown(t *testing.T) {
 	tier, agents := fenceCluster(t, 2)
-	a := agents[0]
-
-	// Fabricate the owner-side state a granted canonical would hold:
-	// block 0 live, hinted-pinned, unreferenced (paroled).
-	b := a.b
-	pba, ok := b.Alloc.AllocLargest(1)
-	if !ok {
-		t.Fatal("alloc failed")
-	}
-	b.Store.Write(pba, 31337)
-	b.Map.Pin(pba)
-	a.hintedSet(pba)
-	a.paroleQ = append(a.paroleQ, pba)
+	a, b := agents[0], agents[0].b
+	pba := paroled(t, a, 31337)
 
 	tier.CrashShard(1)
 	a.DrainAll(0)
@@ -154,5 +159,66 @@ func TestRecallCompletesWhenEveryPeerIsDown(t *testing.T) {
 	}
 	if pins := b.Map.PinCount(pba); pins != 0 {
 		t.Fatalf("hinted pin not released (%d pins)", pins)
+	}
+}
+
+// TestCrashNoticeQueuesBehindDeadPeersRefUp: shard 1 reports a reference
+// to a canonical under recall and crashes, with the owner's inbox so
+// backed up that its RefUp is still queued when the owner's fold step
+// comes round. The implicit grant for shard 1 must not release the
+// hinted pin before that RefUp is counted — the block would be freed
+// while shard 1's journal still maps it. The crash notice queues behind
+// the RefUp, so the canonical survives on the ref pin.
+func TestCrashNoticeQueuesBehindDeadPeersRefUp(t *testing.T) {
+	tier, agents := fenceCluster(t, 3)
+	a := agents[0]
+	pba := paroled(t, a, 31337)
+	canon := alloc.MakeRemote(0, pba)
+
+	a.processParole(-1)   // revokes toward shards 1 and 2
+	agents[2].DrainAll(0) // shard 2 acks
+	for k := 0; k < 300; k++ {
+		// harmless backlog: acks for a block under no recall
+		agents[2].send(0, message{kind: msgRevokeAck, canon: alloc.MakeRemote(0, 999)})
+	}
+	agents[1].RemoteRef(canon, true)
+	tier.CrashShard(1)
+	now := sim.Time(600 * sim.Millisecond)
+	a.Tick(now)
+	a.DrainAll(now)
+
+	_, live := a.b.Store.Read(pba)
+	if pins := a.b.Map.PinCount(pba); !live || pins != 1 {
+		t.Fatalf("canonical live=%v pins=%d implicitGrants=%d, want live on shard 1's ref pin alone", live, pins, a.implicitGrants)
+	}
+	if a.recallsDone != 1 || a.implicitGrants != 1 {
+		t.Fatalf("recalls done %d, implicit grants %d, want 1 and 1", a.recallsDone, a.implicitGrants)
+	}
+}
+
+// TestCrashNoticeSparesLaterRound: shard 1 crashes and rejoins, and
+// shard 0 revokes a canonical from it before draining that crash's
+// notice. The notice covers only rounds started before the crash: the
+// new round waits for shard 1's real ack.
+func TestCrashNoticeSparesLaterRound(t *testing.T) {
+	tier, agents := fenceCluster(t, 3)
+	a := agents[0]
+	pba := paroled(t, a, 31337)
+
+	tier.CrashShard(1)
+	tier.RecoverShard(1)
+	a.processParole(-1) // revokes toward shards 1 and 2
+	if n := a.drainMsgs(0, 16); n != 1 {
+		t.Fatalf("drained %d messages, want the crash notice", n)
+	}
+	if st := a.recalling[pba]; st.waiting != 1<<1|1<<2 || a.implicitGrants != 0 {
+		t.Fatalf("round waits on %b after the old notice (%d implicit grants), want shards 1 and 2", st.waiting, a.implicitGrants)
+	}
+
+	agents[1].DrainAll(0)
+	agents[2].DrainAll(0)
+	a.DrainAll(0)
+	if _, live := a.b.Store.Read(pba); live || len(a.recalling) != 0 {
+		t.Fatalf("round not completed by the real acks (live=%v, %d rounds open)", live, len(a.recalling))
 	}
 }

@@ -7,15 +7,15 @@
 //
 // The design keeps the inline write path shard-local and lock-free:
 //
-//   - Shards publish (fingerprint, shard, PBA) advertisements over
-//     bounded per-partition queues. Publication is fire-and-forget —
-//     a full queue drops the ad (counted), it never blocks a request.
-//   - Tier workers land ads on fingerprint-partitioned probe.Map
-//     tables. The first advertisement of a fingerprint registers its
-//     block as the canonical copy and asks the owning shard to grant
-//     index hints to every other shard; a later advertisement from a
-//     different shard is a detected cross-shard duplicate and emits a
-//     targeted remap candidate for the advertiser's copy.
+//   - Shards publish (fingerprint, shard, PBA) advertisements, and each
+//     lands on its fingerprint partition's probe.Map table inside the
+//     publishing call, under the partition's lock: no ad is queued, so
+//     none is dropped. The first advertisement of a fingerprint
+//     registers its block as the canonical copy and asks the owning
+//     shard to grant index hints to every other shard; a later
+//     advertisement from a different shard is a detected cross-shard
+//     duplicate and emits a targeted remap candidate for the
+//     advertiser's copy.
 //   - Each shard's background actor (Agent, wrapping the bgdedup
 //     scanner) consumes grants and candidates in virtual time from the
 //     engine's per-request Tick: a grant puts its fp → remote-canonical
@@ -59,10 +59,11 @@
 // message and advertisement is stamped with its sender's epoch, and
 // receivers drop (and count) anything stamped with an epoch that is no
 // longer the sender's current one — the fencing that makes messages
-// from a shard's previous life harmless. A recall waiting on a peer
-// whose epoch moved treats that peer's ack as implicitly granted
-// (recall timeout): the dead peer cannot hold a hint, and any remote
-// reference it journaled is re-audited by the RecoverLoad/RecoverFinish
+// from a shard's previous life harmless. A crash also queues a notice
+// to every live peer, behind everything the dead shard sent; a recall
+// waiting on the dead shard treats the notice as its ack (an implicit
+// grant): the dead peer cannot hold a hint, and any remote reference it
+// journaled is re-audited by the RecoverLoad/RecoverFinish
 // remote-reference scan when it rejoins. A crash drops only the dead
 // shard's advertisements and pins from the tier tables, and the hints
 // naming its canonicals from the survivors' hint tables (partial
@@ -88,11 +89,8 @@ import (
 // measurements behind each.
 const (
 	// partitions is the number of fingerprint partitions, each with
-	// its own table, worker goroutine, and ad queue.
+	// its own table and lock.
 	partitions = 8
-	// queueLen is the per-partition advertisement queue capacity; a
-	// full queue drops ads rather than block the write path.
-	queueLen = 4096
 	// foldsPerTick bounds the remap candidates a shard agent applies
 	// per paced fold step; fold I/O beyond the budget waits for the
 	// next step or an idle window. Deliberately small: every fold
@@ -114,8 +112,8 @@ const (
 type Params struct{}
 
 // ad is one published (fingerprint, shard, PBA) advertisement, stamped
-// with the advertiser's epoch so a crashed shard's in-flight ads are
-// fenced out instead of re-registering freed canonicals.
+// with the advertiser's epoch so a crashed shard's ads are fenced out
+// instead of re-registering freed canonicals.
 type ad struct {
 	fp    chunk.Fingerprint
 	pba   alloc.PBA
@@ -146,24 +144,31 @@ const (
 	msgRevoke
 	// msgRevokeAck: shard → owner. Revoke processed.
 	msgRevokeAck
+	// msgPeerDown: tier → every other live shard, from CrashShard.
+	// Shard from crashed as crash number seq; recall rounds started
+	// before that stop waiting for its ack.
+	msgPeerDown
 )
 
 // message is one entry in a shard's control inbox. Grants, pin
-// traffic, revokes, and acks ride reliable (unbounded) queues — unlike
-// ads they cannot be dropped without leaking pins. Every message
+// traffic, revokes, acks, and crash notices ride reliable (unbounded)
+// queues: none can be dropped without leaking pins. Every message
 // carries its sender's shard and epoch; receivers drop messages whose
 // epoch is no longer the sender's current one (fencing). Tier-origin
-// messages (PinReq from processAd) are stamped with the epoch of the
-// shard whose advertisement caused them.
+// messages are stamped with the epoch of the shard they concern: a
+// PinReq with its advertiser's, a PeerDown with the dead shard's new
+// one, so a later crash of that shard fences an earlier notice that its
+// own notice covers.
 type message struct {
 	kind   msgKind
+	hasDup bool
 	fp     chunk.Fingerprint
 	canon  alloc.PBA // remote-encoded owner+pba
 	dup    alloc.PBA // msgPinReq/msgGrant: advertiser's local duplicate
 	bene   uint64    // msgPinReq: beneficiary shard bitmask
-	from   int       // sending shard (or ad origin for msgPinReq)
+	from   int       // sending shard (ad origin for msgPinReq, the dead shard for msgPeerDown)
 	epoch  uint32    // sender's epoch at send time
-	hasDup bool
+	seq    uint32    // msgPeerDown: the tier's crash count after this crash
 }
 
 // inbox is a shard's reliable control queue: a mutex-guarded list of

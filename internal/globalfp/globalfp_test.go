@@ -32,9 +32,8 @@ func testConfig(perDisk uint64) engine.Config {
 	}
 }
 
-// cluster is a tier over n standalone engines with the ad path in
-// synchronous mode (Stop before any traffic), so every test is
-// deterministic without goroutine scheduling in the picture.
+// cluster is a tier over n standalone engines. An advertisement lands
+// in the write that publishes it, so every test is deterministic.
 type cluster struct {
 	tier   *globalfp.Tier
 	engs   []*engine.Pipeline
@@ -47,7 +46,6 @@ func newCluster(t *testing.T, n int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier.Stop() // synchronous ads from here on
 	c := &cluster{tier: tier}
 	for i := 0; i < n; i++ {
 		e := core.NewSelectDedupe(testConfig(1 << 14))
@@ -105,11 +103,9 @@ func TestNewTierValidatesShardCount(t *testing.T) {
 	if _, err := globalfp.NewTier(65, globalfp.Params{}); err == nil {
 		t.Fatal("65 shards accepted")
 	}
-	tr, err := globalfp.NewTier(64, globalfp.Params{})
-	if err != nil {
+	if _, err := globalfp.NewTier(64, globalfp.Params{}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Stop()
 }
 
 // TestHintEnablesCrossShardInlineDedupe is the tier's reason to exist:
@@ -389,7 +385,6 @@ func TestHintsNeverEnterICache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr.Stop()
 			c.tier = tr
 		}
 		for i := 0; i < 2; i++ {

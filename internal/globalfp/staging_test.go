@@ -34,13 +34,11 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	// Owner-side state on shard 0: two referenced blocks to grant, a
 	// referenced duplicate to fold away, and a paroled canonical (live,
 	// hinted-pinned, unreferenced).
-	g1, g2, dup, par := alloc1(11), alloc1(12), alloc1(13), alloc1(10)
+	g1, g2, dup := alloc1(11), alloc1(12), alloc1(13)
+	par := paroled(t, a, 10)
 	b.Map.Set(1, g1, false)
 	b.Map.Set(2, g2, false)
 	b.Map.Set(3, dup, false)
-	b.Map.Pin(par)
-	a.hintedSet(par)
-	a.paroleQ = append(a.paroleQ, par)
 
 	ep1 := tier.Epoch(1)
 	remote := func(shard int, pba alloc.PBA) alloc.PBA { return alloc.MakeRemote(shard, pba) }
@@ -90,14 +88,14 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 
 	// A run toward a shard that went down is dropped whole and counted
 	// message for message; the same drain's run toward a live shard
-	// arrives.
+	// arrives. The crash queued a notice at shards 0 and 1 ahead of it.
 	tier.CrashShard(2)
 	before := tier.Snapshot().DownDropped
 	for k := 0; k < 3; k++ {
 		tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), bene: 1<<1 | 1<<2, from: 1, epoch: ep1})
 	}
-	if n := a.drainMsgs(0, 16); n != 3 {
-		t.Fatalf("drained %d messages, want 3", n)
+	if n := a.drainMsgs(0, 16); n != 4 {
+		t.Fatalf("drained %d messages, want the notice and 3", n)
 	}
 	if staged() != 0 {
 		t.Fatalf("%d messages still staged after drainMsgs returned", staged())
@@ -105,8 +103,8 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	if dropped := tier.Snapshot().DownDropped - before; dropped != 3 {
 		t.Fatalf("down-dropped rose by %d, want the 3 grants toward shard 2", dropped)
 	}
-	if n1, n2 := tier.inbox[1].len(), tier.inbox[2].len(); n1 != 3 || n2 != 0 {
-		t.Fatalf("inboxes hold %d (live) and %d (down) messages, want 3 and 0", n1, n2)
+	if n1, n2 := tier.inbox[1].len(), tier.inbox[2].len(); n1 != 4 || n2 != 0 {
+		t.Fatalf("inboxes hold %d (live) and %d (down) messages, want 4 (the notice and 3 grants) and 0", n1, n2)
 	}
 }
 

@@ -20,25 +20,22 @@ type tierEntry struct {
 	granted uint64    // beneficiary shards already granted
 }
 
-// partition is one fingerprint partition: its own table, ad queue, and
-// worker goroutine, so tier load spreads without a global lock.
+// partition is one fingerprint partition: its own table and lock, so
+// publishers on different shards rarely contend.
 type partition struct {
 	mu  sync.Mutex
 	tbl *probe.Map[chunk.Fingerprint, tierEntry]
-	ch  chan ad
 }
 
 // Tier is the global fingerprint tier shared by every shard of one
-// server: fingerprint-partitioned tables fed by bounded ad queues,
-// plus the reliable control inboxes the shard agents drain.
+// server: fingerprint-partitioned tables that advertisements land on in
+// the publishing call, plus the reliable control inboxes the shard
+// agents drain.
 type Tier struct {
 	shards int
 	parts  []partition
 	inbox  []inbox
 	agents []*Agent
-	wg     sync.WaitGroup
-
-	stopped atomic.Bool
 
 	// Per-shard failure-domain state. epochs[i] is shard i's fencing
 	// epoch, bumped by CrashShard; down[i] marks the shard crashed
@@ -48,20 +45,17 @@ type Tier struct {
 	down   []atomic.Bool
 
 	adsQueued      atomic.Int64
-	adsDropped     atomic.Int64
-	adsProcessed   atomic.Int64
 	dupsDetected   atomic.Int64
 	hintsBroadcast atomic.Int64
 	tableFixes     atomic.Int64
 	recalls        atomic.Int64
 	staleDropped   atomic.Int64
 	downDropped    atomic.Int64
-	crashSweeps    atomic.Int64
+	crashSweeps    atomic.Uint32 // CrashShard calls; numbers the notices
 }
 
-// NewTier builds the tier for a server of the given shard count and
-// starts its partition workers. Beneficiary sets are shard bitmasks,
-// so the tier supports 2–64 shards.
+// NewTier builds the tier for a server of the given shard count.
+// Beneficiary sets are shard bitmasks, so the tier supports 2–64 shards.
 func NewTier(shards int, _ Params) (*Tier, error) {
 	if shards < 2 {
 		return nil, fmt.Errorf("globalfp: tier needs at least 2 shards (got %d); a single shard already sees the whole content stream", shards)
@@ -79,17 +73,6 @@ func NewTier(shards int, _ Params) (*Tier, error) {
 	}
 	for i := range t.parts {
 		t.parts[i].tbl = probe.NewMap[chunk.Fingerprint, tierEntry](1 << 12)
-		t.parts[i].ch = make(chan ad, queueLen)
-	}
-	for i := range t.parts {
-		part := &t.parts[i]
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for a := range part.ch {
-				t.processAd(a)
-			}
-		}()
 	}
 	return t, nil
 }
@@ -152,48 +135,28 @@ func (t *Tier) downMask() uint64 {
 	return m
 }
 
-// Advertise publishes one (fingerprint, shard, PBA) sighting.
-// Non-blocking while the tier is serving: a full partition queue drops
-// the ad (a lost opportunity, never an error). After Stop —
-// settlement re-advertisement — ads are processed synchronously
-// instead, so nothing published during drain is lost.
+// Advertise publishes one (fingerprint, shard, PBA) sighting and lands
+// it on its partition table before returning. Callers hold the
+// publishing shard's lock, so the order is shard → partition → inbox,
+// the one Fix and Recall calls from the agents take too.
 func (t *Tier) Advertise(shard int, fp chunk.Fingerprint, pba alloc.PBA, fresh bool) {
-	a := ad{fp: fp, pba: pba, shard: shard, epoch: t.epochs[shard].Load(), fresh: fresh}
-	if t.stopped.Load() {
-		t.processAd(a)
-		return
-	}
-	select {
-	case t.part(fp).ch <- a:
-		t.adsQueued.Add(1)
-	default:
-		t.adsDropped.Add(1)
-	}
+	t.adsQueued.Add(1)
+	t.processAd(ad{fp: fp, pba: pba, shard: shard, epoch: t.epochs[shard].Load(), fresh: fresh})
 }
 
-// Stop closes the ad queues and waits for the workers to drain every
-// queued advertisement. Subsequent Advertise calls process
-// synchronously (settlement).
-func (t *Tier) Stop() {
-	if t.stopped.Swap(true) {
-		return
-	}
-	for i := range t.parts {
-		close(t.parts[i].ch)
-	}
-	t.wg.Wait()
-}
+// Stop does nothing: no ad waits anywhere to be drained. It stays
+// because bench/ladder.go calls it.
+func (t *Tier) Stop() {}
 
 // processAd lands one advertisement on its partition table, emitting
 // whatever pin/grant traffic it implies.
 func (t *Tier) processAd(a ad) {
-	// Fence: an advertisement from a shard's previous life (queued
-	// before its crash) must not register a freed block as canonical.
+	// Fence: an advertisement from a shard's previous life must not
+	// register a freed block as canonical.
 	if a.epoch != t.epochs[a.shard].Load() || t.down[a.shard].Load() {
 		t.staleDropped.Add(1)
 		return
 	}
-	t.adsProcessed.Add(1)
 	enc := alloc.MakeRemote(a.shard, a.pba)
 	p := t.part(a.fp)
 	p.mu.Lock()
@@ -277,12 +240,23 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 // tables drop only its state — entries whose canonical it owns are
 // deleted, and its bit is cleared from surviving entries' granted masks
 // so post-rejoin advertisements re-grant it. The survivors' canonicals,
-// pins, and hints on each other stay live. Callers must ensure no shard
-// agent is mid-Tick (the serving layer holds every shard lock).
+// pins, and hints on each other stay live.
+//
+// Every other live shard then finds a msgPeerDown notice in its inbox,
+// stamped with i's new epoch and numbered by this crash: it stands in
+// for the acks i will never send. Callers must ensure no shard is
+// mid-Tick or mid-publish (the serving layer holds every shard lock),
+// so everything i sent is queued by now and the notice lands behind it.
 func (t *Tier) CrashShard(i int) {
-	t.epochs[i].Add(1)
+	ep := t.epochs[i].Add(1)
 	t.down[i].Store(true)
 	t.inbox[i].clear()
+	notice := message{kind: msgPeerDown, from: i, epoch: ep, seq: t.crashSweeps.Add(1)}
+	for j := range t.inbox {
+		if j != i {
+			t.send(j, notice)
+		}
+	}
 	for j, a := range t.agents {
 		if j != i && a != nil {
 			a.hints.dropOwner(i)
@@ -308,7 +282,6 @@ func (t *Tier) CrashShard(i int) {
 		}
 		p.mu.Unlock()
 	}
-	t.crashSweeps.Add(1)
 }
 
 // RecoverShard marks shard i live again after the serving layer rebuilt
@@ -353,27 +326,25 @@ func (t *Tier) Backlog() int {
 
 // Counters is a snapshot of the tier's lifetime counters.
 type Counters struct {
-	AdsQueued, AdsDropped, AdsProcessed int64
-	DupsDetected, HintsBroadcast        int64
-	TableFixes, Recalls                 int64
-	StaleDropped, DownDropped           int64
-	CrashSweeps                         int64
-	Entries                             int64
+	AdsQueued                    int64 // ads published
+	DupsDetected, HintsBroadcast int64
+	TableFixes, Recalls          int64
+	StaleDropped, DownDropped    int64
+	CrashSweeps                  int64
+	Entries                      int64
 }
 
 // Snapshot reads the tier counters and current table size.
 func (t *Tier) Snapshot() Counters {
 	c := Counters{
 		AdsQueued:      t.adsQueued.Load(),
-		AdsDropped:     t.adsDropped.Load(),
-		AdsProcessed:   t.adsProcessed.Load(),
 		DupsDetected:   t.dupsDetected.Load(),
 		HintsBroadcast: t.hintsBroadcast.Load(),
 		TableFixes:     t.tableFixes.Load(),
 		Recalls:        t.recalls.Load(),
 		StaleDropped:   t.staleDropped.Load(),
 		DownDropped:    t.downDropped.Load(),
-		CrashSweeps:    t.crashSweeps.Load(),
+		CrashSweeps:    int64(t.crashSweeps.Load()),
 	}
 	for i := range t.parts {
 		p := &t.parts[i]

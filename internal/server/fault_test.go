@@ -140,7 +140,7 @@ func TestPermanentFaultNotRetried(t *testing.T) {
 // TestRetriesExhaustedReportsTransient: when maxRetries runs out the
 // last transient error surfaces in the result.
 func TestRetriesExhaustedReportsTransient(t *testing.T) {
-	eng := newFaultyEngine(1 << 30, transientErr())
+	eng := newFaultyEngine(1<<30, transientErr())
 	srv := oneShard(t, eng, func(c *Config) { c.maxRetries = 2 })
 	defer srv.Close()
 

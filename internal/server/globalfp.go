@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"github.com/pod-dedup/pod/internal/alloc"
+	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
 	"github.com/pod-dedup/pod/internal/metrics"
@@ -16,8 +17,8 @@ import (
 )
 
 // initGlobalFP builds the tier and wires one agent per shard. Called by
-// New after every shard engine exists (so an engine-hook-attached
-// bgdedup scanner is already in place for the agent to wrap).
+// New after every shard engine exists, so the bgdedup scanner each agent
+// wraps is already attached — or missing, which is refused here.
 func (s *Server) initGlobalFP() error {
 	tier, err := globalfp.NewTier(s.cfg.Shards, globalfp.Params{})
 	if err != nil {
@@ -36,6 +37,9 @@ func (s *Server) initGlobalFP() error {
 		if sh.base == nil {
 			return fmt.Errorf("server: shard %d engine %s does not expose its substrate (no Base()); the global fingerprint tier cannot attach", i, name)
 		}
+		if _, ok := sh.base.Background.(*bgdedup.Scanner); !ok {
+			return fmt.Errorf("server: shard %d engine %s has no bgdedup scanner attached; the global fingerprint tier folds through it", i, name)
+		}
 		s.agents[i] = globalfp.New(sh.base, tier, i)
 		// per-shard fencing epoch, exported beside the shard's other
 		// tier gauges (atomic read; safe under the registry rule)
@@ -47,7 +51,6 @@ func (s *Server) initGlobalFP() error {
 	// Tier-level gauges live in the server registry: the tier is shared
 	// state, not any one shard's.
 	s.reg.GaugeFunc("globalfp_ads_queued", func() int64 { return tier.Snapshot().AdsQueued })
-	s.reg.GaugeFunc("globalfp_ads_dropped", func() int64 { return tier.Snapshot().AdsDropped })
 	s.reg.GaugeFunc("globalfp_dups_detected", func() int64 { return tier.Snapshot().DupsDetected })
 	s.reg.GaugeFunc("globalfp_hints_broadcast", func() int64 { return tier.Snapshot().HintsBroadcast })
 	s.reg.GaugeFunc("globalfp_table_entries", func() int64 { return tier.Snapshot().Entries })
@@ -86,9 +89,9 @@ func (s *Server) initRemovalGauges() {
 }
 
 // settleGlobalFP runs once, from Close, after the workers have drained:
-// the tier's ad queues are stopped and drained, every shard republishes
-// its distinct live blocks (retrying candidates that were dropped under
-// load or aborted by injected faults), and the shards exchange
+// every shard republishes its distinct live blocks (retrying fold
+// candidates that injected faults aborted or hint overwrites
+// invalidated), and the shards exchange
 // grant/fold/recall traffic in rounds until a full round moves nothing
 // — the quiescent point the cross-shard audit assumes.
 //
@@ -99,7 +102,6 @@ func (s *Server) initRemovalGauges() {
 // system: no agent is mid-drain and nothing is staged, so a round that
 // moved nothing with every inbox empty leaves no work anywhere.
 func (s *Server) settleGlobalFP() {
-	s.tier.Stop()
 	s.eachLiveAgent(func(a *globalfp.Agent, _ sim.Time) int {
 		a.ReAdvertise()
 		return 0
@@ -108,7 +110,7 @@ func (s *Server) settleGlobalFP() {
 	// (folds consume duplicates, recalls consume paroles); the cap is a
 	// backstop against an invariant bug turning Close into a hang. A
 	// shard left down at Close is skipped — its inbox stays empty (the
-	// tier drops sends toward it), and DrainAll's forced recall sweep
+	// tier drops sends toward it), and the crash notice its peers drain
 	// implicitly grants its acks, so settlement still converges.
 	for round := 0; round < 256; round++ {
 		moved := s.eachLiveAgent((*globalfp.Agent).DrainAll)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/bgdedup"
@@ -96,10 +97,10 @@ func TestGlobalFPEndToEnd(t *testing.T) {
 	if snap.UsedBlocks != rounds*n {
 		t.Fatalf("cluster uses %d blocks, want %d (one canonical per distinct content)", snap.UsedBlocks, rounds*n)
 	}
-	// Inline removal needs hints to beat this closed-loop burst in real
-	// time — not guaranteed — so assert the satellite gauges are
-	// registered rather than a particular value (the deterministic
-	// inline-recovery property is covered in internal/globalfp).
+	// Every round reaches all four shards before its owner's next tick
+	// can grant a hint, so nothing here deduplicates inline; assert the
+	// satellite gauges are registered rather than a particular value (the
+	// inline path is TestGlobalFPAdLandsBeforeWriteReturns' subject).
 	if _, ok := g["server_writes_removed_pct_x100"]; !ok {
 		t.Fatal("aggregate writes-removed gauge not registered")
 	}
@@ -129,6 +130,59 @@ func TestGlobalFPEndToEnd(t *testing.T) {
 	verify()
 	if err := srv.CheckConsistency(); err != nil {
 		t.Fatalf("post-recovery: %v", err)
+	}
+}
+
+// TestGlobalFPAdLandsBeforeWriteReturns: an advertisement is on the
+// tier's table by the time the write that published it returns. So the
+// owner's next request grants the hint, and a peer's first write of the
+// same content deduplicates inline, however the host schedules the
+// shards.
+func TestGlobalFPAdLandsBeforeWriteReturns(t *testing.T) {
+	srv, err := New(Config{Shards: 2, GlobalFP: true, NewEngine: globalFPFactory(workload.WebVM())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbas := shardLBAs(srv)
+	x := []chunk.ContentID{501, 502, 503, 504, 505, 506, 507, 508}
+	do := func(at int64, req Request) {
+		t.Helper()
+		req.Time = at
+		if res, err := srv.Do(&req); err != nil || res.Err != nil {
+			t.Fatalf("request at %d: %v %v", at, err, res.Err)
+		}
+	}
+	do(1000, Request{Op: trace.Write, LBA: lbas[0], Content: x})    // the ads queue pin requests at shard 0
+	do(2000, Request{Op: trace.Read, LBA: lbas[0], Chunks: len(x)}) // shard 0's tick grants shard 1 the hints
+	do(3000, Request{Op: trace.Write, LBA: lbas[1], Content: x})    // shard 1's tick installs them
+	if got := srv.Stats().Engine.RemoteDeduped; got != int64(len(x)) {
+		t.Fatalf("shard 1 deduplicated %d chunks against shard 0, want %d", got, len(x))
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGlobalFPRequiresScanner: a shard agent folds through the shard's
+// bgdedup scanner, so a shard without one is refused at New, by name.
+func TestGlobalFPRequiresScanner(t *testing.T) {
+	prof := workload.WebVM()
+	_, err := New(Config{
+		Shards:   2,
+		GlobalFP: true,
+		NewEngine: func(shard int) engine.Engine {
+			e := experiments.NewEngine(experiments.POD, experiments.BuildConfig(prof, testScale))
+			if shard == 0 {
+				bgdedup.Attach(e, bgdedup.Params{})
+			}
+			return e
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "scanner") {
+		t.Fatalf("tier over a shard without a scanner: err = %v, want a refusal naming shard 1", err)
 	}
 }
 

@@ -118,7 +118,8 @@ type Config struct {
 	// fingerprint-sharded second index that detects cross-shard
 	// duplicates and recovers the dedup ratio lost to LBA sharding.
 	// Requires 2–64 shards and engines exposing a Map-table substrate
-	// (Select-Dedupe or POD); see internal/globalfp.
+	// (Select-Dedupe or POD), each with a bgdedup scanner attached; see
+	// internal/globalfp.
 	GlobalFP bool
 
 	// TraceSample, when positive, records every TraceSample-th request

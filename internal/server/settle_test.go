@@ -17,7 +17,6 @@ import (
 // parallel — one shard at a time, in shard order — kept as the
 // reference TestSettleConvergesInParallel holds the parallel rounds to.
 func settleSerial(s *Server) {
-	s.tier.Stop()
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		if !sh.down.Load() {
@@ -40,12 +39,13 @@ func settleSerial(s *Server) {
 	}
 }
 
-// lossyTier is a shard's tier seat with a full partition queue in front
-// of it: every third advertisement of a fingerprint the cluster has
-// already published is lost, as Tier.Advertise loses one under load.
-// The first sighting always lands, so which shard owns each content is
-// settled while serving and does not depend on the order settlement
-// re-advertises in.
+// lossyTier is a shard's tier seat that loses every third advertisement
+// of a fingerprint the cluster has already published. No ad is lost in
+// production; a lost one stands in for the folds settlement's
+// ReAdvertise exists to retry — folds an injected fault aborted, and
+// folds whose hint binding a later grant overwrote. The first sighting
+// always lands, so which shard owns each content is settled while
+// serving and does not depend on the order settlement re-advertises in.
 type lossyTier struct {
 	engine.Tier
 	seen    map[chunk.Fingerprint]bool // shared by the cluster's seats
@@ -63,11 +63,10 @@ func (l lossyTier) Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool) {
 
 const settleShards, settleChunks = 8, 4
 
-// loadedCluster builds an 8-shard tier server in the tests' synchronous
-// mode (the ad queues stopped before any traffic, so an advertisement
-// lands inside the write that publishes it and nothing depends on
-// goroutine scheduling), behind lossy seats, and serves it one seeded
-// request sequence, a request at a time. Every content group is written
+// loadedCluster builds an 8-shard tier server behind lossy seats and
+// serves it one seeded request sequence, a request at a time (an
+// advertisement lands inside the write that publishes it, so nothing
+// depends on goroutine scheduling). Every content group is written
 // once on each of a random set of shards, never overwritten: half the
 // groups in a burst (the copies land before the owner's grant can, so
 // they are duplicates to fold), half scattered through the sequence
@@ -89,7 +88,6 @@ func loadedCluster(tb testing.TB, seed int64, groups int) (srv *Server, distinct
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv.tier.Stop()
 	seen, n := map[chunk.Fingerprint]bool{}, 0
 	for _, sh := range srv.shards {
 		b := sh.eng.(baseHolder).Base()

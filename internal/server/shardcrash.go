@@ -20,7 +20,8 @@ import (
 //
 // The crash lands at a batch boundary: all shard locks are taken
 // (ascending, the canonical order), so no serving round, agent tick,
-// or recall snapshot interleaves with the epoch bump. Requests already
+// or advertisement interleaves with the epoch bump, and everything the
+// shard sent is queued ahead of the tier's crash notices. Requests already
 // queued on the shard fail-reply as the worker drains them.
 func (s *Server) CrashShard(i int) error {
 	if i < 0 || i >= len(s.shards) {
