@@ -16,14 +16,19 @@ all: build vet test
 # testScale), which keeps the race run to a couple of minutes. The
 # tier's packages run again at one, two and four threads: settlement
 # runs every shard's agent at once, so what it converges to must not
-# depend on how many cores interleave them. It ends by printing the
-# size figures (loc), which gate nothing.
+# depend on how many cores interleave them. The zero-allocation guards
+# of microbench (ZERO_ALLOC_BENCH) run once each: every one checks
+# itself with testing.AllocsPerRun after its timed loop, so one
+# iteration is enough to fail (the allocs/op column of a one-iteration
+# run counts warm-up, not the guard). It ends by printing the size
+# figures (loc), which gate nothing.
 check:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/
+	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/icache/ ./internal/maptable/ ./internal/globalfp/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta
 	$(MAKE) loc
@@ -104,7 +109,9 @@ test:
 # filled in runs of 1 / 7 / 256, Close settling eight loaded agents on
 # one core and on two). The CDC split and hash, the directory, the
 # hint/grant benchmarks and the Map table's Set with the reverse index
-# on fail unless they run at 0 allocs/op.
+# on fail unless they run at 0 allocs/op; make check runs those
+# (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as a gate.
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants)$$
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/

@@ -17,10 +17,17 @@ import (
 // entry between states (evicted into the ghost, swapped back in, moved
 // out by a shrinking quota) relinks the slot; only a fingerprint
 // leaving the directory altogether touches the tables.
+//
+// The slab is a list of fixed pages that never move: growing it adds a
+// page and copies nothing (a contiguous slice growing from empty would
+// allocate about five times its final size on the way).
 
 const (
 	ghostList      = 1 // list 0 is "on the free list"
 	firstIndexList = 2 // the single index's list, or one list per stream
+
+	slabPageBits  = 10 // 1 024 slots, 56 KiB a page
+	slabPageSlots = 1 << slabPageBits
 )
 
 // slot is one fingerprint's directory entry. Slot 0 is never used, so 0
@@ -43,8 +50,9 @@ type lruList struct {
 }
 
 type directory struct {
-	slab  []slot
-	free  int32 // free slots, chained through next
+	pages []*[slabPageSlots]slot
+	n     int32 // slots handed out, slot 0 included; the rest of the last page is fresh
+	free  int32 // released slots, chained through next
 	lists []lruList
 	byFP  *probe.Map[chunk.Fingerprint, int32]
 	// byPBA names the first slot bound to a block, the rest chained
@@ -58,19 +66,34 @@ type directory struct {
 // newDirectory returns a directory holding only the ghost list.
 func newDirectory(ghostCap int) directory {
 	d := directory{
-		slab:  make([]slot, 1, 8),
 		lists: make([]lruList, ghostList, firstIndexList+1),
 		byFP:  probe.NewMap[chunk.Fingerprint, int32](0),
 		byPBA: probe.NewMap[alloc.PBA, int32](0),
 	}
+	d.fresh() // slot 0
 	d.addList(ghostCap)
 	return d
 }
 
+// at returns slot i, which stays where it is for the directory's life.
+func (d *directory) at(i int32) *slot {
+	return &d.pages[uint32(i)>>slabPageBits][uint32(i)&(slabPageSlots-1)]
+}
+
+// fresh hands out the next never-used slot, adding a page when the last
+// one is full.
+func (d *directory) fresh() int32 {
+	if int(d.n) == len(d.pages)<<slabPageBits {
+		d.pages = append(d.pages, new([slabPageSlots]slot))
+	}
+	d.n++
+	return d.n - 1
+}
+
 // addList appends an empty list and returns its id.
 func (d *directory) addList(capacity int) int32 {
-	h := int32(len(d.slab))
-	d.slab = append(d.slab, slot{prev: h, next: h})
+	h := d.fresh()
+	*d.at(h) = slot{prev: h, next: h}
 	d.lists = append(d.lists, lruList{head: h, cap: capacity})
 	return int32(len(d.lists) - 1)
 }
@@ -82,16 +105,16 @@ func (d *directory) find(fp chunk.Fingerprint) int32 {
 }
 
 func (d *directory) entry(i int32) index.Entry {
-	return index.Entry{PBA: d.slab[i].pba, Count: d.slab[i].count}
+	return index.Entry{PBA: d.at(i).pba, Count: d.at(i).count}
 }
 
 // live counts the entries on index lists.
 func (d *directory) live() int { return d.byFP.Len() - d.lists[ghostList].n }
 
 func (d *directory) unlink(i int32) {
-	s := &d.slab[i]
-	d.slab[s.prev].next = s.next
-	d.slab[s.next].prev = s.prev
+	s := d.at(i)
+	d.at(s.prev).next = s.next
+	d.at(s.next).prev = s.prev
 	d.lists[s.list].n--
 }
 
@@ -99,32 +122,32 @@ func (d *directory) unlink(i int32) {
 func (d *directory) pushFront(l, i int32) {
 	lst := &d.lists[l]
 	h := lst.head
-	s := &d.slab[i]
-	s.list, s.prev, s.next = l, h, d.slab[h].next
-	d.slab[s.next].prev = i
-	d.slab[h].next = i
+	s := d.at(i)
+	s.list, s.prev, s.next = l, h, d.at(h).next
+	d.at(s.next).prev = i
+	d.at(h).next = i
 	lst.n++
 }
 
 // bind chains slot i onto its block.
 func (d *directory) bind(i int32) {
-	first, _ := d.byPBA.Ref(d.slab[i].pba)
-	d.slab[i].revNext = *first
+	first, _ := d.byPBA.Ref(d.at(i).pba)
+	d.at(i).revNext = *first
 	*first = i
 }
 
 // unbind takes slot i off its block's chain.
 func (d *directory) unbind(i int32) {
-	s := &d.slab[i]
+	s := d.at(i)
 	first, _ := d.byPBA.Take(s.pba)
 	if first == i {
 		first = s.revNext
 	} else {
 		p := first
-		for d.slab[p].revNext != i {
-			p = d.slab[p].revNext
+		for d.at(p).revNext != i {
+			p = d.at(p).revNext
 		}
-		d.slab[p].revNext = s.revNext
+		d.at(p).revNext = s.revNext
 	}
 	if first != 0 {
 		d.byPBA.Put(s.pba, first)
@@ -136,12 +159,11 @@ func (d *directory) unbind(i int32) {
 func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
 	i := d.free
 	if i != 0 {
-		d.free = d.slab[i].next
+		d.free = d.at(i).next
 	} else {
-		d.slab = append(d.slab, slot{})
-		i = int32(len(d.slab) - 1)
+		i = d.fresh()
 	}
-	d.slab[i] = slot{fp: fp, pba: pba, home: l}
+	*d.at(i) = slot{fp: fp, pba: pba, home: l}
 	d.byFP.Put(fp, i)
 	d.bind(i)
 	d.pushFront(l, i)
@@ -150,7 +172,7 @@ func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
 // admit links an unlinked slot in as list l's most recent member, bound
 // to pba, its Count restarting.
 func (d *directory) admit(l, i int32, pba alloc.PBA) {
-	s := &d.slab[i]
+	s := d.at(i)
 	if s.pba != pba {
 		d.unbind(i)
 		s.pba = pba
@@ -162,8 +184,8 @@ func (d *directory) admit(l, i int32, pba alloc.PBA) {
 
 // touch counts a write-request hit on slot i and promotes it.
 func (d *directory) touch(i int32) index.Entry {
-	d.slab[i].count++
-	l := d.slab[i].list
+	d.at(i).count++
+	l := d.at(i).list
 	d.unlink(i)
 	d.pushFront(l, i)
 	return d.entry(i)
@@ -177,8 +199,8 @@ func (d *directory) release(i int32) {
 
 // discard is release for a slot whose block chain the caller took whole.
 func (d *directory) discard(i int32) {
-	d.byFP.Delete(d.slab[i].fp)
-	d.slab[i] = slot{next: d.free}
+	d.byFP.Delete(d.at(i).fp)
+	*d.at(i) = slot{next: d.free}
 	d.free = i
 }
 
@@ -187,7 +209,7 @@ func (d *directory) discard(i int32) {
 // a ghost entry out of the directory. A zero-capacity ghost (the fixed
 // partition never looks at one) keeps nothing.
 func (d *directory) evictTail(l int32) {
-	i := d.slab[d.lists[l].head].prev
+	i := d.at(d.lists[l].head).prev
 	d.unlink(i)
 	g := &d.lists[ghostList]
 	if l == ghostList || g.cap == 0 {
@@ -226,11 +248,11 @@ func (d *directory) swapIn() int {
 	}
 	g := d.lists[ghostList].head
 	moved := 0
-	for i := d.slab[g].next; i != g && moved < room; {
-		next := d.slab[i].next
-		if home := d.slab[i].home; d.lists[home].n < d.lists[home].cap {
+	for i := d.at(g).next; i != g && moved < room; {
+		next := d.at(i).next
+		if home := d.at(i).home; d.lists[home].n < d.lists[home].cap {
 			d.unlink(i)
-			d.admit(home, i, d.slab[i].pba)
+			d.admit(home, i, d.at(i).pba)
 			moved++
 		}
 		i = next
@@ -242,16 +264,16 @@ func (d *directory) swapIn() int {
 func (d *directory) purge(pba alloc.PBA) {
 	i, _ := d.byPBA.Take(pba)
 	for i != 0 {
-		next := d.slab[i].revNext
+		next := d.at(i).revNext
 		d.unlink(i)
 		d.discard(i)
 		i = next
 	}
 }
 
-// bytes reports the memory the slab and both tables hold.
+// bytes reports the memory the slab's pages and both tables hold.
 func (d *directory) bytes() int {
-	return cap(d.slab)*int(unsafe.Sizeof(slot{})) + d.byFP.Bytes() + d.byPBA.Bytes()
+	return len(d.pages)*int(unsafe.Sizeof([slabPageSlots]slot{})) + d.byFP.Bytes() + d.byPBA.Bytes()
 }
 
 // check audits the directory's structure: every table entry names a
@@ -266,8 +288,8 @@ func (d *directory) check() error {
 	for l := int32(ghostList); int(l) < len(d.lists); l++ {
 		lst := d.lists[l]
 		n, prev := 0, lst.head
-		for i := d.slab[lst.head].next; i != lst.head; prev, i = i, d.slab[i].next {
-			s := &d.slab[i]
+		for i := d.at(lst.head).next; i != lst.head; prev, i = i, d.at(i).next {
+			s := d.at(i)
 			if n++; n > lst.n {
 				return fmt.Errorf("icache: list %d holds more than its %d counted members", l, lst.n)
 			}
@@ -284,7 +306,7 @@ func (d *directory) check() error {
 				return fmt.Errorf("icache: index binds remote-encoded block %d", s.pba)
 			}
 		}
-		if n != lst.n || d.slab[lst.head].prev != prev {
+		if n != lst.n || d.at(lst.head).prev != prev {
 			return fmt.Errorf("icache: list %d counts %d members, its ring holds %d", l, lst.n, n)
 		}
 		if lst.n > lst.cap {
@@ -301,8 +323,8 @@ func (d *directory) check() error {
 		if i == 0 {
 			err = fmt.Errorf("icache: block %d has an empty chain", pba)
 		}
-		for ; i != 0 && err == nil; i = d.slab[i].revNext {
-			if s := &d.slab[i]; s.list == 0 || s.pba != pba {
+		for ; i != 0 && err == nil; i = d.at(i).revNext {
+			if s := d.at(i); s.list == 0 || s.pba != pba {
 				err = fmt.Errorf("icache: block %d chains slot %d (list %d, block %d)", pba, i, s.list, s.pba)
 			}
 			if chained++; chained > linked {
@@ -318,12 +340,12 @@ func (d *directory) check() error {
 		return fmt.Errorf("icache: %d slots on block chains, %d on lists", chained, linked)
 	}
 	free := 0
-	for i := d.free; i != 0; i = d.slab[i].next {
-		if free++; d.slab[i].list != 0 || free > len(d.slab) {
-			return fmt.Errorf("icache: slot %d on the free list is linked into list %d", i, d.slab[i].list)
+	for i := d.free; i != 0; i = d.at(i).next {
+		if free++; d.at(i).list != 0 || free > int(d.n) {
+			return fmt.Errorf("icache: slot %d on the free list is linked into list %d", i, d.at(i).list)
 		}
 	}
-	if want := len(d.slab) - 1 - (len(d.lists) - ghostList) - linked; free != want {
+	if want := int(d.n) - 1 - (len(d.lists) - ghostList) - linked; free != want {
 		return fmt.Errorf("icache: free list holds %d slots, want %d", free, want)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -267,8 +268,8 @@ func ghostOrder(c *Controller) []mEntry {
 	var out []mEntry
 	d := &c.dir
 	h := d.lists[ghostList].head
-	for i := d.slab[h].next; i != h; i = d.slab[i].next {
-		s := d.slab[i]
+	for i := d.at(h).next; i != h; i = d.at(i).next {
+		s := d.at(i)
 		out = append(out, mEntry{fp: s.fp, pba: s.pba, count: s.count, home: c.acct[s.home-firstIndexList].id})
 	}
 	return out
@@ -597,10 +598,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(*Controller){
 		"table names the wrong slot": func(c *Controller) { c.dir.byFP.Put(fp(1), c.dir.find(fp(2))) },
 		"list count":                 func(c *Controller) { c.dir.lists[firstIndexList].n++ },
-		"list membership":            func(c *Controller) { c.dir.slab[c.dir.find(fp(100))].list = ghostList },
+		"list membership":            func(c *Controller) { c.dir.at(c.dir.find(fp(100))).list = ghostList },
 		"block chain dropped":        func(c *Controller) { c.dir.byPBA.Delete(1) },
-		"block chain crossed":        func(c *Controller) { c.dir.slab[c.dir.find(fp(1))].pba = 2 },
-		"remote block":               func(c *Controller) { c.dir.slab[c.dir.find(fp(1))].pba = alloc.MakeRemote(1, 1) },
+		"block chain crossed":        func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = 2 },
+		"remote block":               func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = alloc.MakeRemote(1, 1) },
 		"over capacity":              func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
 		"leaked slot":                func(c *Controller) { c.dir.free = 0 },
 	} {
@@ -613,6 +614,33 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: not detected", name)
 		}
 	}
+}
+
+// The slab never moves: a slot keeps its address however far the
+// directory grows after it, and the slab is paid for a whole page at a
+// time.
+func TestSlabSlotsNeverMove(t *testing.T) {
+	c := New(benchParams()) // 16 384 index entries: nothing below is evicted
+	d := &c.dir
+	pageBytes := int(unsafe.Sizeof([slabPageSlots]slot{}))
+	c.IndexInsert(fp(0), 1)
+	first := d.at(d.find(fp(0)))
+	for i := 1; i <= 10000; i++ {
+		c.IndexInsert(fp(uint64(i)), alloc.PBA(i+1))
+		if want := (int(d.n) + slabPageSlots - 1) / slabPageSlots; len(d.pages) != want {
+			t.Fatalf("after %d inserts %d slots sit on %d pages, want %d", i, d.n, len(d.pages), want)
+		}
+		if slab := d.bytes() - d.byFP.Bytes() - d.byPBA.Bytes(); slab != len(d.pages)*pageBytes {
+			t.Fatalf("after %d inserts the slab counts %d B, %d pages of %d B", i, slab, len(d.pages), pageBytes)
+		}
+	}
+	if len(d.pages) < 10 {
+		t.Fatalf("10 000 inserts filled %d pages", len(d.pages))
+	}
+	if s := d.at(d.find(fp(0))); s != first || s.fp != fp(0) || s.pba != 1 {
+		t.Fatalf("the first slot moved or changed: %p → %p, %+v", first, s, *s)
+	}
+	checkAll(t, c)
 }
 
 // --- microbenchmarks ---

@@ -195,7 +195,7 @@ func (c *Controller) IndexLookupS(stream uint32, fp chunk.Fingerprint) (index.En
 	if i == 0 {
 		return index.Entry{}, false
 	}
-	if s := &c.dir.slab[i]; s.list == ghostList {
+	if s := c.dir.at(i); s.list == ghostList {
 		c.ghostIdxHits++
 		c.totalGhostIdxHits++
 		c.acct[s.home-firstIndexList].ghostHits++
@@ -210,7 +210,7 @@ func (c *Controller) IndexLookupS(stream uint32, fp chunk.Fingerprint) (index.En
 // local copy of a fingerprint before a granted hint overwrites the
 // binding.
 func (c *Controller) IndexPeek(fp chunk.Fingerprint) (index.Entry, bool) {
-	if i := c.dir.find(fp); i != 0 && c.dir.slab[i].list != ghostList {
+	if i := c.dir.find(fp); i != 0 && c.dir.at(i).list != ghostList {
 		return c.dir.entry(i), true
 	}
 	return index.Entry{}, false
@@ -224,8 +224,8 @@ func (c *Controller) IndexEach(fn func(stream uint32, fp chunk.Fingerprint, e in
 	d := &c.dir
 	for k, a := range c.acct {
 		h := d.lists[k+firstIndexList].head
-		for i := d.slab[h].next; i != h; i = d.slab[i].next {
-			if !fn(a.id, d.slab[i].fp, d.entry(i)) {
+		for i := d.at(h).next; i != h; i = d.at(i).next {
+			if !fn(a.id, d.at(i).fp, d.entry(i)) {
 				return
 			}
 		}
@@ -248,7 +248,7 @@ func (c *Controller) IndexInsertS(stream uint32, fp chunk.Fingerprint, pba alloc
 	d := &c.dir
 	i := d.find(fp)
 	if i != 0 {
-		s := &d.slab[i]
+		s := d.at(i)
 		if s.list != ghostList {
 			if s.pba != pba {
 				d.unlink(i)

@@ -54,8 +54,13 @@ const (
 // so sparse keys cost memory proportional to their count, not their
 // magnitude. Pages are pooled across table lifetimes like the content
 // model's (see engine/store.go); Release returns them.
+//
+// A page is one routing granule wide (server.DefaultGranChunks): a
+// shard's table holds LBAs only in the granules the router deals it, so
+// with pages any wider every shard would touch every page of the
+// footprint and fill a 1/shards share of each.
 const (
-	tblPageBits = 16
+	tblPageBits = 10
 	tblPageSize = 1 << tblPageBits
 	tblPageMask = tblPageSize - 1
 
@@ -71,6 +76,13 @@ var (
 	mapPagePool = sync.Pool{New: func() any { return new(mapPage) }}
 	cntPagePool = sync.Pool{New: func() any { return new(cntPage) }}
 )
+
+// growTo extends a page directory to hold page pg. It grows the way
+// append does: ascending keys add one small page at a time, and a
+// directory re-copied to exactly pg+1 entries each time is quadratic.
+func growTo[P any](pages []*P, pg uint64) []*P {
+	return append(pages, make([]*P, pg+1-uint64(len(pages)))...)
+}
 
 // pagedMap holds LBA → encoded mapping (present|shared|pba packed in
 // one word; 0 = absent) for keys below pagedCap, spilling the rest to
@@ -96,9 +108,7 @@ func (p *pagedMap) set(k, v uint64) {
 	if k < pagedCap {
 		pg := k >> tblPageBits
 		if pg >= uint64(len(p.pages)) {
-			pages := make([]*mapPage, pg+1)
-			copy(pages, p.pages)
-			p.pages = pages
+			p.pages = growTo(p.pages, pg)
 		}
 		if p.pages[pg] == nil {
 			p.pages[pg] = mapPagePool.Get().(*mapPage)
@@ -200,9 +210,7 @@ func (p *pagedCount) add(k uint64, d int32) int32 {
 	if k < pagedCap {
 		pg := k >> tblPageBits
 		if pg >= uint64(len(p.pages)) {
-			pages := make([]*cntPage, pg+1)
-			copy(pages, p.pages)
-			p.pages = pages
+			p.pages = growTo(p.pages, pg)
 		}
 		if p.pages[pg] == nil {
 			p.pages[pg] = cntPagePool.Get().(*cntPage)

@@ -1,6 +1,7 @@
 package maptable
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -399,5 +400,63 @@ func TestEachVisitsAllMappings(t *testing.T) {
 	tb.Each(func(uint64, alloc.PBA, bool) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
+	}
+}
+
+// A shard's table pays only for the granules the router deals it: a
+// page is one 1 024-LBA routing granule (server.DefaultGranChunks), so
+// a table written in every 8th granule — one shard of eight — holds an
+// eighth of the map pages, and of the reverse index, a dense one holds.
+func TestSparseGranulesTouchOnlyTheirPages(t *testing.T) {
+	const granule, shards, lbas = 1024, 8, 1 << 20
+	dense, sparse := New(nil), New(nil)
+	defer dense.Release()
+	defer sparse.Release()
+	dense.EnableReverseIndex()
+	sparse.EnableReverseIndex()
+	for lba := uint64(0); lba < lbas; lba++ {
+		dense.Set(lba, alloc.PBA(lba), false)
+		if lba/granule%shards == 0 {
+			sparse.Set(lba, alloc.PBA(lba), false)
+		}
+	}
+	pages := func(tb *Table) (n int) {
+		for _, pg := range tb.m.pages {
+			if pg != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if d, s := pages(dense), pages(sparse); s*shards != d {
+		t.Errorf("map pages: sparse table holds %d, dense %d; want 1/%d", s, d, shards)
+	}
+	if d, s := dense.ReverseIndexBytes(), sparse.ReverseIndexBytes(); s*shards != d {
+		t.Errorf("reverse index: sparse table holds %d B, dense %d B; want 1/%d", s, d, shards)
+	}
+}
+
+// Growing a page directory is amortised: setting ascending keys across
+// P pages allocates the P pages and O(log P) directories, where a
+// directory grown to exactly the page it needs is one more allocation
+// per page.
+func TestPageDirectoryGrowthIsAmortised(t *testing.T) {
+	const P = 64
+	bound := float64(P + 2*bits.Len(P) + 4)
+	if avg := testing.AllocsPerRun(3, func() {
+		var m pagedMap
+		for k := uint64(0); k < P*tblPageSize; k++ {
+			m.set(k, 1)
+		}
+	}); avg > bound {
+		t.Errorf("map: %.0f allocations for %d pages, want at most %.0f", avg, P, bound)
+	}
+	if avg := testing.AllocsPerRun(3, func() {
+		var c pagedCount
+		for k := uint64(0); k < P*tblPageSize; k++ {
+			c.add(k, 1)
+		}
+	}); avg > bound {
+		t.Errorf("counts: %.0f allocations for %d pages, want at most %.0f", avg, P, bound)
 	}
 }

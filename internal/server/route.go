@@ -12,8 +12,9 @@ package server
 // that one request's chunk run almost always lives inside one granule
 // and is served whole by one engine; a request that does straddle a
 // boundary is still served whole by the shard owning its first chunk
-// (engines keep full-LBA-space map tables, so ownership is a routing
-// policy, not a correctness boundary).
+// (an engine's Map table takes any LBA, so ownership is a routing
+// policy, not a correctness boundary; its pages are one default granule
+// wide, so a shard pays only for the granules it is dealt).
 type Router struct {
 	shards int
 	gran   uint64

@@ -278,7 +278,11 @@ type shard struct {
 	// ReadContent, WithEngine, and recovery. The worker holds it only
 	// while serving a drained batch, never while blocked on the
 	// channel.
-	mu        sync.Mutex
+	mu sync.Mutex
+	// treq is the engine-facing request of the attempt in progress,
+	// owned by whoever holds mu: handed to the engine through its
+	// interface, a per-attempt value would escape to the heap.
+	treq      trace.Request
 	nextFree  sim.Time // Queued: virtual time the engine frees up
 	lastStart sim.Time // monotonicity clamp for Passthrough
 	lat       *stats.Histogram
@@ -606,11 +610,11 @@ func (sh *shard) serve(r *Request, cfg *Config) Result {
 		err = fault.New(fault.KindDeadlineExceeded, fault.Permanent, -1, 0, start)
 	} else {
 		for {
-			treq := trace.Request{Time: start, Op: r.Op, LBA: r.LBA, N: r.Len(), Stream: r.Stream, Content: r.Content}
+			sh.treq = trace.Request{Time: start, Op: r.Op, LBA: r.LBA, N: r.Len(), Stream: r.Stream, Content: r.Content}
 			if r.Op == trace.Write {
-				rt, err = sh.eng.Write(&treq)
+				rt, err = sh.eng.Write(&sh.treq)
 			} else {
-				rt, err = sh.eng.Read(&treq)
+				rt, err = sh.eng.Read(&sh.treq)
 			}
 			complete = start.Add(rt)
 			if err == nil || !fault.IsTransient(err) || retries >= cfg.maxRetries {
