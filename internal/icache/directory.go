@@ -1,26 +1,32 @@
 package icache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"unsafe"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/index"
-	"github.com/pod-dedup/pod/internal/probe"
 )
 
 // The fingerprint directory. Every fingerprint the index side knows —
 // cached, cached under some stream's quota, or remembered by the ghost
-// — is one slot of one slab, found through one table, and *where* it is
-// cached is only which recency list the slot is linked into. Moving an
-// entry between states (evicted into the ghost, swapped back in, moved
-// out by a shrinking quota) relinks the slot; only a fingerprint
-// leaving the directory altogether touches the tables.
+// — is one slot of one slab, and *where* it is cached is only which
+// recency list the slot is linked into. Moving an entry between states
+// (evicted into the ghost, swapped back in, moved out by a shrinking
+// quota) relinks the slot; only a fingerprint leaving the directory
+// altogether touches the buckets.
 //
 // The slab is a list of fixed pages that never move: growing it adds a
 // page and copies nothing (a contiguous slice growing from empty would
-// allocate about five times its final size on the way).
+// allocate about five times its final size on the way). Because a slot
+// never moves, the slab is also where the keys live: a fingerprint is
+// found through a bucket head whose chain runs through the slots'
+// fpNext, a block through one whose chain runs through revNext, and
+// neither array holds a key. Both keep at most one slot per two buckets,
+// so a miss is most often an empty bucket and a chained mismatch costs
+// one word compare.
 
 const (
 	ghostList      = 1 // list 0 is "on the free list"
@@ -28,10 +34,13 @@ const (
 
 	slabPageBits  = 10 // 1 024 slots, 56 KiB a page
 	slabPageSlots = 1 << slabPageBits
+
+	minBucketBits = 3
+	minBuckets    = 1 << minBucketBits
 )
 
 // slot is one fingerprint's directory entry. Slot 0 is never used, so 0
-// means "none" in the tables and in the block chains.
+// means "none" in the buckets and in the chains.
 type slot struct {
 	pba        alloc.PBA
 	fp         chunk.Fingerprint
@@ -39,7 +48,8 @@ type slot struct {
 	list       int32  // the list the slot is linked into
 	home       int32  // the index list it was admitted to; a ghost returns there
 	prev, next int32
-	revNext    int32 // next slot bound to the same physical block
+	fpNext     int32 // next slot in the same fingerprint bucket
+	revNext    int32 // next slot in the same block bucket
 }
 
 // lruList is one circular recency list through the slab: head is its
@@ -54,21 +64,23 @@ type directory struct {
 	n     int32 // slots handed out, slot 0 included; the rest of the last page is fresh
 	free  int32 // released slots, chained through next
 	lists []lruList
-	byFP  *probe.Map[chunk.Fingerprint, int32]
-	// byPBA names the first slot bound to a block, the rest chained
-	// through revNext, so PurgePBA can drop every entry — live or ghost —
-	// for a freed block: the consistency mechanism that replaces in-place
-	// overwrite protection in this log-structured substrate. Nearly every
-	// block is bound by exactly one fingerprint.
-	byPBA *probe.Map[alloc.PBA, int32]
+	// fpHead and pbaHead name the first slot of each fingerprint and
+	// block bucket; they double together, so one shift serves both. The
+	// block buckets let PurgePBA drop every entry — live or ghost — for a
+	// freed block: the consistency mechanism that replaces in-place
+	// overwrite protection in this log-structured substrate.
+	fpHead, pbaHead []int32
+	shift           uint8 // 64 − log2 of the bucket count: a bucket is a word's top bits
+	nfp             int   // fingerprints held, on every list but the free one
 }
 
 // newDirectory returns a directory holding only the ghost list.
 func newDirectory(ghostCap int) directory {
 	d := directory{
-		lists: make([]lruList, ghostList, firstIndexList+1),
-		byFP:  probe.NewMap[chunk.Fingerprint, int32](0),
-		byPBA: probe.NewMap[alloc.PBA, int32](0),
+		lists:   make([]lruList, ghostList, firstIndexList+1),
+		fpHead:  make([]int32, minBuckets),
+		pbaHead: make([]int32, minBuckets),
+		shift:   64 - minBucketBits,
 	}
 	d.fresh() // slot 0
 	d.addList(ghostCap)
@@ -98,10 +110,71 @@ func (d *directory) addList(capacity int) int32 {
 	return int32(len(d.lists) - 1)
 }
 
+// firstWord is a fingerprint's first eight bytes, already uniform (a
+// SHA-1, or the synthetic fingerprinter's finalised mix): its bucket,
+// and the compare that settles most chained mismatches.
+func firstWord(fp *chunk.Fingerprint) uint64 {
+	return binary.LittleEndian.Uint64(fp[:8])
+}
+
+func (d *directory) fpBucket(w uint64) uint64 { return w >> d.shift }
+
+// pbaBucket spreads block numbers, which are dense, by Fibonacci
+// hashing: the top bits of the product, which give consecutive blocks
+// distinct buckets (its middle bits fill only about a quarter of them).
+func (d *directory) pbaBucket(pba alloc.PBA) uint64 {
+	return uint64(pba) * 0x9e3779b97f4a7c15 >> d.shift
+}
+
 // find returns fp's slot, or 0.
 func (d *directory) find(fp chunk.Fingerprint) int32 {
-	i, _ := d.byFP.Get(fp)
-	return i
+	w := firstWord(&fp)
+	for i := d.fpHead[d.fpBucket(w)]; i != 0; {
+		s := d.at(i)
+		if firstWord(&s.fp) == w && s.fp == fp {
+			return i
+		}
+		i = s.fpNext
+	}
+	return 0
+}
+
+// fpLink returns the link that names slot i in its fingerprint bucket.
+func (d *directory) fpLink(i int32) *int32 {
+	p := &d.fpHead[d.fpBucket(firstWord(&d.at(i).fp))]
+	for *p != i {
+		p = &d.at(*p).fpNext
+	}
+	return p
+}
+
+// pbaLink returns the link that names slot i in its block bucket.
+func (d *directory) pbaLink(i int32) *int32 {
+	p := &d.pbaHead[d.pbaBucket(d.at(i).pba)]
+	for *p != i {
+		p = &d.at(*p).revNext
+	}
+	return p
+}
+
+// hash pushes slot i onto its fingerprint bucket.
+func (d *directory) hash(i int32) {
+	s := d.at(i)
+	b := &d.fpHead[d.fpBucket(firstWord(&s.fp))]
+	s.fpNext, *b = *b, i
+}
+
+// grow doubles both bucket arrays and re-links every held slot; no key
+// moves, since keys live only in the slab.
+func (d *directory) grow() {
+	n := 2 * len(d.fpHead)
+	d.fpHead, d.pbaHead, d.shift = make([]int32, n), make([]int32, n), d.shift-1
+	for i := int32(1); i < d.n; i++ {
+		if d.at(i).list != 0 {
+			d.hash(i)
+			d.bind(i)
+		}
+	}
 }
 
 func (d *directory) entry(i int32) index.Entry {
@@ -109,7 +182,7 @@ func (d *directory) entry(i int32) index.Entry {
 }
 
 // live counts the entries on index lists.
-func (d *directory) live() int { return d.byFP.Len() - d.lists[ghostList].n }
+func (d *directory) live() int { return d.nfp - d.lists[ghostList].n }
 
 func (d *directory) unlink(i int32) {
 	s := d.at(i)
@@ -129,34 +202,24 @@ func (d *directory) pushFront(l, i int32) {
 	lst.n++
 }
 
-// bind chains slot i onto its block.
+// bind pushes slot i onto its block's bucket.
 func (d *directory) bind(i int32) {
-	first, _ := d.byPBA.Ref(d.at(i).pba)
-	d.at(i).revNext = *first
-	*first = i
+	s := d.at(i)
+	b := &d.pbaHead[d.pbaBucket(s.pba)]
+	s.revNext, *b = *b, i
 }
 
-// unbind takes slot i off its block's chain.
+// unbind takes slot i out of its block's bucket.
 func (d *directory) unbind(i int32) {
-	s := d.at(i)
-	first, _ := d.byPBA.Take(s.pba)
-	if first == i {
-		first = s.revNext
-	} else {
-		p := first
-		for d.at(p).revNext != i {
-			p = d.at(p).revNext
-		}
-		d.at(p).revNext = s.revNext
-	}
-	if first != 0 {
-		d.byPBA.Put(s.pba, first)
-	}
+	*d.pbaLink(i) = d.at(i).revNext
 }
 
 // insert admits a fingerprint the directory does not hold as list l's
 // most recent member.
 func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
+	if d.nfp++; 2*d.nfp >= len(d.fpHead) {
+		d.grow()
+	}
 	i := d.free
 	if i != 0 {
 		d.free = d.at(i).next
@@ -164,7 +227,7 @@ func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
 		i = d.fresh()
 	}
 	*d.at(i) = slot{fp: fp, pba: pba, home: l}
-	d.byFP.Put(fp, i)
+	d.hash(i)
 	d.bind(i)
 	d.pushFront(l, i)
 }
@@ -197,9 +260,11 @@ func (d *directory) release(i int32) {
 	d.discard(i)
 }
 
-// discard is release for a slot whose block chain the caller took whole.
+// discard is release for a slot the caller already took out of its
+// block's bucket.
 func (d *directory) discard(i int32) {
-	d.byFP.Delete(d.at(i).fp)
+	*d.fpLink(i) = d.at(i).fpNext
+	d.nfp--
 	*d.at(i) = slot{next: d.free}
 	d.free = i
 }
@@ -260,30 +325,45 @@ func (d *directory) swapIn() int {
 	return moved
 }
 
-// purge drops every entry bound to pba.
+// purge drops every entry bound to pba, leaving the other blocks that
+// share its bucket.
 func (d *directory) purge(pba alloc.PBA) {
-	i, _ := d.byPBA.Take(pba)
-	for i != 0 {
-		next := d.at(i).revNext
+	p := &d.pbaHead[d.pbaBucket(pba)]
+	for i := *p; i != 0; i = *p {
+		s := d.at(i)
+		if s.pba != pba {
+			p = &s.revNext
+			continue
+		}
+		*p = s.revNext
 		d.unlink(i)
 		d.discard(i)
-		i = next
 	}
 }
 
-// bytes reports the memory the slab's pages and both tables hold.
+// bytes reports the memory the slab's pages and both bucket arrays hold.
 func (d *directory) bytes() int {
-	return len(d.pages)*int(unsafe.Sizeof([slabPageSlots]slot{})) + d.byFP.Bytes() + d.byPBA.Bytes()
+	return len(d.pages)*int(unsafe.Sizeof([slabPageSlots]slot{})) + 4*(len(d.fpHead)+len(d.pbaHead))
 }
 
-// check audits the directory's structure: every table entry names a
-// linked slot holding that fingerprint, every list is a well-formed
-// ring of exactly n ≤ cap members that know which list they are on,
-// every linked slot is on exactly one block chain and that chain is
-// its block's, no index entry binds a remote-encoded block (a tier hint
-// lives in the tier's own table), and the free list accounts for every
-// other slot.
+// check audits the directory's structure: each bucket array chains
+// exactly the held slots, each in the bucket its key hashes to and with
+// no cycle; every list is a well-formed ring of exactly n ≤ cap members
+// that know which list they are on and that find returns; no index
+// entry binds a remote-encoded block (a tier hint lives in the tier's
+// own table); and the free list accounts for every other slot. The
+// chains are audited first, so the finds below cannot loop.
 func (d *directory) check() error {
+	if err := d.checkChains("fingerprint", d.fpHead, func(s *slot) (int32, uint64) {
+		return s.fpNext, d.fpBucket(firstWord(&s.fp))
+	}); err != nil {
+		return err
+	}
+	if err := d.checkChains("block", d.pbaHead, func(s *slot) (int32, uint64) {
+		return s.revNext, d.pbaBucket(s.pba)
+	}); err != nil {
+		return err
+	}
 	linked := 0
 	for l := int32(ghostList); int(l) < len(d.lists); l++ {
 		lst := d.lists[l]
@@ -299,8 +379,8 @@ func (d *directory) check() error {
 			if s.home < firstIndexList || int(s.home) >= len(d.lists) || (l != ghostList && s.home != l) {
 				return fmt.Errorf("icache: slot %d on list %d has home %d", i, l, s.home)
 			}
-			if j, ok := d.byFP.Get(s.fp); !ok || j != i {
-				return fmt.Errorf("icache: slot %d on list %d: the table maps its fingerprint to slot %d", i, l, j)
+			if j := d.find(s.fp); j != i {
+				return fmt.Errorf("icache: slot %d on list %d: its fingerprint is found at slot %d", i, l, j)
 			}
 			if alloc.IsRemote(s.pba) {
 				return fmt.Errorf("icache: index binds remote-encoded block %d", s.pba)
@@ -314,30 +394,8 @@ func (d *directory) check() error {
 		}
 		linked += n
 	}
-	if linked != d.byFP.Len() {
-		return fmt.Errorf("icache: %d slots on lists, %d fingerprints in the table", linked, d.byFP.Len())
-	}
-	chained := 0
-	var err error
-	d.byPBA.Each(func(pba alloc.PBA, i int32) bool {
-		if i == 0 {
-			err = fmt.Errorf("icache: block %d has an empty chain", pba)
-		}
-		for ; i != 0 && err == nil; i = d.at(i).revNext {
-			if s := d.at(i); s.list == 0 || s.pba != pba {
-				err = fmt.Errorf("icache: block %d chains slot %d (list %d, block %d)", pba, i, s.list, s.pba)
-			}
-			if chained++; chained > linked {
-				err = fmt.Errorf("icache: block chains hold more than the %d linked slots", linked)
-			}
-		}
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	if chained != linked {
-		return fmt.Errorf("icache: %d slots on block chains, %d on lists", chained, linked)
+	if linked != d.nfp {
+		return fmt.Errorf("icache: %d slots on lists, %d fingerprints held", linked, d.nfp)
 	}
 	free := 0
 	for i := d.free; i != 0; i = d.at(i).next {
@@ -347,6 +405,34 @@ func (d *directory) check() error {
 	}
 	if want := int(d.n) - 1 - (len(d.lists) - ghostList) - linked; free != want {
 		return fmt.Errorf("icache: free list holds %d slots, want %d", free, want)
+	}
+	return nil
+}
+
+// checkChains walks every bucket of heads, each slot naming its
+// successor and the bucket it hashes to, and reports a member that is
+// not on a list or sits in another bucket, and a count other than nfp;
+// a walk longer than nfp (a cycle) stops there.
+func (d *directory) checkChains(what string, heads []int32, link func(*slot) (next int32, bucket uint64)) error {
+	if uint64(len(heads)) != 1<<(64-d.shift) {
+		return fmt.Errorf("icache: %d %s buckets under shift %d", len(heads), what, d.shift)
+	}
+	chained := 0
+	for b, i := range heads {
+		for i != 0 {
+			s := d.at(i)
+			if chained++; chained > d.nfp {
+				return fmt.Errorf("icache: %s buckets chain more than the %d fingerprints held", what, d.nfp)
+			}
+			next, home := link(s)
+			if s.list == 0 || home != uint64(b) {
+				return fmt.Errorf("icache: %s bucket %d chains slot %d (list %d, bucket %d)", what, b, i, s.list, home)
+			}
+			i = next
+		}
+	}
+	if chained != d.nfp {
+		return fmt.Errorf("icache: %d slots in %s buckets, %d fingerprints held", chained, what, d.nfp)
 	}
 	return nil
 }

@@ -342,6 +342,10 @@ var dirModes = []struct {
 	// arrivals: no shares are ever set and a new stream shows up every
 	// 64 operations, so the equal split keeps being re-divided under load
 	arrivals bool
+	// oneWord: every fingerprint shares its first eight bytes, so all of
+	// them chain through one bucket at every size, the first-word compare
+	// always passes and entries leave from the middle of the chain
+	oneWord bool
 }{
 	{name: "classic-fixed"},
 	{name: "classic-adaptive", adaptive: true},
@@ -350,6 +354,7 @@ var dirModes = []struct {
 	{name: "streams-dynamic", adaptive: true, stream: true},
 	{name: "streams-dynamic-fixed", stream: true},
 	{name: "streams-arriving", adaptive: true, stream: true, arrivals: true},
+	{name: "streams-one-bucket", adaptive: true, stream: true, oneWord: true},
 }
 
 // dirParams is a budget of 64 index entries or 16 read blocks.
@@ -379,6 +384,9 @@ func runDirectoryOps(mode int, data []byte) error {
 		// 96 fingerprints over 40 blocks: more than the directory holds,
 		// with several fingerprints to a block and frequent remaps
 		stream, f, pba := uint32(1+a>>6), fp(uint64(a%96)), alloc.PBA(b%40)
+		if cfg.oneWord {
+			copy(f[:8], "one word")
+		}
 		if cfg.arrivals {
 			stream = 1 + uint32(a>>4)%uint32(1+n/64)
 			if op %= 32; op >= 29 {
@@ -477,10 +485,14 @@ func FuzzDirectoryOps(f *testing.F) {
 	}
 	// overflow one stream, re-divide with a first-seen one, re-admit
 	// through the write path, purge a shared block, tick
-	f.Add(uint8(3), []byte{
+	overflow := []byte{
 		10, 0, 0, 10, 1, 1, 10, 2, 2, 10, 3, 3, 10, 4, 0, 10, 5, 1,
 		0, 0, 0, 10, 64, 7, 10, 0, 9, 23, 0, 0, 27, 0, 0, 31, 9, 18, 27, 0, 0,
-	})
+	}
+	f.Add(uint8(3), overflow)
+	// the same with every fingerprint in one bucket: the purge and the
+	// remap unlink from the middle of the chain
+	f.Add(uint8(len(dirModes)-1), overflow)
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
 		if err := runDirectoryOps(int(mode), data); err != nil {
 			t.Fatal(err)
@@ -596,14 +608,25 @@ func TestStreamGhostHitsNameTheHomeStream(t *testing.T) {
 // CheckInvariants must notice a directory whose parts disagree.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(*Controller){
-		"table names the wrong slot": func(c *Controller) { c.dir.byFP.Put(fp(1), c.dir.find(fp(2))) },
-		"list count":                 func(c *Controller) { c.dir.lists[firstIndexList].n++ },
-		"list membership":            func(c *Controller) { c.dir.at(c.dir.find(fp(100))).list = ghostList },
-		"block chain dropped":        func(c *Controller) { c.dir.byPBA.Delete(1) },
-		"block chain crossed":        func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = 2 },
-		"remote block":               func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = alloc.MakeRemote(1, 1) },
-		"over capacity":              func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
-		"leaked slot":                func(c *Controller) { c.dir.free = 0 },
+		"unhashed slot": func(c *Controller) {
+			i := c.dir.find(fp(1))
+			*c.dir.fpLink(i) = c.dir.at(i).fpNext
+		},
+		"block bucket emptied": func(c *Controller) { c.dir.pbaHead[c.dir.pbaBucket(1)] = 0 },
+		"wrong bucket": func(c *Controller) {
+			d := &c.dir
+			i := d.find(fp(1))
+			*d.fpLink(i) = d.at(i).fpNext
+			b := &d.fpHead[(d.fpBucket(firstWord(&d.at(i).fp))+1)%uint64(len(d.fpHead))]
+			d.at(i).fpNext, *b = *b, i
+		},
+		"self-loop":           func(c *Controller) { i := c.dir.find(fp(1)); c.dir.at(i).fpNext = i },
+		"list count":          func(c *Controller) { c.dir.lists[firstIndexList].n++ },
+		"list membership":     func(c *Controller) { c.dir.at(c.dir.find(fp(100))).list = ghostList },
+		"block chain crossed": func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = 2 },
+		"remote block":        func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = alloc.MakeRemote(1, 1) },
+		"over capacity":       func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
+		"leaked slot":         func(c *Controller) { c.dir.free = 0 },
 	} {
 		c := New(testParams(true))
 		fillIndex(c, 0, 0, 600)
@@ -630,7 +653,7 @@ func TestSlabSlotsNeverMove(t *testing.T) {
 		if want := (int(d.n) + slabPageSlots - 1) / slabPageSlots; len(d.pages) != want {
 			t.Fatalf("after %d inserts %d slots sit on %d pages, want %d", i, d.n, len(d.pages), want)
 		}
-		if slab := d.bytes() - d.byFP.Bytes() - d.byPBA.Bytes(); slab != len(d.pages)*pageBytes {
+		if slab := d.bytes() - 4*(len(d.fpHead)+len(d.pbaHead)); slab != len(d.pages)*pageBytes {
 			t.Fatalf("after %d inserts the slab counts %d B, %d pages of %d B", i, slab, len(d.pages), pageBytes)
 		}
 	}
@@ -639,6 +662,28 @@ func TestSlabSlotsNeverMove(t *testing.T) {
 	}
 	if s := d.at(d.find(fp(0))); s != first || s.fp != fp(0) || s.pba != 1 {
 		t.Fatalf("the first slot moved or changed: %p → %p, %+v", first, s, *s)
+	}
+	checkAll(t, c)
+}
+
+// The directory's keys live only in the slab: a slot is 56 bytes with
+// both chain links, and the buckets are one int32 each, at most four
+// per fingerprint held.
+func TestDirectoryFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 56 {
+		t.Fatalf("a slot is %d B, want 56", n)
+	}
+	c := New(benchParams())
+	d := &c.dir
+	for i := 0; i < 10000; i++ {
+		c.IndexInsert(fp(uint64(i)), alloc.PBA(i))
+	}
+	pages := len(d.pages) * int(unsafe.Sizeof([slabPageSlots]slot{}))
+	if got, want := d.bytes(), pages+8*len(d.fpHead); got != want {
+		t.Fatalf("bytes() = %d, want %d: %d B of pages and %d buckets of 8 B", got, want, pages, len(d.fpHead))
+	}
+	if d.nfp != 10000 || len(d.fpHead) > 4*d.nfp {
+		t.Fatalf("%d buckets for %d fingerprints, want at most four each", len(d.fpHead), d.nfp)
 	}
 	checkAll(t, c)
 }
@@ -692,6 +737,27 @@ func BenchmarkIndexMissInsertEvict(b *testing.B) {
 	}
 	n := b.N
 	failOnAllocs(b, "miss + insert + evict", func() { step(n); n++ })
+}
+
+// BenchmarkIndexPeekMiss is the global tier's grant path on a shard
+// that does not hold the fingerprint: an IndexPeek that misses against
+// a full adaptive controller, index and ghost both at capacity.
+func BenchmarkIndexPeekMiss(b *testing.B) {
+	c := New(benchParams())
+	fillIndex(c, 0, 0, 1<<16)
+	absent := benchFPs(1 << 18)[1<<16:]
+	peek := func(i int) {
+		if _, ok := c.IndexPeek(absent[i%len(absent)]); ok {
+			b.Fatal("peek hit an absent fingerprint")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peek(i)
+	}
+	n := b.N
+	failOnAllocs(b, "peek miss", func() { peek(n); n++ })
 }
 
 // BenchmarkRepartition moves the partition one step toward the index

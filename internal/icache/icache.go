@@ -5,7 +5,7 @@
 // The controller owns both actual caches and their metadata-only ghost
 // caches. The index side — the index cache, its ghost and, in stream
 // mode, every tenant stream's quota — is one fingerprint directory
-// (directory.go): a fingerprint is one slot found by one probe, and
+// (directory.go): a fingerprint is one slot found through one bucket, and
 // whether it is cached, under whose quota, or only remembered is which
 // recency list the slot is linked into, so eviction, swap-in and
 // re-apportionment relink slots and never rehash them.
