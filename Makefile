@@ -102,17 +102,17 @@ test:
 # the content hash (BenchmarkBytesHash, three chunk sizes) beside the
 # whole split (rotating windows: *Chunk; sequential requests:
 # *Stream), fixed-4K split and fingerprinting, the Map table, the
-# iCache's fingerprint directory (a miss's insert + evict +
-# ghost-evict, the tier's grant-path peek of an absent fingerprint, one
-# Swap Module repartition, one three-stream re-apportionment), and the
-# tier's control plane (hint-table put/get,
+# iCache's directory (a miss's insert + evict + ghost-evict, the tier's
+# grant-path peek of an absent fingerprint, the read path's probe +
+# insert + purge, one Swap Module repartition, one three-stream
+# re-apportionment), and the tier's control plane (hint-table put/get,
 # a tick's grant drain, the inbox behind a 1k and a 100k backlog and
 # filled in runs of 1 / 7 / 256, Close settling eight loaded agents on
 # one core and on two). The CDC split and hash, the directory, the
 # hint/grant benchmarks and the Map table's Set with the reverse index
 # on fail unless they run at 0 allocs/op; make check runs those
 # (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as a gate.
-ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants)$$
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants)$$
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/
@@ -129,10 +129,10 @@ repro-fast:
 # the CDC landmark sweeps (batched bitmap vs the scalar predicate), the
 # carried split window (one long-lived Splitter vs a fresh one per
 # request) and normalized cut derivation (spacing invariants; a window
-# with lookback vs the whole stream), the iCache's fingerprint
-# directory (vs its slice-and-linear-search model; an input is a
-# thousand operations, so minimising one is capped) and the Map table's
-# reverse index (vs a map of sets).
+# with lookback vs the whole stream), the iCache's directory, both
+# caches and both ghosts (vs its slices-and-linear-search model; an
+# input is a thousand operations, so minimising one is capped) and the
+# Map table's reverse index (vs a map of sets).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/

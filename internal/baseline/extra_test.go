@@ -3,16 +3,10 @@ package baseline
 import (
 	"testing"
 
-	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
-)
-
-type (
-	chunkFingerprint = chunk.Fingerprint
-	allocPBA         = alloc.PBA
 )
 
 // --- I/O-Dedup ---
@@ -52,15 +46,10 @@ func TestIODedupReplicaDirectoryBounded(t *testing.T) {
 		d.Write(at(wr(uint64(i*10), 42), tm))
 		tm = tm.Add(sim.Duration(sim.Millisecond) * 100)
 	}
-	maxLen := 0
-	pol.replicas.Each(func(_ chunkFingerprint, list []allocPBA) bool {
-		if len(list) > maxLen {
-			maxLen = len(list)
-		}
-		return true
-	})
-	if maxLen > maxReplicasTracked {
-		t.Fatalf("replica list grew to %d, cap %d", maxLen, maxReplicasTracked)
+	c := chunk.Chunk{Content: 42}
+	list, ok := pol.replicas.Peek(chunk.SyntheticFingerprinter{}.Fingerprint(&c))
+	if !ok || len(list) > maxReplicasTracked {
+		t.Fatalf("replica list of %d (tracked %v), cap %d", len(list), ok, maxReplicasTracked)
 	}
 }
 

@@ -45,7 +45,7 @@ import (
 // whole-block referrer rewiring for the scanner).
 type Core struct {
 	b   *engine.Base
-	fps *index.Full
+	fps *index.Table
 
 	refs []uint64 // Referrers scratch, reused by every merge
 
@@ -58,11 +58,11 @@ type Core struct {
 }
 
 // NewCore attaches merge machinery to an engine substrate. The
-// fingerprint table is volatile DRAM state sized like the hot index;
-// entries naming reclaimed blocks are dropped through the engine's
-// OnFree hook (chained, so an existing hook keeps firing).
+// fingerprint table is exact, volatile DRAM state; entries naming
+// reclaimed blocks are dropped through the engine's OnFree hook
+// (chained, so an existing hook keeps firing).
 func NewCore(b *engine.Base) *Core {
-	c := &Core{b: b, fps: index.NewFull(b.IC.IndexCapTotal())}
+	c := &Core{b: b, fps: index.NewTable()}
 	prev := b.OnFree
 	b.OnFree = func(pba alloc.PBA) {
 		c.fps.Forget(pba)
@@ -85,7 +85,7 @@ func (c *Core) Counters() (scanned, mergedLBAs, dupBlocks, remapped, reclaimed i
 // re-scanning is idempotent — a block merged before the crash simply
 // has no duplicate left to find).
 func (c *Core) Reset() {
-	c.fps = index.NewFull(c.b.IC.IndexCapTotal())
+	c.fps = index.NewTable()
 }
 
 // ReadBatch reads the given physical blocks back elevator-style: sorted
@@ -141,7 +141,7 @@ func (c *Core) MergeLBA(lba uint64, pba alloc.PBA) bool {
 	c.scanned++
 	ch := chunk.Chunk{Content: id}
 	fp := fper.Fingerprint(&ch)
-	if existing, found, _ := c.fps.Lookup(fp); found && existing != pba {
+	if existing, found := c.fps.Get(fp); found && existing != pba {
 		if c.b.TryDedupe(lba, existing, id) {
 			c.mergedLBAs++
 			return true
@@ -162,7 +162,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	ch := chunk.Chunk{Content: id}
 	fp := fper.Fingerprint(&ch)
 
-	can, found, _ := c.fps.Lookup(fp)
+	can, found := c.fps.Get(fp)
 	if !found || can == pba {
 		if !found {
 			c.fps.Insert(fp, pba)

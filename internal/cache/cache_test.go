@@ -16,7 +16,7 @@ func TestLRUBasics(t *testing.T) {
 	if !evicted || ev.Key != 2 {
 		t.Fatalf("evicted = %+v,%v, want key 2", ev, evicted)
 	}
-	if c.Contains(2) {
+	if _, ok := c.Peek(2); ok {
 		t.Fatal("evicted key still present")
 	}
 	if c.Len() != 2 {
@@ -55,27 +55,13 @@ func TestLRUNegativeCapacityClamped(t *testing.T) {
 	}
 }
 
-func TestLRUHitMissAccounting(t *testing.T) {
-	c := NewLRU[int, int](2)
-	c.Put(1, 1)
-	c.Get(1)
-	c.Get(2)
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d", c.Hits(), c.Misses())
-	}
-	c.ResetStats()
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatal("ResetStats failed")
-	}
-}
-
 func TestLRUPeekDoesNotPromote(t *testing.T) {
 	c := NewLRU[int, int](2)
 	c.Put(1, 1)
 	c.Put(2, 2)
-	c.Peek(1)          // must NOT promote
-	c.Put(3, 3)        // evicts 1
-	if c.Contains(1) { // would still be present if Peek promoted
+	c.Peek(1)                   // must NOT promote
+	c.Put(3, 3)                 // evicts 1
+	if _, ok := c.Peek(1); ok { // would still be present if Peek promoted
 		t.Fatal("Peek promoted")
 	}
 }
@@ -85,92 +71,6 @@ func TestLRURemove(t *testing.T) {
 	c.Put(1, 1)
 	if !c.Remove(1) || c.Remove(1) {
 		t.Fatal("Remove semantics wrong")
-	}
-}
-
-func TestLRUResizeEvictsOldestFirst(t *testing.T) {
-	c := NewLRU[int, int](4)
-	for i := 1; i <= 4; i++ {
-		c.Put(i, i)
-	}
-	ev := c.Resize(2)
-	if len(ev) != 2 || ev[0].Key != 1 || ev[1].Key != 2 {
-		t.Fatalf("resize evictions = %+v", ev)
-	}
-	if c.Cap() != 2 || c.Len() != 2 {
-		t.Fatal("resize bookkeeping wrong")
-	}
-	if ev2 := c.Resize(10); len(ev2) != 0 {
-		t.Fatal("growing must not evict")
-	}
-}
-
-func TestLRUOldestAndEach(t *testing.T) {
-	c := NewLRU[int, int](3)
-	if _, ok := c.Oldest(); ok {
-		t.Fatal("empty cache has no oldest")
-	}
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Put(3, 3)
-	if k, _ := c.Oldest(); k != 1 {
-		t.Fatalf("oldest = %d, want 1", k)
-	}
-	var order []int
-	c.Each(func(k, v int) bool {
-		order = append(order, k)
-		return true
-	})
-	if len(order) != 3 || order[0] != 3 || order[2] != 1 {
-		t.Fatalf("Each order = %v, want MRU->LRU", order)
-	}
-	var first []int
-	c.Each(func(k, v int) bool {
-		first = append(first, k)
-		return false
-	})
-	if len(first) != 1 {
-		t.Fatal("Each early stop failed")
-	}
-}
-
-func TestGhostHit(t *testing.T) {
-	g := NewGhost[int](2)
-	g.Add(1)
-	g.Add(2)
-	if !g.Hit(1) {
-		t.Fatal("expected ghost hit")
-	}
-	if g.Hit(1) {
-		t.Fatal("ghost hit must consume the entry")
-	}
-	if g.GhostHits() != 1 {
-		t.Fatalf("ghost hits = %d", g.GhostHits())
-	}
-	g.ResetStats()
-	if g.GhostHits() != 0 {
-		t.Fatal("ResetStats failed")
-	}
-}
-
-func TestGhostCapacity(t *testing.T) {
-	g := NewGhost[int](2)
-	g.Add(1)
-	g.Add(2)
-	g.Add(3) // evicts 1
-	if g.Contains(1) || !g.Contains(2) || !g.Contains(3) {
-		t.Fatal("ghost LRU eviction wrong")
-	}
-	if g.Len() != 2 {
-		t.Fatalf("len = %d", g.Len())
-	}
-	g.Resize(1)
-	if g.Len() != 1 {
-		t.Fatal("ghost resize failed")
-	}
-	g.Remove(3)
-	if g.Len() != 0 {
-		t.Fatal("ghost remove failed")
 	}
 }
 
@@ -231,7 +131,7 @@ func BenchmarkLRU(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Take", func(b *testing.B) {
+	b.Run("RemovePut", func(b *testing.B) {
 		c := NewLRU[uint64, uint64](1024)
 		for i := uint64(0); i < 1024; i++ {
 			c.Put(i, i)
@@ -240,8 +140,8 @@ func BenchmarkLRU(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := uint64(i) % 1024
-			if v, ok := c.Take(k); ok {
-				c.Put(k, v)
+			if c.Remove(k) {
+				c.Put(k, k)
 			}
 		}
 	})

@@ -1,5 +1,9 @@
-// Package cache provides the replacement-policy building blocks used by
-// POD's storage cache: a generic LRU and a metadata-only ghost LRU.
+// Package cache provides a generic slab LRU for the bounded tables that
+// sit beside POD's storage cache: Full-Dedupe's in-memory index portion,
+// the I/O-Dedup baseline's content cache and replica directory, and the
+// locality estimator's per-stream sketches. POD's own iCache — both
+// caches and both ghosts — is one directory of its own
+// (internal/icache).
 package cache
 
 import "github.com/pod-dedup/pod/internal/probe"
@@ -28,8 +32,6 @@ type LRU[K comparable, V any] struct {
 	slab  []entry[K, V] // slot 0 is the sentinel of the circular list
 	freeL int32         // head of the free-slot list, linked via next; -1 none
 	items *probe.Map[K, int32]
-
-	hits, misses int64
 }
 
 // NewLRU returns an empty LRU with the given capacity.
@@ -54,13 +56,6 @@ func (c *LRU[K, V]) Len() int { return c.items.Len() }
 
 // Cap reports the capacity.
 func (c *LRU[K, V]) Cap() int { return c.cap }
-
-// Hits and Misses report Get accounting.
-func (c *LRU[K, V]) Hits() int64   { return c.hits }
-func (c *LRU[K, V]) Misses() int64 { return c.misses }
-
-// ResetStats clears hit/miss accounting without touching contents.
-func (c *LRU[K, V]) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // unlink detaches slot i from the recency list.
 func (c *LRU[K, V]) unlink(i int32) {
@@ -98,45 +93,34 @@ func (c *LRU[K, V]) release(i int32) {
 // Get returns the value for key, promoting it to most-recent.
 func (c *LRU[K, V]) Get(key K) (V, bool) {
 	if i, ok := c.items.Get(key); ok {
-		c.hits++
 		c.unlink(i)
 		c.pushFront(i)
 		return c.slab[i].val, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
 
 // Touch promotes key to most-recent and returns a pointer to its value
-// for in-place mutation, with the same hit/miss accounting as Get. The
-// pointer is valid only until the next mutating call on the LRU. It
-// replaces the Get-then-Put idiom, which paid two map lookups and two
-// list moves per update on the fingerprint-index hot path.
+// for in-place mutation. The pointer is valid only until the next
+// mutating call on the LRU. It replaces the Get-then-Put idiom, which
+// paid two map lookups and two list moves per update.
 func (c *LRU[K, V]) Touch(key K) (*V, bool) {
 	if i, ok := c.items.Get(key); ok {
-		c.hits++
 		c.unlink(i)
 		c.pushFront(i)
 		return &c.slab[i].val, true
 	}
-	c.misses++
 	return nil, false
 }
 
-// Peek returns the value without promoting or accounting.
+// Peek returns the value without promoting it.
 func (c *LRU[K, V]) Peek(key K) (V, bool) {
 	if i, ok := c.items.Get(key); ok {
 		return c.slab[i].val, true
 	}
 	var zero V
 	return zero, false
-}
-
-// Contains reports presence without promoting or accounting.
-func (c *LRU[K, V]) Contains(key K) bool {
-	_, ok := c.items.Get(key)
-	return ok
 }
 
 // Put inserts or updates key, promoting it, and returns the entry
@@ -177,119 +161,12 @@ func (c *LRU[K, V]) Remove(key K) bool {
 	return true
 }
 
-// Take removes key and returns its value — a single-traversal
-// Peek+Remove for callers that must surface the evicted value.
-func (c *LRU[K, V]) Take(key K) (V, bool) {
-	i, ok := c.items.Take(key)
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	v := c.slab[i].val
-	c.unlink(i)
-	c.release(i)
-	return v, true
-}
-
-// evictOldest removes and returns the LRU entry.
+// evictOldest removes and returns the LRU entry of a non-empty cache.
 func (c *LRU[K, V]) evictOldest() (Evicted[K, V], bool) {
 	i := c.slab[0].prev
-	if i == 0 {
-		return Evicted[K, V]{}, false
-	}
 	e := Evicted[K, V]{Key: c.slab[i].key, Val: c.slab[i].val}
 	c.unlink(i)
 	c.items.Take(e.Key)
 	c.release(i)
 	return e, true
 }
-
-// Resize changes the capacity, returning everything evicted when
-// shrinking (oldest first).
-func (c *LRU[K, V]) Resize(capacity int) []Evicted[K, V] {
-	if capacity < 0 {
-		capacity = 0
-	}
-	c.cap = capacity
-	var out []Evicted[K, V]
-	for c.items.Len() > c.cap {
-		if ev, ok := c.evictOldest(); ok {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Oldest returns the least-recently-used key without removing it.
-func (c *LRU[K, V]) Oldest() (K, bool) {
-	i := c.slab[0].prev
-	if i == 0 {
-		var zero K
-		return zero, false
-	}
-	return c.slab[i].key, true
-}
-
-// Each visits entries from most to least recently used; return false
-// from fn to stop early.
-func (c *LRU[K, V]) Each(fn func(K, V) bool) {
-	for i := c.slab[0].next; i != 0; i = c.slab[i].next {
-		if !fn(c.slab[i].key, c.slab[i].val) {
-			return
-		}
-	}
-}
-
-// Ghost is a metadata-only LRU of keys, used to estimate the benefit of
-// a larger cache: when a key evicted from the actual cache is re-
-// referenced while still in the ghost, a bigger cache would have hit.
-type Ghost[K comparable] struct {
-	lru *LRU[K, struct{}]
-
-	ghostHits int64
-}
-
-// NewGhost returns an empty ghost list with the given capacity.
-func NewGhost[K comparable](capacity int) *Ghost[K] {
-	return &Ghost[K]{lru: NewLRU[K, struct{}](capacity)}
-}
-
-// Add records an eviction from the actual cache.
-func (g *Ghost[K]) Add(key K) { g.lru.Put(key, struct{}{}) }
-
-// Hit tests whether key is present; if so it is removed (the caller is
-// about to re-admit it to the actual cache) and the ghost-hit counter
-// increments.
-func (g *Ghost[K]) Hit(key K) bool {
-	if g.lru.Remove(key) {
-		g.ghostHits++
-		return true
-	}
-	return false
-}
-
-// Contains tests presence without removing.
-func (g *Ghost[K]) Contains(key K) bool { return g.lru.Contains(key) }
-
-// Remove deletes key (used when the actual cache re-admits through a
-// different path).
-func (g *Ghost[K]) Remove(key K) { g.lru.Remove(key) }
-
-// Len reports the number of ghost entries.
-func (g *Ghost[K]) Len() int { return g.lru.Len() }
-
-// Resize changes the ghost capacity.
-func (g *Ghost[K]) Resize(capacity int) { g.lru.Resize(capacity) }
-
-// EachMRU visits ghost keys from most to least recently added; return
-// false from fn to stop early.
-func (g *Ghost[K]) EachMRU(fn func(K) bool) {
-	g.lru.Each(func(k K, _ struct{}) bool { return fn(k) })
-}
-
-// GhostHits reports how many re-references hit the ghost since the last
-// ResetStats.
-func (g *Ghost[K]) GhostHits() int64 { return g.ghostHits }
-
-// ResetStats clears the ghost-hit counter.
-func (g *Ghost[K]) ResetStats() { g.ghostHits = 0 }

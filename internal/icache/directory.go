@@ -10,27 +10,31 @@ import (
 	"github.com/pod-dedup/pod/internal/index"
 )
 
-// The fingerprint directory. Every fingerprint the index side knows —
-// cached, cached under some stream's quota, or remembered by the ghost
-// — is one slot of one slab, and *where* it is cached is only which
-// recency list the slot is linked into. Moving an entry between states
-// (evicted into the ghost, swapped back in, moved out by a shrinking
-// quota) relinks the slot; only a fingerprint leaving the directory
-// altogether touches the buckets.
+// The iCache directory. Every entry either cache knows — a fingerprint
+// cached (under some stream's quota) or in the ghost index, a block in
+// the read cache or the read ghost — is one slot of one slab, and
+// *where* it is cached is only which recency list the slot is linked
+// into. Index-side slots are keyed by fingerprint, read-side slots by
+// block alone (one per block and list: a block may be cached and ghosted
+// at once). Each list names the ghost its evictions drop into, so moving
+// an entry between states relinks the slot the same way on both sides;
+// only an entry leaving the directory touches the buckets.
 //
 // The slab is a list of fixed pages that never move: growing it adds a
 // page and copies nothing (a contiguous slice growing from empty would
 // allocate about five times its final size on the way). Because a slot
 // never moves, the slab is also where the keys live: a fingerprint is
 // found through a bucket head whose chain runs through the slots'
-// fpNext, a block through one whose chain runs through revNext, and
-// neither array holds a key. Both keep at most one slot per two buckets,
-// so a miss is most often an empty bucket and a chained mismatch costs
-// one word compare.
+// fpNext, a block — every slot bound to it — through one whose chain
+// runs through revNext, and neither array holds a key. Both keep at most
+// one slot per two buckets, so a miss is most often an empty bucket and
+// a chained mismatch costs one word compare.
 
 const (
 	ghostList      = 1 // list 0 is "on the free list"
-	firstIndexList = 2 // the single index's list, or one list per stream
+	readList       = 2
+	readGhostList  = 3
+	firstIndexList = 4 // the single index's list, or one list per stream
 
 	slabPageBits  = 10 // 1 024 slots, 56 KiB a page
 	slabPageSlots = 1 << slabPageBits
@@ -39,24 +43,30 @@ const (
 	minBuckets    = 1 << minBucketBits
 )
 
-// slot is one fingerprint's directory entry. Slot 0 is never used, so 0
-// means "none" in the buckets and in the chains.
+// slot is one directory entry: a fingerprint and the block it binds, or
+// a read-side block. Slot 0 is never used, so 0 means "none" in the
+// buckets and in the chains.
 type slot struct {
 	pba        alloc.PBA
-	fp         chunk.Fingerprint
-	count      uint32 // write-request hits since (re-)admission
-	list       int32  // the list the slot is linked into
-	home       int32  // the index list it was admitted to; a ghost returns there
+	fp         chunk.Fingerprint // zero on the read side
+	count      uint32            // write-request hits since (re-)admission
+	list       int32             // the list the slot is linked into
+	home       int32             // the list it was admitted to; a ghost returns there
 	prev, next int32
 	fpNext     int32 // next slot in the same fingerprint bucket
 	revNext    int32 // next slot in the same block bucket
 }
+
+// hashed reports whether the slot holds a fingerprint — an index-side
+// slot — rather than a read-side block, keyed by the block alone.
+func (s *slot) hashed() bool { return s.home >= firstIndexList }
 
 // lruList is one circular recency list through the slab: head is its
 // sentinel slot, head.next the most recent member.
 type lruList struct {
 	head   int32
 	n, cap int
+	ghost  int32 // the list evicted members drop into; 0: they leave
 }
 
 type directory struct {
@@ -66,16 +76,18 @@ type directory struct {
 	lists []lruList
 	// fpHead and pbaHead name the first slot of each fingerprint and
 	// block bucket; they double together, so one shift serves both. The
-	// block buckets let PurgePBA drop every entry — live or ghost — for a
-	// freed block: the consistency mechanism that replaces in-place
-	// overwrite protection in this log-structured substrate.
+	// block buckets let PurgePBA drop every entry — cached or ghosted, on
+	// either side — for a freed block: the consistency mechanism that
+	// replaces in-place overwrite protection in this log-structured
+	// substrate.
 	fpHead, pbaHead []int32
 	shift           uint8 // 64 − log2 of the bucket count: a bucket is a word's top bits
-	nfp             int   // fingerprints held, on every list but the free one
+	held            int   // slots on every list but the free one
 }
 
-// newDirectory returns a directory holding only the ghost list.
-func newDirectory(ghostCap int) directory {
+// newDirectory returns a directory holding the ghost index, the read
+// cache and the read ghost, and no index list.
+func newDirectory(ghostCap, readCap, readGhostCap int) directory {
 	d := directory{
 		lists:   make([]lruList, ghostList, firstIndexList+1),
 		fpHead:  make([]int32, minBuckets),
@@ -83,7 +95,9 @@ func newDirectory(ghostCap int) directory {
 		shift:   64 - minBucketBits,
 	}
 	d.fresh() // slot 0
-	d.addList(ghostCap)
+	d.addList(ghostCap, 0)
+	d.addList(readCap, readGhostList)
+	d.addList(readGhostCap, 0)
 	return d
 }
 
@@ -102,11 +116,12 @@ func (d *directory) fresh() int32 {
 	return d.n - 1
 }
 
-// addList appends an empty list and returns its id.
-func (d *directory) addList(capacity int) int32 {
+// addList appends an empty list whose evictions drop into ghost and
+// returns its id.
+func (d *directory) addList(capacity int, ghost int32) int32 {
 	h := d.fresh()
 	*d.at(h) = slot{prev: h, next: h}
-	d.lists = append(d.lists, lruList{head: h, cap: capacity})
+	d.lists = append(d.lists, lruList{head: h, cap: max(capacity, 0), ghost: ghost})
 	return int32(len(d.lists) - 1)
 }
 
@@ -124,6 +139,18 @@ func (d *directory) fpBucket(w uint64) uint64 { return w >> d.shift }
 // distinct buckets (its middle bits fill only about a quarter of them).
 func (d *directory) pbaBucket(pba alloc.PBA) uint64 {
 	return uint64(pba) * 0x9e3779b97f4a7c15 >> d.shift
+}
+
+// holding returns list l's slot for pba, or 0; l is a read list.
+func (d *directory) holding(l int32, pba alloc.PBA) int32 {
+	for i := d.pbaHead[d.pbaBucket(pba)]; i != 0; {
+		s := d.at(i)
+		if s.pba == pba && s.list == l {
+			return i
+		}
+		i = s.revNext
+	}
+	return 0
 }
 
 // find returns fp's slot, or 0.
@@ -170,8 +197,10 @@ func (d *directory) grow() {
 	n := 2 * len(d.fpHead)
 	d.fpHead, d.pbaHead, d.shift = make([]int32, n), make([]int32, n), d.shift-1
 	for i := int32(1); i < d.n; i++ {
-		if d.at(i).list != 0 {
-			d.hash(i)
+		if s := d.at(i); s.list != 0 {
+			if s.hashed() {
+				d.hash(i)
+			}
 			d.bind(i)
 		}
 	}
@@ -181,8 +210,11 @@ func (d *directory) entry(i int32) index.Entry {
 	return index.Entry{PBA: d.at(i).pba, Count: d.at(i).count}
 }
 
+// fps counts the fingerprints held, cached or ghosted.
+func (d *directory) fps() int { return d.held - d.lists[readList].n - d.lists[readGhostList].n }
+
 // live counts the entries on index lists.
-func (d *directory) live() int { return d.nfp - d.lists[ghostList].n }
+func (d *directory) live() int { return d.fps() - d.lists[ghostList].n }
 
 func (d *directory) unlink(i int32) {
 	s := d.at(i)
@@ -214,10 +246,10 @@ func (d *directory) unbind(i int32) {
 	*d.pbaLink(i) = d.at(i).revNext
 }
 
-// insert admits a fingerprint the directory does not hold as list l's
-// most recent member.
-func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
-	if d.nfp++; 2*d.nfp >= len(d.fpHead) {
+// take hands out an unlinked slot bound to pba whose home is list l,
+// doubling the buckets first when it would fill half of them.
+func (d *directory) take(l int32, pba alloc.PBA) int32 {
+	if d.held++; 2*d.held >= len(d.pbaHead) {
 		d.grow()
 	}
 	i := d.free
@@ -226,9 +258,17 @@ func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
 	} else {
 		i = d.fresh()
 	}
-	*d.at(i) = slot{fp: fp, pba: pba, home: l}
-	d.hash(i)
+	*d.at(i) = slot{pba: pba, home: l}
 	d.bind(i)
+	return i
+}
+
+// insert admits a fingerprint the directory does not hold as index list
+// l's most recent member.
+func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
+	i := d.take(l, pba)
+	d.at(i).fp = fp
+	d.hash(i)
 	d.pushFront(l, i)
 }
 
@@ -245,13 +285,32 @@ func (d *directory) admit(l, i int32, pba alloc.PBA) {
 	d.pushFront(l, i)
 }
 
-// touch counts a write-request hit on slot i and promotes it.
-func (d *directory) touch(i int32) index.Entry {
-	d.at(i).count++
+// promote makes slot i its list's most recent member.
+func (d *directory) promote(i int32) {
 	l := d.at(i).list
 	d.unlink(i)
 	d.pushFront(l, i)
+}
+
+// touch counts a write-request hit on slot i and promotes it.
+func (d *directory) touch(i int32) index.Entry {
+	d.at(i).count++
+	d.promote(i)
 	return d.entry(i)
+}
+
+// land links the unlinked slot i in as list l's most recent member. A
+// read list holds one slot per block: if l already has one for i's
+// block, that slot is promoted instead and i dropped.
+func (d *directory) land(l, i int32) {
+	if !d.at(i).hashed() {
+		if j := d.holding(l, d.at(i).pba); j != 0 {
+			d.release(i)
+			d.promote(j)
+			return
+		}
+	}
+	d.pushFront(l, i)
 }
 
 // release drops an unlinked slot from the directory.
@@ -263,61 +322,62 @@ func (d *directory) release(i int32) {
 // discard is release for a slot the caller already took out of its
 // block's bucket.
 func (d *directory) discard(i int32) {
-	*d.fpLink(i) = d.at(i).fpNext
-	d.nfp--
+	if d.at(i).hashed() {
+		*d.fpLink(i) = d.at(i).fpNext
+	}
+	d.held--
 	*d.at(i) = slot{next: d.free}
 	d.free = i
 }
 
-// evictTail pushes list l's oldest member one level down: an index
-// entry into the ghost, whose own oldest member may leave to make room,
-// a ghost entry out of the directory. A zero-capacity ghost (the fixed
-// partition never looks at one) keeps nothing.
+// evictTail pushes list l's oldest member one level down: a cached
+// entry into its list's ghost, whose own oldest member may leave to make
+// room, a ghost entry out of the directory. A zero-capacity ghost (the
+// fixed partition never looks at one) keeps nothing.
 func (d *directory) evictTail(l int32) {
 	i := d.at(d.lists[l].head).prev
 	d.unlink(i)
-	g := &d.lists[ghostList]
-	if l == ghostList || g.cap == 0 {
+	g := d.lists[l].ghost
+	if g == 0 || d.lists[g].cap == 0 {
 		d.release(i)
 		return
 	}
-	d.pushFront(ghostList, i)
-	if g.n > g.cap {
-		d.evictTail(ghostList)
+	d.land(g, i)
+	if d.lists[g].n > d.lists[g].cap {
+		d.evictTail(g)
 	}
 }
 
 // resize sets list l's capacity and evicts what no longer fits, oldest
 // first.
 func (d *directory) resize(l int32, capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
 	lst := &d.lists[l]
-	lst.cap = capacity
-	for lst.n > capacity {
+	lst.cap = max(capacity, 0)
+	for lst.n > lst.cap {
 		d.evictTail(l)
 	}
 }
 
-// swapIn re-admits ghosts, most recent first, each into its home list
-// while that list has free quota, until no index list has room; it
-// reports how many moved. Each lands in front of the one before it, so
-// the oldest ghost re-admitted ends up the most recent entry.
-func (d *directory) swapIn() int {
+// swapIn re-admits ghost list g's members, most recent first, each into
+// its home list while that list has free room, until no list g backs has
+// any; it reports how many moved. Each lands in front of the one before
+// it, so the oldest ghost re-admitted ends up its list's most recent
+// member.
+func (d *directory) swapIn(g int32) int {
 	room := 0
-	for _, lst := range d.lists[firstIndexList:] {
-		if lst.n < lst.cap {
+	for _, lst := range d.lists {
+		if lst.ghost == g && lst.n < lst.cap {
 			room += lst.cap - lst.n
 		}
 	}
-	g := d.lists[ghostList].head
+	h := d.lists[g].head
 	moved := 0
-	for i := d.at(g).next; i != g && moved < room; {
+	for i := d.at(h).next; i != h && moved < room; {
 		next := d.at(i).next
 		if home := d.at(i).home; d.lists[home].n < d.lists[home].cap {
 			d.unlink(i)
-			d.admit(home, i, d.at(i).pba)
+			d.at(i).count = 0
+			d.land(home, i)
 			moved++
 		}
 		i = next
@@ -346,21 +406,24 @@ func (d *directory) bytes() int {
 	return len(d.pages)*int(unsafe.Sizeof([slabPageSlots]slot{})) + 4*(len(d.fpHead)+len(d.pbaHead))
 }
 
-// check audits the directory's structure: each bucket array chains
-// exactly the held slots, each in the bucket its key hashes to and with
-// no cycle; every list is a well-formed ring of exactly n ≤ cap members
-// that know which list they are on and that find returns; no index
-// entry binds a remote-encoded block (a tier hint lives in the tier's
-// own table); and the free list accounts for every other slot. The
-// chains are audited first, so the finds below cannot loop.
+// check audits the directory's structure: the fingerprint buckets chain
+// exactly the fingerprints held and the block buckets every held slot,
+// each in the bucket its key hashes to and with no cycle; every list is a
+// well-formed ring of exactly n ≤ cap members that know which list they
+// are on, sit on their home list or its ghost, and are the slot find (a
+// fingerprint) or holding (a read-side block: one slot per block and
+// list) returns; no index entry binds a remote-encoded block (a tier hint
+// lives in the tier's own table; a remote read is cached under one); and
+// the free list accounts for every other slot. The chains are audited
+// first, so the walks below cannot loop.
 func (d *directory) check() error {
-	if err := d.checkChains("fingerprint", d.fpHead, func(s *slot) (int32, uint64) {
-		return s.fpNext, d.fpBucket(firstWord(&s.fp))
+	if err := d.checkChains("fingerprint", d.fpHead, d.fps(), func(s *slot) (int32, uint64, bool) {
+		return s.fpNext, d.fpBucket(firstWord(&s.fp)), s.hashed()
 	}); err != nil {
 		return err
 	}
-	if err := d.checkChains("block", d.pbaHead, func(s *slot) (int32, uint64) {
-		return s.revNext, d.pbaBucket(s.pba)
+	if err := d.checkChains("block", d.pbaHead, d.held, func(s *slot) (int32, uint64, bool) {
+		return s.revNext, d.pbaBucket(s.pba), true
 	}); err != nil {
 		return err
 	}
@@ -376,13 +439,17 @@ func (d *directory) check() error {
 			if s.list != l || s.prev != prev {
 				return fmt.Errorf("icache: slot %d on list %d is linked as list %d, prev %d (want %d)", i, l, s.list, s.prev, prev)
 			}
-			if s.home < firstIndexList || int(s.home) >= len(d.lists) || (l != ghostList && s.home != l) {
+			if s.home <= 0 || int(s.home) >= len(d.lists) || d.lists[s.home].ghost == 0 || (l != s.home && l != d.lists[s.home].ghost) {
 				return fmt.Errorf("icache: slot %d on list %d has home %d", i, l, s.home)
 			}
-			if j := d.find(s.fp); j != i {
-				return fmt.Errorf("icache: slot %d on list %d: its fingerprint is found at slot %d", i, l, j)
+			j := d.find(s.fp)
+			if !s.hashed() {
+				j = d.holding(l, s.pba)
 			}
-			if alloc.IsRemote(s.pba) {
+			if j != i {
+				return fmt.Errorf("icache: slot %d on list %d: its key is found at slot %d", i, l, j)
+			}
+			if s.hashed() && alloc.IsRemote(s.pba) {
 				return fmt.Errorf("icache: index binds remote-encoded block %d", s.pba)
 			}
 		}
@@ -394,8 +461,8 @@ func (d *directory) check() error {
 		}
 		linked += n
 	}
-	if linked != d.nfp {
-		return fmt.Errorf("icache: %d slots on lists, %d fingerprints held", linked, d.nfp)
+	if linked != d.held {
+		return fmt.Errorf("icache: %d slots on lists, %d held", linked, d.held)
 	}
 	free := 0
 	for i := d.free; i != 0; i = d.at(i).next {
@@ -410,10 +477,11 @@ func (d *directory) check() error {
 }
 
 // checkChains walks every bucket of heads, each slot naming its
-// successor and the bucket it hashes to, and reports a member that is
-// not on a list or sits in another bucket, and a count other than nfp;
-// a walk longer than nfp (a cycle) stops there.
-func (d *directory) checkChains(what string, heads []int32, link func(*slot) (next int32, bucket uint64)) error {
+// successor, the bucket it hashes to and whether it belongs in these
+// buckets at all, and reports a member that does not, is not on a list
+// or sits in another bucket, and a count other than want; a walk longer
+// than want (a cycle) stops there.
+func (d *directory) checkChains(what string, heads []int32, want int, link func(*slot) (next int32, bucket uint64, member bool)) error {
 	if uint64(len(heads)) != 1<<(64-d.shift) {
 		return fmt.Errorf("icache: %d %s buckets under shift %d", len(heads), what, d.shift)
 	}
@@ -421,18 +489,18 @@ func (d *directory) checkChains(what string, heads []int32, link func(*slot) (ne
 	for b, i := range heads {
 		for i != 0 {
 			s := d.at(i)
-			if chained++; chained > d.nfp {
-				return fmt.Errorf("icache: %s buckets chain more than the %d fingerprints held", what, d.nfp)
+			if chained++; chained > want {
+				return fmt.Errorf("icache: %s buckets chain more than the %d slots keyed so", what, want)
 			}
-			next, home := link(s)
-			if s.list == 0 || home != uint64(b) {
+			next, home, member := link(s)
+			if !member || s.list == 0 || home != uint64(b) {
 				return fmt.Errorf("icache: %s bucket %d chains slot %d (list %d, bucket %d)", what, b, i, s.list, home)
 			}
 			i = next
 		}
 	}
-	if chained != d.nfp {
-		return fmt.Errorf("icache: %d slots in %s buckets, %d fingerprints held", chained, what, d.nfp)
+	if chained != want {
+		return fmt.Errorf("icache: %d slots in %s buckets, %d keyed so", chained, what, want)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -23,12 +24,12 @@ type mEntry struct {
 	home  uint32 // the stream whose quota holds it, or held it
 }
 
-// model is the index side of the controller written the obvious way:
-// one slice per stream and one for the ghost, most recent first, linear
-// search for everything. It states the behaviour the directory must
-// reproduce; it follows the controller's partition decisions (the Swap
-// Module's arithmetic is not under test) and reproduces everything that
-// happens to the entries.
+// model is the controller written the obvious way: one slice per
+// stream and one for the ghost index, one for the read cache and one for
+// its ghost, most recent first, linear search for everything. It states
+// the behaviour the directory must reproduce; it follows the
+// controller's partition decisions (the Swap Module's arithmetic is not
+// under test) and reproduces everything that happens to the entries.
 type model struct {
 	adaptive, streamMode bool
 	static, shares       map[uint32]float64
@@ -40,6 +41,11 @@ type model struct {
 	ghostCap             int
 	lookups, hits, gHits map[uint32]int64
 	ghostHits            int64
+
+	// the read side: two plain LRUs of blocks, a block on either or both
+	read, readGhost                []alloc.PBA
+	readCap, readGhostCap, maxRead int
+	readGhostHits                  int64
 }
 
 func newModel(p Params, streamMode bool, static map[uint32]float64) *model {
@@ -48,9 +54,13 @@ func newModel(p Params, streamMode bool, static map[uint32]float64) *model {
 		maxIndex: int(p.TotalBytes) / p.IndexEntryBytes,
 		live:     map[uint32][]mEntry{}, caps: map[uint32]int{},
 		lookups: map[uint32]int64{}, hits: map[uint32]int64{}, gHits: map[uint32]int64{},
+		maxRead: int(p.TotalBytes) / blockBytes,
 	}
-	m.icEntries = int(int64(p.IndexFrac*float64(p.TotalBytes))) / p.IndexEntryBytes
+	idxBytes := int64(p.IndexFrac * float64(p.TotalBytes))
+	m.icEntries = int(idxBytes) / p.IndexEntryBytes
 	m.ghostCap = m.maxIndex - m.icEntries
+	m.readCap = int(p.TotalBytes-idxBytes) / blockBytes
+	m.readGhostCap = m.maxRead - m.readCap
 	if !streamMode {
 		m.order = []uint32{0}
 		m.caps[0] = m.icEntries
@@ -208,6 +218,104 @@ func (m *model) purge(pba alloc.PBA) {
 		m.live[id] = keep(m.live[id])
 	}
 	m.ghost = keep(m.ghost)
+	m.purgeWhere(func(b alloc.PBA) bool { return b == pba })
+}
+
+// --- the model's read side ---
+
+func blockAt(l []alloc.PBA, pba alloc.PBA) int {
+	for k, b := range l {
+		if b == pba {
+			return k
+		}
+	}
+	return -1
+}
+
+// toFront makes pba the most recent block of l, adding it if absent.
+func toFront(l []alloc.PBA, pba alloc.PBA) []alloc.PBA {
+	if k := blockAt(l, pba); k >= 0 {
+		l = append(l[:k:k], l[k+1:]...)
+	}
+	return append([]alloc.PBA{pba}, l...)
+}
+
+// toReadGhost records a read-cache eviction: only the adaptive
+// controller keeps a read ghost; a block it already holds becomes its
+// most recent, otherwise the oldest falls off when it is over capacity.
+func (m *model) toReadGhost(pba alloc.PBA) {
+	if !m.adaptive {
+		return
+	}
+	m.readGhost = toFront(m.readGhost, pba)
+	if len(m.readGhost) > m.readGhostCap {
+		m.readGhost = m.readGhost[:len(m.readGhost)-1]
+	}
+}
+
+func (m *model) shrinkRead() {
+	for len(m.read) > m.readCap {
+		victim := m.read[len(m.read)-1]
+		m.read = m.read[:len(m.read)-1]
+		m.toReadGhost(victim)
+	}
+}
+
+// readHit promotes a cached block; a miss the adaptive read ghost
+// remembers is a ghost hit and consumes the ghost's entry.
+func (m *model) readHit(pba alloc.PBA) bool {
+	if blockAt(m.read, pba) >= 0 {
+		m.read = toFront(m.read, pba)
+		return true
+	}
+	if k := blockAt(m.readGhost, pba); m.adaptive && k >= 0 {
+		m.readGhost = append(m.readGhost[:k:k], m.readGhost[k+1:]...)
+		m.readGhostHits++
+	}
+	return false
+}
+
+// readInsert caches pba, leaving any read-ghost entry for it in place.
+func (m *model) readInsert(pba alloc.PBA) {
+	m.read = toFront(m.read, pba)
+	m.shrinkRead()
+}
+
+func (m *model) purgeWhere(pred func(alloc.PBA) bool) {
+	keep := func(l []alloc.PBA) []alloc.PBA {
+		var out []alloc.PBA
+		for _, b := range l {
+			if !pred(b) {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
+	m.read, m.readGhost = keep(m.read), keep(m.readGhost)
+}
+
+// readRepartition applies a Swap Module decision to the read side: the
+// cache shrinks into its ghost at the ghost's old capacity, the ghost
+// takes its new capacity, then — if the cache grew — the most recent
+// ghosts fill the room, each landing in front of the one before it. It
+// returns the blocks re-admitted, in the order they were chosen.
+func (m *model) readRepartition(readCap int, grew bool) []alloc.PBA {
+	m.readCap = readCap
+	m.shrinkRead()
+	m.readGhostCap = m.maxRead - readCap
+	if len(m.readGhost) > m.readGhostCap {
+		m.readGhost = m.readGhost[:max(m.readGhostCap, 0)]
+	}
+	if !grew {
+		return nil
+	}
+	room := min(max(readCap-len(m.read), 0), len(m.readGhost))
+	chosen := append([]alloc.PBA(nil), m.readGhost[:room]...)
+	m.readGhost = m.readGhost[room:]
+	for _, b := range chosen {
+		m.read = toFront(m.read, b)
+	}
+	return chosen
 }
 
 func (m *model) setShares(shares map[uint32]float64) {
@@ -275,7 +383,22 @@ func ghostOrder(c *Controller) []mEntry {
 	return out
 }
 
-// agree compares everything observable about the index side.
+// readOrder lists the controller's read cache and read ghost, most
+// recent first (nil when empty, as the model keeps them).
+func readOrder(c *Controller) (read, ghost []alloc.PBA) {
+	return blocksOn(&c.dir, readList), blocksOn(&c.dir, readGhostList)
+}
+
+func blocksOn(d *directory, l int32) []alloc.PBA {
+	var out []alloc.PBA
+	h := d.lists[l].head
+	for i := d.at(h).next; i != h; i = d.at(i).next {
+		out = append(out, d.at(i).pba)
+	}
+	return out
+}
+
+// agree compares everything observable about the controller.
 func agree(c *Controller, m *model) error {
 	var got, want []mEntry
 	c.IndexEach(func(stream uint32, fp chunk.Fingerprint, e index.Entry) bool {
@@ -327,6 +450,14 @@ func agree(c *Controller, m *model) error {
 			return fmt.Errorf("lookups/hits/ghost hits = %d/%d/%d, want %d/%d/%d",
 				s.lookups, s.hits, s.ghostHits, m.lookups[0], m.hits[0], m.gHits[0])
 		}
+	}
+	read, readGhost := readOrder(c)
+	if !slices.Equal(read, m.read) || !slices.Equal(readGhost, m.readGhost) {
+		return fmt.Errorf("read side differs:\n got  %v, ghost %v\n want %v, ghost %v", read, readGhost, m.read, m.readGhost)
+	}
+	if c.totalGhostReadHits != m.readGhostHits || c.ReadCacheCap() != m.readCap {
+		return fmt.Errorf("read ghost hits = %d, read cap %d; want %d, %d",
+			c.totalGhostReadHits, c.ReadCacheCap(), m.readGhostHits, m.readCap)
 	}
 	return c.CheckInvariants()
 }
@@ -402,38 +533,68 @@ func runDirectoryOps(mode int, data []byte) error {
 			if ge != we || gok != wok {
 				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
 			}
-		case op < 21:
+		case op < 20:
 			what = fmt.Sprintf("insert(%d, fp %d, block %d)", stream, a%96, pba)
 			c.IndexInsertS(stream, f, pba)
 			m.insert(stream, f, pba)
-		case op < 23:
+		case op < 22:
 			what = fmt.Sprintf("peek(fp %d)", a%96)
 			ge, gok := c.IndexPeek(f)
 			we, wok := m.peek(f)
 			if ge != we || gok != wok {
 				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
 			}
-		case op < 25:
+		case op < 24:
 			what = fmt.Sprintf("purge(block %d)", pba)
 			c.PurgePBA(pba)
 			m.purge(pba)
-		case op < 27:
-			// read-side traffic, so the Swap Module has a reason to
-			// shrink the index as well as grow it
-			what = "read"
-			for k := alloc.PBA(0); k < 12; k++ {
-				if blk := 100 + (alloc.PBA(b)+k)%24; !c.ReadHit(blk) {
+		case op < 26:
+			// a read request as the engine serves it — a probe per block,
+			// an insert per miss — over 24 blocks, twice the read side's
+			// room, that the index binds too; now and then they are a
+			// peer's blocks, as remote reads cache them
+			what = fmt.Sprintf("read(from block %d)", 16+b%24)
+			for k := 0; k < 12; k++ {
+				blk := alloc.PBA(16 + (int(b)+k)%24)
+				if a&8 != 0 {
+					blk = alloc.MakeRemote(1, blk)
+				}
+				got, want := c.ReadHit(blk), m.readHit(blk)
+				if got != want {
+					return fmt.Errorf("op %d %s: block %d hit = %v, want %v", n, what, blk, got, want)
+				}
+				if !got {
 					c.ReadInsert(blk)
+					m.readInsert(blk)
 				}
 			}
+		case op < 27:
+			if a&3 == 0 {
+				// a peer shard crashed: its blocks and one residue class go
+				what = fmt.Sprintf("purgeWhere(remote or %%5 == %d)", b%5)
+				pred := func(blk alloc.PBA) bool { return alloc.IsRemote(blk) || blk%5 == alloc.PBA(b%5) }
+				c.PurgeWhere(pred)
+				m.purgeWhere(pred)
+				break
+			}
+			// an insert with no probe before it: a block the read ghost
+			// remembers is then both cached and ghosted
+			blk := alloc.PBA(16 + b%24)
+			what = fmt.Sprintf("readInsert(block %d)", blk)
+			c.ReadInsert(blk)
+			m.readInsert(blk)
 		case op < 29:
 			what = "tick"
 			now = now.Add(p.Interval)
 			before := c.IndexFrac()
 			rep := c.Tick(now)
 			if rep.Changed {
-				if want := m.repartition(c.IndexCapTotal(), c.IndexFrac() > before); rep.IndexSwapIns != want {
+				grew := c.IndexFrac() > before
+				if want := m.repartition(c.IndexCapTotal(), grew); rep.IndexSwapIns != want {
 					return fmt.Errorf("op %d tick: %d index swap-ins, want %d", n, rep.IndexSwapIns, want)
+				}
+				if want := m.readRepartition(c.ReadCacheCap(), !grew); !slices.Equal(rep.ReadSwapIns, want) {
+					return fmt.Errorf("op %d tick: read swap-ins %v, want %v", n, rep.ReadSwapIns, want)
 				}
 			}
 		default:
@@ -493,6 +654,13 @@ func FuzzDirectoryOps(f *testing.F) {
 	// the same with every fingerprint in one bucket: the purge and the
 	// remap unlink from the middle of the chain
 	f.Add(uint8(len(dirModes)-1), overflow)
+	// the read side alone: overflow the read cache into its ghost, cache
+	// ghosted blocks without a probe, repartition, cache a peer's blocks
+	// and drop them with the crash sweep
+	f.Add(uint8(1), []byte{
+		24, 0, 0, 24, 0, 12, 24, 0, 3, 26, 1, 0, 26, 1, 1, 24, 0, 0, 27, 0, 0,
+		24, 8, 5, 26, 0, 2, 24, 0, 7, 27, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
 		if err := runDirectoryOps(int(mode), data); err != nil {
 			t.Fatal(err)
@@ -605,6 +773,106 @@ func TestStreamGhostHitsNameTheHomeStream(t *testing.T) {
 	}
 }
 
+// --- the read side's rules, by name ---
+
+// A read-ghost hit consumes the ghost's entry, and only the adaptive
+// controller keeps a read ghost at all.
+func TestReadGhostHitConsumesEntry(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		c := New(testParams(adaptive)) // 8 of 16 read blocks
+		for i := 0; i < 9; i++ {       // block 0 is evicted
+			c.ReadInsert(alloc.PBA(i))
+		}
+		c.ReadHit(0)
+		c.ReadHit(0)
+		want := int64(0)
+		if adaptive {
+			want = 1
+		}
+		if _, g := readOrder(c); c.totalGhostReadHits != want || len(g) != 0 {
+			t.Errorf("adaptive %v: %d read-ghost hits, ghost %v; want %d and an empty ghost", adaptive, c.totalGhostReadHits, g, want)
+		}
+		checkAll(t, c)
+	}
+}
+
+// A shrinking read cache pushes its victims into the read ghost while the
+// ghost still has its old capacity, and only then does the ghost grow.
+func TestReadShrinkFillsGhostAtOldCapacity(t *testing.T) {
+	c := New(testParams(true)) // 8 read blocks, 8 read ghosts
+	for i := 0; i < 16; i++ {  // blocks 0..7 ghosted, 8..15 cached
+		c.ReadInsert(alloc.PBA(i))
+	}
+	fillIndex(c, 0, 0, 1024)
+	for i := 0; i < 10; i++ { // ghost index hits: the index grows
+		c.IndexLookup(fp(uint64(i)))
+	}
+	if rep := c.Tick(sim.Time(sim.Second)); !rep.Changed || c.ReadCacheCap() != 7 {
+		t.Fatalf("read cache holds %d blocks after the tick, want 7", c.ReadCacheCap())
+	}
+	// victim 8 went in at capacity 8 and pushed block 0 out; resizing the
+	// ghost to 9 first would have kept it
+	read, ghost := readOrder(c)
+	if want := []alloc.PBA{8, 7, 6, 5, 4, 3, 2, 1}; len(read) != 7 || !reflect.DeepEqual(ghost, want) {
+		t.Fatalf("read %v, ghost %v; want 7 blocks and ghost %v", read, ghost, want)
+	}
+	checkAll(t, c)
+}
+
+// A growing read cache re-admits the most recent ghosts first, each in
+// front of the one before it, so the oldest re-admitted ends up the most
+// recent; ReadSwapIns lists them in the order they were chosen.
+func TestReadSwapInsOldestEndsMostRecent(t *testing.T) {
+	p := testParams(true)
+	p.TotalBytes = 1 << 20 // 128 read blocks, 128 read ghosts
+	c := New(p)
+	for i := 0; i < 256; i++ { // blocks 0..127 ghosted, 128..255 cached
+		c.ReadInsert(alloc.PBA(i))
+	}
+	c.ghostReadHits = 1 // the Access Monitor's verdict, set by hand
+	rep := c.Tick(sim.Time(sim.Second))
+	if !rep.Changed || c.ReadCacheCap() != 144 || len(rep.ReadSwapIns) != 16 {
+		t.Fatalf("read cache %d blocks, %d swap-ins; want 144 and 16", c.ReadCacheCap(), len(rep.ReadSwapIns))
+	}
+	read, _ := readOrder(c)
+	for k, pba := range rep.ReadSwapIns {
+		if want := alloc.PBA(127 - k); pba != want || read[15-k] != want {
+			t.Fatalf("swap-in %d is block %d at read position %d (%d); want block %d", k, pba, 15-k, read[15-k], want)
+		}
+	}
+	if read[16] != 255 {
+		t.Fatalf("the re-admitted blocks are followed by %d, want 255", read[16])
+	}
+	checkAll(t, c)
+}
+
+// A block can be cached and ghosted at once — an insert with no probe
+// leaves the ghost alone — and its later eviction promotes the ghost's
+// one entry rather than adding a second.
+func TestReadBlockCachedAndGhosted(t *testing.T) {
+	c := New(testParams(true)) // 8 read blocks, 8 read ghosts
+	for i := 0; i < 9; i++ {   // block 0 ghosted
+		c.ReadInsert(alloc.PBA(i))
+	}
+	c.ReadInsert(0) // cached too; block 1 ghosted
+	if read, ghost := readOrder(c); read[0] != 0 || !reflect.DeepEqual(ghost, []alloc.PBA{1, 0}) {
+		t.Fatalf("read %v, ghost %v; want block 0 on both", read, ghost)
+	}
+	if !c.ReadHit(0) || c.totalGhostReadHits != 0 {
+		t.Fatal("a cached block's probe must hit the cache, not the ghost")
+	}
+	c.ReadHit(1)              // a ghost hit: room in the ghost
+	for i := 9; i < 16; i++ { // evicts 2..8
+		c.ReadInsert(alloc.PBA(i))
+	}
+	c.ReadHit(2)     // another: the ghost holds 7
+	c.ReadInsert(16) // evicts block 0
+	if _, ghost := readOrder(c); !reflect.DeepEqual(ghost, []alloc.PBA{0, 8, 7, 6, 5, 4, 3}) {
+		t.Fatalf("ghost %v, want block 0 promoted once in front of 8..3", ghost)
+	}
+	checkAll(t, c)
+}
+
 // CheckInvariants must notice a directory whose parts disagree.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(*Controller){
@@ -627,10 +895,21 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		"remote block":        func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = alloc.MakeRemote(1, 1) },
 		"over capacity":       func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
 		"leaked slot":         func(c *Controller) { c.dir.free = 0 },
+		"read slot on the wrong list": func(c *Controller) {
+			c.dir.at(c.dir.holding(readList, 11)).list = readGhostList
+		},
+		"read ghost over capacity": func(c *Controller) { c.dir.lists[readGhostList].cap = 1 },
+		"unchained read slot": func(c *Controller) {
+			i := c.dir.holding(readList, 11)
+			*c.dir.pbaLink(i) = c.dir.at(i).revNext
+		},
 	} {
 		c := New(testParams(true))
 		fillIndex(c, 0, 0, 600)
-		c.PurgePBA(3) // something on the free list
+		for i := 0; i < 12; i++ { // blocks 11..4 cached, 3..0 ghosted
+			c.ReadInsert(alloc.PBA(i))
+		}
+		c.PurgePBA(3) // something on the free list, from both families
 		checkAll(t, c)
 		corrupt(c)
 		if c.CheckInvariants() == nil {
@@ -682,8 +961,8 @@ func TestDirectoryFootprint(t *testing.T) {
 	if got, want := d.bytes(), pages+8*len(d.fpHead); got != want {
 		t.Fatalf("bytes() = %d, want %d: %d B of pages and %d buckets of 8 B", got, want, pages, len(d.fpHead))
 	}
-	if d.nfp != 10000 || len(d.fpHead) > 4*d.nfp {
-		t.Fatalf("%d buckets for %d fingerprints, want at most four each", len(d.fpHead), d.nfp)
+	if d.held != 10000 || len(d.fpHead) > 4*d.held {
+		t.Fatalf("%d buckets for %d fingerprints, want at most four each", len(d.fpHead), d.held)
 	}
 	checkAll(t, c)
 }
@@ -737,6 +1016,40 @@ func BenchmarkIndexMissInsertEvict(b *testing.B) {
 	}
 	n := b.N
 	failOnAllocs(b, "miss + insert + evict", func() { step(n); n++ })
+}
+
+// BenchmarkReadPath is the read side as the engine drives it, on a full
+// adaptive controller whose index binds the same blocks: a probe per
+// block — a hit, a read-ghost hit or a miss — an insert per miss, which
+// evicts into the read ghost and the ghost's oldest out, and now and
+// then a freed block purged from every list.
+func BenchmarkReadPath(b *testing.B) {
+	c := New(benchParams()) // 256 read blocks, 256 read ghosts
+	fillIndex(c, 0, 0, 1<<15)
+	step := func(i int) {
+		// every other probe is for a hot 128 blocks: about half hit,
+		// nearly all the rest hit the ghost
+		blk := alloc.PBA(uint32(i*0x9e3779b1) % 640)
+		if i&1 == 0 {
+			blk %= 128
+		}
+		if !c.ReadHit(blk) {
+			c.ReadInsert(blk)
+		}
+		if i%16 == 0 {
+			c.PurgePBA(blk + 1)
+		}
+	}
+	for i := 0; i < 1<<12; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	n := b.N
+	failOnAllocs(b, "read hit + insert + purge", func() { step(n); n++ })
 }
 
 // BenchmarkIndexPeekMiss is the global tier's grant path on a shard

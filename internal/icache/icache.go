@@ -3,12 +3,14 @@
 // fingerprint index cache and the data read cache.
 //
 // The controller owns both actual caches and their metadata-only ghost
-// caches. The index side — the index cache, its ghost and, in stream
-// mode, every tenant stream's quota — is one fingerprint directory
-// (directory.go): a fingerprint is one slot found through one bucket, and
-// whether it is cached, under whose quota, or only remembered is which
-// recency list the slot is linked into, so eviction, swap-in and
-// re-apportionment relink slots and never rehash them.
+// caches, all of them recency lists of one directory (directory.go): the
+// index cache (in stream mode, one list per tenant stream's quota) and
+// the ghost index hold fingerprint slots, each found through one bucket;
+// the read cache and the read ghost hold block slots, found through the
+// block buckets every slot is chained in. Whether an entry is cached,
+// under whose quota, or only remembered is which list its slot is linked
+// into, so eviction, swap-in and re-apportionment relink slots and never
+// rehash them, and a freed block leaves both caches in one bucket walk.
 //
 // The Access Monitor counts, per evaluation interval, how often a miss
 // in an actual cache *would have been* a hit with a larger cache (a
@@ -29,7 +31,6 @@ import (
 	"fmt"
 
 	"github.com/pod-dedup/pod/internal/alloc"
-	"github.com/pod-dedup/pod/internal/cache"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/index"
 	"github.com/pod-dedup/pod/internal/sim"
@@ -78,24 +79,21 @@ type Controller struct {
 
 	streamState
 
-	// dir is the index side: the index cache (one recency list, or one
-	// per stream) and the ghost index; acct[k] is the accounting for
-	// index list firstIndexList+k, streams in first-seen order.
+	// dir holds both caches and both ghosts: the index cache (one
+	// recency list, or one per stream), the ghost index, the read cache
+	// and the read ghost; acct[k] is the accounting for index list
+	// firstIndexList+k, streams in first-seen order.
 	dir  directory
 	acct []streamAcct
 	// icEntries is the index partition budget in entries, moved by the
 	// Swap Module; every index list's capacity is a share of it.
 	icEntries int
 
-	read      *cache.LRU[alloc.PBA, struct{}]
-	ghostRead *cache.Ghost[alloc.PBA]
-
 	indexFrac float64
 	nextEval  sim.Time
 
 	// Access Monitor counters for the current interval.
 	ghostIdxHits, ghostReadHits int64
-	readHits, readMisses        int64
 
 	// lifetime accounting
 	repartitions          int64
@@ -126,25 +124,22 @@ func New(p Params) *Controller {
 	c := &Controller{p: p, indexFrac: p.IndexFrac, nextEval: sim.Time(p.Interval)}
 	ic, rc := c.capacitiesFor(p.IndexFrac)
 	c.icEntries = ic
-	c.read = cache.NewLRU[alloc.PBA, struct{}](rc)
-	c.ghostRead = cache.NewGhost[alloc.PBA](c.maxReadBlocks() - rc)
-	c.dir = newDirectory(c.ghostIndexCap())
+	gi, gr := c.ghostCaps(ic, rc)
+	c.dir = newDirectory(gi, rc, gr)
 	c.acct = []streamAcct{{}}
-	c.dir.addList(ic)
+	c.dir.addList(ic, ghostList)
 	return c
 }
 
-func (c *Controller) maxIndexEntries() int { return int(c.p.TotalBytes) / c.p.IndexEntryBytes }
-func (c *Controller) maxReadBlocks() int   { return int(c.p.TotalBytes) / blockBytes }
-
-// ghostIndexCap is the ghost index's capacity under the current
-// partition: each ghost may grow to the whole budget minus its actual
-// cache. The fixed partition never consults a ghost and keeps none.
-func (c *Controller) ghostIndexCap() int {
+// ghostCaps reports the ghost index's and the read ghost's capacities
+// for a partition of ic index entries and rc read blocks: each ghost may
+// grow to the whole budget minus its actual cache. The fixed partition
+// never consults a ghost and keeps none.
+func (c *Controller) ghostCaps(ic, rc int) (idx, read int) {
 	if !c.p.Adaptive {
-		return 0
+		return 0, 0
 	}
-	return c.maxIndexEntries() - c.icEntries
+	return int(c.p.TotalBytes)/c.p.IndexEntryBytes - ic, int(c.p.TotalBytes)/blockBytes - rc
 }
 
 func (c *Controller) capacitiesFor(frac float64) (idxEntries, readBlocks int) {
@@ -164,7 +159,7 @@ func (c *Controller) capacitiesFor(frac float64) (idxEntries, readBlocks int) {
 func (c *Controller) IndexFrac() float64 { return c.indexFrac }
 
 // ReadCacheCap reports the read-cache capacity in blocks.
-func (c *Controller) ReadCacheCap() int { return c.read.Cap() }
+func (c *Controller) ReadCacheCap() int { return c.dir.lists[readList].cap }
 
 // Repartitions reports how many times the Swap Module resized.
 func (c *Controller) Repartitions() int64 { return c.repartitions }
@@ -281,34 +276,43 @@ func (c *Controller) IndexInsertS(stream uint32, fp chunk.Fingerprint, pba alloc
 
 // --- read-cache path ---
 
-// ReadHit tests whether pba is cached, promoting it on hit and
-// consulting the ghost on miss.
+// ReadHit tests whether pba is cached, promoting it on hit; a miss the
+// read ghost remembers is a ghost hit, and the block leaves the ghost.
 func (c *Controller) ReadHit(pba alloc.PBA) bool {
-	if _, ok := c.read.Get(pba); ok {
-		c.readHits++
+	d := &c.dir
+	if i := d.holding(readList, pba); i != 0 {
+		d.promote(i)
 		return true
 	}
-	c.readMisses++
-	if c.p.Adaptive && c.ghostRead.Hit(pba) {
+	if i := d.holding(readGhostList, pba); i != 0 {
+		d.unlink(i)
+		d.release(i)
 		c.ghostReadHits++
 		c.totalGhostReadHits++
 	}
 	return false
 }
 
-// ReadInsert caches pba after a fetch from disk.
+// ReadInsert caches pba after a fetch from disk; in adaptive mode the
+// block it evicts moves to the read ghost. A ghost entry for pba itself
+// stays where it is.
 func (c *Controller) ReadInsert(pba alloc.PBA) {
-	if ev, evicted := c.read.Put(pba, struct{}{}); evicted && c.p.Adaptive && ev.Key != pba {
-		c.ghostRead.Add(ev.Key)
+	d := &c.dir
+	if i := d.holding(readList, pba); i != 0 {
+		d.promote(i)
+		return
+	}
+	d.pushFront(readList, d.take(readList, pba))
+	if lst := &d.lists[readList]; lst.n > lst.cap {
+		d.evictTail(readList)
 	}
 }
 
 // PurgePBA removes every trace of a freed physical block — read cache,
-// read ghost, index cache, and ghost index — so a reused block can never
-// serve stale data or be dedup-referenced under its old content.
+// read ghost, index cache, and ghost index, in one walk of its block
+// bucket — so a reused block can never serve stale data or be
+// dedup-referenced under its old content.
 func (c *Controller) PurgePBA(pba alloc.PBA) {
-	c.read.Remove(pba)
-	c.ghostRead.Remove(pba)
 	c.dir.purge(pba)
 }
 
@@ -319,18 +323,17 @@ func (c *Controller) PurgePBA(pba alloc.PBA) {
 // free. The index side needs no such sweep — it only ever binds the
 // shard's own blocks, which PurgePBA drops as they are freed.
 func (c *Controller) PurgeWhere(pred func(alloc.PBA) bool) {
-	var victims []alloc.PBA
-	collect := func(pba alloc.PBA) bool {
-		if pred(pba) {
-			victims = append(victims, pba)
+	d := &c.dir
+	for _, l := range [...]int32{readList, readGhostList} {
+		h := d.lists[l].head
+		for i := d.at(h).next; i != h; {
+			next := d.at(i).next
+			if pred(d.at(i).pba) {
+				d.unlink(i)
+				d.release(i)
+			}
+			i = next
 		}
-		return true
-	}
-	c.read.Each(func(pba alloc.PBA, _ struct{}) bool { return collect(pba) })
-	c.ghostRead.EachMRU(collect)
-	for _, pba := range victims {
-		c.read.Remove(pba)
-		c.ghostRead.Remove(pba)
 	}
 }
 
@@ -354,7 +357,6 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	benefitIdx := c.ghostIdxHits * writeBenefitUS
 	benefitRead := c.ghostReadHits * readBenefitUS
 	c.ghostIdxHits, c.ghostReadHits = 0, 0
-	c.readHits, c.readMisses = 0, 0
 
 	// require clear dominance before moving the partition — reacting
 	// to noise thrashes both caches (each move costs transient misses
@@ -386,48 +388,39 @@ func (c *Controller) Tick(now sim.Time) Repartition {
 	c.repartitions++
 	c.history = append(c.history, FracPoint{Time: now, IndexFrac: target})
 
-	// shrink one side: index victims move into the ghost, oldest first,
+	// shrink one side: victims move into its ghost, oldest first,
 	// against the ghost's old capacity
 	c.icEntries = ic
 	c.applyQuotas()
-	for _, ev := range c.read.Resize(rc) {
-		c.ghostRead.Add(ev.Key)
-	}
+	d := &c.dir
+	d.resize(readList, rc)
 	// rebalance ghost capacities to mirror the actual caches
-	c.dir.resize(ghostList, c.ghostIndexCap())
-	c.ghostRead.Resize(c.maxReadBlocks() - rc)
+	gi, gr := c.ghostCaps(ic, rc)
+	d.resize(ghostList, gi)
+	d.resize(readGhostList, gr)
 
 	// grow the other side by swapping in the most recent ghosts
 	if grewIndex {
-		rep.IndexSwapIns = c.dir.swapIn()
+		rep.IndexSwapIns = d.swapIn(ghostList)
 		c.swapInsIdx += int64(rep.IndexSwapIns)
-	} else {
-		room := rc - c.read.Len()
-		// ghost read keeps only keys; re-admit the most recent ones
-		var pbas []alloc.PBA
-		c.ghostRead.EachMRU(func(pba alloc.PBA) bool {
-			if len(pbas) >= room {
-				return false
-			}
-			pbas = append(pbas, pba)
-			return true
-		})
-		for _, pba := range pbas {
-			c.ghostRead.Remove(pba)
-			c.read.Put(pba, struct{}{})
-			rep.ReadSwapIns = append(rep.ReadSwapIns, pba)
-			c.swapInsRd++
-		}
+		return rep
+	}
+	n := d.swapIn(readGhostList)
+	c.swapInsRd += int64(n)
+	// the re-admitted blocks head the read list, the last chosen first
+	rep.ReadSwapIns = make([]alloc.PBA, n)
+	for i, k := d.at(d.lists[readList].head).next, n-1; k >= 0; i, k = d.at(i).next, k-1 {
+		rep.ReadSwapIns[k] = d.at(i).pba
 	}
 	return rep
 }
 
 // CheckInvariants verifies the budget is never exceeded, the stream
-// quotas fit the index partition, and the fingerprint directory is
-// structurally sound (directory.check). Exposed for property tests.
+// quotas fit the index partition, and the directory is structurally
+// sound (directory.check). Exposed for property tests.
 func (c *Controller) CheckInvariants() error {
 	idxBytes := int64(c.icEntries) * int64(c.p.IndexEntryBytes)
-	readBytes := int64(c.read.Cap()) * blockBytes
+	readBytes := int64(c.ReadCacheCap()) * blockBytes
 	slack := int64(c.p.IndexEntryBytes) + blockBytes // integer division slack
 	if idxBytes+readBytes > c.p.TotalBytes+slack {
 		return fmt.Errorf("icache: partition exceeds budget: %d + %d > %d", idxBytes, readBytes, c.p.TotalBytes)

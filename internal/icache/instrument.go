@@ -13,8 +13,8 @@ func (c *Controller) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("icache_index_cap", func() int64 { return int64(c.icEntries) })
 	reg.GaugeFunc("icache_ghost_index_entries", func() int64 { return int64(c.dir.lists[ghostList].n) })
 	reg.GaugeFunc("icache_index_dir_bytes", func() int64 { return int64(c.dir.bytes()) })
-	reg.GaugeFunc("icache_read_blocks", func() int64 { return int64(c.read.Len()) })
-	reg.GaugeFunc("icache_read_cap", func() int64 { return int64(c.read.Cap()) })
+	reg.GaugeFunc("icache_read_blocks", func() int64 { return int64(c.dir.lists[readList].n) })
+	reg.GaugeFunc("icache_read_cap", func() int64 { return int64(c.ReadCacheCap()) })
 	reg.GaugeFunc("icache_index_frac_permille", func() int64 { return int64(c.indexFrac * 1000) })
 	reg.GaugeFunc("icache_repartitions", func() int64 { return c.repartitions })
 	reg.GaugeFunc("icache_ghost_index_hits_total", func() int64 { return c.totalGhostIdxHits })

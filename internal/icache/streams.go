@@ -53,11 +53,12 @@ type streamState struct {
 // when nil, shares are dynamic — equal split until SetStreamShares is
 // called. Must be called on a fresh controller.
 func (c *Controller) EnableStreams(static map[uint32]float64) {
-	if c.dir.nfp > 0 {
+	if c.dir.held > 0 {
 		panic("icache: EnableStreams on a used controller")
 	}
 	c.streamMode = true
-	c.dir = newDirectory(c.ghostIndexCap())
+	gi, gr := c.ghostCaps(c.icEntries, c.ReadCacheCap())
+	c.dir = newDirectory(gi, c.ReadCacheCap(), gr)
 	c.acct = nil
 	c.strs = make(map[uint32]int32)
 	if static != nil {
@@ -112,7 +113,7 @@ func (c *Controller) listFor(stream uint32) int32 {
 	if l, ok := c.strs[stream]; ok {
 		return l
 	}
-	l := c.dir.addList(0)
+	l := c.dir.addList(0, ghostList)
 	c.strs[stream] = l
 	c.acct = append(c.acct, streamAcct{id: stream})
 	if c.staticShares == nil && c.shares == nil {

@@ -2,20 +2,19 @@
 //
 // POD keeps only the *hot* fingerprint entries in memory, organized as
 // an LRU with a per-entry Count that records how many write requests
-// hit the entry — capturing temporal locality and protecting referenced
-// blocks (the engine pins an entry's physical block in the Map table
-// for as long as the entry is cached). A miss in the hot index simply
-// means a lost deduplication opportunity; POD never performs on-disk
-// index lookups on the write path. POD's own hot index is the iCache's
-// fingerprint directory (internal/icache), which hands out this
-// package's Entry; Hot below is the in-memory portion of Full.
+// hit the entry — capturing temporal locality. A miss in the hot index
+// simply means a lost deduplication opportunity; POD never performs
+// on-disk index lookups on the write path. POD's hot index is the
+// iCache's fingerprint directory (internal/icache), which hands out this
+// package's Entry.
 //
 // Full-Dedupe, the traditional baseline, instead maintains the complete
 // fingerprint table. Entries not present in its in-memory hot portion
 // require an on-disk lookup I/O, which is precisely the index-lookup
 // disk bottleneck the paper's §II-B describes; the Full type reports
 // whether each lookup was served from memory so the engine can charge
-// that I/O.
+// that I/O. The out-of-line scanner keeps the same exact table without
+// a hot portion (Table).
 package index
 
 import (
@@ -32,134 +31,93 @@ type Entry struct {
 	Count uint32
 }
 
-// Evicted reports an entry pushed out of the hot index; the caller must
-// release the pin it holds on the entry's physical block.
-type Evicted struct {
-	FP    chunk.Fingerprint
-	Entry Entry
+// Table is the exact fingerprint ↔ block table: every fingerprint
+// inserted and not forgotten, with the block it names, and for each
+// block the fingerprint last inserted for it.
+type Table struct {
+	all *probe.Map[chunk.Fingerprint, alloc.PBA]
+	rev *probe.Map[alloc.PBA, chunk.Fingerprint]
 }
 
-// Hot is the in-memory hot fingerprint index.
-type Hot struct {
-	lru *cache.LRU[chunk.Fingerprint, Entry]
+// NewTable returns an empty table.
+func NewTable() *Table {
+	return &Table{
+		all: probe.NewMap[chunk.Fingerprint, alloc.PBA](0),
+		rev: probe.NewMap[alloc.PBA, chunk.Fingerprint](0),
+	}
 }
 
-// NewHot returns a hot index holding up to capacity entries.
-func NewHot(capacity int) *Hot {
-	return &Hot{lru: cache.NewLRU[chunk.Fingerprint, Entry](capacity)}
+// Get returns the block fp names.
+func (t *Table) Get(fp chunk.Fingerprint) (alloc.PBA, bool) { return t.all.Get(fp) }
+
+// Insert records fp → pba, replacing fp's previous block.
+func (t *Table) Insert(fp chunk.Fingerprint, pba alloc.PBA) {
+	if old, ok := t.all.Get(fp); ok {
+		t.rev.Delete(old)
+	}
+	t.all.Put(fp, pba)
+	t.rev.Put(pba, fp)
 }
 
-// Len reports the number of cached entries.
-func (h *Hot) Len() int { return h.lru.Len() }
-
-// Lookup finds fp, increments its Count (a write-request hit, per the
-// paper), promotes it, and returns the updated entry. The update is
-// in-place via LRU.Touch — one map lookup and one list move, where the
-// old Get-then-Put idiom paid both twice per hit.
-func (h *Hot) Lookup(fp chunk.Fingerprint) (Entry, bool) {
-	e, ok := h.lru.Touch(fp)
+// Forget removes the entry referencing pba, called when the block is
+// freed so the table never resurrects a dead block, and reports the
+// fingerprint it named.
+func (t *Table) Forget(pba alloc.PBA) (chunk.Fingerprint, bool) {
+	fp, ok := t.rev.Get(pba)
 	if !ok {
-		return Entry{}, false
+		return fp, false
 	}
-	e.Count++
-	return *e, true
-}
-
-// Peek returns the entry without promoting it or touching Count.
-func (h *Hot) Peek(fp chunk.Fingerprint) (Entry, bool) {
-	return h.lru.Peek(fp)
-}
-
-// Insert adds or updates fp → pba with Count starting at zero. It
-// returns the evicted entry, if any, whose block pin the caller must
-// release. The caller acquires the pin for the inserted entry.
-func (h *Hot) Insert(fp chunk.Fingerprint, pba alloc.PBA) (Evicted, bool) {
-	if old, ok := h.lru.Peek(fp); ok {
-		if old.PBA == pba {
-			return Evicted{}, false
-		}
-		// remapped content: replace, surfacing the old pin for release
-		h.lru.Put(fp, Entry{PBA: pba})
-		return Evicted{FP: fp, Entry: old}, true
-	}
-	ev, evicted := h.lru.Put(fp, Entry{PBA: pba})
-	if evicted {
-		return Evicted{FP: ev.Key, Entry: ev.Val}, true
-	}
-	return Evicted{}, false
-}
-
-// Remove deletes fp, returning its entry so the caller can unpin.
-func (h *Hot) Remove(fp chunk.Fingerprint) (Entry, bool) {
-	return h.lru.Take(fp)
+	t.rev.Delete(pba)
+	t.all.Delete(fp)
+	return fp, true
 }
 
 // Full is the complete fingerprint table used by the Full-Dedupe
 // baseline: every stored chunk's fingerprint is known, but only the hot
 // subset lives in memory — a lookup that misses the hot portion costs
-// the engine an on-disk index I/O.
+// the engine an on-disk index I/O. The hot portion is always a subset of
+// the table, with the same blocks.
 type Full struct {
-	all *probe.Map[chunk.Fingerprint, alloc.PBA]
-	rev *probe.Map[alloc.PBA, chunk.Fingerprint]
-	hot *Hot
-
-	memHits, diskLookups int64
+	tbl *Table
+	hot *cache.LRU[chunk.Fingerprint, alloc.PBA]
 }
 
 // NewFull returns a full index whose in-memory hot portion holds
 // hotCapacity entries.
 func NewFull(hotCapacity int) *Full {
-	return &Full{
-		all: probe.NewMap[chunk.Fingerprint, alloc.PBA](0),
-		rev: probe.NewMap[alloc.PBA, chunk.Fingerprint](0),
-		hot: NewHot(hotCapacity),
-	}
+	return &Full{tbl: NewTable(), hot: cache.NewLRU[chunk.Fingerprint, alloc.PBA](hotCapacity)}
 }
-
-// Len reports the total number of indexed fingerprints.
-func (f *Full) Len() int { return f.all.Len() }
-
-// MemHits and DiskLookups report where lookups were served.
-func (f *Full) MemHits() int64     { return f.memHits }
-func (f *Full) DiskLookups() int64 { return f.diskLookups }
 
 // Lookup searches for fp. memHit reports whether the answer came from
 // the in-memory hot portion; when false and the fingerprint exists (or
 // must be proven absent), the engine charges an on-disk index lookup.
-// Found entries are promoted into the hot portion; the hot portion of
-// the full index holds no pins (Full-Dedupe's consistency comes from
-// Forget on free), so evictions here are discarded.
+// Found entries are promoted into the hot portion, whose evictions are
+// discarded (Full-Dedupe's consistency comes from Forget on free).
 func (f *Full) Lookup(fp chunk.Fingerprint) (pba alloc.PBA, found, memHit bool) {
-	if e, ok := f.hot.Lookup(fp); ok {
-		f.memHits++
-		return e.PBA, true, true
+	if pba, ok := f.hot.Get(fp); ok {
+		return pba, true, true
 	}
-	f.diskLookups++
-	pba, found = f.all.Get(fp)
+	pba, found = f.tbl.Get(fp)
 	if found {
-		f.hot.Insert(fp, pba)
+		f.hot.Put(fp, pba)
 	}
 	return pba, found, false
 }
 
-// Insert records fp → pba in both the full table and the hot portion.
+// Insert records fp → pba in both the table and the hot portion. A
+// binding the hot portion already holds keeps its place: re-inserting it
+// does not promote it.
 func (f *Full) Insert(fp chunk.Fingerprint, pba alloc.PBA) {
-	if old, ok := f.all.Get(fp); ok {
-		f.rev.Delete(old)
+	f.tbl.Insert(fp, pba)
+	if old, ok := f.hot.Peek(fp); !ok || old != pba {
+		f.hot.Put(fp, pba)
 	}
-	f.all.Put(fp, pba)
-	f.rev.Put(pba, fp)
-	f.hot.Insert(fp, pba)
 }
 
 // Forget removes the index entry referencing pba, called when the block
 // is freed so the index never resurrects a dead block.
 func (f *Full) Forget(pba alloc.PBA) {
-	fp, ok := f.rev.Get(pba)
-	if !ok {
-		return
+	if fp, ok := f.tbl.Forget(pba); ok {
+		f.hot.Remove(fp)
 	}
-	f.rev.Delete(pba)
-	f.all.Delete(fp)
-	f.hot.Remove(fp)
 }

@@ -13,89 +13,64 @@ func fp(id uint64) chunk.Fingerprint {
 	return chunk.SyntheticFingerprinter{}.Fingerprint(&c)
 }
 
+// inHot reports whether the hot portion holds fp, without promoting it.
+func inHot(f *Full, id uint64) bool {
+	_, ok := f.hot.Peek(fp(id))
+	return ok
+}
+
 func TestHotInsertLookup(t *testing.T) {
-	h := NewHot(4)
-	if _, evicted := h.Insert(fp(1), 100); evicted {
-		t.Fatal("insert into empty index evicted")
-	}
-	e, ok := h.Lookup(fp(1))
-	if !ok || e.PBA != 100 {
-		t.Fatalf("lookup = %+v,%v", e, ok)
-	}
-	if e.Count != 1 {
-		t.Fatalf("count after first hit = %d, want 1", e.Count)
-	}
-	e, _ = h.Lookup(fp(1))
-	if e.Count != 2 {
-		t.Fatalf("count after second hit = %d, want 2", e.Count)
+	f := NewFull(4)
+	f.Insert(fp(1), 100)
+	if pba, found, mem := f.Lookup(fp(1)); !found || !mem || pba != 100 {
+		t.Fatalf("lookup = %d,%v,%v", pba, found, mem)
 	}
 }
 
 func TestHotMiss(t *testing.T) {
-	h := NewHot(4)
-	if _, ok := h.Lookup(fp(9)); ok {
+	f := NewFull(4)
+	if _, found, mem := f.Lookup(fp(9)); found || mem {
 		t.Fatal("phantom hit")
 	}
 }
 
-func TestHotEvictionSurfacesPin(t *testing.T) {
-	h := NewHot(2)
-	h.Insert(fp(1), 100)
-	h.Insert(fp(2), 200)
-	ev, evicted := h.Insert(fp(3), 300)
-	if !evicted || ev.FP != fp(1) || ev.Entry.PBA != 100 {
-		t.Fatalf("evicted = %+v,%v, want fp(1)/100", ev, evicted)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("len = %d", h.Len())
-	}
-}
-
+// Re-inserting the binding the hot portion already holds leaves it where
+// it is in recency order: Full-Dedupe's disk-lookup counts depend on it.
 func TestHotReinsertSamePBANoop(t *testing.T) {
-	h := NewHot(2)
-	h.Insert(fp(1), 100)
-	h.Lookup(fp(1)) // count = 1
-	if _, evicted := h.Insert(fp(1), 100); evicted {
-		t.Fatal("idempotent insert must not evict")
+	f := NewFull(2)
+	f.Insert(fp(1), 100)
+	f.Insert(fp(2), 200)
+	f.Insert(fp(1), 100) // must not promote fp(1)
+	f.Insert(fp(3), 300) // so fp(1) is the victim
+	if inHot(f, 1) || !inHot(f, 2) || !inHot(f, 3) {
+		t.Fatal("re-inserting the same binding promoted it")
 	}
-	e, _ := h.Peek(fp(1))
-	if e.Count != 1 {
-		t.Fatal("idempotent insert must preserve Count")
+	f.Insert(fp(2), 500) // a remap does promote
+	f.Insert(fp(4), 400)
+	if !inHot(f, 2) || inHot(f, 3) {
+		t.Fatal("a remapped entry must be promoted")
 	}
-}
-
-func TestHotRemapSurfacesOldPin(t *testing.T) {
-	h := NewHot(2)
-	h.Insert(fp(1), 100)
-	ev, evicted := h.Insert(fp(1), 500)
-	if !evicted || ev.Entry.PBA != 100 {
-		t.Fatalf("remap must surface old entry, got %+v,%v", ev, evicted)
-	}
-	e, _ := h.Peek(fp(1))
-	if e.PBA != 500 || e.Count != 0 {
-		t.Fatalf("remapped entry = %+v", e)
+	if pba, _, mem := f.Lookup(fp(2)); !mem || pba != 500 {
+		t.Fatalf("remapped entry = %d (memory %v), want 500 from memory", pba, mem)
 	}
 }
 
 func TestHotRemove(t *testing.T) {
-	h := NewHot(2)
-	h.Insert(fp(1), 100)
-	e, ok := h.Remove(fp(1))
-	if !ok || e.PBA != 100 {
-		t.Fatal("remove failed")
-	}
-	if _, ok := h.Remove(fp(1)); ok {
-		t.Fatal("double remove")
+	f := NewFull(2)
+	f.Insert(fp(1), 100)
+	f.Forget(100)
+	if inHot(f, 1) || f.hot.Len() != 0 {
+		t.Fatal("forget left the entry in the hot portion")
 	}
 }
 
 func TestHotLRUOrder(t *testing.T) {
-	h := NewHot(2)
-	h.Insert(fp(1), 100)
-	h.Insert(fp(2), 200)
-	h.Lookup(fp(1)) // promote 1
-	ev, _ := h.Insert(fp(3), 300)
-	if ev.FP != fp(2) {
+	f := NewFull(2)
+	f.Insert(fp(1), 100)
+	f.Insert(fp(2), 200)
+	f.Lookup(fp(1)) // promote 1
+	f.Insert(fp(3), 300)
+	if !inHot(f, 1) || inHot(f, 2) {
 		t.Fatal("LRU victim should be the unpromoted entry")
 	}
 }
@@ -117,9 +92,6 @@ func TestFullLookupPaths(t *testing.T) {
 	if _, found, mem := f.Lookup(fp(9)); found || mem {
 		t.Fatal("absent fp must be a disk-path miss")
 	}
-	if f.MemHits() != 1 || f.DiskLookups() != 2 {
-		t.Fatalf("mem/disk = %d/%d, want 1/2", f.MemHits(), f.DiskLookups())
-	}
 }
 
 func TestFullLookupPromotesToHot(t *testing.T) {
@@ -139,8 +111,8 @@ func TestFullForget(t *testing.T) {
 	if _, found, _ := f.Lookup(fp(1)); found {
 		t.Fatal("forgotten block still indexed")
 	}
-	if f.Len() != 0 {
-		t.Fatalf("len = %d", f.Len())
+	if n := f.tbl.all.Len() + f.tbl.rev.Len(); n != 0 {
+		t.Fatalf("table holds %d entries", n)
 	}
 	f.Forget(999) // unknown PBA: no-op
 }
@@ -155,18 +127,18 @@ func TestFullInsertRemapCleansReverse(t *testing.T) {
 	}
 }
 
-// Property: the hot index never exceeds capacity and every insert is
-// immediately findable (capacity ≥ 1).
+// Property: the hot portion never exceeds capacity and every insert is
+// immediately found in memory (capacity ≥ 1).
 func TestHotProperty(t *testing.T) {
 	f := func(ids []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%32) + 1
-		h := NewHot(capacity)
+		fu := NewFull(capacity)
 		for _, id := range ids {
-			h.Insert(fp(uint64(id)), alloc.PBA(id))
-			if h.Len() > capacity {
+			fu.Insert(fp(uint64(id)), alloc.PBA(id))
+			if fu.hot.Len() > capacity {
 				return false
 			}
-			if e, ok := h.Peek(fp(uint64(id))); !ok || e.PBA != alloc.PBA(id) {
+			if pba, found, mem := fu.Lookup(fp(uint64(id))); !found || !mem || pba != alloc.PBA(id) {
 				return false
 			}
 		}
@@ -178,10 +150,11 @@ func TestHotProperty(t *testing.T) {
 }
 
 // Property: Full index lookups agree with a model map, regardless of
-// hot-portion churn.
+// hot-portion churn, and with a bare Table given the same operations —
+// the hot portion only decides where an answer comes from.
 func TestFullProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		fu := NewFull(4)
+		fu, tbl := NewFull(4), NewTable()
 		model := map[uint64]alloc.PBA{}
 		revModel := map[alloc.PBA]uint64{}
 		for _, raw := range ops {
@@ -192,18 +165,16 @@ func TestFullProperty(t *testing.T) {
 				if old, ok := model[id]; ok {
 					delete(revModel, old)
 				}
-				// mirror Full.Insert's rev-map semantics: the new pba may
-				// have belonged to another fingerprint
-				if oldID, ok := revModel[pba]; ok && oldID != id {
-					// Full keeps all[oldID] but rev now points to id; Forget(pba)
-					// would remove id's entry. Model only the forward map here.
-					_ = oldID
-				}
+				// the new pba may have belonged to another fingerprint:
+				// Full keeps that fingerprint's entry, and Forget(pba)
+				// then removes id's. Model only the forward map here.
 				fu.Insert(fp(id), pba)
+				tbl.Insert(fp(id), pba)
 				model[id] = pba
 				revModel[pba] = id
 			case 2:
 				fu.Forget(pba)
+				tbl.Forget(pba)
 				if id2, ok := revModel[pba]; ok {
 					delete(model, id2)
 					delete(revModel, pba)
@@ -215,6 +186,12 @@ func TestFullProperty(t *testing.T) {
 					return false
 				}
 			}
+			for id2 := uint64(0); id2 < 32; id2++ {
+				got, found, _ := fu.Lookup(fp(id2))
+				if tgot, tfound := tbl.Get(fp(id2)); tgot != got || tfound != found {
+					return false
+				}
+			}
 		}
 		return true
 	}
@@ -223,13 +200,13 @@ func TestFullProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkHotLookupHit(b *testing.B) {
-	h := NewHot(1024)
+func BenchmarkFullLookupHit(b *testing.B) {
+	f := NewFull(1024)
 	for i := uint64(0); i < 1024; i++ {
-		h.Insert(fp(i), alloc.PBA(i))
+		f.Insert(fp(i), alloc.PBA(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Lookup(fp(uint64(i) % 1024))
+		f.Lookup(fp(uint64(i) % 1024))
 	}
 }

@@ -1,10 +1,10 @@
 // Package probe provides a deterministic open-addressing hash map for
 // the simulator's keyed lookup structures: the LRU caches' slot index,
-// the Full-Dedupe index and its block reverse-index, the global tier's
-// fingerprint tables. The iCache's fingerprint directory is not among
-// them: its keys already sit in slots that never move, so it chains
-// key-less buckets through those slots instead of storing every key a
-// second time here.
+// the exact fingerprint table and its block reverse-index, the global
+// tier's fingerprint tables. The iCache's directory is not among them:
+// its keys already sit in slots that never move, so it chains key-less
+// buckets through those slots instead of storing every key a second
+// time here.
 //
 // The runtime's map is general: it re-hashes every key with AES-based
 // hashing, probes SIMD control groups, and grows by incremental
