@@ -6,7 +6,7 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := NewLRU[int, string](2)
+	c := NewLRU[uint64, string](2)
 	c.Put(1, "a")
 	c.Put(2, "b")
 	if v, ok := c.Get(1); !ok || v != "a" {
@@ -25,7 +25,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUUpdateDoesNotEvict(t *testing.T) {
-	c := NewLRU[int, int](2)
+	c := NewLRU[uint64, int](2)
 	c.Put(1, 10)
 	c.Put(2, 20)
 	_, evicted := c.Put(1, 11)
@@ -38,7 +38,7 @@ func TestLRUUpdateDoesNotEvict(t *testing.T) {
 }
 
 func TestLRUZeroCapacity(t *testing.T) {
-	c := NewLRU[int, int](0)
+	c := NewLRU[uint64, int](0)
 	ev, evicted := c.Put(1, 1)
 	if !evicted || ev.Key != 1 {
 		t.Fatal("zero-cap cache must bounce inserts back as evictions")
@@ -49,14 +49,14 @@ func TestLRUZeroCapacity(t *testing.T) {
 }
 
 func TestLRUNegativeCapacityClamped(t *testing.T) {
-	c := NewLRU[int, int](-5)
+	c := NewLRU[uint64, int](-5)
 	if c.Cap() != 0 {
 		t.Fatal("negative capacity must clamp to 0")
 	}
 }
 
 func TestLRUPeekDoesNotPromote(t *testing.T) {
-	c := NewLRU[int, int](2)
+	c := NewLRU[uint64, int](2)
 	c.Put(1, 1)
 	c.Put(2, 2)
 	c.Peek(1)                   // must NOT promote
@@ -67,7 +67,7 @@ func TestLRUPeekDoesNotPromote(t *testing.T) {
 }
 
 func TestLRURemove(t *testing.T) {
-	c := NewLRU[int, int](2)
+	c := NewLRU[uint64, int](2)
 	c.Put(1, 1)
 	if !c.Remove(1) || c.Remove(1) {
 		t.Fatal("Remove semantics wrong")
@@ -79,13 +79,13 @@ func TestLRURemove(t *testing.T) {
 func TestLRUProperty(t *testing.T) {
 	f := func(keys []uint8, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		c := NewLRU[uint8, int](capacity)
+		c := NewLRU[uint64, int](capacity)
 		for i, k := range keys {
-			c.Put(k, i)
+			c.Put(uint64(k), i)
 			if c.Len() > capacity {
 				return false
 			}
-			if v, ok := c.Get(k); !ok || v != i {
+			if v, ok := c.Get(uint64(k)); !ok || v != i {
 				return false
 			}
 		}
@@ -148,9 +148,9 @@ func BenchmarkLRU(b *testing.B) {
 }
 
 func BenchmarkLRUPutGet(b *testing.B) {
-	c := NewLRU[int, int](1024)
+	c := NewLRU[uint64, int](1024)
 	for i := 0; i < b.N; i++ {
-		c.Put(i%4096, i)
-		c.Get((i * 7) % 4096)
+		c.Put(uint64(i%4096), i)
+		c.Get(uint64(i * 7 % 4096))
 	}
 }

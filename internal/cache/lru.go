@@ -27,7 +27,7 @@ type Evicted[K comparable, V any] struct {
 // LRU is a least-recently-used cache with a capacity in entries.
 // A zero capacity cache stores nothing and evicts everything
 // immediately. Not safe for concurrent use.
-type LRU[K comparable, V any] struct {
+type LRU[K probe.Key, V any] struct {
 	cap   int
 	slab  []entry[K, V] // slot 0 is the sentinel of the circular list
 	freeL int32         // head of the free-slot list, linked via next; -1 none
@@ -35,7 +35,7 @@ type LRU[K comparable, V any] struct {
 }
 
 // NewLRU returns an empty LRU with the given capacity.
-func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
+func NewLRU[K probe.Key, V any](capacity int) *LRU[K, V] {
 	if capacity < 0 {
 		capacity = 0
 	}

@@ -118,21 +118,14 @@ func (SyntheticFingerprinter) Fingerprint(c *Chunk) Fingerprint {
 	return f
 }
 
-// Split breaks a request's content IDs into chunks and fingerprints
-// each with fp. Payloads are materialized only when materialize is set.
-// It allocates a fresh slice per call; hot paths should hold a scratch
-// buffer and use SplitInto instead.
-func Split(ids []ContentID, fp Fingerprinter, materialize bool) []Chunk {
-	return SplitInto(nil, ids, fp, materialize)
-}
-
-// SplitInto is Split reusing dst's backing array when it has the
-// capacity, so a replay loop allocates its chunk buffer once instead of
-// once per write request. Every field of every returned chunk is
-// (re)initialized — stale fingerprints or payloads from a previous use
-// of dst never leak through. A nil fp skips fingerprinting (the caller
-// will run a HashEngine over the chunks, which also charges the modeled
-// latency).
+// SplitInto breaks a request's content IDs into chunks and fingerprints
+// each with fp; payloads are materialized only when materialize is set.
+// It reuses dst's backing array when it has the capacity, so a replay
+// loop allocates its chunk buffer once instead of once per write
+// request. Every field of every returned chunk is (re)initialized —
+// stale fingerprints or payloads from a previous use of dst never leak
+// through. A nil fp skips fingerprinting (the caller will run a
+// HashEngine over the chunks, which also charges the modeled latency).
 func SplitInto(dst []Chunk, ids []ContentID, fp Fingerprinter, materialize bool) []Chunk {
 	if cap(dst) < len(ids) {
 		dst = make([]Chunk, len(ids))

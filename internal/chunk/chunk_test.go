@@ -83,7 +83,7 @@ func TestModeEquivalenceProperty(t *testing.T) {
 
 func TestSplit(t *testing.T) {
 	ids := []ContentID{1, 2, 1}
-	chunks := Split(ids, SyntheticFingerprinter{}, false)
+	chunks := SplitInto(nil, ids, SyntheticFingerprinter{}, false)
 	if len(chunks) != 3 {
 		t.Fatalf("len = %d", len(chunks))
 	}
@@ -96,7 +96,7 @@ func TestSplit(t *testing.T) {
 	if chunks[0].Data != nil {
 		t.Error("non-materialized split must not allocate payloads")
 	}
-	mat := Split(ids, SHA1Fingerprinter{}, true)
+	mat := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
 	if mat[0].Data == nil || len(mat[0].Data) != Size {
 		t.Error("materialized split must carry payloads")
 	}
@@ -106,7 +106,7 @@ func TestSplitIntoReusesAndReinitializes(t *testing.T) {
 	ids := []ContentID{1, 2, 3, 4}
 	buf := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
 	if len(buf) != 4 || buf[0].Data == nil {
-		t.Fatal("first SplitInto must behave like Split")
+		t.Fatal("SplitInto into nil must allocate and fill the chunks")
 	}
 	stale := buf[0].FP
 
@@ -142,8 +142,8 @@ func TestHashEngineSerialAndParallelAgree(t *testing.T) {
 	for i := range ids {
 		ids[i] = ContentID(i % 16)
 	}
-	serial := Split(ids, SHA1Fingerprinter{}, true)
-	par := Split(ids, SyntheticFingerprinter{}, true) // placeholder fps, recomputed below
+	serial := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
+	par := SplitInto(nil, ids, SyntheticFingerprinter{}, true) // placeholder fps, recomputed below
 
 	e1 := NewHashEngine(SHA1Fingerprinter{}, 1)
 	e8 := NewHashEngine(SHA1Fingerprinter{}, 8)
@@ -177,9 +177,9 @@ func TestFingerprintString(t *testing.T) {
 	}
 }
 
-// BenchmarkSplit contrasts the allocating Split with scratch-buffer
-// SplitInto — the hot replay path uses the latter and must stay at
-// zero allocations per request.
+// BenchmarkSplit contrasts SplitInto with a fresh buffer per call and
+// with a reused scratch buffer — the hot replay path uses the latter and
+// must stay at zero allocations per request.
 func BenchmarkSplit(b *testing.B) {
 	ids := make([]ContentID, 64)
 	for i := range ids {
@@ -188,7 +188,7 @@ func BenchmarkSplit(b *testing.B) {
 	b.Run("Alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = Split(ids, nil, false)
+			_ = SplitInto(nil, ids, nil, false)
 		}
 	})
 	b.Run("Into", func(b *testing.B) {
@@ -222,7 +222,7 @@ func BenchmarkHashEngineParallel(b *testing.B) {
 	for i := range ids {
 		ids[i] = ContentID(i)
 	}
-	chunks := Split(ids, SyntheticFingerprinter{}, true)
+	chunks := SplitInto(nil, ids, SyntheticFingerprinter{}, true)
 	e := NewHashEngine(SHA1Fingerprinter{}, 0)
 	b.SetBytes(int64(len(ids)) * Size)
 	b.ResetTimer()

@@ -348,9 +348,9 @@ type Tier interface {
 	// the tier's load.
 	Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool)
 	// Hint reports the remote-encoded canonical a peer shard holds for
-	// fp, if the tier granted this shard one. The lookup stage asks on a
-	// hot-index miss; hints live in the agent's own bounded table, never
-	// in the iCache.
+	// fp, if the tier granted this shard one, and never one whose owner
+	// is down. The lookup stage asks on a hot-index miss; hints live in
+	// the agent's own bounded table, never in the iCache.
 	Hint(fp chunk.Fingerprint) (alloc.PBA, bool)
 	// RemoteRef reports a reference-count transition of remote-encoded
 	// canonical c: up when the first local mapping referencing it
@@ -362,9 +362,9 @@ type Tier interface {
 	Parole(pba alloc.PBA)
 	// OwnerDown reports whether a peer shard is a dead failure domain.
 	// A remote read whose canonical owner is down fails transient
-	// (KindShardDown) instead of charging RemoteReadUS, and inline
-	// dedupe against its canonical is refused (the chunk is written
-	// fresh): a down peer can neither serve a fetch nor account a pin.
+	// (KindShardDown) instead of charging RemoteReadUS: a down peer
+	// cannot serve a fetch. Inline dedupe never asks — Hint names no
+	// down owner's canonical (the crash dropped those hints).
 	OwnerDown(owner int) bool
 }
 
@@ -573,13 +573,13 @@ func (b *Base) SplitAndFingerprint(req *trace.Request) ([]chunk.Chunk, sim.Durat
 // purge, and the engine-specific hook. A remote-encoded canonical that
 // lost its last local reference has nothing local to reclaim — the
 // block lives on the owning shard — so only the tier's RemoteRef down
-// transition fires; the tier's hint for it stays valid.
+// transition fires; the tier's hint for it stays valid. Only a shard
+// whose tier agent is seated maps a remote-encoded block, so b.Tier is
+// set whenever one reaches here (and in SetRemoteRef and ReadMapped).
 func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 	for _, pba := range pbas {
 		if alloc.IsRemote(pba) {
-			if b.Tier != nil {
-				b.Tier.RemoteRef(pba, false)
-			}
+			b.Tier.RemoteRef(pba, false)
 			continue
 		}
 		b.Alloc.Free(pba, 1)
@@ -598,7 +598,7 @@ func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 func (b *Base) SetRemoteRef(lba uint64, c alloc.PBA) {
 	up := b.Map.RefCount(c) == 0
 	b.FreeBlocks(b.Map.Set(lba, c, true))
-	if up && b.Tier != nil {
+	if up {
 		b.Tier.RemoteRef(c, true)
 	}
 }
@@ -616,12 +616,7 @@ func (b *Base) TryDedupe(lba uint64, pba alloc.PBA, id chunk.ContentID) bool {
 		// itself is trusted instead — Tier.Hint returns only bindings
 		// valid by construction (globalfp's hint table says why;
 		// fingerprints are injective over content IDs in both
-		// fingerprint modes). A down owner breaks the chain — its
-		// hints are dropped on crash, but refuse defensively in case
-		// one survives.
-		if owner, _ := alloc.RemoteParts(pba); b.Tier != nil && b.Tier.OwnerDown(owner) {
-			return false
-		}
+		// fingerprint modes), and none whose owner is down.
 		b.SetRemoteRef(lba, pba)
 		b.St.ChunksDeduped++
 		b.St.RemoteDeduped++
@@ -772,7 +767,7 @@ func (b *Base) ReadMapped(req *trace.Request, identity bool) (sim.Duration, erro
 			if b.IC.ReadHit(pbas[i]) {
 				b.St.CacheHits++
 			} else {
-				if owner, _ := alloc.RemoteParts(pbas[i]); b.Tier != nil && b.Tier.OwnerDown(owner) {
+				if owner, _ := alloc.RemoteParts(pbas[i]); b.Tier.OwnerDown(owner) {
 					b.St.CacheMisses++
 					return 0, fault.New(fault.KindShardDown, fault.Transient, -1, uint64(pbas[i]), t)
 				}

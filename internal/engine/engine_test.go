@@ -123,7 +123,7 @@ func TestStoreMustMatchPanics(t *testing.T) {
 func TestWriteFreshContiguous(t *testing.T) {
 	b := testBase(t)
 	req := &trace.Request{Op: trace.Write, LBA: 10, N: 4, Content: []chunk.ContentID{1, 2, 3, 4}}
-	done, pbas, _ := b.WriteFresh(0, req, []int{0, 1, 2, 3}, chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false))
+	done, pbas, _ := b.WriteFresh(0, req, []int{0, 1, 2, 3}, chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false))
 	if done <= 0 || len(pbas) != 4 {
 		t.Fatalf("done=%v pbas=%v", done, pbas)
 	}
@@ -157,7 +157,7 @@ func TestWriteFreshEmptyPositions(t *testing.T) {
 func TestTryDedupeValidation(t *testing.T) {
 	b := testBase(t)
 	req := &trace.Request{Op: trace.Write, LBA: 0, N: 1, Content: []chunk.ContentID{42}}
-	_, pbas, _ := b.WriteFresh(0, req, []int{0}, chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false))
+	_, pbas, _ := b.WriteFresh(0, req, []int{0}, chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false))
 
 	// valid dedup
 	if !b.TryDedupe(100, pbas[0], 42) {
@@ -185,12 +185,12 @@ func TestFreeBlocksPurgesEverywhere(t *testing.T) {
 	b.OnFree = func(p alloc.PBA) { forgotten = append(forgotten, p) }
 
 	req := &trace.Request{Op: trace.Write, LBA: 0, N: 1, Content: []chunk.ContentID{1}}
-	chs := chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false)
+	chs := chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false)
 	_, pbas, _ := b.WriteFresh(0, req, []int{0}, chs)
 	b.IC.ReadInsert(pbas[0])
 	b.IC.IndexInsert(chs[0].FP, pbas[0])
 
-	freed := b.Map.Unset(0)
+	freed := b.Map.Set(0, pbas[0]+1, false) // an overwrite elsewhere drops the last reference
 	b.FreeBlocks(freed)
 	if len(forgotten) != 1 || forgotten[0] != pbas[0] {
 		t.Fatalf("OnFree hook got %v", forgotten)
@@ -216,7 +216,7 @@ func TestReadMappedCoalescing(t *testing.T) {
 		pos[i] = i
 	}
 	req := &trace.Request{Op: trace.Write, LBA: 0, N: 8, Content: ids}
-	b.WriteFresh(0, req, pos, chunk.Split(ids, chunk.SyntheticFingerprinter{}, false))
+	b.WriteFresh(0, req, pos, chunk.SplitInto(nil, ids, chunk.SyntheticFingerprinter{}, false))
 
 	read := &trace.Request{Time: sim.Time(sim.Second), Op: trace.Read, LBA: 0, N: 8}
 	rt, _ := b.ReadMapped(read, false)
@@ -246,7 +246,7 @@ func TestReadMappedFragmentationCounted(t *testing.T) {
 	// write two separate extents, then map alternating LBAs to them
 	mk := func(lba uint64, id chunk.ContentID) alloc.PBA {
 		req := &trace.Request{Op: trace.Write, LBA: lba, N: 1, Content: []chunk.ContentID{id}}
-		_, pbas, _ := b.WriteFresh(0, req, []int{0}, chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false))
+		_, pbas, _ := b.WriteFresh(0, req, []int{0}, chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false))
 		return pbas[0]
 	}
 	mk(0, 1)
@@ -326,7 +326,7 @@ func TestWriteFreshProperty(t *testing.T) {
 			return true
 		}
 		req := &trace.Request{Op: trace.Write, LBA: uint64(lbaRaw), N: n, Content: ids}
-		_, pbas, _ := b.WriteFresh(0, req, positions, chunk.Split(ids, chunk.SyntheticFingerprinter{}, false))
+		_, pbas, _ := b.WriteFresh(0, req, positions, chunk.SplitInto(nil, ids, chunk.SyntheticFingerprinter{}, false))
 		for k, pos := range positions {
 			pba, ok := b.Map.Lookup(uint64(lbaRaw) + uint64(pos))
 			if !ok || pba != pbas[k] {
@@ -355,7 +355,7 @@ func TestVerifyWriteCatchesCorruption(t *testing.T) {
 		Verify:      true,
 	})
 	req := &trace.Request{Op: trace.Write, LBA: 0, N: 1, Content: []chunk.ContentID{7}}
-	chs := chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false)
+	chs := chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false)
 	b.WriteFresh(0, req, []int{0}, chs)
 	b.VerifyWrite(req, chs) // consistent: fine
 
@@ -379,7 +379,7 @@ func TestVerifyWriteCatchesMissingMapping(t *testing.T) {
 			t.Fatal("VerifyWrite must catch unmapped writes")
 		}
 	}()
-	b.VerifyWrite(req, chunk.Split(req.Content, chunk.SyntheticFingerprinter{}, false)) // never written
+	b.VerifyWrite(req, chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false)) // never written
 }
 
 func TestRecoverWithoutNVRAM(t *testing.T) {
@@ -472,7 +472,7 @@ func TestRecoveryCarriesWiring(t *testing.T) {
 		// parole handler: a pinned block losing its last reference
 		// reaches the seated tier
 		b.Map.Pin(9)
-		b.Map.Unset(300)
+		b.Map.Set(300, 7, true)
 		if len(tier.paroled) != crash || tier.paroled[crash-1] != 9 {
 			t.Fatalf("crash %d: paroled %v, want block 9 to reach the tier", crash, tier.paroled)
 		}

@@ -88,8 +88,8 @@ func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 	if agents[0].staleDropped != 1 {
 		t.Fatalf("agent 0 staleDropped = %d, want 1", agents[0].staleDropped)
 	}
-	if c := tier.Snapshot(); c.StaleDropped != 1 {
-		t.Fatalf("tier StaleDropped = %d, want 1", c.StaleDropped)
+	if n := tier.staleDropped.Load(); n != 1 {
+		t.Fatalf("tier staleDropped = %d, want 1", n)
 	}
 	if agents[0].hintsInstalled != 0 {
 		t.Fatal("stale grant installed a hint")
@@ -121,12 +121,11 @@ func TestStaleEpochAdvertisementFenced(t *testing.T) {
 	fp := fper.Fingerprint(&ch)
 
 	tier.processAd(ad{fp: fp, pba: 3, shard: 1, epoch: 0, fresh: true})
-	c := tier.Snapshot()
-	if c.StaleDropped != 1 {
-		t.Fatalf("tier StaleDropped = %d, want 1", c.StaleDropped)
+	if n := tier.staleDropped.Load(); n != 1 {
+		t.Fatalf("tier staleDropped = %d, want 1", n)
 	}
-	if c.Entries != 0 {
-		t.Fatalf("stale ad registered a table entry (entries=%d)", c.Entries)
+	if _, ok := tier.part(fp).tbl.Get(fp); ok {
+		t.Fatal("stale ad registered a table entry")
 	}
 
 	// Refs are exempt from the fence: they mirror journaled transitions

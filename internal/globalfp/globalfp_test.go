@@ -14,6 +14,7 @@ import (
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
 	"github.com/pod-dedup/pod/internal/index"
+	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
@@ -36,6 +37,7 @@ func testConfig(perDisk uint64) engine.Config {
 // in the write that publishes it, so every test is deterministic.
 type cluster struct {
 	tier   *globalfp.Tier
+	reg    *metrics.Registry // the tier's gauges
 	engs   []*engine.Pipeline
 	agents []*globalfp.Agent
 }
@@ -46,7 +48,8 @@ func newCluster(t *testing.T, n int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{tier: tier}
+	c := &cluster{tier: tier, reg: metrics.NewRegistry()}
+	tier.Instrument(c.reg)
 	for i := 0; i < n; i++ {
 		e := core.NewSelectDedupe(testConfig(1 << 14))
 		if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
@@ -57,6 +60,9 @@ func newCluster(t *testing.T, n int) *cluster {
 	}
 	return c
 }
+
+// tierGauges reads the tier's gauges the way the server exports them.
+func (c *cluster) tierGauges() map[string]int64 { return c.reg.Snapshot().Gauges }
 
 // settle exchanges protocol traffic round-robin until nothing moves —
 // the same loop the server runs at Close.
@@ -186,8 +192,7 @@ func TestFoldMergesPreexistingDuplicates(t *testing.T) {
 	if st["globalfp_remaps_applied"] == 0 {
 		t.Fatalf("no remaps applied: %+v", st)
 	}
-	tc := c.tier.Snapshot()
-	if tc.DupsDetected == 0 {
+	if tc := c.tierGauges(); tc["globalfp_dups_detected"] == 0 {
 		t.Fatalf("tier detected no cross-shard duplicates: %+v", tc)
 	}
 	// Shard 1's logical view is intact through the remote references.
@@ -240,9 +245,9 @@ func TestRecallFreesAbandonedCanonical(t *testing.T) {
 	if used := c.engs[0].UsedBlocks(); used != 8 {
 		t.Fatalf("shard 0 uses %d blocks, want 8 (old canonicals freed)", used)
 	}
-	if tc := c.tier.Snapshot(); tc.Entries != 16 {
+	if n := c.tierGauges()["globalfp_table_entries"]; n != 16 {
 		// 8 new entries per shard's fresh content (distinct), old 8 gone
-		t.Logf("tier entries = %d", tc.Entries)
+		t.Logf("tier entries = %d", n)
 	}
 	c.check(t)
 }
@@ -272,7 +277,7 @@ func TestStaleAdvertisementIsHarmless(t *testing.T) {
 		// advertised by the write itself and hinted.
 		t.Fatalf("block 0 holds %d pins, want 1", pins)
 	}
-	if tc := c.tier.Snapshot(); tc.TableFixes == 0 {
+	if tc := c.tierGauges(); tc["globalfp_table_fixes"] == 0 {
 		t.Fatalf("tier never dropped the stale entry: %+v", tc)
 	}
 	c.check(t)

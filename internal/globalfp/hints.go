@@ -34,8 +34,12 @@ type hintSlot struct {
 // table only under a grant that pinned the canonical on its owner, the
 // owner never mutates a pinned block, a revoke deletes the binding
 // before the owner frees the block, and a crashed owner's bindings are
-// dropped while every shard is quiescent. Losing a binding early — an
-// overwrite — costs one deduplication opportunity and nothing else.
+// dropped while every shard is quiescent (Tier.CrashShard, under every
+// shard lock). Nothing re-installs one during the outage: the grants the
+// dead owner queued before the crash carry its old epoch and are fenced
+// on receipt, and a down owner sends none. So TryDedupe needs no
+// owner-down check either. Losing a binding early — an overwrite —
+// costs one deduplication opportunity and nothing else.
 //
 // Hints are never promoted into the iCache: the hot index and its ghost
 // hold only the shard's own blocks, so the Swap Module sees the shard's

@@ -162,7 +162,10 @@ func TestRevokeDeletesHintBeforeAck(t *testing.T) {
 }
 
 // TestCrashDropsDeadOwnersHints: a crash deletes exactly the bindings
-// naming the dead shard's canonicals, on every survivor.
+// naming the dead shard's canonicals, on every survivor, and a grant the
+// dead shard queued before crashing installs nothing when drained. These
+// two are why Base.TryDedupe trusts a hint without asking whether its
+// owner is down.
 func TestCrashDropsDeadOwnersHints(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	fpOf := func(id chunk.ContentID) chunk.Fingerprint {
@@ -171,11 +174,22 @@ func TestCrashDropsDeadOwnersHints(t *testing.T) {
 	}
 	tier.send(0, message{kind: msgGrant, fp: fpOf(1), canon: alloc.MakeRemote(1, 3), from: 1})
 	tier.send(0, message{kind: msgGrant, fp: fpOf(2), canon: alloc.MakeRemote(2, 3), from: 2})
+	tier.send(2, message{kind: msgGrant, fp: fpOf(1), canon: alloc.MakeRemote(1, 3), from: 1})
 	agents[0].DrainAll(0)
+	agents[2].DrainAll(0)
+	for _, s := range []int{0, 2} {
+		tier.send(s, message{kind: msgGrant, fp: fpOf(4), canon: alloc.MakeRemote(1, 5), from: 1, epoch: tier.Epoch(1)})
+	}
 
 	tier.CrashShard(1)
-	if _, ok := agents[0].Hint(fpOf(1)); ok {
-		t.Fatal("hint on the crashed shard's canonical survived")
+	for _, s := range []int{0, 2} {
+		if _, ok := agents[s].Hint(fpOf(1)); ok {
+			t.Fatalf("shard %d: hint on the crashed shard's canonical survived", s)
+		}
+		agents[s].DrainAll(0)
+		if _, ok := agents[s].Hint(fpOf(4)); ok {
+			t.Fatalf("shard %d: a grant queued before the crash installed a hint", s)
+		}
 	}
 	if _, ok := agents[0].Hint(fpOf(2)); !ok {
 		t.Fatal("hint on a live shard's canonical dropped")

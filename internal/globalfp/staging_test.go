@@ -90,7 +90,7 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	// message for message; the same drain's run toward a live shard
 	// arrives. The crash queued a notice at shards 0 and 1 ahead of it.
 	tier.CrashShard(2)
-	before := tier.Snapshot().DownDropped
+	before := tier.downDropped.Load()
 	for k := 0; k < 3; k++ {
 		tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), bene: 1<<1 | 1<<2, from: 1, epoch: ep1})
 	}
@@ -100,7 +100,7 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	if staged() != 0 {
 		t.Fatalf("%d messages still staged after drainMsgs returned", staged())
 	}
-	if dropped := tier.Snapshot().DownDropped - before; dropped != 3 {
+	if dropped := tier.downDropped.Load() - before; dropped != 3 {
 		t.Fatalf("down-dropped rose by %d, want the 3 grants toward shard 2", dropped)
 	}
 	if n1, n2 := tier.inbox[1].len(), tier.inbox[2].len(); n1 != 4 || n2 != 0 {

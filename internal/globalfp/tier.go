@@ -8,6 +8,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/probe"
 )
 
@@ -76,12 +77,6 @@ func NewTier(shards int, _ Params) (*Tier, error) {
 	}
 	return t, nil
 }
-
-// Shards reports the shard count the tier was built for.
-func (t *Tier) Shards() int { return t.shards }
-
-// Agent returns the shard's registered agent (nil before New seats one).
-func (t *Tier) Agent(shard int) *Agent { return t.agents[shard] }
 
 func (t *Tier) register(shard int, a *Agent) {
 	if t.agents[shard] != nil {
@@ -324,33 +319,25 @@ func (t *Tier) Backlog() int {
 	return n
 }
 
-// Counters is a snapshot of the tier's lifetime counters.
-type Counters struct {
-	AdsQueued                    int64 // ads published
-	DupsDetected, HintsBroadcast int64
-	TableFixes, Recalls          int64
-	StaleDropped, DownDropped    int64
-	CrashSweeps                  int64
-	Entries                      int64
-}
-
-// Snapshot reads the tier counters and current table size.
-func (t *Tier) Snapshot() Counters {
-	c := Counters{
-		AdsQueued:      t.adsQueued.Load(),
-		DupsDetected:   t.dupsDetected.Load(),
-		HintsBroadcast: t.hintsBroadcast.Load(),
-		TableFixes:     t.tableFixes.Load(),
-		Recalls:        t.recalls.Load(),
-		StaleDropped:   t.staleDropped.Load(),
-		DownDropped:    t.downDropped.Load(),
-		CrashSweeps:    int64(t.crashSweeps.Load()),
-	}
-	for i := range t.parts {
-		p := &t.parts[i]
-		p.mu.Lock()
-		c.Entries += int64(p.tbl.Len())
-		p.mu.Unlock()
-	}
-	return c
+// Instrument publishes the tier's lifetime counters and its table size
+// into reg as live gauges. The counters are atomics, read bare; only
+// globalfp_table_entries takes the partition locks, one at a time.
+func (t *Tier) Instrument(reg *metrics.Registry) {
+	reg.GaugeFunc("globalfp_ads_queued", t.adsQueued.Load)
+	reg.GaugeFunc("globalfp_dups_detected", t.dupsDetected.Load)
+	reg.GaugeFunc("globalfp_hints_broadcast", t.hintsBroadcast.Load)
+	reg.GaugeFunc("globalfp_table_fixes", t.tableFixes.Load)
+	reg.GaugeFunc("globalfp_recalls", t.recalls.Load)
+	reg.GaugeFunc("globalfp_stale_dropped", t.staleDropped.Load)
+	reg.GaugeFunc("globalfp_down_dropped", t.downDropped.Load)
+	reg.GaugeFunc("globalfp_table_entries", func() int64 {
+		var n int64
+		for i := range t.parts {
+			p := &t.parts[i]
+			p.mu.Lock()
+			n += int64(p.tbl.Len())
+			p.mu.Unlock()
+		}
+		return n
+	})
 }

@@ -12,13 +12,17 @@ import (
 // consistent table (refcounts exactly equal to the number of LBAs
 // mapping to each block).
 func FuzzLoad(f *testing.F) {
-	// seed: a real journal
+	// seeds: a real journal, and one with a record past a retired one
 	dev := nvram.New(1024)
 	tb := New(dev)
 	tb.Set(1, 100, false)
 	tb.Set(2, 100, true)
-	tb.Unset(1)
 	seed := make([]byte, dev.Size())
+	dev.ReadAt(0, seed)
+	f.Add(seed)
+	journalRetired(tb, 1)
+	tb.Set(3, 300, false)
+	seed = make([]byte, dev.Size())
 	dev.ReadAt(0, seed)
 	f.Add(seed)
 	f.Add(make([]byte, 1024))

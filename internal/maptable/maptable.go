@@ -39,9 +39,11 @@ const (
 	headerBytes = 16
 	magic       = 0x504F4431 // "POD1"
 
-	flagUnset  = 1 << 63
-	flagShared = 1 << 62
-	pbaMask    = (1 << 62) - 1
+	// flagRetired is the bit the retired unset record carried: no build
+	// writes it, and Load stops at a record that has it as at a torn one.
+	flagRetired = 1 << 63
+	flagShared  = 1 << 62
+	pbaMask     = (1 << 62) - 1
 )
 
 // The forward map, reference counts, and pin counts are direct-mapped
@@ -317,7 +319,7 @@ type Table struct {
 	// buffer serves every append without escaping to the heap.
 	rec [EntryBytes]byte
 
-	// freedScratch backs the slices returned by Set/Unset/dropMapping;
+	// freedScratch backs the slices returned by Set/dropMapping;
 	// it is valid only until the table's next mutating call.
 	freedScratch []alloc.PBA
 
@@ -541,7 +543,7 @@ func (t *Table) Pinned(pba alloc.PBA) bool { return t.pins.get(uint64(pba)) > 0 
 // returned slice lists physical blocks whose last reference disappeared
 // with this update — the caller returns them to the allocator. The
 // slice aliases table-owned scratch and is valid only until the next
-// mutating call (Set/Unset/Compact/Load); callers must consume it
+// mutating call (Set/Compact/Load); callers must consume it
 // immediately rather than retain it.
 func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 	if uint64(pba) > pbaMask {
@@ -561,7 +563,7 @@ func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 			}
 			t.m.set(lba, encodeMapping(mapping{pba: pba, shared: shared}))
 		}
-		t.journal(lba, uint64(pba), shared, false)
+		t.journal(lba, uint64(pba), shared)
 		return nil
 	}
 	freed := t.dropMapping(lba)
@@ -576,16 +578,7 @@ func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 			t.peak = t.shared
 		}
 	}
-	t.journal(lba, uint64(pba), shared, false)
-	return freed
-}
-
-// Unset removes lba's mapping, returning any block freed by the update.
-// The returned slice follows Set's scratch-ownership rule: valid only
-// until the next mutating call.
-func (t *Table) Unset(lba uint64) []alloc.PBA {
-	freed := t.dropMapping(lba)
-	t.journal(lba, 0, false, true)
+	t.journal(lba, uint64(pba), shared)
 	return freed
 }
 
@@ -777,16 +770,13 @@ func encodeRecord(buf *[EntryBytes]byte, seedCRC uint32, lba, pbaFlags uint64) {
 	binary.LittleEndian.PutUint32(buf[16:], recordSum(seedCRC, lba, pbaFlags))
 }
 
-func (t *Table) journal(lba, pba uint64, shared, unset bool) {
+func (t *Table) journal(lba, pba uint64, shared bool) {
 	if t.dev == nil {
 		return
 	}
 	pf := pba
 	if shared {
 		pf |= flagShared
-	}
-	if unset {
-		pf |= flagUnset
 	}
 	if t.tail+EntryBytes > t.dev.Size() {
 		t.Compact()
@@ -831,7 +821,8 @@ func (t *Table) Compact() {
 func (t *Table) JournalTail() int { return t.tail }
 
 // Load reconstructs a table from the journal on dev, applying records
-// until the first CRC failure (prefix consistency after a torn write).
+// until the first CRC failure (prefix consistency after a torn write) or
+// the first record carrying the retired unset bit.
 // Index pins are volatile and come back empty; reference counts are
 // recomputed from the surviving mappings. It returns the rebuilt table
 // and the number of records applied.
@@ -871,20 +862,16 @@ func Load(dev *nvram.Device, prev ...*Table) (*Table, int, error) {
 		want := binary.LittleEndian.Uint32(rec[16:])
 		lba := binary.LittleEndian.Uint64(rec[0:])
 		pf := binary.LittleEndian.Uint64(rec[8:])
-		if recordSum(t.seedCRC, lba, pf) != want {
-			break // torn or stale record: stop at the consistent prefix
+		if recordSum(t.seedCRC, lba, pf) != want || pf&flagRetired != 0 {
+			break // torn, stale or retired record: stop at the consistent prefix
 		}
-		if pf&flagUnset != 0 {
-			t.dropMapping(lba)
-		} else {
-			t.dropMapping(lba)
-			shared := pf&flagShared != 0
-			pba := alloc.PBA(pf & pbaMask)
-			t.m.set(lba, encodeMapping(mapping{pba: pba, shared: shared}))
-			t.refs.add(uint64(pba), 1)
-			if shared {
-				t.shared++
-			}
+		t.dropMapping(lba)
+		shared := pf&flagShared != 0
+		pba := alloc.PBA(pf & pbaMask)
+		t.m.set(lba, encodeMapping(mapping{pba: pba, shared: shared}))
+		t.refs.add(uint64(pba), 1)
+		if shared {
+			t.shared++
 		}
 		applied++
 		t.tail = off + EntryBytes

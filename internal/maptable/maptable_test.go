@@ -42,7 +42,7 @@ func TestSharedBlockNotFreedUntilLastRef(t *testing.T) {
 	if freed := tb.Set(1, 200, false); len(freed) != 0 {
 		t.Fatalf("block with remaining refs freed: %v", freed)
 	}
-	if freed := tb.Unset(2); len(freed) != 1 || freed[0] != 100 {
+	if freed := tb.Set(2, 300, false); len(freed) != 1 || freed[0] != 100 {
 		t.Fatalf("last deref must free: %v", freed)
 	}
 }
@@ -51,7 +51,7 @@ func TestPinPreventsFree(t *testing.T) {
 	tb := New(nil)
 	tb.Set(1, 100, false)
 	tb.Pin(100)
-	if freed := tb.Unset(1); len(freed) != 0 {
+	if freed := tb.Set(1, 200, false); len(freed) != 0 {
 		t.Fatalf("pinned block freed: %v", freed)
 	}
 	if !tb.Pinned(100) {
@@ -82,10 +82,10 @@ func TestSharedAccounting(t *testing.T) {
 	if tb.NVRAMBytes() != 40 {
 		t.Fatalf("nvram bytes = %d, want 40", tb.NVRAMBytes())
 	}
-	tb.Unset(2)
-	tb.Unset(3)
+	tb.Set(2, 200, false)
+	tb.Set(3, 300, false)
 	if tb.SharedEntries() != 0 {
-		t.Fatalf("shared after unset = %d", tb.SharedEntries())
+		t.Fatalf("shared after remap = %d", tb.SharedEntries())
 	}
 	if tb.PeakSharedEntries() != 2 || tb.PeakNVRAMBytes() != 40 {
 		t.Fatal("peak tracking wrong")
@@ -109,7 +109,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	tb.Set(1, 100, false)
 	tb.Set(2, 100, true)
 	tb.Set(3, 300, false)
-	tb.Unset(3)
+	tb.Set(3, 350, false)
 	tb.Set(4, 400, false)
 
 	rt, applied, err := Load(dev)
@@ -119,13 +119,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if applied != 5 {
 		t.Fatalf("applied = %d, want 5", applied)
 	}
-	for lba, want := range map[uint64]alloc.PBA{1: 100, 2: 100, 4: 400} {
+	for lba, want := range map[uint64]alloc.PBA{1: 100, 2: 100, 3: 350, 4: 400} {
 		if pba, ok := rt.Lookup(lba); !ok || pba != want {
 			t.Errorf("lba %d: %d,%v want %d", lba, pba, ok, want)
 		}
 	}
-	if _, ok := rt.Lookup(3); ok {
-		t.Error("unset mapping survived recovery")
+	if rt.RefCount(300) != 0 {
+		t.Error("superseded mapping survived recovery")
 	}
 	if rt.RefCount(100) != 2 {
 		t.Errorf("recovered refcount = %d, want 2", rt.RefCount(100))
@@ -159,6 +159,40 @@ func TestRecoveryAfterTornWrite(t *testing.T) {
 	}
 	if pba, ok := rt.Lookup(2); !ok || pba != 200 {
 		t.Fatal("intact prefix lost")
+	}
+}
+
+// journalRetired appends the record the retired unset operation wrote
+// for lba: a valid checksum over a PBA word carrying flagRetired.
+func journalRetired(t *Table, lba uint64) {
+	encodeRecord(&t.rec, t.seedCRC, lba, flagRetired)
+	_ = t.dev.WriteAt(t.tail, t.rec[:])
+	t.tail += EntryBytes
+}
+
+// TestLoadStopsAtRetiredRecord: an otherwise valid record carrying the
+// retired unset bit ends the replayed prefix as a torn one does —
+// neither it nor anything after it is applied.
+func TestLoadStopsAtRetiredRecord(t *testing.T) {
+	dev := nvram.New(4096)
+	tb := New(dev)
+	tb.Set(1, 100, false)
+	tb.Set(2, 200, false)
+	journalRetired(tb, 1)
+	tb.Set(3, 300, false)
+
+	rt, applied, err := Load(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 2 {
+		t.Fatalf("applied = %d, want 2 (stop at the retired record)", applied)
+	}
+	if pba, ok := rt.Lookup(1); !ok || pba != 100 {
+		t.Fatalf("lba 1 = %d,%v: the retired record was applied", pba, ok)
+	}
+	if _, ok := rt.Lookup(3); ok {
+		t.Fatal("a record past the retired one was applied")
 	}
 }
 
@@ -228,12 +262,9 @@ func TestLoadBadMagic(t *testing.T) {
 func TestStaleEpochRecordsIgnored(t *testing.T) {
 	dev := nvram.New(4096)
 	tb := New(dev)
+	// ten records over two live entries, then a two-record snapshot
 	for i := uint64(0); i < 10; i++ {
-		tb.Set(i, alloc.PBA(1000+i), false)
-	}
-	// compact with only 2 live entries left
-	for i := uint64(0); i < 8; i++ {
-		tb.Unset(i)
+		tb.Set(i%2, alloc.PBA(1000+i), false)
 	}
 	tb.Compact()
 	// journal bytes beyond the snapshot still contain old-epoch records
@@ -265,13 +296,8 @@ func TestCrashRecoveryPrefixProperty(t *testing.T) {
 		for _, raw := range ops {
 			lba := uint64(raw % 8)
 			pba := alloc.PBA(raw%64) + 1
-			if raw%5 == 0 {
-				tb.Unset(lba)
-				delete(cur, lba)
-			} else {
-				tb.Set(lba, pba, raw%2 == 0)
-				cur[lba] = pba
-			}
+			tb.Set(lba, pba, raw%2 == 0)
+			cur[lba] = pba
 			cp := state{}
 			for k, v := range cur {
 				cp[k] = v
@@ -315,13 +341,8 @@ func TestRefcountConsistencyProperty(t *testing.T) {
 		for _, raw := range ops {
 			lba := uint64(raw % 16)
 			pba := alloc.PBA(raw%8) + 1
-			if raw%7 == 0 {
-				tb.Unset(lba)
-				delete(model, lba)
-			} else {
-				tb.Set(lba, pba, raw%3 == 0)
-				model[lba] = pba
-			}
+			tb.Set(lba, pba, raw%3 == 0)
+			model[lba] = pba
 			counts := map[alloc.PBA]int{}
 			for _, p := range model {
 				counts[p]++

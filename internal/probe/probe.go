@@ -8,60 +8,38 @@
 //
 // The runtime's map is general: it re-hashes every key with AES-based
 // hashing, probes SIMD control groups, and grows by incremental
-// rehash. The simulator's hot keys are either small integers (LBA,
-// PBA, ContentID) or fingerprints whose bytes are already uniformly
-// distributed (SHA-1, or the synthetic fingerprinter's murmur-style
-// finalizer), so hashing collapses to a single multiply — or to
-// reading the first eight bytes — and a plain linear probe over a
+// rehash. The simulator's keys are of two kinds, and Key admits no
+// other: 64-bit integers (LBA, PBA, ContentID, a stream's block key)
+// or fingerprints whose bytes are already uniformly distributed (SHA-1,
+// or the synthetic fingerprinter's murmur-style finalizer). Hashing
+// collapses to one finalizer over the integer — or to reading the
+// fingerprint's first eight bytes — and a plain linear probe over a
 // flat array beats the general machinery while staying fully
 // deterministic: layout depends only on the sequence of operations,
-// never on a per-process seed.
-//
-// Keys must be comparable; flat fixed-size keys (integers and byte
-// arrays, without internal padding) take the fast path, and any other
-// comparable key falls back to a Go map with identical semantics.
-// Padded structs of a fast-path size would hash their padding bytes
-// and must not be used as keys. Iteration order (Each) is table order
-// — callers must not depend on it, exactly as with a Go map.
+// never on a per-process seed. Iteration order (Each) is table order —
+// callers must not depend on it, exactly as with a Go map.
 package probe
 
 import "unsafe"
 
-// flatKey reports whether K can take the byte-hashed fast path.
-func flatKey[K comparable]() bool {
-	var zero K
-	switch unsafe.Sizeof(zero) {
-	case 1, 2, 4, 8, 20:
-		return true
-	}
-	return false
+// Key is what a Map is keyed by: a uint64-kind integer or a 20-byte
+// array (chunk.Fingerprint). Both are flat and padding-free, so key
+// equality is byte equality and the hash reads the key's first word.
+type Key interface {
+	~uint64 | ~[20]byte
 }
 
-// hashKey hashes a fast-path key. The size switch is resolved at
-// compile time per instantiation shape and the helpers are small
-// enough to inline, so each map gets straight-line hashing code with
+// hashKey hashes a key. The size test is resolved at compile time per
+// instantiation shape, so each map gets straight-line hashing code with
 // no call overhead on the probe loop.
 func (m *Map[K, V]) hashKey(k K) uint64 {
+	w := *(*uint64)(unsafe.Pointer(&k))
 	if unsafe.Sizeof(k) == 20 {
 		// chunk.Fingerprint: the first eight bytes of a SHA-1 (or the
 		// synthetic fingerprinter's finalized mix) are already uniform.
-		return *(*uint64)(unsafe.Pointer(&k))
+		return w
 	}
-	return mix64(load64(k))
-}
-
-// load64 widens an integer-sized key to uint64.
-func load64[K comparable](k K) uint64 {
-	switch unsafe.Sizeof(k) {
-	case 1:
-		return uint64(*(*uint8)(unsafe.Pointer(&k)))
-	case 2:
-		return uint64(*(*uint16)(unsafe.Pointer(&k)))
-	case 4:
-		return uint64(*(*uint32)(unsafe.Pointer(&k)))
-	default:
-		return *(*uint64)(unsafe.Pointer(&k))
-	}
+	return mix64(w)
 }
 
 // mix64 is the 64-bit finalizer from MurmurHash3: bijective, cheap,
@@ -78,25 +56,17 @@ func mix64(x uint64) uint64 {
 // Map is an open-addressing hash map with linear probing and
 // backward-shift deletion (no tombstones). The zero value is not
 // usable; call NewMap.
-type Map[K comparable, V any] struct {
+type Map[K Key, V any] struct {
 	keys []K
 	vals []V
 	used []bool
 	mask uint64
 	n    int
-
-	// fallback for non-flat keys; values are boxed so Ref can hand out
-	// stable pointers on this path too
-	fb map[K]*V
 }
 
 // NewMap returns an empty map presized for hint entries (0 is fine).
-func NewMap[K comparable, V any](hint int) *Map[K, V] {
+func NewMap[K Key, V any](hint int) *Map[K, V] {
 	m := &Map[K, V]{}
-	if !flatKey[K]() {
-		m.fb = make(map[K]*V, hint)
-		return m
-	}
 	m.init(hint)
 	return m
 }
@@ -114,22 +84,10 @@ func (m *Map[K, V]) init(hint int) {
 }
 
 // Len reports the number of entries.
-func (m *Map[K, V]) Len() int {
-	if m.fb != nil {
-		return len(m.fb)
-	}
-	return m.n
-}
+func (m *Map[K, V]) Len() int { return m.n }
 
 // Get returns the value for k.
 func (m *Map[K, V]) Get(k K) (V, bool) {
-	if m.fb != nil {
-		if p, ok := m.fb[k]; ok {
-			return *p, true
-		}
-		var zero V
-		return zero, false
-	}
 	i := m.hashKey(k) & m.mask
 	for m.used[i] {
 		if m.keys[i] == k {
@@ -143,17 +101,6 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 
 // Put inserts or updates k.
 func (m *Map[K, V]) Put(k K, v V) {
-	if m.fb != nil {
-		if p, ok := m.fb[k]; ok {
-			*p = v
-		} else {
-			// box a copy: taking v's own address would move the
-			// parameter to the heap on every call, fast path included
-			boxed := v
-			m.fb[k] = &boxed
-		}
-		return
-	}
 	i := m.hashKey(k) & m.mask
 	for m.used[i] {
 		if m.keys[i] == k {
@@ -187,13 +134,6 @@ func (m *Map[K, V]) grow() {
 
 // Delete removes k, reporting whether it was present.
 func (m *Map[K, V]) Delete(k K) bool {
-	if m.fb != nil {
-		if _, ok := m.fb[k]; !ok {
-			return false
-		}
-		delete(m.fb, k)
-		return true
-	}
 	i := m.hashKey(k) & m.mask
 	for {
 		if !m.used[i] {
@@ -236,10 +176,6 @@ func (m *Map[K, V]) unset(i uint64) {
 // or nil when absent. The pointer is invalidated by the next mutating
 // call on the map.
 func (m *Map[K, V]) Find(k K) (*V, bool) {
-	if m.fb != nil {
-		p, ok := m.fb[k]
-		return p, ok
-	}
 	i := m.hashKey(k) & m.mask
 	for m.used[i] {
 		if m.keys[i] == k {
@@ -254,14 +190,6 @@ func (m *Map[K, V]) Find(k K) (*V, bool) {
 // when absent (inserted reports which): a single-pass find-or-insert.
 // The pointer is invalidated by the next mutating call on the map.
 func (m *Map[K, V]) Ref(k K) (p *V, inserted bool) {
-	if m.fb != nil {
-		if p, ok := m.fb[k]; ok {
-			return p, false
-		}
-		p = new(V)
-		m.fb[k] = p
-		return p, true
-	}
 	i := m.hashKey(k) & m.mask
 	for m.used[i] {
 		if m.keys[i] == k {
@@ -284,14 +212,6 @@ func (m *Map[K, V]) Ref(k K) (p *V, inserted bool) {
 
 // Take removes k and returns its value: a single-pass Get+Delete.
 func (m *Map[K, V]) Take(k K) (V, bool) {
-	if m.fb != nil {
-		if p, ok := m.fb[k]; ok {
-			delete(m.fb, k)
-			return *p, true
-		}
-		var zero V
-		return zero, false
-	}
 	i := m.hashKey(k) & m.mask
 	for {
 		if !m.used[i] {
@@ -310,14 +230,6 @@ func (m *Map[K, V]) Take(k K) (V, bool) {
 
 // Each visits entries in unspecified order; return false to stop.
 func (m *Map[K, V]) Each(fn func(K, V) bool) {
-	if m.fb != nil {
-		for k, v := range m.fb {
-			if !fn(k, *v) {
-				return
-			}
-		}
-		return
-	}
 	for i := range m.used {
 		if m.used[i] && !fn(m.keys[i], m.vals[i]) {
 			return
@@ -325,8 +237,7 @@ func (m *Map[K, V]) Each(fn func(K, V) bool) {
 	}
 }
 
-// Bytes reports the memory held by the table's arrays (0 on the
-// fallback path, whose footprint the runtime does not expose).
+// Bytes reports the memory held by the table's arrays.
 func (m *Map[K, V]) Bytes() int {
 	var k K
 	var v V

@@ -6,8 +6,8 @@ import (
 )
 
 // TestMatchesGoMap cross-checks every operation against a Go map under
-// a randomized workload, for both a mixed-integer key and a
-// fingerprint-shaped array key.
+// a randomized workload, for both kinds of key: an integer and a
+// fingerprint-shaped array.
 func TestMatchesGoMap(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) { crossCheck(t, func(r *rand.Rand) uint64 { return uint64(r.Intn(512)) }) })
 	t.Run("fp20", func(t *testing.T) {
@@ -20,13 +20,13 @@ func TestMatchesGoMap(t *testing.T) {
 	})
 }
 
-func crossCheck[K comparable](t *testing.T, genKey func(*rand.Rand) K) {
+func crossCheck[K Key](t *testing.T, genKey func(*rand.Rand) K) {
 	r := rand.New(rand.NewSource(7))
 	m := NewMap[K, int](0)
 	ref := map[K]int{}
 	for op := 0; op < 20000; op++ {
 		k := genKey(r)
-		switch r.Intn(3) {
+		switch r.Intn(5) {
 		case 0:
 			v := r.Intn(1 << 20)
 			m.Put(k, v)
@@ -43,6 +43,21 @@ func crossCheck[K comparable](t *testing.T, genKey func(*rand.Rand) K) {
 			if ok != wantOK || got != want {
 				t.Fatalf("op %d: Get=(%v,%v) want (%v,%v)", op, got, ok, want, wantOK)
 			}
+		case 3:
+			p, inserted := m.Ref(k)
+			want, had := ref[k]
+			if inserted == had || *p != want {
+				t.Fatalf("op %d: Ref=(%v,%v) want (%v,%v)", op, *p, inserted, want, !had)
+			}
+			*p++
+			ref[k] = want + 1
+		case 4:
+			got, ok := m.Take(k)
+			want, wantOK := ref[k]
+			if ok != wantOK || got != want {
+				t.Fatalf("op %d: Take=(%v,%v) want (%v,%v)", op, got, ok, want, wantOK)
+			}
+			delete(ref, k)
 		}
 		if m.Len() != len(ref) {
 			t.Fatalf("op %d: Len=%d want %d", op, m.Len(), len(ref))
@@ -57,26 +72,6 @@ func crossCheck[K comparable](t *testing.T, genKey func(*rand.Rand) K) {
 		if seen[k] != v {
 			t.Fatalf("Each missed or corrupted key %v", k)
 		}
-	}
-}
-
-// TestFallbackKeys exercises the Go-map fallback path used for key
-// types outside the flat-size fast path.
-func TestFallbackKeys(t *testing.T) {
-	m := NewMap[string, int](4)
-	if m.fb == nil {
-		t.Fatal("string keys should use the fallback map")
-	}
-	m.Put("a", 1)
-	m.Put("b", 2)
-	if v, ok := m.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get a = (%d,%v)", v, ok)
-	}
-	if !m.Delete("a") || m.Delete("a") {
-		t.Fatal("Delete semantics wrong on fallback path")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len=%d want 1", m.Len())
 	}
 }
 

@@ -50,14 +50,7 @@ func (s *Server) initGlobalFP() error {
 
 	// Tier-level gauges live in the server registry: the tier is shared
 	// state, not any one shard's.
-	s.reg.GaugeFunc("globalfp_ads_queued", func() int64 { return tier.Snapshot().AdsQueued })
-	s.reg.GaugeFunc("globalfp_dups_detected", func() int64 { return tier.Snapshot().DupsDetected })
-	s.reg.GaugeFunc("globalfp_hints_broadcast", func() int64 { return tier.Snapshot().HintsBroadcast })
-	s.reg.GaugeFunc("globalfp_table_entries", func() int64 { return tier.Snapshot().Entries })
-	s.reg.GaugeFunc("globalfp_table_fixes", func() int64 { return tier.Snapshot().TableFixes })
-	s.reg.GaugeFunc("globalfp_recalls", func() int64 { return tier.Snapshot().Recalls })
-	s.reg.GaugeFunc("globalfp_stale_dropped", func() int64 { return tier.Snapshot().StaleDropped })
-	s.reg.GaugeFunc("globalfp_down_dropped", func() int64 { return tier.Snapshot().DownDropped })
+	tier.Instrument(s.reg)
 	return nil
 }
 

@@ -25,9 +25,9 @@ func globalFPFactory(prof workload.Profile) func(int) engine.Engine {
 
 // shardLBAs finds one granule-aligned LBA owned by each shard.
 func shardLBAs(s *Server) []uint64 {
-	out := make([]uint64, s.Shards())
+	out := make([]uint64, len(s.shards))
 	found := 0
-	for g := uint64(0); found < s.Shards(); g++ {
+	for g := uint64(0); found < len(s.shards); g++ {
 		lba := g * DefaultGranChunks
 		sid := s.Shard(lba)
 		if out[sid] == 0 && (sid != s.Shard(0) || g == 0) {

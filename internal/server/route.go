@@ -40,13 +40,10 @@ func NewRouter(shards int, granChunks uint64) Router {
 	return Router{shards: shards, gran: granChunks}
 }
 
-// Shards reports the shard count.
-func (r Router) Shards() int { return r.shards }
-
 // GranChunks reports the granule size in chunks.
 func (r Router) GranChunks() uint64 { return r.gran }
 
-// Shard returns the shard owning lba, always in [0, Shards()).
+// Shard returns the shard owning lba, always in [0, shards).
 func (r Router) Shard(lba uint64) int {
 	return int((lba / r.gran) % uint64(r.shards))
 }

@@ -275,7 +275,7 @@ type shard struct {
 	ring  *metrics.TraceRing
 
 	// mu serializes the worker's serving rounds against snapshots,
-	// ReadContent, WithEngine, and recovery. The worker holds it only
+	// ReadContent, and recovery. The worker holds it only
 	// while serving a drained batch, never while blocked on the
 	// channel.
 	mu sync.Mutex
@@ -438,9 +438,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Shards reports the shard count.
-func (s *Server) Shards() int { return s.cfg.Shards }
 
 // Shard reports which shard owns lba.
 func (s *Server) Shard(lba uint64) int { return s.router.Shard(lba) }
@@ -807,16 +804,6 @@ func (s *Server) Close() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
 	return s.closeErr
-}
-
-// WithEngine runs fn against shard i's engine while that shard's
-// serving loop is paused — the hook tests use to inject faults
-// (nvram.Device.ArmCrash) mid-serve without racing the worker.
-func (s *Server) WithEngine(i int, fn func(engine.Engine)) {
-	sh := s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn(sh.eng)
 }
 
 // ReadContent resolves lba through its owning shard's engine (the

@@ -296,10 +296,13 @@ func TestShedPolicyBoundsQueue(t *testing.T) {
 
 	paused := make(chan struct{})
 	release := make(chan struct{})
-	go srv.WithEngine(0, func(engine.Engine) {
+	go func() {
+		sh := srv.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		close(paused)
 		<-release
-	})
+	}()
 	<-paused
 
 	sent := 0
@@ -484,9 +487,9 @@ func TestCheckConsistencyAuditsEveryShard(t *testing.T) {
 		if name != experiments.POD {
 			continue
 		}
-		srv.WithEngine(1, func(e engine.Engine) {
-			e.(baseHolder).Base().Alloc.AllocLargest(1)
-		})
+		srv.shards[1].mu.Lock()
+		srv.shards[1].base.Alloc.AllocLargest(1)
+		srv.shards[1].mu.Unlock()
 		err = srv.CheckConsistency()
 		if err == nil || !strings.Contains(err.Error(), "shard 1") {
 			t.Fatalf("leaked block on shard 1 not reported: %v", err)

@@ -11,12 +11,6 @@ import (
 	"github.com/pod-dedup/pod/internal/workload"
 )
 
-// baser is implemented by the core engines that expose their substrate
-// (and with it the NVRAM journal device) for fault injection.
-type baser interface {
-	Base() *engine.Base
-}
-
 func selectDedupeFactory(prof workload.Profile) func(int) engine.Engine {
 	return func(int) engine.Engine {
 		return experiments.NewEngine(experiments.SelectDedupe, experiments.BuildConfig(prof, testScale))
@@ -107,9 +101,9 @@ func TestCrashMidServeTornJournal(t *testing.T) {
 
 	// power fails on shard 0's journal: the record of its next write
 	// tears after 10 of its 20 bytes
-	srv.WithEngine(0, func(e engine.Engine) {
-		e.(baser).Base().NVRAM().ArmCrash(10)
-	})
+	srv.shards[0].mu.Lock()
+	srv.shards[0].base.NVRAM().ArmCrash(10)
+	srv.shards[0].mu.Unlock()
 
 	// phase 2: keep serving through the (not-yet-noticed) fault from
 	// several goroutines, fresh LBAs only

@@ -235,6 +235,16 @@ func New(cfg Config) (*System, error) {
 	if cfg.MemoryMB < 1 {
 		return nil, fmt.Errorf("pod: memory budget %d MB is too small", cfg.MemoryMB)
 	}
+	switch {
+	case cfg.Threshold < 0:
+		return nil, fmt.Errorf("pod: negative Threshold %d", cfg.Threshold)
+	case cfg.IDedupThreshold < 0:
+		return nil, fmt.Errorf("pod: negative IDedupThreshold %d", cfg.IDedupThreshold)
+	case cfg.NVRAMKB < -1:
+		return nil, fmt.Errorf("pod: NVRAMKB %d: -1 disables journaling, no other negative value means anything", cfg.NVRAMKB)
+	case cfg.BGDedupBlocksPerSec < 0:
+		return nil, fmt.Errorf("pod: negative BGDedupBlocksPerSec %d", cfg.BGDedupBlocksPerSec)
+	}
 
 	ecfg := experiments.Platform(cfg.Disks, cfg.DiskBlocks, level, uint64(cfg.StripeUnitKB/4), int64(cfg.MemoryMB)<<20, 0)
 	if n := ecfg.Array.DataBlocks(); n < engine.IndexZoneFrac {

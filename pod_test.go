@@ -47,6 +47,25 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeKnobs: a negative value New cannot honour is an
+// error naming its field — not journaling silently off (NVRAMKB, where
+// only -1 means that) or a threshold taken as given.
+func TestNewRejectsNegativeKnobs(t *testing.T) {
+	for field, cfg := range map[string]Config{
+		"NVRAMKB":             {NVRAMKB: -5},
+		"Threshold":           {Threshold: -2},
+		"IDedupThreshold":     {Scheme: SchemeIDedup, IDedupThreshold: -1},
+		"BGDedupBlocksPerSec": {BGDedup: true, BGDedupBlocksPerSec: -10},
+	} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%+v: err = %v, want one naming %s", cfg, err, field)
+		}
+	}
+	if _, err := New(Config{NVRAMKB: -1}); err != nil {
+		t.Errorf("NVRAMKB -1 (journaling off) refused: %v", err)
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	for _, scheme := range Schemes() {
 		sys, err := New(Config{Scheme: scheme, Verify: true})
