@@ -160,16 +160,18 @@ test:
 # whole split (rotating windows: *Chunk; sequential requests:
 # *Stream), fixed-4K split and fingerprinting, the Map table, the
 # iCache's directory (a miss's insert + evict + ghost-evict, the tier's
-# grant-path peek of an absent fingerprint, the read path's probe +
+# grant-path peek of an absent fingerprint, a 16-chunk request's
+# lookups with and without the warming pass, the read path's probe +
 # insert + purge, one Swap Module repartition, one three-stream
 # re-apportionment), and the tier's control plane (hint-table put/get,
-# a tick's grant drain, the inbox behind a 1k and a 100k backlog and
-# filled in runs of 1 / 7 / 256, Close settling eight loaded agents on
+# a tick's grant drain on a full directory and a hint table past L2,
+# the inbox behind a 1k and a 100k backlog and filled in runs of
+# 1 / 7 / 256, Close settling eight loaded agents on
 # one core and on two). The CDC split and hash, the directory, the
 # hint/grant benchmarks and the Map table's Set with the reverse index
 # on fail unless they run at 0 allocs/op; make check runs those
 # (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as a gate.
-ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants)$$
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest)$$
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/

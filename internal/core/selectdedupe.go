@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/pod-dedup/pod/internal/alloc"
+	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/sim"
 )
@@ -27,7 +28,24 @@ func NewPOD(cfg engine.Config) *engine.Pipeline {
 	return engine.New("POD", engine.NewBase(cfg), selectDedupe{})
 }
 
+// warmRun is how many fingerprints one directory warm takes: about as
+// many cache misses as a core keeps in flight.
+const warmRun = 16
+
+// Lookup probes the hot index for every chunk. A request of several
+// chunks first warms their directory buckets, so the probes' cache
+// misses overlap instead of queueing one behind another.
 func (selectDedupe) Lookup(b *engine.Base, w *engine.WriteOp, at sim.Time) (sim.Time, error) {
+	if len(w.Chunks) > 1 {
+		var fps [warmRun]chunk.Fingerprint
+		for lo := 0; lo < len(w.Chunks); lo += warmRun {
+			run := w.Chunks[lo:min(lo+warmRun, len(w.Chunks))]
+			for i := range run {
+				fps[i] = run[i].FP
+			}
+			b.IC.Warm(fps[:len(run)])
+		}
+	}
 	stream := uint32(w.Req.Stream)
 	for i := range w.Chunks {
 		if e, ok := b.IC.IndexLookupS(stream, w.Chunks[i].FP); ok {

@@ -274,6 +274,7 @@ func (a *Agent) ReAdvertise() {
 // returns.
 func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	a.msgBuf = a.t.inbox[a.shard].take(a.msgBuf[:0], budget)
+	a.warm(a.msgBuf)
 	a.staging = true
 	for _, m := range a.msgBuf {
 		a.handle(now, m)
@@ -283,6 +284,35 @@ func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 		a.flush(to)
 	}
 	return len(a.msgBuf)
+}
+
+// warmRun is how many fingerprints one directory warm takes: about as
+// many cache misses as a core keeps in flight.
+const warmRun = 16
+
+// warm loads, and changes nothing, what handling msgs will read first:
+// every grant's hint-table bucket and, for a grant naming no duplicate,
+// the directory bucket handleGrant's IndexPeek reads, so the drain's
+// cache misses overlap. It writes nothing a handler reads, so its order
+// against the revokes and frees handled after it cannot matter.
+func (a *Agent) warm(msgs []message) {
+	var fps [warmRun]chunk.Fingerprint
+	n := 0
+	for k := range msgs {
+		m := &msgs[k]
+		if m.kind != msgGrant {
+			continue
+		}
+		a.hints.warm(&m.fp)
+		if !m.hasDup {
+			fps[n] = m.fp
+			if n++; n == warmRun {
+				a.b.IC.Warm(fps[:])
+				n = 0
+			}
+		}
+	}
+	a.b.IC.Warm(fps[:n])
 }
 
 // outboxRun is the longest run send stages before delivering it: it

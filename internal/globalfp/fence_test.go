@@ -34,13 +34,22 @@ func fenceConfig() engine.Config {
 // agents' internals.
 func fenceCluster(t testing.TB, n int) (*Tier, []*Agent) {
 	t.Helper()
+	return memCluster(t, n, fenceConfig().MemoryBytes)
+}
+
+// memCluster is fenceCluster with memBytes of cache memory a shard:
+// its hot index, and so its hint table, are sized from it.
+func memCluster(t testing.TB, n int, memBytes int64) (*Tier, []*Agent) {
+	t.Helper()
 	tier, err := NewTier(n, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	agents := make([]*Agent, n)
 	for i := 0; i < n; i++ {
-		e := core.NewSelectDedupe(fenceConfig())
+		cfg := fenceConfig()
+		cfg.MemoryBytes = memBytes
+		e := core.NewSelectDedupe(cfg)
 		if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
 			t.Fatal("bgdedup.Attach refused Select-Dedupe")
 		}

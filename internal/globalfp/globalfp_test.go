@@ -383,7 +383,7 @@ func TestRemoteReadResolvesThroughMapping(t *testing.T) {
 // local blocks only.
 func TestHintsNeverEnterICache(t *testing.T) {
 	const reqGap = 10 * sim.Millisecond
-	run := func(tier bool) (*cluster, [2]int64, [2]float64) {
+	run := func(tier bool) (*cluster, [2]int64, [2]int64) {
 		c := &cluster{}
 		if tier {
 			tr, err := globalfp.NewTier(2, globalfp.Params{})
@@ -428,11 +428,10 @@ func TestHintsNeverEnterICache(t *testing.T) {
 			write(t, c.engs[0], now, uint64(2000+r%225*8), seq(300000+r%225*8, 8))
 			step()
 		}
-		var reps [2]int64
-		var frac [2]float64
+		var reps, frac [2]int64
 		for i, e := range c.engs {
-			reps[i] = e.Base().IC.Repartitions()
-			frac[i] = e.Base().IC.IndexFrac()
+			g := e.Metrics().Snapshot().Gauges
+			reps[i], frac[i] = g["icache_repartitions"], g["icache_index_frac_permille"]
 		}
 		return c, reps, frac
 	}

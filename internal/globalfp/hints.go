@@ -48,8 +48,9 @@ type hintTable struct {
 	slots []hintSlot
 	mask  uint64 // bucket count - 1
 
-	hits       int64 // get found a binding
-	overwrites int64 // put replaced a live binding of another fingerprint
+	hits       int64  // get found a binding
+	overwrites int64  // put replaced a live binding of another fingerprint
+	warmed     uint64 // what warm loaded, kept so the loads are not dropped
 }
 
 // newHintTable sizes the table to at least entries slots, rounded up to
@@ -78,6 +79,14 @@ func toFront(b []hintSlot, i int) {
 	s := b[i]
 	copy(b[1:i+1], b[:i])
 	b[0] = s
+}
+
+// warm loads fp's bucket — its first slot and its last, one per cache
+// line — and changes nothing, so that a batch's misses overlap ahead of
+// the finds that follow; the words go into warmed so the loads stay.
+func (h *hintTable) warm(fp *chunk.Fingerprint) {
+	b := h.bucket(fp)
+	h.warmed += uint64(b[0].canon) + uint64(b[hintWays-1].canon)
 }
 
 // find returns fp's bucket and its slot there, -1 when it has none.

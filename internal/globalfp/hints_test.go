@@ -370,23 +370,33 @@ func BenchmarkHintGet(b *testing.B) {
 
 // BenchmarkAgentDrainGrants is the beneficiary's side of the broadcast:
 // one tick's budget of grants pushed and drained through the agent —
-// fence check, local-duplicate peek, hint install.
+// fence check, local-duplicate peek, hint install — on a shard as loaded
+// as a serving one: its hot index full (262 144 fingerprints, a 14 MB
+// directory) and its hint table as large (8 MB), both past L2. Half the
+// grants name a fingerprint the index holds, whose fold is queued.
 func BenchmarkAgentDrainGrants(b *testing.B) {
-	tier, agents := fenceCluster(b, 2)
-	fps := benchFPs(1 << 16)
+	tier, agents := memCluster(b, 2, 32<<20)
+	a := agents[0]
+	held := a.b.IC.IndexCapTotal()
+	fps := benchFPs(2 * held)
+	for i, fp := range fps[:held] {
+		a.b.IC.IndexInsert(fp, alloc.PBA(i))
+	}
 	ep := tier.Epoch(1)
 	tick := func(i int) {
 		for k := 0; k < 256; k++ {
-			fp := fps[(i*256+k)&(len(fps)-1)]
+			fp := fps[(i*256+k)%len(fps)]
 			tier.inbox[0].push(message{kind: msgGrant, fp: fp, canon: alloc.MakeRemote(1, 1), from: 1, epoch: ep})
 		}
-		agents[0].drainMsgs(0, 256)
+		a.drainMsgs(0, 256)
+		a.foldQ = a.foldQ[:0]
 	}
-	tick(0) // size the ring and the drain buffer
+	tick(0) // size the ring, the drain buffer and the fold queue
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick(i)
 	}
 	failOnAllocs(b, "grant drain", func() { tick(0) })
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(256*b.N), "ns/grant")
 }

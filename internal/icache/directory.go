@@ -81,8 +81,9 @@ type directory struct {
 	// replaces in-place overwrite protection in this log-structured
 	// substrate.
 	fpHead, pbaHead []int32
-	shift           uint8 // 64 − log2 of the bucket count: a bucket is a word's top bits
-	held            int   // slots on every list but the free one
+	shift           uint8  // 64 − log2 of the bucket count: a bucket is a word's top bits
+	held            int    // slots on every list but the free one
+	warmed          uint64 // what warm loaded, kept so the loads are not dropped
 }
 
 // newDirectory returns a directory holding the ghost index, the read
@@ -164,6 +165,25 @@ func (d *directory) find(fp chunk.Fingerprint) int32 {
 		i = s.fpNext
 	}
 	return 0
+}
+
+// warm loads what find will read first for each of fps — the bucket
+// head, then the slot it names — and changes nothing. The heads are
+// loaded in one round and the slots in a second, so a batch's cache
+// misses overlap instead of queueing one behind another. The words go
+// into warmed: a load whose value nothing uses would be compiled away.
+func (d *directory) warm(fps []chunk.Fingerprint) {
+	var sum uint64
+	for k := range fps {
+		sum += uint64(d.fpHead[d.fpBucket(firstWord(&fps[k]))])
+	}
+	for k := range fps {
+		if i := d.fpHead[d.fpBucket(firstWord(&fps[k]))]; i != 0 {
+			s := d.at(i)
+			sum += firstWord(&s.fp) + uint64(s.fpNext)
+		}
+	}
+	d.warmed += sum
 }
 
 // fpLink returns the link that names slot i in its fingerprint bucket.

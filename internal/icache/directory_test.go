@@ -488,6 +488,43 @@ var dirModes = []struct {
 	{name: "streams-one-bucket", adaptive: true, stream: true, oneWord: true},
 }
 
+// modeFP is fingerprint id as a mode sees it: with oneWord, every
+// fingerprint has the same first word.
+func modeFP(oneWord bool, id int) chunk.Fingerprint {
+	f := fp(uint64(id))
+	if oneWord {
+		copy(f[:8], "one word")
+	}
+	return f
+}
+
+// dirState is everything a read-only pass must leave as it found it:
+// every slot — so every list's members, order and links, and every
+// chain —, both bucket arrays, the lists' counts and capacities, the
+// per-stream lookups, hits and ghost hits, the Access Monitor's
+// counters and the slab's shape.
+type dirState struct {
+	slots           []slot
+	fpHead, pbaHead []int32
+	lists           []lruList
+	acct            []streamAcct
+	counters        [10]int64
+}
+
+func stateOf(c *Controller) dirState {
+	d := &c.dir
+	st := dirState{
+		fpHead: slices.Clone(d.fpHead), pbaHead: slices.Clone(d.pbaHead),
+		lists: slices.Clone(d.lists), acct: slices.Clone(c.acct),
+		counters: [...]int64{c.ghostIdxHits, c.ghostReadHits, c.totalGhostIdxHits, c.totalGhostReadHits,
+			c.swapInsIdx, c.swapInsRd, int64(d.n), int64(d.free), int64(d.held), int64(d.shift)},
+	}
+	for i := int32(0); i < d.n; i++ {
+		st.slots = append(st.slots, *d.at(i))
+	}
+	return st
+}
+
 // dirParams is a budget of 64 index entries or 16 read blocks.
 func dirParams(adaptive bool) Params {
 	p := DefaultParams(16 * blockBytes)
@@ -514,10 +551,7 @@ func runDirectoryOps(mode int, data []byte) error {
 		data = data[3:]
 		// 96 fingerprints over 40 blocks: more than the directory holds,
 		// with several fingerprints to a block and frequent remaps
-		stream, f, pba := uint32(1+a>>6), fp(uint64(a%96)), alloc.PBA(b%40)
-		if cfg.oneWord {
-			copy(f[:8], "one word")
-		}
+		stream, f, pba := uint32(1+a>>6), modeFP(cfg.oneWord, int(a%96)), alloc.PBA(b%40)
 		if cfg.arrivals {
 			stream = 1 + uint32(a>>4)%uint32(1+n/64)
 			if op %= 32; op >= 29 {
@@ -537,12 +571,25 @@ func runDirectoryOps(mode int, data []byte) error {
 			what = fmt.Sprintf("insert(%d, fp %d, block %d)", stream, a%96, pba)
 			c.IndexInsertS(stream, f, pba)
 			m.insert(stream, f, pba)
-		case op < 22:
+		case op < 21:
 			what = fmt.Sprintf("peek(fp %d)", a%96)
 			ge, gok := c.IndexPeek(f)
 			we, wok := m.peek(f)
 			if ge != we || gok != wok {
 				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
+			}
+		case op < 22:
+			// a batch of up to eight fingerprints, 11 apart: warming them
+			// must leave everything as it was, the model included
+			var batch [8]chunk.Fingerprint
+			for k := range batch {
+				batch[k] = modeFP(cfg.oneWord, (int(a)+11*k)%96)
+			}
+			what = fmt.Sprintf("warm(%d from fp %d)", 1+b%8, a%96)
+			before := stateOf(c)
+			c.Warm(batch[:1+b%8])
+			if !reflect.DeepEqual(stateOf(c), before) {
+				return fmt.Errorf("op %d %s changed the directory", n, what)
 			}
 		case op < 24:
 			what = fmt.Sprintf("purge(block %d)", pba)
@@ -586,10 +633,10 @@ func runDirectoryOps(mode int, data []byte) error {
 		case op < 29:
 			what = "tick"
 			now = now.Add(p.Interval)
-			before := c.IndexFrac()
+			before := c.indexFrac
 			rep := c.Tick(now)
 			if rep.Changed {
-				grew := c.IndexFrac() > before
+				grew := c.indexFrac > before
 				if want := m.repartition(c.IndexCapTotal(), grew); rep.IndexSwapIns != want {
 					return fmt.Errorf("op %d tick: %d index swap-ins, want %d", n, rep.IndexSwapIns, want)
 				}
@@ -666,6 +713,60 @@ func FuzzDirectoryOps(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestWarmChangesNothing: warming is read-only. In every mode, a
+// directory holding cached, ghosted and read-side entries is warmed with
+// fingerprints it caches, ghosts and does not hold (in
+// streams-one-bucket, all of them sharing one bucket); after each warm
+// every slot, bucket, list and counter is what it was before, and the
+// audit passes.
+func TestWarmChangesNothing(t *testing.T) {
+	for _, cfg := range dirModes {
+		t.Run(cfg.name, func(t *testing.T) {
+			c := New(dirParams(cfg.adaptive))
+			if cfg.stream {
+				c.EnableStreams(cfg.static)
+			}
+			// 96 fingerprints over three streams, more than the index's 64,
+			// each write followed by a lookup and a read
+			for id := 0; id < 96; id++ {
+				stream := uint32(1 + id%3)
+				c.IndexInsertS(stream, modeFP(cfg.oneWord, id), alloc.PBA(id%40))
+				c.IndexLookupS(stream, modeFP(cfg.oneWord, id/2))
+				if !c.ReadHit(alloc.PBA(id % 24)) {
+					c.ReadInsert(alloc.PBA(id % 24))
+				}
+			}
+			var cached, ghosted, absent []chunk.Fingerprint
+			for id := 0; id < 112; id++ {
+				f := modeFP(cfg.oneWord, id)
+				switch i := c.dir.find(f); {
+				case i == 0:
+					absent = append(absent, f)
+				case c.dir.at(i).list == ghostList:
+					ghosted = append(ghosted, f)
+				default:
+					cached = append(cached, f)
+				}
+			}
+			if len(cached) == 0 || len(absent) == 0 || cfg.adaptive != (len(ghosted) > 0) {
+				t.Fatalf("%d cached, %d ghosted, %d absent: the set-up does not cover the cases", len(cached), len(ghosted), len(absent))
+			}
+			all := slices.Concat(cached, ghosted, absent)
+			for _, batch := range [][]chunk.Fingerprint{cached, ghosted, absent, all, all[:1], nil} {
+				before := stateOf(c)
+				c.Warm(batch)
+				if !reflect.DeepEqual(stateOf(c), before) {
+					t.Fatalf("warming %d fingerprints changed the directory", len(batch))
+				}
+				checkAll(t, c)
+			}
+			if c.dir.warmed == 0 {
+				t.Fatal("warm loaded nothing")
+			}
+		})
+	}
 }
 
 // --- the three ordering rules, by name ---
@@ -1071,6 +1172,50 @@ func BenchmarkIndexPeekMiss(b *testing.B) {
 	}
 	n := b.N
 	failOnAllocs(b, "peek miss", func() { peek(n); n++ })
+}
+
+// BenchmarkLookupRequest is a 16-chunk write request's index probes, as
+// selectDedupe.Lookup issues them, against a full adaptive directory of
+// half a million slots (28 MB of slab, far past L2): the batch warmed,
+// then each chunk looked up; half the chunks hit. Unwarmed is the same
+// probes without the warm, the path of a one-chunk request.
+func BenchmarkLookupRequest(b *testing.B) {
+	p := DefaultParams(32 << 20) // 262 144 index entries and as many ghosts
+	p.Adaptive = true
+	c := New(p)
+	const held = 1 << 19
+	fillIndex(c, 0, 0, held) // ids below held/2 ghosted, the rest cached
+	reqs := make([]chunk.Fingerprint, 1<<16)
+	for k := range reqs {
+		reqs[k] = fp(uint64(held/2 + int(uint32(k)*0x9e3779b1)%held))
+	}
+	var sink alloc.PBA
+	for _, warm := range []bool{true, false} {
+		name := "warmed"
+		if !warm {
+			name = "unwarmed"
+		}
+		b.Run(name, func(b *testing.B) {
+			step := func(i int) {
+				req := reqs[i*16&(len(reqs)-1):][:16]
+				if warm {
+					c.Warm(req)
+				}
+				for k := range req {
+					e, _ := c.IndexLookupS(0, req[k])
+					sink += e.PBA
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			n := b.N
+			failOnAllocs(b, "request lookup", func() { step(n); n++ })
+		})
+	}
+	_ = sink
 }
 
 // BenchmarkRepartition moves the partition one step toward the index

@@ -155,14 +155,8 @@ func (c *Controller) capacitiesFor(frac float64) (idxEntries, readBlocks int) {
 	return idxEntries, readBlocks
 }
 
-// IndexFrac reports the current index-cache share of the budget.
-func (c *Controller) IndexFrac() float64 { return c.indexFrac }
-
 // ReadCacheCap reports the read-cache capacity in blocks.
 func (c *Controller) ReadCacheCap() int { return c.dir.lists[readList].cap }
-
-// Repartitions reports how many times the Swap Module resized.
-func (c *Controller) Repartitions() int64 { return c.repartitions }
 
 // History returns the partition trajectory: one point per repartition,
 // in time order.
@@ -210,6 +204,12 @@ func (c *Controller) IndexPeek(fp chunk.Fingerprint) (index.Entry, bool) {
 	}
 	return index.Entry{}, false
 }
+
+// Warm prepares lookups of fps, a batch already in hand: it loads,
+// changing nothing — not recency, not a counter —, the directory words
+// each lookup or peek will read first, so that their cache misses
+// overlap. Call it just before the per-fingerprint loop.
+func (c *Controller) Warm(fps []chunk.Fingerprint) { c.dir.warm(fps) }
 
 // IndexEach visits every cached index entry — stream by stream in
 // first-seen order, each from most to least recently used — with the

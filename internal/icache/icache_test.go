@@ -86,10 +86,10 @@ func TestStaticModeNeverRepartitions(t *testing.T) {
 		c.ReadHit(alloc.PBA(i))
 	}
 	rep := c.Tick(sim.Time(10 * sim.Second))
-	if rep.Changed || c.Repartitions() != 0 {
+	if rep.Changed || c.repartitions != 0 {
 		t.Fatal("static controller repartitioned")
 	}
-	if c.IndexFrac() != 0.5 {
+	if c.indexFrac != 0.5 {
 		t.Fatal("fraction moved in static mode")
 	}
 }
@@ -112,8 +112,8 @@ func TestAdaptiveGrowsIndexOnGhostIndexHits(t *testing.T) {
 	if !rep.Changed {
 		t.Fatal("expected repartition")
 	}
-	if c.IndexFrac() <= 0.5 {
-		t.Fatalf("index frac = %f, want > 0.5", c.IndexFrac())
+	if c.indexFrac <= 0.5 {
+		t.Fatalf("index frac = %f, want > 0.5", c.indexFrac)
 	}
 	if rep.IndexSwapIns == 0 {
 		t.Fatal("growth must swap ghost entries back in")
@@ -142,8 +142,8 @@ func TestAdaptiveGrowsReadOnGhostReadHits(t *testing.T) {
 	if !rep.Changed {
 		t.Fatal("expected repartition")
 	}
-	if c.IndexFrac() >= 0.5 {
-		t.Fatalf("index frac = %f, want < 0.5", c.IndexFrac())
+	if c.indexFrac >= 0.5 {
+		t.Fatalf("index frac = %f, want < 0.5", c.indexFrac)
 	}
 	if len(rep.ReadSwapIns) == 0 {
 		t.Fatal("growth must swap ghost read blocks back in")
@@ -189,11 +189,11 @@ func TestFracBounds(t *testing.T) {
 		}
 		now = now.Add(p.Interval)
 		c.Tick(now)
-		if f := c.IndexFrac(); f < minFrac-1e-9 || f > 1-minFrac+1e-9 {
+		if f := c.indexFrac; f < minFrac-1e-9 || f > 1-minFrac+1e-9 {
 			t.Fatalf("frac %f out of bounds", f)
 		}
 	}
-	if f := c.IndexFrac(); f != 1-minFrac {
+	if f := c.indexFrac; f != 1-minFrac {
 		t.Fatalf("frac %f after 8 one-sided intervals, want the bound %f", f, 1-minFrac)
 	}
 }
