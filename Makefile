@@ -28,7 +28,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/
-	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/icache/ ./internal/maptable/ ./internal/globalfp/
+	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/probe/ ./internal/icache/ ./internal/maptable/ ./internal/globalfp/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta
 	$(MAKE) loc
@@ -158,7 +158,9 @@ test:
 # (BenchmarkSeqMarks / BenchmarkGearMarks), the byte materializer and
 # the content hash (BenchmarkBytesHash, three chunk sizes) beside the
 # whole split (rotating windows: *Chunk; sequential requests:
-# *Stream), fixed-4K split and fingerprinting, the Map table, the
+# *Stream), fixed-4K split and fingerprinting, the generic map (an
+# empty one filled to a million fingerprints, and hits and misses in
+# one that large), the Map table, the
 # iCache's directory (a miss's insert + evict + ghost-evict, the tier's
 # grant-path peek of an absent fingerprint, a 16-chunk request's
 # lookups with and without the warming pass, the read path's probe +
@@ -167,11 +169,12 @@ test:
 # a tick's grant drain on a full directory and a hint table past L2,
 # the inbox behind a 1k and a 100k backlog and filled in runs of
 # 1 / 7 / 256, Close settling eight loaded agents on
-# one core and on two). The CDC split and hash, the directory, the
-# hint/grant benchmarks and the Map table's Set with the reverse index
-# on fail unless they run at 0 allocs/op; make check runs those
-# (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as a gate.
-ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest)$$
+# one core and on two). The CDC split and hash, the generic map's gets,
+# the directory, the hint/grant benchmarks and the Map table's Set with
+# the reverse index on fail unless they run at 0 allocs/op; make check
+# runs those (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as
+# a gate.
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss)$$
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/
@@ -184,14 +187,15 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass, nine targets: the parsers, the journal recovery,
+# Short fuzz pass, ten targets: the parsers, the journal recovery,
 # the CDC landmark sweeps (batched bitmap vs the scalar predicate), the
 # carried split window (one long-lived Splitter vs a fresh one per
 # request) and normalized cut derivation (spacing invariants; a window
 # with lookback vs the whole stream), the iCache's directory, both
 # caches and both ghosts (vs its slices-and-linear-search model; an
-# input is a thousand operations, so minimising one is capped) and the
-# Map table's reverse index (vs a map of sets).
+# input is a thousand operations, so minimising one is capped), the
+# Map table's reverse index (vs a map of sets) and the generic map (vs
+# a Go map, with uniform keys and with every key in one chain).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
@@ -202,6 +206,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStreamCuts -fuzztime 20s ./internal/cdc/
 	$(GO) test -fuzz FuzzDirectoryOps -fuzztime 20s -fuzzminimizetime 1s ./internal/icache/
 	$(GO) test -fuzz FuzzReverseIndexOps -fuzztime 20s -fuzzminimizetime 1s ./internal/maptable/
+	$(GO) test -fuzz FuzzMapOps -fuzztime 20s -fuzzminimizetime 1s ./internal/probe/
 
 clean:
 	$(GO) clean ./...

@@ -35,7 +35,7 @@ import (
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
-	"github.com/pod-dedup/pod/internal/index"
+	"github.com/pod-dedup/pod/internal/probe"
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
@@ -45,7 +45,7 @@ import (
 // whole-block referrer rewiring for the scanner).
 type Core struct {
 	b   *engine.Base
-	fps *index.Table
+	fps *probe.Map[chunk.Fingerprint, alloc.PBA]
 
 	refs []uint64 // Referrers scratch, reused by every merge
 
@@ -62,15 +62,34 @@ type Core struct {
 // reclaimed blocks are dropped through the engine's OnFree hook
 // (chained, so an existing hook keeps firing).
 func NewCore(b *engine.Base) *Core {
-	c := &Core{b: b, fps: index.NewTable()}
+	c := &Core{b: b}
+	c.Reset()
 	prev := b.OnFree
 	b.OnFree = func(pba alloc.PBA) {
-		c.fps.Forget(pba)
+		c.forget(pba)
 		if prev != nil {
 			prev(pba)
 		}
 	}
 	return c
+}
+
+// forget drops the entry naming a freed block. The table keeps each
+// key once, with no block → fingerprint map beside it: an entry is
+// only ever made for a live block under the fingerprint of what it
+// holds, and a dedup engine writes the Store only into freshly
+// allocated blocks, so the block's residual content still names the
+// one fingerprint whose entry can name it.
+func (c *Core) forget(pba alloc.PBA) {
+	id, ok := c.b.Store.Residual(pba)
+	if !ok {
+		return
+	}
+	ch := chunk.Chunk{Content: id}
+	fp := fper.Fingerprint(&ch)
+	if can, found := c.fps.Get(fp); found && can == pba {
+		c.fps.Delete(fp)
+	}
 }
 
 // Counters returns the core's lifetime work: blocks fingerprinted,
@@ -85,7 +104,7 @@ func (c *Core) Counters() (scanned, mergedLBAs, dupBlocks, remapped, reclaimed i
 // re-scanning is idempotent — a block merged before the crash simply
 // has no duplicate left to find).
 func (c *Core) Reset() {
-	c.fps = index.NewTable()
+	c.fps = probe.NewMap[chunk.Fingerprint, alloc.PBA](0)
 }
 
 // ReadBatch reads the given physical blocks back elevator-style: sorted
@@ -147,7 +166,7 @@ func (c *Core) MergeLBA(lba uint64, pba alloc.PBA) bool {
 			return true
 		}
 	}
-	c.fps.Insert(fp, pba)
+	c.fps.Put(fp, pba)
 	return false
 }
 
@@ -165,7 +184,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	can, found := c.fps.Get(fp)
 	if !found || can == pba {
 		if !found {
-			c.fps.Insert(fp, pba)
+			c.fps.Put(fp, pba)
 		}
 		return 0, 0
 	}
@@ -173,7 +192,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	// validate content before touching any mapping, exactly like the
 	// inline path's consistency check.
 	if got, ok := c.b.Store.Read(can); !ok || got != id || c.b.Map.RefCount(can) == 0 {
-		c.fps.Insert(fp, pba)
+		c.fps.Put(fp, pba)
 		return 0, 0
 	}
 
@@ -184,7 +203,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	keep, drop := can, pba
 	if c.seqScore(pba) > c.seqScore(can) {
 		keep, drop = pba, can
-		c.fps.Insert(fp, keep)
+		c.fps.Put(fp, keep)
 		c.seqSwaps++
 	}
 	c.dupBlocks++

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/chaos"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -15,6 +16,7 @@ import (
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
 	"github.com/pod-dedup/pod/internal/fault"
+	"github.com/pod-dedup/pod/internal/globalfp"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/server"
 	"github.com/pod-dedup/pod/internal/sim"
@@ -430,5 +432,118 @@ func TestChaosScenarioBgdedupRecovers(t *testing.T) {
 	}
 	if err := srv.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScannerForgetsFreedBlocks: the scanner's table keeps each key
+// once and, on a free, re-derives the fingerprint from the freed
+// block's residual content to find the entry to drop. On a seeded
+// trace over three shards — the cursor sweep, overwrites, and the
+// tier's cross-shard folds — no entry names a dead block after any
+// free, and every shard's scan, dup, remap and reclaim counters equal
+// those of a run whose free hook drops whatever entry names the block,
+// as the two-map table did.
+func TestScannerForgetsFreedBlocks(t *testing.T) {
+	prof, ok := workload.ByName("mail")
+	if !ok {
+		t.Fatal("mail profile missing")
+	}
+	const scale, shards = 0.02, 3
+	tr, _ := workload.Generate(prof, scale)
+	reqs := tr.Requests
+	if len(reqs) > 4000 {
+		reqs = reqs[:4000]
+	}
+
+	type result struct {
+		counters [shards][5]int64
+		frees    int
+		folds    int64
+	}
+	run := func(reference bool) result {
+		var res result
+		tier, err := globalfp.NewTier(shards, globalfp.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var engs []*engine.Pipeline
+		var agents []*globalfp.Agent
+		var scanners []*bgdedup.Scanner
+		for i := 0; i < shards; i++ {
+			e := core.NewPOD(experiments.BuildConfig(prof, scale))
+			s, ok := bgdedup.Attach(e, bgdedup.Params{Interval: sim.Millisecond, MaxBacklog: 10 * sim.Millisecond})
+			if !ok {
+				t.Fatal("attach failed")
+			}
+			b, c := e.Base(), s.Core()
+			if reference {
+				b.OnFree = func(pba alloc.PBA) {
+					res.frees++
+					if n := c.ForgetNaming(pba); n > 1 {
+						t.Fatalf("shard %d: %d entries name freed block %d", i, n, pba)
+					}
+				}
+			} else {
+				prev := b.OnFree
+				b.OnFree = func(pba alloc.PBA) {
+					prev(pba)
+					res.frees++
+					c.EachEntry(func(fp chunk.Fingerprint, can alloc.PBA) bool {
+						if _, live := b.Store.Read(can); !live {
+							t.Fatalf("shard %d: after freeing block %d, an entry names dead block %d", i, pba, can)
+						}
+						return true
+					})
+				}
+			}
+			engs, scanners = append(engs, e), append(scanners, s)
+			agents = append(agents, globalfp.New(b, tier, i))
+		}
+		var now sim.Time
+		for i := range reqs {
+			r := reqs[i]
+			now = r.Time
+			e := engs[r.LBA>>10%shards]
+			var err error
+			if r.Op == trace.Write {
+				_, err = e.Write(&r)
+			} else {
+				_, err = e.Read(&r)
+			}
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+		}
+		for round := 0; round < 64; round++ {
+			moved := 0
+			for _, a := range agents {
+				moved += a.DrainAll(now)
+			}
+			if moved == 0 && tier.Backlog() == 0 {
+				break
+			}
+		}
+		for i, e := range engs {
+			e.Flush(now)
+			if err := e.Base().CheckConsistency(); err != nil {
+				t.Fatalf("shard %d: %v", i, err)
+			}
+			scanned, merged, dups, remapped, reclaimed := scanners[i].Core().Counters()
+			res.counters[i] = [5]int64{scanned, merged, dups, remapped, reclaimed}
+			res.folds += progress(e)["globalfp_remaps_applied"]
+		}
+		return res
+	}
+
+	got, want := run(false), run(true)
+	if got != want {
+		t.Fatalf("re-derived forget: %+v\ntwo-map reference: %+v", got, want)
+	}
+	var dups, reclaimed int64
+	for _, c := range got.counters {
+		dups, reclaimed = dups+c[2], reclaimed+c[4]
+	}
+	if got.frees == 0 || dups == 0 || reclaimed == 0 || got.folds == 0 {
+		t.Fatalf("trace exercised too little: %d frees, %d duplicates, %d reclaimed, %d tier folds", got.frees, dups, reclaimed, got.folds)
 	}
 }

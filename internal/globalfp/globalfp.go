@@ -175,9 +175,10 @@ type message struct {
 // fixed-size chunks filled in real send order (the single-process FIFO
 // the protocol orderings rely on). Growing it links one more chunk and
 // never re-copies the backlog; draining costs the messages taken,
-// whatever is queued behind them, and hands each emptied chunk back for
-// the next fill, so a steady tick allocates nothing and a flood's
-// backlog is returned to the collector as it drains.
+// whatever is queued behind them, and keeps each emptied chunk for the
+// next fill. So an inbox holds chunks up to its own peak backlog, a
+// steady tick allocates nothing, and a second flood re-uses the chunks
+// of the first instead of allocating its own.
 type inbox struct {
 	mu         sync.Mutex
 	head, tail *inboxChunk // queued: head.msgs[r:] … tail.msgs[:w]
@@ -186,13 +187,9 @@ type inbox struct {
 	peak       int         // high-water mark of n
 	spare      *inboxChunk // emptied chunks kept for reuse
 	chunks     int         // chunks held, queued and spare
-	spares     int
 }
 
-const (
-	inboxChunkLen = 256 // messages per chunk: 16 KiB
-	inboxSpareMax = 16  // emptied chunks an inbox keeps
-)
+const inboxChunkLen = 256 // messages per chunk: 16 KiB
 
 type inboxChunk struct {
 	msgs [inboxChunkLen]message
@@ -222,7 +219,6 @@ func (in *inbox) link() {
 	c := in.spare
 	if c != nil {
 		in.spare, c.next = c.next, nil
-		in.spares--
 	} else {
 		c = new(inboxChunk)
 		in.chunks++
@@ -235,19 +231,15 @@ func (in *inbox) link() {
 	in.tail, in.w = c, 0
 }
 
-// unlink retires the head chunk, every message of which was taken.
+// unlink retires the head chunk, every message of which was taken, to
+// the spares.
 func (in *inbox) unlink() {
 	c := in.head
 	in.head, in.r = c.next, 0
 	if in.head == nil {
 		in.tail, in.w = nil, 0
 	}
-	if in.spares < inboxSpareMax {
-		c.next, in.spare = in.spare, c
-		in.spares++
-	} else {
-		in.chunks--
-	}
+	c.next, in.spare = in.spare, c
 }
 
 // take moves up to n queued messages into dst.

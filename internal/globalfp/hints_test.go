@@ -203,13 +203,13 @@ func TestCrashDropsDeadOwnersHints(t *testing.T) {
 // TestInboxMatchesSliceModel interleaves push, pushAll (runs from empty
 // to several chunks), take and clear against a plain slice, holding the
 // chunk list to its accounting at every step: the chunks it says it
-// holds are the ones queued plus the spares, and the spares stay
-// bounded.
+// holds are the ones queued plus the spares, and they are as many as
+// were ever queued at once.
 func TestInboxMatchesSliceModel(t *testing.T) {
 	var in inbox
 	var model, got, run []message
 	rng := rand.New(rand.NewSource(2))
-	next, peak := 0, 0
+	next, peak, peakChunks := 0, 0, 0
 	for step := 0; step < 50000; step++ {
 		switch op := rng.Intn(100); {
 		case op < 40:
@@ -258,15 +258,17 @@ func TestInboxMatchesSliceModel(t *testing.T) {
 		if want := (len(model) + in.r + inboxChunkLen - 1) / inboxChunkLen; queued != want {
 			t.Fatalf("step %d: %d messages from offset %d sit in %d chunks, want %d", step, len(model), in.r, queued, want)
 		}
-		if spares != in.spares || spares > inboxSpareMax || in.chunks != queued+spares {
-			t.Fatalf("step %d: %d queued + %d spare chunks (bound %d); inbox counts %d spare, %d held", step, queued, spares, inboxSpareMax, in.spares, in.chunks)
+		peakChunks = max(peakChunks, queued)
+		if in.chunks != queued+spares || in.chunks != peakChunks {
+			t.Fatalf("step %d: %d queued + %d spare chunks, at most %d queued; inbox counts %d held", step, queued, spares, peakChunks, in.chunks)
 		}
 	}
 }
 
-// TestInboxRecyclesChunks: a tick's traffic — a few runs in, a budget
-// out — goes through spare chunks and allocates nothing, whatever the
-// backlog did before; and a drained flood leaves only the spares held.
+// TestInboxRecyclesChunks: a drained flood keeps its chunks, so a
+// second flood as large allocates nothing; and a tick's traffic — a few
+// runs in, a budget out — goes through spare chunks and allocates
+// nothing either, whatever the backlog did before.
 func TestInboxRecyclesChunks(t *testing.T) {
 	var in inbox
 	flood := make([]message, 100*inboxChunkLen)
@@ -275,8 +277,14 @@ func TestInboxRecyclesChunks(t *testing.T) {
 		t.Fatalf("inbox reports %d bytes for %d queued messages", got, len(flood))
 	}
 	buf := in.take(nil, len(flood))
-	if in.chunks != inboxSpareMax {
-		t.Fatalf("drained flood leaves %d chunks held, want the %d spares", in.chunks, inboxSpareMax)
+	if in.chunks != 100 {
+		t.Fatalf("drained flood leaves %d chunks held, want its 100", in.chunks)
+	}
+	if avg := testing.AllocsPerRun(3, func() {
+		in.pushAll(flood)
+		buf = in.take(buf[:0], len(flood))
+	}); avg != 0 || in.chunks != 100 {
+		t.Fatalf("second flood: %.2f allocs, %d chunks held; want 0 and 100", avg, in.chunks)
 	}
 	run := flood[:7]
 	tick := func() {

@@ -13,8 +13,7 @@
 // require an on-disk lookup I/O, which is precisely the index-lookup
 // disk bottleneck the paper's §II-B describes; the Full type reports
 // whether each lookup was served from memory so the engine can charge
-// that I/O. The out-of-line scanner keeps the same exact table without
-// a hot portion (Table).
+// that I/O.
 package index
 
 import (
@@ -31,61 +30,27 @@ type Entry struct {
 	Count uint32
 }
 
-// Table is the exact fingerprint ↔ block table: every fingerprint
-// inserted and not forgotten, with the block it names, and for each
-// block the fingerprint last inserted for it.
-type Table struct {
-	all *probe.Map[chunk.Fingerprint, alloc.PBA]
-	rev *probe.Map[alloc.PBA, chunk.Fingerprint]
-}
-
-// NewTable returns an empty table.
-func NewTable() *Table {
-	return &Table{
-		all: probe.NewMap[chunk.Fingerprint, alloc.PBA](0),
-		rev: probe.NewMap[alloc.PBA, chunk.Fingerprint](0),
-	}
-}
-
-// Get returns the block fp names.
-func (t *Table) Get(fp chunk.Fingerprint) (alloc.PBA, bool) { return t.all.Get(fp) }
-
-// Insert records fp → pba, replacing fp's previous block.
-func (t *Table) Insert(fp chunk.Fingerprint, pba alloc.PBA) {
-	if old, ok := t.all.Get(fp); ok {
-		t.rev.Delete(old)
-	}
-	t.all.Put(fp, pba)
-	t.rev.Put(pba, fp)
-}
-
-// Forget removes the entry referencing pba, called when the block is
-// freed so the table never resurrects a dead block, and reports the
-// fingerprint it named.
-func (t *Table) Forget(pba alloc.PBA) (chunk.Fingerprint, bool) {
-	fp, ok := t.rev.Get(pba)
-	if !ok {
-		return fp, false
-	}
-	t.rev.Delete(pba)
-	t.all.Delete(fp)
-	return fp, true
-}
-
 // Full is the complete fingerprint table used by the Full-Dedupe
 // baseline: every stored chunk's fingerprint is known, but only the hot
 // subset lives in memory — a lookup that misses the hot portion costs
 // the engine an on-disk index I/O. The hot portion is always a subset of
-// the table, with the same blocks.
+// the table, with the same blocks. Beside the table sits its block →
+// fingerprint reverse map, which Forget reads: a fingerprint here may be
+// a SHA-1, which the block's content cannot cheaply re-derive.
 type Full struct {
-	tbl *Table
+	all *probe.Map[chunk.Fingerprint, alloc.PBA]
+	rev *probe.Map[alloc.PBA, chunk.Fingerprint]
 	hot *cache.LRU[chunk.Fingerprint, alloc.PBA]
 }
 
 // NewFull returns a full index whose in-memory hot portion holds
 // hotCapacity entries.
 func NewFull(hotCapacity int) *Full {
-	return &Full{tbl: NewTable(), hot: cache.NewLRU[chunk.Fingerprint, alloc.PBA](hotCapacity)}
+	return &Full{
+		all: probe.NewMap[chunk.Fingerprint, alloc.PBA](0),
+		rev: probe.NewMap[alloc.PBA, chunk.Fingerprint](0),
+		hot: cache.NewLRU[chunk.Fingerprint, alloc.PBA](hotCapacity),
+	}
 }
 
 // Lookup searches for fp. memHit reports whether the answer came from
@@ -97,18 +62,22 @@ func (f *Full) Lookup(fp chunk.Fingerprint) (pba alloc.PBA, found, memHit bool) 
 	if pba, ok := f.hot.Get(fp); ok {
 		return pba, true, true
 	}
-	pba, found = f.tbl.Get(fp)
+	pba, found = f.all.Get(fp)
 	if found {
 		f.hot.Put(fp, pba)
 	}
 	return pba, found, false
 }
 
-// Insert records fp → pba in both the table and the hot portion. A
-// binding the hot portion already holds keeps its place: re-inserting it
-// does not promote it.
+// Insert records fp → pba, replacing fp's previous block, in both the
+// table and the hot portion. A binding the hot portion already holds
+// keeps its place: re-inserting it does not promote it.
 func (f *Full) Insert(fp chunk.Fingerprint, pba alloc.PBA) {
-	f.tbl.Insert(fp, pba)
+	if old, ok := f.all.Get(fp); ok {
+		f.rev.Delete(old)
+	}
+	f.all.Put(fp, pba)
+	f.rev.Put(pba, fp)
 	if old, ok := f.hot.Peek(fp); !ok || old != pba {
 		f.hot.Put(fp, pba)
 	}
@@ -117,7 +86,8 @@ func (f *Full) Insert(fp chunk.Fingerprint, pba alloc.PBA) {
 // Forget removes the index entry referencing pba, called when the block
 // is freed so the index never resurrects a dead block.
 func (f *Full) Forget(pba alloc.PBA) {
-	if fp, ok := f.tbl.Forget(pba); ok {
+	if fp, ok := f.rev.Take(pba); ok {
+		f.all.Delete(fp)
 		f.hot.Remove(fp)
 	}
 }

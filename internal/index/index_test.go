@@ -111,7 +111,7 @@ func TestFullForget(t *testing.T) {
 	if _, found, _ := f.Lookup(fp(1)); found {
 		t.Fatal("forgotten block still indexed")
 	}
-	if n := f.tbl.all.Len() + f.tbl.rev.Len(); n != 0 {
+	if n := f.all.Len() + f.rev.Len(); n != 0 {
 		t.Fatalf("table holds %d entries", n)
 	}
 	f.Forget(999) // unknown PBA: no-op
@@ -150,11 +150,11 @@ func TestHotProperty(t *testing.T) {
 }
 
 // Property: Full index lookups agree with a model map, regardless of
-// hot-portion churn, and with a bare Table given the same operations —
-// the hot portion only decides where an answer comes from.
+// hot-portion churn — the hot portion only decides where an answer
+// comes from.
 func TestFullProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		fu, tbl := NewFull(4), NewTable()
+		fu := NewFull(4)
 		model := map[uint64]alloc.PBA{}
 		revModel := map[alloc.PBA]uint64{}
 		for _, raw := range ops {
@@ -169,26 +169,18 @@ func TestFullProperty(t *testing.T) {
 				// Full keeps that fingerprint's entry, and Forget(pba)
 				// then removes id's. Model only the forward map here.
 				fu.Insert(fp(id), pba)
-				tbl.Insert(fp(id), pba)
 				model[id] = pba
 				revModel[pba] = id
 			case 2:
 				fu.Forget(pba)
-				tbl.Forget(pba)
 				if id2, ok := revModel[pba]; ok {
 					delete(model, id2)
 					delete(revModel, pba)
 				}
 			}
-			for id2, want := range model {
-				got, found, _ := fu.Lookup(fp(id2))
-				if !found || got != want {
-					return false
-				}
-			}
 			for id2 := uint64(0); id2 < 32; id2++ {
-				got, found, _ := fu.Lookup(fp(id2))
-				if tgot, tfound := tbl.Get(fp(id2)); tgot != got || tfound != found {
+				want, ok := model[id2]
+				if got, found, _ := fu.Lookup(fp(id2)); found != ok || got != want {
 					return false
 				}
 			}
