@@ -20,8 +20,9 @@ all: build vet test
 # of microbench (ZERO_ALLOC_BENCH) run once each: every one checks
 # itself with testing.AllocsPerRun after its timed loop, so one
 # iteration is enough to fail (the allocs/op column of a one-iteration
-# run counts warm-up, not the guard). It ends by printing the size
-# figures (loc), which gate nothing.
+# run counts warm-up, not the guard). The traffic gate follows (every
+# production function has traffic or a stated reason). It ends by
+# printing the size figures (loc), which gate nothing.
 check:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
@@ -31,6 +32,7 @@ check:
 	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/probe/ ./internal/icache/ ./internal/maptable/ ./internal/globalfp/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta
+	$(MAKE) traffic
 	$(MAKE) loc
 
 # The size figures a refactor PR states its delta in and every
@@ -45,19 +47,26 @@ loc:
 	@echo "'!= nil' in engine/base.go:    $$(grep -c '!= nil' internal/engine/base.go)"
 	@echo "exported Config/Params fields: $$($(GO) test -count=1 -run '^TestKnobCensus$$' -v . | sed -n 's/.*knob census: \([0-9]*\).*/\1/p')"
 
-# Production coverage: what code no traffic reaches. Every production
-# entry point — podbench, podload, podsim, the trace tools, the five
+# Production coverage, and the gate on it: every production function
+# has traffic or a stated reason. Every production entry point —
+# podbench, podload, podsim, the trace tools, benchdelta, the five
 # examples and bench — is built with coverage of every package on, and
 # the matrix below runs them into one GOCOVERDIR: podbench's paper set
 # plus the on-demand experiments, podload over every scheme, every
 # -chaos scenario, the tier (with a shard crash), streams, CDC, shedding
-# and deadlines, podsim over a generated trace file, and bench -quick
-# (end to end, traced, and compared).
-# It prints every non-test function at 0 % and, per file, the statements
-# no run executed. Print only, like loc, and not part of check (~35 s
-# on two cores from a cold build cache).
+# and deadlines, podload's and podbench's perf trajectory merged into
+# one file and compared with itself by benchdelta, podsim over a
+# generated trace file, and bench -quick (end to end, traced, and
+# compared). traffic.awk then fails on a function no run executed that
+# traffic.allow does not list with a reason class (TRAFFIC_CLASSES), and
+# on a listed function that has traffic now or is gone. It writes the
+# statements no run executed, per file, to $(TRAFFIC)/statements.txt,
+# and ends by printing the statement coverage (`go tool cover -func`'s
+# total) a [simplicity] change quotes beside loc. ~35 s on two cores
+# from a cold build cache.
 TRAFFIC ?= /tmp/pod-traffic
-TRAFFIC_BINS = podbench podload podsim tracegen tracestat tracefilter
+TRAFFIC_BINS = podbench podload podsim tracegen tracestat tracefilter benchdelta
+TRAFFIC_CLASSES = fault input audit reference fiu bench api interface
 TRAFFIC_EXAMPLES = adaptivecache crashrecovery mailserver quickstart webserver
 traffic:
 	@rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/bin $(TRAFFIC)/cov
@@ -68,6 +77,8 @@ traffic:
 	run() { "$$@" >/dev/null 2>&1 || { echo "traffic: failed: $$*"; exit 1; }; }; \
 	run $$B/podbench -scale 0.05 all capacity streams chunking; \
 	run $$B/podbench -scale 0.05 -workers 2 -bench-json $$T/b.json -metrics-out $$T/pm.json -metrics-prom $$T/pm.prom -trace-sample 50 fig8; \
+	run $$B/podload -shards 2 -scale 0.05 -bench-json $$T/b.json; \
+	run $$B/benchdelta -ref $$T/b.json -new $$T/b.json; \
 	for s in Native I/O-Dedup Post-Process Full-Dedupe iDedup Select-Dedupe POD; do run $$B/podload -scheme $$s -shards 2 -scale 0.05; done; \
 	for c in sector diskfail storm limp full bgdedup globalfp shardcrash; do run $$B/podload -chaos $$c -rate 400 -shards 4 -scale 0.05; done; \
 	run $$B/podload -globalfp -chaos shardcrash -rate 400 -shards 4 -scale 0.05; \
@@ -95,12 +106,12 @@ traffic:
 	run $$B/bench -quick -trace -workload serve-tier -spans-out $$T/spans.csv; \
 	run $$B/bench -compare $$T/q.json $$T/q.json
 	@$(GO) tool covdata textfmt -i=$(TRAFFIC)/cov -o $(TRAFFIC)/cover.out
-	@echo "functions no traffic executed:"
-	@$(GO) tool cover -func=$(TRAFFIC)/cover.out | awk '$$NF == "0.0%" { print "  " $$1, $$2 }'
-	@echo "statements no traffic executed, per file:"
+	@$(GO) tool cover -func=$(TRAFFIC)/cover.out >$(TRAFFIC)/func.txt
 	@awk -F'[: ]' 'NR > 1 { k = $$1 ":" $$2; n[k] = $$3; if ($$4 > 0) hit[k] = 1; file[k] = $$1 } \
-		END { for (k in n) if (!hit[k]) z[file[k]] += n[k]; for (f in z) printf "  %6d %s\n", z[f], f }' \
-		$(TRAFFIC)/cover.out | sort -k2
+		END { for (k in n) if (!hit[k]) z[file[k]] += n[k]; for (f in z) printf "%6d %s\n", z[f], f }' \
+		$(TRAFFIC)/cover.out | sort -k2 >$(TRAFFIC)/statements.txt
+	@awk -v module=$$($(GO) list -m) -v classes="$(TRAFFIC_CLASSES)" -f traffic.awk traffic.allow $(TRAFFIC)/func.txt
+	@echo "statement coverage: $$(awk '$$1 == "total:" { print $$NF }' $(TRAFFIC)/func.txt)"
 
 # Smoke, on its own: the serving-layer table (serve, metrics, the chaos
 # scenarios under the read-back oracle, background dedup, the tier, a

@@ -149,14 +149,8 @@ func (a *Allocator) liveAt(e Extent) bool {
 	return i < len(a.free) && a.free[i].Start == e.Start && a.free[i].Count == e.Count
 }
 
-// Size reports the total physical space in blocks.
-func (a *Allocator) Size() uint64 { return a.size }
-
 // Used reports the number of allocated blocks.
 func (a *Allocator) Used() uint64 { return a.used }
-
-// FreeBlocks reports the number of unallocated blocks.
-func (a *Allocator) FreeBlocks() uint64 { return a.size - a.used }
 
 // NumFreeExtents reports how many disjoint free extents exist — a
 // direct fragmentation measure.
@@ -214,7 +208,7 @@ func (a *Allocator) AllocScattered(n uint64) ([]Extent, bool) {
 	if n == 0 {
 		return nil, false
 	}
-	if a.FreeBlocks() < n {
+	if a.size-a.used < n {
 		return nil, false
 	}
 	var out []Extent
@@ -323,11 +317,6 @@ func (a *Allocator) Free(start PBA, n uint64) {
 		a.note(a.free[i])
 	}
 	a.used -= n
-}
-
-// FreeExtents returns a copy of the free list, for tests and metrics.
-func (a *Allocator) FreeExtents() []Extent {
-	return append([]Extent(nil), a.free...)
 }
 
 // CheckInvariants verifies the internal free-list invariants: sorted,

@@ -26,8 +26,8 @@ func TestAllocBasic(t *testing.T) {
 	if !ok || p2 != 10 {
 		t.Fatalf("second alloc = %d,%v, want 10,true", p2, ok)
 	}
-	if a.Used() != 15 || a.FreeBlocks() != 85 {
-		t.Errorf("used/free = %d/%d", a.Used(), a.FreeBlocks())
+	if a.Used() != 15 || a.size-a.used != 85 {
+		t.Errorf("used/free = %d/%d", a.Used(), a.size-a.used)
 	}
 }
 
@@ -192,17 +192,8 @@ func TestFreeOutOfRangePanics(t *testing.T) {
 func TestFreeZeroIsNoop(t *testing.T) {
 	a := New(10)
 	a.Free(0, 0)
-	if a.FreeBlocks() != 10 {
+	if a.Used() != 0 || a.NumFreeExtents() != 1 {
 		t.Fatal("free(_,0) must be a no-op")
-	}
-}
-
-func TestFreeExtentsCopy(t *testing.T) {
-	a := New(10)
-	ext := a.FreeExtents()
-	ext[0].Count = 1 // mutating the copy must not affect the allocator
-	if a.LargestFree() != 10 {
-		t.Fatal("FreeExtents must return a copy")
 	}
 }
 
@@ -289,7 +280,7 @@ func TestAllocScatteredProperty(t *testing.T) {
 		before := a.Used()
 		ext, ok := a.AllocScattered(want)
 		if !ok {
-			return a.FreeBlocks() < want && a.CheckInvariants() == nil
+			return a.size-a.used < want && a.CheckInvariants() == nil
 		}
 		var total uint64
 		seen := make(map[PBA]bool)
@@ -405,7 +396,7 @@ func TestAllocLargestMatchesReference(t *testing.T) {
 			n := uint64(raw%48) + 1
 			switch raw % 5 {
 			case 0, 1, 2: // AllocLargest, checked against the reference
-				want, wantOK := refAllocLargest(a.FreeExtents(), n)
+				want, wantOK := refAllocLargest(a.free, n)
 				got, ok := a.AllocLargest(n)
 				if ok != wantOK || (ok && got != want) {
 					t.Logf("AllocLargest(%d) = %d,%v want %d,%v", n, got, ok, want, wantOK)

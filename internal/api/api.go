@@ -6,6 +6,7 @@ package api
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/sim"
@@ -75,6 +76,9 @@ func (r *Request) Validate() error {
 		}
 	default:
 		return fmt.Errorf("api: unknown op %d", r.Op)
+	}
+	if n := r.Len(); r.LBA > math.MaxUint64-uint64(n-1) {
+		return fmt.Errorf("api: %d chunks at lba %d run past the last address", n, r.LBA)
 	}
 	if r.Stream >= trace.MaxStreams {
 		return fmt.Errorf("api: stream id %d out of range (max %d)", r.Stream, trace.MaxStreams-1)

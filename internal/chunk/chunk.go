@@ -20,7 +20,6 @@ package chunk
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"fmt"
 )
 
 // Size is the deduplication chunk size in bytes (the paper uses 4 KB).
@@ -34,9 +33,6 @@ type ContentID uint64
 // Fingerprint is a 20-byte content hash (SHA-1 sized, as in most
 // deduplication literature including the POD paper's 20-byte entries).
 type Fingerprint [20]byte
-
-// String renders the first 8 bytes in hex, enough for debugging.
-func (f Fingerprint) String() string { return fmt.Sprintf("%x", f[:8]) }
 
 // Chunk is one fixed-size unit of write data flowing down the I/O path.
 type Chunk struct {

@@ -169,14 +169,6 @@ func TestHashEngineEmpty(t *testing.T) {
 	}
 }
 
-func TestFingerprintString(t *testing.T) {
-	var f Fingerprint
-	f[0] = 0xab
-	if got := f.String(); got != "ab00000000000000" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
 // BenchmarkSplit contrasts SplitInto with a fresh buffer per call and
 // with a reused scratch buffer — the hot replay path uses the latter and
 // must stay at zero allocations per request.

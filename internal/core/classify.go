@@ -26,20 +26,6 @@ const (
 	Cat3
 )
 
-// String names the category.
-func (c Category) String() string {
-	switch c {
-	case Cat1:
-		return "category-1"
-	case Cat2:
-		return "category-2"
-	case Cat3:
-		return "category-3"
-	default:
-		return "unique"
-	}
-}
-
 // ClassifyInto decides, for one write request, which chunks
 // Select-Dedupe deduplicates. dup[i] marks chunks whose fingerprint hit
 // the hot index; target[i] is the physical block of the existing copy

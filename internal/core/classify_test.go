@@ -148,13 +148,3 @@ func TestClassifyThresholdOne(t *testing.T) {
 		t.Fatalf("cat=%v deduped=%d, want Cat3/2", cat, countTrue(mask))
 	}
 }
-
-func TestCategoryString(t *testing.T) {
-	for c, want := range map[Category]string{
-		CatUnique: "unique", Cat1: "category-1", Cat2: "category-2", Cat3: "category-3",
-	} {
-		if c.String() != want {
-			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/engine"
@@ -98,14 +99,13 @@ func TestStreamFloorNeverStarved(t *testing.T) {
 			continue
 		}
 		total := b.IC.IndexCapTotal()
-		for _, q := range b.IC.StreamQuotas() {
-			if q.Share == 0 { // idle or unapportioned: no guarantee
+		for name, quota := range b.Reg.Snapshot().Gauges {
+			if !strings.HasPrefix(name, "icache_stream_quota{") || quota == 0 { // idle or unapportioned: no guarantee
 				continue
 			}
 			checks++
-			if min := int(floor * float64(total)); q.Cap < min-1 {
-				t.Fatalf("request %d: stream %d holds %d entries, below floor %d (share %f of %d)",
-					i, q.Stream, q.Cap, min, q.Share, total)
+			if min := int64(floor * float64(total)); quota < min-1 {
+				t.Fatalf("request %d: %s = %d entries, below floor %d of %d", i, name, quota, min, total)
 			}
 		}
 		if err := b.IC.CheckInvariants(); err != nil {

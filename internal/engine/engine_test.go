@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/disk"
+	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
@@ -484,13 +486,12 @@ func TestRecoveryCarriesWiring(t *testing.T) {
 			b.IC.IndexInsertS(id, chunk.SyntheticFingerprinter{}.Fingerprint(&c), 7)
 			c.Content++
 		}
-		quotas := b.IC.StreamQuotas()
-		if len(quotas) != len(shares) {
-			t.Fatalf("crash %d: stream quotas %+v, want one per configured stream", crash, quotas)
-		}
-		for _, q := range quotas {
-			if q.Share != shares[q.Stream] {
-				t.Fatalf("crash %d: stream %d share %v, want %v", crash, q.Stream, q.Share, shares[q.Stream])
+		gauges := b.Reg.Snapshot().Gauges
+		for id, share := range shares {
+			name := metrics.Labeled("icache_stream_quota", "stream", strconv.Itoa(int(id)))
+			got, ok := gauges[name]
+			if want := int64(share * float64(b.IC.IndexCapTotal())); !ok || got != want {
+				t.Fatalf("crash %d: %s = %d (published %v), want %d", crash, name, got, ok, want)
 			}
 		}
 		if err := b.CheckConsistency(); err != nil {

@@ -192,11 +192,6 @@ type Schedule struct {
 	Fails      []DiskFail
 }
 
-// Empty reports whether the schedule injects nothing.
-func (s *Schedule) Empty() bool {
-	return len(s.Sectors) == 0 && len(s.Transients) == 0 && len(s.Slow) == 0 && len(s.Fails) == 0
-}
-
 // ---------------------------------------------------------------------
 // Injector
 // ---------------------------------------------------------------------

@@ -13,7 +13,6 @@ import (
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
-	"github.com/pod-dedup/pod/internal/index"
 	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
@@ -458,17 +457,32 @@ func TestHintsNeverEnterICache(t *testing.T) {
 	if c.engs[1].Stats().RemoteDeduped == 0 {
 		t.Fatal("shard 1 deduplicated nothing against shard 0's hints")
 	}
+	var written []chunk.Fingerprint // every content either shard wrote
+	for _, r := range [][2]int{{100000, 1200}, {200000, 4800}, {300000, 1800}} {
+		for _, id := range seq(r[0], r[1]) {
+			ch := chunk.Chunk{Content: id}
+			written = append(written, chunk.SyntheticFingerprinter{}.Fingerprint(&ch))
+		}
+	}
 	for i, e := range c.engs {
 		ic := e.Base().IC
 		if err := ic.CheckInvariants(); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		ic.IndexEach(func(_ uint32, fp chunk.Fingerprint, en index.Entry) bool {
+		cached := 0
+		for _, fp := range written {
+			en, ok := ic.IndexPeek(fp)
+			if !ok {
+				continue
+			}
+			cached++
 			if alloc.IsRemote(en.PBA) {
 				t.Errorf("shard %d: hot index binds %v to remote block %d", i, fp, en.PBA)
 			}
-			return true
-		})
+		}
+		if cached == 0 {
+			t.Fatalf("shard %d: no written fingerprint is in the hot index; the check proves nothing", i)
+		}
 	}
 	c.check(t)
 }

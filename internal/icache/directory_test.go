@@ -370,6 +370,45 @@ func (m *model) repartition(icEntries int, grew bool) (swapIns int) {
 
 // --- what the controller shows ---
 
+// indexOrder lists every cached index entry, stream by stream in
+// first-seen order, each from most to least recently used, with the
+// stream whose quota holds it (0 outside stream mode).
+func indexOrder(c *Controller) []mEntry {
+	var out []mEntry
+	d := &c.dir
+	for k, a := range c.acct {
+		h := d.lists[k+firstIndexList].head
+		for i := d.at(h).next; i != h; i = d.at(i).next {
+			e := d.entry(i)
+			out = append(out, mEntry{fp: d.at(i).fp, pba: e.PBA, count: e.Count, home: a.id})
+		}
+	}
+	return out
+}
+
+// quota is one stream's quota and hit accounting: what its
+// icache_stream_* gauges publish.
+type quota struct {
+	Stream        uint32
+	Cap, Len      int
+	Lookups, Hits int64
+	GhostHits     int64
+}
+
+// quotas lists every stream's quota in first-seen order (nil when
+// stream mode is off).
+func quotas(c *Controller) []quota {
+	if !c.streamMode {
+		return nil
+	}
+	out := make([]quota, 0, len(c.acct))
+	for k, a := range c.acct {
+		l := c.dir.lists[k+firstIndexList]
+		out = append(out, quota{Stream: a.id, Cap: l.cap, Len: l.n, Lookups: a.lookups, Hits: a.hits, GhostHits: a.ghostHits})
+	}
+	return out
+}
+
 // ghostOrder lists the controller's ghost index, most recent first, as
 // model entries.
 func ghostOrder(c *Controller) []mEntry {
@@ -400,11 +439,7 @@ func blocksOn(d *directory, l int32) []alloc.PBA {
 
 // agree compares everything observable about the controller.
 func agree(c *Controller, m *model) error {
-	var got, want []mEntry
-	c.IndexEach(func(stream uint32, fp chunk.Fingerprint, e index.Entry) bool {
-		got = append(got, mEntry{fp: fp, pba: e.PBA, count: e.Count, home: stream})
-		return true
-	})
+	got, want := indexOrder(c), []mEntry(nil)
 	for _, id := range m.order {
 		want = append(want, m.live[id]...)
 	}
@@ -428,19 +463,16 @@ func agree(c *Controller, m *model) error {
 	if c.IndexCapTotal() != m.icEntries {
 		return fmt.Errorf("index partition = %d entries, want %d", c.IndexCapTotal(), m.icEntries)
 	}
-	var wantQ []StreamQuota
+	var wantQ []quota
 	if m.streamMode {
-		wantQ = []StreamQuota{}
+		wantQ = []quota{}
 		for _, id := range m.order {
-			q := StreamQuota{Stream: id, Cap: m.caps[id], Len: len(m.live[id]),
+			q := quota{Stream: id, Cap: m.caps[id], Len: len(m.live[id]),
 				Lookups: m.lookups[id], Hits: m.hits[id], GhostHits: m.gHits[id]}
 			wantQ = append(wantQ, q)
 		}
 	}
-	gotQ := c.StreamQuotas()
-	for k := range gotQ {
-		gotQ[k].Share = 0 // the model keeps capacities, which are what shares are for
-	}
+	gotQ := quotas(c)
 	if !reflect.DeepEqual(gotQ, wantQ) {
 		return fmt.Errorf("stream quotas differ:\n got  %+v\n want %+v", gotQ, wantQ)
 	}
@@ -829,7 +861,7 @@ func TestReadmissionLeavesGhostBeforeStreamsRedivide(t *testing.T) {
 	if e, ok := c.IndexPeek(fp(400)); !ok || e.PBA != 5000 {
 		t.Fatalf("re-admitted entry = %+v, %v", e, ok)
 	}
-	qs := c.StreamQuotas()
+	qs := quotas(c)
 	if qs[0].Len != 256 || qs[1].Len != 1 {
 		t.Fatalf("streams hold %d and %d entries, want 256 and 1", qs[0].Len, qs[1].Len)
 	}
@@ -853,7 +885,7 @@ func TestZeroQuotaStreamConsumesGhostEntry(t *testing.T) {
 		t.Fatal("zero-quota stream cached an entry")
 	}
 	c.IndexLookupS(1, fp(0))
-	if c.totalGhostIdxHits != 0 || c.StreamQuotas()[0].GhostHits != 0 {
+	if c.totalGhostIdxHits != 0 || quotas(c)[0].GhostHits != 0 {
 		t.Fatal("consumed ghost entry still counted a ghost hit")
 	}
 	checkAll(t, c)
@@ -865,7 +897,7 @@ func TestStreamGhostHitsNameTheHomeStream(t *testing.T) {
 	c := streamController(t, true, map[uint32]float64{1: 0.5, 2: 0.5})
 	fillIndex(c, 1, 0, 257) // id 0 falls out of stream 1's 256
 	c.IndexLookupS(2, fp(0))
-	qs := c.StreamQuotas()
+	qs := quotas(c)
 	if qs[0].GhostHits != 1 || qs[1].GhostHits != 0 {
 		t.Fatalf("ghost hits = %d for stream 1, %d for stream 2; want 1, 0", qs[0].GhostHits, qs[1].GhostHits)
 	}

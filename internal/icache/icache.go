@@ -211,22 +211,6 @@ func (c *Controller) IndexPeek(fp chunk.Fingerprint) (index.Entry, bool) {
 // overlap. Call it just before the per-fingerprint loop.
 func (c *Controller) Warm(fps []chunk.Fingerprint) { c.dir.warm(fps) }
 
-// IndexEach visits every cached index entry — stream by stream in
-// first-seen order, each from most to least recently used — with the
-// stream whose quota holds it (0 outside stream mode). Return false
-// from fn to stop.
-func (c *Controller) IndexEach(fn func(stream uint32, fp chunk.Fingerprint, e index.Entry) bool) {
-	d := &c.dir
-	for k, a := range c.acct {
-		h := d.lists[k+firstIndexList].head
-		for i := d.at(h).next; i != h; i = d.at(i).next {
-			if !fn(a.id, d.at(i).fp, d.entry(i)) {
-				return
-			}
-		}
-	}
-}
-
 // IndexInsert adds fp → pba to the hot index on the default stream.
 func (c *Controller) IndexInsert(fp chunk.Fingerprint, pba alloc.PBA) {
 	c.IndexInsertS(0, fp, pba)

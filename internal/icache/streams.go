@@ -142,33 +142,6 @@ func (c *Controller) applyQuotas() {
 // streams in stream mode. Engines size fingerprint tables off this.
 func (c *Controller) IndexCapTotal() int { return c.icEntries }
 
-// StreamQuota snapshots one stream's quota and hit accounting.
-type StreamQuota struct {
-	Stream        uint32
-	Share         float64
-	Cap, Len      int
-	Lookups, Hits int64
-	GhostHits     int64 // lookups a larger quota for this stream would have deduplicated
-}
-
-// StreamQuotas snapshots every stream in first-seen order (nil when
-// stream mode is off).
-func (c *Controller) StreamQuotas() []StreamQuota {
-	if !c.streamMode {
-		return nil
-	}
-	out := make([]StreamQuota, 0, len(c.acct))
-	for k, s := range c.acct {
-		lst := c.dir.lists[k+firstIndexList]
-		out = append(out, StreamQuota{
-			Stream: s.id, Share: c.shareOf(s.id),
-			Cap: lst.cap, Len: lst.n,
-			Lookups: s.lookups, Hits: s.hits, GhostHits: s.ghostHits,
-		})
-	}
-	return out
-}
-
 // instrumentStream registers the quota and hit gauges of the stream
 // that owns list l.
 func (c *Controller) instrumentStream(l int32) {

@@ -45,7 +45,7 @@ func TestStreamStaticIsolation(t *testing.T) {
 			t.Fatalf("stream 2 entry %d evicted by stream 1's flood", i)
 		}
 	}
-	qs := c.StreamQuotas()
+	qs := quotas(c)
 	if len(qs) != 2 {
 		t.Fatalf("quota count = %d", len(qs))
 	}
@@ -68,7 +68,7 @@ func TestStreamCrossStreamHit(t *testing.T) {
 		t.Fatalf("cross-stream lookup = %+v, %v", e, ok)
 	}
 	// the hit is attributed to the requesting stream
-	for _, q := range c.StreamQuotas() {
+	for _, q := range quotas(c) {
 		if q.Stream == 2 && (q.Lookups != 1 || q.Hits != 1) {
 			t.Errorf("stream 2 accounting = %d lookups, %d hits", q.Lookups, q.Hits)
 		}
@@ -95,7 +95,7 @@ func TestStreamDynamicResize(t *testing.T) {
 	// equal split while unapportioned
 	c.IndexInsertS(1, fp(1), alloc.PBA(1))
 	c.IndexInsertS(2, fp(2), alloc.PBA(2))
-	for _, q := range c.StreamQuotas() {
+	for _, q := range quotas(c) {
 		if q.Cap != total/2 {
 			t.Fatalf("equal-split cap = %d, want %d", q.Cap, total/2)
 		}
@@ -107,7 +107,7 @@ func TestStreamDynamicResize(t *testing.T) {
 	}
 	c.SetStreamShares(map[uint32]float64{1: 0.1, 2: 0.9})
 	checkAll(t, c)
-	qs := c.StreamQuotas()
+	qs := quotas(c)
 	if qs[0].Cap != total/10 || qs[0].Len > qs[0].Cap {
 		t.Fatalf("shrunk stream: cap=%d len=%d, want cap %d", qs[0].Cap, qs[0].Len, total/10)
 	}
@@ -118,7 +118,7 @@ func TestStreamDynamicResize(t *testing.T) {
 	// a stream absent from the shares map loses its quota entirely
 	c.SetStreamShares(map[uint32]float64{2: 1.0})
 	checkAll(t, c)
-	if q := c.StreamQuotas()[0]; q.Cap != 0 || q.Len != 0 {
+	if q := quotas(c)[0]; q.Cap != 0 || q.Len != 0 {
 		t.Fatalf("dropped stream kept cap=%d len=%d", q.Cap, q.Len)
 	}
 }
@@ -132,7 +132,7 @@ func TestStreamOwnershipSticksToFirstInserter(t *testing.T) {
 	if !ok || e.PBA != 20 {
 		t.Fatalf("remap not applied: %+v, %v", e, ok)
 	}
-	qs := c.StreamQuotas()
+	qs := quotas(c)
 	if qs[0].Len != 1 {
 		t.Errorf("owner stream len = %d, want 1", qs[0].Len)
 	}
@@ -187,7 +187,7 @@ func TestStreamGhostSwapIn(t *testing.T) {
 	if found == 0 {
 		t.Fatal("swap-ins restored no stream-1 entries")
 	}
-	for _, q := range c.StreamQuotas() {
+	for _, q := range quotas(c) {
 		if q.Stream == 2 && q.Len != 0 {
 			t.Fatalf("swap-ins leaked %d entries into stream 2", q.Len)
 		}
@@ -209,7 +209,7 @@ func TestStreamRepartitionComposes(t *testing.T) {
 	}
 	checkAll(t, c)
 	sum := 0
-	for _, q := range c.StreamQuotas() {
+	for _, q := range quotas(c) {
 		sum += q.Cap
 	}
 	if sum > c.IndexCapTotal()+3 {

@@ -71,9 +71,8 @@ type streamEst struct {
 	// current-interval counters, folded into score by Apportion.
 	hits    int64
 	samples int64
-	// decayed reuse score and the share computed from it.
+	// decayed reuse score, from which Apportion computes the share.
 	score float64
-	share float64
 	idle  int
 }
 
@@ -136,8 +135,6 @@ func (e *Estimator) Apportion() map[uint32]float64 {
 		s.hits, s.samples = 0, 0
 		if s.idle < idleIntervals {
 			active = append(active, id)
-		} else {
-			s.share = 0
 		}
 	}
 	if len(active) == 0 {
@@ -154,32 +151,11 @@ func (e *Estimator) Apportion() map[uint32]float64 {
 	rem := 1.0 - floor*float64(len(active))
 	shares := make(map[uint32]float64, len(active))
 	for _, id := range active {
-		s := e.streams[id]
 		if total > 0 {
-			s.share = floor + rem*s.score/total
+			shares[id] = floor + rem*e.streams[id].score/total
 		} else {
-			s.share = 1.0 / float64(len(active))
+			shares[id] = 1.0 / float64(len(active))
 		}
-		shares[id] = s.share
 	}
 	return shares
-}
-
-// StreamStat is an introspection snapshot of one stream's estimator
-// state, for gauges and verdict blocks.
-type StreamStat struct {
-	Stream    uint32
-	Score     float64
-	Share     float64
-	SketchLen int
-}
-
-// Stats snapshots every tracked stream in first-seen order.
-func (e *Estimator) Stats() []StreamStat {
-	out := make([]StreamStat, 0, len(e.order))
-	for _, id := range e.order {
-		s := e.streams[id]
-		out = append(out, StreamStat{Stream: id, Score: s.score, Share: s.share, SketchLen: s.sketch.Len()})
-	}
-	return out
 }

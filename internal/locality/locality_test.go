@@ -32,9 +32,8 @@ func TestSampling(t *testing.T) {
 	e := est()
 	e.Record(1, sfp(4)) // sampled
 	e.Record(1, sfp(5)) // not sampled (5 & 3 != 0)
-	st := e.Stats()
-	if len(st) != 1 || st[0].SketchLen != 1 {
-		t.Fatalf("stats = %+v", st)
+	if len(e.order) != 1 || e.streams[1].sketch.Len() != 1 {
+		t.Fatalf("%d streams, stream 1 sketch holds %d keys; want 1 and 1", len(e.order), e.streams[1].sketch.Len())
 	}
 }
 

@@ -84,13 +84,6 @@ func (ps *PhaseSet) Observe(p Phase, us int64) {
 	ps.last[p] += us
 }
 
-// Hist returns the histogram backing phase p.
-func (ps *PhaseSet) Hist(p Phase) *Histogram { return ps.hists[p] }
-
-// Last reports the scratch value of phase p for the request currently
-// being (or last) served.
-func (ps *PhaseSet) Last(p Phase) int64 { return ps.last[p] }
-
 // LastTimeline copies the current request's per-phase scratch into a
 // map keyed by phase name, skipping zero phases. Used when a sampled
 // trace record is cut; allocates, but only on the sampled path.

@@ -44,9 +44,6 @@ func (r *TraceRing) Add(rec TraceRecord) {
 	}
 }
 
-// Len reports how many records the ring currently holds.
-func (r *TraceRing) Len() int { return r.count }
-
 // Drain returns the buffered records oldest-first and empties the ring.
 func (r *TraceRing) Drain() []TraceRecord {
 	if r.count == 0 {

@@ -38,7 +38,6 @@ type Device struct {
 	bytesToLive int64 // writes allowed before the crash fires
 
 	bytesWritten int64
-	writeOps     int64
 }
 
 // New returns a zeroed device of the given size.
@@ -82,9 +81,6 @@ func (d *Device) store(off int, p []byte) {
 // BytesWritten reports the cumulative bytes accepted.
 func (d *Device) BytesWritten() int64 { return d.bytesWritten }
 
-// WriteOps reports the number of WriteAt calls that wrote anything.
-func (d *Device) WriteOps() int64 { return d.writeOps }
-
 // ArmCrash schedules a crash after n more bytes are written. A write
 // that straddles the boundary is torn: its first bytes are applied,
 // the rest lost — exactly the hazard a journaled Map table must
@@ -119,9 +115,6 @@ func (d *Device) WriteAt(off int, p []byte) error {
 		n = int(d.bytesToLive)
 		d.store(off, p[:n])
 		d.bytesWritten += int64(n)
-		if n > 0 {
-			d.writeOps++
-		}
 		d.crashed = true
 		d.crashArmed = false
 		d.bytesToLive = 0
@@ -129,9 +122,6 @@ func (d *Device) WriteAt(off int, p []byte) error {
 	}
 	d.store(off, p)
 	d.bytesWritten += int64(n)
-	if n > 0 {
-		d.writeOps++
-	}
 	if d.crashArmed {
 		d.bytesToLive -= int64(n)
 	}

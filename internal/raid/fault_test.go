@@ -33,8 +33,8 @@ func TestFailValidation(t *testing.T) {
 
 	a.Fail(1)
 	a.Fail(1) // idempotent: re-failing the failed disk is a no-op
-	if a.Failed() != 1 {
-		t.Fatalf("failed = %d, want 1", a.Failed())
+	if a.failed != 1 {
+		t.Fatalf("failed = %d, want 1", a.failed)
 	}
 	mustPanicWith(t, "double disk failure", func() { a.Fail(2) })
 
@@ -116,11 +116,11 @@ func TestDiskFailureDegradesThenRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded read: %v", err)
 	}
-	if reb, _ := a.Rebuilding(); !reb {
+	if !a.rebuilding {
 		t.Fatal("failure did not start a rebuild")
 	}
-	if a.Failed() != 2 {
-		t.Fatalf("failed = %d, want 2", a.Failed())
+	if a.failed != 2 {
+		t.Fatalf("failed = %d, want 2", a.failed)
 	}
 	st := a.Stats()
 	if st.FailEvents != 1 || st.DegradedReads == 0 {
@@ -131,7 +131,7 @@ func TestDiskFailureDegradesThenRebuilds(t *testing.T) {
 	// per disk, one unit per step)
 	tt := done
 	for i := 0; i < 10000; i++ {
-		if reb, _ := a.Rebuilding(); !reb {
+		if !a.rebuilding {
 			break
 		}
 		tt = tt.Add(sim.Duration(10000))
@@ -139,11 +139,11 @@ func TestDiskFailureDegradesThenRebuilds(t *testing.T) {
 			t.Fatalf("read during rebuild: %v", err)
 		}
 	}
-	if reb, _ := a.Rebuilding(); reb {
+	if a.rebuilding {
 		t.Fatal("rebuild never completed")
 	}
-	if a.Failed() != -1 {
-		t.Fatalf("array still degraded after rebuild: failed = %d", a.Failed())
+	if a.failed != -1 {
+		t.Fatalf("array still degraded after rebuild: failed = %d", a.failed)
 	}
 	st = a.Stats()
 	if st.RebuildsDone != 1 || st.RebuildIOs == 0 {
@@ -189,11 +189,4 @@ func TestDoubleFailureIsDataLoss(t *testing.T) {
 	if !ok || fe.Kind != fault.KindDataLoss {
 		t.Fatalf("want data loss, got %v", err)
 	}
-}
-
-// TestRebuildPaceValidation documents the SetRebuildPace contract.
-func TestRebuildPaceValidation(t *testing.T) {
-	a := new5(t)
-	mustPanicWith(t, "rebuild pace", func() { a.SetRebuildPace(0) })
-	a.SetRebuildPace(1)
 }

@@ -161,7 +161,7 @@ func TestFaultMatrix(t *testing.T) {
 					case "spare":
 						a.Fail(0)
 						a.StartRebuild(0)
-						a.SetRebuildPace(100)
+						a.rebuildStep = 100
 						a.advanceRebuild(at) // ten units rebuilt
 					case "other":
 						if level == RAID1 {

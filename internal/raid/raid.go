@@ -159,15 +159,6 @@ func (a *Array) SetInjector(in *fault.Injector) {
 	}
 }
 
-// SetRebuildPace overrides the virtual time the rebuild spends per
-// stripe unit (lower = faster rebuild, more foreground interference).
-func (a *Array) SetRebuildPace(perUnit sim.Duration) {
-	if perUnit < 1 {
-		panic("raid: non-positive rebuild pace")
-	}
-	a.rebuildStep = perUnit
-}
-
 // DataDisksPerStripe reports how many data units each stripe holds.
 func (a *Array) DataDisksPerStripe() int {
 	switch a.level {
@@ -210,13 +201,6 @@ func (a *Array) Fail(i int) {
 	a.failed = i
 	a.failEvents++
 }
-
-// Failed reports the failed disk index, or -1.
-func (a *Array) Failed() int { return a.failed }
-
-// Rebuilding reports whether an online rebuild is in progress, and its
-// per-disk block frontier.
-func (a *Array) Rebuilding() (bool, uint64) { return a.rebuilding, a.frontier }
 
 // StartRebuild installs a hot spare for the failed disk at virtual time
 // t and begins the online rebuild: the spare starts empty and a paced
@@ -652,15 +636,6 @@ func (a *Array) Stats() Stats {
 	return s
 }
 
-// BusyUntil reports the latest busy horizon across spindles.
-func (a *Array) BusyUntil() sim.Time {
-	var m sim.Time
-	for _, d := range a.disks {
-		m = sim.MaxTime(m, d.BusyUntil())
-	}
-	return m
-}
-
 // Backlog reports the total queued work across spindles at time t.
 func (a *Array) Backlog(t sim.Time) sim.Duration {
 	var sum sim.Duration
@@ -670,19 +645,4 @@ func (a *Array) Backlog(t sim.Time) sim.Duration {
 		}
 	}
 	return sum
-}
-
-// Reset idles every spindle and clears accounting and rebuild state.
-func (a *Array) Reset() {
-	for _, d := range a.disks {
-		d.Reset()
-	}
-	a.failed = -1
-	a.rebuilding = false
-	a.frontier = 0
-	a.rebuildLast = 0
-	a.logicalReads, a.logicalWrites, a.diskIOs = 0, 0, 0
-	a.rmwStripes, a.fullStripes, a.degradedReads = 0, 0, 0
-	a.sectorRepairs, a.transientErrs, a.dataLossErrs = 0, 0, 0
-	a.failEvents, a.rebuildIOs, a.rebuildsDone = 0, 0, 0
 }

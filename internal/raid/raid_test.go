@@ -160,8 +160,7 @@ func TestFullStripeWriteSkipsReads(t *testing.T) {
 func TestSmallWriteCostlierPerBlockThanFullStripe(t *testing.T) {
 	a := new5(t)
 	smallDone, _ := a.Write(0, 0, 1)
-	a.Reset()
-	fullDone, _ := a.Write(0, 0, 48)
+	fullDone, _ := new5(t).Write(0, 0, 48)
 	small := smallDone.Sub(0)
 	full := fullDone.Sub(0)
 	if small.Seconds()/1 <= full.Seconds()/48 {
@@ -193,10 +192,6 @@ func TestDegradedRead(t *testing.T) {
 	}
 	if s.DiskIOs-pre != 3 { // reconstruct from 3 survivors
 		t.Fatalf("degraded read issued %d IOs, want 3", s.DiskIOs-pre)
-	}
-	a.Reset()
-	if a.Failed() != -1 {
-		t.Fatal("Reset left the array degraded")
 	}
 }
 
@@ -237,28 +232,26 @@ func TestRAID0WritesNoParity(t *testing.T) {
 	}
 }
 
+// busyUntil reports the latest busy horizon across a's spindles.
+func busyUntil(a *Array) sim.Time {
+	var m sim.Time
+	for _, d := range a.disks {
+		m = sim.MaxTime(m, d.BusyUntil())
+	}
+	return m
+}
+
 func TestBacklogAndBusyUntil(t *testing.T) {
 	a := new5(t)
 	done, _ := a.Write(0, 0, 1)
-	if a.BusyUntil() != done {
-		t.Fatalf("busyUntil %v != completion %v", a.BusyUntil(), done)
+	if h := busyUntil(a); h != done {
+		t.Fatalf("busyUntil %v != completion %v", h, done)
 	}
 	if a.Backlog(0) <= 0 {
 		t.Fatal("backlog should be positive right after submit")
 	}
 	if a.Backlog(done) != 0 {
 		t.Fatal("backlog should drain by completion")
-	}
-}
-
-func TestReset(t *testing.T) {
-	a := new5(t)
-	a.Write(0, 0, 10)
-	a.Fail(1)
-	a.Reset()
-	s := a.Stats()
-	if s.DiskIOs != 0 || s.LogicalWrites != 0 || a.Failed() != -1 || a.BusyUntil() != 0 {
-		t.Fatal("reset incomplete")
 	}
 }
 
@@ -317,10 +310,10 @@ func TestArrayCausalityProperty(t *testing.T) {
 			if done < tm {
 				return false
 			}
-			if a.BusyUntil() < horizon {
+			if busyUntil(a) < horizon {
 				return false
 			}
-			horizon = a.BusyUntil()
+			horizon = busyUntil(a)
 		}
 		return true
 	}

@@ -54,7 +54,7 @@ func TestRouterBalance(t *testing.T) {
 	counts := make([]int, shards)
 	const granules = 1 << 12
 	for g := uint64(0); g < granules; g++ {
-		counts[r.Shard(g*r.GranChunks())]++
+		counts[r.Shard(g*DefaultGranChunks)]++
 	}
 	mean := granules / shards
 	for i, c := range counts {

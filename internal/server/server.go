@@ -56,14 +56,6 @@ const (
 	Shed
 )
 
-// String names the policy ("block" or "shed").
-func (p Policy) String() string {
-	if p == Shed {
-		return "shed"
-	}
-	return "block"
-}
-
 // ParsePolicy resolves "block" or "shed".
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
@@ -807,11 +799,14 @@ func (s *Server) Close() error {
 }
 
 // ReadContent resolves lba through its owning shard's engine (the
-// verification path; no simulated I/O). With the global fingerprint
-// tier enabled a mapping may name a canonical block on another shard:
-// the remote reference is resolved under the local shard's lock, then
-// the content is read under the owner's — two sequential acquisitions,
-// never nested, so shard lock order stays acyclic.
+// verification path; no simulated I/O). It cannot see the tail chunks
+// of a write that straddled a routing granule: the first chunk's shard
+// mapped those, not lba's owner (see Router). With the global
+// fingerprint tier enabled a mapping may name a canonical block on
+// another shard: the remote reference is resolved under the local
+// shard's lock, then the content is read under the owner's — two
+// sequential acquisitions, never nested, so shard lock order stays
+// acyclic.
 func (s *Server) ReadContent(lba uint64) (uint64, bool) {
 	sh := s.shards[s.router.Shard(lba)]
 	sh.mu.Lock()

@@ -40,16 +40,13 @@ func (t Time) String() string {
 // Seconds converts a duration to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e6 }
 
-// Millis converts a duration to floating-point milliseconds.
-func (d Duration) Millis() float64 { return float64(d) / 1e3 }
-
 // String renders the duration in the most natural unit.
 func (d Duration) String() string {
 	switch {
 	case d >= Second:
 		return fmt.Sprintf("%.3fs", d.Seconds())
 	case d >= Millisecond:
-		return fmt.Sprintf("%.3fms", d.Millis())
+		return fmt.Sprintf("%.3fms", float64(d)/1e3)
 	default:
 		return fmt.Sprintf("%dµs", int64(d))
 	}

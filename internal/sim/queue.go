@@ -12,10 +12,8 @@ type FCFSQueue struct {
 	busyUntil Time
 
 	// accounting
-	busyTime  Duration // total time the server spent serving
-	jobs      int64    // jobs served
-	waitTime  Duration // total time jobs spent queued before service
-	maxDepthT Time     // time horizon used for depth estimate
+	busyTime Duration // total time the server spent serving
+	waitTime Duration // total time jobs spent queued before service
 }
 
 // NewFCFSQueue returns an idle queue.
@@ -27,7 +25,6 @@ func (q *FCFSQueue) Submit(arrive Time, service Duration) Time {
 	start := MaxTime(arrive, q.busyUntil)
 	q.waitTime += start.Sub(arrive)
 	q.busyTime += service
-	q.jobs++
 	q.busyUntil = start.Add(service)
 	return q.busyUntil
 }
@@ -42,30 +39,11 @@ func (q *FCFSQueue) SubmitAfter(arrive, ready Time, service Duration) Time {
 // BusyUntil reports the time at which the server next becomes idle.
 func (q *FCFSQueue) BusyUntil() Time { return q.busyUntil }
 
-// Backlog reports how much queued work remains at time t.
-func (q *FCFSQueue) Backlog(t Time) Duration {
-	if q.busyUntil <= t {
-		return 0
-	}
-	return q.busyUntil.Sub(t)
-}
-
-// Jobs reports the number of jobs served so far.
-func (q *FCFSQueue) Jobs() int64 { return q.jobs }
-
 // BusyTime reports the cumulative service time delivered.
 func (q *FCFSQueue) BusyTime() Duration { return q.busyTime }
 
 // WaitTime reports the cumulative time jobs spent waiting for service.
 func (q *FCFSQueue) WaitTime() Duration { return q.waitTime }
-
-// Utilization reports the fraction of [0, horizon] the server was busy.
-func (q *FCFSQueue) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return q.busyTime.Seconds() / Duration(horizon).Seconds()
-}
 
 // Reset returns the queue to its initial idle state.
 func (q *FCFSQueue) Reset() { *q = FCFSQueue{} }

@@ -54,9 +54,6 @@ func TestDurationConversions(t *testing.T) {
 	if Duration(1_500_000).Seconds() != 1.5 {
 		t.Error("Seconds conversion wrong")
 	}
-	if Duration(1500).Millis() != 1.5 {
-		t.Error("Millis conversion wrong")
-	}
 }
 
 func TestFCFSIdleServer(t *testing.T) {
@@ -80,9 +77,6 @@ func TestFCFSQueueing(t *testing.T) {
 	if q.WaitTime() != 90 {
 		t.Errorf("wait = %v, want 90", q.WaitTime())
 	}
-	if q.Jobs() != 2 {
-		t.Errorf("jobs = %d, want 2", q.Jobs())
-	}
 	if q.BusyTime() != 200 {
 		t.Errorf("busy = %v, want 200", q.BusyTime())
 	}
@@ -97,33 +91,11 @@ func TestFCFSSubmitAfter(t *testing.T) {
 	}
 }
 
-func TestFCFSBacklog(t *testing.T) {
-	q := NewFCFSQueue()
-	q.Submit(0, 1000)
-	if got := q.Backlog(400); got != 600 {
-		t.Errorf("backlog = %v, want 600", got)
-	}
-	if got := q.Backlog(2000); got != 0 {
-		t.Errorf("backlog after drain = %v, want 0", got)
-	}
-}
-
-func TestFCFSUtilization(t *testing.T) {
-	q := NewFCFSQueue()
-	q.Submit(0, 500)
-	if u := q.Utilization(1000); u != 0.5 {
-		t.Errorf("utilization = %f, want 0.5", u)
-	}
-	if u := q.Utilization(0); u != 0 {
-		t.Errorf("utilization at 0 horizon = %f, want 0", u)
-	}
-}
-
 func TestFCFSReset(t *testing.T) {
 	q := NewFCFSQueue()
 	q.Submit(0, 100)
 	q.Reset()
-	if q.BusyUntil() != 0 || q.Jobs() != 0 || q.BusyTime() != 0 {
+	if q.BusyUntil() != 0 || q.BusyTime() != 0 || q.WaitTime() != 0 {
 		t.Error("Reset did not clear state")
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ func FuzzReadText(f *testing.F) {
 	f.Add("garbage")
 	f.Add("0 W 0 1")
 	f.Add("0 W 18446744073709551615 1 18446744073709551615\n")
+	f.Add("0 W 18446744073709551615 2 1,2\n") // wraps: its second chunk would be lba 0
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadText(strings.NewReader(input), "fuzz")
 		if err != nil {
@@ -24,6 +26,9 @@ func FuzzReadText(f *testing.F) {
 		for i := range tr.Requests {
 			if verr := tr.Requests[i].Validate(); verr != nil {
 				t.Fatalf("accepted invalid request %d: %v", i, verr)
+			}
+			if q := &tr.Requests[i]; q.LBA+uint64(q.N-1) < q.LBA {
+				t.Fatalf("accepted request %d wraps past 2^64: %d chunks at lba %d", i, q.N, q.LBA)
 			}
 		}
 		// accepted traces must round-trip
@@ -61,6 +66,13 @@ func FuzzReadBinary(f *testing.F) {
 		data[9] ^= 0xFF // corrupt the name length
 	}
 	f.Add(data)
+	var wrap bytes.Buffer // its second chunk would be lba 0
+	if err := WriteBinary(&wrap, &Trace{Name: "wrap", Requests: []Request{
+		{Op: Write, LBA: math.MaxUint64, N: 2, Content: []chunk.ContentID{1, 2}},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrap.Bytes())
 	f.Fuzz(func(t *testing.T, input []byte) {
 		tr, err := ReadBinary(bytes.NewReader(input))
 		if err != nil {
@@ -69,6 +81,9 @@ func FuzzReadBinary(f *testing.F) {
 		for i := range tr.Requests {
 			if verr := tr.Requests[i].Validate(); verr != nil {
 				t.Fatalf("accepted invalid request %d: %v", i, verr)
+			}
+			if q := &tr.Requests[i]; q.LBA+uint64(q.N-1) < q.LBA {
+				t.Fatalf("accepted request %d wraps past 2^64: %d chunks at lba %d", i, q.N, q.LBA)
 			}
 		}
 	})

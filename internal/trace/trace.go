@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -78,13 +79,13 @@ type Request struct {
 	Content []chunk.ContentID
 }
 
-// SizeBytes reports the request size in bytes.
-func (r *Request) SizeBytes() int64 { return int64(r.N) * chunk.Size }
-
 // Validate checks internal consistency.
 func (r *Request) Validate() error {
 	if r.N <= 0 {
 		return fmt.Errorf("trace: request with %d chunks", r.N)
+	}
+	if r.LBA > math.MaxUint64-uint64(r.N-1) {
+		return fmt.Errorf("trace: %d chunks at lba %d run past the last address", r.N, r.LBA)
 	}
 	if r.Op == Write && len(r.Content) != r.N {
 		return fmt.Errorf("trace: write with %d chunks but %d content ids", r.N, len(r.Content))

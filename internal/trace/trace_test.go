@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -37,12 +38,16 @@ func TestValidate(t *testing.T) {
 	if badRead.Validate() == nil {
 		t.Fatal("read with content must fail")
 	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	req := r(0, 0, 3)
-	if req.SizeBytes() != 3*chunk.Size {
-		t.Fatal("size wrong")
+	last := r(0, math.MaxUint64, 1) // the last address, one chunk: fits
+	if err := last.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wrap := w(0, math.MaxUint64, 1, 2) // its second chunk would be lba 0
+	if wrap.Validate() == nil {
+		t.Fatal("a range wrapping past 2^64 must fail")
+	}
+	if _, err := ReadText(strings.NewReader("0 R 18446744073709551614 3\n"), "wrap"); err == nil {
+		t.Fatal("ReadText accepted a read wrapping past 2^64")
 	}
 }
 

@@ -104,10 +104,6 @@ type Generator struct {
 	allocLBA uint64 // bump allocator over the logical space
 }
 
-// New returns a generator for p at scale 1.0; NewScaled shrinks the
-// history structures along with the trace.
-func New(p Profile) *Generator { return NewScaled(p, 1.0) }
-
 // NewScaled returns a generator whose retained-history ring and read
 // window shrink with the trace scale, so cache-pressure ratios (index
 // capacity vs duplicate-source depth, read cache vs read working set)

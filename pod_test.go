@@ -1,6 +1,7 @@
 package pod
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -115,6 +116,19 @@ func TestMalformedRequestsRejected(t *testing.T) {
 	}
 	if _, err := sys.Do(&Request{Time: -1, Op: OpWrite, Content: []ContentID{1}}); err == nil {
 		t.Fatal("negative time must fail")
+	}
+	if _, err := sys.Do(rd(0, math.MaxUint64, 1)); err != nil {
+		t.Fatalf("a one-chunk read of the last address: %v", err)
+	}
+	// the second chunk would land on lba 0
+	if _, err := sys.Do(wr(0, math.MaxUint64, 7, 8)); err == nil {
+		t.Fatal("a write wrapping past 2^64 must fail")
+	}
+	if id, ok := sys.ReadBack(0); ok {
+		t.Fatalf("lba 0 holds content %d; nothing was written there", id)
+	}
+	if _, err := sys.Do(rd(0, math.MaxUint64-1, 3)); err == nil {
+		t.Fatal("a read wrapping past 2^64 must fail")
 	}
 }
 
