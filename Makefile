@@ -178,14 +178,15 @@ test:
 # insert + purge, one Swap Module repartition, one three-stream
 # re-apportionment), and the tier's control plane (hint-table put/get,
 # a tick's grant drain on a full directory and a hint table past L2,
+# one request's seven ads landing on a 200k-entry tier,
 # the inbox behind a 1k and a 100k backlog and filled in runs of
 # 1 / 7 / 256, Close settling eight loaded agents on
 # one core and on two). The CDC split and hash, the generic map's gets,
-# the directory, the hint/grant benchmarks and the Map table's Set with
-# the reverse index on fail unless they run at 0 allocs/op; make check
+# the directory, the hint/grant/publish benchmarks and the Map table's
+# Set with the reverse index on fail unless they run at 0 allocs/op; make check
 # runs those (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as
 # a gate.
-ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss)$$
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss|BenchmarkPublishRequest)$$
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/
@@ -198,15 +199,16 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass, ten targets: the parsers, the journal recovery,
+# Short fuzz pass, eleven targets: the parsers, the journal recovery,
 # the CDC landmark sweeps (batched bitmap vs the scalar predicate), the
 # carried split window (one long-lived Splitter vs a fresh one per
 # request) and normalized cut derivation (spacing invariants; a window
 # with lookback vs the whole stream), the iCache's directory, both
 # caches and both ghosts (vs its slices-and-linear-search model; an
 # input is a thousand operations, so minimising one is capped), the
-# Map table's reverse index (vs a map of sets) and the generic map (vs
-# a Go map, with uniform keys and with every key in one chain).
+# Map table's reverse index (vs a map of sets), the generic map (vs
+# a Go map, with uniform keys and with every key in one chain) and the
+# tier's batch publish (vs the same ads one at a time, and a model).
 fuzz:
 	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
@@ -218,6 +220,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDirectoryOps -fuzztime 20s -fuzzminimizetime 1s ./internal/icache/
 	$(GO) test -fuzz FuzzReverseIndexOps -fuzztime 20s -fuzzminimizetime 1s ./internal/maptable/
 	$(GO) test -fuzz FuzzMapOps -fuzztime 20s -fuzzminimizetime 1s ./internal/probe/
+	$(GO) test -fuzz FuzzPublish -fuzztime 20s -fuzzminimizetime 1s ./internal/globalfp/
 
 clean:
 	$(GO) clean ./...

@@ -92,26 +92,26 @@ func (SHA1Fingerprinter) Fingerprint(c *Chunk) Fingerprint {
 // a cheap mixing function. Used for large ID-only replays.
 type SyntheticFingerprinter struct{}
 
-// Fingerprint implements Fingerprinter.
-func (SyntheticFingerprinter) Fingerprint(c *Chunk) Fingerprint {
-	var f Fingerprint
-	x := uint64(c.Content)
-	for i := 0; i < 20; i += 8 {
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		x *= 0xc4ceb9fe1a85ec53
-		x ^= x >> 33
-		n := 8
-		if i+8 > 20 {
-			n = 20 - i
-		}
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], x)
-		copy(f[i:i+n], tmp[:n])
-		x += 0x9e3779b97f4a7c15
-	}
+// Fingerprint implements Fingerprinter: three rounds of the MurmurHash3
+// finalizer, a golden-ratio step apart, fill bytes 0–7, 8–15 and 16–19.
+func (SyntheticFingerprinter) Fingerprint(c *Chunk) (f Fingerprint) {
+	x := fmix64(uint64(c.Content))
+	binary.LittleEndian.PutUint64(f[0:], x)
+	x = fmix64(x + 0x9e3779b97f4a7c15)
+	binary.LittleEndian.PutUint64(f[8:], x)
+	x = fmix64(x + 0x9e3779b97f4a7c15)
+	binary.LittleEndian.PutUint32(f[16:], uint32(x))
 	return f
+}
+
+// fmix64 is the 64-bit MurmurHash3 finalizer.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // SplitInto breaks a request's content IDs into chunks and fingerprints

@@ -69,26 +69,27 @@ func (selectDedupe) Decide(b *engine.Base, w *engine.WriteOp) {
 	}
 }
 
-// Placed indexes the fresh chunks and publishes to the global tier when
-// one is attached: an inline hit against a local copy is duplicate
-// evidence (remote hits are already global knowledge), a fresh chunk a
-// canonical candidate. Both are fire-and-forget, so the write path
-// never waits on tier load.
+// Placed indexes the fresh chunks and, when a global tier is attached,
+// publishes the request's advertisements to it in one batch: an inline
+// hit against a local copy is duplicate evidence (remote hits are
+// already global knowledge), a fresh chunk a canonical candidate. The
+// tier lands the batch in the call and never blocks on its load.
 func (selectDedupe) Placed(b *engine.Base, w *engine.WriteOp) {
-	sink := b.Tier
-	if sink != nil {
-		for i, absorbed := range w.Dedupe {
-			if absorbed && !alloc.IsRemote(w.Target[i]) {
-				sink.Advertise(w.Chunks[i].FP, w.Target[i], false)
-			}
-		}
-	}
 	stream := uint32(w.Req.Stream)
 	for k, pos := range w.Placed {
 		b.IC.IndexInsertS(stream, w.Chunks[pos].FP, w.PBAs[k])
-		if sink != nil {
-			sink.Advertise(w.Chunks[pos].FP, w.PBAs[k], true)
+	}
+	if b.Tier != nil {
+		w.Ads = w.Ads[:0]
+		for i, absorbed := range w.Dedupe {
+			if absorbed && !alloc.IsRemote(w.Target[i]) {
+				w.Ads = append(w.Ads, engine.Ad{FP: w.Chunks[i].FP, PBA: w.Target[i]})
+			}
 		}
+		for k, pos := range w.Placed {
+			w.Ads = append(w.Ads, engine.Ad{FP: w.Chunks[pos].FP, PBA: w.PBAs[k], Fresh: true})
+		}
+		b.Tier.Advertise(w.Ads)
 	}
 	b.NoteStreamWrite(w.Req.Stream, len(w.Placed) == 0)
 }

@@ -341,12 +341,11 @@ func (b *Base) instrumentStreamWrites(id uint32, c *streamWrites) {
 // Tier is everything an engine says to, and asks of, the global
 // fingerprint tier: one value, installed once by the shard's agent.
 type Tier interface {
-	// Advertise publishes a fingerprint from the write path: fresh
-	// marks a chunk physically written at pba (a canonical candidate),
-	// !fresh an inline dedup hit against pba (duplicate evidence). It
-	// must never block, so the inline path stays shard-local whatever
-	// the tier's load.
-	Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool)
+	// Advertise publishes one request's advertisements from the write
+	// path, in order, and lands them all before returning. It must
+	// never block on tier load, so the inline path stays shard-local;
+	// ads is the caller's scratch and is not retained.
+	Advertise(ads []Ad)
 	// Hint reports the remote-encoded canonical a peer shard holds for
 	// fp, if the tier granted this shard one, and never one whose owner
 	// is down. The lookup stage asks on a hot-index miss; hints live in
@@ -366,6 +365,15 @@ type Tier interface {
 	// cannot serve a fetch. Inline dedupe never asks — Hint names no
 	// down owner's canonical (the crash dropped those hints).
 	OwnerDown(owner int) bool
+}
+
+// Ad is one advertisement to the global fingerprint tier: Fresh marks
+// a chunk physically written at PBA (a canonical candidate), !Fresh an
+// inline dedup hit against the local block PBA (duplicate evidence).
+type Ad struct {
+	FP    chunk.Fingerprint
+	PBA   alloc.PBA
+	Fresh bool
 }
 
 // SetTier seats the shard's tier agent, on the Base and on its Map

@@ -68,6 +68,7 @@ type WriteOp struct {
 	Dedupe []bool        // decide: hits selected; at Placed: hits absorbed
 	Placed []int         // chunks written fresh ...
 	PBAs   []alloc.PBA   // ... and where, parallel to Placed
+	Ads    []Ad          // at Placed: the request's tier advertisements
 }
 
 // Pipeline is the one storage engine: the substrate, the request walk,

@@ -58,7 +58,7 @@ type recallState struct {
 // All agent state is guarded by the shard lock: every entry point —
 // Tick/Flush and the engine.Tier calls via the engine,
 // settlement via the server — runs with the shard's mutex held. Tier
-// calls made from here (Advertise, Fix, Recall) take partition locks,
+// calls made from here (publish, Fix, Recall) take partition locks,
 // never shard locks, so the shard → partition lock order is acyclic.
 type Agent struct {
 	b     *engine.Base
@@ -74,6 +74,7 @@ type Agent struct {
 	recalling map[alloc.PBA]recallState // local canonical → revoke round
 	hinted    []uint64                  // bitset: local blocks holding the hinted pin
 	msgBuf    []message                 // inbox drain scratch
+	pub       pubScratch                // publish's grouping scratch
 	freeBuf   [1]alloc.PBA
 
 	// out[s] is the run of messages toward shard s staged by the
@@ -143,10 +144,11 @@ func (a *Agent) hintedTest(pba alloc.PBA) bool {
 func (a *Agent) hintedSet(pba alloc.PBA)   { a.hinted[pba>>6] |= 1 << (uint(pba) & 63) }
 func (a *Agent) hintedClear(pba alloc.PBA) { a.hinted[pba>>6] &^= 1 << (uint(pba) & 63) }
 
-// Advertise implements engine.Tier: the engine's write path publishes
-// through the agent so the shard number rides along.
-func (a *Agent) Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool) {
-	a.t.Advertise(a.shard, fp, pba, fresh)
+// Advertise implements engine.Tier: the write path publishes a
+// request's ads through the agent, so the shard number and its epoch
+// ride along and the grouping scratch is the agent's.
+func (a *Agent) Advertise(ads []engine.Ad) {
+	a.t.publish(a.shard, a.t.Epoch(a.shard), ads, &a.pub)
 }
 
 // RemoteRef implements engine.Tier: it reports this shard's 0↔1
@@ -243,12 +245,17 @@ func (a *Agent) DrainAll(now sim.Time) int {
 	}
 }
 
+// adRun is the longest batch ReAdvertise publishes at once: about 32
+// ads per partition lock hold, for 10 KiB of scratch.
+const adRun = 256
+
 // ReAdvertise republishes every distinct live, referenced local block —
 // the settlement pass that retries fold candidates an injected fault
 // aborted or whose hint binding a later grant overwrote (fresh ads
-// always re-grant).
+// always re-grant) — in batches of adRun.
 func (a *Agent) ReAdvertise() {
 	visited := make([]uint64, len(a.hinted))
+	ads := make([]engine.Ad, 0, adRun)
 	a.b.Map.Each(func(_ uint64, pba alloc.PBA, _ bool) bool {
 		if alloc.IsRemote(pba) {
 			return true
@@ -263,9 +270,13 @@ func (a *Agent) ReAdvertise() {
 			return true
 		}
 		ch := chunk.Chunk{Content: id}
-		a.t.Advertise(a.shard, fper.Fingerprint(&ch), pba, true)
+		if ads = append(ads, engine.Ad{FP: fper.Fingerprint(&ch), PBA: pba, Fresh: true}); len(ads) == adRun {
+			a.Advertise(ads)
+			ads = ads[:0]
+		}
 		return true
 	})
+	a.Advertise(ads)
 }
 
 // drainMsgs handles up to budget queued control messages and returns the
@@ -286,8 +297,8 @@ func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	return len(a.msgBuf)
 }
 
-// warmRun is how many fingerprints one directory warm takes: about as
-// many cache misses as a core keeps in flight.
+// warmRun is how many fingerprints one directory or partition-table warm
+// takes: about as many cache misses as a core keeps in flight.
 const warmRun = 16
 
 // warm loads, and changes nothing, what handling msgs will read first:

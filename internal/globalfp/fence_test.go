@@ -117,9 +117,9 @@ func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 	}
 }
 
-// TestStaleEpochAdvertisementFenced: an advertisement queued by a
-// shard's previous life must not register a (possibly freed) block as
-// the cluster-wide canonical.
+// TestStaleEpochAdvertisementFenced: a batch of advertisements stamped
+// in a shard's previous life must not register a (possibly freed) block
+// as the cluster-wide canonical.
 func TestStaleEpochAdvertisementFenced(t *testing.T) {
 	tier, _ := fenceCluster(t, 2)
 	tier.CrashShard(1)
@@ -129,9 +129,9 @@ func TestStaleEpochAdvertisementFenced(t *testing.T) {
 	ch := chunk.Chunk{Content: 777}
 	fp := fper.Fingerprint(&ch)
 
-	tier.processAd(ad{fp: fp, pba: 3, shard: 1, epoch: 0, fresh: true})
-	if n := tier.staleDropped.Load(); n != 1 {
-		t.Fatalf("tier staleDropped = %d, want 1", n)
+	tier.publish(1, 0, []engine.Ad{{FP: fp, PBA: 3, Fresh: true}, {FP: fp, PBA: 4}}, &pubScratch{})
+	if n := tier.staleDropped.Load(); n != 2 {
+		t.Fatalf("tier staleDropped = %d, want 2", n)
 	}
 	if _, ok := tier.part(fp).tbl.Get(fp); ok {
 		t.Fatal("stale ad registered a table entry")

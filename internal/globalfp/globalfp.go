@@ -7,15 +7,17 @@
 //
 // The design keeps the inline write path shard-local and lock-free:
 //
-//   - Shards publish (fingerprint, shard, PBA) advertisements, and each
-//     lands on its fingerprint partition's probe.Map table inside the
-//     publishing call, under the partition's lock: no ad is queued, so
-//     none is dropped. The first advertisement of a fingerprint
-//     registers its block as the canonical copy and asks the owning
-//     shard to grant index hints to every other shard; a later
-//     advertisement from a different shard is a detected cross-shard
-//     duplicate and emits a targeted remap candidate for the
-//     advertiser's copy.
+//   - Shards publish (fingerprint, shard, PBA) advertisements a
+//     request at a time, and the whole batch lands on the fingerprint
+//     partitions' probe.Map tables inside the publishing call: grouped
+//     by partition in publishing order, one lock hold per partition
+//     touched, its pin requests delivered before that lock is released.
+//     No ad is queued, so none is dropped. The first advertisement of
+//     a fingerprint registers its block as the canonical copy and asks
+//     the owning shard to grant index hints to every other shard; a
+//     later advertisement from a different shard is a detected
+//     cross-shard duplicate and emits a targeted remap candidate for
+//     the advertiser's copy.
 //   - Each shard's background actor (Agent, wrapping the bgdedup
 //     scanner) consumes grants and candidates in virtual time from the
 //     engine's per-request Tick: a grant puts its fp → remote-canonical
@@ -110,17 +112,6 @@ const (
 // Params is empty: the tier has no options. The type stays because
 // NewTier's signature is among what bench/ pins (DESIGN.md §3).
 type Params struct{}
-
-// ad is one published (fingerprint, shard, PBA) advertisement, stamped
-// with the advertiser's epoch so a crashed shard's ads are fenced out
-// instead of re-registering freed canonicals.
-type ad struct {
-	fp    chunk.Fingerprint
-	pba   alloc.PBA
-	shard int
-	epoch uint32
-	fresh bool
-}
 
 // msgKind discriminates the shard-to-shard control messages.
 type msgKind uint8

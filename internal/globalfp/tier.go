@@ -3,11 +3,14 @@ package globalfp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/probe"
 )
@@ -85,9 +88,12 @@ func (t *Tier) register(shard int, a *Agent) {
 	t.agents[shard] = a
 }
 
-func (t *Tier) part(fp chunk.Fingerprint) *partition {
-	return &t.parts[binary.LittleEndian.Uint64(fp[:8])%uint64(len(t.parts))]
+// partOf is the partition fp's advertisements land on.
+func partOf(fp *chunk.Fingerprint) int {
+	return int(binary.LittleEndian.Uint64(fp[:8]) % partitions)
 }
+
+func (t *Tier) part(fp chunk.Fingerprint) *partition { return &t.parts[partOf(&fp)] }
 
 // send delivers a control message to a shard's inbox. Messages toward
 // a down shard are dropped (counted): the dead peer cannot process
@@ -130,71 +136,187 @@ func (t *Tier) downMask() uint64 {
 	return m
 }
 
-// Advertise publishes one (fingerprint, shard, PBA) sighting and lands
-// it on its partition table before returning. Callers hold the
-// publishing shard's lock, so the order is shard → partition → inbox,
-// the one Fix and Recall calls from the agents take too.
+// peers is the set of every live shard but shard: the beneficiaries of
+// a first sighting it advertises, and the peers a recall it starts must
+// hear from.
+func (t *Tier) peers(shard int) uint64 {
+	return (uint64(1)<<uint(t.shards) - 1) &^ (uint64(1) << uint(shard)) &^ t.downMask()
+}
+
+// fenced reports whether ads shard stamped with epoch are dropped: an
+// advertisement from a shard's previous life, or from a shard marked
+// down, must not register a freed block as canonical.
+func (t *Tier) fenced(shard int, epoch uint32) bool {
+	return epoch != t.epochs[shard].Load() || t.down[shard].Load()
+}
+
+// pubScratch is a publisher's reusable scratch for landing a batch: the
+// ads grouped by partition, their fingerprints beside them for the
+// warm, and one partition run's pin requests staged per destination.
+type pubScratch struct {
+	ads []engine.Ad
+	fps []chunk.Fingerprint
+	out [][]message
+}
+
+// publish lands a batch of advertisements from shard, stamped with
+// epoch, before returning: the request-sized batch the write path
+// publishes, or a run of ReAdvertise's. Callers hold the publishing
+// shard's lock, and Tier.CrashShard runs under every shard lock, so no
+// epoch or down flag can change mid-batch: the fence and the
+// beneficiary set are read once. The ads are grouped by partition,
+// stably, so each partition sees them in publishing order; each
+// partition's run lands under one lock hold, its table buckets warmed
+// first, and the pin requests it implies leave, one pushAll per
+// destination, before the partition lock does — the shard → partition
+// → inbox order of every other tier call.
+func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch) {
+	if len(ads) == 0 {
+		return
+	}
+	t.adsQueued.Add(int64(len(ads)))
+	if t.fenced(shard, epoch) {
+		t.staleDropped.Add(int64(len(ads)))
+		return
+	}
+	peers := t.peers(shard)
+
+	// A counting sort by partition: start[p] is where partition p's
+	// run begins in the scratch.
+	var start [partitions + 1]int
+	for i := range ads {
+		start[partOf(&ads[i].FP)+1]++
+	}
+	for p := 1; p <= partitions; p++ {
+		start[p] += start[p-1]
+	}
+	next := start
+	sc.ads = slices.Grow(sc.ads[:0], len(ads))[:len(ads)]
+	sc.fps = slices.Grow(sc.fps[:0], len(ads))[:len(ads)]
+	for i := range ads {
+		k := &next[partOf(&ads[i].FP)]
+		sc.ads[*k], sc.fps[*k] = ads[i], ads[i].FP
+		*k++
+	}
+	if len(sc.out) < t.shards {
+		sc.out = make([][]message, t.shards)
+	}
+
+	var hints, dups int64
+	for pi := range t.parts {
+		lo, hi := start[pi], start[pi+1]
+		if lo == hi {
+			continue
+		}
+		p := &t.parts[pi]
+		var dests uint64
+		p.mu.Lock()
+		for ; lo < hi; lo += warmRun {
+			end := min(lo+warmRun, hi)
+			p.tbl.Warm(sc.fps[lo:end])
+			for k := lo; k < end; k++ {
+				to, m, ok := t.processAd(p, shard, epoch, &sc.ads[k], peers)
+				if !ok {
+					continue
+				}
+				if m.hasDup {
+					dups++
+				} else {
+					hints++
+				}
+				sc.out[to] = append(sc.out[to], m)
+				dests |= uint64(1) << uint(to)
+			}
+		}
+		for ; dests != 0; dests &= dests - 1 {
+			to := bits.TrailingZeros64(dests)
+			t.sendAll(to, sc.out[to])
+			sc.out[to] = sc.out[to][:0]
+		}
+		p.mu.Unlock()
+	}
+	if hints > 0 {
+		t.hintsBroadcast.Add(hints)
+	}
+	if dups > 0 {
+		t.dupsDetected.Add(dups)
+	}
+}
+
+// Advertise lands one (fingerprint, shard, PBA) sighting, the way
+// publish lands a batch of one. It stays because bench/ladder.go times
+// it (globalfp.advertise_ns); the write path publishes through its
+// agent in batches.
 func (t *Tier) Advertise(shard int, fp chunk.Fingerprint, pba alloc.PBA, fresh bool) {
+	t.advertise(shard, t.epochs[shard].Load(), engine.Ad{FP: fp, PBA: pba, Fresh: fresh})
+}
+
+// advertise is Advertise with the ad's epoch stamp given: one fence,
+// one partition lock hold and one send per ad.
+func (t *Tier) advertise(shard int, epoch uint32, a engine.Ad) {
 	t.adsQueued.Add(1)
-	t.processAd(ad{fp: fp, pba: pba, shard: shard, epoch: t.epochs[shard].Load(), fresh: fresh})
+	if t.fenced(shard, epoch) {
+		t.staleDropped.Add(1)
+		return
+	}
+	p := t.part(a.FP)
+	p.mu.Lock()
+	if to, m, ok := t.processAd(p, shard, epoch, &a, t.peers(shard)); ok {
+		t.send(to, m)
+		if m.hasDup {
+			t.dupsDetected.Add(1)
+		} else {
+			t.hintsBroadcast.Add(1)
+		}
+	}
+	p.mu.Unlock()
 }
 
 // Stop does nothing: no ad waits anywhere to be drained. It stays
 // because bench/ladder.go calls it.
 func (t *Tier) Stop() {}
 
-// processAd lands one advertisement on its partition table, emitting
-// whatever pin/grant traffic it implies.
-func (t *Tier) processAd(a ad) {
-	// Fence: an advertisement from a shard's previous life must not
-	// register a freed block as canonical.
-	if a.epoch != t.epochs[a.shard].Load() || t.down[a.shard].Load() {
-		t.staleDropped.Add(1)
-		return
-	}
-	enc := alloc.MakeRemote(a.shard, a.pba)
-	p := t.part(a.fp)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.tbl.Find(a.fp)
-	if !ok {
+// processAd lands one advertisement from shard, stamped with epoch, on
+// partition p, whose lock the caller holds. It returns the pin request
+// the ad implies, if any, and the shard to send it to; peers is the
+// beneficiary set of a first sighting.
+func (t *Tier) processAd(p *partition, shard int, epoch uint32, a *engine.Ad, peers uint64) (int, message, bool) {
+	enc := alloc.MakeRemote(shard, a.PBA)
+	e, first := p.tbl.Ref(a.FP)
+	if first {
 		// First sighting: register the canonical and ask its owner to
 		// grant index hints to every other shard — the proactive push
 		// that lets a peer's first write of this content deduplicate
 		// inline instead of becoming a per-shard duplicate copy.
 		// Currently-down shards are excluded from the beneficiary set;
 		// they re-learn hints from fresh advertisements after rejoin.
-		all := (uint64(1)<<uint(t.shards) - 1) &^ (uint64(1) << uint(a.shard)) &^ t.downMask()
-		p.tbl.Put(a.fp, tierEntry{canon: enc, granted: all})
-		t.send(a.shard, message{kind: msgPinReq, fp: a.fp, canon: enc, bene: all, from: a.shard, epoch: a.epoch})
-		t.hintsBroadcast.Add(1)
-		return
+		*e = tierEntry{canon: enc, granted: peers}
+		return shard, message{kind: msgPinReq, fp: a.FP, canon: enc, bene: peers, from: shard, epoch: epoch}, true
 	}
 	if e.canon == enc {
-		return // the canonical advertising itself
+		return 0, message{}, false // the canonical advertising itself
 	}
 	owner, _ := alloc.RemoteParts(e.canon)
-	if owner == a.shard {
+	if owner == shard {
 		// another copy on the canonical's own shard: the local
 		// scanner's cursor sweep merges same-shard duplicates
-		return
+		return 0, message{}, false
 	}
 	// Cross-shard duplicate detected: (re-)grant the advertiser a hint
 	// with a targeted fold of its copy. Duplicate-hit ads for an
 	// already-granted shard are suppressed (the fold is in flight);
 	// fresh ads always re-grant, so settlement re-advertisement
 	// retries candidates an injected fault aborted.
-	bit := uint64(1) << uint(a.shard)
-	if !a.fresh && e.granted&bit != 0 {
-		return
+	bit := uint64(1) << uint(shard)
+	if !a.Fresh && e.granted&bit != 0 {
+		return 0, message{}, false
 	}
-	t.dupsDetected.Add(1)
 	e.granted |= bit
-	t.send(owner, message{
-		kind: msgPinReq, fp: a.fp, canon: e.canon,
-		bene: bit, dup: a.pba, hasDup: true,
-		from: a.shard, epoch: a.epoch,
-	})
+	return owner, message{
+		kind: msgPinReq, fp: a.FP, canon: e.canon,
+		bene: bit, dup: a.PBA, hasDup: true,
+		from: shard, epoch: epoch,
+	}, true
 }
 
 // Fix drops a table entry whose canonical failed owner-side validation
@@ -225,7 +347,7 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 	}
 	p.mu.Unlock()
 	t.recalls.Add(1)
-	return (uint64(1)<<uint(t.shards) - 1) &^ (uint64(1) << uint(shard)) &^ t.downMask()
+	return t.peers(shard)
 }
 
 // CrashShard marks shard i a dead failure domain: its fencing epoch is

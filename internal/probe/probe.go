@@ -76,6 +76,8 @@ type Map[K Key, V any] struct {
 	used  int32 // entries handed out, live or free
 	free  int32 // deleted entries, chained through next
 	n     int
+
+	warmed uint64 // what Warm loaded; nothing reads it
 }
 
 // NewMap returns an empty map whose buckets are sized for hint entries
@@ -122,6 +124,26 @@ func (m *Map[K, V]) find(k *K) *entry[K, V] {
 		i = e.next
 	}
 	return nil
+}
+
+// Warm loads what finding each of keys will read first — its bucket
+// head, then the entry that head names — and changes nothing. The heads
+// are loaded in one round and the entries in a second, so a batch's
+// cache misses overlap instead of queueing one behind another. The
+// words go into warmed: a load whose value nothing uses would be
+// compiled away.
+func (m *Map[K, V]) Warm(keys []K) {
+	var sum uint64
+	for k := range keys {
+		sum += uint64(*m.head(word(&keys[k])))
+	}
+	for k := range keys {
+		if i := *m.head(word(&keys[k])); i != 0 {
+			e := m.at(i)
+			sum += word(&e.key) + uint64(e.next)
+		}
+	}
+	m.warmed += sum
 }
 
 // Get returns the value for k.

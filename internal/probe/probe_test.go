@@ -3,6 +3,7 @@ package probe
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -170,6 +171,48 @@ func TestDeleteReusesEntries(t *testing.T) {
 		if v, ok := m.Get(uint64(n + i)); !ok || v != i {
 			t.Fatalf("key %d: Get=(%d,%v)", n+i, v, ok)
 		}
+	}
+}
+
+// TestWarmChangesNothing warms present, deleted and absent keys, in
+// both key shapes, and compares every bucket head, every entry (the
+// free chain's included) and every counter before and after.
+func TestWarmChangesNothing(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		warmUnchanged(t, func(i int) uint64 { return uint64(i) })
+	})
+	t.Run("fp20", func(t *testing.T) { warmUnchanged(t, func(i int) [20]byte { return fp20(uint64(i)) }) })
+}
+
+func warmUnchanged[K Key](t *testing.T, key func(int) K) {
+	m := NewMap[K, int](0)
+	for i := 0; i < 3000; i++ {
+		m.Put(key(i), i)
+	}
+	for i := 0; i < 3000; i += 3 {
+		m.Delete(key(i))
+	}
+	keys := make([]K, 6000) // present, deleted, never inserted
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	snap := func() (heads []int32, entries []entry[K, int], counts [3]int) {
+		heads = append(heads, m.heads...)
+		for _, p := range m.pages {
+			entries = append(entries, p[:]...)
+		}
+		return heads, entries, [3]int{int(m.used), int(m.free), m.n}
+	}
+	h0, e0, c0 := snap()
+	m.Warm(keys)
+	m.Warm(keys[:1])
+	m.Warm(nil)
+	h1, e1, c1 := snap()
+	if !reflect.DeepEqual(h0, h1) || !reflect.DeepEqual(e0, e1) || c0 != c1 {
+		t.Fatal("Warm changed the map")
+	}
+	if m.warmed == 0 {
+		t.Fatal("Warm loaded nothing")
 	}
 }
 

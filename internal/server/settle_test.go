@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
@@ -52,13 +51,17 @@ type lossyTier struct {
 	n, lost *int
 }
 
-func (l lossyTier) Advertise(fp chunk.Fingerprint, pba alloc.PBA, fresh bool) {
-	if *l.n++; l.seen[fp] && *l.n%3 == 0 {
-		*l.lost++
-		return
+func (l lossyTier) Advertise(ads []engine.Ad) {
+	kept := make([]engine.Ad, 0, len(ads))
+	for _, a := range ads {
+		if *l.n++; l.seen[a.FP] && *l.n%3 == 0 {
+			*l.lost++
+			continue
+		}
+		l.seen[a.FP] = true
+		kept = append(kept, a)
 	}
-	l.seen[fp] = true
-	l.Tier.Advertise(fp, pba, fresh)
+	l.Tier.Advertise(kept)
 }
 
 const settleShards, settleChunks = 8, 4
