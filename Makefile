@@ -16,7 +16,9 @@ all: build vet test
 # testScale), which keeps the race run to a couple of minutes. The
 # tier's packages run again at one, two and four threads: settlement
 # runs every shard's agent at once, so what it converges to must not
-# depend on how many cores interleave them. The zero-allocation guards
+# depend on how many cores interleave them. The replay package joins
+# them: replay.RunAll fans a batch out over goroutines, and its order
+# and determinism tests must hold at every thread count. The zero-allocation guards
 # of microbench (ZERO_ALLOC_BENCH) run once each: every one checks
 # itself with testing.AllocsPerRun after its timed loop, so one
 # iteration is enough to fail (the allocs/op column of a one-iteration
@@ -28,7 +30,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/
+	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/ ./internal/replay/
 	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/probe/ ./internal/icache/ ./internal/maptable/ ./internal/globalfp/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta

@@ -155,7 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	env := experiments.NewEnv(*scale, *workers)
-	defer env.Close()
 	env.TraceEvery = *traceSample
 	var track perf.Tracker
 	for _, x := range wanted {

@@ -23,7 +23,6 @@ const slotBytes = int64(chunk.Size)
 type Splitter struct {
 	p  Params
 	fp chunk.SyntheticFingerprinter
-	mt chunk.Materializer
 
 	buf   []byte
 	marks []uint64
@@ -200,7 +199,9 @@ func (s *Splitter) splitPlain(dst []chunk.Chunk, ids []chunk.ContentID) ([]chunk
 	bn := len(ids) * int(slotBytes)
 	s.buf, s.marks = growTo(s.buf, bn), growTo(s.marks, (bn+63)/64)
 	s.held = span{} // buf no longer holds stream bytes
-	s.mt.FillAll(s.buf, ids)
+	for i, id := range ids {
+		chunk.FillPayload(id, s.buf[i*int(slotBytes):(i+1)*int(slotBytes)])
+	}
 	s.MaterializedBytes += int64(bn)
 	s.sweepFrom(0)
 	s.cuts = appendChainedCuts(s.cuts[:0], s.marks, bn, s.p.minBytes, s.p.maxBytes)

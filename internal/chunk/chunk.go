@@ -15,6 +15,10 @@
 //     millions of 4 KB buffers would dominate run time without changing
 //     any dedup decision (two chunks share a fingerprint iff they share
 //     a content ID in both modes).
+//
+// Nothing here starts a goroutine: fingerprints and payloads are
+// computed on the caller's, and the simulator charges fingerprinting a
+// fixed virtual cost per chunk however the host spends its time.
 package chunk
 
 import (

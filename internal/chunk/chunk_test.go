@@ -189,33 +189,43 @@ func TestSplitIntoReusesAndReinitializes(t *testing.T) {
 	}
 }
 
-func TestHashEngineSerialAndParallelAgree(t *testing.T) {
+// TestHashEngineChargesPerChunk: the SHA-1 engine path agrees with
+// fingerprinting at split time, and the modeled cost is the fixed
+// per-chunk latency.
+func TestHashEngineChargesPerChunk(t *testing.T) {
 	ids := make([]ContentID, 64)
 	for i := range ids {
 		ids[i] = ContentID(i % 16)
 	}
-	serial := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
-	par := SplitInto(nil, ids, SyntheticFingerprinter{}, true) // placeholder fps, recomputed below
-
-	e1 := NewHashEngine(SHA1Fingerprinter{}, 1)
-	e8 := NewHashEngine(SHA1Fingerprinter{}, 8)
-	cost1 := e1.FingerprintAll(serial)
-	cost8 := e8.FingerprintAll(par)
-	if cost1 != cost8 {
-		t.Errorf("modeled cost must be independent of parallelism: %d vs %d", cost1, cost8)
+	want := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
+	got := SplitInto(nil, ids, nil, true)
+	if cost := NewHashEngine(SHA1Fingerprinter{}, 1).FingerprintAll(got); cost != int64(len(ids))*DefaultChunkTimeUS {
+		t.Errorf("cost = %d, want %d", cost, int64(len(ids))*DefaultChunkTimeUS)
 	}
-	if cost1 != int64(len(ids))*DefaultChunkTimeUS {
-		t.Errorf("cost = %d, want %d", cost1, int64(len(ids))*DefaultChunkTimeUS)
-	}
-	for i := range serial {
-		if serial[i].FP != par[i].FP {
-			t.Fatalf("chunk %d: serial and parallel fingerprints differ", i)
+	for i := range want {
+		if got[i].FP != want[i].FP {
+			t.Fatalf("chunk %d: engine and split-time fingerprints differ", i)
 		}
 	}
 }
 
+// TestNewHashEngineRefusesWorkers: hashing runs on the caller's
+// goroutine, so any parallelism but 1 is refused.
+func TestNewHashEngineRefusesWorkers(t *testing.T) {
+	for _, w := range []int{0, 2, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHashEngine(fp, %d) did not panic", w)
+				}
+			}()
+			NewHashEngine(SHA1Fingerprinter{}, w)
+		}()
+	}
+}
+
 func TestHashEngineEmpty(t *testing.T) {
-	e := NewHashEngine(SHA1Fingerprinter{}, 4)
+	e := NewHashEngine(SHA1Fingerprinter{}, 1)
 	if cost := e.FingerprintAll(nil); cost != 0 {
 		t.Errorf("empty batch cost = %d, want 0", cost)
 	}
@@ -258,19 +268,5 @@ func BenchmarkSyntheticFingerprint(b *testing.B) {
 	c := Chunk{Content: 1}
 	for i := 0; i < b.N; i++ {
 		fp.Fingerprint(&c)
-	}
-}
-
-func BenchmarkHashEngineParallel(b *testing.B) {
-	ids := make([]ContentID, 1024)
-	for i := range ids {
-		ids[i] = ContentID(i)
-	}
-	chunks := SplitInto(nil, ids, SyntheticFingerprinter{}, true)
-	e := NewHashEngine(SHA1Fingerprinter{}, 0)
-	b.SetBytes(int64(len(ids)) * Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.FingerprintAll(chunks)
 	}
 }

@@ -56,7 +56,7 @@ type Config struct {
 	IDedupThreshold int
 
 	Fingerprinter chunk.Fingerprinter
-	HashWorkers   int
+	HashWorkers   int // 1, the only value chunk.NewHashEngine accepts
 
 	// NVRAMBytes sizes the Map-table journal; 0 disables journaling.
 	NVRAMBytes int
@@ -301,9 +301,10 @@ type streamWrites struct {
 }
 
 // NoteStreamWrite attributes one serviced write request to its tenant
-// stream for the per-stream fairness gauges (writes, removed, and
-// writes_removed_pct{stream=...}). A no-op unless stream mode is on,
-// so untagged single-tenant runs publish byte-identical metrics.
+// stream for the per-stream fairness gauges (stream_writes and
+// stream_writes_removed; readers compute the percentage from the two,
+// which sum correctly across shards). A no-op unless stream mode is
+// on, so untagged single-tenant runs publish byte-identical metrics.
 func (b *Base) NoteStreamWrite(stream trace.StreamID, removed bool) {
 	if b.strAcct == nil {
 		return
@@ -323,19 +324,10 @@ func (b *Base) NoteStreamWrite(stream trace.StreamID, removed bool) {
 
 func (b *Base) instrumentStreamWrites(id uint32, c *streamWrites) {
 	label := strconv.FormatUint(uint64(id), 10)
-	// raw counts sum correctly under cross-shard snapshot merges; the
-	// pct gauge is exact per shard (recompute from counts after a merge)
 	b.Reg.GaugeFunc(metrics.Labeled("stream_writes", "stream", label),
 		func() int64 { return c.writes })
 	b.Reg.GaugeFunc(metrics.Labeled("stream_writes_removed", "stream", label),
 		func() int64 { return c.removed })
-	b.Reg.GaugeFunc(metrics.Labeled("writes_removed_pct", "stream", label),
-		func() int64 {
-			if c.writes == 0 {
-				return 0
-			}
-			return c.removed * 100 / c.writes
-		})
 }
 
 // Tier is everything an engine says to, and asks of, the global

@@ -99,8 +99,32 @@ func (s *Stats) Reset() {
 
 // Merge folds another engine's counters into s: scalars add, response
 // time histograms merge. The sharded serving layer uses it to
-// aggregate per-shard statistics into one report.
-func (s *Stats) Merge(o *Stats) { stats.MergeStructs(s, o) }
+// aggregate per-shard statistics into one report. A field added to
+// Stats needs a line here; TestStatsMergeAggregatesShards fails until
+// it has one.
+func (s *Stats) Merge(o *Stats) {
+	s.ReadRT.Merge(o.ReadRT)
+	s.WriteRT.Merge(o.WriteRT)
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.WritesRemoved += o.WritesRemoved
+	s.ChunksWritten += o.ChunksWritten
+	s.ChunksDeduped += o.ChunksDeduped
+	s.Cat1 += o.Cat1
+	s.Cat2 += o.Cat2
+	s.Cat3 += o.Cat3
+	s.IndexDiskIOs += o.IndexDiskIOs
+	s.RemoteDeduped += o.RemoteDeduped
+	s.RemoteReads += o.RemoteReads
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.ReadIOs += o.ReadIOs
+	s.ReadAmplifiedReqs += o.ReadAmplifiedReqs
+	s.SwapInIOs += o.SwapInIOs
+	s.WriteErrors += o.WriteErrors
+	s.ReadErrors += o.ReadErrors
+	s.NVRAMPeakBytes += o.NVRAMPeakBytes
+}
 
 // TotalRT reports the mean response time across reads and writes, µs.
 func (s *Stats) TotalRT() float64 {

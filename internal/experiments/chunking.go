@@ -49,7 +49,7 @@ func chunkingThroughput(algo cdc.Algo) float64 {
 		for i := range ids {
 			ids[i] = chunk.ContentID(i*313 + 11)
 		}
-		e := chunk.NewHashEngine(chunk.SyntheticFingerprinter{}, 0)
+		e := chunk.NewHashEngine(chunk.SyntheticFingerprinter{}, 1)
 		scratch := make([]chunk.Chunk, 0, blocks)
 		return measureMBs(func() int64 {
 			for r := 0; r < rounds; r++ {

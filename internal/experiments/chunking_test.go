@@ -8,7 +8,6 @@ import "testing"
 // a substantial share of the rewrite generations.
 func TestChunkingShifted(t *testing.T) {
 	env := NewEnv(0.05, 0)
-	defer env.Close()
 	_, rows := env.Chunking()
 	if len(rows) != 3 {
 		t.Fatalf("want 3 chunker rows, got %d", len(rows))

@@ -188,9 +188,6 @@ type Env struct {
 	// the chunking experiment's outcome, kept once computed
 	chunkTable *stats.Table
 	chunkRows  []ChunkingRow
-
-	poolOnce sync.Once
-	pool     *replay.Pool
 }
 
 // tracePack is one (profile, scale) trace, generated at most once via
@@ -276,8 +273,8 @@ type Cell struct {
 	TraceFn func() (*trace.Trace, int)
 }
 
-// EnsureCells replays every cell whose key is not yet cached on the
-// Env's persistent worker pool and caches the results. Duplicate keys
+// EnsureCells replays every cell whose key is not yet cached, on up to
+// Workers goroutines, and caches the results. Duplicate keys
 // within one batch run once.
 func (e *Env) EnsureCells(cells []Cell) {
 	var missing []Cell
@@ -303,8 +300,7 @@ func (e *Env) EnsureCells(cells []Cell) {
 			TraceEvery: e.TraceEvery,
 		}
 	}
-	e.poolOnce.Do(func() { e.pool = replay.NewPool(e.Workers) })
-	results := e.pool.Run(jobs)
+	results := replay.RunAll(jobs, e.Workers)
 	e.mu.Lock()
 	for i, r := range results {
 		if r.Err != nil {
@@ -326,15 +322,6 @@ func (e *Env) cellResult(k string) *replay.Result {
 		panic(fmt.Sprintf("experiments: cell %q was never replayed", k))
 	}
 	return r
-}
-
-// Close stops the Env's persistent worker pool. Safe when no replay
-// ever ran; the Env must not replay anything afterwards.
-func (e *Env) Close() {
-	e.poolOnce.Do(func() {}) // pool can no longer be created lazily
-	if e.pool != nil {
-		e.pool.Close()
-	}
 }
 
 // matrixCell is the canonical (engine, trace) evaluation cell: the

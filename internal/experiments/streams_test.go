@@ -9,7 +9,6 @@ import "testing"
 // fixed division serves both.
 func TestStreamsDynamicBeatsStatic(t *testing.T) {
 	e := NewEnv(0.25, 2)
-	defer e.Close()
 	_, rows := e.Streams()
 
 	var dynamic *StreamsRow
@@ -56,7 +55,6 @@ const advPartitionEntries = 8192
 // apportionment floors the scan and keeps serving the burst tenants.
 func TestStreamsScanContainsPolluter(t *testing.T) {
 	e := NewEnv(0.25, 2)
-	defer e.Close()
 	_, rows := e.StreamsScan()
 
 	var shared, dynamic *StreamsRow

@@ -1,14 +1,15 @@
 // Package replay drives engines with traces and collects the
 // measurements the experiments report. Individual replays are
 // single-threaded (virtual time must advance deterministically);
-// independent (engine, trace) combinations run in parallel across a
-// worker pool.
+// independent (engine, trace) combinations run in parallel, on
+// goroutines RunAll starts for one batch and joins before it returns.
 package replay
 
 import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/metrics"
@@ -30,7 +31,7 @@ type Flusher interface {
 // Releaser is implemented by engines whose substrates draw on pooled
 // resources (the content model's page arenas). runJob invokes it after
 // the replay's result has been extracted — the engine never escapes a
-// pool job, so its arenas can be recycled immediately. Callers of the
+// RunAll job, so its arenas can be recycled immediately. Callers of the
 // serial Run keep their engine and must release (or not) themselves.
 type Releaser interface {
 	Release()
@@ -55,9 +56,9 @@ type Result struct {
 	Metrics *metrics.Snapshot
 
 	// Err is set when the job panicked instead of completing; every
-	// other field is zero. The pool converts panics into errors so one
-	// corrupt combination doesn't take down its workers (and with them
-	// the results of every job queued behind it).
+	// other field is zero. RunAll converts panics into errors so one
+	// corrupt combination doesn't take down the batch (and with it the
+	// results of every job queued behind it).
 	Err error
 }
 
@@ -148,7 +149,7 @@ func run(e engine.Engine, tr *trace.Trace, warmup, traceEvery int, observe func(
 // Job is one replay to execute: a factory (each job needs a fresh
 // engine over fresh substrates) plus its trace. TraceFn runs on the
 // worker executing the job — so trace generation overlaps with other
-// jobs' replays instead of serializing in the caller before the pool
+// jobs' replays instead of serializing in the caller before the batch
 // starts.
 type Job struct {
 	Key     string // caller-chosen identifier
@@ -181,53 +182,25 @@ func runJob(j Job) (res *Result) {
 	return res
 }
 
-// Pool is a persistent replay worker pool: its workers start once and
-// service batches from many Run calls, so a driver that schedules
-// figure after figure reuses one set of workers (and their warmed
-// allocator state) instead of spawning a fresh pool per figure. Run is
-// safe for concurrent use — batches interleave over the same workers.
-type Pool struct {
-	tasks chan poolTask
-}
-
-type poolTask struct {
-	job  Job
-	slot **Result
-	wg   *sync.WaitGroup
-}
-
-// NewPool starts a pool with the given number of workers (≤ 0 selects
-// one). The workers idle on a channel between batches; Close releases
-// them.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = 1
-	}
-	p := &Pool{tasks: make(chan poolTask)}
+// RunAll executes jobs on up to workers goroutines (≤ 0 selects one)
+// and returns results in job order. The goroutines start with the call
+// and are joined before it returns, so nothing outlives the batch. A
+// job that panics yields a Result with Err set; the jobs queued behind
+// it still run.
+func RunAll(jobs []Job, workers int) []*Result {
+	results := make([]*Result, len(jobs))
+	workers = min(max(workers, 1), len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for t := range p.tasks {
-				*t.slot = runJob(t.job)
-				t.wg.Done()
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				results[i] = runJob(jobs[i])
 			}
 		}()
-	}
-	return p
-}
-
-// Run executes jobs on the pool and returns results in job order,
-// blocking until every job completes. A job that panics yields a
-// Result with Err set rather than crashing the pool.
-func (p *Pool) Run(jobs []Job) []*Result {
-	results := make([]*Result, len(jobs))
-	var wg sync.WaitGroup
-	wg.Add(len(jobs))
-	for i := range jobs {
-		p.tasks <- poolTask{job: jobs[i], slot: &results[i], wg: &wg}
 	}
 	wg.Wait()
 	return results
 }
-
-// Close stops the pool's workers. Run must not be called after Close.
-func (p *Pool) Close() { close(p.tasks) }

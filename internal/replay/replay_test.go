@@ -50,13 +50,6 @@ func fixed(tr *trace.Trace, warmup int) func() (*trace.Trace, int) {
 	return func() (*trace.Trace, int) { return tr, warmup }
 }
 
-// runAll runs one batch on a fresh pool of the given size.
-func runAll(jobs []Job, workers int) []*Result {
-	p := NewPool(workers)
-	defer p.Close()
-	return p.Run(jobs)
-}
-
 func TestRunMeasuresOnlyPostWarmup(t *testing.T) {
 	tr := smallTrace(30)
 	res := Run(newEngine(), tr, 10)
@@ -108,7 +101,7 @@ func TestRunAllParallelOrderPreserved(t *testing.T) {
 		}
 		jobs = append(jobs, Job{Key: "k", Factory: factory, TraceFn: fixed(tr, 0)})
 	}
-	results := runAll(jobs, 3)
+	results := RunAll(jobs, 3)
 	if len(results) != 6 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -130,12 +123,15 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			jobs = append(jobs, Job{Factory: newEngine, TraceFn: fixed(tr, 5)})
 		}
-		return runAll(jobs, workers)
+		return RunAll(jobs, workers)
 	}
-	a, b := mk(1), mk(4)
-	for i := range a {
-		if a[i].MeanRT != b[i].MeanRT || a[i].UsedBlocks != b[i].UsedBlocks {
-			t.Fatalf("job %d differs across worker counts", i)
+	a := mk(1)
+	for _, workers := range []int{0, 4} { // ≤ 0 clamps to one worker
+		b := mk(workers)
+		for i := range a {
+			if a[i].MeanRT != b[i].MeanRT || a[i].UsedBlocks != b[i].UsedBlocks {
+				t.Fatalf("job %d differs between one worker and %d", i, workers)
+			}
 		}
 	}
 }
@@ -147,7 +143,7 @@ func TestRunAllRecoversPanickingJob(t *testing.T) {
 		{Key: "bad", Factory: func() engine.Engine { panic("injected factory failure") }, TraceFn: fixed(tr, 0)},
 		{Key: "good-after", Factory: newEngine, TraceFn: fixed(tr, 2)},
 	}
-	results := runAll(jobs, 1) // one worker: all three share a goroutine
+	results := RunAll(jobs, 1) // one worker: all three share a goroutine
 	if results[1].Err == nil {
 		t.Fatal("panicking job must surface an error result")
 	}
@@ -174,7 +170,7 @@ func TestRunAllLazyTraceFn(t *testing.T) {
 		{Key: "lazy-a", Factory: newEngine, TraceFn: fn},
 		{Key: "lazy-b", Factory: newEngine, TraceFn: fn},
 	}
-	results := runAll(jobs, 2)
+	results := RunAll(jobs, 2)
 	if n := atomic.LoadInt32(&calls); n != 2 {
 		t.Fatalf("TraceFn called %d times, want once per job", n)
 	}
@@ -189,68 +185,8 @@ func TestRunAllLazyTraceFn(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	if got := runAll(nil, 4); len(got) != 0 {
+	if got := RunAll(nil, 4); len(got) != 0 {
 		t.Fatal("empty jobs must produce empty results")
-	}
-}
-
-func TestPoolReusedAcrossBatches(t *testing.T) {
-	tr := smallTrace(30)
-	p := NewPool(2)
-	defer p.Close()
-	for batch := 0; batch < 3; batch++ {
-		jobs := []Job{
-			{Key: "a", Factory: newEngine, TraceFn: fixed(tr, 5)},
-			{Key: "b", Factory: newEngine, TraceFn: fixed(tr, 5)},
-			{Key: "c", Factory: newEngine, TraceFn: fixed(tr, 5)},
-		}
-		results := p.Run(jobs)
-		if len(results) != 3 {
-			t.Fatalf("batch %d: %d results", batch, len(results))
-		}
-		for i, r := range results {
-			if r == nil || r.Err != nil {
-				t.Fatalf("batch %d job %d failed: %+v", batch, i, r)
-			}
-			if r.MeanRT != results[0].MeanRT {
-				t.Fatalf("batch %d: identical jobs diverged", batch)
-			}
-		}
-	}
-}
-
-func TestPoolMatchesRunAll(t *testing.T) {
-	tr := smallTrace(30)
-	jobs := func() []Job {
-		return []Job{
-			{Key: "x", Factory: newEngine, TraceFn: fixed(tr, 5)},
-			{Key: "y", Factory: newEngine, TraceFn: fixed(tr, 10)},
-		}
-	}
-	p := NewPool(0) // ≤ 0 clamps to one worker
-	defer p.Close()
-	a := p.Run(jobs())
-	b := runAll(jobs(), 2)
-	for i := range a {
-		if a[i].MeanRT != b[i].MeanRT || a[i].UsedBlocks != b[i].UsedBlocks {
-			t.Fatalf("job %d: one worker and two disagree", i)
-		}
-	}
-}
-
-func TestPoolRecoversPanickingJob(t *testing.T) {
-	tr := smallTrace(12)
-	p := NewPool(1)
-	defer p.Close()
-	results := p.Run([]Job{
-		{Key: "bad", Factory: func() engine.Engine { panic("pool factory failure") }, TraceFn: fixed(tr, 0)},
-		{Key: "good", Factory: newEngine, TraceFn: fixed(tr, 2)},
-	})
-	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "pool factory failure") {
-		t.Fatalf("panicking job must surface its error, got %+v", results[0].Err)
-	}
-	if results[1].Err != nil || results[1].Stats.Reads+results[1].Stats.Writes == 0 {
-		t.Fatal("job after a panic must still run on the surviving worker")
 	}
 }
 

@@ -496,3 +496,50 @@ func TestCheckConsistencyAuditsEveryShard(t *testing.T) {
 		}
 	}
 }
+
+// TestShardRatioGaugesCarryShardLabel: a server snapshot merges the
+// shard engines' registries by summing gauges, so a percentage or
+// permille gauge two shards publish under one name adds up to
+// nonsense. Every such gauge in a shard engine's registry must carry a
+// shard label, or be one of the documented exceptions.
+func TestShardRatioGaugesCarryShardLabel(t *testing.T) {
+	// icache_index_frac_permille: bench/ reads the merged value and
+	// divides it by the engine count.
+	exceptions := map[string]bool{"icache_index_frac_permille": true}
+	tr, prof := testTrace(t)
+	srv, err := New(Config{
+		Shards: 2,
+		NewEngine: func(int) engine.Engine {
+			cfg := experiments.BuildConfig(prof, testScale)
+			cfg.Streams = engine.StreamParams{Enabled: true}
+			return experiments.NewEngine(experiments.POD, cfg)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Requests {
+		r := apiReq(&tr.Requests[i])
+		r.Stream = trace.StreamID(i % 3)
+		if _, err := srv.Do(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+	for _, sh := range srv.shards {
+		streams := 0
+		for name := range sh.eng.Metrics().Snapshot().Gauges {
+			base, _, _ := strings.Cut(name, "{")
+			if base == "stream_writes" {
+				streams++
+			}
+			if (strings.Contains(base, "pct") || strings.Contains(base, "permille")) &&
+				!strings.Contains(name, `shard="`) && !exceptions[base] {
+				t.Errorf("shard %d publishes %s without a shard label: merged across shards it sums", sh.id, name)
+			}
+		}
+		if streams < 2 {
+			t.Errorf("shard %d accounts %d streams, want the tagged tenants", sh.id, streams)
+		}
+	}
+}

@@ -83,7 +83,6 @@ func RunExperiment(id string, scale float64, workers int) (string, error) {
 		return "", fmt.Errorf("pod: %w", err)
 	}
 	env := experiments.NewEnv(scale, workers)
-	defer env.Close()
 	var out strings.Builder
 	x.Print(env, &out)
 	return strings.TrimSuffix(out.String(), "\n"), nil
