@@ -58,8 +58,9 @@ loc:
 # -chaos scenario, the tier (with a shard crash), streams, CDC, shedding
 # and deadlines, podload's and podbench's perf trajectory merged into
 # one file and compared with itself by benchdelta, podsim over a
-# generated trace file, and bench -quick (end to end, traced, and
-# compared). traffic.awk then fails on a function no run executed that
+# generated trace file, tracefilter and podsim over the committed FIU
+# record sample (testdata/fiu-sample.srt), and bench -quick (end to
+# end, traced, and compared). traffic.awk then fails on a function no run executed that
 # traffic.allow does not list with a reason class (TRAFFIC_CLASSES), and
 # on a listed function that has traffic now or is gone. It writes the
 # statements no run executed, per file, to $(TRAFFIC)/statements.txt,
@@ -68,7 +69,7 @@ loc:
 # from a cold build cache.
 TRAFFIC ?= /tmp/pod-traffic
 TRAFFIC_BINS = podbench podload podsim tracegen tracestat tracefilter benchdelta
-TRAFFIC_CLASSES = fault input audit reference fiu bench api interface
+TRAFFIC_CLASSES = fault input audit reference bench api interface
 TRAFFIC_EXAMPLES = adaptivecache crashrecovery mailserver quickstart webserver
 traffic:
 	@rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/bin $(TRAFFIC)/cov
@@ -99,6 +100,8 @@ traffic:
 	run $$B/tracestat -builtin web-vm -scale 0.02; \
 	run $$B/tracefilter -in-binary -ops W -from 1s -reassemble 1ms -out-binary -o $$T/w.bin $$T/homes.bin; \
 	run $$B/tracefilter -ops R -to 60s -o $$T/r.trace $$T/mail.trace; \
+	run $$B/tracefilter -in-fiu -reassemble 1ms -o $$T/fiu.trace testdata/fiu-sample.srt; \
+	run $$B/podsim -fiu -file testdata/fiu-sample.srt; \
 	run $$B/podsim -file $$T/mail.trace -scheme POD -history -latencies $$T/lat.csv; \
 	run $$B/podsim -trace homes -scheme iDedup -scale 0.05; \
 	run $$B/podsim -trace shifted -scheme POD -chunking seqcdc -scale 0.05; \

@@ -6,7 +6,6 @@ package api
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/sim"
@@ -57,33 +56,15 @@ func (r *Request) Len() int {
 	return r.Chunks
 }
 
-// Validate reports why the request is malformed, or nil.
+// Validate reports why the request is malformed, or nil: a negative
+// Time, which a trace.Request cannot carry, or whatever
+// trace.Request.Validate finds in the converted request.
 func (r *Request) Validate() error {
 	if r.Time < 0 {
 		return fmt.Errorf("api: negative request time %d", r.Time)
 	}
-	switch r.Op {
-	case OpWrite:
-		if len(r.Content) == 0 {
-			return fmt.Errorf("api: write at lba %d has no content", r.LBA)
-		}
-	case OpRead:
-		if r.Chunks <= 0 {
-			return fmt.Errorf("api: read at lba %d has length %d", r.LBA, r.Chunks)
-		}
-		if r.Content != nil {
-			return fmt.Errorf("api: read at lba %d carries content", r.LBA)
-		}
-	default:
-		return fmt.Errorf("api: unknown op %d", r.Op)
-	}
-	if n := r.Len(); r.LBA > math.MaxUint64-uint64(n-1) {
-		return fmt.Errorf("api: %d chunks at lba %d run past the last address", n, r.LBA)
-	}
-	if r.Stream >= trace.MaxStreams {
-		return fmt.Errorf("api: stream id %d out of range (max %d)", r.Stream, trace.MaxStreams-1)
-	}
-	return nil
+	t := r.Trace()
+	return t.Validate()
 }
 
 // Trace converts the request to the internal trace representation.

@@ -121,12 +121,10 @@ func TestFullDedupeColdLookupChargesDiskIO(t *testing.T) {
 }
 
 func TestBloomDeterministic(t *testing.T) {
-	fp := chunk.SyntheticFingerprinter{}
 	pos := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		c := chunk.Chunk{Content: chunk.ContentID(i)}
-		f := fp.Fingerprint(&c)
+		f := chunk.ContentID(i).Fingerprint()
 		if bloomAdmits(f) != bloomAdmits(f) {
 			t.Fatal("bloom decision must be deterministic")
 		}

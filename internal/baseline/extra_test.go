@@ -46,8 +46,7 @@ func TestIODedupReplicaDirectoryBounded(t *testing.T) {
 		d.Write(at(wr(uint64(i*10), 42), tm))
 		tm = tm.Add(sim.Duration(sim.Millisecond) * 100)
 	}
-	c := chunk.Chunk{Content: 42}
-	list, ok := pol.replicas.Peek(chunk.SyntheticFingerprinter{}.Fingerprint(&c))
+	list, ok := pol.replicas.Peek(chunk.ContentID(42).Fingerprint())
 	if !ok || len(list) > maxReplicasTracked {
 		t.Fatalf("replica list of %d (tracked %v), cap %d", len(list), ok, maxReplicasTracked)
 	}
@@ -68,8 +67,7 @@ func TestIODedupNeverReadsStaleReplica(t *testing.T) {
 		t.Fatal("setup: the overwritten block is still live")
 	}
 
-	var fper chunk.SyntheticFingerprinter
-	list, _ := pol.replicas.Peek(fper.Fingerprint(&chunk.Chunk{Content: 7}))
+	list, _ := pol.replicas.Peek(chunk.ContentID(7).Fingerprint())
 	home, _ := b.Map.Lookup(100)
 	pol.lastPBA = stale // the freed block is now the nearest candidate
 	got := pol.nearest(b, list, home, 7)

@@ -119,7 +119,6 @@ func (d *ioDedup) Read(b *engine.Base, req *trace.Request) (sim.Duration, error)
 
 	done := t
 	anyMiss := false
-	var fp chunk.SyntheticFingerprinter
 	for i := 0; i < req.N; i++ {
 		lba := req.LBA + uint64(i)
 		pba, ok := b.Map.Lookup(lba)
@@ -136,8 +135,7 @@ func (d *ioDedup) Read(b *engine.Base, req *trace.Request) (sim.Duration, error)
 		st.CacheMisses++
 		target := pba
 		if known {
-			c := chunk.Chunk{Content: id}
-			if list, ok := d.replicas.Peek(fp.Fingerprint(&c)); ok {
+			if list, ok := d.replicas.Peek(id.Fingerprint()); ok {
 				target = d.nearest(b, list, pba, id)
 			}
 		}

@@ -85,8 +85,7 @@ func (c *Core) forget(pba alloc.PBA) {
 	if !ok {
 		return
 	}
-	ch := chunk.Chunk{Content: id}
-	fp := fper.Fingerprint(&ch)
+	fp := id.Fingerprint()
 	if can, found := c.fps.Get(fp); found && can == pba {
 		c.fps.Delete(fp)
 	}
@@ -138,11 +137,6 @@ func (c *Core) ReadBatch(now sim.Time, pbas []alloc.PBA, maxIOs int) map[alloc.P
 	return read
 }
 
-// fper is stateless; fingerprint equality is mode-independent (equal
-// content IDs ⇔ equal fingerprints in both modes), so background
-// merging always uses the cheap synthetic fingerprinter.
-var fper chunk.SyntheticFingerprinter
-
 // MergeLBA fingerprints the block expected at (lba, pba) and merges
 // that single mapping into an existing copy of the same content, if one
 // is known. The mapping is re-validated first — the block may have been
@@ -158,8 +152,7 @@ func (c *Core) MergeLBA(lba uint64, pba alloc.PBA) bool {
 		return false
 	}
 	c.scanned++
-	ch := chunk.Chunk{Content: id}
-	fp := fper.Fingerprint(&ch)
+	fp := id.Fingerprint()
 	if existing, found := c.fps.Get(fp); found && existing != pba {
 		if c.b.TryDedupe(lba, existing, id) {
 			c.mergedLBAs++
@@ -178,8 +171,7 @@ func (c *Core) MergeLBA(lba uint64, pba alloc.PBA) bool {
 // became the canonical copy itself).
 func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed int) {
 	c.scanned++
-	ch := chunk.Chunk{Content: id}
-	fp := fper.Fingerprint(&ch)
+	fp := id.Fingerprint()
 
 	can, found := c.fps.Get(fp)
 	if !found || can == pba {
@@ -238,8 +230,7 @@ func (c *Core) FoldRemote(now sim.Time, dup alloc.PBA, fp chunk.Fingerprint, can
 	if !live || c.b.Map.RefCount(dup) == 0 {
 		return 0, 0, false
 	}
-	ch := chunk.Chunk{Content: id}
-	if fper.Fingerprint(&ch) != fp {
+	if id.Fingerprint() != fp {
 		return 0, 0, false
 	}
 	if _, err := c.b.Array.Read(now, uint64(dup), 1); err != nil {

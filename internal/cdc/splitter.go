@@ -21,8 +21,7 @@ const slotBytes = int64(chunk.Size)
 // request at a time, so one Splitter per Base suffices; it is not safe
 // for concurrent use.
 type Splitter struct {
-	p  Params
-	fp chunk.SyntheticFingerprinter
+	p Params
 
 	buf   []byte
 	marks []uint64
@@ -216,14 +215,13 @@ func (s *Splitter) splitPlain(dst []chunk.Chunk, ids []chunk.ContentID) ([]chunk
 }
 
 // emit appends one chunk for the given content bytes: ContentID is the
-// 64-bit content hash, fingerprint the synthetic derivation from it
+// 64-bit content hash, fingerprint ContentID.Fingerprint of it
 // (injective over IDs, so equal bytes ⇒ equal fingerprint and — with
 // overwhelming probability — unequal bytes ⇒ unequal fingerprint).
 func (s *Splitter) emit(dst []chunk.Chunk, content []byte) []chunk.Chunk {
-	c := chunk.Chunk{Content: chunk.ContentID(bytesHash(content))}
-	c.FP = s.fp.Fingerprint(&c)
+	id := chunk.ContentID(bytesHash(content))
 	s.EmittedChunks++
-	return append(dst, c)
+	return append(dst, chunk.Chunk{Content: id, FP: id.Fingerprint()})
 }
 
 // sweepFrom brings s.marks up to date with s.buf, given that the first

@@ -3,28 +3,22 @@
 //
 // POD performs subfile deduplication at a fixed chunk granularity
 // (4 KB in the paper). A write request is split into chunks; each chunk
-// is fingerprinted; fingerprint equality is the dedup criterion.
+// is fingerprinted where it is cut; fingerprint equality is the dedup
+// criterion.
 //
-// Two fingerprinting modes are provided:
+// A fingerprint is one function of the chunk's content ID,
+// ContentID.Fingerprint: two chunks share a fingerprint iff they share
+// a content ID, which is all a dedup decision reads from a SHA-1 of the
+// payload, without hashing 4 KB per chunk. No engine hashes payload
+// bytes: what SHA-1 costs is measured once (the overhead table hashes
+// Payload with crypto/sha1) and charged as a fixed virtual
+// DefaultChunkTimeUS per 4 KB of content, however the host spends its
+// time.
 //
-//   - SHA1Fingerprinter hashes real payload bytes — used by correctness
-//     tests, which materialize deterministic payloads per content ID and
-//     verify read-your-writes through the physical store.
-//   - SyntheticFingerprinter derives the fingerprint from the chunk's
-//     content ID directly — used by large trace replays where hashing
-//     millions of 4 KB buffers would dominate run time without changing
-//     any dedup decision (two chunks share a fingerprint iff they share
-//     a content ID in both modes).
-//
-// Nothing here starts a goroutine: fingerprints and payloads are
-// computed on the caller's, and the simulator charges fingerprinting a
-// fixed virtual cost per chunk however the host spends its time.
+// Nothing here starts a goroutine.
 package chunk
 
-import (
-	"crypto/sha1"
-	"encoding/binary"
-)
+import "encoding/binary"
 
 // Size is the deduplication chunk size in bytes (the paper uses 4 KB).
 const Size = 4096
@@ -41,8 +35,7 @@ type Fingerprint [20]byte
 // Chunk is one fixed-size unit of write data flowing down the I/O path.
 type Chunk struct {
 	Content ContentID   // logical content identity
-	FP      Fingerprint // computed fingerprint
-	Data    []byte      // payload; nil in synthetic (ID-only) replays
+	FP      Fingerprint // Content.Fingerprint(), set where the chunk is cut
 }
 
 // Payload deterministically materializes the canonical Size-byte
@@ -70,36 +63,13 @@ func FillPayload(id ContentID, buf []byte) {
 	}
 }
 
-// Fingerprinter computes a chunk's fingerprint. Implementations must be
-// safe for concurrent use.
-type Fingerprinter interface {
-	// Fingerprint computes the fingerprint of c. Implementations may
-	// use c.Data (content hashing) or c.Content (synthetic mode).
-	Fingerprint(c *Chunk) Fingerprint
-}
-
-// SHA1Fingerprinter hashes the chunk payload with SHA-1. If the chunk
-// carries no payload it materializes the canonical payload for the
-// content ID first, so both trace modes produce identical fingerprints.
-type SHA1Fingerprinter struct{}
-
-// Fingerprint implements Fingerprinter.
-func (SHA1Fingerprinter) Fingerprint(c *Chunk) Fingerprint {
-	data := c.Data
-	if data == nil {
-		data = Payload(c.Content)
-	}
-	return Fingerprint(sha1.Sum(data))
-}
-
-// SyntheticFingerprinter derives a fingerprint from the content ID with
-// a cheap mixing function. Used for large ID-only replays.
-type SyntheticFingerprinter struct{}
-
-// Fingerprint implements Fingerprinter: three rounds of the MurmurHash3
-// finalizer, a golden-ratio step apart, fill bytes 0–7, 8–15 and 16–19.
-func (SyntheticFingerprinter) Fingerprint(c *Chunk) (f Fingerprint) {
-	x := fmix64(uint64(c.Content))
+// Fingerprint is the fingerprint of the content id names: three rounds
+// of the MurmurHash3 finalizer, a golden-ratio step apart, fill bytes
+// 0–7, 8–15 and 16–19. The finalizer is a bijection, so the first
+// round alone makes the function injective: equal fingerprints mean
+// equal content.
+func (id ContentID) Fingerprint() (f Fingerprint) {
+	x := fmix64(uint64(id))
 	binary.LittleEndian.PutUint64(f[0:], x)
 	x = fmix64(x + 0x9e3779b97f4a7c15)
 	binary.LittleEndian.PutUint64(f[8:], x)
@@ -118,15 +88,31 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// SplitInto breaks a request's content IDs into chunks and fingerprints
-// each with fp; payloads are materialized only when materialize is set.
-// It reuses dst's backing array when it has the capacity, so a replay
-// loop allocates its chunk buffer once instead of once per write
-// request. Every field of every returned chunk is (re)initialized —
-// stale fingerprints or payloads from a previous use of dst never leak
-// through. A nil fp skips fingerprinting (the caller will run a
-// HashEngine over the chunks, which also charges the modeled latency).
+// Fingerprinter is the type of engine.Config.Fingerprinter, which the
+// benchmark harness hands to NewHashEngine. SyntheticFingerprinter is
+// its one implementation: there is no other fingerprint to choose.
+type Fingerprinter interface {
+	Fingerprint(c *Chunk) Fingerprint
+}
+
+// SyntheticFingerprinter fingerprints a chunk by its content ID.
+type SyntheticFingerprinter struct{}
+
+// Fingerprint implements Fingerprinter: c.Content.Fingerprint().
+func (SyntheticFingerprinter) Fingerprint(c *Chunk) Fingerprint { return c.Content.Fingerprint() }
+
+// SplitInto breaks a request's content IDs into chunks, fingerprinted
+// unless fp is nil (the benchmark harness then runs a HashEngine over
+// them). fp is nil or SyntheticFingerprinter, and materialize must be
+// false: chunks carry no payload (both parameters stay only so the
+// harness's call keeps compiling). It reuses dst's backing array when it
+// has the capacity, so a replay loop allocates its chunk buffer once
+// instead of once per write request; every field of every returned
+// chunk is (re)initialized.
 func SplitInto(dst []Chunk, ids []ContentID, fp Fingerprinter, materialize bool) []Chunk {
+	if _, ok := fp.(SyntheticFingerprinter); (fp != nil && !ok) || materialize {
+		panic("chunk: SplitInto fingerprints by content ID and carries no payloads")
+	}
 	if cap(dst) < len(ids) {
 		dst = make([]Chunk, len(ids))
 	} else {
@@ -134,11 +120,8 @@ func SplitInto(dst []Chunk, ids []ContentID, fp Fingerprinter, materialize bool)
 	}
 	for i, id := range ids {
 		dst[i] = Chunk{Content: id}
-		if materialize {
-			dst[i].Data = Payload(id)
-		}
 		if fp != nil {
-			dst[i].FP = fp.Fingerprint(&dst[i])
+			dst[i].FP = id.Fingerprint()
 		}
 	}
 	return dst

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPayloadDeterministic(t *testing.T) {
@@ -35,24 +36,6 @@ func TestFillPayloadBadSize(t *testing.T) {
 	FillPayload(1, make([]byte, 10))
 }
 
-func TestSHA1MatchesMaterialized(t *testing.T) {
-	var fp SHA1Fingerprinter
-	withData := Chunk{Content: 7, Data: Payload(7)}
-	withoutData := Chunk{Content: 7}
-	if fp.Fingerprint(&withData) != fp.Fingerprint(&withoutData) {
-		t.Fatal("SHA1 fingerprint must not depend on payload materialization")
-	}
-}
-
-func TestSHA1DistinctContent(t *testing.T) {
-	var fp SHA1Fingerprinter
-	a := Chunk{Content: 1}
-	b := Chunk{Content: 2}
-	if fp.Fingerprint(&a) == fp.Fingerprint(&b) {
-		t.Fatal("distinct contents must hash differently")
-	}
-}
-
 func TestSyntheticConsistent(t *testing.T) {
 	var fp SyntheticFingerprinter
 	a := Chunk{Content: 99}
@@ -66,12 +49,12 @@ func TestSyntheticConsistent(t *testing.T) {
 	}
 }
 
-// syntheticRef is the loop SyntheticFingerprinter.Fingerprint was
-// before it became three straight-line rounds, kept as the reference
-// that defines every synthetic fingerprint.
-func syntheticRef(c *Chunk) Fingerprint {
+// syntheticRef is the loop ContentID.Fingerprint was before it became
+// three straight-line rounds, kept as the reference that defines every
+// fingerprint.
+func syntheticRef(id ContentID) Fingerprint {
 	var f Fingerprint
-	x := uint64(c.Content)
+	x := uint64(id)
 	for i := 0; i < 20; i += 8 {
 		x ^= x >> 33
 		x *= 0xff51afd7ed558ccd
@@ -90,11 +73,11 @@ func syntheticRef(c *Chunk) Fingerprint {
 	return f
 }
 
-// TestSyntheticMatchesReference: the synthetic fingerprint is
-// bit-identical to the reference loop over a seeded million IDs and
-// both ends of the range, directly and through a serial HashEngine.
+// TestSyntheticMatchesReference: the fingerprint is bit-identical to
+// the reference loop over a seeded million IDs and both ends of the
+// range — directly, through SyntheticFingerprinter, SplitInto and a
+// HashEngine.
 func TestSyntheticMatchesReference(t *testing.T) {
-	var fp SyntheticFingerprinter
 	r := rand.New(rand.NewSource(1))
 	ids := []ContentID{0, math.MaxUint64}
 	for len(ids) < 1_000_002 {
@@ -102,34 +85,36 @@ func TestSyntheticMatchesReference(t *testing.T) {
 	}
 	for _, id := range ids {
 		c := Chunk{Content: id}
-		if got, want := fp.Fingerprint(&c), syntheticRef(&c); got != want {
+		if got, want := id.Fingerprint(), syntheticRef(id); got != want || (SyntheticFingerprinter{}).Fingerprint(&c) != want {
 			t.Fatalf("id %#x: %x, want %x", uint64(id), got, want)
 		}
 	}
-	chunks := SplitInto(nil, ids[:64], nil, false)
-	NewHashEngine(fp, 1).FingerprintAll(chunks)
-	for i := range chunks {
-		if want := syntheticRef(&chunks[i]); chunks[i].FP != want {
-			t.Fatalf("HashEngine, id %#x: %x, want %x", uint64(ids[i]), chunks[i].FP, want)
+	split := SplitInto(nil, ids[:64], SyntheticFingerprinter{}, false)
+	hashed := SplitInto(nil, ids[:64], nil, false)
+	NewHashEngine(SyntheticFingerprinter{}, 1).FingerprintAll(hashed)
+	for i := range split {
+		if want := syntheticRef(ids[i]); split[i].FP != want || hashed[i].FP != want {
+			t.Fatalf("id %#x: split %x, HashEngine %x, want %x", uint64(ids[i]), split[i].FP, hashed[i].FP, want)
 		}
 	}
 }
 
-// The dedup-decision equivalence that justifies using synthetic
-// fingerprints for large replays: fp(a)==fp(b) iff content(a)==content(b)
-// in BOTH modes.
-func TestModeEquivalenceProperty(t *testing.T) {
-	var sha SHA1Fingerprinter
-	var syn SyntheticFingerprinter
+// TestFingerprintEqualityProperty: the equivalence every dedup
+// decision rests on — fingerprints are equal iff content IDs are.
+func TestFingerprintEqualityProperty(t *testing.T) {
 	f := func(a, b uint32) bool {
-		ca, cb := Chunk{Content: ContentID(a)}, Chunk{Content: ContentID(b)}
-		shaEq := sha.Fingerprint(&ca) == sha.Fingerprint(&cb)
-		synEq := syn.Fingerprint(&ca) == syn.Fingerprint(&cb)
-		contentEq := a == b
-		return shaEq == contentEq && synEq == contentEq
+		return (ContentID(a).Fingerprint() == ContentID(b).Fingerprint()) == (a == b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChunkSize: a chunk is its content ID and fingerprint, nothing
+// more — every chunk scratch buffer and WriteOp is sized by it.
+func TestChunkSize(t *testing.T) {
+	if n := unsafe.Sizeof(Chunk{}); n != 32 {
+		t.Fatalf("a chunk is %d B, want 32", n)
 	}
 }
 
@@ -145,24 +130,46 @@ func TestSplit(t *testing.T) {
 	if chunks[0].FP == chunks[1].FP {
 		t.Error("different content must not share fingerprint")
 	}
-	if chunks[0].Data != nil {
-		t.Error("non-materialized split must not allocate payloads")
+	if bare := SplitInto(nil, ids, nil, false); bare[0].FP != (Fingerprint{}) {
+		t.Error("a nil fingerprinter must leave fingerprints to a HashEngine")
 	}
-	mat := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
-	if mat[0].Data == nil || len(mat[0].Data) != Size {
-		t.Error("materialized split must carry payloads")
+}
+
+// otherFingerprinter is a Fingerprinter that is not the content ID's.
+type otherFingerprinter struct{}
+
+func (otherFingerprinter) Fingerprint(*Chunk) Fingerprint { return Fingerprint{1} }
+
+// TestOnlyTheContentFingerprint: the Fingerprinter and materialize
+// parameters accept only what WithDefaults fills — there is no other
+// fingerprint, and no payload.
+func TestOnlyTheContentFingerprint(t *testing.T) {
+	for name, call := range map[string]func(){
+		"SplitInto(other)":       func() { SplitInto(nil, []ContentID{1}, otherFingerprinter{}, false) },
+		"SplitInto(materialize)": func() { SplitInto(nil, []ContentID{1}, SyntheticFingerprinter{}, true) },
+		"NewHashEngine(other)":   func() { NewHashEngine(otherFingerprinter{}, 1) },
+		"NewHashEngine(nil)":     func() { NewHashEngine(nil, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
 func TestSplitIntoReusesAndReinitializes(t *testing.T) {
 	ids := []ContentID{1, 2, 3, 4}
-	buf := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
-	if len(buf) != 4 || buf[0].Data == nil {
+	buf := SplitInto(nil, ids, SyntheticFingerprinter{}, false)
+	if len(buf) != 4 || buf[0].FP != ContentID(1).Fingerprint() {
 		t.Fatal("SplitInto into nil must allocate and fill the chunks")
 	}
 	stale := buf[0].FP
 
-	// reuse with fewer ids, no fp, no payloads: nothing stale survives
+	// reuse with fewer ids and no fp: nothing stale survives
 	again := SplitInto(buf, []ContentID{9, 10}, nil, false)
 	if &again[0] != &buf[0] {
 		t.Fatal("SplitInto must reuse dst's backing array when capacity allows")
@@ -171,9 +178,6 @@ func TestSplitIntoReusesAndReinitializes(t *testing.T) {
 		t.Fatalf("len = %d, want 2", len(again))
 	}
 	for i, c := range again {
-		if c.Data != nil {
-			t.Fatalf("chunk %d: stale payload leaked through reuse", i)
-		}
 		if c.FP == stale || c.FP != (Fingerprint{}) {
 			t.Fatalf("chunk %d: stale fingerprint leaked through reuse", i)
 		}
@@ -189,7 +193,7 @@ func TestSplitIntoReusesAndReinitializes(t *testing.T) {
 	}
 }
 
-// TestHashEngineChargesPerChunk: the SHA-1 engine path agrees with
+// TestHashEngineChargesPerChunk: the HashEngine agrees with
 // fingerprinting at split time, and the modeled cost is the fixed
 // per-chunk latency.
 func TestHashEngineChargesPerChunk(t *testing.T) {
@@ -197,9 +201,9 @@ func TestHashEngineChargesPerChunk(t *testing.T) {
 	for i := range ids {
 		ids[i] = ContentID(i % 16)
 	}
-	want := SplitInto(nil, ids, SHA1Fingerprinter{}, true)
-	got := SplitInto(nil, ids, nil, true)
-	if cost := NewHashEngine(SHA1Fingerprinter{}, 1).FingerprintAll(got); cost != int64(len(ids))*DefaultChunkTimeUS {
+	want := SplitInto(nil, ids, SyntheticFingerprinter{}, false)
+	got := SplitInto(nil, ids, nil, false)
+	if cost := NewHashEngine(SyntheticFingerprinter{}, 1).FingerprintAll(got); cost != int64(len(ids))*DefaultChunkTimeUS {
 		t.Errorf("cost = %d, want %d", cost, int64(len(ids))*DefaultChunkTimeUS)
 	}
 	for i := range want {
@@ -219,13 +223,13 @@ func TestNewHashEngineRefusesWorkers(t *testing.T) {
 					t.Errorf("NewHashEngine(fp, %d) did not panic", w)
 				}
 			}()
-			NewHashEngine(SHA1Fingerprinter{}, w)
+			NewHashEngine(SyntheticFingerprinter{}, w)
 		}()
 	}
 }
 
 func TestHashEngineEmpty(t *testing.T) {
-	e := NewHashEngine(SHA1Fingerprinter{}, 1)
+	e := NewHashEngine(SyntheticFingerprinter{}, 1)
 	if cost := e.FingerprintAll(nil); cost != 0 {
 		t.Errorf("empty batch cost = %d, want 0", cost)
 	}
@@ -242,31 +246,20 @@ func BenchmarkSplit(b *testing.B) {
 	b.Run("Alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = SplitInto(nil, ids, nil, false)
+			_ = SplitInto(nil, ids, SyntheticFingerprinter{}, false)
 		}
 	})
 	b.Run("Into", func(b *testing.B) {
 		var scratch []Chunk
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scratch = SplitInto(scratch, ids, nil, false)
+			scratch = SplitInto(scratch, ids, SyntheticFingerprinter{}, false)
 		}
 	})
 }
 
-func BenchmarkSHA1Fingerprint(b *testing.B) {
-	var fp SHA1Fingerprinter
-	c := Chunk{Content: 1, Data: Payload(1)}
-	b.SetBytes(Size)
+func BenchmarkFingerprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fp.Fingerprint(&c)
-	}
-}
-
-func BenchmarkSyntheticFingerprint(b *testing.B) {
-	var fp SyntheticFingerprinter
-	c := Chunk{Content: 1}
-	for i := 0; i < b.N; i++ {
-		fp.Fingerprint(&c)
+		ContentID(i).Fingerprint()
 	}
 }

@@ -55,8 +55,12 @@ type Config struct {
 	// smaller than this bypass deduplication entirely.
 	IDedupThreshold int
 
+	// Fingerprinter and HashWorkers are what the benchmark harness hands
+	// chunk.NewHashEngine; WithDefaults fills the only values it accepts
+	// (SyntheticFingerprinter, 1). No engine reads them: a chunk is
+	// fingerprinted by content ID where it is cut.
 	Fingerprinter chunk.Fingerprinter
-	HashWorkers   int // 1, the only value chunk.NewHashEngine accepts
+	HashWorkers   int
 
 	// NVRAMBytes sizes the Map-table journal; 0 disables journaling.
 	NVRAMBytes int
@@ -125,7 +129,6 @@ type Base struct {
 	Alloc *alloc.Allocator
 	Map   *maptable.Table
 	Store *Store
-	Hash  *chunk.HashEngine
 	IC    *icache.Controller
 	St    *Stats
 
@@ -163,17 +166,15 @@ type Base struct {
 	nextApportion sim.Time
 	strAcct       map[uint32]*streamWrites
 
-	// chScratch backs SplitRequest/SplitAndFingerprint. One write
-	// request is chunked, consumed, and forgotten before the next
-	// arrives, so the whole replay shares a single chunk buffer.
+	// chScratch backs Split. One write request is chunked, consumed,
+	// and forgotten before the next arrives, so the whole replay shares
+	// a single chunk buffer.
 	chScratch []chunk.Chunk
 
 	// splitter is the content-defined chunker (nil in Fixed4K mode).
 	// Owns its own materialize/mark/cut scratch; allocation-free once
-	// warm, like chScratch. cdcBytes is the content volume of the last
-	// split — the fingerprint-cost basis.
+	// warm, like chScratch.
 	splitter *cdc.Splitter
-	cdcBytes int64
 
 	// Per-request scratch buffers. An engine services one request at a
 	// time (replay is single-threaded per engine; the serving layer
@@ -221,7 +222,6 @@ func NewBase(cfg Config) *Base {
 		Alloc:      alloc.New(data),
 		Map:        maptable.New(dev),
 		Store:      NewStore(),
-		Hash:       chunk.NewHashEngine(cfg.Fingerprinter, cfg.HashWorkers),
 		St:         NewStats(),
 		Reg:        reg,
 		Ph:         reg.Phases(),
@@ -523,50 +523,26 @@ func (b *Base) ResolveRemote(lba uint64) (alloc.PBA, bool) {
 	return pba, true
 }
 
-// SplitRequest chunks a write request without fingerprinting (bypass
-// paths skip hashing entirely). The returned slice is the engine's
-// scratch buffer: it is valid only until the next SplitRequest or
-// SplitAndFingerprint call on this Base.
+// Split chunks a write request, each chunk fingerprinted where it is
+// cut, and returns the modeled fingerprint latency: 32 µs per 4 KiB of
+// content (⌈bytes / 4 KiB⌉ × chunk.DefaultChunkTimeUS), so under
+// content-defined chunking the charge follows the bytes hashed rather
+// than the chunk count. The caller charges it only if its policy
+// fingerprints. The returned slice is the engine's scratch buffer,
+// valid only until the next Split on this Base.
 //
 // Under content-defined chunking the split routes through the CDC
 // splitter instead of the 1:1 slot mapping: chunk count may differ
 // from req.N, and each chunk's ContentID is a hash of its materialized
-// bytes. cdcBytes records the content volume for the fingerprint-cost
-// model (fingerprints are computed as part of the split there — the
-// splitter derives them from the content hash).
-func (b *Base) SplitRequest(req *trace.Request) []chunk.Chunk {
+// bytes.
+func (b *Base) Split(req *trace.Request) ([]chunk.Chunk, sim.Duration) {
+	bytes := int64(len(req.Content)) * chunk.Size
 	if b.splitter != nil {
-		b.chScratch, b.cdcBytes = b.splitter.Split(b.chScratch[:0], req.Content)
-		return b.chScratch
-	}
-	b.chScratch = chunk.SplitInto(b.chScratch, req.Content, nil, false)
-	return b.chScratch
-}
-
-// SplitAndFingerprint chunks a write request and charges the modeled
-// fingerprint latency (32 µs per 4 KB of content — per chunk in the
-// fixed model, per materialized volume under CDC, so the charge stays
-// proportional to bytes hashed rather than to chunk count). Like
-// SplitRequest, the returned slice is scratch, valid only until the
-// next split on this Base.
-func (b *Base) SplitAndFingerprint(req *trace.Request) ([]chunk.Chunk, sim.Duration) {
-	chs := b.SplitRequest(req)
-	var cost int64
-	if b.splitter != nil {
-		// fingerprints already derived during the split; charge the
-		// modeled latency by content volume
-		cost = (b.cdcBytes + chunk.Size - 1) / chunk.Size * b.Hash.ChunkTimeUS
+		b.chScratch, bytes = b.splitter.Split(b.chScratch[:0], req.Content)
 	} else {
-		cost = b.Hash.FingerprintAll(chs)
+		b.chScratch = chunk.SplitInto(b.chScratch, req.Content, chunk.SyntheticFingerprinter{}, false)
 	}
-	b.Ph.Observe(metrics.PhaseFingerprint, cost)
-	if b.Loc != nil {
-		s := uint32(req.Stream)
-		for i := range chs {
-			b.Loc.Record(s, chs[i].FP)
-		}
-	}
-	return chs, sim.Duration(cost)
+	return b.chScratch, sim.Duration((bytes + chunk.Size - 1) / chunk.Size * chunk.DefaultChunkTimeUS)
 }
 
 // FreeBlocks reclaims physical blocks: allocator, content model, cache
@@ -615,8 +591,8 @@ func (b *Base) TryDedupe(lba uint64, pba alloc.PBA, id chunk.ContentID) bool {
 		// content model cannot validate a peer's block; the binding
 		// itself is trusted instead — Tier.Hint returns only bindings
 		// valid by construction (globalfp's hint table says why;
-		// fingerprints are injective over content IDs in both
-		// fingerprint modes), and none whose owner is down.
+		// fingerprints are injective over content IDs), and none
+		// whose owner is down.
 		b.SetRemoteRef(lba, pba)
 		b.St.ChunksDeduped++
 		b.St.RemoteDeduped++

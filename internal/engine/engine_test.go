@@ -481,10 +481,10 @@ func TestRecoveryCarriesWiring(t *testing.T) {
 		b.Map.Set(300, 9, true) // put it back (journaled) for the next round
 		b.Map.Unpin(9)
 		// stream mode, with the configured split
-		c := chunk.Chunk{Content: 1}
+		c := chunk.ContentID(1)
 		for id := range shares {
-			b.IC.IndexInsertS(id, chunk.SyntheticFingerprinter{}.Fingerprint(&c), 7)
-			c.Content++
+			b.IC.IndexInsertS(id, c.Fingerprint(), 7)
+			c++
 		}
 		gauges := b.Reg.Snapshot().Gauges
 		for id, share := range shares {

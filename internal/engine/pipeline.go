@@ -15,7 +15,8 @@ import (
 type Policy interface {
 	// Fingerprinted reports whether req is hashed at all. A request
 	// that is not skips the hash cost, Lookup and Decide: every chunk
-	// is placed.
+	// is placed. (Its chunks carry fingerprints all the same, computed
+	// where they are cut; nothing reads them.)
 	Fingerprinted(b *Base, req *trace.Request) bool
 	// Lookup fills w.Dup and w.Target with the known copies of
 	// w.Chunks, starting at virtual time at, and returns the time the
@@ -62,7 +63,7 @@ func (Passthrough) Placed(*Base, *WriteOp)                                    {}
 type WriteOp struct {
 	Req    *trace.Request
 	Chunks []chunk.Chunk // the split; Chunks[i] lands at Req.LBA+i
-	Hashed bool          // Chunks carry fingerprints
+	Hashed bool          // the policy fingerprinted: cost charged, Lookup and Decide ran
 	Dup    []bool        // lookup: chunk i has a known copy ...
 	Target []alloc.PBA   // ... at Target[i]
 	Dedupe []bool        // decide: hits selected; at Placed: hits absorbed
@@ -195,14 +196,18 @@ func (p *Pipeline) walk(req *trace.Request) (sim.Duration, error) {
 	ready := t
 
 	w.Req = req
-	if w.Hashed = p.pol.Fingerprinted(b, req); w.Hashed {
-		var cost sim.Duration
-		w.Chunks, cost = b.SplitAndFingerprint(req)
-		ready = t.Add(cost)
-	} else {
-		w.Chunks = b.SplitRequest(req)
-	}
+	var cost sim.Duration
+	w.Chunks, cost = b.Split(req)
 	chs := w.Chunks
+	if w.Hashed = p.pol.Fingerprinted(b, req); w.Hashed {
+		ready = t.Add(cost)
+		b.Ph.Observe(metrics.PhaseFingerprint, int64(cost))
+		if b.Loc != nil {
+			for i := range chs {
+				b.Loc.Record(uint32(req.Stream), chs[i].FP)
+			}
+		}
+	}
 	w.Dup, w.Dedupe, w.Target = reset(w.Dup, len(chs)), reset(w.Dedupe, len(chs)), reset(w.Target, len(chs))
 	if cap(w.Placed) < len(chs) {
 		w.Placed = make([]int, 0, len(chs))

@@ -26,10 +26,6 @@ const foldStepInterval = 200 * sim.Millisecond
 // paroleBudget bounds recalls started per fold step.
 const paroleBudget = 16
 
-// fper is stateless; see bgdedup for why synthetic fingerprints are
-// always safe off the write path.
-var fper chunk.SyntheticFingerprinter
-
 // foldReq is one queued remap candidate: fold the local duplicate dup
 // onto the remote canonical the hint for fp names.
 type foldReq struct {
@@ -269,8 +265,7 @@ func (a *Agent) ReAdvertise() {
 		if !ok {
 			return true
 		}
-		ch := chunk.Chunk{Content: id}
-		if ads = append(ads, engine.Ad{FP: fper.Fingerprint(&ch), PBA: pba, Fresh: true}); len(ads) == adRun {
+		if ads = append(ads, engine.Ad{FP: id.Fingerprint(), PBA: pba, Fresh: true}); len(ads) == adRun {
 			a.Advertise(ads)
 			ads = ads[:0]
 		}
@@ -444,8 +439,7 @@ func (a *Agent) validCanonical(local alloc.PBA, fp chunk.Fingerprint) bool {
 	if !ok {
 		return false
 	}
-	ch := chunk.Chunk{Content: id}
-	if fper.Fingerprint(&ch) != fp {
+	if id.Fingerprint() != fp {
 		return false
 	}
 	if a.b.Map.RefCount(local) == 0 && !a.b.Map.Pinned(local) {
@@ -575,8 +569,7 @@ func (a *Agent) processParole(budget int) int {
 		if !ok {
 			continue
 		}
-		ch := chunk.Chunk{Content: id}
-		revoke := message{kind: msgRevoke, fp: fper.Fingerprint(&ch), canon: alloc.MakeRemote(a.shard, pba)}
+		revoke := message{kind: msgRevoke, fp: id.Fingerprint(), canon: alloc.MakeRemote(a.shard, pba)}
 		waiting := a.t.Recall(revoke.fp, a.shard, pba)
 		for s := 0; s < a.t.shards; s++ {
 			if waiting&(uint64(1)<<uint(s)) != 0 {

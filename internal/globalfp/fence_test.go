@@ -87,9 +87,7 @@ func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 		t.Fatalf("shard 1 epoch %d after crash, want 1", got)
 	}
 
-	var fper chunk.SyntheticFingerprinter
-	ch := chunk.Chunk{Content: 4242}
-	fp := fper.Fingerprint(&ch)
+	fp := chunk.ContentID(4242).Fingerprint()
 	canon := alloc.MakeRemote(1, 7)
 
 	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, from: 1, epoch: 0})
@@ -125,9 +123,7 @@ func TestStaleEpochAdvertisementFenced(t *testing.T) {
 	tier.CrashShard(1)
 	tier.RecoverShard(1)
 
-	var fper chunk.SyntheticFingerprinter
-	ch := chunk.Chunk{Content: 777}
-	fp := fper.Fingerprint(&ch)
+	fp := chunk.ContentID(777).Fingerprint()
 
 	tier.publish(1, 0, []engine.Ad{{FP: fp, PBA: 3, Fresh: true}, {FP: fp, PBA: 4}}, &pubScratch{})
 	if n := tier.staleDropped.Load(); n != 2 {

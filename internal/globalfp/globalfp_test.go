@@ -262,9 +262,7 @@ func TestStaleAdvertisementIsHarmless(t *testing.T) {
 	// something else entirely (fingerprint of content 999 against the
 	// block holding content 1).
 	write(t, c.engs[0], 0, 0, seq(1, 1))
-	var fper chunk.SyntheticFingerprinter
-	ch := chunk.Chunk{Content: 999}
-	c.tier.Advertise(0, fper.Fingerprint(&ch), 0, true)
+	c.tier.Advertise(0, chunk.ContentID(999).Fingerprint(), 0, true)
 	c.settle(1000)
 
 	st := c.engs[0].Metrics().Snapshot().Gauges
@@ -460,8 +458,7 @@ func TestHintsNeverEnterICache(t *testing.T) {
 	var written []chunk.Fingerprint // every content either shard wrote
 	for _, r := range [][2]int{{100000, 1200}, {200000, 4800}, {300000, 1800}} {
 		for _, id := range seq(r[0], r[1]) {
-			ch := chunk.Chunk{Content: id}
-			written = append(written, chunk.SyntheticFingerprinter{}.Fingerprint(&ch))
+			written = append(written, id.Fingerprint())
 		}
 	}
 	for i, e := range c.engs {

@@ -137,8 +137,7 @@ func TestHintTableMatchesModel(t *testing.T) {
 // canonical than the one bound (a newer grant) leaves the binding alone.
 func TestRevokeDeletesHintBeforeAck(t *testing.T) {
 	tier, agents := fenceCluster(t, 2)
-	ch := chunk.Chunk{Content: 99}
-	fp := fper.Fingerprint(&ch)
+	fp := chunk.ContentID(99).Fingerprint()
 	canon, other := alloc.MakeRemote(1, 7), alloc.MakeRemote(1, 8)
 	ep := tier.Epoch(1)
 
@@ -168,10 +167,7 @@ func TestRevokeDeletesHintBeforeAck(t *testing.T) {
 // owner is down.
 func TestCrashDropsDeadOwnersHints(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
-	fpOf := func(id chunk.ContentID) chunk.Fingerprint {
-		ch := chunk.Chunk{Content: id}
-		return fper.Fingerprint(&ch)
-	}
+	fpOf := chunk.ContentID.Fingerprint
 	tier.send(0, message{kind: msgGrant, fp: fpOf(1), canon: alloc.MakeRemote(1, 3), from: 1})
 	tier.send(0, message{kind: msgGrant, fp: fpOf(2), canon: alloc.MakeRemote(2, 3), from: 2})
 	tier.send(2, message{kind: msgGrant, fp: fpOf(1), canon: alloc.MakeRemote(1, 3), from: 1})
@@ -330,8 +326,7 @@ func BenchmarkInboxDrain(b *testing.B) {
 func benchFPs(n int) []chunk.Fingerprint {
 	fps := make([]chunk.Fingerprint, n)
 	for i := range fps {
-		ch := chunk.Chunk{Content: chunk.ContentID(i + 1)}
-		fps[i] = fper.Fingerprint(&ch)
+		fps[i] = chunk.ContentID(i + 1).Fingerprint()
 	}
 	return fps
 }

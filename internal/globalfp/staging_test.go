@@ -19,10 +19,7 @@ import (
 func TestStagedSendsKeepPairOrder(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	a, b := agents[0], agents[0].b
-	fpOf := func(id chunk.ContentID) chunk.Fingerprint {
-		ch := chunk.Chunk{Content: id}
-		return fper.Fingerprint(&ch)
-	}
+	fpOf := chunk.ContentID.Fingerprint
 	alloc1 := func(id chunk.ContentID) alloc.PBA {
 		pba, ok := b.Alloc.AllocLargest(1)
 		if !ok {
@@ -120,8 +117,7 @@ func TestStagedRunsFlushAtFixedLength(t *testing.T) {
 	}
 	b.Store.Write(pba, 5)
 	b.Map.Set(0, pba, false)
-	ch := chunk.Chunk{Content: 5}
-	fp := fper.Fingerprint(&ch)
+	fp := chunk.ContentID(5).Fingerprint()
 	const reqs = drainAllChunk
 	for k := 0; k < reqs; k++ {
 		// dup numbers the request, so arrival order is checkable

@@ -7,7 +7,6 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
-	"github.com/pod-dedup/pod/internal/index"
 )
 
 // The iCache directory. Every entry either cache knows — a fingerprint
@@ -45,11 +44,10 @@ const (
 
 // slot is one directory entry: a fingerprint and the block it binds, or
 // a read-side block. Slot 0 is never used, so 0 means "none" in the
-// buckets and in the chains.
+// buckets and in the chains. Its 52 B of fields pad to 56.
 type slot struct {
 	pba        alloc.PBA
 	fp         chunk.Fingerprint // zero on the read side
-	count      uint32            // write-request hits since (re-)admission
 	list       int32             // the list the slot is linked into
 	home       int32             // the list it was admitted to; a ghost returns there
 	prev, next int32
@@ -226,9 +224,7 @@ func (d *directory) grow() {
 	}
 }
 
-func (d *directory) entry(i int32) index.Entry {
-	return index.Entry{PBA: d.at(i).pba, Count: d.at(i).count}
-}
+func (d *directory) entry(i int32) Entry { return Entry{PBA: d.at(i).pba} }
 
 // fps counts the fingerprints held, cached or ghosted.
 func (d *directory) fps() int { return d.held - d.lists[readList].n - d.lists[readGhostList].n }
@@ -293,7 +289,7 @@ func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
 }
 
 // admit links an unlinked slot in as list l's most recent member, bound
-// to pba, its Count restarting.
+// to pba.
 func (d *directory) admit(l, i int32, pba alloc.PBA) {
 	s := d.at(i)
 	if s.pba != pba {
@@ -301,7 +297,7 @@ func (d *directory) admit(l, i int32, pba alloc.PBA) {
 		s.pba = pba
 		d.bind(i)
 	}
-	s.count, s.home = 0, l
+	s.home = l
 	d.pushFront(l, i)
 }
 
@@ -310,13 +306,6 @@ func (d *directory) promote(i int32) {
 	l := d.at(i).list
 	d.unlink(i)
 	d.pushFront(l, i)
-}
-
-// touch counts a write-request hit on slot i and promotes it.
-func (d *directory) touch(i int32) index.Entry {
-	d.at(i).count++
-	d.promote(i)
-	return d.entry(i)
 }
 
 // land links the unlinked slot i in as list l's most recent member. A
@@ -396,7 +385,6 @@ func (d *directory) swapIn(g int32) int {
 		next := d.at(i).next
 		if home := d.at(i).home; d.lists[home].n < d.lists[home].cap {
 			d.unlink(i)
-			d.at(i).count = 0
 			d.land(home, i)
 			moved++
 		}

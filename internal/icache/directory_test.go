@@ -10,7 +10,6 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
-	"github.com/pod-dedup/pod/internal/index"
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
@@ -18,10 +17,9 @@ import (
 
 // mEntry is one fingerprint the model index side knows.
 type mEntry struct {
-	fp    chunk.Fingerprint
-	pba   alloc.PBA
-	count uint32
-	home  uint32 // the stream whose quota holds it, or held it
+	fp   chunk.Fingerprint
+	pba  alloc.PBA
+	home uint32 // the stream whose quota holds it, or held it
 }
 
 // model is the controller written the obvious way: one slice per
@@ -160,35 +158,33 @@ func (m *model) promote(id uint32, k int, e mEntry) {
 	m.live[id] = append([]mEntry{e}, without(m.live[id], k)...)
 }
 
-func (m *model) lookup(stream uint32, fp chunk.Fingerprint) (index.Entry, bool) {
+func (m *model) lookup(stream uint32, fp chunk.Fingerprint) (Entry, bool) {
 	s := m.sub(stream)
 	m.lookups[s]++
 	if id, k := m.findLive(fp); k >= 0 {
 		e := m.live[id][k]
-		e.count++
 		m.promote(id, k, e)
 		m.hits[s]++
-		return index.Entry{PBA: e.pba, Count: e.count}, true
+		return Entry{PBA: e.pba}, true
 	}
 	if k := m.findGhost(fp); k >= 0 {
 		m.ghostHits++
 		m.gHits[m.ghost[k].home]++
 	}
-	return index.Entry{}, false
+	return Entry{}, false
 }
 
-func (m *model) peek(fp chunk.Fingerprint) (index.Entry, bool) {
+func (m *model) peek(fp chunk.Fingerprint) (Entry, bool) {
 	if id, k := m.findLive(fp); k >= 0 {
-		e := m.live[id][k]
-		return index.Entry{PBA: e.pba, Count: e.count}, true
+		return Entry{PBA: m.live[id][k].pba}, true
 	}
-	return index.Entry{}, false
+	return Entry{}, false
 }
 
 func (m *model) insert(stream uint32, fp chunk.Fingerprint, pba alloc.PBA) {
 	if id, k := m.findLive(fp); k >= 0 {
 		if e := m.live[id][k]; e.pba != pba {
-			e.pba, e.count = pba, 0
+			e.pba = pba
 			m.promote(id, k, e)
 		}
 		return
@@ -362,7 +358,6 @@ func (m *model) repartition(icEntries int, grew bool) (swapIns int) {
 	}
 	m.ghost = rest
 	for _, e := range chosen {
-		e.count = 0
 		m.live[e.home] = append([]mEntry{e}, m.live[e.home]...)
 	}
 	return len(chosen)
@@ -380,7 +375,7 @@ func indexOrder(c *Controller) []mEntry {
 		h := d.lists[k+firstIndexList].head
 		for i := d.at(h).next; i != h; i = d.at(i).next {
 			e := d.entry(i)
-			out = append(out, mEntry{fp: d.at(i).fp, pba: e.PBA, count: e.Count, home: a.id})
+			out = append(out, mEntry{fp: d.at(i).fp, pba: e.PBA, home: a.id})
 		}
 	}
 	return out
@@ -417,7 +412,7 @@ func ghostOrder(c *Controller) []mEntry {
 	h := d.lists[ghostList].head
 	for i := d.at(h).next; i != h; i = d.at(i).next {
 		s := d.at(i)
-		out = append(out, mEntry{fp: s.fp, pba: s.pba, count: s.count, home: c.acct[s.home-firstIndexList].id})
+		out = append(out, mEntry{fp: s.fp, pba: s.pba, home: c.acct[s.home-firstIndexList].id})
 	}
 	return out
 }
@@ -446,14 +441,7 @@ func agree(c *Controller, m *model) error {
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("index order (stream by stream, MRU first) differs:\n got  %v\n want %v", got, want)
 	}
-	// a ghost's Count is not observable: it restarts on re-admission
 	gg, mg := ghostOrder(c), append([]mEntry(nil), m.ghost...)
-	for k := range gg {
-		gg[k].count = 0
-	}
-	for k := range mg {
-		mg[k].count = 0
-	}
 	if !reflect.DeepEqual(gg, mg) {
 		return fmt.Errorf("ghost order differs:\n got  %v\n want %v", gg, mg)
 	}

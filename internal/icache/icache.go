@@ -32,7 +32,6 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
-	"github.com/pod-dedup/pod/internal/index"
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
@@ -166,8 +165,14 @@ func (c *Controller) History() []FracPoint {
 
 // --- index-cache path ---
 
+// Entry is a hit in the hot index: the block holding the fingerprint's
+// content.
+type Entry struct {
+	PBA alloc.PBA
+}
+
 // IndexLookup searches the hot index on the default stream.
-func (c *Controller) IndexLookup(fp chunk.Fingerprint) (index.Entry, bool) {
+func (c *Controller) IndexLookup(fp chunk.Fingerprint) (Entry, bool) {
 	return c.IndexLookupS(0, fp)
 }
 
@@ -177,32 +182,33 @@ func (c *Controller) IndexLookup(fp chunk.Fingerprint) (index.Entry, bool) {
 // attributed to the requesting stream; the hit may come from any
 // stream's quota — the index is one directory and only eviction is
 // partitioned. Outside stream mode the stream is ignored.
-func (c *Controller) IndexLookupS(stream uint32, fp chunk.Fingerprint) (index.Entry, bool) {
+func (c *Controller) IndexLookupS(stream uint32, fp chunk.Fingerprint) (Entry, bool) {
 	a := &c.acct[c.listFor(stream)-firstIndexList]
 	a.lookups++
 	i := c.dir.find(fp)
 	if i == 0 {
-		return index.Entry{}, false
+		return Entry{}, false
 	}
 	if s := c.dir.at(i); s.list == ghostList {
 		c.ghostIdxHits++
 		c.totalGhostIdxHits++
 		c.acct[s.home-firstIndexList].ghostHits++
-		return index.Entry{}, false
+		return Entry{}, false
 	}
 	a.hits++
-	return c.dir.touch(i), true
+	c.dir.promote(i)
+	return c.dir.entry(i), true
 }
 
 // IndexPeek reads the index without touching recency, hit statistics,
 // or the ghost — the global fingerprint tier uses it to find a shard's
 // local copy of a fingerprint before a granted hint overwrites the
 // binding.
-func (c *Controller) IndexPeek(fp chunk.Fingerprint) (index.Entry, bool) {
+func (c *Controller) IndexPeek(fp chunk.Fingerprint) (Entry, bool) {
 	if i := c.dir.find(fp); i != 0 && c.dir.at(i).list != ghostList {
 		return c.dir.entry(i), true
 	}
-	return index.Entry{}, false
+	return Entry{}, false
 }
 
 // Warm prepares lookups of fps, a batch already in hand: it loads,

@@ -73,12 +73,20 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wrap.Bytes())
+	var op2 bytes.Buffer // neither R nor W
+	if err := WriteBinary(&op2, &Trace{Name: "op2", Requests: []Request{{Time: 1, Op: 2, LBA: 3, N: 2}}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(op2.Bytes())
 	f.Fuzz(func(t *testing.T, input []byte) {
 		tr, err := ReadBinary(bytes.NewReader(input))
 		if err != nil {
 			return
 		}
 		for i := range tr.Requests {
+			if op := tr.Requests[i].Op; op != Read && op != Write {
+				t.Fatalf("accepted request %d with op %d", i, op)
+			}
 			if verr := tr.Requests[i].Validate(); verr != nil {
 				t.Fatalf("accepted invalid request %d: %v", i, verr)
 			}

@@ -81,6 +81,9 @@ type Request struct {
 
 // Validate checks internal consistency.
 func (r *Request) Validate() error {
+	if r.Op != Read && r.Op != Write {
+		return fmt.Errorf("trace: unknown op %d", r.Op)
+	}
 	if r.N <= 0 {
 		return fmt.Errorf("trace: request with %d chunks", r.N)
 	}

@@ -46,6 +46,9 @@ func TestValidate(t *testing.T) {
 	if wrap.Validate() == nil {
 		t.Fatal("a range wrapping past 2^64 must fail")
 	}
+	if unknown := (Request{Op: 2, N: 1}); unknown.Validate() == nil {
+		t.Fatal("an op other than R and W must fail")
+	}
 	if _, err := ReadText(strings.NewReader("0 R 18446744073709551614 3\n"), "wrap"); err == nil {
 		t.Fatal("ReadText accepted a read wrapping past 2^64")
 	}

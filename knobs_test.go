@@ -53,8 +53,8 @@ var defaultsFuncs = map[string]bool{"withDefaults": true, "WithDefaults": true, 
 // off a default-filled value; bench/ may only change in its own PR
 // (DESIGN.md §3 "What bench/ pins"), and they go with it.
 var unsetButKept = map[string]string{
-	"internal/engine.Config.HashWorkers":     "bench/ladder.go passes it to chunk.NewHashEngine, which accepts only 1 (the default): there is no hash pool to select",
-	"internal/engine.Config.Fingerprinter":   "bench/ladder.go passes it to chunk.NewHashEngine",
+	"internal/engine.Config.HashWorkers":     "bench/ladder.go passes it to chunk.NewHashEngine, which accepts only 1 (the default): no engine reads it, and there is no hash pool to select",
+	"internal/engine.Config.Fingerprinter":   "bench/ladder.go passes it to chunk.NewHashEngine, which accepts only SyntheticFingerprinter (the default): no engine reads it, and a chunk's fingerprint is ContentID.Fingerprint, computed where the chunk is cut",
 	"internal/engine.Config.Interval":        "bench/ladder.go copies it into its own icache.Params",
 	"internal/engine.Config.IndexEntryBytes": "bench/ladder.go copies it into its own icache.Params",
 	"internal/locality.Params.SampleShift":   "bench/ladder.go sizes its sketch with it, as engine.Base does",
