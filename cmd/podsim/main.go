@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	pod "github.com/pod-dedup/pod"
@@ -25,46 +27,89 @@ import (
 )
 
 func main() {
-	scheme := flag.String("scheme", "POD", "Native | Full-Dedupe | iDedup | Select-Dedupe | POD")
-	traceName := flag.String("trace", "web-vm", "built-in trace: web-vm, homes, mail, shifted")
-	chunking := flag.String("chunking", "fixed4k", "chunker: fixed4k, gear, or seqcdc (CDC needs a dedup scheme, not Native)")
-	file := flag.String("file", "", "replay a trace file instead of a built-in (text format)")
-	fiu := flag.Bool("fiu", false, "treat -file as an FIU SRT record stream (reassembled at 1 ms)")
-	scale := flag.Float64("scale", 1.0, "built-in trace scale")
-	disks := flag.Int("disks", 4, "spindles")
-	diskBlocks := flag.Uint64("diskblocks", 0, "blocks per spindle (default: derived from trace)")
-	stripeKB := flag.Int("stripe", 64, "stripe unit in KB")
-	memoryMB := flag.Float64("memory", 0, "cache DRAM in MB (default: trace profile)")
-	indexFrac := flag.Float64("indexfrac", 0.5, "initial index-cache share")
-	threshold := flag.Int("threshold", 3, "Select-Dedupe redundancy threshold (chunks)")
-	idedupThresh := flag.Int("idedup-threshold", 8, "iDedup minimum duplicate sequence (chunks)")
-	history := flag.Bool("history", false, "print the iCache partition trajectory (POD only)")
-	latencies := flag.String("latencies", "", "write per-request latencies as CSV to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind argv: 0 on success, 1 on a run that fails,
+// 2 on a command line it refuses — every platform flag is checked
+// before any trace is built, so a bad one costs nothing and panics
+// nowhere.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "podsim: "+format+"\n", a...)
+		return code
+	}
+	fs := flag.NewFlagSet("podsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scheme := fs.String("scheme", "POD", "Native | Full-Dedupe | iDedup | Select-Dedupe | POD")
+	traceName := fs.String("trace", "web-vm", "built-in trace: web-vm, homes, mail, shifted")
+	chunking := fs.String("chunking", "fixed4k", "chunker: fixed4k, gear, or seqcdc (CDC needs a dedup scheme, not Native)")
+	file := fs.String("file", "", "replay a trace file instead of a built-in (text format)")
+	fiu := fs.Bool("fiu", false, "treat -file as an FIU SRT record stream (reassembled at 1 ms)")
+	scale := fs.Float64("scale", 1.0, "built-in trace scale")
+	disks := fs.Int("disks", 4, "spindles (RAID5: at least 3)")
+	diskBlocks := fs.Uint64("diskblocks", 0, "blocks per spindle (default: derived from trace)")
+	stripeKB := fs.Int("stripe", 64, "stripe unit in KB (a multiple of 4)")
+	memoryMB := fs.Float64("memory", 0, "cache DRAM in MB (default: trace profile)")
+	indexFrac := fs.Float64("indexfrac", 0.5, "initial index-cache share, in (0, 1)")
+	threshold := fs.Int("threshold", 3, "Select-Dedupe redundancy threshold (chunks)")
+	idedupThresh := fs.Int("idedup-threshold", 8, "iDedup minimum duplicate sequence (chunks)")
+	history := fs.Bool("history", false, "print the iCache partition trajectory (POD only)")
+	latencies := fs.String("latencies", "", "write per-request latencies as CSV to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return fail(2, "unexpected argument %q", fs.Arg(0))
+	}
 
 	schemeName, err := pod.ParseScheme(*scheme)
 	if err != nil {
-		fatal(err)
+		return fail(2, "-scheme: %v", err)
 	}
 	*scheme = string(schemeName)
-	// fail fast on an unknown chunker name, before any trace is built
 	algo, err := cdc.ParseAlgo(*chunking)
 	if err != nil {
-		fatal(err)
+		return fail(2, "-chunking: %v", err)
 	}
 	if err := experiments.CheckAxes(*scheme, experiments.Axes{Chunking: algo}); err != nil {
-		fatal(err)
+		return fail(2, "-%v", err) // the error leads with the axis, which is the flag
 	}
-
+	shifted := *file == "" && *traceName == "shifted"
+	prof, profOK := workload.ByName(*traceName)
+	for _, f := range []struct {
+		bad        bool
+		flag, want string
+	}{
+		{!(*scale > 0), "-scale", "must be > 0"},
+		{*disks < 3, "-disks", "must be at least 3 (the array is RAID5)"},
+		{*stripeKB < 4 || *stripeKB%4 != 0, "-stripe", "must be a positive multiple of the 4 KB chunk"},
+		{!(*memoryMB >= 0), "-memory", "must be >= 0 (0 = the trace profile's budget)"},
+		{!(*indexFrac > 0 && *indexFrac < 1), "-indexfrac", "must be in (0, 1)"},
+		{*threshold < 0, "-threshold", "must be >= 0"},
+		{*idedupThresh < 0, "-idedup-threshold", "must be >= 0"},
+		{*file == "" && !shifted && !profOK, "-trace", "must be web-vm, homes, mail, or shifted"},
+	} {
+		if f.bad {
+			return fail(2, "%s %s", f.flag, f.want)
+		}
+	}
+	if *diskBlocks != 0 {
+		arr := experiments.Platform(*disks, *diskBlocks, raid.RAID5, uint64(*stripeKB/4), 1, 0).Array
+		if arr.DataBlocks() < engine.IndexZoneFrac {
+			return fail(2, "-diskblocks %d leaves %d data blocks on %d disks; the engines need at least %d", *diskBlocks, arr.DataBlocks(), *disks, engine.IndexZoneFrac)
+		}
+	}
 	var tr *trace.Trace
 	var warmup int
 	var shiftedDims workload.MixedDims
-	shifted := *file == "" && *traceName == "shifted"
-	prof, profOK := workload.ByName(*traceName)
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
-			fatal(err)
+			return fail(1, "%v", err)
 		}
 		defer f.Close()
 		if *fiu {
@@ -76,14 +121,11 @@ func main() {
 			tr, err = trace.ReadText(f, *file)
 		}
 		if err != nil {
-			fatal(err)
+			return fail(1, "%v", err)
 		}
 	} else if shifted {
 		tr, warmup, shiftedDims = workload.ShiftedSnapshot(*scale)
 	} else {
-		if !profOK {
-			fatal(fmt.Errorf("unknown trace %q", *traceName))
-		}
 		tr, warmup = workload.Generate(prof, *scale)
 	}
 
@@ -126,7 +168,7 @@ func main() {
 		var err error
 		lat, err = os.Create(*latencies)
 		if err != nil {
-			fatal(err)
+			return fail(1, "%v", err)
 		}
 		defer lat.Close()
 		fmt.Fprintln(lat, "seq,time_us,op,lba,chunks,latency_us")
@@ -164,7 +206,7 @@ func main() {
 	t.AddRow("Swap-in I/Os", fmt.Sprintf("%d", st.SwapInIOs))
 	t.AddRow("Physical blocks used", fmt.Sprintf("%d", res.UsedBlocks))
 	t.AddRow("Map-table NVRAM peak", fmt.Sprintf("%.2f MB", float64(st.NVRAMPeakBytes)/(1<<20)))
-	fmt.Println(t)
+	fmt.Fprintln(stdout, t)
 
 	if *history {
 		// every scheme is an *engine.Pipeline over a Base with an iCache
@@ -174,11 +216,7 @@ func main() {
 		for _, p := range pts {
 			ht.AddRow(p.Time.String(), stats.Pct(p.IndexFrac*100))
 		}
-		fmt.Println(ht)
+		fmt.Fprintln(stdout, ht)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "podsim: %v\n", err)
-	os.Exit(1)
+	return 0
 }

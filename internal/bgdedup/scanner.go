@@ -9,23 +9,21 @@ import (
 // Params tunes the background deduplication scanner; zero values select
 // the defaults.
 type Params struct {
-	// Interval is the minimum virtual time between scan steps
-	// (default 500 ms).
-	Interval sim.Duration
 	// BlocksPerSec budgets scan throughput: each step covers
-	// Interval × BlocksPerSec blocks of the data region
+	// stepInterval × BlocksPerSec blocks of the data region
 	// (default 16384 blocks/s ≈ 64 MiB/s of 4 KiB blocks).
 	BlocksPerSec int64
-	// MaxBacklog pauses scanning while the array's queued work exceeds
-	// this much virtual time. The default (0) pauses on any backlog —
-	// the scanner runs only in fully idle windows.
-	MaxBacklog sim.Duration
 }
 
+// stepInterval is the minimum virtual time between scan steps, and a
+// step runs only while the array's queued work is at most maxBacklog:
+// none, so the scanner runs only in fully idle windows.
+const (
+	stepInterval = 500 * sim.Millisecond
+	maxBacklog   = 0
+)
+
 func (p Params) withDefaults() Params {
-	if p.Interval == 0 {
-		p.Interval = 500 * sim.Millisecond
-	}
 	if p.BlocksPerSec == 0 {
 		p.BlocksPerSec = 16384
 	}
@@ -42,6 +40,8 @@ type Scanner struct {
 	b    *engine.Base
 	core *Core
 	p    Params
+
+	interval, maxBacklog sim.Duration // the constants; tests pace faster
 
 	cursor   uint64      // next block of the sweep
 	nextStep sim.Time    // earliest virtual time of the next step
@@ -64,8 +64,8 @@ func New(b *engine.Base, p Params) *Scanner {
 	if b.Background != nil {
 		panic("bgdedup: the engine already runs a background task")
 	}
-	s := &Scanner{b: b, core: NewCore(b), p: p.withDefaults()}
-	s.nextStep = sim.Time(s.p.Interval)
+	s := &Scanner{b: b, core: NewCore(b), p: p.withDefaults(), interval: stepInterval, maxBacklog: maxBacklog}
+	s.nextStep = sim.Time(s.interval)
 	b.Background = s
 	b.Map.EnableReverseIndex()
 
@@ -108,24 +108,24 @@ func (s *Scanner) Core() *Core { return s.core }
 
 // Tick implements engine.BackgroundTask: it offers the scanner one
 // chance to run at the given virtual time. A step runs only when the
-// step interval elapsed and the disk queues are drained past
-// MaxBacklog — otherwise the step is deferred and the pause counted.
+// step interval elapsed and the disk queues are drained down to
+// maxBacklog — otherwise the step is deferred and the pause counted.
 func (s *Scanner) Tick(now sim.Time) {
 	if now < s.nextStep {
 		return
 	}
-	if s.b.Array.Backlog(now) > s.p.MaxBacklog {
+	if s.b.Array.Backlog(now) > s.maxBacklog {
 		s.pausedBusy++
-		s.nextStep = now.Add(s.p.Interval / 4)
+		s.nextStep = now.Add(s.interval / 4)
 		return
 	}
-	s.nextStep = now.Add(s.p.Interval)
+	s.nextStep = now.Add(s.interval)
 	s.step(now, s.stepBlocks())
 }
 
 // stepBlocks is the per-step scan window implied by the budget.
 func (s *Scanner) stepBlocks() uint64 {
-	n := uint64(float64(s.p.BlocksPerSec) * float64(s.p.Interval) / 1e6)
+	n := uint64(float64(s.p.BlocksPerSec) * float64(s.interval) / 1e6)
 	if n == 0 {
 		n = 1
 	}

@@ -130,7 +130,8 @@ func TestFlushReclaimsIntentionalDuplicates(t *testing.T) {
 // I/O while the array still has queued foreground work.
 func TestIdleGateDefersUnderBacklog(t *testing.T) {
 	e := core.NewSelectDedupe(testConfig(1 << 14))
-	s, _ := bgdedup.Attach(e, bgdedup.Params{Interval: sim.Millisecond})
+	s, _ := bgdedup.Attach(e, bgdedup.Params{})
+	s.SetPace(sim.Millisecond, 0)
 
 	// queue several large writes back to back: the array stays busy
 	// well past their submission times
@@ -235,7 +236,8 @@ func TestSequentialCopySurvivesMerge(t *testing.T) {
 // free, and the repeated pass converges to the same reclaimed state.
 func TestRecoveryMidPassIsIdempotent(t *testing.T) {
 	e := core.NewSelectDedupe(testConfig(1 << 14))
-	s, _ := bgdedup.Attach(e, bgdedup.Params{Interval: sim.Millisecond, BlocksPerSec: 4_000_000})
+	s, _ := bgdedup.Attach(e, bgdedup.Params{BlocksPerSec: 4_000_000})
+	s.SetPace(sim.Millisecond, 0)
 
 	first := seq(1, 8)
 	second := append([]chunk.ContentID{1, 2}, seq(9, 6)...)
@@ -339,10 +341,9 @@ func TestConcurrentScannerForegroundRace(t *testing.T) {
 		NewEngine: func(shard int) engine.Engine {
 			cfg := experiments.BuildConfig(prof, scale)
 			e := experiments.NewEngine(experiments.POD, cfg)
-			if _, ok := bgdedup.Attach(e, bgdedup.Params{
-				Interval:   sim.Millisecond,
-				MaxBacklog: 10 * sim.Millisecond, // scan even in short gaps
-			}); !ok {
+			if s, ok := bgdedup.Attach(e, bgdedup.Params{}); ok {
+				s.SetPace(sim.Millisecond, 10*sim.Millisecond) // scan even in short gaps
+			} else {
 				t.Error("attach failed")
 			}
 			return e
@@ -407,7 +408,8 @@ func TestChaosScenarioBgdedupRecovers(t *testing.T) {
 			}
 			cfg.Array.SetInjector(fault.NewInjector(sched, cfg.Array.NumDisks()))
 			e := experiments.NewEngine(experiments.POD, cfg)
-			bgdedup.Attach(e, bgdedup.Params{Interval: sim.Millisecond})
+			s, _ := bgdedup.Attach(e, bgdedup.Params{})
+			s.SetPace(sim.Millisecond, 0)
 			return e
 		},
 	})
@@ -471,10 +473,11 @@ func TestScannerForgetsFreedBlocks(t *testing.T) {
 		var scanners []*bgdedup.Scanner
 		for i := 0; i < shards; i++ {
 			e := core.NewPOD(experiments.BuildConfig(prof, scale))
-			s, ok := bgdedup.Attach(e, bgdedup.Params{Interval: sim.Millisecond, MaxBacklog: 10 * sim.Millisecond})
+			s, ok := bgdedup.Attach(e, bgdedup.Params{})
 			if !ok {
 				t.Fatal("attach failed")
 			}
+			s.SetPace(sim.Millisecond, 10*sim.Millisecond)
 			b, c := e.Base(), s.Core()
 			if reference {
 				b.OnFree = func(pba alloc.PBA) {

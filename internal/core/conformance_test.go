@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/cdc"
@@ -244,5 +246,41 @@ func TestCDCStreamWrittenSlotBySlot(t *testing.T) {
 		if err := e.Base().CheckConsistency(); err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
+	}
+}
+
+// TestCDCSplitPastTheBoundFails: a write of n slots can split into more
+// than n content-defined chunks, each mapped at its own LBA, so a
+// request that Validate accepts at the top of the address space can
+// still reach past the bound. The write fails, naming it, and maps
+// nothing; the same request lower down is written.
+func TestCDCSplitPastTheBoundFails(t *testing.T) {
+	const n = 4
+	p := cdc.Params{Algo: cdc.Gear}
+	ids := make([]chunk.ContentID, n)
+	for seed := chunk.ContentID(1); ; seed++ {
+		for i := range ids {
+			ids[i] = seed*1000 + chunk.ContentID(i)
+		}
+		if chs, _ := cdc.NewSplitter(p).Split(nil, ids); len(chs) > n {
+			break
+		}
+	}
+	cfg := testConfig()
+	cfg.Chunking = p
+	e := NewPOD(cfg)
+	req := trace.Request{Op: trace.Write, LBA: trace.LBALimit - n, N: n, Content: ids}
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Write(&req); err == nil || !strings.Contains(err.Error(), fmt.Sprint(trace.LBALimit)) {
+		t.Fatalf("write splitting past the bound: %v, want an error naming %d", err, trace.LBALimit)
+	}
+	if m := e.Base().Map.Len(); m != 0 {
+		t.Fatalf("the failed write mapped %d LBAs", m)
+	}
+	req.LBA = 0
+	if _, err := e.Write(&req); err != nil {
+		t.Fatal(err)
 	}
 }

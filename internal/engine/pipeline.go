@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/metrics"
@@ -199,6 +201,9 @@ func (p *Pipeline) walk(req *trace.Request) (sim.Duration, error) {
 	var cost sim.Duration
 	w.Chunks, cost = b.Split(req)
 	chs := w.Chunks
+	if req.LBA+uint64(len(chs)) > trace.LBALimit { // CDC chunks may outnumber the slots
+		return 0, fmt.Errorf("engine: %d chunks at lba %d run past the logical-address bound %d", len(chs), req.LBA, uint64(trace.LBALimit))
+	}
 	if w.Hashed = p.pol.Fingerprinted(b, req); w.Hashed {
 		ready = t.Add(cost)
 		b.Ph.Observe(metrics.PhaseFingerprint, int64(cost))

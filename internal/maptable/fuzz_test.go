@@ -5,14 +5,16 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/nvram"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // FuzzLoad: recovery over arbitrary NVRAM contents must never panic —
 // it either reports a structural error or returns an internally
 // consistent table (refcounts exactly equal to the number of LBAs
-// mapping to each block).
+// mapping to each block) whose every LBA is below the bound.
 func FuzzLoad(f *testing.F) {
-	// seeds: a real journal, and one with a record past a retired one
+	// seeds: a real journal, one with a record past a retired one, and
+	// one with a record past a record naming an LBA past the bound
 	dev := nvram.New(1024)
 	tb := New(dev)
 	tb.Set(1, 100, false)
@@ -20,11 +22,17 @@ func FuzzLoad(f *testing.F) {
 	seed := make([]byte, dev.Size())
 	dev.ReadAt(0, seed)
 	f.Add(seed)
-	journalRetired(tb, 1)
-	tb.Set(3, 300, false)
-	seed = make([]byte, dev.Size())
-	dev.ReadAt(0, seed)
-	f.Add(seed)
+	for _, rec := range [][2]uint64{{1, flagRetired}, {trace.LBALimit, 300}} {
+		dev := nvram.New(1024)
+		tb := New(dev)
+		tb.Set(1, 100, false)
+		tb.Set(2, 100, true)
+		journalRaw(tb, rec[0], rec[1])
+		tb.Set(3, 300, false)
+		seed := make([]byte, dev.Size())
+		dev.ReadAt(0, seed)
+		f.Add(seed)
+	}
 	f.Add(make([]byte, 1024))
 	f.Add([]byte{0x31, 0x44, 0x4F, 0x50}) // magic only, truncated header
 
@@ -41,7 +49,10 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		counts := map[alloc.PBA]int{}
-		tbl.Each(func(_ uint64, pba alloc.PBA, _ bool) bool {
+		tbl.Each(func(lba uint64, pba alloc.PBA, _ bool) bool {
+			if lba >= trace.LBALimit {
+				t.Fatalf("recovered lba %d, past the logical-address bound", lba)
+			}
 			counts[pba]++
 			return true
 		})

@@ -10,6 +10,8 @@
 // purge every index/cache entry naming a reclaimed block and
 // re-validate content at dedup time, while the optional Pin/Unpin API
 // offers the paper's literal pinning scheme for callers that want it.
+// Logical addresses are bounded — every LBA is below trace.LBALimit, 1 TiB
+// of 4 KiB chunks — so the table indexes them directly.
 //
 // To survive power failure the table journals every mutation into
 // simulated NVRAM as 20-byte records (the entry size the paper reports
@@ -29,6 +31,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/nvram"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // EntryBytes is the journal record size — 20 bytes per Map-table entry,
@@ -49,13 +52,14 @@ const (
 // The forward map, reference counts, and pin counts are direct-mapped
 // paged arrays rather than hash maps: LBAs come from a bump allocator
 // over the trace footprint and PBAs from the block allocator, so both
-// key spaces are dense and bounded, and at trace scale the hash maps'
-// probing and growth rehashes were the simulator's single largest CPU
-// consumer. Keys at or above pagedCap (never produced by real traces,
-// but reachable through hostile journals in fuzzing) fall back to maps
-// so sparse keys cost memory proportional to their count, not their
-// magnitude. Pages are pooled across table lifetimes like the content
-// model's (see engine/store.go); Release returns them.
+// key spaces are dense, and at trace scale the hash maps' probing and
+// growth rehashes were the simulator's single largest CPU consumer.
+// Every LBA is below trace.LBALimit (Set panics past it, Load stops at
+// a record past it), so the forward map and the reverse index's links
+// are pages alone; a block at or above pagedCap — every remote-encoded
+// canonical — spills its counters to a map. Pages are pooled across
+// table lifetimes like the content model's (see engine/store.go);
+// Release returns them.
 //
 // A page is one routing granule wide (server.DefaultGranChunks): a
 // shard's table holds LBAs only in the granules the router deals it, so
@@ -66,9 +70,9 @@ const (
 	tblPageSize = 1 << tblPageBits
 	tblPageMask = tblPageSize - 1
 
-	// pagedCap bounds the direct-mapped key range: 2^28 chunks = 1 TiB
-	// of 4 KiB logical space, far above any experiment's footprint.
-	pagedCap = 1 << 28
+	// pagedCap bounds the direct-mapped key range: the logical address
+	// space, 2^28 chunks = 1 TiB.
+	pagedCap = trace.LBALimit
 )
 
 type mapPage [tblPageSize]uint64
@@ -86,73 +90,51 @@ func growTo[P any](pages []*P, pg uint64) []*P {
 	return append(pages, make([]*P, pg+1-uint64(len(pages)))...)
 }
 
-// pagedMap holds LBA → encoded mapping (present|shared|pba packed in
-// one word; 0 = absent) for keys below pagedCap, spilling the rest to
-// far. n counts live entries across both regions.
+// pagedMap holds LBA → word (0 = absent; a key past the pages reads as
+// absent); n counts live entries.
 type pagedMap struct {
 	pages []*mapPage
-	far   map[uint64]uint64
 	n     int
 }
 
 func (p *pagedMap) get(k uint64) uint64 {
-	if k < pagedCap {
-		pg := k >> tblPageBits
-		if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
-			return 0
-		}
-		return p.pages[pg][k&tblPageMask]
+	pg := k >> tblPageBits
+	if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
+		return 0
 	}
-	return p.far[k]
+	return p.pages[pg][k&tblPageMask]
 }
 
 func (p *pagedMap) set(k, v uint64) {
-	if k < pagedCap {
-		pg := k >> tblPageBits
-		if pg >= uint64(len(p.pages)) {
-			p.pages = growTo(p.pages, pg)
-		}
-		if p.pages[pg] == nil {
-			p.pages[pg] = mapPagePool.Get().(*mapPage)
-		}
-		slot := &p.pages[pg][k&tblPageMask]
-		if *slot == 0 {
-			p.n++
-		}
-		*slot = v
-		return
+	pg := k >> tblPageBits
+	if pg >= uint64(len(p.pages)) {
+		p.pages = growTo(p.pages, pg)
 	}
-	if p.far == nil {
-		p.far = make(map[uint64]uint64)
+	if p.pages[pg] == nil {
+		p.pages[pg] = mapPagePool.Get().(*mapPage)
 	}
-	if _, ok := p.far[k]; !ok {
+	slot := &p.pages[pg][k&tblPageMask]
+	if *slot == 0 {
 		p.n++
 	}
-	p.far[k] = v
+	*slot = v
 }
 
 func (p *pagedMap) del(k uint64) {
-	if k < pagedCap {
-		pg := k >> tblPageBits
-		if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
-			return
-		}
-		slot := &p.pages[pg][k&tblPageMask]
-		if *slot != 0 {
-			p.n--
-			*slot = 0
-		}
+	pg := k >> tblPageBits
+	if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
 		return
 	}
-	if _, ok := p.far[k]; ok {
+	slot := &p.pages[pg][k&tblPageMask]
+	if *slot != 0 {
 		p.n--
-		delete(p.far, k)
+		*slot = 0
 	}
 }
 
-// each visits live entries in key order (pages, then the far spill in
-// map order). No caller depends on ordering; the deterministic page
-// walk simply replaces the old map's randomized one.
+// each visits live entries in key order. No caller depends on
+// ordering; the deterministic page walk simply replaces the old map's
+// randomized one.
 func (p *pagedMap) each(fn func(k, v uint64) bool) {
 	for pg, page := range p.pages {
 		if page == nil {
@@ -167,11 +149,6 @@ func (p *pagedMap) each(fn func(k, v uint64) bool) {
 			}
 		}
 	}
-	for k, v := range p.far {
-		if !fn(k, v) {
-			return
-		}
-	}
 }
 
 func (p *pagedMap) release() {
@@ -183,12 +160,12 @@ func (p *pagedMap) release() {
 		}
 	}
 	p.pages = p.pages[:0]
-	p.far = nil
 	p.n = 0
 }
 
-// pagedCount holds a small signed counter per dense key (refcounts,
-// pins); zero means absent. n counts nonzero entries.
+// pagedCount holds a small signed counter per block (refcounts, pins,
+// reverse-index heads); zero means absent. n counts nonzero entries.
+// Keys at or above pagedCap spill to far.
 type pagedCount struct {
 	pages []*cntPage
 	far   map[uint64]int32
@@ -209,6 +186,7 @@ func (p *pagedCount) get(k uint64) int32 {
 // add adjusts key k by d and returns the new value, maintaining the
 // nonzero-entry count.
 func (p *pagedCount) add(k uint64, d int32) int32 {
+	var old int32
 	if k < pagedCap {
 		pg := k >> tblPageBits
 		if pg >= uint64(len(p.pages)) {
@@ -218,32 +196,25 @@ func (p *pagedCount) add(k uint64, d int32) int32 {
 			p.pages[pg] = cntPagePool.Get().(*cntPage)
 		}
 		slot := &p.pages[pg][k&tblPageMask]
-		old := *slot
+		old = *slot
 		*slot = old + d
-		switch {
-		case old == 0 && *slot != 0:
-			p.n++
-		case old != 0 && *slot == 0:
-			p.n--
+	} else {
+		if p.far == nil {
+			p.far = make(map[uint64]int32)
 		}
-		return *slot
+		if old = p.far[k]; old+d == 0 {
+			delete(p.far, k)
+		} else {
+			p.far[k] = old + d
+		}
 	}
-	if p.far == nil {
-		p.far = make(map[uint64]int32)
-	}
-	old := p.far[k]
-	v := old + d
-	switch {
+	switch v := old + d; {
 	case old == 0 && v != 0:
 		p.n++
-		p.far[k] = v
 	case old != 0 && v == 0:
 		p.n--
-		delete(p.far, k)
-	default:
-		p.far[k] = v
 	}
-	return v
+	return old + d
 }
 
 func (p *pagedCount) release() {
@@ -379,43 +350,31 @@ func (t *Table) Release() {
 }
 
 // revIndex is the reverse index, intrusive in the table's own key
-// spaces: the LBAs mapped to a block form a doubly linked chain through
-// one link word per LBA, entered through one head per block, and both
-// live in the pooled paged arrays the forward map and the counters use.
-// Adding and removing a referrer relink in O(1) — nothing is hashed and
-// nothing allocated per block, where the map of sets this replaces paid
-// two hash operations and, per newly referenced block, a map.
+// spaces: the LBAs mapped to a local block form a doubly linked chain
+// through one link word per LBA, entered through one head per block,
+// and both live in the pooled paged arrays the forward map and the
+// counters use. Adding and removing a referrer relink in O(1) — nothing
+// is hashed and nothing allocated per block, where the map of sets this
+// replaces paid two hash operations and, per newly referenced block, a
+// map. A link names an LBA as lba+1 in 32 bits (0 = none), which
+// reaches every LBA.
 //
-// A link names an LBA as lba+1 in 32 bits (0 = none), which reaches
-// every key below pagedCap. An LBA at or above it (hostile journals
-// only) cannot be named by a link and is kept in the far sets instead;
-// a block at or above it — every remote-encoded canonical — has its
-// head in head.far, as any sparse counter key would.
+// Remote-encoded canonicals are not chained: only the out-of-line pass
+// rewires a block's referrers, and the block it rewires them away from
+// is always local, so their chains would be kept up on every
+// cross-shard dedupe and read by nothing.
 type revIndex struct {
 	head pagedCount // block → its newest chained referrer, as lba+1
 	// link holds next<<32 | prev per chained LBA. The first entry of a
 	// chain names itself as prev, so a chained LBA's word is never zero
 	// and link.n counts the chained LBAs.
 	link pagedMap
-	far  map[alloc.PBA]map[uint64]struct{} // referrers at or above pagedCap
 }
 
 const linkMask = 1<<32 - 1
 
 // add makes lba the first referrer of pba's chain.
 func (r *revIndex) add(pba alloc.PBA, lba uint64) {
-	if lba >= pagedCap {
-		set := r.far[pba]
-		if set == nil {
-			if r.far == nil {
-				r.far = make(map[alloc.PBA]map[uint64]struct{})
-			}
-			set = make(map[uint64]struct{})
-			r.far[pba] = set
-		}
-		set[lba] = struct{}{}
-		return
-	}
 	me := lba + 1
 	first := uint64(r.head.get(uint64(pba)))
 	r.link.set(lba, first<<32|me)
@@ -427,15 +386,6 @@ func (r *revIndex) add(pba alloc.PBA, lba uint64) {
 
 // remove unlinks lba from pba's chain.
 func (r *revIndex) remove(pba alloc.PBA, lba uint64) {
-	if lba >= pagedCap {
-		if set := r.far[pba]; set != nil {
-			delete(set, lba)
-			if len(set) == 0 {
-				delete(r.far, pba)
-			}
-		}
-		return
-	}
 	me := lba + 1
 	w := r.link.get(lba)
 	next, prev := w>>32, w&linkMask
@@ -454,8 +404,8 @@ func (r *revIndex) remove(pba alloc.PBA, lba uint64) {
 }
 
 // ReverseIndexBytes reports the memory the reverse index holds (0 while
-// it is not enabled): its pages, plus an estimate of 16 bytes per far
-// head and far referrer for the spill maps.
+// it is not enabled): its pages, plus an estimate of 16 bytes per head
+// in the spill map.
 func (t *Table) ReverseIndexBytes() int64 {
 	r := t.rev
 	if r == nil {
@@ -472,11 +422,7 @@ func (t *Table) ReverseIndexBytes() int64 {
 			n += tblPageSize * 4
 		}
 	}
-	n += 16 * int64(len(r.head.far))
-	for _, set := range r.far {
-		n += 16 * int64(len(set))
-	}
-	return n
+	return n + 16*int64(len(r.head.far))
 }
 
 // EnableReverseIndex starts maintaining the PBA → LBAs reverse index
@@ -488,23 +434,23 @@ func (t *Table) EnableReverseIndex() {
 	}
 	t.rev = new(revIndex)
 	t.m.each(func(lba, v uint64) bool {
-		t.rev.add(decodeMapping(v).pba, lba)
+		if pba := decodeMapping(v).pba; !alloc.IsRemote(pba) {
+			t.rev.add(pba, lba)
+		}
 		return true
 	})
 }
 
-// Referrers appends the LBAs currently mapped to pba to dst, each once,
-// in no particular order. It panics unless EnableReverseIndex was
-// called.
+// Referrers appends the LBAs currently mapped to pba, a local block, to
+// dst, each once, in no particular order; a remote-encoded canonical
+// has none listed (see revIndex). It panics unless EnableReverseIndex
+// was called.
 func (t *Table) Referrers(dst []uint64, pba alloc.PBA) []uint64 {
 	if t.rev == nil {
 		panic("maptable: Referrers requires EnableReverseIndex")
 	}
 	for v := uint64(t.rev.head.get(uint64(pba))); v != 0; v = t.rev.link.get(v-1) >> 32 {
 		dst = append(dst, v-1)
-	}
-	for lba := range t.rev.far[pba] {
-		dst = append(dst, lba)
 	}
 	return dst
 }
@@ -544,10 +490,15 @@ func (t *Table) Pinned(pba alloc.PBA) bool { return t.pins.get(uint64(pba)) > 0 
 // with this update — the caller returns them to the allocator. The
 // slice aliases table-owned scratch and is valid only until the next
 // mutating call (Set/Compact/Load); callers must consume it
-// immediately rather than retain it.
+// immediately rather than retain it. lba must be below trace.LBALimit:
+// requests are validated against it where they enter, so one past it
+// is a bug, and Set panics.
 func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 	if uint64(pba) > pbaMask {
 		panic(fmt.Sprintf("maptable: pba %d exceeds encodable range", pba))
+	}
+	if lba >= trace.LBALimit {
+		panic(fmt.Sprintf("maptable: lba %d past the logical-address bound %d", lba, uint64(trace.LBALimit)))
 	}
 	if v := t.m.get(lba); v != 0 && alloc.PBA(v&pbaMask) == pba {
 		// same-location update: never let the refcount dip to zero
@@ -569,7 +520,7 @@ func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 	freed := t.dropMapping(lba)
 	t.m.set(lba, encodeMapping(mapping{pba: pba, shared: shared}))
 	t.refs.add(uint64(pba), 1)
-	if t.rev != nil {
+	if t.rev != nil && !alloc.IsRemote(pba) {
 		t.rev.add(pba, lba)
 	}
 	if shared {
@@ -592,7 +543,7 @@ func (t *Table) dropMapping(lba uint64) []alloc.PBA {
 	}
 	mp := decodeMapping(v)
 	t.m.del(lba)
-	if t.rev != nil {
+	if t.rev != nil && !alloc.IsRemote(mp.pba) {
 		t.rev.remove(mp.pba, lba)
 	}
 	if mp.shared {
@@ -651,19 +602,17 @@ func (t *Table) CheckConsistency() error {
 // check audits the index against the forward map, given each block's
 // (already verified) reference count: every block's chain is walked
 // once — each entry must map to the block and name its predecessor —
-// chain and far set together must number the block's references, and no
-// head, link word or far set may be left over. Entries that all map to
-// the block, are distinct (the walk is bounded, so a cycle fails) and
-// number its references are exactly its referrers. O(mappings) in all.
+// a local block's chain must number its references, a remote-encoded
+// one's must be empty, and no head or link word may be left over.
+// Entries that all map to the block, are distinct (the walk is bounded,
+// so a cycle fails) and number its references are exactly its
+// referrers. O(mappings) in all.
 func (r *revIndex) check(m *pagedMap, refs map[alloc.PBA]int32) error {
-	heads, chained, fars := 0, 0, 0
-	mapsTo := func(lba uint64, pba alloc.PBA) error {
-		if v := m.get(lba); v == 0 || decodeMapping(v).pba != pba {
-			return fmt.Errorf("maptable: reverse index lists lba %d under pba %d, which it does not map to", lba, pba)
-		}
-		return nil
-	}
+	heads, chained := 0, 0
 	for pba, want := range refs {
+		if alloc.IsRemote(pba) {
+			want = 0
+		}
 		first := uint64(r.head.get(uint64(pba)))
 		if first != 0 {
 			heads++
@@ -671,10 +620,10 @@ func (r *revIndex) check(m *pagedMap, refs map[alloc.PBA]int32) error {
 		n := int32(0)
 		for v, prev := first, first; v != 0; {
 			if n++; n > want {
-				return fmt.Errorf("maptable: reverse chain of pba %d runs past its %d references", pba, want)
+				return fmt.Errorf("maptable: reverse chain of pba %d runs past the %d referrers it should list", pba, want)
 			}
-			if err := mapsTo(v-1, pba); err != nil {
-				return err
+			if w := m.get(v - 1); w == 0 || decodeMapping(w).pba != pba {
+				return fmt.Errorf("maptable: reverse index lists lba %d under pba %d, which it does not map to", v-1, pba)
 			}
 			w := r.link.get(v - 1)
 			if w&linkMask != prev {
@@ -683,22 +632,13 @@ func (r *revIndex) check(m *pagedMap, refs map[alloc.PBA]int32) error {
 			prev, v = v, w>>32
 		}
 		chained += int(n)
-		if set := r.far[pba]; set != nil {
-			fars++
-			for lba := range set {
-				if err := mapsTo(lba, pba); err != nil {
-					return err
-				}
-			}
-			n += int32(len(set))
-		}
 		if n != want {
 			return fmt.Errorf("maptable: reverse index lists %d referrers of pba %d, %d mappings reference it", n, pba, want)
 		}
 	}
-	if heads != r.head.n || chained != r.link.n || fars != len(r.far) {
-		return fmt.Errorf("maptable: reverse index holds %d heads, %d links, %d far sets; the referenced blocks account for %d, %d, %d",
-			r.head.n, r.link.n, len(r.far), heads, chained, fars)
+	if heads != r.head.n || chained != r.link.n {
+		return fmt.Errorf("maptable: reverse index holds %d heads, %d links; the referenced blocks account for %d, %d",
+			r.head.n, r.link.n, heads, chained)
 	}
 	return nil
 }
@@ -821,8 +761,9 @@ func (t *Table) Compact() {
 func (t *Table) JournalTail() int { return t.tail }
 
 // Load reconstructs a table from the journal on dev, applying records
-// until the first CRC failure (prefix consistency after a torn write) or
-// the first record carrying the retired unset bit.
+// until the first CRC failure (prefix consistency after a torn write),
+// the first record carrying the retired unset bit, or the first naming
+// an LBA past trace.LBALimit (no build journals one: Set refuses it).
 // Index pins are volatile and come back empty; reference counts are
 // recomputed from the surviving mappings. It returns the rebuilt table
 // and the number of records applied.
@@ -862,8 +803,8 @@ func Load(dev *nvram.Device, prev ...*Table) (*Table, int, error) {
 		want := binary.LittleEndian.Uint32(rec[16:])
 		lba := binary.LittleEndian.Uint64(rec[0:])
 		pf := binary.LittleEndian.Uint64(rec[8:])
-		if recordSum(t.seedCRC, lba, pf) != want || pf&flagRetired != 0 {
-			break // torn, stale or retired record: stop at the consistent prefix
+		if recordSum(t.seedCRC, lba, pf) != want || pf&flagRetired != 0 || lba >= trace.LBALimit {
+			break // torn, stale, retired or out-of-bound record: stop at the consistent prefix
 		}
 		t.dropMapping(lba)
 		shared := pf&flagShared != 0

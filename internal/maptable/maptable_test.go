@@ -7,6 +7,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/nvram"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 func TestSetLookup(t *testing.T) {
@@ -164,8 +165,10 @@ func TestRecoveryAfterTornWrite(t *testing.T) {
 
 // journalRetired appends the record the retired unset operation wrote
 // for lba: a valid checksum over a PBA word carrying flagRetired.
-func journalRetired(t *Table, lba uint64) {
-	encodeRecord(&t.rec, t.seedCRC, lba, flagRetired)
+// journalRaw appends a record with a valid checksum for whatever lba
+// and PBA word it is given, as no build's Set would write it.
+func journalRaw(t *Table, lba, pbaFlags uint64) {
+	encodeRecord(&t.rec, t.seedCRC, lba, pbaFlags)
 	_ = t.dev.WriteAt(t.tail, t.rec[:])
 	t.tail += EntryBytes
 }
@@ -173,12 +176,18 @@ func journalRetired(t *Table, lba uint64) {
 // TestLoadStopsAtRetiredRecord: an otherwise valid record carrying the
 // retired unset bit ends the replayed prefix as a torn one does —
 // neither it nor anything after it is applied.
-func TestLoadStopsAtRetiredRecord(t *testing.T) {
+func TestLoadStopsAtRetiredRecord(t *testing.T) { loadStopsAt(t, 1, flagRetired) }
+
+// TestLoadStopsAtRecordPastTheBound: so does a valid record naming an
+// LBA past the logical-address bound, which no Set journals.
+func TestLoadStopsAtRecordPastTheBound(t *testing.T) { loadStopsAt(t, trace.LBALimit, 250) }
+
+func loadStopsAt(t *testing.T, lba, pbaFlags uint64) {
 	dev := nvram.New(4096)
 	tb := New(dev)
 	tb.Set(1, 100, false)
 	tb.Set(2, 200, false)
-	journalRetired(tb, 1)
+	journalRaw(tb, lba, pbaFlags)
 	tb.Set(3, 300, false)
 
 	rt, applied, err := Load(dev)
@@ -186,14 +195,27 @@ func TestLoadStopsAtRetiredRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	if applied != 2 {
-		t.Fatalf("applied = %d, want 2 (stop at the retired record)", applied)
+		t.Fatalf("applied = %d, want 2 (stop at the foreign record)", applied)
 	}
 	if pba, ok := rt.Lookup(1); !ok || pba != 100 {
-		t.Fatalf("lba 1 = %d,%v: the retired record was applied", pba, ok)
+		t.Fatalf("lba 1 = %d,%v: the foreign record was applied", pba, ok)
 	}
-	if _, ok := rt.Lookup(3); ok {
-		t.Fatal("a record past the retired one was applied")
+	if rt.Len() != 2 {
+		t.Fatalf("%d mappings recovered, want 2: a record past the foreign one was applied", rt.Len())
 	}
+}
+
+// TestSetPastTheBoundPanics: requests are validated against the bound
+// where they enter, so a Set past it is a bug and must not be absorbed.
+func TestSetPastTheBoundPanics(t *testing.T) {
+	tb := New(nil)
+	tb.Set(trace.LBALimit-1, 1, false) // the last address
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set past the logical-address bound did not panic")
+		}
+	}()
+	tb.Set(trace.LBALimit, 1, false)
 }
 
 func TestCompactionPreservesState(t *testing.T) {

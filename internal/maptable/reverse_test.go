@@ -8,15 +8,16 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/nvram"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // The reverse-index driver reads three bytes per operation — op, lba
 // selector, pba selector — and holds the table to a map-of-sets model.
 // The key pools are small so chains form, grow and empty constantly,
 // and cover every representation: dense LBAs, the widely shared block's
-// thousands of referrers, the last dense LBA, far LBAs (no link can name
-// them); local blocks, remote-encoded canonicals and far local blocks
-// (heads in the spill map).
+// thousands of referrers, the last LBAs below the bound; local blocks,
+// local blocks past pagedCap (heads in the spill map), and
+// remote-encoded canonicals, which the model lists no referrers for.
 const revBulk = 2048 // referrers of the widely shared block
 
 func revLBA(b byte) uint64 {
@@ -25,10 +26,8 @@ func revLBA(b byte) uint64 {
 		return uint64(b % 40)
 	case b < 200: // inside the widely shared block's chain
 		return 1000 + uint64(b-140)*34
-	case b < 210:
-		return pagedCap - 1 - uint64(b%2)
 	default:
-		return pagedCap + uint64(b%5)<<uint(8*(b%4))
+		return trace.LBALimit - 1 - uint64(b%4)
 	}
 }
 
@@ -56,6 +55,9 @@ func (m *revModel) set(lba uint64, pba alloc.PBA) {
 		}
 	}
 	m.fwd[lba] = pba
+	if alloc.IsRemote(pba) {
+		return // only local blocks are chained
+	}
 	if m.rev[pba] == nil {
 		m.rev[pba] = make(map[uint64]struct{})
 	}
@@ -169,7 +171,8 @@ func TestReverseIndexMatchesModel(t *testing.T) {
 		data := make([]byte, 1+3*2000)
 		rand.New(rand.NewSource(seed)).Read(data)
 		data[0] = byte(seed) // index on from the start, or enabled late
-		// the widely shared block: local, remote-encoded, far in turn
+		// the widely shared block: local, remote-encoded, a local one
+		// past pagedCap in turn
 		data[1], data[3] = 30, []byte{7, 167, 230, 47, 207, 250}[seed]
 		if err := runRevOps(data); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -187,7 +190,7 @@ func TestReverseIndexAuditCatchesDamage(t *testing.T) {
 		for lba := uint64(0); lba < 6; lba++ {
 			tb.Set(lba, alloc.PBA(1+lba/3), false) // two chains of three
 		}
-		tb.Set(pagedCap+1, 1, false)
+		tb.Set(6, alloc.MakeRemote(1, 3), true)
 		if err := tb.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +203,7 @@ func TestReverseIndexAuditCatchesDamage(t *testing.T) {
 		"chain of an unmapped block":   func(tb *Table) { tb.rev.add(9, 0) },
 		"broken predecessor link":      func(tb *Table) { tb.rev.link.set(1, tb.rev.link.get(1)&^linkMask|1) },
 		"stray link word":              func(tb *Table) { tb.rev.link.set(77, 78) },
-		"far referrer missing":         func(tb *Table) { tb.rev.remove(1, pagedCap+1) },
-		"far referrer unmapped":        func(tb *Table) { tb.rev.add(1, pagedCap+2) },
+		"remote-encoded block chained": func(tb *Table) { tb.rev.add(alloc.MakeRemote(1, 3), 6) },
 	} {
 		tb := build()
 		damage(tb)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -253,6 +254,29 @@ func TestSubmitBatchValidatesWholeBatch(t *testing.T) {
 	srv.Close()
 	if got := srv.Stats().Completed; got != 0 {
 		t.Fatalf("%d requests served from a rejected batch", got)
+	}
+}
+
+// TestRequestsPastTheBoundRefused: Do and SubmitBatch refuse a request
+// reaching past the logical-address bound, naming it, before anything
+// is routed or enqueued.
+func TestRequestsPastTheBoundRefused(t *testing.T) {
+	_, prof := testTrace(t)
+	srv, err := New(Config{Shards: 2, NewEngine: podFactory(prof)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := Request{Op: trace.Write, LBA: trace.LBALimit - 1, Content: []chunk.ContentID{1, 2}}
+	if _, err := srv.Do(&past); err == nil || !strings.Contains(err.Error(), fmt.Sprint(trace.LBALimit)) {
+		t.Fatalf("Do past the bound: %v, want an error naming %d", err, trace.LBALimit)
+	}
+	batch := []Request{{Op: trace.Write, LBA: 0, Content: []chunk.ContentID{1}}, past}
+	if err := srv.SubmitBatch(batch); err == nil || !strings.Contains(err.Error(), fmt.Sprint(trace.LBALimit)) {
+		t.Fatalf("SubmitBatch past the bound: %v, want an error naming %d", err, trace.LBALimit)
+	}
+	srv.Close()
+	if got := srv.Stats().Completed; got != 0 {
+		t.Fatalf("%d requests served beside a refused one", got)
 	}
 }
 

@@ -124,6 +124,9 @@ func ReadFIU(r io.Reader, name string, opt FIUOptions) (*Trace, error) {
 			rel = 0
 		}
 
+		if maxSectors := LBALimit * chunk.Size / uint64(opt.SectorBytes); blockNo > maxSectors || blockCount > maxSectors {
+			return nil, fmt.Errorf("trace: line %d: %d sectors at sector %d run past the logical-address bound %d", lineNo, blockCount, blockNo, uint64(LBALimit))
+		}
 		bytesOff := blockNo * uint64(opt.SectorBytes)
 		bytesLen := blockCount * uint64(opt.SectorBytes)
 		lba := bytesOff / chunk.Size

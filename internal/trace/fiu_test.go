@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,26 @@ func TestReadFIURejectsGarbage(t *testing.T) {
 	} {
 		if _, err := ReadFIU(strings.NewReader(in), "bad", FIUOptions{}); err == nil {
 			t.Errorf("input %q: expected error", in)
+		}
+	}
+}
+
+// TestReadFIURefusesPastTheBound: a record reaching past the
+// logical-address bound is refused with an error naming it — the last
+// 4 KB chunk below it is 8 sectors from 2^31, and a record whose length
+// alone exceeds the address space never gets as far as its content.
+func TestReadFIURefusesPastTheBound(t *testing.T) {
+	if _, err := ReadFIU(strings.NewReader("0 1 p 2147483640 8 W 8 0 d\n"), "last", FIUOptions{}); err != nil {
+		t.Fatalf("the last chunk below the bound: %v", err)
+	}
+	for _, in := range []string{
+		"0 1 p 2147483640 16 W 8 0 d\n",          // its second chunk is past the bound
+		"0 1 p 2147483648 8 R 8 0 0\n",           // starts past it
+		"0 1 p 0 18446744073709551615 W 8 0 d\n", // longer than the address space
+	} {
+		_, err := ReadFIU(strings.NewReader(in), "past", FIUOptions{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(LBALimit)) {
+			t.Errorf("input %q: %v, want an error naming the bound %d", in, err, LBALimit)
 		}
 	}
 }

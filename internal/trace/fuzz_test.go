@@ -27,8 +27,8 @@ func FuzzReadText(f *testing.F) {
 			if verr := tr.Requests[i].Validate(); verr != nil {
 				t.Fatalf("accepted invalid request %d: %v", i, verr)
 			}
-			if q := &tr.Requests[i]; q.LBA+uint64(q.N-1) < q.LBA {
-				t.Fatalf("accepted request %d wraps past 2^64: %d chunks at lba %d", i, q.N, q.LBA)
+			if q := &tr.Requests[i]; q.LBA >= LBALimit || q.LBA+uint64(q.N) > LBALimit {
+				t.Fatalf("accepted request %d past the logical-address bound: %d chunks at lba %d", i, q.N, q.LBA)
 			}
 		}
 		// accepted traces must round-trip
@@ -61,6 +61,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("PODT"))
 	f.Add([]byte{})
+	// a 16-byte header claiming 2^32 requests and holding none: read
+	// without reserving room for them all
+	f.Add([]byte("PODT\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"))
 	data := append([]byte(nil), buf.Bytes()...)
 	if len(data) > 10 {
 		data[9] ^= 0xFF // corrupt the name length
@@ -73,6 +76,13 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wrap.Bytes())
+	var past bytes.Buffer // its second chunk is past the bound
+	if err := WriteBinary(&past, &Trace{Name: "past", Requests: []Request{
+		{Op: Write, LBA: LBALimit - 1, N: 2, Content: []chunk.ContentID{1, 2}},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(past.Bytes())
 	var op2 bytes.Buffer // neither R nor W
 	if err := WriteBinary(&op2, &Trace{Name: "op2", Requests: []Request{{Time: 1, Op: 2, LBA: 3, N: 2}}}); err != nil {
 		f.Fatal(err)
@@ -90,8 +100,8 @@ func FuzzReadBinary(f *testing.F) {
 			if verr := tr.Requests[i].Validate(); verr != nil {
 				t.Fatalf("accepted invalid request %d: %v", i, verr)
 			}
-			if q := &tr.Requests[i]; q.LBA+uint64(q.N-1) < q.LBA {
-				t.Fatalf("accepted request %d wraps past 2^64: %d chunks at lba %d", i, q.N, q.LBA)
+			if q := &tr.Requests[i]; q.LBA >= LBALimit || q.LBA+uint64(q.N) > LBALimit {
+				t.Fatalf("accepted request %d past the logical-address bound: %d chunks at lba %d", i, q.N, q.LBA)
 			}
 		}
 	})

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -66,6 +65,11 @@ const DefaultStream StreamID = 0
 // the engine is sized and validated against this.
 const MaxStreams = 64
 
+// LBALimit bounds the logical address space: a request ends at
+// LBA+N ≤ LBALimit chunks (1 TiB; the widest generated trace spans
+// 2^21). Validate enforces it, so the Map table indexes LBAs directly.
+const LBALimit = 1 << 28
+
 // Request is one block-level I/O request. LBA and length are in 4 KB
 // chunks. Write requests carry the content identity of every chunk;
 // read requests have nil Content. Stream tags the tenant stream the
@@ -87,8 +91,8 @@ func (r *Request) Validate() error {
 	if r.N <= 0 {
 		return fmt.Errorf("trace: request with %d chunks", r.N)
 	}
-	if r.LBA > math.MaxUint64-uint64(r.N-1) {
-		return fmt.Errorf("trace: %d chunks at lba %d run past the last address", r.N, r.LBA)
+	if uint64(r.N) > LBALimit || r.LBA > LBALimit-uint64(r.N) {
+		return fmt.Errorf("trace: %d chunks at lba %d run past the logical-address bound %d", r.N, r.LBA, uint64(LBALimit))
 	}
 	if r.Op == Write && len(r.Content) != r.N {
 		return fmt.Errorf("trace: write with %d chunks but %d content ids", r.N, len(r.Content))
@@ -340,7 +344,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("trace: implausible request count %d", count)
 	}
-	t := &Trace{Name: string(nameBuf), Requests: make([]Request, 0, count)}
+	// presized only as far as a count a few header bytes claim is cheap
+	t := &Trace{Name: string(nameBuf), Requests: make([]Request, 0, min(count, 1<<16))}
 	for i := uint64(0); i < count; i++ {
 		var req Request
 		if _, err := io.ReadFull(br, u64[:]); err != nil {

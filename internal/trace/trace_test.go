@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -38,9 +39,16 @@ func TestValidate(t *testing.T) {
 	if badRead.Validate() == nil {
 		t.Fatal("read with content must fail")
 	}
-	last := r(0, math.MaxUint64, 1) // the last address, one chunk: fits
+	last := r(0, LBALimit-1, 1) // the last address, one chunk: fits
 	if err := last.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	past := w(0, LBALimit-1, 1, 2) // its second chunk is past the bound
+	if err := past.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(LBALimit)) {
+		t.Fatalf("a range past the logical-address bound: %v, want an error naming %d", err, LBALimit)
+	}
+	if huge := r(0, 0, LBALimit+1); huge.Validate() == nil {
+		t.Fatal("a request longer than the address space must fail")
 	}
 	wrap := w(0, math.MaxUint64, 1, 2) // its second chunk would be lba 0
 	if wrap.Validate() == nil {
@@ -51,6 +59,9 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := ReadText(strings.NewReader("0 R 18446744073709551614 3\n"), "wrap"); err == nil {
 		t.Fatal("ReadText accepted a read wrapping past 2^64")
+	}
+	if _, err := ReadText(strings.NewReader("0 W 268435455 2 1,2\n"), "past"); err == nil || !strings.Contains(err.Error(), fmt.Sprint(LBALimit)) {
+		t.Fatalf("ReadText on a write past the bound: %v, want an error naming %d", err, LBALimit)
 	}
 }
 

@@ -58,8 +58,6 @@ var unsetButKept = map[string]string{
 	"internal/engine.Config.Interval":        "bench/ladder.go copies it into its own icache.Params",
 	"internal/engine.Config.IndexEntryBytes": "bench/ladder.go copies it into its own icache.Params",
 	"internal/locality.Params.SampleShift":   "bench/ladder.go sizes its sketch with it, as engine.Base does",
-	"internal/bgdedup.Params.Interval":       "the scanner's safety tests (package bgdedup_test) step it every millisecond",
-	"internal/bgdedup.Params.MaxBacklog":     "the scanner's race test (package bgdedup_test) needs it to scan in short idle gaps",
 }
 
 type censusFile struct {

@@ -18,9 +18,10 @@
 //		LBA: 100, Chunks: 3})
 //	fmt.Println(sys.Stats())
 //
-// Addresses and lengths are in 4 KiB chunks; times are microseconds of
-// virtual time (requests must be submitted in non-decreasing time
-// order). Content is identified by opaque content IDs — equal IDs mean
+// Addresses and lengths are in 4 KiB chunks, and a request must end
+// within the logical address space, LBA + chunks ≤ 2^28 (1 TiB): Do
+// refuses one past it. Times are microseconds of virtual time
+// (requests must be submitted in non-decreasing time order). Content is identified by opaque content IDs — equal IDs mean
 // byte-identical chunks. The same Request/Result pair is the submission
 // surface of the sharded serving layer (internal/server), which
 // re-exports these types.

@@ -1,11 +1,13 @@
 package pod
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/pod-dedup/pod/internal/experiments"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // wr and rd build requests for the shared Do API.
@@ -117,8 +119,12 @@ func TestMalformedRequestsRejected(t *testing.T) {
 	if _, err := sys.Do(&Request{Time: -1, Op: OpWrite, Content: []ContentID{1}}); err == nil {
 		t.Fatal("negative time must fail")
 	}
-	if _, err := sys.Do(rd(0, math.MaxUint64, 1)); err != nil {
+	if _, err := sys.Do(rd(0, trace.LBALimit-1, 1)); err != nil {
 		t.Fatalf("a one-chunk read of the last address: %v", err)
+	}
+	// its second chunk is past the logical-address bound
+	if _, err := sys.Do(wr(0, trace.LBALimit-1, 7, 8)); err == nil || !strings.Contains(err.Error(), fmt.Sprint(trace.LBALimit)) {
+		t.Fatalf("a write past the logical-address bound: %v, want an error naming %d", err, trace.LBALimit)
 	}
 	// the second chunk would land on lba 0
 	if _, err := sys.Do(wr(0, math.MaxUint64, 7, 8)); err == nil {
