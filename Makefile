@@ -204,28 +204,32 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass, eleven targets: the parsers, the journal recovery,
+# Short fuzz pass, twelve targets: the parsers, the journal recovery,
 # the CDC landmark sweeps (batched bitmap vs the scalar predicate), the
 # carried split window (one long-lived Splitter vs a fresh one per
 # request) and normalized cut derivation (spacing invariants; a window
 # with lookback vs the whole stream), the iCache's directory, both
 # caches and both ghosts (vs its slices-and-linear-search model; an
-# input is a thousand operations, so minimising one is capped), the
-# Map table's reverse index (vs a map of sets), the generic map (vs
-# a Go map, with uniform keys and with every key in one chain) and the
-# tier's batch publish (vs the same ads one at a time, and a model).
+# input is a thousand operations), the Map table's reverse index (vs a
+# forward map and per-block counts), the generic map (vs a Go map, with
+# uniform keys and with every key in one chain), the tier's batch
+# publish (vs the same ads one at a time, and a model) and the dense
+# reference volume (vs a Go map). Minimising an input is capped at 20
+# runs: on the stateful drivers a second's minimising of every input
+# that finds new coverage took most of the pass. After each target one
+# line gives its executions and the rate; a failing target prints its
+# whole log and stops the pass.
+FUZZ_TARGETS = trace:FuzzReadText trace:FuzzReadBinary trace:FuzzVolume maptable:FuzzLoad \
+	cdc:FuzzSeqMarks cdc:FuzzGearMarks cdc:FuzzSplitterCarried cdc:FuzzStreamCuts \
+	icache:FuzzDirectoryOps maptable:FuzzReverseIndexOps probe:FuzzMapOps globalfp:FuzzPublish
 fuzz:
-	$(GO) test -fuzz FuzzReadText -fuzztime 20s ./internal/trace/
-	$(GO) test -fuzz FuzzReadBinary -fuzztime 20s ./internal/trace/
-	$(GO) test -fuzz FuzzLoad -fuzztime 20s ./internal/maptable/
-	$(GO) test -fuzz FuzzSeqMarks -fuzztime 20s ./internal/cdc/
-	$(GO) test -fuzz FuzzGearMarks -fuzztime 20s ./internal/cdc/
-	$(GO) test -fuzz FuzzSplitterCarried -fuzztime 20s ./internal/cdc/
-	$(GO) test -fuzz FuzzStreamCuts -fuzztime 20s ./internal/cdc/
-	$(GO) test -fuzz FuzzDirectoryOps -fuzztime 20s -fuzzminimizetime 1s ./internal/icache/
-	$(GO) test -fuzz FuzzReverseIndexOps -fuzztime 20s -fuzzminimizetime 1s ./internal/maptable/
-	$(GO) test -fuzz FuzzMapOps -fuzztime 20s -fuzzminimizetime 1s ./internal/probe/
-	$(GO) test -fuzz FuzzPublish -fuzztime 20s -fuzzminimizetime 1s ./internal/globalfp/
+	@log=$$(mktemp); trap 'rm -f $$log' EXIT; \
+	for t in $(FUZZ_TARGETS); do \
+		fn=$${t#*:}; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 20s -fuzzminimizetime 20x ./internal/$${t%%:*}/ >$$log 2>&1 || { cat $$log; exit 1; }; \
+		awk -v fn=$$fn '/^fuzz: elapsed:/ { e = $$3; sub(",", "", e); s = 0; if (e ~ /m/) { split(e, a, "m"); s = 60 * a[1]; e = a[2] } s += e + 0; n = $$5; sub(",", "", n) } \
+			END { printf "%-22s %9d execs in %4ds: %7.0f/s\n", fn, n, s, n / (s ? s : 1) }' $$log; \
+	done
 
 clean:
 	$(GO) clean ./...

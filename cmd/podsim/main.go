@@ -187,6 +187,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
+	if res.Err != nil {
+		return fail(1, "%v", res.Err)
+	}
 	st := res.Stats
 	t := stats.NewTable(fmt.Sprintf("%s on %s (%d requests, %d warm-up)",
 		*scheme, tr.Name, len(tr.Requests), warmup), "Metric", "Value")

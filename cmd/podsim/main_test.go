@@ -58,3 +58,19 @@ func TestRunReplays(t *testing.T) {
 		t.Fatalf("report:\n%s", out)
 	}
 }
+
+// TestRunReportsAFullArray: a trace that outgrows an explicit
+// -diskblocks ends the replay at the first write the array cannot
+// place, with exit 1 and one line naming it, and no report.
+func TestRunReportsAFullArray(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-trace", "web-vm", "-scale", "0.01", "-diskblocks", "100"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	if got := stderr.String(); !strings.HasPrefix(got, "podsim: ") || !strings.Contains(got, "physical space exhausted") || strings.Count(got, "\n") != 1 {
+		t.Fatalf("stderr %q, want one podsim line naming the exhausted space", got)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("a replay that did not complete printed %q", stdout.String())
+	}
+}

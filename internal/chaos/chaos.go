@@ -3,10 +3,14 @@
 // that decides whether a chaos run preserved every acknowledged write.
 //
 // A scenario compiles to a fault.Schedule per shard (seeded so runs
-// replay bit-for-bit); the oracle shadows the logical volume as an
-// in-memory LBA→content-ID map maintained strictly from *acknowledged*
-// completions, then reads the whole footprint back through the server's
-// logical path at the end. Any divergence — a lost block, a mapping
+// replay bit-for-bit); the oracle keeps a dense LBA→content-ID shadow
+// of the logical volume strictly from *acknowledged* completions, then
+// reads the whole footprint back, in LBA order, through the server's
+// logical path at the end. The shadow is a trace.Volume: one 8.25 KiB
+// page per routing granule (1 024 LBAs) the run writes, plus a 2 KiB
+// directory and an 8 KiB leaf per 2^20 LBAs spanned, so recording a
+// write is an array store and a sparse run pays at most a page per
+// granule it touches. Any divergence — a lost block, a mapping
 // cross-referenced to another tenant's content, a torn multi-chunk
 // write that was reported successful — fails the run. This is the
 // dedup-specific failure detector: because the Map table shares
@@ -16,13 +20,14 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"github.com/pod-dedup/pod/internal/api"
+	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/fault"
 	"github.com/pod-dedup/pod/internal/sim"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // Scenario says what a named scenario is: the fault plan Build compiles
@@ -184,22 +189,19 @@ func (v Violation) String() string {
 type Oracle struct {
 	owner func(lba uint64) int // LBA → owning shard; nil = single shard
 
-	mu            sync.Mutex
-	want          map[uint64]uint64
-	indeterminate map[uint64]bool
-	acked         int64
-	failedWrites  int64
-	spilled       int64 // chunks excluded as cross-granule spill
+	mu sync.Mutex
+	// want holds each acknowledged block's content; its mark plane is
+	// the indeterminate set
+	want         trace.Volume
+	acked        int64
+	failedWrites int64
+	spilled      int64 // chunks excluded as cross-granule spill
 }
 
 // NewOracle returns an empty shadow volume. owner maps an LBA to its
 // routing shard (Server.Shard); nil means everything is owned.
 func NewOracle(owner func(lba uint64) int) *Oracle {
-	return &Oracle{
-		owner:         owner,
-		want:          make(map[uint64]uint64),
-		indeterminate: make(map[uint64]bool),
-	}
+	return &Oracle{owner: owner}
 }
 
 // owned reports whether a routed read of lba reaches the shard that
@@ -221,8 +223,7 @@ func (o *Oracle) RecordWrite(r *api.Request, shard int) {
 			o.spilled++
 			continue
 		}
-		o.want[lba] = uint64(id)
-		delete(o.indeterminate, lba)
+		o.want.Set(lba, id)
 	}
 }
 
@@ -241,7 +242,7 @@ func (o *Oracle) RecordFailedWrite(r *api.Request, shard int, touched bool) {
 	}
 	for i := range r.Content {
 		if lba := r.LBA + uint64(i); o.owned(lba, shard) {
-			o.indeterminate[lba] = true
+			o.want.Mark(lba)
 		}
 	}
 }
@@ -252,34 +253,28 @@ func (o *Oracle) RecordFailedWrite(r *api.Request, shard int, touched bool) {
 func (o *Oracle) Stats() (acked, failed int64, indeterminate int, spilled int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.acked, o.failedWrites, len(o.indeterminate), o.spilled
+	return o.acked, o.failedWrites, o.want.Marks(), o.spilled
 }
 
 // Check reads every acknowledged block back through read (the logical
-// LBA→content resolution path, e.g. Server.ReadContent) and returns the
-// violations ordered by LBA, plus the number of blocks verified.
-// Indeterminate blocks are skipped.
+// LBA→content resolution path, e.g. Server.ReadContent) in LBA order
+// and returns the violations, plus the number of blocks verified.
+// Indeterminate blocks are skipped. Check runs once recording has
+// stopped: it walks the shadow without the lock, so read may take any.
 func (o *Oracle) Check(read func(lba uint64) (uint64, bool)) ([]Violation, int) {
-	o.mu.Lock()
-	lbas := make([]uint64, 0, len(o.want))
-	for lba := range o.want {
-		if !o.indeterminate[lba] {
-			lbas = append(lbas, lba)
-		}
-	}
-	want := o.want
-	o.mu.Unlock()
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-
 	var out []Violation
-	for _, lba := range lbas {
-		got, ok := read(lba)
-		switch {
-		case !ok:
-			out = append(out, Violation{LBA: lba, Want: want[lba], Lost: true})
-		case got != want[lba]:
-			out = append(out, Violation{LBA: lba, Want: want[lba], Got: got})
+	checked := 0
+	o.want.Each(func(lba uint64, id chunk.ContentID, indeterminate bool) {
+		if indeterminate {
+			return
 		}
-	}
-	return out, len(lbas)
+		checked++
+		switch got, ok := read(lba); {
+		case !ok:
+			out = append(out, Violation{LBA: lba, Want: uint64(id), Lost: true})
+		case got != uint64(id):
+			out = append(out, Violation{LBA: lba, Want: uint64(id), Got: got})
+		}
+	})
+	return out, checked
 }

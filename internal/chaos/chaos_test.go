@@ -7,6 +7,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/api"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 func TestBuildScenarios(t *testing.T) {
@@ -178,5 +179,62 @@ func TestOracleSpilledChunksExcluded(t *testing.T) {
 	})
 	if checked != 2 {
 		t.Fatalf("failed spill marking wrong: checked %d, want 2", checked)
+	}
+}
+
+// TestOracleScriptedVerdict pins a whole verdict on one script: the
+// violations, lost and cross-referenced, in LBA order whatever order
+// the writes came in; the reads Check makes (each verified block once,
+// ascending, none of an indeterminate, spilled or never-acked block);
+// and Stats.
+func TestOracleScriptedVerdict(t *testing.T) {
+	owner := func(lba uint64) int { return int(lba / 4 % 2) } // granules of 4 over two shards
+	last := uint64(trace.LBALimit - 1)                        // owned by shard 1
+	o := NewOracle(owner)
+	o.RecordWrite(wr(last, 11), 1)
+	o.RecordWrite(wr(8, 1, 2, 3), 0)
+	o.RecordWrite(wr(0, 4, 5), 0)
+	o.RecordWrite(wr(5, 6), 1)
+	o.RecordWrite(wr(3, 7, 8), 0)              // lba 4 is shard 1's: spill
+	o.RecordFailedWrite(wr(9, 9), 0, true)     // acked, then indeterminate
+	o.RecordFailedWrite(wr(20, 9, 9), 1, true) // indeterminate, never acked
+	o.RecordFailedWrite(wr(0, 9), 0, false)    // refused: nothing changes
+
+	acked, failed, indet, spilled := o.Stats()
+	if acked != 5 || failed != 3 || indet != 3 || spilled != 1 {
+		t.Fatalf("stats = %d acked, %d failed, %d indeterminate, %d spilled; want 5, 3, 3, 1", acked, failed, indet, spilled)
+	}
+
+	store := map[uint64]uint64{0: 4, 3: 99, 5: 6, 8: 1, 9: 42, last: 12} // 1 and 10 lost
+	var reads []uint64
+	read := func(lba uint64) (uint64, bool) {
+		reads = append(reads, lba)
+		v, ok := store[lba]
+		return v, ok
+	}
+	want := []Violation{
+		{LBA: 1, Want: 5, Lost: true},
+		{LBA: 3, Want: 7, Got: 99},
+		{LBA: 10, Want: 3, Lost: true},
+		{LBA: last, Want: 11, Got: 12},
+	}
+	for pass := 0; pass < 2; pass++ { // Check changes nothing
+		reads = reads[:0]
+		viol, checked := o.Check(read)
+		if !reflect.DeepEqual(viol, want) {
+			t.Fatalf("pass %d: violations %v, want %v", pass, viol, want)
+		}
+		if wantReads := []uint64{0, 1, 3, 5, 8, 10, last}; checked != len(wantReads) || !reflect.DeepEqual(reads, wantReads) {
+			t.Fatalf("pass %d: checked %d, read %v; want %d, %v", pass, checked, reads, len(wantReads), wantReads)
+		}
+	}
+
+	o.RecordWrite(wr(20, 13), 1) // a firm expectation again
+	if _, _, indet, _ = o.Stats(); indet != 2 {
+		t.Fatalf("indeterminate = %d after re-acking lba 20, want 2", indet)
+	}
+	store[20] = 13
+	if viol, checked := o.Check(read); len(viol) != len(want) || checked != 8 {
+		t.Fatalf("after re-acking lba 20: %d violations, %d checked; want %d, 8", len(viol), checked, len(want))
 	}
 }

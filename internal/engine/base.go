@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -635,6 +636,13 @@ func (b *Base) VerifyWrite(req *trace.Request, chs []chunk.Chunk) {
 	}
 }
 
+// ErrNoSpace fails a write whose fresh chunks the array has no free
+// blocks for. It is not transient: a retry finds no more space, so the
+// serving layer does not retry it. The fresh chunks change nothing, as
+// on a disk error; chunks of the same request that were deduplicated
+// before placement stay mapped.
+var ErrNoSpace = errors.New("engine: physical space exhausted")
+
 // WriteFresh writes the request chunks at the given positions into
 // freshly allocated extents, submitted at time at. It returns the
 // completion time and the PBA assigned to each position (parallel to
@@ -648,7 +656,9 @@ func (b *Base) VerifyWrite(req *trace.Request, chs []chunk.Chunk) {
 // On a disk error the write is not applied: the allocated extents are
 // released and neither the Map table nor the content model changes, so
 // a retry of the same request starts from clean state and a failed
-// write can never be half-visible to readers.
+// write can never be half-visible to readers. When no free extent, or
+// set of them, can hold the chunks, WriteFresh returns ErrNoSpace
+// before allocating anything, with the same guarantee.
 func (b *Base) WriteFresh(at sim.Time, req *trace.Request, positions []int, chs []chunk.Chunk) (sim.Time, []alloc.PBA, error) {
 	n := uint64(len(positions))
 	if n == 0 {
@@ -666,7 +676,7 @@ func (b *Base) WriteFresh(at sim.Time, req *trace.Request, positions []int, chs 
 	} else if scattered, ok := b.Alloc.AllocScattered(n); ok {
 		extents = scattered
 	} else {
-		panic("engine: physical space exhausted")
+		return at, nil, ErrNoSpace
 	}
 
 	if cap(b.wfScratch) < int(n) {

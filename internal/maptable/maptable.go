@@ -61,12 +61,11 @@ const (
 // table lifetimes like the content model's (see engine/store.go);
 // Release returns them.
 //
-// A page is one routing granule wide (server.DefaultGranChunks): a
-// shard's table holds LBAs only in the granules the router deals it, so
-// with pages any wider every shard would touch every page of the
-// footprint and fill a 1/shards share of each.
+// A page is one routing granule wide (trace.PageBits), and the page
+// directories are trace.Pages: a shard's table pays for the granules
+// the router deals it, and a directory for the spans of keys it holds.
 const (
-	tblPageBits = 10
+	tblPageBits = trace.PageBits
 	tblPageSize = 1 << tblPageBits
 	tblPageMask = tblPageSize - 1
 
@@ -83,37 +82,28 @@ var (
 	cntPagePool = sync.Pool{New: func() any { return new(cntPage) }}
 )
 
-// growTo extends a page directory to hold page pg. It grows the way
-// append does: ascending keys add one small page at a time, and a
-// directory re-copied to exactly pg+1 entries each time is quadratic.
-func growTo[P any](pages []*P, pg uint64) []*P {
-	return append(pages, make([]*P, pg+1-uint64(len(pages)))...)
-}
-
 // pagedMap holds LBA → word (0 = absent; a key past the pages reads as
 // absent); n counts live entries.
 type pagedMap struct {
-	pages []*mapPage
+	pages trace.Pages[mapPage]
 	n     int
 }
 
 func (p *pagedMap) get(k uint64) uint64 {
-	pg := k >> tblPageBits
-	if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
-		return 0
+	if page := p.pages.Page(k >> tblPageBits); page != nil {
+		return page[k&tblPageMask]
 	}
-	return p.pages[pg][k&tblPageMask]
+	return 0
 }
 
 func (p *pagedMap) set(k, v uint64) {
-	pg := k >> tblPageBits
-	if pg >= uint64(len(p.pages)) {
-		p.pages = growTo(p.pages, pg)
+	at := p.pages.Slot(k >> tblPageBits)
+	page := *at
+	if page == nil {
+		page = mapPagePool.Get().(*mapPage)
+		*at = page
 	}
-	if p.pages[pg] == nil {
-		p.pages[pg] = mapPagePool.Get().(*mapPage)
-	}
-	slot := &p.pages[pg][k&tblPageMask]
+	slot := &page[k&tblPageMask]
 	if *slot == 0 {
 		p.n++
 	}
@@ -121,11 +111,11 @@ func (p *pagedMap) set(k, v uint64) {
 }
 
 func (p *pagedMap) del(k uint64) {
-	pg := k >> tblPageBits
-	if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
+	page := p.pages.Page(k >> tblPageBits)
+	if page == nil {
 		return
 	}
-	slot := &p.pages[pg][k&tblPageMask]
+	slot := &page[k&tblPageMask]
 	if *slot != 0 {
 		p.n--
 		*slot = 0
@@ -136,30 +126,22 @@ func (p *pagedMap) del(k uint64) {
 // ordering; the deterministic page walk simply replaces the old map's
 // randomized one.
 func (p *pagedMap) each(fn func(k, v uint64) bool) {
-	for pg, page := range p.pages {
-		if page == nil {
-			continue
-		}
-		base := uint64(pg) << tblPageBits
-		for i := range page {
-			if v := page[i]; v != 0 {
-				if !fn(base+uint64(i), v) {
-					return
-				}
+	p.pages.Each(func(pg uint64, page *mapPage) bool {
+		base := pg << tblPageBits
+		for i, v := range page {
+			if v != 0 && !fn(base+uint64(i), v) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 func (p *pagedMap) release() {
-	for i, page := range p.pages {
-		if page != nil {
-			clear(page[:])
-			mapPagePool.Put(page)
-			p.pages[i] = nil
-		}
-	}
-	p.pages = p.pages[:0]
+	p.pages.Clear(func(page *mapPage) {
+		clear(page[:])
+		mapPagePool.Put(page)
+	})
 	p.n = 0
 }
 
@@ -167,18 +149,17 @@ func (p *pagedMap) release() {
 // reverse-index heads); zero means absent. n counts nonzero entries.
 // Keys at or above pagedCap spill to far.
 type pagedCount struct {
-	pages []*cntPage
+	pages trace.Pages[cntPage]
 	far   map[uint64]int32
 	n     int
 }
 
 func (p *pagedCount) get(k uint64) int32 {
 	if k < pagedCap {
-		pg := k >> tblPageBits
-		if pg >= uint64(len(p.pages)) || p.pages[pg] == nil {
-			return 0
+		if page := p.pages.Page(k >> tblPageBits); page != nil {
+			return page[k&tblPageMask]
 		}
-		return p.pages[pg][k&tblPageMask]
+		return 0
 	}
 	return p.far[k]
 }
@@ -188,14 +169,13 @@ func (p *pagedCount) get(k uint64) int32 {
 func (p *pagedCount) add(k uint64, d int32) int32 {
 	var old int32
 	if k < pagedCap {
-		pg := k >> tblPageBits
-		if pg >= uint64(len(p.pages)) {
-			p.pages = growTo(p.pages, pg)
+		at := p.pages.Slot(k >> tblPageBits)
+		page := *at
+		if page == nil {
+			page = cntPagePool.Get().(*cntPage)
+			*at = page
 		}
-		if p.pages[pg] == nil {
-			p.pages[pg] = cntPagePool.Get().(*cntPage)
-		}
-		slot := &p.pages[pg][k&tblPageMask]
+		slot := &page[k&tblPageMask]
 		old = *slot
 		*slot = old + d
 	} else {
@@ -218,14 +198,10 @@ func (p *pagedCount) add(k uint64, d int32) int32 {
 }
 
 func (p *pagedCount) release() {
-	for i, page := range p.pages {
-		if page != nil {
-			clear(page[:])
-			cntPagePool.Put(page)
-			p.pages[i] = nil
-		}
-	}
-	p.pages = p.pages[:0]
+	p.pages.Clear(func(page *cntPage) {
+		clear(page[:])
+		cntPagePool.Put(page)
+	})
 	p.far = nil
 	p.n = 0
 }
@@ -233,16 +209,16 @@ func (p *pagedCount) release() {
 // each visits every nonzero counter; return false from fn to stop.
 // Dense keys come in ascending order, far keys in map order.
 func (p *pagedCount) each(fn func(k uint64, v int32) bool) {
-	for pg, page := range p.pages {
-		if page == nil {
-			continue
-		}
-		base := uint64(pg) << tblPageBits
+	if !p.pages.Each(func(pg uint64, page *cntPage) bool {
+		base := pg << tblPageBits
 		for i, v := range page {
 			if v != 0 && !fn(base+uint64(i), v) {
-				return
+				return false
 			}
 		}
+		return true
+	}) {
+		return
 	}
 	for k, v := range p.far {
 		if !fn(k, v) {
@@ -412,16 +388,8 @@ func (t *Table) ReverseIndexBytes() int64 {
 		return 0
 	}
 	var n int64
-	for _, pg := range r.link.pages {
-		if pg != nil {
-			n += tblPageSize * 8
-		}
-	}
-	for _, pg := range r.head.pages {
-		if pg != nil {
-			n += tblPageSize * 4
-		}
-	}
+	r.link.pages.Each(func(uint64, *mapPage) bool { n += tblPageSize * 8; return true })
+	r.head.pages.Each(func(uint64, *cntPage) bool { n += tblPageSize * 4; return true })
 	return n + 16*int64(len(r.head.far))
 }
 

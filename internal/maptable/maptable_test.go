@@ -1,7 +1,6 @@
 package maptable
 
 import (
-	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -464,11 +463,7 @@ func TestSparseGranulesTouchOnlyTheirPages(t *testing.T) {
 		}
 	}
 	pages := func(tb *Table) (n int) {
-		for _, pg := range tb.m.pages {
-			if pg != nil {
-				n++
-			}
-		}
+		tb.m.pages.Each(func(uint64, *mapPage) bool { n++; return true })
 		return n
 	}
 	if d, s := pages(dense), pages(sparse); s*shards != d {
@@ -480,12 +475,12 @@ func TestSparseGranulesTouchOnlyTheirPages(t *testing.T) {
 }
 
 // Growing a page directory is amortised: setting ascending keys across
-// P pages allocates the P pages and O(log P) directories, where a
-// directory grown to exactly the page it needs is one more allocation
-// per page.
+// P pages allocates the P pages and the one trace.Pages leaf they share,
+// where a directory re-grown for each page is one more allocation per
+// page.
 func TestPageDirectoryGrowthIsAmortised(t *testing.T) {
 	const P = 64
-	bound := float64(P + 2*bits.Len(P) + 4)
+	bound := float64(P + 1 + 4)
 	if avg := testing.AllocsPerRun(3, func() {
 		var m pagedMap
 		for k := uint64(0); k < P*tblPageSize; k++ {

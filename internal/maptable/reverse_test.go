@@ -12,11 +12,11 @@ import (
 )
 
 // The reverse-index driver reads three bytes per operation — op, lba
-// selector, pba selector — and holds the table to a map-of-sets model.
+// selector, pba selector — and holds the table to a forward-map model.
 // The key pools are small so chains form, grow and empty constantly,
 // and cover every representation: dense LBAs, the widely shared block's
-// thousands of referrers, the last LBAs below the bound; local blocks,
-// local blocks past pagedCap (heads in the spill map), and
+// thousands of referrers, the last LBAs below trace.LBALimit; local
+// blocks, local blocks past pagedCap (heads in the spill map), and
 // remote-encoded canonicals, which the model lists no referrers for.
 const revBulk = 2048 // referrers of the widely shared block
 
@@ -42,30 +42,77 @@ func revPBA(b byte) alloc.PBA {
 	}
 }
 
+// revModel is the forward map and each block's mapping count. A local
+// block's referrers are exactly the LBAs the forward map sends to it;
+// a remote-encoded canonical lists none.
 type revModel struct {
-	fwd map[uint64]alloc.PBA
-	rev map[alloc.PBA]map[uint64]struct{}
+	fwd  map[uint64]alloc.PBA
+	refs map[alloc.PBA]int
+}
+
+func newRevModel() *revModel {
+	return &revModel{fwd: map[uint64]alloc.PBA{}, refs: map[alloc.PBA]int{}}
 }
 
 func (m *revModel) set(lba uint64, pba alloc.PBA) {
 	if old, ok := m.fwd[lba]; ok {
-		delete(m.rev[old], lba)
-		if len(m.rev[old]) == 0 {
-			delete(m.rev, old)
+		if m.refs[old]--; m.refs[old] == 0 {
+			delete(m.refs, old)
 		}
 	}
 	m.fwd[lba] = pba
-	if alloc.IsRemote(pba) {
-		return // only local blocks are chained
-	}
-	if m.rev[pba] == nil {
-		m.rev[pba] = make(map[uint64]struct{})
-	}
-	m.rev[pba][lba] = struct{}{}
+	m.refs[pba]++
 }
 
-// verify compares Referrers of every block of the pool, referenced or
-// not, against the model's sets.
+// chained is how many referrers the index should list for pba.
+func (m *revModel) chained(pba alloc.PBA) int {
+	if alloc.IsRemote(pba) {
+		return 0 // only local blocks are chained
+	}
+	return m.refs[pba]
+}
+
+// touched compares what remapping lba from old to its model block
+// changed: the mapping itself, the count of mappings, both blocks'
+// reference counts and, with the index on, both blocks' chains — each
+// as long as the model says, lba on the new block's (unless it is
+// remote-encoded, which has none) and off the old one's. The rest of
+// each chain is compared entry by entry at the next full verify.
+func (m *revModel) touched(tb *Table, lba uint64, old alloc.PBA, hadOld, indexed bool) error {
+	pba := m.fwd[lba]
+	if got, ok := tb.Lookup(lba); !ok || got != pba {
+		return fmt.Errorf("lba %d maps to %d (%v), model %d", lba, got, ok, pba)
+	}
+	if tb.Len() != len(m.fwd) {
+		return fmt.Errorf("table holds %d mappings, model %d", tb.Len(), len(m.fwd))
+	}
+	chain := func(b alloc.PBA, holds bool) error {
+		if got := tb.RefCount(b); got != m.refs[b] {
+			return fmt.Errorf("pba %d has %d references, model %d", b, got, m.refs[b])
+		}
+		if !indexed {
+			return nil
+		}
+		got := tb.Referrers(nil, b)
+		if len(got) != m.chained(b) || slices.Contains(got, lba) != holds {
+			return fmt.Errorf("Referrers(%d) = %d lbas, lba %d among them: %v; model %d, %v",
+				b, len(got), lba, slices.Contains(got, lba), m.chained(b), holds)
+		}
+		return nil
+	}
+	if err := chain(pba, !alloc.IsRemote(pba)); err != nil {
+		return err
+	}
+	if hadOld && old != pba {
+		return chain(old, false)
+	}
+	return nil
+}
+
+// verify runs the table's audit and compares the mapping count and
+// Referrers of every block of the pool, referenced or not, against the
+// model: as many LBAs as the model chains, each once, each mapped to
+// the block.
 func (m *revModel) verify(tb *Table) error {
 	if err := tb.CheckConsistency(); err != nil {
 		return err
@@ -73,23 +120,20 @@ func (m *revModel) verify(tb *Table) error {
 	if tb.Len() != len(m.fwd) {
 		return fmt.Errorf("table holds %d mappings, model %d", tb.Len(), len(m.fwd))
 	}
-	var got, want []uint64
-	check := func(pba alloc.PBA) error {
+	var got []uint64
+	for _, pba := range revPool {
 		got = tb.Referrers(got[:0], pba)
 		slices.Sort(got)
-		want = want[:0]
-		for lba := range m.rev[pba] {
-			want = append(want, lba)
+		if len(got) != m.chained(pba) {
+			return fmt.Errorf("Referrers(%d) = %d lbas %v, model %d", pba, len(got), head(got), m.chained(pba))
 		}
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("Referrers(%d) = %d lbas %v, model %d %v", pba, len(got), head(got), len(want), head(want))
-		}
-		return nil
-	}
-	for _, pba := range revPool {
-		if err := check(pba); err != nil {
-			return err
+		for i, lba := range got {
+			if i > 0 && got[i-1] == lba {
+				return fmt.Errorf("Referrers(%d) lists lba %d twice", pba, lba)
+			}
+			if m.fwd[lba] != pba {
+				return fmt.Errorf("Referrers(%d) lists lba %d, which the model maps to %d", pba, lba, m.fwd[lba])
+			}
 		}
 	}
 	return nil
@@ -107,9 +151,16 @@ var revPool = func() (pool []alloc.PBA) {
 
 func head(s []uint64) []uint64 { return s[:min(len(s), 8)] }
 
+// revFullEvery is how many operations may pass between two full
+// verifies; each Set is checked for what it touched meanwhile.
+const revFullEvery = 64
+
 // runRevOps drives one table through data. Bit 0 of the first byte
 // says whether the index is on from the start or enabled by a later
-// operation, over whatever mappings exist by then.
+// operation, over whatever mappings exist by then. Every Set is checked for what it touched; an operation that
+// rebuilds or rewrites (Compact, Load, EnableReverseIndex, the widely
+// shared block's thousands of Sets) is followed by the full verify, as
+// are every revFullEvery-th operation and the end of the input.
 func runRevOps(data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -117,19 +168,25 @@ func runRevOps(data []byte) error {
 	dev := nvram.New(1 << 18) // small enough that the journal compacts itself now and then
 	tb := New(dev)
 	defer func() { tb.Release() }()
-	m := &revModel{fwd: map[uint64]alloc.PBA{}, rev: map[alloc.PBA]map[uint64]struct{}{}}
+	m := newRevModel()
 	enabled := data[0]&1 == 0
 	if enabled {
 		tb.EnableReverseIndex()
 	}
 	for i := 1; i+2 < len(data); i += 3 {
 		op, lba, pba := data[i]%32, revLBA(data[i+1]), revPBA(data[i+2])
+		full := i/3%revFullEvery == revFullEvery-1
 		switch {
 		case op < 28:
+			old, hadOld := m.fwd[lba]
 			tb.Set(lba, pba, data[i+2]&1 != 0)
 			m.set(lba, pba)
+			if err := m.touched(tb, lba, old, hadOld, enabled); err != nil {
+				return fmt.Errorf("op %d (set lba %d to pba %d): %w", i/3, lba, pba, err)
+			}
 		case op == 28:
 			tb.Compact()
+			full = true
 		case op == 29: // power failure: the journal is all that survives
 			loaded, _, err := Load(dev)
 			if err != nil {
@@ -140,16 +197,19 @@ func runRevOps(data []byte) error {
 			if enabled {
 				tb.EnableReverseIndex()
 			}
+			full = true
 		case op == 30: // one block gains thousands of referrers
 			for k := uint64(0); k < revBulk; k++ {
 				tb.Set(1000+k, pba, true)
 				m.set(1000+k, pba)
 			}
+			full = true
 		case op == 31:
 			enabled = true
 			tb.EnableReverseIndex()
+			full = true
 		}
-		if enabled && (op >= 28 || i%72 == 1) {
+		if full && enabled {
 			if err := m.verify(tb); err != nil {
 				return fmt.Errorf("op %d (%d, lba %d, pba %d): %w", i/3, op, lba, pba, err)
 			}
@@ -162,9 +222,9 @@ func runRevOps(data []byte) error {
 }
 
 // TestReverseIndexMatchesModel: random Set / remap / Compact /
-// Load + EnableReverseIndex sequences against the map-of-sets model,
-// the audit and every block's referrer set compared every few
-// operations. Each sequence starts by giving one block its thousands of
+// Load + EnableReverseIndex sequences against the forward-map model,
+// each Set checked for what it touched and the audit and every block's
+// referrers compared every revFullEvery operations. Each sequence starts by giving one block its thousands of
 // referrers, so later operations cut into the middle of a long chain.
 func TestReverseIndexMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {

@@ -6,6 +6,7 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -55,10 +56,12 @@ type Result struct {
 	// the job asked for them (Job.TraceEvery).
 	Metrics *metrics.Snapshot
 
-	// Err is set when the job panicked instead of completing; every
-	// other field is zero. RunAll converts panics into errors so one
-	// corrupt combination doesn't take down the batch (and with it the
-	// results of every job queued behind it).
+	// Err is set when the replay did not complete; every other field
+	// is zero. A write the array had no space for (engine.ErrNoSpace)
+	// ends the replay, since what follows would measure a full array.
+	// RunAll also converts panics into errors so one corrupt
+	// combination doesn't take down the batch (and with it the results
+	// of every job queued behind it).
 	Err error
 }
 
@@ -103,7 +106,11 @@ func run(e engine.Engine, tr *trace.Trace, warmup, traceEvery int, observe func(
 		// semantics run through internal/server instead.
 		var rt sim.Duration
 		if r.Op == trace.Write {
-			rt, _ = e.Write(r)
+			var err error
+			if rt, err = e.Write(r); errors.Is(err, engine.ErrNoSpace) {
+				return &Result{Engine: e.Name(), Trace: tr.Name,
+					Err: fmt.Errorf("replay: %s, request %d (%d chunks at lba %d): %w", tr.Name, i, r.N, r.LBA, err)}
+			}
 		} else {
 			rt, _ = e.Read(r)
 		}

@@ -646,8 +646,11 @@ func (sh *shard) serve(r *Request, cfg *Config) Result {
 			sh.deadlined++
 		}
 		// breaker accounting: sustained terminal failures trip it; a
-		// failed half-open probe re-arms the cooldown
-		if cfg.breakerThreshold > 0 {
+		// failed half-open probe re-arms the cooldown. A full array is
+		// no fault of the shard's health, and the shard still serves
+		// reads and deduplicated writes, so it neither counts nor
+		// resets.
+		if cfg.breakerThreshold > 0 && !errors.Is(err, engine.ErrNoSpace) {
 			sh.consecFails++
 			if sh.brOpen || sh.consecFails >= cfg.breakerThreshold {
 				if !sh.brOpen {

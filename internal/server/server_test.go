@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
+	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/replay"
 	"github.com/pod-dedup/pod/internal/trace"
 	"github.com/pod-dedup/pod/internal/workload"
@@ -565,5 +567,58 @@ func TestShardRatioGaugesCarryShardLabel(t *testing.T) {
 		if streams < 2 {
 			t.Errorf("shard %d accounts %d streams, want the tagged tenants", sh.id, streams)
 		}
+	}
+}
+
+// TestFullShardFailsWritesWithoutRetry: a write its shard's full array
+// cannot place fails with engine.ErrNoSpace through Do, on the first
+// attempt (a retry finds no more space), and is counted as a failed
+// write when it came through SubmitBatch; the shard goroutine lives on.
+// A full array is no health fault: more no-space writes than the
+// breaker's threshold leave it closed, so the shard still reads back
+// what it holds.
+func TestFullShardFailsWritesWithoutRetry(t *testing.T) {
+	srv, err := New(Config{Shards: 1, NewEngine: func(int) engine.Engine {
+		return experiments.NewEngine(experiments.POD, experiments.Platform(4, 2048, raid.RAID5, 16, 1<<20, 0))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lba uint64
+	for ; ; lba++ {
+		if lba == 1<<16 {
+			t.Fatal("2 048-block disks held 65 536 unique chunks")
+		}
+		res, err := srv.Do(&Request{Op: trace.Write, LBA: lba, Content: []chunk.ContentID{chunk.ContentID(lba + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Err == nil {
+			continue
+		}
+		if !errors.Is(res.Err, engine.ErrNoSpace) || res.Retries != 0 {
+			t.Fatalf("write %d: %v after %d retries, want ErrNoSpace on the first attempt", lba, res.Err, res.Retries)
+		}
+		break
+	}
+	for i := uint64(1); i <= 2*8; i++ { // twice the default breaker threshold
+		res, err := srv.Do(&Request{Op: trace.Write, LBA: lba + i, Content: []chunk.ContentID{chunk.ContentID(lba + i + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(res.Err, engine.ErrNoSpace) {
+			t.Fatalf("no-space write %d: %v, want ErrNoSpace", i, res.Err)
+		}
+	}
+	if res, err := srv.Do(&Request{Op: trace.Read, LBA: 0, Chunks: 1}); err != nil || res.Err != nil {
+		t.Fatalf("read of a held block after %d no-space writes: %v, %v", 2*8+1, err, res.Err)
+	}
+	failed := srv.Stats().Engine.WriteErrors
+	if err := srv.SubmitBatch([]Request{{Op: trace.Write, LBA: lba + 2*8 + 1, Content: []chunk.ContentID{chunk.ContentID(lba + 2*8 + 2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if got := srv.Stats().Engine.WriteErrors; got != failed+1 {
+		t.Fatalf("write errors %d after a batched write to the full shard, want %d", got, failed+1)
 	}
 }

@@ -67,7 +67,7 @@ func Analyze(t *Trace) *Analysis {
 	}
 
 	seen := make(map[chunk.ContentID]struct{})
-	at := make(map[uint64]chunk.ContentID) // lba -> current content
+	var at Volume // lba -> current content
 
 	var writes, totalChunksAll int64
 	var sameLBA, diffLBA int64
@@ -86,14 +86,14 @@ func Analyze(t *Trace) *Analysis {
 			lba := r.LBA + uint64(j)
 			if _, ok := seen[id]; ok {
 				redundant++
-				if cur, ok := at[lba]; ok && cur == id {
+				if cur, ok := at.Get(lba); ok && cur == id {
 					sameLBA++
 				} else {
 					diffLBA++
 				}
 			}
 			seen[id] = struct{}{}
-			at[lba] = id
+			at.Set(lba, id)
 		}
 		a.WriteChunks += int64(r.N)
 		a.RedundantChunks += int64(redundant)

@@ -294,6 +294,11 @@ func (s *System) checkTime(atMicros int64) error {
 	return nil
 }
 
+// ErrNoSpace is the Result.Err of a write whose new chunks the array
+// has no free blocks for. The write's new chunks change nothing; those
+// it deduplicated against stored blocks stay written.
+var ErrNoSpace = engine.ErrNoSpace
+
 // Do submits one request and returns its completion record. Requests
 // must arrive in non-decreasing Time order; a System serves them
 // synchronously (no queue), so Result.Sojourn equals Result.Service
@@ -302,9 +307,10 @@ func (s *System) checkTime(atMicros int64) error {
 // A storage fault the stack could not absorb is reported in Result.Err
 // (a *fault.Error carrying the transient/permanent classification), not
 // as Do's error return — the request was accepted and serviced, it just
-// failed; Do's own error covers malformed or mis-ordered requests. A
-// System has no retry layer; callers wanting retries, deadlines, and
-// breaker semantics use the sharded server.
+// failed; so is ErrNoSpace, a write the full array cannot place. Do's
+// own error covers malformed or mis-ordered requests. A System has no
+// retry layer; callers wanting retries, deadlines, and breaker
+// semantics use the sharded server.
 func (s *System) Do(r *Request) (Result, error) {
 	if err := r.Validate(); err != nil {
 		return Result{}, fmt.Errorf("pod: %w", err)

@@ -1,6 +1,7 @@
 package pod
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -430,4 +431,46 @@ func TestSmallArrays(t *testing.T) {
 			t.Errorf("%d-block disks: %d swap-in reads; the test no longer drives the zone reads past one batch", c.diskBlocks, n)
 		}
 	}
+}
+
+// TestFullArrayIsAnError: a write the full array cannot place fails
+// with ErrNoSpace in Result.Err instead of panicking, and changes
+// nothing: the blocks in use, the failed write's address and the data
+// written before it are as they were.
+func TestFullArrayIsAnError(t *testing.T) {
+	sys, err := New(Config{DiskBlocks: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tm int64
+	for lba := uint64(0); lba < 1<<16; lba++ {
+		used := sys.UsedBlocks()
+		res, err := sys.Do(wr(tm, lba, ContentID(lba+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm = res.Complete
+		if res.Err == nil {
+			continue
+		}
+		if !errors.Is(res.Err, ErrNoSpace) {
+			t.Fatalf("write %d: %v, want ErrNoSpace", lba, res.Err)
+		}
+		if got := sys.UsedBlocks(); got != used {
+			t.Fatalf("the refused write changed the blocks in use: %d → %d", used, got)
+		}
+		if id, ok := sys.ReadBack(lba); ok {
+			t.Fatalf("the refused write left content %d at lba %d", id, lba)
+		}
+		for _, back := range []uint64{0, lba / 2, lba - 1} {
+			if id, ok := sys.ReadBack(back); !ok || id != back+1 {
+				t.Fatalf("lba %d reads %d (%v) after the array filled, want %d", back, id, ok, back+1)
+			}
+		}
+		if _, err := sys.Do(wr(tm, lba+1, ContentID(lba+2))); err != nil {
+			t.Fatalf("the next write after a full array: %v", err)
+		}
+		return
+	}
+	t.Fatal("2 048-block disks held 65 536 unique chunks")
 }
