@@ -40,12 +40,12 @@ import (
 )
 
 // Core is the shared out-of-line merge machinery: a fingerprint→PBA
-// table of canonical copies, elevator-ordered background reads, and
-// the two merge operations (single-LBA for the post-process queue,
-// whole-block referrer rewiring for the scanner).
+// table of canonical copies (the engine's Base.Exact, which forgets
+// freed blocks itself), elevator-ordered background reads, and the two
+// merge operations (single-LBA for the post-process queue, whole-block
+// referrer rewiring for the scanner).
 type Core struct {
-	b   *engine.Base
-	fps *probe.Map[chunk.Fingerprint, alloc.PBA]
+	b *engine.Base
 
 	refs []uint64 // Referrers scratch, reused by every merge
 
@@ -57,39 +57,10 @@ type Core struct {
 	seqSwaps   int64 // canonical choices flipped to preserve sequentiality
 }
 
-// NewCore attaches merge machinery to an engine substrate. The
-// fingerprint table is exact, volatile DRAM state; entries naming
-// reclaimed blocks are dropped through the engine's OnFree hook
-// (chained, so an existing hook keeps firing).
-func NewCore(b *engine.Base) *Core {
-	c := &Core{b: b}
-	c.Reset()
-	prev := b.OnFree
-	b.OnFree = func(pba alloc.PBA) {
-		c.forget(pba)
-		if prev != nil {
-			prev(pba)
-		}
-	}
-	return c
-}
-
-// forget drops the entry naming a freed block. The table keeps each
-// key once, with no block → fingerprint map beside it: an entry is
-// only ever made for a live block under the fingerprint of what it
-// holds, and a dedup engine writes the Store only into freshly
-// allocated blocks, so the block's residual content still names the
-// one fingerprint whose entry can name it.
-func (c *Core) forget(pba alloc.PBA) {
-	id, ok := c.b.Store.Residual(pba)
-	if !ok {
-		return
-	}
-	fp := id.Fingerprint()
-	if can, found := c.fps.Get(fp); found && can == pba {
-		c.fps.Delete(fp)
-	}
-}
+// NewCore attaches merge machinery to an engine substrate; its
+// canonical table is the substrate's exact table, exact volatile DRAM
+// state.
+func NewCore(b *engine.Base) *Core { return &Core{b: b} }
 
 // Counters returns the core's lifetime work: blocks fingerprinted,
 // single-LBA merges, duplicate blocks found, LBAs rewired, and
@@ -103,7 +74,7 @@ func (c *Core) Counters() (scanned, mergedLBAs, dupBlocks, remapped, reclaimed i
 // re-scanning is idempotent — a block merged before the crash simply
 // has no duplicate left to find).
 func (c *Core) Reset() {
-	c.fps = probe.NewMap[chunk.Fingerprint, alloc.PBA](0)
+	c.b.Exact = probe.NewMap[chunk.Fingerprint, alloc.PBA](0)
 }
 
 // ReadBatch reads the given physical blocks back elevator-style: sorted
@@ -153,13 +124,13 @@ func (c *Core) MergeLBA(lba uint64, pba alloc.PBA) bool {
 	}
 	c.scanned++
 	fp := id.Fingerprint()
-	if existing, found := c.fps.Get(fp); found && existing != pba {
+	if existing, found := c.b.Exact.Get(fp); found && existing != pba {
 		if c.b.TryDedupe(lba, existing, id) {
 			c.mergedLBAs++
 			return true
 		}
 	}
-	c.fps.Put(fp, pba)
+	c.b.Exact.Put(fp, pba)
 	return false
 }
 
@@ -173,10 +144,10 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	c.scanned++
 	fp := id.Fingerprint()
 
-	can, found := c.fps.Get(fp)
+	can, found := c.b.Exact.Get(fp)
 	if !found || can == pba {
 		if !found {
-			c.fps.Put(fp, pba)
+			c.b.Exact.Put(fp, pba)
 		}
 		return 0, 0
 	}
@@ -184,7 +155,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	// validate content before touching any mapping, exactly like the
 	// inline path's consistency check.
 	if got, ok := c.b.Store.Read(can); !ok || got != id || c.b.Map.RefCount(can) == 0 {
-		c.fps.Put(fp, pba)
+		c.b.Exact.Put(fp, pba)
 		return 0, 0
 	}
 
@@ -195,7 +166,7 @@ func (c *Core) ScanBlock(pba alloc.PBA, id chunk.ContentID) (remapped, reclaimed
 	keep, drop := can, pba
 	if c.seqScore(pba) > c.seqScore(can) {
 		keep, drop = pba, can
-		c.fps.Put(fp, keep)
+		c.b.Exact.Put(fp, keep)
 		c.seqSwaps++
 	}
 	c.dupBlocks++

@@ -66,14 +66,6 @@ func TestLRUPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestLRURemove(t *testing.T) {
-	c := NewLRU[uint64, int](2)
-	c.Put(1, 1)
-	if !c.Remove(1) || c.Remove(1) {
-		t.Fatal("Remove semantics wrong")
-	}
-}
-
 // Property: an LRU never exceeds capacity, and a Get immediately after
 // Put always hits (capacity ≥ 1).
 func TestLRUProperty(t *testing.T) {
@@ -128,20 +120,6 @@ func BenchmarkLRU(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if v, ok := c.Touch(uint64(i) % 1024); ok {
 				*v++
-			}
-		}
-	})
-	b.Run("RemovePut", func(b *testing.B) {
-		c := NewLRU[uint64, uint64](1024)
-		for i := uint64(0); i < 1024; i++ {
-			c.Put(i, i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := uint64(i) % 1024
-			if c.Remove(k) {
-				c.Put(k, k)
 			}
 		}
 	})

@@ -1,8 +1,8 @@
 // Package cache provides a generic slab LRU for the bounded tables that
-// sit beside POD's storage cache: Full-Dedupe's in-memory index portion,
-// the I/O-Dedup baseline's content cache and replica directory, and the
-// locality estimator's per-stream sketches. POD's own iCache — both
-// caches and both ghosts — is one directory of its own
+// sit beside POD's storage cache: the I/O-Dedup baseline's content cache
+// and replica directory, and the locality estimator's per-stream
+// sketches. POD's own iCache — both caches and both ghosts, and
+// Full-Dedupe's hot index — is one directory of its own
 // (internal/icache).
 package cache
 
@@ -148,17 +148,6 @@ func (c *LRU[K, V]) Put(key K, val V) (ev Evicted[K, V], evicted bool) {
 		return c.evictOldest()
 	}
 	return ev, false
-}
-
-// Remove deletes key, reporting whether it was present.
-func (c *LRU[K, V]) Remove(key K) bool {
-	i, ok := c.items.Take(key)
-	if !ok {
-		return false
-	}
-	c.unlink(i)
-	c.release(i)
-	return true
 }
 
 // evictOldest removes and returns the LRU entry of a non-empty cache.

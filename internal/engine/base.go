@@ -14,6 +14,7 @@ import (
 	"github.com/pod-dedup/pod/internal/maptable"
 	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/nvram"
+	"github.com/pod-dedup/pod/internal/probe"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
@@ -139,9 +140,12 @@ type Base struct {
 	Reg *metrics.Registry
 	Ph  *metrics.PhaseSet
 
-	// OnFree, when set, is invoked for every reclaimed physical block
-	// (Full-Dedupe uses it to drop full-index entries).
-	OnFree func(alloc.PBA)
+	// Exact is the engine's exact fingerprint table, fingerprint → the
+	// block holding that content: Full-Dedupe's full index (its hot
+	// subset is IC's index partition) or an out-of-line core's canonical
+	// table (bgdedup.Core). No engine has both. FreeBlocks forgets every
+	// freed block in it.
+	Exact *probe.Map[chunk.Fingerprint, alloc.PBA]
 
 	// Tier is this shard's seat in the global fingerprint tier; nil
 	// unless an agent took it (SetTier).
@@ -223,6 +227,7 @@ func NewBase(cfg Config) *Base {
 		Alloc:      alloc.New(data),
 		Map:        maptable.New(dev),
 		Store:      NewStore(),
+		Exact:      probe.NewMap[chunk.Fingerprint, alloc.PBA](0),
 		St:         NewStats(),
 		Reg:        reg,
 		Ph:         reg.Phases(),
@@ -547,7 +552,7 @@ func (b *Base) Split(req *trace.Request) ([]chunk.Chunk, sim.Duration) {
 }
 
 // FreeBlocks reclaims physical blocks: allocator, content model, cache
-// purge, and the engine-specific hook. A remote-encoded canonical that
+// purge, and the exact table's entry. A remote-encoded canonical that
 // lost its last local reference has nothing local to reclaim — the
 // block lives on the owning shard — so only the tier's RemoteRef down
 // transition fires; the tier's hint for it stays valid. Only a shard
@@ -562,8 +567,20 @@ func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 		b.Alloc.Free(pba, 1)
 		b.Store.Free(pba)
 		b.IC.PurgePBA(pba)
-		if b.OnFree != nil {
-			b.OnFree(pba)
+		if b.Exact.Len() == 0 {
+			continue
+		}
+		// The exact table keeps no block → fingerprint map: an entry is
+		// only ever made for a live block under the fingerprint of what
+		// it holds, and a dedup engine writes the Store only into freshly
+		// allocated blocks, so the freed block's residual content names
+		// the one fingerprint whose entry can name it. That entry goes
+		// only if it still names the block: a newer copy keeps it.
+		if id, ok := b.Store.Residual(pba); ok {
+			fp := id.Fingerprint()
+			if cur, found := b.Exact.Get(fp); found && cur == pba {
+				b.Exact.Delete(fp)
+			}
 		}
 	}
 }

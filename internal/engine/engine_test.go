@@ -183,19 +183,23 @@ func TestTryDedupeValidation(t *testing.T) {
 
 func TestFreeBlocksPurgesEverywhere(t *testing.T) {
 	b := testBase(t)
-	var forgotten []alloc.PBA
-	b.OnFree = func(p alloc.PBA) { forgotten = append(forgotten, p) }
 
 	req := &trace.Request{Op: trace.Write, LBA: 0, N: 1, Content: []chunk.ContentID{1}}
 	chs := chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false)
 	_, pbas, _ := b.WriteFresh(0, req, []int{0}, chs)
 	b.IC.ReadInsert(pbas[0])
 	b.IC.IndexInsert(chs[0].FP, pbas[0])
+	b.Exact.Put(chs[0].FP, pbas[0])
+	other := chunk.ContentID(2).Fingerprint()
+	b.Exact.Put(other, pbas[0]+7)
 
 	freed := b.Map.Set(0, pbas[0]+1, false) // an overwrite elsewhere drops the last reference
 	b.FreeBlocks(freed)
-	if len(forgotten) != 1 || forgotten[0] != pbas[0] {
-		t.Fatalf("OnFree hook got %v", forgotten)
+	if _, ok := b.Exact.Get(chs[0].FP); ok {
+		t.Fatal("freed block still in the exact table")
+	}
+	if pba, ok := b.Exact.Get(other); !ok || pba != pbas[0]+7 || b.Exact.Len() != 1 {
+		t.Fatalf("the exact table lost another block's entry: %d,%v, %d entries", pba, ok, b.Exact.Len())
 	}
 	if b.IC.ReadHit(pbas[0]) {
 		t.Fatal("freed block still in read cache")

@@ -91,8 +91,10 @@ func drainInto(t *Tier, log map[msgKey][]message) {
 // with its publisher's previous epoch, or — most often — a batch of
 // 1–12 ads from a pool of 40 fingerprints, each ad fresh or not. After
 // every operation the two tiers and the model must agree on every
-// table entry (canon and granted) and every counter, and the tiers on
-// every message sequence per (destination, partition).
+// counter and on the entry (canon and granted) of every fingerprint the
+// operation touched — its ads, or the whole pool after a crash's sweep;
+// every fullEvery operations and at the end, on every table entry; and
+// the tiers on every message sequence per (destination, partition).
 func checkPublish(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -115,12 +117,15 @@ func checkPublish(t *testing.T, data []byte) {
 	var sc pubScratch
 	gotLog, wantLog := map[msgKey][]message{}, map[msgKey][]message{}
 
-	for op := 0; len(data) >= 3; op++ {
+	op := 0
+	for ; len(data) >= 3; op++ {
 		kind, s, n := data[0]%16, int(data[1])%shards, 1+int(data[2])%12
 		data = data[3:]
+		var touched []chunk.Fingerprint
 		switch {
 		case kind == 0:
 			crash(s)
+			touched = pool
 		case kind == 1:
 			if s != shards-1 {
 				batched.RecoverShard(s)
@@ -145,11 +150,18 @@ func checkPublish(t *testing.T, data []byte) {
 				twin.advertise(s, epoch, a)
 			}
 			model.publish(s, epoch, ads)
+			for _, a := range ads {
+				touched = append(touched, a.FP)
+			}
 		}
 		drainInto(batched, gotLog)
 		drainInto(twin, wantLog)
-		comparePublished(t, op, batched, twin, model)
+		compareTouched(t, op, batched, twin, model, touched)
+		if op%fullEvery == fullEvery-1 {
+			comparePublished(t, op, batched, twin, model)
+		}
 	}
+	comparePublished(t, op, batched, twin, model)
 	for k, want := range wantLog {
 		if got := gotLog[k]; !slices.Equal(got, want) {
 			t.Fatalf("to shard %d, partition %d: %d messages %v, want %d %v", k.to, k.part, len(got), got, len(want), want)
@@ -158,6 +170,35 @@ func checkPublish(t *testing.T, data []byte) {
 	if len(gotLog) != len(wantLog) {
 		t.Fatalf("%d message sequences, want %d", len(gotLog), len(wantLog))
 	}
+}
+
+// fullEvery is how many operations checkPublish lets pass between full
+// table comparisons: walking every partition's buckets of both tiers
+// costs far more than an operation.
+const fullEvery = 16
+
+// compareTouched holds the batched tier to its twin and to the model on
+// the entries of fps, the entry counts and every counter.
+func compareTouched(t *testing.T, op int, got, want *Tier, m *modelTier, fps []chunk.Fingerprint) {
+	t.Helper()
+	for _, fp := range fps {
+		pi := partOf(&fp)
+		e, ok := got.parts[pi].tbl.Get(fp)
+		if we, wok := want.parts[pi].tbl.Get(fp); ok != wok || we != e {
+			t.Fatalf("op %d: %x: entry %+v (%v), the twin's %+v (%v)", op, fp[:4], e, ok, we, wok)
+		}
+		if me, mok := m.tbl[fp]; ok != mok || me != e {
+			t.Fatalf("op %d: %x: entry %+v (%v), the model's %+v (%v)", op, fp[:4], e, ok, me, mok)
+		}
+	}
+	n, wn := 0, 0
+	for pi := range got.parts {
+		n, wn = n+got.parts[pi].tbl.Len(), wn+want.parts[pi].tbl.Len()
+	}
+	if n != wn || n != len(m.tbl) {
+		t.Fatalf("op %d: %d entries, the twin %d, the model %d", op, n, wn, len(m.tbl))
+	}
+	compareCounters(t, op, got, want, m)
 }
 
 // comparePublished holds the batched tier to its twin and to the model:
@@ -183,6 +224,13 @@ func comparePublished(t *testing.T, op int, got, want *Tier, m *modelTier) {
 	if n != len(m.tbl) {
 		t.Fatalf("op %d: %d entries, the model %d", op, n, len(m.tbl))
 	}
+	compareCounters(t, op, got, want, m)
+}
+
+// compareCounters holds the batched tier's counters to the twin's and
+// the model's.
+func compareCounters(t *testing.T, op int, got, want *Tier, m *modelTier) {
+	t.Helper()
 	counters := func(t *Tier) [5]int64 {
 		return [5]int64{t.adsQueued.Load(), t.staleDropped.Load(), t.hintsBroadcast.Load(), t.dupsDetected.Load(), t.downDropped.Load()}
 	}

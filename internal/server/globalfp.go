@@ -10,7 +10,6 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/bgdedup"
-	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
 	"github.com/pod-dedup/pod/internal/metrics"
 	"github.com/pod-dedup/pod/internal/sim"
@@ -52,33 +51,6 @@ func (s *Server) initGlobalFP() error {
 	// state, not any one shard's.
 	tier.Instrument(s.reg)
 	return nil
-}
-
-// initRemovalGauges exports the paper's headline metric as gauges:
-// per-shard writes-removed percentage (×100, labeled like the other
-// shard series) in each shard engine's registry, and the aggregate in
-// the server registry.
-//
-// Locking: a shard's engine registry is only snapshotted with that
-// shard's mu held (Stats does so), so the per-shard callback reads the
-// engine stats bare. The server registry is snapshotted by Stats
-// *before* any shard lock is taken, so the aggregate callback may take
-// each shard's mu in turn.
-func (s *Server) initRemovalGauges() {
-	for _, sh := range s.shards {
-		sh.eng.Metrics().GaugeFunc(
-			metrics.Labeled("server_writes_removed_pct_x100", "shard", strconv.Itoa(sh.id)),
-			func() int64 { return int64(sh.eng.Stats().WriteRemovalPct() * 100) })
-	}
-	s.reg.GaugeFunc("server_writes_removed_pct_x100", func() int64 {
-		agg := engine.NewStats()
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			agg.Merge(sh.eng.Stats())
-			sh.mu.Unlock()
-		}
-		return int64(agg.WriteRemovalPct() * 100)
-	})
 }
 
 // settleGlobalFP runs once, from Close, after the workers have drained:

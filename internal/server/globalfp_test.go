@@ -97,16 +97,6 @@ func TestGlobalFPEndToEnd(t *testing.T) {
 	if snap.UsedBlocks != rounds*n {
 		t.Fatalf("cluster uses %d blocks, want %d (one canonical per distinct content)", snap.UsedBlocks, rounds*n)
 	}
-	// Every round reaches all four shards before its owner's next tick
-	// can grant a hint, so nothing here deduplicates inline; assert the
-	// satellite gauges are registered rather than a particular value (the
-	// inline path is TestGlobalFPAdLandsBeforeWriteReturns' subject).
-	if _, ok := g["server_writes_removed_pct_x100"]; !ok {
-		t.Fatal("aggregate writes-removed gauge not registered")
-	}
-	if _, ok := g[`server_writes_removed_pct_x100{shard="0"}`]; !ok {
-		t.Fatalf("per-shard writes-removed gauge not registered: %v", g)
-	}
 
 	verify := func() {
 		for round := 0; round < rounds; round++ {

@@ -9,6 +9,7 @@ import (
 	"github.com/pod-dedup/pod/internal/chunk"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
+	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
 	"github.com/pod-dedup/pod/internal/workload"
 )
@@ -55,25 +56,28 @@ func recoveryWorkload(seed int64) ([]Request, map[uint64]chunk.ContentID) {
 
 // recoveryServer builds the server under test and serves reqs through
 // it, one at a time, so every shard sees its requests in stream order.
-// Passthrough timing hands each engine the arrival time unchanged,
-// which is what lets a bare engine be driven identically.
-func recoveryServer(t *testing.T, tier bool, reqs []Request) *Server {
+// It returns each request's start time, the timestamp its shard's queue
+// handed the engine: a bare engine given the same requests at those
+// times is driven identically.
+func recoveryServer(t *testing.T, tier bool, reqs []Request) (*Server, []sim.Time) {
 	t.Helper()
 	newEngine := selectDedupeFactory(workload.WebVM())
 	if tier {
 		newEngine = globalFPFactory(workload.WebVM())
 	}
-	srv, err := New(Config{Shards: recoveryShards, Timing: Passthrough, GlobalFP: tier, NewEngine: newEngine})
+	srv, err := New(Config{Shards: recoveryShards, GlobalFP: tier, NewEngine: newEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
+	starts := make([]sim.Time, len(reqs))
 	for i := range reqs {
 		res, err := srv.Do(&reqs[i])
-		if err != nil || res.Err != nil {
-			t.Fatalf("request %d: %v / %v", i, err, res.Err)
+		if err != nil || res.Err != nil || res.Retries != 0 {
+			t.Fatalf("request %d: %v / %v, %d retries", i, err, res.Err, res.Retries)
 		}
+		starts[i] = sim.Time(res.Start)
 	}
-	return srv
+	return srv, starts
 }
 
 // wholeNode is path (a): Close, then CrashAndRecover.
@@ -134,10 +138,10 @@ func remoteRefs(srv *Server) int {
 func TestRecoveryPathsAgreeWithoutTier(t *testing.T) {
 	reqs, ref := recoveryWorkload(7)
 
-	node := recoveryServer(t, false, reqs)
+	node, starts := recoveryServer(t, false, reqs)
 	nodeReplayed := wholeNode(t, node)
 
-	rejoin := recoveryServer(t, false, reqs)
+	rejoin, _ := recoveryServer(t, false, reqs)
 	rejoinReplayed := shardByShard(t, rejoin, 11)
 
 	// (c): the same factory's engines, each given exactly its shard's
@@ -148,6 +152,7 @@ func TestRecoveryPathsAgreeWithoutTier(t *testing.T) {
 	}
 	for i := range reqs {
 		tr := reqs[i].Trace()
+		tr.Time = starts[i]
 		if _, err := engines[node.Shard(tr.LBA)].Write(&tr); err != nil {
 			t.Fatalf("engine request %d: %v", i, err)
 		}
@@ -191,7 +196,7 @@ func TestRecoveryPathsAgreeWithoutTier(t *testing.T) {
 func TestRecoveryPathsAgreeWithTier(t *testing.T) {
 	reqs, ref := recoveryWorkload(7)
 
-	node := recoveryServer(t, true, reqs)
+	node, _ := recoveryServer(t, true, reqs)
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestRecoveryPathsAgreeWithTier(t *testing.T) {
 		t.Fatalf("whole-node: %v", err)
 	}
 
-	rejoin := recoveryServer(t, true, reqs)
+	rejoin, _ := recoveryServer(t, true, reqs)
 	t.Logf("cross-shard references at the first crash: %d", remoteRefs(rejoin))
 	if n := shardByShard(t, rejoin, 11); n == 0 {
 		t.Fatal("shard-by-shard recovery replayed nothing")

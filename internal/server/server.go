@@ -19,9 +19,10 @@
 // arriving while its shard is busy starts when the shard frees up, and
 // its reported sojourn includes the wait). Wall-clock concurrency —
 // the worker goroutines — is real, so serving throughput of the
-// harness itself also scales with shards. With a single shard, a
-// single client, and Passthrough timing the server is byte-identical
-// to the direct replay path; see TestBridgeByteIdenticalToReplay.
+// harness itself also scales with shards. One shard serving one client
+// leaves its engine exactly as the direct replay path leaves one given
+// the same requests stamped with the start times the shard's queue
+// assigned them; see TestBridgeByteIdenticalToReplay.
 package server
 
 import (
@@ -70,17 +71,10 @@ func ParsePolicy(s string) (Policy, error) {
 // Timing selects how request virtual timestamps reach the engines.
 type Timing int
 
-// Timing modes.
-const (
-	// Queued models each shard as a FCFS queue in virtual time: a
-	// request starts at max(arrival, shard next-free) and its sojourn
-	// includes the queue wait. This is the serving-mode default.
-	Queued Timing = iota
-	// Passthrough hands arrival timestamps to the engine unchanged
-	// (clamped to be non-decreasing per shard) and reports bare
-	// service times — the determinism bridge to the replay path.
-	Passthrough
-)
+// Queued, the one timing mode, models each shard as a FCFS queue in
+// virtual time: a request starts at max(arrival, shard next-free) and
+// its sojourn includes the queue wait.
+const Queued Timing = 0
 
 // Sentinel errors of the submission path.
 var (
@@ -99,8 +93,7 @@ type Config struct {
 	QueueDepth int
 	// Policy is the backpressure policy when a queue is full.
 	Policy Policy
-	// Timing selects Queued (serving) or Passthrough (replay-bridge)
-	// timestamp handling.
+	// Timing selects the timestamp handling; Queued is the one mode.
 	Timing Timing
 	// NewEngine constructs shard i's engine. Each call must return a
 	// fresh engine over fresh substrates; shards share nothing.
@@ -221,8 +214,7 @@ func (c Config) withDefaults() (Config, error) {
 type Request = api.Request
 
 // Result is the completion record of one request (shared api.Result):
-// Sojourn is queue wait + service under Queued timing, equal to
-// Service under Passthrough.
+// Sojourn is queue wait + service.
 type Result = api.Result
 
 // entry is one shard-queue entry: the requests of one submission bound
@@ -275,8 +267,8 @@ type shard struct {
 	// owned by whoever holds mu: handed to the engine through its
 	// interface, a per-attempt value would escape to the heap.
 	treq      trace.Request
-	nextFree  sim.Time // Queued: virtual time the engine frees up
-	lastStart sim.Time // monotonicity clamp for Passthrough
+	nextFree  sim.Time // virtual time the engine frees up
+	lastStart sim.Time // start of the last attempt served
 	lat       *stats.Histogram
 	completed int64
 	batches   int64
@@ -418,7 +410,6 @@ func New(cfg Config) (*Server, error) {
 			func() int64 { return sh.downRefused })
 		s.shards[i] = sh
 	}
-	s.initRemovalGauges()
 	if cfg.GlobalFP {
 		if err := s.initGlobalFP(); err != nil {
 			return nil, err
@@ -573,17 +564,7 @@ func (sh *shard) serve(r *Request, cfg *Config) Result {
 		return sh.refusal(arrival, fault.KindUnavailable)
 	}
 
-	start := arrival
-	switch cfg.Timing {
-	case Queued:
-		if start < sh.nextFree {
-			start = sh.nextFree
-		}
-	case Passthrough:
-		if start < sh.lastStart {
-			start = sh.lastStart
-		}
-	}
+	start := max(arrival, sh.nextFree)
 
 	var deadline sim.Time
 	if cfg.DeadlineUS > 0 {
@@ -623,11 +604,7 @@ func (sh *shard) serve(r *Request, cfg *Config) Result {
 	// rt is the last attempt's service time and complete = start + rt,
 	// also when the deadline cut the retries short
 	sojourn := complete.Sub(arrival)
-	if cfg.Timing == Passthrough {
-		sojourn = rt
-	} else {
-		sh.nextFree = complete
-	}
+	sh.nextFree = complete
 	sh.lastStart = start
 	sh.seq++
 	if !sh.anyServed || arrival < sh.firstArr {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"github.com/pod-dedup/pod/internal/experiments"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/replay"
+	"github.com/pod-dedup/pod/internal/sim"
 	"github.com/pod-dedup/pod/internal/trace"
 	"github.com/pod-dedup/pod/internal/workload"
 )
@@ -52,35 +54,37 @@ func submitOne(srv *Server, r *Request) error {
 }
 
 // TestBridgeByteIdenticalToReplay is the determinism bridge of the
-// serving layer: with one shard, one client, and Passthrough timing,
-// pushing a trace through the server must leave the engine in exactly
-// the state the direct replay path produces — every counter, every
-// histogram bucket, every physical block.
+// serving layer: one shard serving one client under its FCFS queue must
+// leave the engine in exactly the state the direct replay path produces
+// from the same requests stamped with the start times the queue gave
+// them — every counter, every histogram bucket, every physical block.
 func TestBridgeByteIdenticalToReplay(t *testing.T) {
 	tr, prof := testTrace(t)
 
-	direct := experiments.NewEngine(experiments.POD, experiments.BuildConfig(prof, testScale))
-	directRes := replay.Run(direct, tr, 0)
-
 	srv, err := New(Config{
 		Shards:    1,
-		Timing:    Passthrough,
+		Timing:    Queued,
 		NewEngine: podFactory(prof),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	started := *tr
+	started.Requests = slices.Clone(tr.Requests)
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		res, err := srv.Do(apiReq(r))
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+		if err != nil || res.Err != nil || res.Retries != 0 {
+			t.Fatalf("request %d: %v / %v, %d retries", i, err, res.Err, res.Retries)
 		}
 		if res.Shard != 0 {
 			t.Fatalf("request %d routed to shard %d with 1 shard", i, res.Shard)
 		}
+		started.Requests[i].Time = sim.Time(res.Start)
 	}
 	srv.Close()
+	direct := experiments.NewEngine(experiments.POD, experiments.BuildConfig(prof, testScale))
+	directRes := replay.Run(direct, &started, 0)
 
 	snap := srv.Stats()
 	if !reflect.DeepEqual(snap.Engine, directRes.Stats) {
