@@ -204,24 +204,27 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass, twelve targets: the parsers, the journal recovery,
-# the CDC landmark sweeps (batched bitmap vs the scalar predicate), the
-# carried split window (one long-lived Splitter vs a fresh one per
-# request) and normalized cut derivation (spacing invariants; a window
-# with lookback vs the whole stream), the iCache's directory, both
-# caches and both ghosts (vs its slices-and-linear-search model; an
-# input is a thousand operations), the Map table's reverse index (vs a
-# forward map and per-block counts), the generic map (vs a Go map, with
-# uniform keys and with every key in one chain), the tier's batch
-# publish (vs the same ads one at a time, and a model) and the dense
-# reference volume (vs a Go map). Minimising an input is capped at 20
-# runs: on the stateful drivers a second's minimising of every input
-# that finds new coverage took most of the pass. After each target one
-# line gives its executions and the rate; a failing target prints its
-# whole log and stops the pass.
-FUZZ_TARGETS = trace:FuzzReadText trace:FuzzReadBinary trace:FuzzVolume maptable:FuzzLoad \
+# Short fuzz pass, fourteen targets: the parsers (the FIU reader's
+# allocation held to its input), the journal recovery, the CDC landmark
+# sweeps (batched bitmap vs the scalar predicate), the carried split
+# window (one long-lived Splitter vs a fresh one per request) and
+# normalized cut derivation (spacing invariants; a window with lookback
+# vs the whole stream), the iCache's directory, both caches and both
+# ghosts (vs its slices-and-linear-search model; an input is a thousand
+# operations), the Map table's reverse index (vs a forward map and
+# per-block counts), the generic map (vs a Go map, with uniform keys and
+# with every key in one chain), the tier's batch publish (vs the same
+# ads one at a time, and a model), the dense reference volume (vs a Go
+# map) and the extent allocator (vs a block-flag model, the double-free
+# panic included). Minimising an input is capped at 20 runs: on the
+# stateful drivers a second's minimising of every input that finds new
+# coverage took most of the pass. After each target one line gives its
+# executions and the rate; a failing target prints its whole log and
+# stops the pass.
+FUZZ_TARGETS = trace:FuzzReadText trace:FuzzReadBinary trace:FuzzReadFIU trace:FuzzVolume maptable:FuzzLoad \
 	cdc:FuzzSeqMarks cdc:FuzzGearMarks cdc:FuzzSplitterCarried cdc:FuzzStreamCuts \
-	icache:FuzzDirectoryOps maptable:FuzzReverseIndexOps probe:FuzzMapOps globalfp:FuzzPublish
+	icache:FuzzDirectoryOps maptable:FuzzReverseIndexOps probe:FuzzMapOps globalfp:FuzzPublish \
+	alloc:FuzzAllocOps
 fuzz:
 	@log=$$(mktemp); trap 'rm -f $$log' EXIT; \
 	for t in $(FUZZ_TARGETS); do \

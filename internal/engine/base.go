@@ -551,13 +551,14 @@ func (b *Base) Split(req *trace.Request) ([]chunk.Chunk, sim.Duration) {
 	return b.chScratch, sim.Duration((bytes + chunk.Size - 1) / chunk.Size * chunk.DefaultChunkTimeUS)
 }
 
-// FreeBlocks reclaims physical blocks: allocator, content model, cache
-// purge, and the exact table's entry. A remote-encoded canonical that
-// lost its last local reference has nothing local to reclaim — the
-// block lives on the owning shard — so only the tier's RemoteRef down
-// transition fires; the tier's hint for it stays valid. Only a shard
-// whose tier agent is seated maps a remote-encoded block, so b.Tier is
-// set whenever one reaches here (and in SetRemoteRef and ReadMapped).
+// FreeBlocks reclaims physical blocks: allocator, content model, read
+// cache, and the entries the hot index and the exact table hold for
+// them. A remote-encoded canonical that lost its last local reference
+// has nothing local to reclaim — the block lives on the owning shard —
+// so only the tier's RemoteRef down transition fires; the tier's hint
+// for it stays valid. Only a shard whose tier agent is seated maps a
+// remote-encoded block, so b.Tier is set whenever one reaches here (and
+// in SetRemoteRef and ReadMapped).
 func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 	for _, pba := range pbas {
 		if alloc.IsRemote(pba) {
@@ -567,20 +568,21 @@ func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 		b.Alloc.Free(pba, 1)
 		b.Store.Free(pba)
 		b.IC.PurgePBA(pba)
-		if b.Exact.Len() == 0 {
+		// Neither the hot index nor the exact table keeps a block →
+		// fingerprint map: an entry is only ever made for a live block
+		// under the fingerprint of what it holds, and a dedup engine
+		// writes the Store only into freshly allocated blocks, so the
+		// freed block's residual content names the one fingerprint whose
+		// entries can name it. Each goes only if it still names the
+		// block: a newer copy keeps it.
+		id, ok := b.Store.Residual(pba)
+		if !ok {
 			continue
 		}
-		// The exact table keeps no block → fingerprint map: an entry is
-		// only ever made for a live block under the fingerprint of what
-		// it holds, and a dedup engine writes the Store only into freshly
-		// allocated blocks, so the freed block's residual content names
-		// the one fingerprint whose entry can name it. That entry goes
-		// only if it still names the block: a newer copy keeps it.
-		if id, ok := b.Store.Residual(pba); ok {
-			fp := id.Fingerprint()
-			if cur, found := b.Exact.Get(fp); found && cur == pba {
-				b.Exact.Delete(fp)
-			}
+		fp := id.Fingerprint()
+		b.IC.ForgetIndex(fp, pba)
+		if cur, found := b.Exact.Get(fp); found && cur == pba {
+			b.Exact.Delete(fp)
 		}
 	}
 }
@@ -904,10 +906,13 @@ func (b *Base) Tick(now sim.Time) {
 // map-table-backed engine: the allocator's free list is well formed,
 // the Map table's reference counts and reverse index match its
 // mappings, every mapped physical block is live in the content model,
-// and allocator occupancy equals the distinct mapped blocks — so no
-// block is leaked (allocated but unreachable) or double-used. Exposed
-// for property tests and the chaos harness; not valid for engines that
-// write at identity addresses without allocation (Native, I/O-Dedup).
+// allocator occupancy equals the distinct mapped blocks — so no block
+// is leaked (allocated but unreachable) or double-used —, and every hot
+// index entry, cached or ghosted, binds a live block holding its
+// fingerprint's content, which FreeBlocks' forget by content relies
+// on. Exposed for property tests and the chaos harness; not valid for
+// engines that write at identity addresses without allocation (Native,
+// I/O-Dedup).
 func (b *Base) CheckConsistency() error {
 	if err := b.Alloc.CheckInvariants(); err != nil {
 		return fmt.Errorf("engine: allocator: %w", err)
@@ -955,5 +960,10 @@ func (b *Base) CheckConsistency() error {
 		return fmt.Errorf("engine: %d distinct mapped+pinned blocks vs %d allocated (leak or double-use)",
 			len(mapped), b.Alloc.Used())
 	}
-	return nil
+	return b.IC.CheckIndex(func(fp chunk.Fingerprint, pba alloc.PBA) error {
+		if id, ok := b.Store.Read(pba); !ok || id.Fingerprint() != fp {
+			return fmt.Errorf("engine: hot index binds %x to block %d, which holds content %d (live %v)", fp[:4], pba, id, ok)
+		}
+		return nil
+	})
 }

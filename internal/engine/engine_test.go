@@ -2,6 +2,7 @@ package engine
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,33 @@ func TestFreeBlocksPurgesEverywhere(t *testing.T) {
 	}
 	if b.Alloc.Used() != 0 {
 		t.Fatal("allocator still holds the block")
+	}
+}
+
+// CheckConsistency holds the hot index to what FreeBlocks' forget by
+// content relies on: every entry binds a live block holding its
+// fingerprint's content.
+func TestCheckConsistencyAuditsTheIndex(t *testing.T) {
+	b := testBase(t)
+	req := &trace.Request{Op: trace.Write, LBA: 0, N: 2, Content: []chunk.ContentID{1, 2}}
+	chs := chunk.SplitInto(nil, req.Content, chunk.SyntheticFingerprinter{}, false)
+	_, pbas, _ := b.WriteFresh(0, req, []int{0, 1}, chs)
+	b.IC.IndexInsert(chs[0].FP, pbas[0])
+	b.IC.IndexInsert(chs[1].FP, pbas[0]) // content 2 bound to content 1's block
+	if err := b.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "hot index") {
+		t.Fatalf("an entry binding a block of other content: %v", err)
+	}
+	b.IC.IndexInsert(chs[1].FP, pbas[1])
+	if err := b.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	// block 1 freed behind the index's back: its entry is stale
+	for _, pba := range b.Map.Set(1, pbas[0], false) {
+		b.Alloc.Free(pba, 1)
+		b.Store.Free(pba)
+	}
+	if err := b.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "hot index") {
+		t.Fatalf("an entry binding a freed block: %v", err)
 	}
 }
 
@@ -484,11 +512,13 @@ func TestRecoveryCarriesWiring(t *testing.T) {
 		}
 		b.Map.Set(300, 9, true) // put it back (journaled) for the next round
 		b.Map.Unpin(9)
-		// stream mode, with the configured split
-		c := chunk.ContentID(1)
+		// stream mode, with the configured split: each stream indexes
+		// one of the two live blocks under what it holds
+		blk := alloc.PBA(7)
 		for id := range shares {
-			b.IC.IndexInsertS(id, c.Fingerprint(), 7)
-			c++
+			c, _ := b.Store.Read(blk)
+			b.IC.IndexInsertS(id, c.Fingerprint(), blk)
+			blk = 9
 		}
 		gauges := b.Reg.Snapshot().Gauges
 		for id, share := range shares {

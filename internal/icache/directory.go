@@ -13,21 +13,30 @@ import (
 // cached (under some stream's quota) or in the ghost index, a block in
 // the read cache or the read ghost — is one slot of one slab, and
 // *where* it is cached is only which recency list the slot is linked
-// into. Index-side slots are keyed by fingerprint, read-side slots by
-// block alone (one per block and list: a block may be cached and ghosted
-// at once). Each list names the ghost its evictions drop into, so moving
-// an entry between states relinks the slot the same way on both sides;
-// only an entry leaving the directory touches the buckets.
+// into. An index-side slot is keyed by its fingerprint alone, a
+// read-side slot by its block alone (one per block and list: a block may
+// be cached and ghosted at once), and a slot is one or the other for its
+// whole life. Each list names the ghost its evictions drop into, so
+// moving an entry between states relinks the slot the same way on both
+// sides; only an entry entering or leaving the directory touches the
+// buckets.
 //
 // The slab is a list of fixed pages that never move: growing it adds a
 // page and copies nothing (a contiguous slice growing from empty would
 // allocate about five times its final size on the way). Because a slot
 // never moves, the slab is also where the keys live: a fingerprint is
-// found through a bucket head whose chain runs through the slots'
-// fpNext, a block — every slot bound to it — through one whose chain
-// runs through revNext, and neither array holds a key. Both keep at most
-// one slot per two buckets, so a miss is most often an empty bucket and
-// a chained mismatch costs one word compare.
+// found through a fingerprint bucket, a block through a block bucket,
+// each chain running through the slots' one chain link, and neither
+// array holds a key. Each array is sized by its own keys, at most one
+// per two buckets, so a miss is most often an empty bucket and a chained
+// mismatch costs one word compare.
+//
+// A freed block leaves by both keys: purge drops its read-side slots,
+// found by the block, and forget its index entry, found by the
+// fingerprint of what the block held. An index entry only ever binds a
+// block that holds its fingerprint's content, so that fingerprint names
+// the one entry that can bind the block, and the index side keeps no
+// block → entry chain to upkeep on every insert.
 
 const (
 	ghostList      = 1 // list 0 is "on the free list"
@@ -35,7 +44,7 @@ const (
 	readGhostList  = 3
 	firstIndexList = 4 // the single index's list, or one list per stream
 
-	slabPageBits  = 10 // 1 024 slots, 56 KiB a page
+	slabPageBits  = 10 // 1 024 slots, 48 KiB a page
 	slabPageSlots = 1 << slabPageBits
 
 	minBucketBits = 3
@@ -44,20 +53,28 @@ const (
 
 // slot is one directory entry: a fingerprint and the block it binds, or
 // a read-side block. Slot 0 is never used, so 0 means "none" in the
-// buckets and in the chains. Its 52 B of fields pad to 56.
+// buckets and in the chains. Its 48 B hold no padding.
 type slot struct {
 	pba        alloc.PBA
 	fp         chunk.Fingerprint // zero on the read side
 	list       int32             // the list the slot is linked into
 	home       int32             // the list it was admitted to; a ghost returns there
 	prev, next int32
-	fpNext     int32 // next slot in the same fingerprint bucket
-	revNext    int32 // next slot in the same block bucket
+	chain      int32 // next slot in the same bucket, of the slot's own family
 }
 
 // hashed reports whether the slot holds a fingerprint — an index-side
 // slot — rather than a read-side block, keyed by the block alone.
 func (s *slot) hashed() bool { return s.home >= firstIndexList }
+
+// word is the uniform word slot s is bucketed by: its fingerprint's
+// first word, or its block's.
+func (s *slot) word() uint64 {
+	if s.hashed() {
+		return firstWord(&s.fp)
+	}
+	return blockWord(s.pba)
+}
 
 // lruList is one circular recency list through the slab: head is its
 // sentinel slot, head.next the most recent member.
@@ -67,31 +84,40 @@ type lruList struct {
 	ghost  int32 // the list evicted members drop into; 0: they leave
 }
 
+// buckets is one family's bucket array: heads[b] names the first slot of
+// bucket b. It doubles when its keys would fill half of it.
+type buckets struct {
+	heads []int32
+	shift uint8 // 64 − log2 len(heads): a bucket is a word's top bits
+	keys  int   // slots chained
+}
+
+func newBuckets() buckets {
+	return buckets{heads: make([]int32, minBuckets), shift: 64 - minBucketBits}
+}
+
+// head returns the head of the bucket word w falls in.
+func (b *buckets) head(w uint64) *int32 { return &b.heads[w>>b.shift] }
+
 type directory struct {
 	pages []*[slabPageSlots]slot
 	n     int32 // slots handed out, slot 0 included; the rest of the last page is fresh
 	free  int32 // released slots, chained through next
 	lists []lruList
-	// fpHead and pbaHead name the first slot of each fingerprint and
-	// block bucket; they double together, so one shift serves both. The
-	// block buckets let PurgePBA drop every entry — cached or ghosted, on
-	// either side — for a freed block: the consistency mechanism that
-	// replaces in-place overwrite protection in this log-structured
-	// substrate.
-	fpHead, pbaHead []int32
-	shift           uint8  // 64 − log2 of the bucket count: a bucket is a word's top bits
-	held            int    // slots on every list but the free one
-	warmed          uint64 // what warm loaded, kept so the loads are not dropped
+	// byFP chains the index side, cached or ghosted; byPBA the read
+	// side, whose block buckets let PurgePBA drop a freed block from the
+	// read cache and its ghost in one walk.
+	byFP, byPBA buckets
+	warmed      uint64 // what warm loaded, kept so the loads are not dropped
 }
 
 // newDirectory returns a directory holding the ghost index, the read
 // cache and the read ghost, and no index list.
 func newDirectory(ghostCap, readCap, readGhostCap int) directory {
 	d := directory{
-		lists:   make([]lruList, ghostList, firstIndexList+1),
-		fpHead:  make([]int32, minBuckets),
-		pbaHead: make([]int32, minBuckets),
-		shift:   64 - minBucketBits,
+		lists: make([]lruList, ghostList, firstIndexList+1),
+		byFP:  newBuckets(),
+		byPBA: newBuckets(),
 	}
 	d.fresh() // slot 0
 	d.addList(ghostCap, 0)
@@ -131,23 +157,28 @@ func firstWord(fp *chunk.Fingerprint) uint64 {
 	return binary.LittleEndian.Uint64(fp[:8])
 }
 
-func (d *directory) fpBucket(w uint64) uint64 { return w >> d.shift }
+// blockWord spreads block numbers, which are dense, by Fibonacci
+// hashing: a bucket is the product's top bits, which give consecutive
+// blocks distinct buckets (its middle bits fill only about a quarter of
+// them).
+func blockWord(pba alloc.PBA) uint64 { return uint64(pba) * 0x9e3779b97f4a7c15 }
 
-// pbaBucket spreads block numbers, which are dense, by Fibonacci
-// hashing: the top bits of the product, which give consecutive blocks
-// distinct buckets (its middle bits fill only about a quarter of them).
-func (d *directory) pbaBucket(pba alloc.PBA) uint64 {
-	return uint64(pba) * 0x9e3779b97f4a7c15 >> d.shift
+// family returns the buckets slot s is chained in.
+func (d *directory) family(s *slot) *buckets {
+	if s.hashed() {
+		return &d.byFP
+	}
+	return &d.byPBA
 }
 
 // holding returns list l's slot for pba, or 0; l is a read list.
 func (d *directory) holding(l int32, pba alloc.PBA) int32 {
-	for i := d.pbaHead[d.pbaBucket(pba)]; i != 0; {
+	for i := *d.byPBA.head(blockWord(pba)); i != 0; {
 		s := d.at(i)
 		if s.pba == pba && s.list == l {
 			return i
 		}
-		i = s.revNext
+		i = s.chain
 	}
 	return 0
 }
@@ -155,12 +186,12 @@ func (d *directory) holding(l int32, pba alloc.PBA) int32 {
 // find returns fp's slot, or 0.
 func (d *directory) find(fp chunk.Fingerprint) int32 {
 	w := firstWord(&fp)
-	for i := d.fpHead[d.fpBucket(w)]; i != 0; {
+	for i := *d.byFP.head(w); i != 0; {
 		s := d.at(i)
 		if firstWord(&s.fp) == w && s.fp == fp {
 			return i
 		}
-		i = s.fpNext
+		i = s.chain
 	}
 	return 0
 }
@@ -173,64 +204,43 @@ func (d *directory) find(fp chunk.Fingerprint) int32 {
 func (d *directory) warm(fps []chunk.Fingerprint) {
 	var sum uint64
 	for k := range fps {
-		sum += uint64(d.fpHead[d.fpBucket(firstWord(&fps[k]))])
+		sum += uint64(*d.byFP.head(firstWord(&fps[k])))
 	}
 	for k := range fps {
-		if i := d.fpHead[d.fpBucket(firstWord(&fps[k]))]; i != 0 {
+		if i := *d.byFP.head(firstWord(&fps[k])); i != 0 {
 			s := d.at(i)
-			sum += firstWord(&s.fp) + uint64(s.fpNext)
+			sum += firstWord(&s.fp) + uint64(s.chain)
 		}
 	}
 	d.warmed += sum
 }
 
-// fpLink returns the link that names slot i in its fingerprint bucket.
-func (d *directory) fpLink(i int32) *int32 {
-	p := &d.fpHead[d.fpBucket(firstWord(&d.at(i).fp))]
-	for *p != i {
-		p = &d.at(*p).fpNext
-	}
-	return p
-}
-
-// pbaLink returns the link that names slot i in its block bucket.
-func (d *directory) pbaLink(i int32) *int32 {
-	p := &d.pbaHead[d.pbaBucket(d.at(i).pba)]
-	for *p != i {
-		p = &d.at(*p).revNext
-	}
-	return p
-}
-
-// hash pushes slot i onto its fingerprint bucket.
-func (d *directory) hash(i int32) {
+// link returns the link that names slot i in its bucket.
+func (d *directory) link(i int32) *int32 {
 	s := d.at(i)
-	b := &d.fpHead[d.fpBucket(firstWord(&s.fp))]
-	s.fpNext, *b = *b, i
+	p := d.family(s).head(s.word())
+	for *p != i {
+		p = &d.at(*p).chain
+	}
+	return p
 }
 
-// grow doubles both bucket arrays and re-links every held slot; no key
-// moves, since keys live only in the slab.
-func (d *directory) grow() {
-	n := 2 * len(d.fpHead)
-	d.fpHead, d.pbaHead, d.shift = make([]int32, n), make([]int32, n), d.shift-1
+// grow doubles family f's buckets and re-chains the held slots keyed
+// into it; no key moves, since keys live only in the slab.
+func (d *directory) grow(f *buckets) {
+	f.heads, f.shift = make([]int32, 2*len(f.heads)), f.shift-1
 	for i := int32(1); i < d.n; i++ {
-		if s := d.at(i); s.list != 0 {
-			if s.hashed() {
-				d.hash(i)
-			}
-			d.bind(i)
+		if s := d.at(i); s.list != 0 && d.family(s) == f {
+			h := f.head(s.word())
+			s.chain, *h = *h, i
 		}
 	}
 }
 
 func (d *directory) entry(i int32) Entry { return Entry{PBA: d.at(i).pba} }
 
-// fps counts the fingerprints held, cached or ghosted.
-func (d *directory) fps() int { return d.held - d.lists[readList].n - d.lists[readGhostList].n }
-
 // live counts the entries on index lists.
-func (d *directory) live() int { return d.fps() - d.lists[ghostList].n }
+func (d *directory) live() int { return d.byFP.keys - d.lists[ghostList].n }
 
 func (d *directory) unlink(i int32) {
 	s := d.at(i)
@@ -250,54 +260,34 @@ func (d *directory) pushFront(l, i int32) {
 	lst.n++
 }
 
-// bind pushes slot i onto its block's bucket.
-func (d *directory) bind(i int32) {
-	s := d.at(i)
-	b := &d.pbaHead[d.pbaBucket(s.pba)]
-	s.revNext, *b = *b, i
-}
-
-// unbind takes slot i out of its block's bucket.
-func (d *directory) unbind(i int32) {
-	*d.pbaLink(i) = d.at(i).revNext
-}
-
-// take hands out an unlinked slot bound to pba whose home is list l,
-// doubling the buckets first when it would fill half of them.
-func (d *directory) take(l int32, pba alloc.PBA) int32 {
-	if d.held++; 2*d.held >= len(d.pbaHead) {
-		d.grow()
-	}
+// take hands out a slot on no list whose home is list l, keyed by fp on
+// an index list and by pba on a read list, and chains it into its
+// bucket, doubling that family's buckets first when it would fill half
+// of them.
+func (d *directory) take(l int32, fp chunk.Fingerprint, pba alloc.PBA) int32 {
 	i := d.free
 	if i != 0 {
 		d.free = d.at(i).next
 	} else {
 		i = d.fresh()
 	}
-	*d.at(i) = slot{pba: pba, home: l}
-	d.bind(i)
+	s := d.at(i)
+	*s = slot{pba: pba, fp: fp, home: l}
+	f := d.family(s)
+	if f.keys++; 2*f.keys >= len(f.heads) {
+		d.grow(f)
+	}
+	h := f.head(s.word())
+	s.chain, *h = *h, i
 	return i
 }
 
-// insert admits a fingerprint the directory does not hold as index list
-// l's most recent member.
-func (d *directory) insert(l int32, fp chunk.Fingerprint, pba alloc.PBA) {
-	i := d.take(l, pba)
-	d.at(i).fp = fp
-	d.hash(i)
-	d.pushFront(l, i)
-}
-
-// admit links an unlinked slot in as list l's most recent member, bound
-// to pba.
+// admit links an unlinked index slot in as list l's most recent member,
+// bound to pba; the slot is keyed by its fingerprint, so no bucket
+// changes.
 func (d *directory) admit(l, i int32, pba alloc.PBA) {
 	s := d.at(i)
-	if s.pba != pba {
-		d.unbind(i)
-		s.pba = pba
-		d.bind(i)
-	}
-	s.home = l
+	s.pba, s.home = pba, l
 	d.pushFront(l, i)
 }
 
@@ -324,18 +314,16 @@ func (d *directory) land(l, i int32) {
 
 // release drops an unlinked slot from the directory.
 func (d *directory) release(i int32) {
-	d.unbind(i)
+	*d.link(i) = d.at(i).chain
 	d.discard(i)
 }
 
 // discard is release for a slot the caller already took out of its
-// block's bucket.
+// bucket.
 func (d *directory) discard(i int32) {
-	if d.at(i).hashed() {
-		*d.fpLink(i) = d.at(i).fpNext
-	}
-	d.held--
-	*d.at(i) = slot{next: d.free}
+	s := d.at(i)
+	d.family(s).keys--
+	*s = slot{next: d.free}
 	d.free = i
 }
 
@@ -393,49 +381,63 @@ func (d *directory) swapIn(g int32) int {
 	return moved
 }
 
-// purge drops every entry bound to pba, leaving the other blocks that
-// share its bucket.
+// purge drops every read-side slot bound to pba, cached or ghosted,
+// leaving the other blocks that share its bucket.
 func (d *directory) purge(pba alloc.PBA) {
-	p := &d.pbaHead[d.pbaBucket(pba)]
+	p := d.byPBA.head(blockWord(pba))
 	for i := *p; i != 0; i = *p {
 		s := d.at(i)
 		if s.pba != pba {
-			p = &s.revNext
+			p = &s.chain
 			continue
 		}
-		*p = s.revNext
+		*p = s.chain
 		d.unlink(i)
 		d.discard(i)
 	}
 }
 
+// forget drops fp's index entry, cached or ghosted, if it binds pba: a
+// newer copy of the content keeps its entry.
+func (d *directory) forget(fp chunk.Fingerprint, pba alloc.PBA) {
+	w := firstWord(&fp)
+	for p := d.byFP.head(w); *p != 0; p = &d.at(*p).chain {
+		if i, s := *p, d.at(*p); firstWord(&s.fp) == w && s.fp == fp {
+			if s.pba == pba {
+				*p = s.chain
+				d.unlink(i)
+				d.discard(i)
+			}
+			return
+		}
+	}
+}
+
 // bytes reports the memory the slab's pages and both bucket arrays hold.
 func (d *directory) bytes() int {
-	return len(d.pages)*int(unsafe.Sizeof([slabPageSlots]slot{})) + 4*(len(d.fpHead)+len(d.pbaHead))
+	return len(d.pages)*int(unsafe.Sizeof([slabPageSlots]slot{})) + 4*(len(d.byFP.heads)+len(d.byPBA.heads))
 }
 
 // check audits the directory's structure: the fingerprint buckets chain
-// exactly the fingerprints held and the block buckets every held slot,
-// each in the bucket its key hashes to and with no cycle; every list is a
-// well-formed ring of exactly n ≤ cap members that know which list they
-// are on, sit on their home list or its ghost, and are the slot find (a
-// fingerprint) or holding (a read-side block: one slot per block and
-// list) returns; no index entry binds a remote-encoded block (a tier hint
-// lives in the tier's own table; a remote read is cached under one); and
-// the free list accounts for every other slot. The chains are audited
-// first, so the walks below cannot loop.
+// exactly the index-side slots and the block buckets exactly the
+// read-side ones, each in the bucket its key falls in and with no cycle;
+// every list is a well-formed ring of exactly n ≤ cap members that know
+// which list they are on, sit on their home list or its ghost, and are
+// the slot find (a fingerprint) or holding (a read-side block: one slot
+// per block and list) returns; no index entry binds a remote-encoded
+// block (a tier hint lives in the tier's own table; a remote read is
+// cached under one); and the free list accounts for every other slot.
+// The chains are audited first, so the walks below cannot loop. That an
+// index entry binds a block holding its content is the engine's to
+// audit (CheckIndex): the directory knows no content.
 func (d *directory) check() error {
-	if err := d.checkChains("fingerprint", d.fpHead, d.fps(), func(s *slot) (int32, uint64, bool) {
-		return s.fpNext, d.fpBucket(firstWord(&s.fp)), s.hashed()
-	}); err != nil {
+	if err := d.checkChains("fingerprint", &d.byFP); err != nil {
 		return err
 	}
-	if err := d.checkChains("block", d.pbaHead, d.held, func(s *slot) (int32, uint64, bool) {
-		return s.revNext, d.pbaBucket(s.pba), true
-	}); err != nil {
+	if err := d.checkChains("block", &d.byPBA); err != nil {
 		return err
 	}
-	linked := 0
+	var linked [2]int // index side, read side
 	for l := int32(ghostList); int(l) < len(d.lists); l++ {
 		lst := d.lists[l]
 		n, prev := 0, lst.head
@@ -450,9 +452,9 @@ func (d *directory) check() error {
 			if s.home <= 0 || int(s.home) >= len(d.lists) || d.lists[s.home].ghost == 0 || (l != s.home && l != d.lists[s.home].ghost) {
 				return fmt.Errorf("icache: slot %d on list %d has home %d", i, l, s.home)
 			}
-			j := d.find(s.fp)
+			j, side := d.find(s.fp), 0
 			if !s.hashed() {
-				j = d.holding(l, s.pba)
+				j, side = d.holding(l, s.pba), 1
 			}
 			if j != i {
 				return fmt.Errorf("icache: slot %d on list %d: its key is found at slot %d", i, l, j)
@@ -460,6 +462,7 @@ func (d *directory) check() error {
 			if s.hashed() && alloc.IsRemote(s.pba) {
 				return fmt.Errorf("icache: index binds remote-encoded block %d", s.pba)
 			}
+			linked[side]++
 		}
 		if n != lst.n || d.at(lst.head).prev != prev {
 			return fmt.Errorf("icache: list %d counts %d members, its ring holds %d", l, lst.n, n)
@@ -467,10 +470,9 @@ func (d *directory) check() error {
 		if lst.n > lst.cap {
 			return fmt.Errorf("icache: list %d holds %d entries over its capacity %d", l, lst.n, lst.cap)
 		}
-		linked += n
 	}
-	if linked != d.held {
-		return fmt.Errorf("icache: %d slots on lists, %d held", linked, d.held)
+	if linked != [2]int{d.byFP.keys, d.byPBA.keys} {
+		return fmt.Errorf("icache: %d index and %d read slots on lists, %d and %d keyed", linked[0], linked[1], d.byFP.keys, d.byPBA.keys)
 	}
 	free := 0
 	for i := d.free; i != 0; i = d.at(i).next {
@@ -478,37 +480,35 @@ func (d *directory) check() error {
 			return fmt.Errorf("icache: slot %d on the free list is linked into list %d", i, d.at(i).list)
 		}
 	}
-	if want := int(d.n) - 1 - (len(d.lists) - ghostList) - linked; free != want {
+	if want := int(d.n) - 1 - (len(d.lists) - ghostList) - linked[0] - linked[1]; free != want {
 		return fmt.Errorf("icache: free list holds %d slots, want %d", free, want)
 	}
 	return nil
 }
 
-// checkChains walks every bucket of heads, each slot naming its
-// successor, the bucket it hashes to and whether it belongs in these
-// buckets at all, and reports a member that does not, is not on a list
-// or sits in another bucket, and a count other than want; a walk longer
-// than want (a cycle) stops there.
-func (d *directory) checkChains(what string, heads []int32, want int, link func(*slot) (next int32, bucket uint64, member bool)) error {
-	if uint64(len(heads)) != 1<<(64-d.shift) {
-		return fmt.Errorf("icache: %d %s buckets under shift %d", len(heads), what, d.shift)
+// checkChains walks every bucket of family f and reports a slot that
+// belongs to the other family, is not on a list or sits in another
+// bucket, and a count other than f.keys; a walk longer than f.keys (a
+// cycle) stops there.
+func (d *directory) checkChains(what string, f *buckets) error {
+	if uint64(len(f.heads)) != 1<<(64-f.shift) {
+		return fmt.Errorf("icache: %d %s buckets under shift %d", len(f.heads), what, f.shift)
 	}
 	chained := 0
-	for b, i := range heads {
+	for b, i := range f.heads {
 		for i != 0 {
 			s := d.at(i)
-			if chained++; chained > want {
-				return fmt.Errorf("icache: %s buckets chain more than the %d slots keyed so", what, want)
+			if chained++; chained > f.keys {
+				return fmt.Errorf("icache: %s buckets chain more than the %d slots keyed so", what, f.keys)
 			}
-			next, home, member := link(s)
-			if !member || s.list == 0 || home != uint64(b) {
-				return fmt.Errorf("icache: %s bucket %d chains slot %d (list %d, bucket %d)", what, b, i, s.list, home)
+			if home := s.word() >> f.shift; d.family(s) != f || s.list == 0 || home != uint64(b) {
+				return fmt.Errorf("icache: %s bucket %d chains slot %d (list %d, home %d, bucket %d)", what, b, i, s.list, s.home, home)
 			}
-			i = next
+			i = s.chain
 		}
 	}
-	if chained != want {
-		return fmt.Errorf("icache: %d slots in %s buckets, %d keyed so", chained, what, want)
+	if chained != f.keys {
+		return fmt.Errorf("icache: %d slots in %s buckets, %d keyed so", chained, what, f.keys)
 	}
 	return nil
 }

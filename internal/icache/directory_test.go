@@ -28,6 +28,9 @@ type mEntry struct {
 // the behaviour the directory must reproduce; it follows the
 // controller's partition decisions (the Swap Module's arithmetic is not
 // under test) and reproduces everything that happens to the entries.
+// content is what each written block holds, as the engine's Store keeps
+// it: the index binds a fingerprint only to a block holding it, and a
+// block leaves the index by what it held.
 type model struct {
 	adaptive, streamMode bool
 	static, shares       map[uint32]float64
@@ -39,6 +42,7 @@ type model struct {
 	ghostCap             int
 	lookups, hits, gHits map[uint32]int64
 	ghostHits            int64
+	content              map[alloc.PBA]chunk.Fingerprint
 
 	// the read side: two plain LRUs of blocks, a block on either or both
 	read, readGhost                []alloc.PBA
@@ -50,7 +54,7 @@ func newModel(p Params, streamMode bool, static map[uint32]float64) *model {
 	m := &model{
 		adaptive: p.Adaptive, streamMode: streamMode, static: static,
 		maxIndex: int(p.TotalBytes) / p.IndexEntryBytes,
-		live:     map[uint32][]mEntry{}, caps: map[uint32]int{},
+		live:     map[uint32][]mEntry{}, caps: map[uint32]int{}, content: map[alloc.PBA]chunk.Fingerprint{},
 		lookups: map[uint32]int64{}, hits: map[uint32]int64{}, gHits: map[uint32]int64{},
 		maxRead: int(p.TotalBytes) / blockBytes,
 	}
@@ -200,21 +204,24 @@ func (m *model) insert(stream uint32, fp chunk.Fingerprint, pba alloc.PBA) {
 	m.shrink(s)
 }
 
-func (m *model) purge(pba alloc.PBA) {
-	keep := func(l []mEntry) []mEntry {
-		var out []mEntry
-		for _, e := range l {
-			if e.pba != pba {
-				out = append(out, e)
-			}
-		}
-		return out
+// forget drops fp's entry, cached or ghosted, if it binds pba.
+func (m *model) forget(fp chunk.Fingerprint, pba alloc.PBA) {
+	if id, k := m.findLive(fp); k >= 0 && m.live[id][k].pba == pba {
+		m.live[id] = without(m.live[id], k)
 	}
-	for _, id := range m.order {
-		m.live[id] = keep(m.live[id])
+	if k := m.findGhost(fp); k >= 0 && m.ghost[k].pba == pba {
+		m.ghost = without(m.ghost, k)
 	}
-	m.ghost = keep(m.ghost)
+}
+
+// free drops a freed block from both sides, as the engine does: the
+// read side by the block, the index by what the block held.
+func (m *model) free(pba alloc.PBA) {
 	m.purgeWhere(func(b alloc.PBA) bool { return b == pba })
+	if f, ok := m.content[pba]; ok {
+		m.forget(f, pba)
+		delete(m.content, pba)
+	}
 }
 
 // --- the model's read side ---
@@ -520,24 +527,25 @@ func modeFP(oneWord bool, id int) chunk.Fingerprint {
 
 // dirState is everything a read-only pass must leave as it found it:
 // every slot — so every list's members, order and links, and every
-// chain —, both bucket arrays, the lists' counts and capacities, the
-// per-stream lookups, hits and ghost hits, the Access Monitor's
-// counters and the slab's shape.
+// chain —, both bucket arrays with their shifts and counts, the lists'
+// counts and capacities, the per-stream lookups, hits and ghost hits,
+// the Access Monitor's counters and the slab's shape.
 type dirState struct {
-	slots           []slot
-	fpHead, pbaHead []int32
-	lists           []lruList
-	acct            []streamAcct
-	counters        [10]int64
+	slots       []slot
+	byFP, byPBA buckets
+	lists       []lruList
+	acct        []streamAcct
+	counters    [8]int64
 }
 
 func stateOf(c *Controller) dirState {
 	d := &c.dir
+	clone := func(b buckets) buckets { b.heads = slices.Clone(b.heads); return b }
 	st := dirState{
-		fpHead: slices.Clone(d.fpHead), pbaHead: slices.Clone(d.pbaHead),
+		byFP: clone(d.byFP), byPBA: clone(d.byPBA),
 		lists: slices.Clone(d.lists), acct: slices.Clone(c.acct),
 		counters: [...]int64{c.ghostIdxHits, c.ghostReadHits, c.totalGhostIdxHits, c.totalGhostReadHits,
-			c.swapInsIdx, c.swapInsRd, int64(d.n), int64(d.free), int64(d.held), int64(d.shift)},
+			c.swapInsIdx, c.swapInsRd, int64(d.n), int64(d.free)},
 	}
 	for i := int32(0); i < d.n; i++ {
 		st.slots = append(st.slots, *d.at(i))
@@ -565,13 +573,23 @@ func runDirectoryOps(mode int, data []byte) error {
 		c.EnableStreams(cfg.static)
 	}
 	m := newModel(p, cfg.stream, cfg.static)
+	// free frees a block on both sides: the read side by the block, the
+	// index by what the block held
+	free := func(pba alloc.PBA) {
+		c.PurgePBA(pba)
+		if f, ok := m.content[pba]; ok {
+			c.ForgetIndex(f, pba)
+		}
+		m.free(pba)
+	}
 	now := sim.Time(0)
 	for n := 0; len(data) >= 3; n++ {
 		op, a, b := data[0], data[1], data[2]
 		data = data[3:]
-		// 96 fingerprints over 40 blocks: more than the directory holds,
-		// with several fingerprints to a block and frequent remaps
-		stream, f, pba := uint32(1+a>>6), modeFP(cfg.oneWord, int(a%96)), alloc.PBA(b%40)
+		// 96 fingerprints written over 256 blocks, one to a block at a
+		// time: more than the directory holds, with two or three copies
+		// of each, so frequent remaps
+		stream, f, pba := uint32(1+a>>6), modeFP(cfg.oneWord, int(a%96)), alloc.PBA(b)
 		if cfg.arrivals {
 			stream = 1 + uint32(a>>4)%uint32(1+n/64)
 			if op %= 32; op >= 29 {
@@ -588,7 +606,13 @@ func runDirectoryOps(mode int, data []byte) error {
 				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
 			}
 		case op < 20:
+			// the write of f into pba, which first frees the block if it
+			// holds something else
 			what = fmt.Sprintf("insert(%d, fp %d, block %d)", stream, a%96, pba)
+			if held, ok := m.content[pba]; ok && held != f {
+				free(pba)
+			}
+			m.content[pba] = f
 			c.IndexInsertS(stream, f, pba)
 			m.insert(stream, f, pba)
 		case op < 21:
@@ -612,9 +636,10 @@ func runDirectoryOps(mode int, data []byte) error {
 				return fmt.Errorf("op %d %s changed the directory", n, what)
 			}
 		case op < 24:
-			what = fmt.Sprintf("purge(block %d)", pba)
-			c.PurgePBA(pba)
-			m.purge(pba)
+			// the first 64 blocks: the read ops' 16..39 among them
+			pba %= 64
+			what = fmt.Sprintf("free(block %d)", pba)
+			free(pba)
 		case op < 26:
 			// a read request as the engine serves it — a probe per block,
 			// an insert per miss — over 24 blocks, twice the read side's
@@ -712,13 +737,13 @@ func FuzzDirectoryOps(f *testing.F) {
 		f.Add(uint8(mode), data)
 	}
 	// overflow one stream, re-divide with a first-seen one, re-admit
-	// through the write path, purge a shared block, tick
+	// through the write path, free a block, tick
 	overflow := []byte{
 		10, 0, 0, 10, 1, 1, 10, 2, 2, 10, 3, 3, 10, 4, 0, 10, 5, 1,
 		0, 0, 0, 10, 64, 7, 10, 0, 9, 23, 0, 0, 27, 0, 0, 31, 9, 18, 27, 0, 0,
 	}
 	f.Add(uint8(3), overflow)
-	// the same with every fingerprint in one bucket: the purge and the
+	// the same with every fingerprint in one bucket: the free and the
 	// remap unlink from the middle of the chain
 	f.Add(uint8(len(dirModes)-1), overflow)
 	// the read side alone: overflow the read cache into its ghost, cache
@@ -752,7 +777,7 @@ func TestWarmChangesNothing(t *testing.T) {
 			// each write followed by a lookup and a read
 			for id := 0; id < 96; id++ {
 				stream := uint32(1 + id%3)
-				c.IndexInsertS(stream, modeFP(cfg.oneWord, id), alloc.PBA(id%40))
+				c.IndexInsertS(stream, modeFP(cfg.oneWord, id), alloc.PBA(id))
 				c.IndexLookupS(stream, modeFP(cfg.oneWord, id/2))
 				if !c.ReadHit(alloc.PBA(id % 24)) {
 					c.ReadInsert(alloc.PBA(id % 24))
@@ -996,33 +1021,58 @@ func TestReadBlockCachedAndGhosted(t *testing.T) {
 
 // CheckInvariants must notice a directory whose parts disagree.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	// move takes slot i out of its bucket and chains it into bucket b of
+	// family f
+	move := func(d *directory, i int32, f *buckets, b uint64) {
+		*d.link(i) = d.at(i).chain
+		d.at(i).chain, f.heads[b] = f.heads[b], i
+	}
 	for name, corrupt := range map[string]func(*Controller){
 		"unhashed slot": func(c *Controller) {
 			i := c.dir.find(fp(1))
-			*c.dir.fpLink(i) = c.dir.at(i).fpNext
+			*c.dir.link(i) = c.dir.at(i).chain
 		},
-		"block bucket emptied": func(c *Controller) { c.dir.pbaHead[c.dir.pbaBucket(1)] = 0 },
+		"block bucket emptied": func(c *Controller) { *c.dir.byPBA.head(blockWord(1)) = 0 },
 		"wrong bucket": func(c *Controller) {
 			d := &c.dir
 			i := d.find(fp(1))
-			*d.fpLink(i) = d.at(i).fpNext
-			b := &d.fpHead[(d.fpBucket(firstWord(&d.at(i).fp))+1)%uint64(len(d.fpHead))]
-			d.at(i).fpNext, *b = *b, i
+			move(d, i, &d.byFP, (firstWord(&d.at(i).fp)>>d.byFP.shift+1)%uint64(len(d.byFP.heads)))
 		},
-		"self-loop":           func(c *Controller) { i := c.dir.find(fp(1)); c.dir.at(i).fpNext = i },
-		"list count":          func(c *Controller) { c.dir.lists[firstIndexList].n++ },
-		"list membership":     func(c *Controller) { c.dir.at(c.dir.find(fp(100))).list = ghostList },
-		"block chain crossed": func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = 2 },
-		"remote block":        func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = alloc.MakeRemote(1, 1) },
-		"over capacity":       func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
-		"leaked slot":         func(c *Controller) { c.dir.free = 0 },
+		"self-loop":       func(c *Controller) { i := c.dir.find(fp(1)); c.dir.at(i).chain = i },
+		"list count":      func(c *Controller) { c.dir.lists[firstIndexList].n++ },
+		"list membership": func(c *Controller) { c.dir.at(c.dir.find(fp(100))).list = ghostList },
+		"block chain crossed": func(c *Controller) {
+			// a block whose bucket is not block 11's
+			s, blk := c.dir.at(c.dir.holding(readList, 11)), alloc.PBA(100)
+			for blockWord(blk)>>c.dir.byPBA.shift == blockWord(11)>>c.dir.byPBA.shift {
+				blk++
+			}
+			s.pba = blk
+		},
+		"remote block":  func(c *Controller) { c.dir.at(c.dir.find(fp(1))).pba = alloc.MakeRemote(1, 1) },
+		"over capacity": func(c *Controller) { c.dir.lists[firstIndexList].cap = 2 },
+		"leaked slot":   func(c *Controller) { c.dir.free = 0 },
 		"read slot on the wrong list": func(c *Controller) {
 			c.dir.at(c.dir.holding(readList, 11)).list = readGhostList
 		},
 		"read ghost over capacity": func(c *Controller) { c.dir.lists[readGhostList].cap = 1 },
 		"unchained read slot": func(c *Controller) {
 			i := c.dir.holding(readList, 11)
-			*c.dir.pbaLink(i) = c.dir.at(i).revNext
+			*c.dir.link(i) = c.dir.at(i).chain
+		},
+		"index slot in a block bucket": func(c *Controller) {
+			d := &c.dir
+			i := d.find(fp(100))
+			move(d, i, &d.byPBA, blockWord(d.at(i).pba)>>d.byPBA.shift)
+			d.byFP.keys--
+			d.byPBA.keys++
+		},
+		"read slot in a fingerprint bucket": func(c *Controller) {
+			d := &c.dir
+			i := d.holding(readList, 11)
+			move(d, i, &d.byFP, 0)
+			d.byPBA.keys--
+			d.byFP.keys++
 		},
 	} {
 		c := New(testParams(true))
@@ -1030,7 +1080,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		for i := 0; i < 12; i++ { // blocks 11..4 cached, 3..0 ghosted
 			c.ReadInsert(alloc.PBA(i))
 		}
-		c.PurgePBA(3) // something on the free list, from both families
+		// something on the free list, from both families: block 3 freed
+		// from the read ghost, and fingerprint 3's ghost entry with it
+		c.PurgePBA(3)
+		c.ForgetIndex(fp(3), 3)
 		checkAll(t, c)
 		corrupt(c)
 		if c.CheckInvariants() == nil {
@@ -1053,7 +1106,7 @@ func TestSlabSlotsNeverMove(t *testing.T) {
 		if want := (int(d.n) + slabPageSlots - 1) / slabPageSlots; len(d.pages) != want {
 			t.Fatalf("after %d inserts %d slots sit on %d pages, want %d", i, d.n, len(d.pages), want)
 		}
-		if slab := d.bytes() - 4*(len(d.fpHead)+len(d.pbaHead)); slab != len(d.pages)*pageBytes {
+		if slab := d.bytes() - 4*(len(d.byFP.heads)+len(d.byPBA.heads)); slab != len(d.pages)*pageBytes {
 			t.Fatalf("after %d inserts the slab counts %d B, %d pages of %d B", i, slab, len(d.pages), pageBytes)
 		}
 	}
@@ -1066,24 +1119,34 @@ func TestSlabSlotsNeverMove(t *testing.T) {
 	checkAll(t, c)
 }
 
-// The directory's keys live only in the slab: a slot is 56 bytes with
-// both chain links, and the buckets are one int32 each, at most four
-// per fingerprint held.
+// The directory's keys live only in the slab: a slot is 48 bytes with
+// its one chain link, and the buckets are one int32 each, each array
+// sized by its own keys — at most four buckets per key held, and never
+// grown by the other family's.
 func TestDirectoryFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(slot{}); n != 56 {
-		t.Fatalf("a slot is %d B, want 56", n)
+	if n := unsafe.Sizeof(slot{}); n != 48 {
+		t.Fatalf("a slot is %d B, want 48", n)
 	}
-	c := New(benchParams())
+	c := New(benchParams()) // 16 384 index entries, 256 read blocks
 	d := &c.dir
+	pageBytes := int(unsafe.Sizeof([slabPageSlots]slot{}))
 	for i := 0; i < 10000; i++ {
 		c.IndexInsert(fp(uint64(i)), alloc.PBA(i))
 	}
-	pages := len(d.pages) * int(unsafe.Sizeof([slabPageSlots]slot{}))
-	if got, want := d.bytes(), pages+8*len(d.fpHead); got != want {
-		t.Fatalf("bytes() = %d, want %d: %d B of pages and %d buckets of 8 B", got, want, pages, len(d.fpHead))
+	if got, want := d.bytes(), len(d.pages)*pageBytes+4*(len(d.byFP.heads)+minBuckets); got != want || len(d.byPBA.heads) != minBuckets {
+		t.Fatalf("bytes() = %d, want %d: %d pages, %d fingerprint buckets and %d block buckets of 4 B",
+			got, want, len(d.pages), len(d.byFP.heads), len(d.byPBA.heads))
 	}
-	if d.held != 10000 || len(d.fpHead) > 4*d.held {
-		t.Fatalf("%d buckets for %d fingerprints, want at most four each", len(d.fpHead), d.held)
+	if d.byFP.keys != 10000 || len(d.byFP.heads) > 4*d.byFP.keys {
+		t.Fatalf("%d buckets for %d fingerprints, want at most four each", len(d.byFP.heads), d.byFP.keys)
+	}
+	fpBuckets := len(d.byFP.heads)
+	for i := 0; i < 200; i++ {
+		c.ReadInsert(alloc.PBA(i))
+	}
+	if d.byPBA.keys != 200 || len(d.byPBA.heads) > 4*d.byPBA.keys || len(d.byFP.heads) != fpBuckets {
+		t.Fatalf("%d block buckets for %d blocks and %d fingerprint buckets (were %d): want at most four a block, and no fingerprint bucket added",
+			len(d.byPBA.heads), d.byPBA.keys, len(d.byFP.heads), fpBuckets)
 	}
 	checkAll(t, c)
 }
@@ -1143,7 +1206,8 @@ func BenchmarkIndexMissInsertEvict(b *testing.B) {
 // adaptive controller whose index binds the same blocks: a probe per
 // block — a hit, a read-ghost hit or a miss — an insert per miss, which
 // evicts into the read ghost and the ghost's oldest out, and now and
-// then a freed block purged from every list.
+// then a freed block purged from the read side and forgotten by the
+// index under what it held.
 func BenchmarkReadPath(b *testing.B) {
 	c := New(benchParams()) // 256 read blocks, 256 read ghosts
 	fillIndex(c, 0, 0, 1<<15)
@@ -1159,6 +1223,7 @@ func BenchmarkReadPath(b *testing.B) {
 		}
 		if i%16 == 0 {
 			c.PurgePBA(blk + 1)
+			c.ForgetIndex(fp(uint64(blk+1)), blk+1)
 		}
 	}
 	for i := 0; i < 1<<12; i++ {
@@ -1170,7 +1235,7 @@ func BenchmarkReadPath(b *testing.B) {
 		step(i)
 	}
 	n := b.N
-	failOnAllocs(b, "read hit + insert + purge", func() { step(n); n++ })
+	failOnAllocs(b, "read hit + insert + free", func() { step(n); n++ })
 }
 
 // BenchmarkIndexPeekMiss is the global tier's grant path on a shard

@@ -5,12 +5,13 @@
 // The controller owns both actual caches and their metadata-only ghost
 // caches, all of them recency lists of one directory (directory.go): the
 // index cache (in stream mode, one list per tenant stream's quota) and
-// the ghost index hold fingerprint slots, each found through one bucket;
-// the read cache and the read ghost hold block slots, found through the
-// block buckets every slot is chained in. Whether an entry is cached,
-// under whose quota, or only remembered is which list its slot is linked
-// into, so eviction, swap-in and re-apportionment relink slots and never
-// rehash them, and a freed block leaves both caches in one bucket walk.
+// the ghost index hold fingerprint slots, found through the fingerprint
+// buckets; the read cache and the read ghost hold block slots, found
+// through the block buckets. Whether an entry is cached, under whose
+// quota, or only remembered is which list its slot is linked into, so
+// eviction, swap-in and re-apportionment relink slots and never rehash
+// them. A freed block leaves the read side by its block (PurgePBA) and
+// the index by its content (ForgetIndex).
 //
 // The Access Monitor counts, per evaluation interval, how often a miss
 // in an actual cache *would have been* a hit with a larger cache (a
@@ -257,7 +258,7 @@ func (c *Controller) IndexInsertS(stream uint32, fp chunk.Fingerprint, pba alloc
 	case i != 0:
 		d.admit(l, i, pba)
 	default:
-		d.insert(l, fp, pba)
+		d.pushFront(l, d.take(l, fp, pba))
 	}
 	if lst.n > lst.cap {
 		d.evictTail(l)
@@ -292,18 +293,42 @@ func (c *Controller) ReadInsert(pba alloc.PBA) {
 		d.promote(i)
 		return
 	}
-	d.pushFront(readList, d.take(readList, pba))
+	d.pushFront(readList, d.take(readList, chunk.Fingerprint{}, pba))
 	if lst := &d.lists[readList]; lst.n > lst.cap {
 		d.evictTail(readList)
 	}
 }
 
-// PurgePBA removes every trace of a freed physical block — read cache,
-// read ghost, index cache, and ghost index, in one walk of its block
-// bucket — so a reused block can never serve stale data or be
-// dedup-referenced under its old content.
+// PurgePBA drops a freed physical block from the read cache and the
+// read ghost, in one walk of its block bucket, so a reused block can
+// never serve stale data. Its index entry leaves by content
+// (ForgetIndex).
 func (c *Controller) PurgePBA(pba alloc.PBA) {
 	c.dir.purge(pba)
+}
+
+// ForgetIndex drops fp's index entry, cached or ghosted, if it binds
+// pba, so a reused block can never be dedup-referenced under its old
+// content. The caller frees pba and passes the fingerprint of what it
+// held: an index entry only ever binds a block holding its
+// fingerprint's content, so no other entry can bind it.
+func (c *Controller) ForgetIndex(fp chunk.Fingerprint, pba alloc.PBA) {
+	c.dir.forget(fp, pba)
+}
+
+// CheckIndex calls valid for every index entry, cached or ghosted, and
+// returns the first error it reports: the engine's audit that each
+// binds a live block holding its fingerprint's content, which
+// ForgetIndex relies on.
+func (c *Controller) CheckIndex(valid func(chunk.Fingerprint, alloc.PBA) error) error {
+	for i := int32(1); i < c.dir.n; i++ {
+		if s := c.dir.at(i); s.list != 0 && s.hashed() {
+			if err := valid(s.fp, s.pba); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // PurgeWhere drops every cached and ghosted read block whose PBA
@@ -311,7 +336,7 @@ func (c *Controller) PurgePBA(pba alloc.PBA) {
 // when a peer shard crashes: a remote read cached under the dead shard's
 // canonical must not outlive the block, which the shard's recovery may
 // free. The index side needs no such sweep — it only ever binds the
-// shard's own blocks, which PurgePBA drops as they are freed.
+// shard's own blocks, which leave it by content as they are freed.
 func (c *Controller) PurgeWhere(pred func(alloc.PBA) bool) {
 	d := &c.dir
 	for _, l := range [...]int32{readList, readGhostList} {

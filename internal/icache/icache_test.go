@@ -206,16 +206,34 @@ func TestPurgePBA(t *testing.T) {
 	if c.ReadHit(7) {
 		t.Fatal("stale read-cache entry after purge")
 	}
-	// ghost-index purge: evict fp(1) into ghost, then purge its block
+	// the index side leaves by content: evict fp(0) and fp(1) into the
+	// ghost (cap 512), both bound to the blocks of the same ids
 	for i := uint64(0); i < 600; i++ {
 		c.IndexInsert(fp(i), alloc.PBA(i))
 	}
-	// fp(0) was evicted into ghost (cap 512); purging block 0 removes it
 	c.PurgePBA(0)
+	c.PurgePBA(1)
+	c.ForgetIndex(fp(0), 0)
+	c.ForgetIndex(fp(1), 2) // a block fp(1) does not bind
 	c.IndexLookup(fp(0))
 	if c.totalGhostIdxHits != 0 {
-		t.Fatal("purged ghost entry still counted a hit")
+		t.Fatal("forgotten ghost entry still counted a hit")
 	}
+	c.IndexLookup(fp(1))
+	if c.totalGhostIdxHits != 1 {
+		t.Fatal("a purge or another block's forget dropped fp(1)'s ghost entry")
+	}
+	// the same on the cached side: a newer copy keeps its entry
+	c.PurgePBA(599)
+	c.ForgetIndex(fp(599), 598)
+	if e, ok := c.IndexPeek(fp(599)); !ok || e.PBA != 599 {
+		t.Fatalf("fp(599) = %+v, %v after a purge and another block's forget", e, ok)
+	}
+	c.ForgetIndex(fp(599), 599)
+	if _, ok := c.IndexPeek(fp(599)); ok {
+		t.Fatal("forgotten entry still cached")
+	}
+	checkAll(t, c)
 }
 
 func TestNoRepartitionWithoutSignal(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // entries — a low-locality stream can no longer pollute a high-locality
 // neighbour's quota. Nothing else is per stream: lookups probe the one
 // directory (any stream may hit any entry; only eviction is
-// partitioned), the ghost and the block buckets are shared, and a ghost
-// entry remembers its home list for swap-in re-admission. The classic
+// partitioned), the ghost and the fingerprint buckets are shared, and a
+// ghost entry remembers its home list for swap-in re-admission. The classic
 // single index is the same thing with one list holding a share of 1.
 //
 // Shares come either from a fixed static split or from a periodic
@@ -53,7 +53,7 @@ type streamState struct {
 // when nil, shares are dynamic — equal split until SetStreamShares is
 // called. Must be called on a fresh controller.
 func (c *Controller) EnableStreams(static map[uint32]float64) {
-	if c.dir.held > 0 {
+	if c.dir.byFP.keys+c.dir.byPBA.keys > 0 {
 		panic("icache: EnableStreams on a used controller")
 	}
 	c.streamMode = true

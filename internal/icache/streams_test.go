@@ -146,12 +146,22 @@ func TestStreamPurgePBA(t *testing.T) {
 	c := streamController(t, true, nil)
 	c.IndexInsertS(1, fp(1), alloc.PBA(11))
 	c.IndexInsertS(2, fp(2), alloc.PBA(22))
+	c.ReadInsert(alloc.PBA(11))
+	c.ReadInsert(alloc.PBA(22))
+	// block 11 is freed: the read side by the block, the index by content
 	c.PurgePBA(alloc.PBA(11))
+	if c.ReadHit(alloc.PBA(11)) || !c.ReadHit(alloc.PBA(22)) {
+		t.Fatal("purge missed block 11's read slot or dropped block 22's")
+	}
+	if _, ok := c.IndexPeek(fp(1)); !ok {
+		t.Fatal("purge dropped an index entry: the index leaves by content")
+	}
+	c.ForgetIndex(fp(1), alloc.PBA(11))
 	if _, ok := c.IndexLookupS(1, fp(1)); ok {
-		t.Fatal("purged entry still resolves")
+		t.Fatal("forgotten entry still resolves")
 	}
 	if _, ok := c.IndexLookupS(2, fp(2)); !ok {
-		t.Fatal("purge removed an unrelated stream's entry")
+		t.Fatal("forget removed an unrelated stream's entry")
 	}
 	checkAll(t, c)
 }

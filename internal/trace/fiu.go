@@ -43,6 +43,11 @@ type FIUOptions struct {
 	DropReads bool
 }
 
+// maxRecordChunks bounds one record: an FIU record is one access unit,
+// and none is wider than 1 MiB. It also bounds what one line of input
+// can make the reader allocate.
+const maxRecordChunks = 1 << 20 / chunk.Size
+
 // contentIDFromDigest maps a content digest string to a ContentID.
 // Collisions are as unlikely as 64-bit FNV collisions over distinct
 // MD5s — irrelevant for dedup-behaviour studies.
@@ -59,9 +64,9 @@ func contentIDFromDigest(d string) chunk.ContentID {
 // ReadFIU parses an FIU SRT record stream into a chunk-addressed trace.
 // Each record becomes one request of ⌈blockCount×sector/4096⌉ chunks;
 // write records carry the record's content identity for every chunk.
-// Records with unparsable fields are rejected with a line-numbered
-// error. Requests preserve file order; timestamps are normalized to
-// start at zero.
+// Records with unparsable fields, or wider than 1 MiB, are rejected
+// with a line-numbered error. Requests preserve file order; timestamps
+// are normalized to start at zero.
 func ReadFIU(r io.Reader, name string, opt FIUOptions) (*Trace, error) {
 	if opt.SectorBytes == 0 {
 		opt.SectorBytes = 512
@@ -75,7 +80,7 @@ func ReadFIU(r io.Reader, name string, opt FIUOptions) (*Trace, error) {
 
 	t := &Trace{Name: name}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grown to the longest line
 	lineNo := 0
 	var t0 int64
 	first := true
@@ -133,6 +138,9 @@ func ReadFIU(r io.Reader, name string, opt FIUOptions) (*Trace, error) {
 		n := int((bytesOff%chunk.Size + bytesLen + chunk.Size - 1) / chunk.Size)
 		if n < 1 {
 			n = 1
+		}
+		if n > maxRecordChunks {
+			return nil, fmt.Errorf("trace: line %d: a record of %d chunks, wider than %d", lineNo, n, maxRecordChunks)
 		}
 
 		req := Request{Time: sim.Time(rel), Op: op, LBA: lba, N: n}

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,6 +104,52 @@ func FuzzReadBinary(f *testing.F) {
 			}
 			if q := &tr.Requests[i]; q.LBA >= LBALimit || q.LBA+uint64(q.N) > LBALimit {
 				t.Fatalf("accepted request %d past the logical-address bound: %d chunks at lba %d", i, q.N, q.LBA)
+			}
+		}
+	})
+}
+
+// FuzzReadFIU: the FIU reader must reject or accept arbitrary bytes
+// without panicking, every request it returns must be valid, and what it
+// allocates must be warranted by the input: at most 256 bytes per input
+// byte past a small constant, a 1 MiB record's content IDs (2 KiB) from
+// a line of 17 bytes included.
+func FuzzReadFIU(f *testing.F) {
+	sample, err := os.ReadFile("../../testdata/fiu-sample.srt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample, uint8(0))
+	f.Add([]byte(fiuSample), uint8(32)) // reads dropped
+	f.Add([]byte("0 1 p 5 2 W 8 0 cafe\n"), uint8(1))
+	f.Add([]byte("0 1 p 7 2048 W 8 0 d\n"), uint8(0))       // 1 MiB from mid-chunk: one chunk too wide
+	f.Add([]byte("0 1 p 0 2147483648 W 8 0 d\n"), uint8(0)) // 2^28 chunks
+	f.Add([]byte("0 1 p 2147483640 16 W 8 0 d\n"), uint8(0))
+	f.Add([]byte("NaN 1 p 0 8 W 8 0 d\n-1e300 1 p 8 8 R 8 0 d\n"), uint8(8))
+	f.Add([]byte("0 1 p 0 8 W 8 0 d\n"), uint8(5)) // an incompatible sector size
+	f.Fuzz(func(t *testing.T, input []byte, opts uint8) {
+		opt := FIUOptions{
+			SectorBytes:     [...]int{0, 4096, 512, 1024, 8192, 3000, 2048, 16384}[opts&7],
+			TimestampUnitUS: float64(opts>>3&3) * 500,
+			DropReads:       opts&32 != 0,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := ReadFIU(bytes.NewReader(input), "fuzz", opt)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*len(input)); got > limit {
+			t.Fatalf("%d input bytes made the reader allocate %d B, more than %d", len(input), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		for i := range tr.Requests {
+			q := &tr.Requests[i]
+			if verr := q.Validate(); verr != nil {
+				t.Fatalf("accepted invalid request %d: %v", i, verr)
+			}
+			if q.N > maxRecordChunks || opt.DropReads && q.Op == Read {
+				t.Fatalf("accepted request %d: %s of %d chunks", i, q.Op, q.N)
 			}
 		}
 	})
