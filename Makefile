@@ -177,12 +177,12 @@ test:
 # *Stream), fixed-4K split and fingerprinting, the generic map (an
 # empty one filled to a million fingerprints, and hits and misses in
 # one that large), the Map table, the
-# iCache's directory (a miss's insert + evict + ghost-evict, the tier's
-# grant-path peek of an absent fingerprint, a 16-chunk request's
-# lookups with and without the warming pass, the read path's probe +
-# insert + purge, one Swap Module repartition, one three-stream
-# re-apportionment), and the tier's control plane (hint-table put/get,
-# a tick's grant drain on a full directory and a hint table past L2,
+# iCache's directory (a miss's insert + evict + ghost-evict, a 16-chunk
+# request's lookups with and without the warming pass, the read path's
+# probe + insert + purge, one Swap Module repartition, one three-stream
+# re-apportionment), and the tier's control plane (an owner's hint
+# install and a request's locked hint probes on a table past L2, a
+# tick's drain of targeted grants,
 # one request's seven ads landing on a 200k-entry tier,
 # the inbox behind a 1k and a 100k backlog and filled in runs of
 # 1 / 7 / 256, Close settling eight loaded agents on
@@ -191,7 +191,7 @@ test:
 # Set with the reverse index on fail unless they run at 0 allocs/op; make check
 # runs those (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as
 # a gate.
-ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkIndexPeekMiss|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss|BenchmarkPublishRequest)$$
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss|BenchmarkPublishRequest)$$
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/

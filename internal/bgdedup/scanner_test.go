@@ -441,8 +441,9 @@ func TestChaosScenarioBgdedupRecovers(t *testing.T) {
 // TestScannerForgetsFreedBlocks: the canonical table (Base.Exact)
 // keeps each key once and, on a free, re-derives the fingerprint from
 // the freed block's residual content to find the entry to drop. On a
-// seeded trace over three shards — the cursor sweep, overwrites, and
-// the tier's cross-shard folds — the table is held, after every request
+// seeded trace over three shards — the cursor sweep, overwrites (a
+// second pass over the trace's first writes among them), and the tier's
+// cross-shard folds — the table is held, after every request
 // and every settlement round, to the model that drops whatever entry
 // names a freed block: no entry names a block that no longer holds its
 // content, and no entry whose block still holds it is dropped (a merge
@@ -516,6 +517,29 @@ func TestScannerForgetsFreedBlocks(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		check("request "+strconv.Itoa(i), sh)
+	}
+	// Once every scanner has indexed what is there, the trace's first
+	// writes are overwritten with content nothing has written: the
+	// overwrites free blocks the canonical table names.
+	for i, e := range engs {
+		e.Flush(now)
+		check("flush before the overwrites", i)
+	}
+	for i := range reqs[:len(reqs)/4] {
+		r := reqs[i]
+		if r.Op != trace.Write {
+			continue
+		}
+		now = now.Add(sim.Millisecond)
+		r.Time, r.Content = now, make([]chunk.ContentID, r.N)
+		for k := range r.Content {
+			r.Content[k] = chunk.ContentID(1<<50 + i<<10 + k)
+		}
+		sh := int(r.LBA >> 10 % shards)
+		if _, err := engs[sh].Write(&r); err != nil {
+			t.Fatalf("overwrite %d: %v", i, err)
+		}
+		check("overwrite "+strconv.Itoa(i), sh)
 	}
 	for round := 0; round < 64; round++ {
 		moved := 0

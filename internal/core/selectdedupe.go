@@ -32,7 +32,8 @@ func NewPOD(cfg engine.Config) *engine.Pipeline {
 // many cache misses as a core keeps in flight.
 const warmRun = 16
 
-// Lookup probes the hot index for every chunk. A request of several
+// Lookup probes the hot index for every chunk, then — with a seat in the
+// global tier — the tier's hints for the misses. A request of several
 // chunks first warms their directory buckets, so the probes' cache
 // misses overlap instead of queueing one behind another.
 func (selectDedupe) Lookup(b *engine.Base, w *engine.WriteOp, at sim.Time) (sim.Time, error) {
@@ -51,9 +52,10 @@ func (selectDedupe) Lookup(b *engine.Base, w *engine.WriteOp, at sim.Time) (sim.
 		if e, ok := b.IC.IndexLookupS(stream, w.Chunks[i].FP); ok {
 			w.Dup[i] = true
 			w.Target[i] = e.PBA
-		} else if b.Tier != nil {
-			w.Target[i], w.Dup[i] = b.Tier.Hint(w.Chunks[i].FP)
 		}
+	}
+	if b.Tier != nil {
+		b.Tier.Hint(w)
 	}
 	return at, nil
 }

@@ -344,11 +344,11 @@ type Tier interface {
 	// never block on tier load, so the inline path stays shard-local;
 	// ads is the caller's scratch and is not retained.
 	Advertise(ads []Ad)
-	// Hint reports the remote-encoded canonical a peer shard holds for
-	// fp, if the tier granted this shard one, and never one whose owner
-	// is down. The lookup stage asks on a hot-index miss; hints live in
-	// the agent's own bounded table, never in the iCache.
-	Hint(fp chunk.Fingerprint) (alloc.PBA, bool)
+	// Hint sets w.Dup and w.Target for each chunk of w the hot index
+	// missed that the tier's hint table binds to a peer's canonical
+	// (never one whose owner is down). The lookup stage asks once a
+	// request; hints live in the tier, never in the iCache.
+	Hint(w *WriteOp)
 	// RemoteRef reports a reference-count transition of remote-encoded
 	// canonical c: up when the first local mapping referencing it
 	// appears, !up when the last disappears — pin traffic toward the

@@ -445,11 +445,11 @@ func TestApplyRepartitionReadSwapInsChargeIO(t *testing.T) {
 // wiringTask a background task whose RecoverReset touches nothing.
 type wiringTier struct{ paroled []alloc.PBA }
 
-func (w *wiringTier) Advertise([]Ad)                           {}
-func (w *wiringTier) Hint(chunk.Fingerprint) (alloc.PBA, bool) { return 0, false }
-func (w *wiringTier) RemoteRef(alloc.PBA, bool)                {}
-func (w *wiringTier) Parole(pba alloc.PBA)                     { w.paroled = append(w.paroled, pba) }
-func (w *wiringTier) OwnerDown(int) bool                       { return false }
+func (w *wiringTier) Advertise([]Ad)            {}
+func (w *wiringTier) Hint(*WriteOp)             {}
+func (w *wiringTier) RemoteRef(alloc.PBA, bool) {}
+func (w *wiringTier) Parole(pba alloc.PBA)      { w.paroled = append(w.paroled, pba) }
+func (w *wiringTier) OwnerDown(int) bool        { return false }
 
 type wiringTask struct{ resets int }
 

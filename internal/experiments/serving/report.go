@@ -83,7 +83,7 @@ var (
 	tierBlock = []string{
 		"globalfp: ads=${globalfp_ads_queued} | dups detected=${globalfp_dups_detected} hints broadcast=${globalfp_hints_broadcast} installed=${globalfp_hints_installed} | table entries=${globalfp_table_entries} fixes=${globalfp_table_fixes}",
 		"globalfp: remaps applied=${globalfp_remaps_applied} rejected=${globalfp_remaps_rejected} reclaimed=${globalfp_reclaimed_blocks} blocks | pins granted=${globalfp_pins_granted} rejects=${globalfp_pin_rejects} | recalls ${globalfp_recalls_sent} sent ${globalfp_recalls_done} done",
-		"globalfp: hint tables ${hint-table-kib} KiB | hits=${globalfp_hint_hits} of ${globalfp_hints_installed} installed (${hint-hit-pct}%) overwrites=${globalfp_hint_overwrites}",
+		"globalfp: hint table ${hint-table-kib} KiB | hits=${globalfp_hint_hits} of ${globalfp_hints_installed} installed (${hint-hit-pct}%) overwrites=${globalfp_hint_overwrites}",
 		"globalfp: inboxes ${inbox-kib} KiB held, ${globalfp_inbox_peak_msgs} messages at the shards' peaks | map reverse indexes ${reverse-index-kib} KiB",
 		"globalfp: remote inline dedupes=${remote-deduped} remote reads=${remote-reads}",
 		"globalfp: cross-shard consistency PASS",

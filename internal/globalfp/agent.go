@@ -45,17 +45,19 @@ type recallState struct {
 // Agent is a shard's endpoint of the global fingerprint tier: an
 // engine.BackgroundTask wrapping the shard's bgdedup scanner (the tier
 // requires background dedup — candidates apply through its revalidated
-// merge path). It publishes the shard's advertisements, drains the
-// shard's control inbox every tick (never idle-gated: hints must land
-// under load) into the shard's hint table, answers the write path's
-// lookup-stage Hint probes from it, applies budgeted remap folds in idle
-// windows, and runs the owner-side pin/parole/recall protocol.
+// merge path). It publishes the shard's advertisements, answers the
+// write path's lookup-stage Hint probes from the tier's hint table,
+// drains the shard's control inbox every tick (never idle-gated: hints
+// must land under load), installing a hint for every canonical of its
+// own it pins, applies budgeted remap folds in idle windows, and runs
+// the owner-side pin/parole/recall protocol.
 //
 // All agent state is guarded by the shard lock: every entry point —
 // Tick/Flush and the engine.Tier calls via the engine,
 // settlement via the server — runs with the shard's mutex held. Tier
-// calls made from here (publish, Fix, Recall) take partition locks,
-// never shard locks, so the shard → partition lock order is acyclic.
+// calls made from here (publish, hint, install, Fix, Recall) take
+// partition locks, never shard locks, so the shard → partition lock
+// order is acyclic.
 type Agent struct {
 	b     *engine.Base
 	t     *Tier
@@ -63,7 +65,6 @@ type Agent struct {
 	inner *bgdedup.Scanner
 	core  *bgdedup.Core
 
-	hints     *hintTable // every tier hint this shard holds
 	foldQ     []foldReq
 	nextFold  sim.Time
 	paroleQ   []alloc.PBA
@@ -78,7 +79,6 @@ type Agent struct {
 	out     [][]message
 	staging bool
 
-	hintsInstalled int64
 	remapsApplied  int64
 	remapsRejected int64
 	reclaimed      int64
@@ -96,16 +96,14 @@ type Agent struct {
 // the engine's background task and tier seat, and registers its gauges.
 // The shard's scanner must already be attached (the serving layer checks):
 // the agent wraps it and folds through its Core, so folds show in the
-// bgdedup gauges too. The hint table gets as many slots as the shard's
-// hot index has entries right now: a hint is worth what an index entry
-// is worth, and the table must not outgrow the cache it serves.
+// bgdedup gauges too. The first agent seated sizes the tier's hint
+// table from its hot index (Tier.sizeHints).
 func New(b *engine.Base, t *Tier, shard int) *Agent {
 	inner := b.Background.(*bgdedup.Scanner)
 	a := &Agent{
 		b: b, t: t, shard: shard,
 		inner:     inner,
 		core:      inner.Core(),
-		hints:     newHintTable(b.IC.IndexCapTotal()),
 		recalling: make(map[alloc.PBA]recallState),
 		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
 		out:       make([][]message, t.shards),
@@ -114,10 +112,6 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	b.SetTier(a)
 	t.register(shard, a)
 
-	b.Reg.GaugeFunc("globalfp_hints_installed", func() int64 { return a.hintsInstalled })
-	b.Reg.GaugeFunc("globalfp_hint_hits", func() int64 { return a.hints.hits })
-	b.Reg.GaugeFunc("globalfp_hint_overwrites", func() int64 { return a.hints.overwrites })
-	b.Reg.GaugeFunc("globalfp_hint_table_bytes", a.hints.bytes)
 	b.Reg.GaugeFunc("globalfp_inbox_peak_msgs", t.inbox[shard].peakLen)
 	b.Reg.GaugeFunc("globalfp_inbox_bytes", t.inbox[shard].bytes)
 	b.Reg.GaugeFunc("globalfp_remaps_applied", func() int64 { return a.remapsApplied })
@@ -168,9 +162,9 @@ func (a *Agent) Parole(pba alloc.PBA) {
 	}
 }
 
-// Hint implements engine.Tier: the write path's lookup stage asks, on a
-// hot-index miss, whether a peer holds the content.
-func (a *Agent) Hint(fp chunk.Fingerprint) (alloc.PBA, bool) { return a.hints.get(fp) }
+// Hint implements engine.Tier: the write path's lookup stage asks, for
+// the chunks its hot index missed, whether a peer holds the content.
+func (a *Agent) Hint(w *engine.WriteOp) { a.t.hint(a.shard, w) }
 
 // OwnerDown implements engine.Tier (an atomic read; safe mid-request).
 func (a *Agent) OwnerDown(owner int) bool { return a.t.Down(owner) }
@@ -204,12 +198,13 @@ func (a *Agent) Flush(now sim.Time) {
 }
 
 // RecoverReset implements engine.BackgroundTask: all agent state is
-// volatile DRAM bookkeeping — hints, queued folds, paroles, in-flight
-// recalls, and the hinted bitset die with the crash. Post-recovery pins
-// are rebuilt by the serving layer as ref pins only; the hinted pins are
-// simply gone, consistent with their table entries (tier.Reset).
+// volatile DRAM bookkeeping — queued folds, paroles, in-flight recalls,
+// and the hinted bitset die with the crash. Post-recovery pins are
+// rebuilt by the serving layer as ref pins only; the hinted pins are
+// simply gone, and so are the hint bindings naming them, which the tier
+// drops while every shard lock is held (Tier.CrashShard before a
+// shard's recovery, Tier.Reset right after a whole node's).
 func (a *Agent) RecoverReset() {
-	a.hints.clear()
 	a.foldQ = a.foldQ[:0]
 	a.paroleQ = a.paroleQ[:0]
 	for k := range a.recalling {
@@ -247,7 +242,7 @@ const adRun = 256
 
 // ReAdvertise republishes every distinct live, referenced local block —
 // the settlement pass that retries fold candidates an injected fault
-// aborted or whose hint binding a later grant overwrote (fresh ads
+// aborted or whose hint binding a later install overwrote (fresh ads
 // always re-grant) — in batches of adRun.
 func (a *Agent) ReAdvertise() {
 	visited := make([]uint64, len(a.hinted))
@@ -280,7 +275,6 @@ func (a *Agent) ReAdvertise() {
 // returns.
 func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	a.msgBuf = a.t.inbox[a.shard].take(a.msgBuf[:0], budget)
-	a.warm(a.msgBuf)
 	a.staging = true
 	for _, m := range a.msgBuf {
 		a.handle(now, m)
@@ -292,35 +286,6 @@ func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	return len(a.msgBuf)
 }
 
-// warmRun is how many fingerprints one directory or partition-table warm
-// takes: about as many cache misses as a core keeps in flight.
-const warmRun = 16
-
-// warm loads, and changes nothing, what handling msgs will read first:
-// every grant's hint-table bucket and, for a grant naming no duplicate,
-// the directory bucket handleGrant's IndexPeek reads, so the drain's
-// cache misses overlap. It writes nothing a handler reads, so its order
-// against the revokes and frees handled after it cannot matter.
-func (a *Agent) warm(msgs []message) {
-	var fps [warmRun]chunk.Fingerprint
-	n := 0
-	for k := range msgs {
-		m := &msgs[k]
-		if m.kind != msgGrant {
-			continue
-		}
-		a.hints.warm(&m.fp)
-		if !m.hasDup {
-			fps[n] = m.fp
-			if n++; n == warmRun {
-				a.b.IC.Warm(fps[:])
-				n = 0
-			}
-		}
-	}
-	a.b.IC.Warm(fps[:n])
-}
-
 // outboxRun is the longest run send stages before delivering it: it
 // bounds an agent's outboxes at shards × 16 KiB however many messages a
 // settlement drain handles at once.
@@ -329,9 +294,9 @@ const outboxRun = 256
 // send is the one way the agent sends: every message it originates,
 // stamped with its shard and current epoch. Outside drainMsgs the
 // message goes straight to the destination's inbox. Inside, where a
-// drain of pin requests emits seven grants apiece, it joins the
-// destination's staged run, delivered under one lock hold when the run
-// reaches outboxRun or the drain ends.
+// drain emits a grant per duplicate pin request and an ack per revoke,
+// it joins the destination's staged run, delivered under one lock hold
+// when the run reaches outboxRun or the drain ends.
 //
 // Per-(sender, receiver) FIFO — grant before revoke, RefUp before
 // RevokeAck — survives because a run keeps send order, runs toward one
@@ -381,8 +346,8 @@ func (a *Agent) handle(now sim.Time, m message) {
 	switch m.kind {
 	case msgPinReq:
 		a.handlePinReq(m)
-	case msgGrant:
-		a.handleGrant(m)
+	case msgGrant: // a detected duplicate's fold
+		a.foldQ = append(a.foldQ, foldReq{dup: m.dup, fp: m.fp, canon: m.canon})
 	case msgRefUp:
 		_, local := alloc.RemoteParts(m.canon)
 		a.b.Map.Pin(local)
@@ -394,10 +359,9 @@ func (a *Agent) handle(now sim.Time, m message) {
 			a.freeLocal(local)
 		}
 	case msgRevoke:
-		// Delete the hint binding (and any cached read of the remote
-		// block) so no new references form, then ack. Existing remote
-		// mappings stay valid: this shard's ref pin holds the block.
-		a.hints.remove(m.fp, m.canon)
+		// The recall already deleted the hint binding; drop any cached
+		// read of the remote block, then ack. Existing remote mappings
+		// stay valid: this shard's ref pin holds the block.
 		a.b.IC.PurgePBA(m.canon)
 		owner, _ := alloc.RemoteParts(m.canon)
 		a.send(owner, message{kind: msgRevokeAck, canon: m.canon})
@@ -410,7 +374,8 @@ func (a *Agent) handle(now sim.Time, m message) {
 
 // handlePinReq is the owner side of a grant: validate the canonical
 // against live local state (the advertisement may be arbitrarily
-// stale), take the one hinted pin, and grant every beneficiary.
+// stale), take the one hinted pin, install the hint every peer's lookup
+// reads, and grant a detected duplicate's shard the fold of its copy.
 func (a *Agent) handlePinReq(m message) {
 	_, local := alloc.RemoteParts(m.canon)
 	if !a.validCanonical(local, m.fp) {
@@ -423,11 +388,9 @@ func (a *Agent) handlePinReq(m message) {
 		a.b.Map.Pin(local)
 		a.pinsGranted++
 	}
-	for s := 0; s < a.t.shards; s++ {
-		if m.bene&(uint64(1)<<uint(s)) == 0 {
-			continue
-		}
-		a.send(s, message{kind: msgGrant, fp: m.fp, canon: m.canon, dup: m.dup, hasDup: m.hasDup})
+	a.t.install(m.fp, m.canon)
+	if m.from != a.shard {
+		a.send(m.from, message{kind: msgGrant, fp: m.fp, canon: m.canon, dup: m.dup})
 	}
 }
 
@@ -449,24 +412,6 @@ func (a *Agent) validCanonical(local alloc.PBA, fp chunk.Fingerprint) bool {
 		return false
 	}
 	return true
-}
-
-// handleGrant is the beneficiary side: install the fp → canonical hint
-// into the hint table and queue a fold of any local duplicate — the
-// targeted copy a duplicate-hit ad named, or whatever local block the
-// hot index binds this fingerprint to.
-func (a *Agent) handleGrant(m message) {
-	dup, hasDup := m.dup, m.hasDup
-	if !hasDup {
-		if e, ok := a.b.IC.IndexPeek(m.fp); ok {
-			dup, hasDup = e.PBA, true
-		}
-	}
-	a.hints.put(m.fp, m.canon)
-	a.hintsInstalled++
-	if hasDup {
-		a.foldQ = append(a.foldQ, foldReq{dup: dup, fp: m.fp, canon: m.canon})
-	}
 }
 
 // handleRevokeAck clears the sender's bit in a revoke round; the last
@@ -527,9 +472,9 @@ func (a *Agent) applyFolds(now sim.Time, budget int) int {
 		f := a.foldQ[len(a.foldQ)-1]
 		a.foldQ = a.foldQ[:len(a.foldQ)-1]
 		n++
-		// The hint must still be the table's live binding: a revoke or
+		// The hint must still be the table's live binding: a recall or
 		// overwrite since enqueue invalidates the candidate.
-		if c, ok := a.hints.peek(f.fp); !ok || c != f.canon {
+		if c, ok := a.t.bound(f.fp); !ok || c != f.canon {
 			a.remapsRejected++
 			continue
 		}

@@ -18,7 +18,7 @@ func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 	ids := seq(1300, 4)
 
 	write(t, c.engs[0], 0, 0, ids) // canonicals on shard 0
-	c.settle(1000)                 // hints granted to shards 1 and 2
+	c.settle(1000)                 // hints installed for shards 1 and 2
 	write(t, c.engs[1], 2000, 0, ids)
 	c.settle(3000)
 

@@ -76,9 +76,9 @@ func paroled(t testing.TB, a *Agent, id chunk.ContentID) alloc.PBA {
 
 // TestStaleEpochGrantDroppedAfterRejoin: a grant shard 1 issued before
 // crashing (stamped with its previous epoch) must be dropped and
-// counted when it surfaces after the rejoin — installing it would bind
-// a fingerprint to a block the dead incarnation may have freed. The
-// same grant under the current epoch lands normally.
+// counted when it surfaces after the rejoin — folding onto it would map
+// a block the dead incarnation may have freed. The same grant under the
+// current epoch queues its fold normally.
 func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 	tier, agents := fenceCluster(t, 2)
 	tier.CrashShard(1)
@@ -90,28 +90,22 @@ func TestStaleEpochGrantDroppedAfterRejoin(t *testing.T) {
 	fp := chunk.ContentID(4242).Fingerprint()
 	canon := alloc.MakeRemote(1, 7)
 
-	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, from: 1, epoch: 0})
-	agents[0].DrainAll(0)
+	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, dup: 3, from: 1, epoch: 0})
+	agents[0].drainMsgs(0, 16)
 	if agents[0].staleDropped != 1 {
 		t.Fatalf("agent 0 staleDropped = %d, want 1", agents[0].staleDropped)
 	}
 	if n := tier.staleDropped.Load(); n != 1 {
 		t.Fatalf("tier staleDropped = %d, want 1", n)
 	}
-	if agents[0].hintsInstalled != 0 {
-		t.Fatal("stale grant installed a hint")
-	}
-	if _, ok := agents[0].Hint(fp); ok {
-		t.Fatal("stale grant reached the hint table")
+	if len(agents[0].foldQ) != 0 {
+		t.Fatal("stale grant queued a fold")
 	}
 
-	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, from: 1, epoch: tier.Epoch(1)})
-	agents[0].DrainAll(0)
-	if agents[0].hintsInstalled != 1 {
-		t.Fatalf("current-epoch grant not installed (hints=%d)", agents[0].hintsInstalled)
-	}
-	if c, ok := agents[0].Hint(fp); !ok || c != canon {
-		t.Fatalf("hint binding %v,%v want %d", c, ok, canon)
+	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, dup: 3, from: 1, epoch: tier.Epoch(1)})
+	agents[0].drainMsgs(0, 16)
+	if len(agents[0].foldQ) != 1 || agents[0].foldQ[0] != (foldReq{dup: 3, fp: fp, canon: canon}) {
+		t.Fatalf("current-epoch grant queued %+v, want its fold", agents[0].foldQ)
 	}
 }
 

@@ -1,81 +1,35 @@
 // Package globalfp implements the global fingerprint tier: a
-// fingerprint-sharded second index that runs beside the LBA-sharded
-// serving layer and recovers the cross-shard deduplication the
-// LBA split costs (writes removed fell 58.2% → 48.2% at 8 shards
-// because each shard's hot index only sees its slice of the content
-// stream — EXPERIMENTS.md, ROADMAP open item 1).
+// fingerprint-partitioned second index beside the LBA-sharded serving
+// layer that recovers the cross-shard deduplication the LBA split costs
+// (each shard's hot index sees only its slice of the content stream).
+// DESIGN.md §12 has the protocol, its orderings and its recovery model.
 //
-// The design keeps the inline write path shard-local and lock-free:
+// The inline write path stays shard-local. A request's (fingerprint,
+// shard, PBA) advertisements land on the partitions' tables inside the
+// publishing call; a first sighting registers the canonical and asks
+// its owner to pin it, and a later sighting from another shard asks the
+// owner for a targeted fold of that shard's copy. Each shard's Agent
+// (wrapping its bgdedup scanner) handles that traffic from the engine's
+// Tick: the owner validates and pins the canonical, then installs its
+// fp → canonical binding once in the tier's bounded hint table, which
+// every shard's lookup stage reads on a hot-index miss; a detected
+// duplicate's shard folds its copy through the bgdedup revalidated-merge
+// path. Hints never enter the iCache.
 //
-//   - Shards publish (fingerprint, shard, PBA) advertisements a
-//     request at a time, and the whole batch lands on the fingerprint
-//     partitions' probe.Map tables inside the publishing call: grouped
-//     by partition in publishing order, one lock hold per partition
-//     touched, its pin requests delivered before that lock is released.
-//     No ad is queued, so none is dropped. The first advertisement of
-//     a fingerprint registers its block as the canonical copy and asks
-//     the owning shard to grant index hints to every other shard; a
-//     later advertisement from a different shard is a detected
-//     cross-shard duplicate and emits a targeted remap candidate for
-//     the advertiser's copy.
-//   - Each shard's background actor (Agent, wrapping the bgdedup
-//     scanner) consumes grants and candidates in virtual time from the
-//     engine's per-request Tick: a grant puts its fp → remote-canonical
-//     binding into the agent's bounded hint table, which the write
-//     path's lookup stage consults on a hot-index miss (so the shard's
-//     next write of that content deduplicates inline against the peer's
-//     copy), and candidates fold existing local duplicates through the
-//     bgdedup revalidated-merge path (re-read, re-hash, journaled
-//     Map.Set, refcount handoff) — so a stale advertisement is harmless
-//     by construction. Hints never enter the iCache: its index side
-//     holds the shard's own fingerprints only, and its Swap Module sees
-//     the shard's own locality.
-//
-// Correctness hangs on one invariant: a remote-encoded mapping may
-// only reference a canonical block its owner holds pinned, and the
-// owner never frees or mutates a pinned block. Grants are issued by
-// the owner after pinning (the "hinted" pin); every shard reports its
-// 0↔1 local-reference transitions (RefUp/RefDown → one ref pin per
-// referencing shard); and a canonical whose local references vanished
-// while pinned goes on parole, triggering a recall: the tier drops its
-// table entry, the owner sends every live peer a revoke, every shard
-// deletes the hint and acks, and the owner releases the hinted pin once
-// all acks are in — freeing the block unless ref pins remain.
-//
-// In-process delivery is one FIFO per receiving shard, and what the
-// protocol needs of it is per-(sender, receiver) order: a grant before
-// the revoke that recalls it, a RefUp before the RevokeAck that lets the
-// owner count references. Messages move in batches without losing it.
-// Everything an agent sends goes through Agent.send; inside a message
-// drain — where one pin request emits up to seven grants — the send is
-// staged per destination and each destination's run is delivered under
-// one inbox lock hold, in order, before the drain returns, so nothing
-// staged outlives the shard-lock hold that staged it and a later direct
-// send can never overtake it. Settlement at Close runs every shard's
-// agent at once, in rounds with a barrier between them (the serving
-// layer's settleGlobalFP), under the same shard → partition → inbox
-// lock order the agents' ticks use while serving.
-//
-// Shards are individual failure domains. Every shard carries a
-// monotonic epoch, bumped when the shard crashes; every control
-// message and advertisement is stamped with its sender's epoch, and
-// receivers drop (and count) anything stamped with an epoch that is no
-// longer the sender's current one — the fencing that makes messages
-// from a shard's previous life harmless. A crash also queues a notice
-// to every live peer, behind everything the dead shard sent; a recall
-// waiting on the dead shard treats the notice as its ack (an implicit
-// grant): the dead peer cannot hold a hint, and any remote reference it
-// journaled is re-audited by the RecoverLoad/RecoverFinish
-// remote-reference scan when it rejoins. A crash drops only the dead
-// shard's advertisements and pins from the tier tables, and the hints
-// naming its canonicals from the survivors' hint tables (partial
-// reset); the survivors' entries stay live. See DESIGN.md §12.
-//
-// The tier itself is volatile: on CrashAndRecover it is rebuilt from
-// the shard indexes — remote mappings recover through the journaled
-// Map.Set path, the serving layer re-pins canonicals from the union of
-// recovered maps, and the fingerprint tables are simply re-learned
-// from fresh advertisements. No new journal exists.
+// Correctness hangs on one invariant: a remote-encoded mapping
+// references only a canonical its owner holds pinned, and the owner
+// never frees or mutates a pinned block. Hints are installed and grants
+// issued after the owner's "hinted" pin; each shard's 0↔1 reference
+// transitions become ref pins (RefUp/RefDown); a canonical whose local
+// references vanished is recalled — its table entry and hint dropped,
+// a revoke sent to every live peer, the hinted pin released on the last
+// ack. Delivery is one FIFO per receiving shard, and every send of an
+// Agent goes through Agent.send, so per-(sender, receiver) order holds.
+// Shards are failure domains: epochs fence a crashed shard's old
+// messages, a crash notice stands in for its acks, and a crash drops
+// only its own state and the hints naming its canonicals. The tier is
+// volatile: recovery rebuilds pins from the journaled shard maps and
+// the tables are re-learned from fresh advertisements.
 package globalfp
 
 import (
@@ -117,12 +71,12 @@ type Params struct{}
 type msgKind uint8
 
 const (
-	// msgPinReq: tier → owner. Pin the canonical and grant hints to
-	// the beneficiary shards; dup names the advertiser's duplicate
-	// copy for a targeted fold (hasDup).
+	// msgPinReq: tier → owner. Pin the canonical and install its
+	// hint; from an advertiser other than the owner, dup names its
+	// duplicate copy for a targeted fold.
 	msgPinReq msgKind = iota
-	// msgGrant: owner → beneficiary. The canonical is pinned; install
-	// the fp → canonical hint and fold any local duplicate.
+	// msgGrant: owner → advertiser of a detected duplicate. The
+	// canonical is pinned and hinted; fold the local duplicate dup.
 	msgGrant
 	// msgRefUp: beneficiary → owner. First local mapping referencing
 	// the canonical appeared; add a ref pin.
@@ -131,7 +85,8 @@ const (
 	// drop the ref pin.
 	msgRefDown
 	// msgRevoke: owner → every other live shard. The owner is
-	// recalling the canonical; purge the hint and ack.
+	// recalling the canonical (its hint is gone); purge cached reads
+	// of it and ack.
 	msgRevoke
 	// msgRevokeAck: shard → owner. Revoke processed.
 	msgRevokeAck
@@ -151,15 +106,13 @@ const (
 // one, so a later crash of that shard fences an earlier notice that its
 // own notice covers.
 type message struct {
-	kind   msgKind
-	hasDup bool
-	fp     chunk.Fingerprint
-	canon  alloc.PBA // remote-encoded owner+pba
-	dup    alloc.PBA // msgPinReq/msgGrant: advertiser's local duplicate
-	bene   uint64    // msgPinReq: beneficiary shard bitmask
-	from   int       // sending shard (ad origin for msgPinReq, the dead shard for msgPeerDown)
-	epoch  uint32    // sender's epoch at send time
-	seq    uint32    // msgPeerDown: the tier's crash count after this crash
+	kind  msgKind
+	fp    chunk.Fingerprint
+	canon alloc.PBA // remote-encoded owner+pba
+	dup   alloc.PBA // msgPinReq/msgGrant: advertiser's local duplicate
+	from  int       // sending shard (ad origin for msgPinReq, the dead shard for msgPeerDown)
+	epoch uint32    // sender's epoch at send time
+	seq   uint32    // msgPeerDown: the tier's crash count after this crash
 }
 
 // inbox is a shard's reliable control queue: a mutex-guarded list of

@@ -20,26 +20,26 @@ type hintSlot struct {
 	canon alloc.PBA
 }
 
-// hintTable is a shard's bounded store of tier hints, and the only place
-// one lives: fp → remote-encoded canonical bindings granted by the
-// canonicals' owners. It is a flat 4-way set-associative array — no
-// allocation after construction, no pointers for the collector to
-// trace. Within a bucket the live slots are a prefix ordered newest
-// first: a hit moves to the front, a put into a full bucket overwrites
-// the oldest.
+// hintTable is the tier's bounded store of hints, and the only place one
+// lives: fp → remote-encoded canonical bindings, each installed once by
+// the canonical's owner and read by every shard. Each fingerprint
+// partition holds one, guarded by the partition lock. It is a flat 4-way
+// set-associative array — no allocation after construction, no pointers
+// for the collector to trace. Within a bucket the live slots are a
+// prefix ordered newest first: a hit moves to the front, a put into a
+// full bucket overwrites the oldest.
 //
 // A binding found here is valid by construction, which is why
 // Base.TryDedupe trusts a remote target without a content check it
-// could not perform anyway (the block is a peer's): a hint enters the
-// table only under a grant that pinned the canonical on its owner, the
-// owner never mutates a pinned block, a revoke deletes the binding
-// before the owner frees the block, and a crashed owner's bindings are
-// dropped while every shard is quiescent (Tier.CrashShard, under every
-// shard lock). Nothing re-installs one during the outage: the grants the
-// dead owner queued before the crash carry its old epoch and are fenced
-// on receipt, and a down owner sends none. So TryDedupe needs no
-// owner-down check either. Losing a binding early — an overwrite —
-// costs one deduplication opportunity and nothing else.
+// could not perform anyway (the block is a peer's): the owner installs a
+// binding only after it has validated the canonical and taken the hinted
+// pin, the owner never mutates a pinned block, a recall deletes the
+// binding before the owner's revoke round can release the pin, and a
+// crashed owner's bindings are dropped while every shard is quiescent
+// (Tier.CrashShard, under every shard lock). Nothing re-installs one
+// during the outage: a down owner drains no pin requests. So TryDedupe
+// needs no owner-down check either. Losing a binding early — an
+// overwrite — costs one deduplication opportunity and nothing else.
 //
 // Hints are never promoted into the iCache: the hot index and its ghost
 // hold only the shard's own blocks, so the Swap Module sees the shard's
@@ -48,9 +48,9 @@ type hintTable struct {
 	slots []hintSlot
 	mask  uint64 // bucket count - 1
 
-	hits       int64  // get found a binding
-	overwrites int64  // put replaced a live binding of another fingerprint
-	warmed     uint64 // what warm loaded, kept so the loads are not dropped
+	installs   int64 // puts
+	hits       int64 // get found a binding
+	overwrites int64 // put replaced a live binding of another fingerprint
 }
 
 // newHintTable sizes the table to at least entries slots, rounded up to
@@ -81,14 +81,6 @@ func toFront(b []hintSlot, i int) {
 	b[0] = s
 }
 
-// warm loads fp's bucket — its first slot and its last, one per cache
-// line — and changes nothing, so that a batch's misses overlap ahead of
-// the finds that follow; the words go into warmed so the loads stay.
-func (h *hintTable) warm(fp *chunk.Fingerprint) {
-	b := h.bucket(fp)
-	h.warmed += uint64(b[0].canon) + uint64(b[hintWays-1].canon)
-}
-
 // find returns fp's bucket and its slot there, -1 when it has none.
 func (h *hintTable) find(fp *chunk.Fingerprint) ([]hintSlot, int) {
 	b := h.bucket(fp)
@@ -112,14 +104,20 @@ func (h *hintTable) put(fp chunk.Fingerprint, canon alloc.PBA) {
 			h.overwrites++
 		}
 	}
+	h.installs++
 	b[i] = hintSlot{fp: fp, canon: canon}
 	toFront(b, i)
 }
 
-// get returns fp's binding and marks it the bucket's newest.
-func (h *hintTable) get(fp chunk.Fingerprint) (alloc.PBA, bool) {
-	b, i := h.find(&fp)
+// get returns fp's binding and marks it the bucket's newest, unless
+// the canonical's owner is in skip (a bitmask of shards): such a binding
+// is not found and keeps its place.
+func (h *hintTable) get(fp *chunk.Fingerprint, skip uint64) (alloc.PBA, bool) {
+	b, i := h.find(fp)
 	if i < 0 {
+		return 0, false
+	}
+	if owner, _ := alloc.RemoteParts(b[i].canon); skip&(uint64(1)<<uint(owner)) != 0 {
 		return 0, false
 	}
 	toFront(b, i)

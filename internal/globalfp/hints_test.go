@@ -7,6 +7,7 @@ import (
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/engine"
 )
 
 // modelFP builds a fingerprint whose bucket the model knows without
@@ -22,7 +23,9 @@ func modelFP(bucket, id int) chunk.Fingerprint {
 // TestHintTableMatchesModel drives the table and a reference model —
 // one newest-first list of at most hintWays bindings per bucket — with
 // the same random operations and compares every answer and, after every
-// operation, every bucket's contents and order.
+// operation, every bucket's contents and order. A get skips the
+// bindings of the owners it is told to, as a shard's lookup skips its
+// own canonicals and down owners.
 func TestHintTableMatchesModel(t *testing.T) {
 	const buckets, ids, owners = 4, 9, 3
 	type binding struct {
@@ -47,7 +50,7 @@ func TestHintTableMatchesModel(t *testing.T) {
 		copy(model[bk][1:i+1], model[bk][:i])
 		model[bk][0] = e
 	}
-	var wantHits, wantOverwrites int64
+	var wantInstalls, wantHits, wantOverwrites int64
 
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 20000; step++ {
@@ -57,6 +60,7 @@ func TestHintTableMatchesModel(t *testing.T) {
 		switch op := rng.Intn(100); {
 		case op < 45: // put
 			h.put(fp, canon)
+			wantInstalls++
 			if i := find(bk, fp); i >= 0 {
 				model[bk][i].canon = canon
 				front(bk, i)
@@ -67,11 +71,20 @@ func TestHintTableMatchesModel(t *testing.T) {
 				}
 				model[bk] = append([]binding{{fp, canon}}, model[bk]...)
 			}
-		case op < 75: // get
-			got, ok := h.get(fp)
+		case op < 75: // get, skipping the bindings of one owner a third of the time
+			skip := uint64(0)
+			if rng.Intn(3) == 0 {
+				skip = 1 << uint(rng.Intn(owners))
+			}
+			got, ok := h.get(&fp, skip)
 			i := find(bk, fp)
+			if i >= 0 {
+				if o, _ := alloc.RemoteParts(model[bk][i].canon); skip&(1<<uint(o)) != 0 {
+					i = -1
+				}
+			}
 			if ok != (i >= 0) || (ok && got != model[bk][i].canon) {
-				t.Fatalf("step %d: get = %d,%v; model index %d", step, got, ok, i)
+				t.Fatalf("step %d: get(skip %b) = %d,%v; model index %d", step, skip, got, ok, i)
 			}
 			if i >= 0 {
 				front(bk, i)
@@ -123,76 +136,129 @@ func TestHintTableMatchesModel(t *testing.T) {
 			}
 		}
 	}
-	if h.hits != wantHits || h.overwrites != wantOverwrites {
-		t.Fatalf("hits %d overwrites %d, model %d %d", h.hits, h.overwrites, wantHits, wantOverwrites)
+	if h.installs != wantInstalls || h.hits != wantHits || h.overwrites != wantOverwrites {
+		t.Fatalf("installs %d hits %d overwrites %d, model %d %d %d", h.installs, h.hits, h.overwrites, wantInstalls, wantHits, wantOverwrites)
 	}
 	if wantHits == 0 || wantOverwrites == 0 {
 		t.Fatalf("walk too tame: %d hits, %d overwrites", wantHits, wantOverwrites)
 	}
 }
 
-// TestRevokeDeletesHintBeforeAck: by the time the owner can see a
-// shard's ack, that shard's binding is gone — the ordering that lets the
-// owner free the block on the last ack. A revoke that names another
-// canonical than the one bound (a newer grant) leaves the binding alone.
-func TestRevokeDeletesHintBeforeAck(t *testing.T) {
+// lookupHint runs shard's lookup-stage hint probe of fp, as the write path
+// asks on a hot-index miss.
+func lookupHint(t *Tier, shard int, fp chunk.Fingerprint) (alloc.PBA, bool) {
+	w := &engine.WriteOp{Chunks: []chunk.Chunk{{FP: fp}}, Dup: make([]bool, 1), Target: make([]alloc.PBA, 1)}
+	t.hint(shard, w)
+	return w.Target[0], w.Dup[0]
+}
+
+// TestHintInstalledOnlyAfterPin: a first sighting's hint is invisible
+// until its owner has validated the canonical and taken the hinted pin,
+// and a stale advertisement — a block that no longer holds the content —
+// never becomes one. A hint installed any earlier (when the ad lands,
+// or before the owner's validation) would let a peer map onto a block
+// nothing protects. Every binding the table then holds passes the audit,
+// and the owner's own lookup does not count its own canonical as a hit.
+func TestHintInstalledOnlyAfterPin(t *testing.T) {
 	tier, agents := fenceCluster(t, 2)
-	fp := chunk.ContentID(99).Fingerprint()
-	canon, other := alloc.MakeRemote(1, 7), alloc.MakeRemote(1, 8)
-	ep := tier.Epoch(1)
-
-	tier.send(0, message{kind: msgGrant, fp: fp, canon: canon, from: 1, epoch: ep})
-	tier.send(0, message{kind: msgRevoke, fp: fp, canon: other, from: 1, epoch: ep})
-	agents[0].drainMsgs(0, 16)
-	if c, ok := agents[0].hints.peek(fp); !ok || c != canon {
-		t.Fatalf("revoke of canonical %d removed the binding to %d (%d,%v)", other, canon, c, ok)
+	a, b := agents[0], agents[0].b
+	pba, ok := b.Alloc.AllocLargest(2)
+	if !ok {
+		t.Fatal("alloc failed")
 	}
-	tier.inbox[1].clear()
+	b.Store.Write(pba, 21)
+	b.Store.Write(pba+1, 22)
+	b.Map.Set(0, pba, false)
+	b.Map.Set(1, pba+1, false)
+	fp, stale := chunk.ContentID(21).Fingerprint(), chunk.ContentID(99).Fingerprint()
 
-	tier.send(0, message{kind: msgRevoke, fp: fp, canon: canon, from: 1, epoch: ep})
-	agents[0].drainMsgs(0, 16)
-	acks := tier.inbox[1].take(nil, 16)
-	if len(acks) != 1 || acks[0].kind != msgRevokeAck || acks[0].canon != canon || acks[0].from != 0 {
-		t.Fatalf("owner inbox holds %+v, want one ack for canonical %d from shard 0", acks, canon)
+	a.Advertise([]engine.Ad{{FP: fp, PBA: pba, Fresh: true}, {FP: stale, PBA: pba + 1, Fresh: true}})
+	if _, ok := lookupHint(tier, 1, fp); ok {
+		t.Fatal("the hint is visible before its owner pinned the canonical")
 	}
-	if _, ok := agents[0].Hint(fp); ok {
-		t.Fatal("ack sent while the hint was still bound")
+	a.DrainAll(0)
+	if c, ok := lookupHint(tier, 1, fp); !ok || c != alloc.MakeRemote(0, pba) {
+		t.Fatalf("peer's probe = %#x,%v after the owner's drain, want the canonical", c, ok)
+	}
+	if pins := b.Map.PinCount(pba); pins != 1 || !a.hintedTest(pba) {
+		t.Fatalf("canonical holds %d pins (hinted %v), want the hinted pin", pins, a.hintedTest(pba))
+	}
+	if _, ok := tier.bound(stale); ok || a.pinRejects != 1 {
+		t.Fatalf("stale ad: bound %v, %d pin rejects; want no hint and one reject", ok, a.pinRejects)
+	}
+	if _, ok := lookupHint(tier, 0, fp); ok {
+		t.Fatal("the owner's probe hit its own canonical")
+	}
+	if err := tier.CheckHints(); err != nil {
+		t.Fatal(err)
+	}
+	if h := tier.part(fp).hints; h.installs != 1 || h.hits != 1 {
+		t.Fatalf("%d installs, %d hits; want 1 and the peer's 1", h.installs, h.hits)
+	}
+}
+
+// TestRecallDeletesHintBeforeRevoke: the moment an owner starts a
+// recall, its hint is gone — before any revoke is handled, so no lookup
+// forms a reference the round's acks would not cover. A recall naming
+// another canonical than the one bound (a newer install) leaves the
+// binding alone.
+func TestRecallDeletesHintBeforeRevoke(t *testing.T) {
+	tier, agents := fenceCluster(t, 3)
+	a := agents[0]
+	pba := paroled(t, a, 31337)
+	fp, canon := chunk.ContentID(31337).Fingerprint(), alloc.MakeRemote(0, pba)
+	tier.install(fp, canon)
+
+	tier.Recall(fp, 0, pba+1)
+	if c, ok := tier.bound(fp); !ok || c != canon {
+		t.Fatalf("recall of another block removed the binding to %#x (%#x,%v)", canon, c, ok)
+	}
+	a.processParole(-1)
+	if _, ok := tier.bound(fp); ok {
+		t.Fatal("the hint survived the start of its recall")
+	}
+	if n1, n2 := tier.inbox[1].len(), tier.inbox[2].len(); n1 != 1 || n2 != 1 {
+		t.Fatalf("peers hold %d and %d messages, want one revoke each", n1, n2)
+	}
+	agents[1].DrainAll(0)
+	agents[2].DrainAll(0)
+	a.DrainAll(0)
+	if _, live := a.b.Store.Read(pba); live || a.recallsDone != 1 {
+		t.Fatalf("recall done %d, block live %v; want the round complete and the block freed", a.recallsDone, live)
+	}
+	if err := tier.CheckHints(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCrashDropsDeadOwnersHints: a crash deletes exactly the bindings
-// naming the dead shard's canonicals, on every survivor, and a grant the
-// dead shard queued before crashing installs nothing when drained. These
-// two are why Base.TryDedupe trusts a hint without asking whether its
-// owner is down.
+// naming the dead shard's canonicals, and they stay gone after it
+// rejoins; a shard's own recovery leaves the table alone. The first is
+// why Base.TryDedupe trusts a hint without asking whether its owner is
+// down: the rejoined shard's recovery may free those blocks.
 func TestCrashDropsDeadOwnersHints(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	fpOf := chunk.ContentID.Fingerprint
-	tier.send(0, message{kind: msgGrant, fp: fpOf(1), canon: alloc.MakeRemote(1, 3), from: 1})
-	tier.send(0, message{kind: msgGrant, fp: fpOf(2), canon: alloc.MakeRemote(2, 3), from: 2})
-	tier.send(2, message{kind: msgGrant, fp: fpOf(1), canon: alloc.MakeRemote(1, 3), from: 1})
-	agents[0].DrainAll(0)
-	agents[2].DrainAll(0)
-	for _, s := range []int{0, 2} {
-		tier.send(s, message{kind: msgGrant, fp: fpOf(4), canon: alloc.MakeRemote(1, 5), from: 1, epoch: tier.Epoch(1)})
-	}
+	tier.install(fpOf(1), alloc.MakeRemote(1, 3))
+	tier.install(fpOf(2), alloc.MakeRemote(2, 3))
+	tier.install(fpOf(3), alloc.MakeRemote(1, 4))
 
 	tier.CrashShard(1)
-	for _, s := range []int{0, 2} {
-		if _, ok := agents[s].Hint(fpOf(1)); ok {
-			t.Fatalf("shard %d: hint on the crashed shard's canonical survived", s)
-		}
-		agents[s].DrainAll(0)
-		if _, ok := agents[s].Hint(fpOf(4)); ok {
-			t.Fatalf("shard %d: a grant queued before the crash installed a hint", s)
+	for _, id := range []chunk.ContentID{1, 3} {
+		if c, ok := tier.bound(fpOf(id)); ok {
+			t.Fatalf("hint %d on the crashed shard's canonical %#x survived", id, c)
 		}
 	}
-	if _, ok := agents[0].Hint(fpOf(2)); !ok {
+	tier.RecoverShard(1)
+	if _, ok := lookupHint(tier, 0, fpOf(1)); ok {
+		t.Fatal("the rejoined shard's old canonical is still hinted")
+	}
+	if _, ok := lookupHint(tier, 0, fpOf(2)); !ok {
 		t.Fatal("hint on a live shard's canonical dropped")
 	}
 	agents[0].RecoverReset()
-	if _, ok := agents[0].Hint(fpOf(2)); ok {
-		t.Fatal("hint survived the shard's own recovery")
+	if _, ok := lookupHint(tier, 1, fpOf(2)); !ok {
+		t.Fatal("a shard's own recovery dropped a peer's hint")
 	}
 }
 
@@ -339,57 +405,73 @@ func failOnAllocs(b *testing.B, what string, f func()) {
 	}
 }
 
-// BenchmarkHintPut installs a stream of distinct fingerprints four
-// times the table's size, so most puts overwrite.
+// hintTier is an eight-shard tier whose hint table is sized for a hot
+// index of 1<<16 entries a shard: 16 384 slots a partition, 4 MiB in
+// all, past L2.
+func hintTier(b *testing.B) *Tier {
+	tier, err := NewTier(8, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tier.sizeHints(1 << 16)
+	return tier
+}
+
+// BenchmarkHintPut is an owner's install: a stream of distinct
+// fingerprints twice the table's size, so most installs overwrite.
 func BenchmarkHintPut(b *testing.B) {
-	h := newHintTable(1 << 16)
+	tier := hintTier(b)
 	fps := benchFPs(1 << 18)
 	canon := alloc.MakeRemote(1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.put(fps[i&(len(fps)-1)], canon)
+		tier.install(fps[i&(len(fps)-1)], canon)
 	}
-	failOnAllocs(b, "hint put", func() { h.put(fps[0], canon) })
+	failOnAllocs(b, "hint install", func() { tier.install(fps[0], canon) })
 }
 
-// BenchmarkHintGet probes a full table, half the probes hitting.
+// BenchmarkHintGet is a request's lookup-stage probe of eight chunks its
+// hot index missed, grouped by partition under the locks, against a
+// table holding 64k bindings of shard 1's; half the probes hit. ns/probe
+// is the figure to read.
 func BenchmarkHintGet(b *testing.B) {
-	h := newHintTable(1 << 16)
-	fps := benchFPs(1 << 16)
+	tier := hintTier(b)
+	fps := benchFPs(1 << 17)
 	for _, fp := range fps[:len(fps)/2] {
-		h.put(fp, alloc.MakeRemote(1, 1))
+		tier.install(fp, alloc.MakeRemote(1, 1))
 	}
-	var sink alloc.PBA
+	const n = 8
+	w := &engine.WriteOp{Chunks: make([]chunk.Chunk, n), Dup: make([]bool, n), Target: make([]alloc.PBA, n)}
+	request := func(i int) {
+		for k := range w.Chunks {
+			w.Chunks[k].FP = fps[uint(i*n+k)*2654435761%uint(len(fps))]
+			w.Dup[k] = false
+		}
+		tier.hint(0, w)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, _ := h.get(fps[i&(len(fps)-1)])
-		sink += c
+		request(i)
 	}
-	failOnAllocs(b, "hint get", func() { sink, _ = h.get(fps[0]) })
-	_ = sink
+	failOnAllocs(b, "hint probe", func() { request(0) })
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/probe")
 }
 
-// BenchmarkAgentDrainGrants is the beneficiary's side of the broadcast:
-// one tick's budget of grants pushed and drained through the agent —
-// fence check, local-duplicate peek, hint install — on a shard as loaded
-// as a serving one: its hot index full (262 144 fingerprints, a 14 MB
-// directory) and its hint table as large (8 MB), both past L2. Half the
-// grants name a fingerprint the index holds, whose fold is queued.
+// BenchmarkAgentDrainGrants is the detected-duplicate side of the
+// protocol: one tick's budget of targeted grants pushed and drained
+// through the agent — fence check, fold queued — on a shard as loaded
+// as a serving one. ns/grant is the figure to read.
 func BenchmarkAgentDrainGrants(b *testing.B) {
 	tier, agents := memCluster(b, 2, 32<<20)
 	a := agents[0]
-	held := a.b.IC.IndexCapTotal()
-	fps := benchFPs(2 * held)
-	for i, fp := range fps[:held] {
-		a.b.IC.IndexInsert(fp, alloc.PBA(i))
-	}
+	fps := benchFPs(1 << 16)
 	ep := tier.Epoch(1)
 	tick := func(i int) {
 		for k := 0; k < 256; k++ {
 			fp := fps[(i*256+k)%len(fps)]
-			tier.inbox[0].push(message{kind: msgGrant, fp: fp, canon: alloc.MakeRemote(1, 1), from: 1, epoch: ep})
+			tier.inbox[0].push(message{kind: msgGrant, fp: fp, canon: alloc.MakeRemote(1, 1), dup: alloc.PBA(k), from: 1, epoch: ep})
 		}
 		a.drainMsgs(0, 256)
 		a.foldQ = a.foldQ[:0]

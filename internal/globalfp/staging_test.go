@@ -14,8 +14,8 @@ import (
 // and a revoke from the parole after that (both direct) — between two
 // direct sends outside it. Shard 1's inbox must hold them in the order
 // they were sent: a staged grant delivered after the later revoke would
-// bind a hint to a block its owner is about to free, and that is the
-// order any flush later than the end of drainMsgs produces.
+// fold onto a block its owner is about to free, and that is the order
+// any flush later than the end of drainMsgs produces.
 func TestStagedSendsKeepPairOrder(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	a, b := agents[0], agents[0].b
@@ -29,8 +29,9 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 		return pba
 	}
 	// Owner-side state on shard 0: two referenced blocks to grant, a
-	// referenced duplicate to fold away, and a paroled canonical (live,
-	// hinted-pinned, unreferenced).
+	// referenced duplicate to fold away onto shard 1's hinted
+	// canonical, and a paroled canonical (live, hinted-pinned,
+	// unreferenced).
 	g1, g2, dup := alloc1(11), alloc1(12), alloc1(13)
 	par := paroled(t, a, 10)
 	b.Map.Set(1, g1, false)
@@ -39,11 +40,12 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 
 	ep1 := tier.Epoch(1)
 	remote := func(shard int, pba alloc.PBA) alloc.PBA { return alloc.MakeRemote(shard, pba) }
+	tier.install(fpOf(13), remote(1, 9))
 	a.RemoteRef(remote(1, 40), true) // direct, ahead of the drain
-	tier.send(0, message{kind: msgGrant, fp: fpOf(13), canon: remote(1, 9), dup: dup, hasDup: true, from: 1, epoch: ep1})
-	tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), bene: 1 << 1, from: 1, epoch: ep1})
+	tier.send(0, message{kind: msgGrant, fp: fpOf(13), canon: remote(1, 9), dup: dup, from: 1, epoch: ep1})
+	tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), dup: 5, from: 1, epoch: ep1})
 	tier.send(0, message{kind: msgRevoke, fp: fpOf(99), canon: remote(1, 30), from: 1, epoch: ep1})
-	tier.send(0, message{kind: msgPinReq, fp: fpOf(12), canon: remote(0, g2), bene: 1 << 1, from: 1, epoch: ep1})
+	tier.send(0, message{kind: msgPinReq, fp: fpOf(12), canon: remote(0, g2), dup: 6, from: 1, epoch: ep1})
 	a.DrainAll(0)
 	a.RemoteRef(remote(1, 41), false) // direct, after it
 
@@ -89,10 +91,12 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	tier.CrashShard(2)
 	before := tier.downDropped.Load()
 	for k := 0; k < 3; k++ {
-		tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), bene: 1<<1 | 1<<2, from: 1, epoch: ep1})
+		for _, from := range []int{1, 2} {
+			tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), dup: alloc.PBA(k), from: from, epoch: tier.Epoch(from)})
+		}
 	}
-	if n := a.drainMsgs(0, 16); n != 4 {
-		t.Fatalf("drained %d messages, want the notice and 3", n)
+	if n := a.drainMsgs(0, 16); n != 7 {
+		t.Fatalf("drained %d messages, want the notice and 6", n)
 	}
 	if staged() != 0 {
 		t.Fatalf("%d messages still staged after drainMsgs returned", staged())
@@ -105,9 +109,10 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	}
 }
 
-// TestStagedRunsFlushAtFixedLength: a settlement-sized drain of pin
-// requests, seven grants apiece, never holds more than outboxRun
-// messages per destination, and every grant arrives, in order.
+// TestStagedRunsFlushAtFixedLength: a settlement-sized drain of
+// duplicate pin requests from seven advertisers, a grant apiece, never
+// holds more than outboxRun messages per destination, and every grant
+// arrives, in order.
 func TestStagedRunsFlushAtFixedLength(t *testing.T) {
 	tier, agents := fenceCluster(t, 8)
 	a, b := agents[0], agents[0].b
@@ -118,10 +123,11 @@ func TestStagedRunsFlushAtFixedLength(t *testing.T) {
 	b.Store.Write(pba, 5)
 	b.Map.Set(0, pba, false)
 	fp := chunk.ContentID(5).Fingerprint()
-	const reqs = drainAllChunk
+	const reqs = 7 * 3 * outboxRun
 	for k := 0; k < reqs; k++ {
 		// dup numbers the request, so arrival order is checkable
-		tier.send(0, message{kind: msgPinReq, fp: fp, canon: alloc.MakeRemote(0, pba), bene: 0xfe, dup: alloc.PBA(k), hasDup: true, from: 1, epoch: tier.Epoch(1)})
+		from := 1 + k%7
+		tier.send(0, message{kind: msgPinReq, fp: fp, canon: alloc.MakeRemote(0, pba), dup: alloc.PBA(k), from: from, epoch: tier.Epoch(from)})
 	}
 	if n := a.drainMsgs(0, reqs); n != reqs {
 		t.Fatalf("drained %d messages, want %d", n, reqs)
@@ -131,11 +137,11 @@ func TestStagedRunsFlushAtFixedLength(t *testing.T) {
 			t.Errorf("outbox toward shard %d grew to %d messages, want at most a run of %d", to, c, outboxRun)
 		}
 		got := tier.inbox[to].take(nil, reqs+1)
-		if len(got) != reqs {
-			t.Fatalf("shard %d received %d grants, want %d", to, len(got), reqs)
+		if len(got) != reqs/7 {
+			t.Fatalf("shard %d received %d grants, want %d", to, len(got), reqs/7)
 		}
 		for k, m := range got {
-			if m.kind != msgGrant || m.dup != alloc.PBA(k) {
+			if m.kind != msgGrant || m.dup != alloc.PBA(7*k+to-1) {
 				t.Fatalf("shard %d: message %d is kind %d for request %d", to, k, m.kind, m.dup)
 			}
 		}

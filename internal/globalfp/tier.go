@@ -16,30 +16,33 @@ import (
 )
 
 // tierEntry is one fingerprint's record: the canonical copy and the
-// shards already granted a hint for it (suppresses duplicate-ad
+// shards already granted a targeted fold for it (suppresses duplicate-ad
 // re-grant storms; fresh advertisements may always re-grant, which is
 // how settlement re-advertisement retries faulted folds).
 type tierEntry struct {
 	canon   alloc.PBA // remote-encoded owner+pba
-	granted uint64    // beneficiary shards already granted
+	granted uint64    // shards already granted a fold
 }
 
-// partition is one fingerprint partition: its own table and lock, so
-// publishers on different shards rarely contend.
+// partition is one fingerprint partition: its own table, its share of
+// the hint table and one lock over both, so publishers and writers on
+// different shards rarely contend.
 type partition struct {
-	mu  sync.Mutex
-	tbl *probe.Map[chunk.Fingerprint, tierEntry]
+	mu    sync.Mutex
+	tbl   *probe.Map[chunk.Fingerprint, tierEntry]
+	hints *hintTable
 }
 
 // Tier is the global fingerprint tier shared by every shard of one
 // server: fingerprint-partitioned tables that advertisements land on in
-// the publishing call, plus the reliable control inboxes the shard
-// agents drain.
+// the publishing call, the hint table every shard's lookup reads, and
+// the reliable control inboxes the shard agents drain.
 type Tier struct {
 	shards int
 	parts  []partition
 	inbox  []inbox
 	agents []*Agent
+	sized  bool // the hint table has its capacity (the first agent's)
 
 	// Per-shard failure-domain state. epochs[i] is shard i's fencing
 	// epoch, bumped by CrashShard; down[i] marks the shard crashed
@@ -78,14 +81,32 @@ func NewTier(shards int, _ Params) (*Tier, error) {
 	for i := range t.parts {
 		t.parts[i].tbl = probe.NewMap[chunk.Fingerprint, tierEntry](1 << 12)
 	}
+	t.sizeHints(0)
 	return t, nil
 }
 
+// register seats shard's agent. The first one sizes the hint table from
+// its hot index.
 func (t *Tier) register(shard int, a *Agent) {
 	if t.agents[shard] != nil {
 		panic(fmt.Sprintf("globalfp: shard %d attached twice", shard))
 	}
 	t.agents[shard] = a
+	if !t.sized {
+		t.sizeHints(a.b.IC.IndexCapTotal())
+		t.sized = true
+	}
+}
+
+// sizeHints gives the hint table entries × shards/(shards−1) slots,
+// split over the partitions (each rounded up to a power of two): from
+// any one shard's view, as many peers' bindings as its hot index holds
+// entries — a hint is worth what an index entry is worth.
+func (t *Tier) sizeHints(entries int) {
+	per := (entries*t.shards/(t.shards-1) + partitions - 1) / partitions
+	for i := range t.parts {
+		t.parts[i].hints = newHintTable(per)
+	}
 }
 
 // partOf is the partition fp's advertisements land on.
@@ -136,9 +157,8 @@ func (t *Tier) downMask() uint64 {
 	return m
 }
 
-// peers is the set of every live shard but shard: the beneficiaries of
-// a first sighting it advertises, and the peers a recall it starts must
-// hear from.
+// peers is the set of every live shard but shard: the peers a recall
+// it starts must hear from.
 func (t *Tier) peers(shard int) uint64 {
 	return (uint64(1)<<uint(t.shards) - 1) &^ (uint64(1) << uint(shard)) &^ t.downMask()
 }
@@ -149,6 +169,10 @@ func (t *Tier) peers(shard int) uint64 {
 func (t *Tier) fenced(shard int, epoch uint32) bool {
 	return epoch != t.epochs[shard].Load() || t.down[shard].Load()
 }
+
+// warmRun is how many fingerprints one partition-table warm takes:
+// about as many cache misses as a core keeps in flight.
+const warmRun = 16
 
 // pubScratch is a publisher's reusable scratch for landing a batch: the
 // ads grouped by partition, their fingerprints beside them for the
@@ -163,8 +187,8 @@ type pubScratch struct {
 // epoch, before returning: the request-sized batch the write path
 // publishes, or a run of ReAdvertise's. Callers hold the publishing
 // shard's lock, and Tier.CrashShard runs under every shard lock, so no
-// epoch or down flag can change mid-batch: the fence and the
-// beneficiary set are read once. The ads are grouped by partition,
+// epoch or down flag can change mid-batch: the fence is read once. The
+// ads are grouped by partition,
 // stably, so each partition sees them in publishing order; each
 // partition's run lands under one lock hold, its table buckets warmed
 // first, and the pin requests it implies leave, one pushAll per
@@ -179,7 +203,6 @@ func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch)
 		t.staleDropped.Add(int64(len(ads)))
 		return
 	}
-	peers := t.peers(shard)
 
 	// A counting sort by partition: start[p] is where partition p's
 	// run begins in the scratch.
@@ -215,11 +238,11 @@ func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch)
 			end := min(lo+warmRun, hi)
 			p.tbl.Warm(sc.fps[lo:end])
 			for k := lo; k < end; k++ {
-				to, m, ok := t.processAd(p, shard, epoch, &sc.ads[k], peers)
+				to, m, ok := t.processAd(p, shard, epoch, &sc.ads[k])
 				if !ok {
 					continue
 				}
-				if m.hasDup {
+				if to != shard { // a detected duplicate's, at its owner
 					dups++
 				} else {
 					hints++
@@ -261,9 +284,9 @@ func (t *Tier) advertise(shard int, epoch uint32, a engine.Ad) {
 	}
 	p := t.part(a.FP)
 	p.mu.Lock()
-	if to, m, ok := t.processAd(p, shard, epoch, &a, t.peers(shard)); ok {
+	if to, m, ok := t.processAd(p, shard, epoch, &a); ok {
 		t.send(to, m)
-		if m.hasDup {
+		if to != shard {
 			t.dupsDetected.Add(1)
 		} else {
 			t.hintsBroadcast.Add(1)
@@ -278,20 +301,17 @@ func (t *Tier) Stop() {}
 
 // processAd lands one advertisement from shard, stamped with epoch, on
 // partition p, whose lock the caller holds. It returns the pin request
-// the ad implies, if any, and the shard to send it to; peers is the
-// beneficiary set of a first sighting.
-func (t *Tier) processAd(p *partition, shard int, epoch uint32, a *engine.Ad, peers uint64) (int, message, bool) {
+// the ad implies, if any, and the shard to send it to.
+func (t *Tier) processAd(p *partition, shard int, epoch uint32, a *engine.Ad) (int, message, bool) {
 	enc := alloc.MakeRemote(shard, a.PBA)
 	e, first := p.tbl.Ref(a.FP)
 	if first {
 		// First sighting: register the canonical and ask its owner to
-		// grant index hints to every other shard — the proactive push
-		// that lets a peer's first write of this content deduplicate
-		// inline instead of becoming a per-shard duplicate copy.
-		// Currently-down shards are excluded from the beneficiary set;
-		// they re-learn hints from fresh advertisements after rejoin.
-		*e = tierEntry{canon: enc, granted: peers}
-		return shard, message{kind: msgPinReq, fp: a.FP, canon: enc, bene: peers, from: shard, epoch: epoch}, true
+		// pin it and install the fp → canonical hint — the proactive
+		// push that lets a peer's first write of this content
+		// deduplicate inline instead of becoming a per-shard copy.
+		*e = tierEntry{canon: enc}
+		return shard, message{kind: msgPinReq, fp: a.FP, canon: enc, from: shard, epoch: epoch}, true
 	}
 	if e.canon == enc {
 		return 0, message{}, false // the canonical advertising itself
@@ -302,21 +322,60 @@ func (t *Tier) processAd(p *partition, shard int, epoch uint32, a *engine.Ad, pe
 		// scanner's cursor sweep merges same-shard duplicates
 		return 0, message{}, false
 	}
-	// Cross-shard duplicate detected: (re-)grant the advertiser a hint
-	// with a targeted fold of its copy. Duplicate-hit ads for an
-	// already-granted shard are suppressed (the fold is in flight);
-	// fresh ads always re-grant, so settlement re-advertisement
-	// retries candidates an injected fault aborted.
+	// Cross-shard duplicate detected: grant the advertiser a targeted
+	// fold of its copy. Duplicate-hit ads for an already-granted shard
+	// are suppressed (the fold is in flight); fresh ads always re-grant,
+	// so settlement re-advertisement retries candidates an injected
+	// fault aborted.
 	bit := uint64(1) << uint(shard)
 	if !a.Fresh && e.granted&bit != 0 {
 		return 0, message{}, false
 	}
 	e.granted |= bit
-	return owner, message{
-		kind: msgPinReq, fp: a.FP, canon: e.canon,
-		bene: bit, dup: a.PBA, hasDup: true,
-		from: shard, epoch: epoch,
-	}, true
+	return owner, message{kind: msgPinReq, fp: a.FP, canon: e.canon, dup: a.PBA, from: shard, epoch: epoch}, true
+}
+
+// install binds fp → canon in the hint table, for every peer's lookup
+// to find; the owner calls it once the canonical holds the hinted pin.
+func (t *Tier) install(fp chunk.Fingerprint, canon alloc.PBA) {
+	p := t.part(fp)
+	p.mu.Lock()
+	p.hints.put(fp, canon)
+	p.mu.Unlock()
+}
+
+// bound returns fp's binding in the hint table, touching neither its
+// recency nor the hit count.
+func (t *Tier) bound(fp chunk.Fingerprint) (alloc.PBA, bool) {
+	p := t.part(fp)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hints.peek(fp)
+}
+
+// hint fills w.Target and w.Dup from the hint table for every chunk of
+// w the hot index missed. A binding to a canonical of shard itself or of
+// a down shard is not a hit. The probes are grouped by partition, one
+// lock hold each, as publish lands a batch.
+func (t *Tier) hint(shard int, w *engine.WriteOp) {
+	var parts uint64 // the partitions a missed chunk lands on
+	for i := range w.Chunks {
+		if !w.Dup[i] {
+			parts |= 1 << partOf(&w.Chunks[i].FP)
+		}
+	}
+	skip := uint64(1)<<uint(shard) | t.downMask()
+	for ; parts != 0; parts &= parts - 1 {
+		pi := bits.TrailingZeros64(parts)
+		p := &t.parts[pi]
+		p.mu.Lock()
+		for i := range w.Chunks {
+			if !w.Dup[i] && partOf(&w.Chunks[i].FP) == pi {
+				w.Target[i], w.Dup[i] = p.hints.get(&w.Chunks[i].FP, skip)
+			}
+		}
+		p.mu.Unlock()
+	}
 }
 
 // Fix drops a table entry whose canonical failed owner-side validation
@@ -333,7 +392,8 @@ func (t *Tier) Fix(fp chunk.Fingerprint, canon alloc.PBA) {
 }
 
 // Recall starts reclaiming a canonical whose owner paroled it: the
-// table entry is dropped, so no new grant can name the block. Returns
+// table entry and the hint binding are dropped, so no new grant can
+// name the block and no lookup can find it. Returns
 // the bitmask of peers the owner must now revoke and collect acks from
 // before it releases the hinted pin; currently-down peers are excluded
 // up front (they hold no hint, and their rejoin re-audit covers any
@@ -345,6 +405,7 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 	if e, ok := p.tbl.Find(fp); ok && e.canon == enc {
 		p.tbl.Delete(fp)
 	}
+	p.hints.remove(fp, enc)
 	p.mu.Unlock()
 	t.recalls.Add(1)
 	return t.peers(shard)
@@ -352,12 +413,10 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 
 // CrashShard marks shard i a dead failure domain: its fencing epoch is
 // bumped (everything it sent in its previous life is now stale), its
-// inbox is discarded, every other shard's hint table drops the bindings
-// naming its canonicals (its recovery may free them), and the partition
-// tables drop only its state — entries whose canonical it owns are
-// deleted, and its bit is cleared from surviving entries' granted masks
-// so post-rejoin advertisements re-grant it. The survivors' canonicals,
-// pins, and hints on each other stay live.
+// inbox is discarded, and the partitions drop only its state — the
+// entries and hints naming its canonicals (its recovery may free them),
+// and its bit in surviving entries' granted masks, so post-rejoin
+// advertisements re-grant it. Everything else stays live.
 //
 // Every other live shard then finds a msgPeerDown notice in its inbox,
 // stamped with i's new epoch and numbered by this crash: it stands in
@@ -372,11 +431,6 @@ func (t *Tier) CrashShard(i int) {
 	for j := range t.inbox {
 		if j != i {
 			t.send(j, notice)
-		}
-	}
-	for j, a := range t.agents {
-		if j != i && a != nil {
-			a.hints.dropOwner(i)
 		}
 	}
 	bit := uint64(1) << uint(i)
@@ -397,6 +451,7 @@ func (t *Tier) CrashShard(i int) {
 		for _, fp := range dead {
 			p.tbl.Delete(fp)
 		}
+		p.hints.dropOwner(i)
 		p.mu.Unlock()
 	}
 }
@@ -411,8 +466,8 @@ func (t *Tier) RecoverShard(i int) {
 	t.down[i].Store(false)
 }
 
-// Reset drops all volatile tier state — partition tables and queued
-// control messages — after a crash; the serving layer re-pins
+// Reset drops all volatile tier state — partition tables, hints and
+// queued control messages — after a crash; the serving layer re-pins
 // canonicals from the recovered shard maps and the tables are
 // re-learned from fresh advertisements (rebuild-on-recover, no new
 // journal).
@@ -421,6 +476,7 @@ func (t *Tier) Reset() {
 		p := &t.parts[i]
 		p.mu.Lock()
 		p.tbl = probe.NewMap[chunk.Fingerprint, tierEntry](1 << 12)
+		p.hints.clear()
 		p.mu.Unlock()
 	}
 	for i := range t.inbox {
@@ -441,10 +497,22 @@ func (t *Tier) Backlog() int {
 	return n
 }
 
-// Instrument publishes the tier's lifetime counters and its table size
-// into reg as live gauges. The counters are atomics, read bare; only
-// globalfp_table_entries takes the partition locks, one at a time.
+// Instrument publishes the tier's lifetime counters and its tables'
+// figures into reg as live gauges. The counters are atomics, read bare;
+// the table gauges take the partition locks, one at a time.
 func (t *Tier) Instrument(reg *metrics.Registry) {
+	sum := func(f func(p *partition) int64) func() int64 {
+		return func() int64 {
+			var n int64
+			for i := range t.parts {
+				p := &t.parts[i]
+				p.mu.Lock()
+				n += f(p)
+				p.mu.Unlock()
+			}
+			return n
+		}
+	}
 	reg.GaugeFunc("globalfp_ads_queued", t.adsQueued.Load)
 	reg.GaugeFunc("globalfp_dups_detected", t.dupsDetected.Load)
 	reg.GaugeFunc("globalfp_hints_broadcast", t.hintsBroadcast.Load)
@@ -452,14 +520,31 @@ func (t *Tier) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("globalfp_recalls", t.recalls.Load)
 	reg.GaugeFunc("globalfp_stale_dropped", t.staleDropped.Load)
 	reg.GaugeFunc("globalfp_down_dropped", t.downDropped.Load)
-	reg.GaugeFunc("globalfp_table_entries", func() int64 {
-		var n int64
-		for i := range t.parts {
-			p := &t.parts[i]
-			p.mu.Lock()
-			n += int64(p.tbl.Len())
-			p.mu.Unlock()
+	reg.GaugeFunc("globalfp_table_entries", sum(func(p *partition) int64 { return int64(p.tbl.Len()) }))
+	reg.GaugeFunc("globalfp_hints_installed", sum(func(p *partition) int64 { return p.hints.installs }))
+	reg.GaugeFunc("globalfp_hint_hits", sum(func(p *partition) int64 { return p.hints.hits }))
+	reg.GaugeFunc("globalfp_hint_overwrites", sum(func(p *partition) int64 { return p.hints.overwrites }))
+	reg.GaugeFunc("globalfp_hint_table_bytes", sum(func(p *partition) int64 { return p.hints.bytes() }))
+}
+
+// CheckHints audits the hint table against the shards it names: every
+// binding's canonical lives on a live shard, holds the hinted pin there
+// and holds the bound fingerprint's content. Nothing may run meanwhile
+// (the serving layer holds every shard lock).
+func (t *Tier) CheckHints() error {
+	for pi := range t.parts {
+		for _, s := range t.parts[pi].hints.slots {
+			if s.canon == 0 {
+				continue
+			}
+			owner, local := alloc.RemoteParts(s.canon)
+			a, down := t.agents[owner], t.down[owner].Load()
+			id, live := a.b.Store.Read(local)
+			if held := live && id.Fingerprint() == s.fp; down || !a.hintedTest(local) || !held {
+				return fmt.Errorf("globalfp: hint %x names block %d of shard %d (down %v, hinted pin %v, holds the content %v)",
+					s.fp[:4], local, owner, down, a.hintedTest(local), held)
+			}
 		}
-		return n
-	})
+	}
+	return nil
 }

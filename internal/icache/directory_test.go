@@ -617,7 +617,7 @@ func runDirectoryOps(mode int, data []byte) error {
 			m.insert(stream, f, pba)
 		case op < 21:
 			what = fmt.Sprintf("peek(fp %d)", a%96)
-			ge, gok := c.IndexPeek(f)
+			ge, gok := indexPeek(c, f)
 			we, wok := m.peek(f)
 			if ge != we || gok != wok {
 				return fmt.Errorf("op %d %s = %+v, %v, want %+v, %v", n, what, ge, gok, we, wok)
@@ -871,7 +871,7 @@ func TestReadmissionLeavesGhostBeforeStreamsRedivide(t *testing.T) {
 	if g := ghostOrder(c); g[len(g)-1].fp != fp(255) {
 		t.Fatalf("oldest ghost is %v, want id 255 (%v)", g[len(g)-1].fp, fp(255))
 	}
-	if e, ok := c.IndexPeek(fp(400)); !ok || e.PBA != 5000 {
+	if e, ok := indexPeek(c, fp(400)); !ok || e.PBA != 5000 {
 		t.Fatalf("re-admitted entry = %+v, %v", e, ok)
 	}
 	qs := quotas(c)
@@ -894,7 +894,7 @@ func TestZeroQuotaStreamConsumesGhostEntry(t *testing.T) {
 	if ghostLen(c) != 0 {
 		t.Fatal("the zero-quota stream's write left the ghost entry behind")
 	}
-	if _, ok := c.IndexPeek(fp(0)); ok {
+	if _, ok := indexPeek(c, fp(0)); ok {
 		t.Fatal("zero-quota stream cached an entry")
 	}
 	c.IndexLookupS(1, fp(0))
@@ -1236,27 +1236,6 @@ func BenchmarkReadPath(b *testing.B) {
 	}
 	n := b.N
 	failOnAllocs(b, "read hit + insert + free", func() { step(n); n++ })
-}
-
-// BenchmarkIndexPeekMiss is the global tier's grant path on a shard
-// that does not hold the fingerprint: an IndexPeek that misses against
-// a full adaptive controller, index and ghost both at capacity.
-func BenchmarkIndexPeekMiss(b *testing.B) {
-	c := New(benchParams())
-	fillIndex(c, 0, 0, 1<<16)
-	absent := benchFPs(1 << 18)[1<<16:]
-	peek := func(i int) {
-		if _, ok := c.IndexPeek(absent[i%len(absent)]); ok {
-			b.Fatal("peek hit an absent fingerprint")
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		peek(i)
-	}
-	n := b.N
-	failOnAllocs(b, "peek miss", func() { peek(n); n++ })
 }
 
 // BenchmarkLookupRequest is a 16-chunk write request's index probes, as

@@ -201,17 +201,6 @@ func (c *Controller) IndexLookupS(stream uint32, fp chunk.Fingerprint) (Entry, b
 	return c.dir.entry(i), true
 }
 
-// IndexPeek reads the index without touching recency, hit statistics,
-// or the ghost — the global fingerprint tier uses it to find a shard's
-// local copy of a fingerprint before a granted hint overwrites the
-// binding.
-func (c *Controller) IndexPeek(fp chunk.Fingerprint) (Entry, bool) {
-	if i := c.dir.find(fp); i != 0 && c.dir.at(i).list != ghostList {
-		return c.dir.entry(i), true
-	}
-	return Entry{}, false
-}
-
 // Warm prepares lookups of fps, a batch already in hand: it loads,
 // changing nothing — not recency, not a counter —, the directory words
 // each lookup or peek will read first, so that their cache misses

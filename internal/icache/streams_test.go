@@ -82,7 +82,7 @@ func TestStreamZeroQuotaDropsInserts(t *testing.T) {
 	if _, ok := c.IndexLookupS(2, fp(1)); ok {
 		t.Fatal("zero-quota stream cached an entry")
 	}
-	if _, ok := c.IndexPeek(fp(1)); ok {
+	if _, ok := indexPeek(c, fp(1)); ok {
 		t.Fatal("zero-quota insert leaked into the directory")
 	}
 	checkAll(t, c)
@@ -128,7 +128,7 @@ func TestStreamOwnershipSticksToFirstInserter(t *testing.T) {
 	c.IndexInsertS(1, fp(5), alloc.PBA(10))
 	// a remap from another stream updates in place, ownership unmoved
 	c.IndexInsertS(2, fp(5), alloc.PBA(20))
-	e, ok := c.IndexPeek(fp(5))
+	e, ok := indexPeek(c, fp(5))
 	if !ok || e.PBA != 20 {
 		t.Fatalf("remap not applied: %+v, %v", e, ok)
 	}
@@ -153,7 +153,7 @@ func TestStreamPurgePBA(t *testing.T) {
 	if c.ReadHit(alloc.PBA(11)) || !c.ReadHit(alloc.PBA(22)) {
 		t.Fatal("purge missed block 11's read slot or dropped block 22's")
 	}
-	if _, ok := c.IndexPeek(fp(1)); !ok {
+	if _, ok := indexPeek(c, fp(1)); !ok {
 		t.Fatal("purge dropped an index entry: the index leaves by content")
 	}
 	c.ForgetIndex(fp(1), alloc.PBA(11))
@@ -190,7 +190,7 @@ func TestStreamGhostSwapIn(t *testing.T) {
 	}
 	found := 0
 	for i := 0; i < n; i++ {
-		if _, ok := c.IndexPeek(fp(uint64(i))); ok {
+		if _, ok := indexPeek(c, fp(uint64(i))); ok {
 			found++
 		}
 	}

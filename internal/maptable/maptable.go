@@ -470,7 +470,9 @@ func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 	}
 	if v := t.m.get(lba); v != 0 && alloc.PBA(v&pbaMask) == pba {
 		// same-location update: never let the refcount dip to zero
-		// transiently (the block is still mapped)
+		// transiently (the block is still mapped). Only a changed
+		// shared flag is journaled: the record of an unchanged mapping
+		// would replay to the table the journal already holds.
 		if wasShared := v&encShared != 0; wasShared != shared {
 			if wasShared {
 				t.shared--
@@ -481,8 +483,8 @@ func (t *Table) Set(lba uint64, pba alloc.PBA, shared bool) []alloc.PBA {
 				}
 			}
 			t.m.set(lba, encodeMapping(mapping{pba: pba, shared: shared}))
+			t.journal(lba, uint64(pba), shared)
 		}
-		t.journal(lba, uint64(pba), shared)
 		return nil
 	}
 	freed := t.dropMapping(lba)

@@ -135,6 +135,33 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnchangedSetJournalsNothing: setting an LBA to the mapping it
+// already has appends no record, a changed shared flag does, and the
+// journal still replays to the same table.
+func TestUnchangedSetJournalsNothing(t *testing.T) {
+	dev := nvram.New(4096)
+	tb := New(dev)
+	tb.Set(1, 100, false)
+	tb.Set(2, 100, true)
+	tail := tb.tail
+	tb.Set(1, 100, false)
+	tb.Set(2, 100, true)
+	if tb.tail != tail {
+		t.Fatalf("unchanged sets moved the journal tail %d → %d", tail, tb.tail)
+	}
+	tb.Set(1, 100, true)
+	if tb.tail != tail+EntryBytes {
+		t.Fatalf("a changed shared flag moved the tail %d → %d, want one record", tail, tb.tail)
+	}
+	rt, applied, err := Load(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 3 || rt.SharedEntries() != 2 || rt.RefCount(100) != 2 {
+		t.Fatalf("replayed %d records to %d shared entries, refcount %d; want 3, 2, 2", applied, rt.SharedEntries(), rt.RefCount(100))
+	}
+}
+
 func TestRecoveryAfterTornWrite(t *testing.T) {
 	dev := nvram.New(4096)
 	tb := New(dev)

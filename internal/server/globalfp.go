@@ -107,7 +107,9 @@ func (s *Server) eachLiveAgent(fn func(a *globalfp.Agent, now sim.Time) int) int
 }
 
 // CheckConsistency audits the whole server: each shard's engine-level
-// invariants, then — with the tier enabled — the cross-shard reference
+// invariants, then — with the tier enabled — the tier's hint table
+// (Tier.CheckHints: every binding names a live, hinted-pinned block
+// holding its content on a live shard) and the cross-shard reference
 // invariant: every remote mapping's canonical must be live on its
 // owner, and the owner's pin count must equal the number of
 // referencing shards plus at most one (the tier's hinted pin). Call it
@@ -132,6 +134,11 @@ func (s *Server) CheckConsistency() error {
 		}
 		if err := sh.base.CheckConsistency(); err != nil {
 			return fmt.Errorf("server: shard %d: %w", i, err)
+		}
+	}
+	if s.tier != nil {
+		if err := s.tier.CheckHints(); err != nil {
+			return fmt.Errorf("server: %w", err)
 		}
 	}
 	refs := make(map[alloc.PBA]uint64) // canonical (encoded) → referencing shards

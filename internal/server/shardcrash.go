@@ -13,10 +13,10 @@ import (
 // queue fail-replies everything with typed KindShardDown (transient)
 // errors until RecoverShard, and the tier fences the dead shard out —
 // its epoch is bumped (in-flight messages and ads from its previous
-// life are dropped on receipt), its advertisements and table entries
-// are swept, and every live shard eagerly drops its hints on (the
-// tier's part) and cached remote reads of the dead shard's canonicals,
-// so no new cross-shard references toward it can form during the outage.
+// life are dropped on receipt), its table entries and the hints on its
+// canonicals are swept, and every live shard drops its cached remote
+// reads of them, so no new cross-shard references toward it can form
+// during the outage.
 //
 // The crash lands at a batch boundary: all shard locks are taken
 // (ascending, the canonical order), so no serving round, agent tick,
@@ -41,10 +41,9 @@ func (s *Server) CrashShard(i int) error {
 	// A surviving hint naming a dead canonical is a time bomb: the
 	// rejoin re-audit frees canonicals whose references vanished, so a
 	// peer deduping against a stale hint after that could share a
-	// reused block. The tier drops them from every survivor's hint
-	// table now, while every shard is quiescent; the read caches drop
-	// their remote-keyed copies of the same blocks (the dead shard's own
-	// cache holds none: its canonicals are local to it).
+	// reused block. The tier drops them now, while every shard is
+	// quiescent; the read caches drop their remote-keyed copies of the
+	// same blocks (the dead shard's own cache holds none).
 	s.tier.CrashShard(i)
 	for _, sh := range s.shards {
 		sh.base.IC.PurgeWhere(func(pba alloc.PBA) bool {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"runtime"
@@ -12,7 +13,9 @@ import (
 )
 
 // FuzzReadText: the text parser must reject or accept arbitrary input
-// without panicking, and every accepted trace must be internally valid.
+// without panicking or allocating more than the input warrants (the
+// bound FuzzReadFIU holds), and every accepted trace must be internally
+// valid.
 func FuzzReadText(f *testing.F) {
 	f.Add("0 W 0 2 5,6\n100 R 0 2\n")
 	f.Add("# comment\n\n1 W 9 1 42\n")
@@ -21,7 +24,9 @@ func FuzzReadText(f *testing.F) {
 	f.Add("0 W 18446744073709551615 1 18446744073709551615\n")
 	f.Add("0 W 18446744073709551615 2 1,2\n") // wraps: its second chunk would be lba 0
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ReadText(strings.NewReader(input), "fuzz")
+		var tr *Trace
+		var err error
+		checkAllocBound(t, len(input), func() { tr, err = ReadText(strings.NewReader(input), "fuzz") })
 		if err != nil {
 			return
 		}
@@ -50,7 +55,8 @@ func FuzzReadText(f *testing.F) {
 
 // FuzzReadBinary: the binary decoder must handle arbitrary bytes
 // (truncation, corruption, hostile length fields) without panicking or
-// over-allocating.
+// allocating more than the input warrants (the bound FuzzReadFIU
+// holds): a record claiming 2^20 chunks and holding none is one seed.
 func FuzzReadBinary(f *testing.F) {
 	good := &Trace{Name: "seed", Requests: []Request{
 		{Time: 1, Op: Write, LBA: 2, N: 1, Content: []chunk.ContentID{7}},
@@ -90,8 +96,11 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(op2.Bytes())
+	f.Add(claimsMoreThanItHolds())
 	f.Fuzz(func(t *testing.T, input []byte) {
-		tr, err := ReadBinary(bytes.NewReader(input))
+		var tr *Trace
+		var err error
+		checkAllocBound(t, len(input), func() { tr, err = ReadBinary(bytes.NewReader(input)) })
 		if err != nil {
 			return
 		}
@@ -133,13 +142,9 @@ func FuzzReadFIU(f *testing.F) {
 			TimestampUnitUS: float64(opts>>3&3) * 500,
 			DropReads:       opts&32 != 0,
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		tr, err := ReadFIU(bytes.NewReader(input), "fuzz", opt)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*len(input)); got > limit {
-			t.Fatalf("%d input bytes made the reader allocate %d B, more than %d", len(input), got, limit)
-		}
+		var tr *Trace
+		var err error
+		checkAllocBound(t, len(input), func() { tr, err = ReadFIU(bytes.NewReader(input), "fuzz", opt) })
 		if err != nil {
 			return
 		}
@@ -151,6 +156,55 @@ func FuzzReadFIU(f *testing.F) {
 			if q.N > maxRecordChunks || opt.DropReads && q.Op == Read {
 				t.Fatalf("accepted request %d: %s of %d chunks", i, q.Op, q.N)
 			}
+		}
+	})
+}
+
+// checkAllocBound fails t when read, a reader's decode of n input bytes,
+// allocates more than the input warrants: 256 bytes per input byte past
+// a 64 KiB constant.
+func checkAllocBound(t *testing.T, n int, read func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*n); got > limit {
+		t.Fatalf("%d input bytes made the reader allocate %d B, more than %d", n, got, limit)
+	}
+}
+
+// claimsMoreThanItHolds is a binary trace named "t" of one write record
+// that claims 2^20 chunks and ends before its first content id: 38
+// bytes.
+func claimsMoreThanItHolds() []byte {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, &Trace{Name: "t", Requests: []Request{{Op: Write, N: 1, Content: []chunk.ContentID{7}}}}); err != nil {
+		panic(err)
+	}
+	b := buf.Bytes()
+	b = b[:len(b)-12] // the record's n and its one id
+	return binary.LittleEndian.AppendUint32(b, 1<<20)
+}
+
+// TestReadersAllocateWhatTheInputWarrants runs the readers' fuzz bound
+// on the inputs that broke it: a binary record claiming 2^20 chunks
+// (8 MiB reserved up front) and a ten-byte text trace (a 1 MiB line
+// buffer).
+func TestReadersAllocateWhatTheInputWarrants(t *testing.T) {
+	claim := claimsMoreThanItHolds()
+	if len(claim) != 38 {
+		t.Fatalf("the claiming record is %d bytes, want 38", len(claim))
+	}
+	checkAllocBound(t, len(claim), func() {
+		if _, err := ReadBinary(bytes.NewReader(claim)); err == nil {
+			t.Error("a record short of its content ids decoded")
+		}
+	})
+	const text = "0 W 0 1 5\n"
+	checkAllocBound(t, len(text), func() {
+		if _, err := ReadText(strings.NewReader(text), "ten"); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -188,7 +188,7 @@ func WriteText(w io.Writer, t *Trace) error {
 func ReadText(r io.Reader, name string) (*Trace, error) {
 	t := &Trace{Name: name}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grown to the longest line
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -276,6 +276,10 @@ var binMagic = [4]byte{'P', 'O', 'D', 'T'}
 // binStreamFlag marks an op byte whose request carries a stream id.
 const binStreamFlag = 0x80
 
+// binPresize bounds what ReadBinary reserves on a count an input claims
+// (requests, a write's ids): past it, slices grow with what is read.
+const binPresize = 512
+
 // WriteBinary encodes t to w in the compact binary format.
 func WriteBinary(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
@@ -333,9 +337,12 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if nameLen > 1<<16 {
 		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
+	nameBuf, err := io.ReadAll(io.LimitReader(br, int64(nameLen)))
+	if err != nil {
 		return nil, err
+	}
+	if len(nameBuf) != int(nameLen) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	if _, err := io.ReadFull(br, u64[:]); err != nil {
 		return nil, err
@@ -345,7 +352,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: implausible request count %d", count)
 	}
 	// presized only as far as a count a few header bytes claim is cheap
-	t := &Trace{Name: string(nameBuf), Requests: make([]Request, 0, min(count, 1<<16))}
+	t := &Trace{Name: string(nameBuf), Requests: make([]Request, 0, min(count, binPresize))}
 	for i := uint64(0); i < count; i++ {
 		var req Request
 		if _, err := io.ReadFull(br, u64[:]); err != nil {
@@ -375,12 +382,12 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			req.Stream = StreamID(binary.LittleEndian.Uint32(u32[:]))
 		}
 		if req.Op == Write {
-			req.Content = make([]chunk.ContentID, req.N)
+			req.Content = make([]chunk.ContentID, 0, min(req.N, binPresize))
 			for j := 0; j < req.N; j++ {
 				if _, err := io.ReadFull(br, u64[:]); err != nil {
 					return nil, err
 				}
-				req.Content[j] = chunk.ContentID(binary.LittleEndian.Uint64(u64[:]))
+				req.Content = append(req.Content, chunk.ContentID(binary.LittleEndian.Uint64(u64[:])))
 			}
 		}
 		if err := req.Validate(); err != nil {
