@@ -207,6 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	t.AddRow("Request categories 1/2/3", fmt.Sprintf("%d / %d / %d", st.Cat1, st.Cat2, st.Cat3))
 	t.AddRow("On-disk index lookups", fmt.Sprintf("%d", st.IndexDiskIOs))
 	t.AddRow("Swap-in I/Os", fmt.Sprintf("%d", st.SwapInIOs))
+	t.AddRow("Background dedup reads", fmt.Sprintf("%d", st.BackgroundIOs))
 	t.AddRow("Physical blocks used", fmt.Sprintf("%d", res.UsedBlocks))
 	t.AddRow("Map-table NVRAM peak", fmt.Sprintf("%.2f MB", float64(st.NVRAMPeakBytes)/(1<<20)))
 	fmt.Fprintln(stdout, t)

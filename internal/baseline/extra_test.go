@@ -151,11 +151,13 @@ func TestPostProcessScanIntervalHonored(t *testing.T) {
 	}
 }
 
+// TestPostProcessChargesBackgroundIO: the background scan's disk reads
+// are counted as background reads, not as iCache swap-ins.
 func TestPostProcessChargesBackgroundIO(t *testing.T) {
 	p := NewPostProcess(cfg())
 	p.Write(wr(0, 1, 2, 3, 4, 5, 6, 7, 8))
 	p.Flush(sim.Time(5 * sim.Second))
-	if p.Stats().SwapInIOs == 0 {
+	if p.Stats().BackgroundIOs == 0 {
 		t.Fatal("background scan must charge disk reads")
 	}
 }

@@ -98,7 +98,7 @@ func (c *Core) ReadBatch(now sim.Time, pbas []alloc.PBA, maxIOs int) map[alloc.P
 			j++
 		}
 		c.b.Array.Read(now, uint64(sorted[i]), uint64(sorted[j-1]-sorted[i])+1)
-		c.b.St.SwapInIOs++ // accounted as background I/O
+		c.b.St.BackgroundIOs++
 		ios++
 		for k := i; k < j; k++ {
 			read[sorted[k]] = true
@@ -207,7 +207,7 @@ func (c *Core) FoldRemote(now sim.Time, dup alloc.PBA, fp chunk.Fingerprint, can
 	if _, err := c.b.Array.Read(now, uint64(dup), 1); err != nil {
 		return 0, 0, false
 	}
-	c.b.St.SwapInIOs++ // accounted as background I/O
+	c.b.St.BackgroundIOs++
 	c.scanned++
 	c.dupBlocks++
 

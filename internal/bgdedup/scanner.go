@@ -171,7 +171,7 @@ func (s *Scanner) step(now sim.Time, n uint64) {
 			continue
 		}
 		s.scanIOs++
-		s.b.St.SwapInIOs++ // accounted as background I/O
+		s.b.St.BackgroundIOs++
 		for _, pba := range live {
 			id, ok := s.b.Store.Read(pba)
 			if !ok {

@@ -127,6 +127,27 @@ func TestFlushReclaimsIntentionalDuplicates(t *testing.T) {
 	}
 }
 
+// TestSweepReadsAreNotSwapIns: a scanner-only run — Select-Dedupe's
+// fixed iCache swaps nothing in — reports 0 swap-in I/Os; the sweep's
+// reads and the merges' are counted as background reads.
+func TestSweepReadsAreNotSwapIns(t *testing.T) {
+	e := core.NewSelectDedupe(testConfig(1 << 14))
+	if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
+		t.Fatal("Attach refused Select-Dedupe")
+	}
+	write(t, e, 0, 0, seq(1, 8))
+	write(t, e, 1000, 100, append([]chunk.ContentID{1, 2}, seq(9, 6)...))
+	e.Flush(sim.Time(10 * sim.Second))
+
+	st, scans := e.Stats(), progress(e)["bgdedup_scan_ios"]
+	if st.SwapInIOs != 0 {
+		t.Fatalf("%d swap-in I/Os in a scanner-only run, want 0", st.SwapInIOs)
+	}
+	if scans == 0 || st.BackgroundIOs < scans {
+		t.Fatalf("%d background reads for %d sweep reads, want at least the sweep's", st.BackgroundIOs, scans)
+	}
+}
+
 // TestIdleGateDefersUnderBacklog: the scanner must not issue background
 // I/O while the array still has queued foreground work.
 func TestIdleGateDefersUnderBacklog(t *testing.T) {

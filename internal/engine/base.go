@@ -554,20 +554,21 @@ func (b *Base) Split(req *trace.Request) ([]chunk.Chunk, sim.Duration) {
 // FreeBlocks reclaims physical blocks: allocator, content model, read
 // cache, and the entries the hot index and the exact table hold for
 // them. A remote-encoded canonical that lost its last local reference
-// has nothing local to reclaim — the block lives on the owning shard —
-// so only the tier's RemoteRef down transition fires; the tier's hint
-// for it stays valid. Only a shard whose tier agent is seated maps a
-// remote-encoded block, so b.Tier is set whenever one reaches here (and
-// in SetRemoteRef and ReadMapped).
+// lives on the owning shard: the tier's RemoteRef down transition
+// fires, and only the shard's cached reads of it go — without this
+// shard's ref pin the owner may free the block. A shard that still maps
+// one keeps its cached copy, which stays valid. Only a shard whose tier
+// agent is seated maps a remote-encoded block, so b.Tier is set
+// whenever one reaches here (and in SetRemoteRef and ReadMapped).
 func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 	for _, pba := range pbas {
+		b.IC.PurgePBA(pba)
 		if alloc.IsRemote(pba) {
 			b.Tier.RemoteRef(pba, false)
 			continue
 		}
 		b.Alloc.Free(pba, 1)
 		b.Store.Free(pba)
-		b.IC.PurgePBA(pba)
 		// Neither the hot index nor the exact table keeps a block →
 		// fingerprint map: an entry is only ever made for a live block
 		// under the fingerprint of what it holds, and a dedup engine

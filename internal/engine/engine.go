@@ -75,7 +75,8 @@ type Stats struct {
 	ReadAmplifiedReqs      int64 // read requests needing more I/Os than a contiguous layout would
 
 	// background
-	SwapInIOs int64 // iCache swap-in disk reads
+	SwapInIOs     int64 // iCache swap-in disk reads
+	BackgroundIOs int64 // background-dedup disk reads: sweeps, merge batches, fold revalidations
 
 	// fault outcomes (requests that returned an error to the caller;
 	// successful in-array recoveries are counted by the RAID layer)
@@ -121,6 +122,7 @@ func (s *Stats) Merge(o *Stats) {
 	s.ReadIOs += o.ReadIOs
 	s.ReadAmplifiedReqs += o.ReadAmplifiedReqs
 	s.SwapInIOs += o.SwapInIOs
+	s.BackgroundIOs += o.BackgroundIOs
 	s.WriteErrors += o.WriteErrors
 	s.ReadErrors += o.ReadErrors
 	s.NVRAMPeakBytes += o.NVRAMPeakBytes

@@ -1,6 +1,8 @@
 package globalfp
 
 import (
+	"math/bits"
+
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -34,14 +36,6 @@ type foldReq struct {
 	canon alloc.PBA
 }
 
-// recallState tracks one in-flight revoke round: the bitmask of peers
-// whose acks are still outstanding, and the tier's crash count when the
-// round started — a crash notice numbered above it covers the round.
-type recallState struct {
-	waiting uint64
-	since   uint32
-}
-
 // Agent is a shard's endpoint of the global fingerprint tier: an
 // engine.BackgroundTask wrapping the shard's bgdedup scanner (the tier
 // requires background dedup — candidates apply through its revalidated
@@ -50,7 +44,8 @@ type recallState struct {
 // drains the shard's control inbox every tick (never idle-gated: hints
 // must land under load), installing a hint for every canonical of its
 // own it pins, applies budgeted remap folds in idle windows, and runs
-// the owner-side pin/parole/recall protocol.
+// the owner-side pin/parole/recall protocol: recalled pins queue for a
+// barrier round, at most one open at a time, that each live peer acks.
 //
 // All agent state is guarded by the shard lock: every entry point —
 // Tick/Flush and the engine.Tier calls via the engine,
@@ -65,14 +60,23 @@ type Agent struct {
 	inner *bgdedup.Scanner
 	core  *bgdedup.Core
 
-	foldQ     []foldReq
-	nextFold  sim.Time
-	paroleQ   []alloc.PBA
-	recalling map[alloc.PBA]recallState // local canonical → revoke round
-	hinted    []uint64                  // bitset: local blocks holding the hinted pin
-	msgBuf    []message                 // inbox drain scratch
-	pub       pubScratch                // publish's grouping scratch
-	freeBuf   [1]alloc.PBA
+	foldQ    []foldReq
+	nextFold sim.Time
+	paroleQ  []alloc.PBA
+	hinted   []uint64   // bitset: local blocks holding the hinted pin
+	msgBuf   []message  // inbox drain scratch
+	pub      pubScratch // publish's grouping scratch
+	freeBuf  [1]alloc.PBA
+
+	// The recall rounds. recallQ holds the pins recalled since the open
+	// round opened; round holds the pins that round releases (empty:
+	// no round is open); waiting is the peers whose ack it still needs,
+	// and since the tier's crash count when it opened — a crash notice
+	// numbered above it stands in for the dead peer's ack.
+	recallQ []alloc.PBA
+	round   []alloc.PBA
+	waiting uint64
+	since   uint32
 
 	// out[s] is the run of messages toward shard s staged by the
 	// drainMsgs call in progress (staging); empty whenever none is.
@@ -86,10 +90,12 @@ type Agent struct {
 	pinRejects     int64
 	refPins        int64
 	refUnpins      int64
-	recallsSent    int64
-	recallsDone    int64
-	implicitGrants int64
+	recallsSent    int64 // pins recalled
+	recallsDone    int64 // recalled pins released
+	rounds         int64
+	implicitGrants int64 // rounds a crash notice acked for a dead peer
 	staleDropped   int64
+	handled        [msgKinds]int64 // messages drained, by kind
 }
 
 // New builds the agent on a shard engine's substrate, interposes it as
@@ -102,11 +108,10 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	inner := b.Background.(*bgdedup.Scanner)
 	a := &Agent{
 		b: b, t: t, shard: shard,
-		inner:     inner,
-		core:      inner.Core(),
-		recalling: make(map[alloc.PBA]recallState),
-		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
-		out:       make([][]message, t.shards),
+		inner:  inner,
+		core:   inner.Core(),
+		hinted: make([]uint64, (b.DataBlocks()+63)/64),
+		out:    make([][]message, t.shards),
 	}
 	b.Background = a
 	b.SetTier(a)
@@ -123,7 +128,11 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	b.Reg.GaugeFunc("globalfp_ref_unpins", func() int64 { return a.refUnpins })
 	b.Reg.GaugeFunc("globalfp_recalls_sent", func() int64 { return a.recallsSent })
 	b.Reg.GaugeFunc("globalfp_recalls_done", func() int64 { return a.recallsDone })
+	b.Reg.GaugeFunc("globalfp_recall_rounds", func() int64 { return a.rounds })
 	b.Reg.GaugeFunc("globalfp_recall_implicit_grants", func() int64 { return a.implicitGrants })
+	for k := range a.handled {
+		b.Reg.GaugeFunc("globalfp_msgs_"+msgNames[k], func() int64 { return a.handled[k] })
+	}
 	b.Reg.GaugeFunc("globalfp_fold_backlog", func() int64 { return int64(len(a.foldQ)) })
 	return a
 }
@@ -198,18 +207,17 @@ func (a *Agent) Flush(now sim.Time) {
 }
 
 // RecoverReset implements engine.BackgroundTask: all agent state is
-// volatile DRAM bookkeeping — queued folds, paroles, in-flight recalls,
-// and the hinted bitset die with the crash. Post-recovery pins are
-// rebuilt by the serving layer as ref pins only; the hinted pins are
-// simply gone, and so are the hint bindings naming them, which the tier
-// drops while every shard lock is held (Tier.CrashShard before a
-// shard's recovery, Tier.Reset right after a whole node's).
+// volatile DRAM bookkeeping — queued folds, paroles, queued recalls,
+// the open round and the hinted bitset die with the crash.
+// Post-recovery pins are rebuilt by the serving layer as ref pins only;
+// the hinted pins are simply gone, and so are the hint bindings naming
+// them, which the tier drops while every shard lock is held
+// (Tier.CrashShard before a shard's recovery, Tier.Reset right after a
+// whole node's).
 func (a *Agent) RecoverReset() {
 	a.foldQ = a.foldQ[:0]
 	a.paroleQ = a.paroleQ[:0]
-	for k := range a.recalling {
-		delete(a.recalling, k)
-	}
+	a.recallQ, a.round, a.waiting = a.recallQ[:0], a.round[:0], 0
 	a.hinted = make([]uint64, (a.b.DataBlocks()+63)/64)
 	a.inner.RecoverReset()
 }
@@ -294,15 +302,17 @@ const outboxRun = 256
 // send is the one way the agent sends: every message it originates,
 // stamped with its shard and current epoch. Outside drainMsgs the
 // message goes straight to the destination's inbox. Inside, where a
-// drain emits a grant per duplicate pin request and an ack per revoke,
+// drain emits a grant per duplicate pin request and an ack per barrier,
 // it joins the destination's staged run, delivered under one lock hold
 // when the run reaches outboxRun or the drain ends.
 //
-// Per-(sender, receiver) FIFO — grant before revoke, RefUp before
-// RevokeAck — survives because a run keeps send order, runs toward one
-// destination are delivered in the order they filled, and nothing
-// staged outlives the drainMsgs call (so the shard-lock hold) that
-// staged it: a direct send always finds the outboxes empty, and
+// Per-(sender, receiver) FIFO — a grant before the barrier of a round
+// that may free its canonical, a RefUp before the ack that lets a round
+// release the block it references — survives because a run keeps send
+// order, runs toward one destination are delivered in the order they
+// filled, and nothing staged outlives the drainMsgs call (so the
+// shard-lock hold) that staged it: a direct send always finds the
+// outboxes empty, and
 // Tier.Backlog misses nothing between lock holds. A shard cannot go
 // down while a peer holds its own shard lock (Server.CrashShard takes
 // them all), so checking the down flag once per run drops, and counts,
@@ -338,6 +348,7 @@ func (a *Agent) handle(now sim.Time, m message) {
 	// recovery verbatim. (Every transition is journaled and sent under
 	// one lock hold, so a queued ref message is always backed by a
 	// durable state change.)
+	a.handled[m.kind]++
 	if m.epoch != a.t.Epoch(m.from) && m.kind != msgRefUp && m.kind != msgRefDown {
 		a.staleDropped++
 		a.t.staleDropped.Add(1)
@@ -358,17 +369,24 @@ func (a *Agent) handle(now sim.Time, m message) {
 		if a.b.Map.Unpin(local) {
 			a.freeLocal(local)
 		}
-	case msgRevoke:
-		// The recall already deleted the hint binding; drop any cached
-		// read of the remote block, then ack. Existing remote mappings
-		// stay valid: this shard's ref pin holds the block.
-		a.b.IC.PurgePBA(m.canon)
-		owner, _ := alloc.RemoteParts(m.canon)
-		a.send(owner, message{kind: msgRevokeAck, canon: m.canon})
-	case msgRevokeAck:
-		a.handleRevokeAck(m)
+	case msgBarrier:
+		// Everything this shard sent the owner before now — a RefUp
+		// formed from a binding the owner's recalls since deleted —
+		// is queued ahead of the ack.
+		a.send(m.from, message{kind: msgAck})
+	case msgAck:
+		a.waiting &^= uint64(1) << uint(m.from)
+		a.settleRound()
 	case msgPeerDown:
-		a.handlePeerDown(m)
+		// The dead peer's inbox, barrier included, was discarded, and
+		// the notice was queued behind everything it sent: it acks for
+		// the peer a round opened before the crash. A round opened
+		// after it — the peer rejoined — waits for a real ack.
+		if bit := uint64(1) << uint(m.from); a.since < m.seq && a.waiting&bit != 0 {
+			a.implicitGrants++
+			a.waiting &^= bit
+			a.settleRound()
+		}
 	}
 }
 
@@ -396,70 +414,16 @@ func (a *Agent) handlePinReq(m message) {
 
 // validCanonical checks that the local block still is what the
 // advertisement claimed: live, holding content with the advertised
-// fingerprint, still referenced (or already pinned), and not mid-recall.
+// fingerprint, and referenced or already hinted. A block that is
+// neither — recalled and unreferenced, whatever pins still hold it —
+// would never be paroled again, so the hinted pin would keep it for
+// good.
 func (a *Agent) validCanonical(local alloc.PBA, fp chunk.Fingerprint) bool {
 	id, ok := a.b.Store.Read(local)
-	if !ok {
+	if !ok || id.Fingerprint() != fp {
 		return false
 	}
-	if id.Fingerprint() != fp {
-		return false
-	}
-	if a.b.Map.RefCount(local) == 0 && !a.b.Map.Pinned(local) {
-		return false
-	}
-	if _, mid := a.recalling[local]; mid {
-		return false
-	}
-	return true
-}
-
-// handleRevokeAck clears the sender's bit in a revoke round; the last
-// ack releases the hinted pin. A RefUp that raced the recall has already
-// been processed — same-sender FIFO — so its pin survives the release.
-// Bit-clearing (rather than a countdown) makes a duplicate ack harmless.
-func (a *Agent) handleRevokeAck(m message) {
-	_, local := alloc.RemoteParts(m.canon)
-	if st, ok := a.recalling[local]; ok {
-		st.waiting &^= uint64(1) << uint(m.from)
-		a.settleRecall(local, st)
-	}
-}
-
-// handlePeerDown takes a crash notice as the dead peer's ack (an
-// implicit grant) in every round started before the crash: its inbox,
-// revoke included, was discarded, and it holds no hint. The notice was
-// queued behind everything the peer sent, so a RefUp it sent before
-// dying has already pinned the block the round may now release. A round
-// started after the crash — the peer rejoined and was revoked again —
-// waits for a real ack.
-func (a *Agent) handlePeerDown(m message) {
-	bit := uint64(1) << uint(m.from)
-	for local, st := range a.recalling {
-		if st.since < m.seq && st.waiting&bit != 0 {
-			a.implicitGrants++
-			st.waiting &^= bit
-			a.settleRecall(local, st)
-		}
-	}
-}
-
-// settleRecall stores a revoke round while acks are outstanding and
-// completes it once none is: the hinted pin is released, freeing the
-// block unless ref pins (or a revived local reference) still hold it.
-func (a *Agent) settleRecall(local alloc.PBA, st recallState) {
-	if st.waiting != 0 {
-		a.recalling[local] = st
-		return
-	}
-	delete(a.recalling, local)
-	a.recallsDone++
-	if a.hintedTest(local) {
-		a.hintedClear(local)
-		if a.b.Map.Unpin(local) {
-			a.freeLocal(local)
-		}
-	}
+	return a.b.Map.RefCount(local) > 0 || a.hintedTest(local)
 }
 
 // applyFolds applies up to budget queued remap candidates (all when
@@ -489,43 +453,61 @@ func (a *Agent) applyFolds(now sim.Time, budget int) int {
 	return n
 }
 
-// processParole starts recalls for up to budget paroled canonicals (all
-// when budget < 0) and returns the queue entries consumed. Entries are
+// processParole recalls up to budget paroled canonicals (all when
+// budget < 0) and returns the queue entries consumed. Entries are
 // re-validated: a block re-referenced, already recalled, or freed since
-// parole is skipped. Each round records the tier's crash count, which
-// cannot move under it: recalls run under the shard lock and
-// Server.CrashShard holds every shard lock.
+// parole is skipped. A recall drops the block's table entry and hint
+// binding and its hinted bit, and queues its pin for the next barrier
+// round; a PinReq that finds the block referenced again meanwhile pins
+// it anew, like any other.
 func (a *Agent) processParole(budget int) int {
 	n := 0
 	for (budget < 0 || n < budget) && len(a.paroleQ) > 0 {
 		pba := a.paroleQ[len(a.paroleQ)-1]
 		a.paroleQ = a.paroleQ[:len(a.paroleQ)-1]
 		n++
-		if !a.hintedTest(pba) {
-			continue
-		}
-		if _, mid := a.recalling[pba]; mid {
-			continue
-		}
-		if a.b.Map.RefCount(pba) > 0 {
+		if !a.hintedTest(pba) || a.b.Map.RefCount(pba) > 0 {
 			continue
 		}
 		id, ok := a.b.Store.Read(pba)
 		if !ok {
 			continue
 		}
-		revoke := message{kind: msgRevoke, fp: id.Fingerprint(), canon: alloc.MakeRemote(a.shard, pba)}
-		waiting := a.t.Recall(revoke.fp, a.shard, pba)
-		for s := 0; s < a.t.shards; s++ {
-			if waiting&(uint64(1)<<uint(s)) != 0 {
-				a.send(s, revoke)
+		a.t.Recall(id.Fingerprint(), a.shard, pba)
+		a.hintedClear(pba)
+		a.recallQ = append(a.recallQ, pba)
+		a.recallsSent++
+	}
+	a.settleRound()
+	return n
+}
+
+// settleRound moves the recall rounds on as far as they go: once no ack
+// is outstanding it releases the open round's pins, freeing each block
+// no ref pin (or revived local reference) still holds, then opens the
+// next round over the pins queued meanwhile, sending each live peer a
+// barrier. A round opened with no live peer completes at once. Its
+// crash count cannot move under it: rounds open under the shard lock,
+// and Server.CrashShard holds every shard lock.
+func (a *Agent) settleRound() {
+	for a.waiting == 0 {
+		for _, pba := range a.round {
+			if a.b.Map.Unpin(pba) {
+				a.freeLocal(pba)
 			}
 		}
-		a.recallsSent++
-		// with every peer down at send time the round completes here
-		a.settleRecall(pba, recallState{waiting: waiting, since: a.t.crashSweeps.Load()})
+		a.recallsDone += int64(len(a.round))
+		a.round = a.round[:0]
+		if len(a.recallQ) == 0 {
+			return
+		}
+		a.round, a.recallQ = a.recallQ, a.round
+		a.waiting, a.since = a.t.peers(a.shard), a.t.crashSweeps.Load()
+		a.rounds++
+		for w := a.waiting; w != 0; w &= w - 1 {
+			a.send(bits.TrailingZeros64(w), message{kind: msgBarrier})
+		}
 	}
-	return n
 }
 
 func (a *Agent) freeLocal(pba alloc.PBA) {

@@ -8,11 +8,12 @@ import (
 	"github.com/pod-dedup/pod/internal/alloc"
 )
 
-// TestRecallRacingCrashReleasesPinOnNotice: shard 0 recalls a paroled
-// canonical while shard 2 holds an unacked revoke in its inbox; shard 2
-// then crashes. The recall must not wait forever on the dead peer: the
-// crash notice queued at shard 0 stands in for its ack, and once shard 0
-// drains it the hinted pin (and the block) is finally freed.
+// TestRecallRacingCrashReleasesPinOnNotice: shard 0 recalls four
+// paroled canonicals in one round while shard 2 holds the unacked
+// barrier in its inbox; shard 2 then crashes. The round must not wait
+// forever on the dead peer: the crash notice queued at shard 0 stands
+// in for its ack, and once shard 0 drains it the hinted pins (and the
+// blocks) are finally freed.
 func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 	c := newCluster(t, 3)
 	ids := seq(1300, 4)
@@ -28,9 +29,9 @@ func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 	c.settle(5000)
 	write(t, c.engs[0], 6000, 0, seq(1500, 4))
 
-	// Drain only the owner: the recalls start (revokes queued at shards
+	// Drain only the owner: the round opens (barriers queued at shards
 	// 1 and 2) but no ack has been processed yet. Then shard 1 acks;
-	// shard 2's revoke stays in its inbox.
+	// shard 2's barrier stays in its inbox.
 	c.agents[0].DrainAll(7000)
 	c.agents[1].DrainAll(7000)
 	c.agents[0].DrainAll(7000)
@@ -40,8 +41,8 @@ func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 		}
 	}
 
-	// Shard 2 dies with the revokes unacked. Until shard 0 drains the
-	// crash notice the rounds stay open; the notice is an implicit grant.
+	// Shard 2 dies with the barrier unacked. Until shard 0 drains the
+	// crash notice the round stays open; the notice is an implicit grant.
 	c.tier.CrashShard(2)
 	st := c.engs[0].Metrics().Snapshot().Gauges
 	if st["globalfp_recalls_done"] != 0 {
@@ -53,8 +54,8 @@ func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 	if st["globalfp_recalls_sent"] != 4 || st["globalfp_recalls_done"] != 4 {
 		t.Fatalf("recalls sent %d done %d, want 4/4", st["globalfp_recalls_sent"], st["globalfp_recalls_done"])
 	}
-	if st["globalfp_recall_implicit_grants"] != 4 {
-		t.Fatalf("implicit grants = %d, want 4", st["globalfp_recall_implicit_grants"])
+	if st["globalfp_recall_rounds"] != 1 || st["globalfp_recall_implicit_grants"] != 1 {
+		t.Fatalf("%d rounds, %d implicit grants, want the one round acked by the notice", st["globalfp_recall_rounds"], st["globalfp_recall_implicit_grants"])
 	}
 	for pba := alloc.PBA(0); pba < 4; pba++ {
 		if pins := c.engs[0].Base().Map.PinCount(pba); pins != 0 {

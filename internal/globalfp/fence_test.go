@@ -17,14 +17,17 @@ import (
 	"github.com/pod-dedup/pod/internal/sim"
 )
 
-func fenceConfig() engine.Config {
+// fenceConfig is a shard of memBytes of cache memory — its hot index,
+// and so its hint table, are sized from it — over four disks of
+// diskBlocks blocks each.
+func fenceConfig(memBytes int64, diskBlocks uint64) engine.Config {
 	disks := make([]*disk.Disk, 4)
 	for i := range disks {
-		disks[i] = disk.New(disk.DefaultParams(1 << 14))
+		disks[i] = disk.New(disk.DefaultParams(diskBlocks))
 	}
 	return engine.Config{
 		Array:       raid.New(raid.RAID5, disks, 16),
-		MemoryBytes: 256 * 1024,
+		MemoryBytes: memBytes,
 		Verify:      true,
 		NVRAMBytes:  1 << 22,
 	}
@@ -34,12 +37,13 @@ func fenceConfig() engine.Config {
 // agents' internals.
 func fenceCluster(t testing.TB, n int) (*Tier, []*Agent) {
 	t.Helper()
-	return memCluster(t, n, fenceConfig().MemoryBytes)
+	return memCluster(t, n, 256*1024, 1<<14)
 }
 
-// memCluster is fenceCluster with memBytes of cache memory a shard:
-// its hot index, and so its hint table, are sized from it.
-func memCluster(t testing.TB, n int, memBytes int64) (*Tier, []*Agent) {
+// memCluster is fenceCluster over shards of fenceConfig(memBytes,
+// diskBlocks). The engines' content pages go back to their pool when
+// the test ends.
+func memCluster(t testing.TB, n int, memBytes int64, diskBlocks uint64) (*Tier, []*Agent) {
 	t.Helper()
 	tier, err := NewTier(n, Params{})
 	if err != nil {
@@ -47,13 +51,12 @@ func memCluster(t testing.TB, n int, memBytes int64) (*Tier, []*Agent) {
 	}
 	agents := make([]*Agent, n)
 	for i := 0; i < n; i++ {
-		cfg := fenceConfig()
-		cfg.MemoryBytes = memBytes
-		e := core.NewSelectDedupe(cfg)
+		e := core.NewSelectDedupe(fenceConfig(memBytes, diskBlocks))
 		if _, ok := bgdedup.Attach(e, bgdedup.Params{}); !ok {
 			t.Fatal("bgdedup.Attach refused Select-Dedupe")
 		}
 		agents[i] = New(e.Base(), tier, i)
+		t.Cleanup(e.Release)
 	}
 	return tier, agents
 }
@@ -138,9 +141,9 @@ func TestStaleEpochAdvertisementFenced(t *testing.T) {
 	}
 }
 
-// TestRecallCompletesWhenEveryPeerIsDown: a recall started while all
+// TestRecallCompletesWhenEveryPeerIsDown: a round opened while all
 // peers are crashed has no acks to wait for and must complete (and
-// release the hinted pin) immediately instead of leaking the round.
+// release the hinted pin) as it opens instead of staying open.
 func TestRecallCompletesWhenEveryPeerIsDown(t *testing.T) {
 	tier, agents := fenceCluster(t, 2)
 	a, b := agents[0], agents[0].b
@@ -149,11 +152,11 @@ func TestRecallCompletesWhenEveryPeerIsDown(t *testing.T) {
 	tier.CrashShard(1)
 	a.DrainAll(0)
 
-	if len(a.recalling) != 0 {
-		t.Fatalf("%d recall rounds leaked", len(a.recalling))
+	if len(a.round) != 0 || len(a.recallQ) != 0 || a.waiting != 0 {
+		t.Fatalf("round left open: %d pins, %d queued, waiting on %b", len(a.round), len(a.recallQ), a.waiting)
 	}
-	if a.recallsSent != 1 || a.recallsDone != 1 {
-		t.Fatalf("recalls sent %d done %d, want 1/1", a.recallsSent, a.recallsDone)
+	if a.recallsSent != 1 || a.recallsDone != 1 || a.rounds != 1 {
+		t.Fatalf("recalls sent %d done %d in %d rounds, want 1/1 in 1", a.recallsSent, a.recallsDone, a.rounds)
 	}
 	if pins := b.Map.PinCount(pba); pins != 0 {
 		t.Fatalf("hinted pin not released (%d pins)", pins)
@@ -173,11 +176,11 @@ func TestCrashNoticeQueuesBehindDeadPeersRefUp(t *testing.T) {
 	pba := paroled(t, a, 31337)
 	canon := alloc.MakeRemote(0, pba)
 
-	a.processParole(-1)   // revokes toward shards 1 and 2
+	a.processParole(-1)   // barriers toward shards 1 and 2
 	agents[2].DrainAll(0) // shard 2 acks
 	for k := 0; k < 300; k++ {
-		// harmless backlog: acks for a block under no recall
-		agents[2].send(0, message{kind: msgRevokeAck, canon: alloc.MakeRemote(0, 999)})
+		// harmless backlog: acks from a shard the round has heard from
+		agents[2].send(0, message{kind: msgAck})
 	}
 	agents[1].RemoteRef(canon, true)
 	tier.CrashShard(1)
@@ -189,15 +192,15 @@ func TestCrashNoticeQueuesBehindDeadPeersRefUp(t *testing.T) {
 	if pins := a.b.Map.PinCount(pba); !live || pins != 1 {
 		t.Fatalf("canonical live=%v pins=%d implicitGrants=%d, want live on shard 1's ref pin alone", live, pins, a.implicitGrants)
 	}
-	if a.recallsDone != 1 || a.implicitGrants != 1 {
-		t.Fatalf("recalls done %d, implicit grants %d, want 1 and 1", a.recallsDone, a.implicitGrants)
+	if a.recallsDone != 1 || a.rounds != 1 || a.implicitGrants != 1 {
+		t.Fatalf("recalls done %d, rounds %d, implicit grants %d, want 1, 1 and 1", a.recallsDone, a.rounds, a.implicitGrants)
 	}
 }
 
 // TestCrashNoticeSparesLaterRound: shard 1 crashes and rejoins, and
-// shard 0 revokes a canonical from it before draining that crash's
-// notice. The notice covers only rounds started before the crash: the
-// new round waits for shard 1's real ack.
+// shard 0 opens a round before draining that crash's notice. The notice
+// covers only a round opened before the crash: the new round waits for
+// shard 1's real ack.
 func TestCrashNoticeSparesLaterRound(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	a := agents[0]
@@ -205,18 +208,55 @@ func TestCrashNoticeSparesLaterRound(t *testing.T) {
 
 	tier.CrashShard(1)
 	tier.RecoverShard(1)
-	a.processParole(-1) // revokes toward shards 1 and 2
+	a.processParole(-1) // barriers toward shards 1 and 2
 	if n := a.drainMsgs(0, 16); n != 1 {
 		t.Fatalf("drained %d messages, want the crash notice", n)
 	}
-	if st := a.recalling[pba]; st.waiting != 1<<1|1<<2 || a.implicitGrants != 0 {
-		t.Fatalf("round waits on %b after the old notice (%d implicit grants), want shards 1 and 2", st.waiting, a.implicitGrants)
+	if a.waiting != 1<<1|1<<2 || a.implicitGrants != 0 {
+		t.Fatalf("round waits on %b after the old notice (%d implicit grants), want shards 1 and 2", a.waiting, a.implicitGrants)
 	}
 
 	agents[1].DrainAll(0)
 	agents[2].DrainAll(0)
 	a.DrainAll(0)
-	if _, live := a.b.Store.Read(pba); live || len(a.recalling) != 0 {
-		t.Fatalf("round not completed by the real acks (live=%v, %d rounds open)", live, len(a.recalling))
+	if _, live := a.b.Store.Read(pba); live || len(a.round) != 0 || a.recallsDone != 1 {
+		t.Fatalf("round not completed by the real acks (live=%v, %d pins in the round, %d released)", live, len(a.round), a.recallsDone)
+	}
+}
+
+// TestRecallWaitsForInFlightReference is the race a recall round exists
+// for: peer 1 probes the binding of a paroled canonical, the owner
+// starts the recall (the binding goes), and only then does peer 1's
+// RefUp for the reference it formed from the probe leave. The owner
+// must hold the block until peer 1's ack is drained — the ack is
+// queued behind that RefUp — so the block survives on the ref pin.
+// Releasing a recalled pin any earlier than the ack (when the round
+// opens, say) frees the block peer 1 now maps.
+func TestRecallWaitsForInFlightReference(t *testing.T) {
+	tier, agents := fenceCluster(t, 3)
+	a := agents[0]
+	pba := paroled(t, a, 31337)
+	fp, canon := chunk.ContentID(31337).Fingerprint(), alloc.MakeRemote(0, pba)
+	tier.install(fp, canon)
+
+	w := &engine.WriteOp{Chunks: []chunk.Chunk{{FP: fp}}, Dup: make([]bool, 1), Target: make([]alloc.PBA, 1)}
+	agents[1].Hint(w)
+	if !w.Dup[0] || w.Target[0] != canon {
+		t.Fatalf("peer's probe = %#x,%v, want the canonical", w.Target[0], w.Dup[0])
+	}
+	a.processParole(-1)
+	agents[2].DrainAll(0)
+	agents[1].RemoteRef(w.Target[0], true)
+
+	a.DrainAll(0) // shard 2's ack and shard 1's RefUp; shard 1 has not acked
+	if _, live := a.b.Store.Read(pba); !live || a.b.Map.PinCount(pba) != 2 || a.recallsDone != 0 {
+		t.Fatalf("before shard 1's ack: live=%v pins=%d recalls done %d, want live on the recalled and the ref pin, none done",
+			live, a.b.Map.PinCount(pba), a.recallsDone)
+	}
+	agents[1].DrainAll(0)
+	a.DrainAll(0)
+	if _, live := a.b.Store.Read(pba); !live || a.b.Map.PinCount(pba) != 1 || a.recallsDone != 1 {
+		t.Fatalf("after every ack: live=%v pins=%d recalls done %d, want live on shard 1's ref pin alone, 1 done",
+			live, a.b.Map.PinCount(pba), a.recallsDone)
 	}
 }

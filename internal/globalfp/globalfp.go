@@ -22,9 +22,13 @@
 // issued after the owner's "hinted" pin; each shard's 0↔1 reference
 // transitions become ref pins (RefUp/RefDown); a canonical whose local
 // references vanished is recalled — its table entry and hint dropped,
-// a revoke sent to every live peer, the hinted pin released on the last
-// ack. Delivery is one FIFO per receiving shard, and every send of an
-// Agent goes through Agent.send, so per-(sender, receiver) order holds.
+// its hinted pin queued — and an owner keeps at most one barrier round
+// open: a payload-free barrier to every live peer, whose ack follows
+// every RefUp the peer sent before it, and on the last ack the round
+// releases every pin queued before it opened. Delivery is one FIFO per
+// receiving shard, and every send of an Agent goes through Agent.send,
+// so per-(sender, receiver) order holds. A peer drops its cached reads
+// of a remote block with its last reference to it (Base.FreeBlocks).
 // Shards are failure domains: epochs fence a crashed shard's old
 // messages, a crash notice stands in for its acks, and a crash drops
 // only its own state and the hints naming its canonicals. The tier is
@@ -56,7 +60,7 @@ const (
 	// for free after the serving window anyway.
 	foldsPerTick = 4
 	// msgsPerTick bounds the control messages (grants, pin traffic,
-	// revokes) a shard agent processes per engine tick. Control work
+	// barriers) a shard agent processes per engine tick. Control work
 	// is pure bookkeeping — no disk I/O — so it is never idle-gated:
 	// hints must land while the system is busy or the inline recovery
 	// never happens.
@@ -84,20 +88,24 @@ const (
 	// msgRefDown: beneficiary → owner. Last local mapping vanished;
 	// drop the ref pin.
 	msgRefDown
-	// msgRevoke: owner → every other live shard. The owner is
-	// recalling the canonical (its hint is gone); purge cached reads
-	// of it and ack.
-	msgRevoke
-	// msgRevokeAck: shard → owner. Revoke processed.
-	msgRevokeAck
+	// msgBarrier: owner → every other live shard. The owner opened a
+	// recall round (the recalled blocks' bindings are gone); ack.
+	msgBarrier
+	// msgAck: shard → owner. Everything sent before it, RefUps
+	// included, is queued ahead of it.
+	msgAck
 	// msgPeerDown: tier → every other live shard, from CrashShard.
-	// Shard from crashed as crash number seq; recall rounds started
-	// before that stop waiting for its ack.
+	// Shard from crashed as crash number seq; a recall round opened
+	// before that stops waiting for its ack.
 	msgPeerDown
+	msgKinds
 )
 
+// msgNames names each kind in the agents' per-kind message gauges.
+var msgNames = [msgKinds]string{"pinreq", "grant", "refup", "refdown", "barrier", "ack", "peerdown"}
+
 // message is one entry in a shard's control inbox. Grants, pin
-// traffic, revokes, acks, and crash notices ride reliable (unbounded)
+// traffic, barriers, acks, and crash notices ride reliable (unbounded)
 // queues: none can be dropped without leaking pins. Every message
 // carries its sender's shard and epoch; receivers drop messages whose
 // epoch is no longer the sender's current one (fencing). Tier-origin

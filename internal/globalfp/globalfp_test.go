@@ -368,6 +368,40 @@ func TestRemoteReadResolvesThroughMapping(t *testing.T) {
 	}
 }
 
+// TestPeerDropsCachedReadWithLastReference: a peer that drops its last
+// reference to a remote block drops its cached read of it too — its ref
+// pin goes with the reference, so the owner may free and reuse the
+// block — while a remote block the peer still maps stays cached.
+func TestPeerDropsCachedReadWithLastReference(t *testing.T) {
+	c := newCluster(t, 2)
+	ids := seq(800, 8)
+	write(t, c.engs[0], 0, 0, ids)
+	c.settle(1000)
+	write(t, c.engs[1], 2000, 0, ids)
+	c.settle(3000)
+	if _, err := c.engs[1].Read(&trace.Request{Time: 4000, Op: trace.Read, LBA: 0, N: 8}); err != nil {
+		t.Fatal(err)
+	}
+	b1 := c.engs[1].Base()
+	canons := make([]alloc.PBA, 8)
+	for i := range canons {
+		enc, ok := b1.ResolveRemote(uint64(i))
+		if !ok {
+			t.Fatalf("lba %d is not a remote mapping", i)
+		}
+		canons[i] = enc
+	}
+
+	write(t, c.engs[1], 5000, 0, seq(900, 4)) // LBAs 0-3 drop their references
+	for i, enc := range canons {
+		if cached, want := b1.IC.ReadHit(enc), i >= 4; cached != want {
+			t.Fatalf("lba %d's canonical %#x cached %v after the overwrite, want %v", i, enc, cached, want)
+		}
+	}
+	c.settle(6000)
+	c.check(t)
+}
+
 // TestHintsNeverEnterICache: the iCache holds the shard's own
 // fingerprints and nothing a peer wrote. Two shards with adaptive caches
 // run the same disjoint-content workload with and without the tier — a

@@ -34,12 +34,13 @@ type hintSlot struct {
 // could not perform anyway (the block is a peer's): the owner installs a
 // binding only after it has validated the canonical and taken the hinted
 // pin, the owner never mutates a pinned block, a recall deletes the
-// binding before the owner's revoke round can release the pin, and a
-// crashed owner's bindings are dropped while every shard is quiescent
-// (Tier.CrashShard, under every shard lock). Nothing re-installs one
-// during the outage: a down owner drains no pin requests. So TryDedupe
-// needs no owner-down check either. Losing a binding early — an
-// overwrite — costs one deduplication opportunity and nothing else.
+// binding before the owner opens the barrier round whose acks release
+// the pin, and a crashed owner's bindings are dropped while every shard
+// is quiescent (Tier.CrashShard, under every shard lock). Nothing
+// re-installs one during the outage: a down owner drains no pin
+// requests. So TryDedupe needs no owner-down check either. Losing a
+// binding early — an overwrite — costs one deduplication opportunity
+// and nothing else.
 //
 // Hints are never promoted into the iCache: the hot index and its ghost
 // hold only the shard's own blocks, so the Swap Module sees the shard's
@@ -134,8 +135,8 @@ func (h *hintTable) peek(fp chunk.Fingerprint) (alloc.PBA, bool) {
 }
 
 // remove deletes the binding fp → canon if that is still what the table
-// holds (a revoke names both: a newer grant for the same fingerprint
-// under another canonical is not the revoked one).
+// holds (a recall names both: a newer install for the same fingerprint
+// under another canonical is not the recalled one).
 func (h *hintTable) remove(fp chunk.Fingerprint, canon alloc.PBA) {
 	if b, i := h.find(&fp); i >= 0 && b[i].canon == canon {
 		copy(b[i:], b[i+1:])

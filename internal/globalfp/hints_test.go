@@ -197,12 +197,12 @@ func TestHintInstalledOnlyAfterPin(t *testing.T) {
 	}
 }
 
-// TestRecallDeletesHintBeforeRevoke: the moment an owner starts a
-// recall, its hint is gone — before any revoke is handled, so no lookup
-// forms a reference the round's acks would not cover. A recall naming
-// another canonical than the one bound (a newer install) leaves the
-// binding alone.
-func TestRecallDeletesHintBeforeRevoke(t *testing.T) {
+// TestRecallDeletesHintBeforeBarrier: the moment an owner starts a
+// recall, its hint is gone — before its round's barriers are sent, so
+// no lookup forms a reference the round's acks would not cover. A
+// recall naming another canonical than the one bound (a newer install)
+// leaves the binding alone.
+func TestRecallDeletesHintBeforeBarrier(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	a := agents[0]
 	pba := paroled(t, a, 31337)
@@ -218,7 +218,7 @@ func TestRecallDeletesHintBeforeRevoke(t *testing.T) {
 		t.Fatal("the hint survived the start of its recall")
 	}
 	if n1, n2 := tier.inbox[1].len(), tier.inbox[2].len(); n1 != 1 || n2 != 1 {
-		t.Fatalf("peers hold %d and %d messages, want one revoke each", n1, n2)
+		t.Fatalf("peers hold %d and %d messages, want one barrier each", n1, n2)
 	}
 	agents[1].DrainAll(0)
 	agents[2].DrainAll(0)
@@ -464,7 +464,7 @@ func BenchmarkHintGet(b *testing.B) {
 // through the agent — fence check, fold queued — on a shard as loaded
 // as a serving one. ns/grant is the figure to read.
 func BenchmarkAgentDrainGrants(b *testing.B) {
-	tier, agents := memCluster(b, 2, 32<<20)
+	tier, agents := memCluster(b, 2, 32<<20, 1<<14)
 	a := agents[0]
 	fps := benchFPs(1 << 16)
 	ep := tier.Epoch(1)

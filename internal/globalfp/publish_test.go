@@ -11,10 +11,10 @@ import (
 )
 
 // modelTier is the partition tables and the hint table as two Go maps,
-// landing ads one at a time in publishing order: the reference both
-// tiers of checkPublish answer to. Its hint table never evicts: no
-// bucket of checkPublish's tables holds more than four of its 40
-// fingerprints.
+// landing ads one at a time in publishing order, and each shard's recall
+// rounds: the reference both tiers of checkPublish, and the batched
+// tier's agents, answer to. Its hint table never evicts: no bucket of
+// checkPublish's tables holds more than four of its 40 fingerprints.
 type modelTier struct {
 	shards                     int
 	epoch                      []uint32
@@ -23,6 +23,28 @@ type modelTier struct {
 	bound                      map[chunk.Fingerprint]alloc.PBA
 	queued, stale, hints, dups int64
 	installs, hits, recalls    int64
+
+	owners  []modelOwner
+	crashes uint32
+	held    map[shardBlock]bool // every paroled block: is its pin still held?
+}
+
+// modelOwner is one shard's recall rounds: the pins recalled since its
+// open round opened, that round's pins (none: no round is open), the
+// peers it still owes an ack and the crash count when it opened, and
+// the round traffic queued toward the shard, in arrival order.
+type modelOwner struct {
+	queued, round                        []alloc.PBA
+	owed                                 uint64
+	since                                uint32
+	inbox                                []message
+	recalled, released, rounds, implicit int64
+	stale                                int64 // round messages dropped as stale
+}
+
+type shardBlock struct {
+	shard int
+	pba   alloc.PBA
 }
 
 func (m *modelTier) publish(shard int, epoch uint32, ads []engine.Ad) {
@@ -52,6 +74,14 @@ func (m *modelTier) publish(shard int, epoch uint32, ads []engine.Ad) {
 func (m *modelTier) crash(i int) {
 	m.epoch[i]++
 	m.down[i] = true
+	m.crashes++
+	o := &m.owners[i]
+	o.queued, o.round, o.owed, o.inbox = nil, nil, 0, nil // its pins are never released
+	for j := range m.owners {
+		if j != i && !m.down[j] {
+			m.owners[j].inbox = append(m.owners[j].inbox, message{kind: msgPeerDown, from: i, epoch: m.epoch[i], seq: m.crashes})
+		}
+	}
 	for fp, e := range m.tbl {
 		if owner, _ := alloc.RemoteParts(e.canon); owner == i {
 			delete(m.tbl, fp)
@@ -78,7 +108,7 @@ func (m *modelTier) probe(shard int, fp chunk.Fingerprint) (alloc.PBA, bool) {
 	return c, true
 }
 
-func (m *modelTier) recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
+func (m *modelTier) recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) {
 	enc := alloc.MakeRemote(shard, pba)
 	if e, ok := m.tbl[fp]; ok && e.canon == enc {
 		delete(m.tbl, fp)
@@ -87,13 +117,69 @@ func (m *modelTier) recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint6
 		delete(m.bound, fp)
 	}
 	m.recalls++
-	peers := uint64(0)
-	for s := 0; s < m.shards; s++ {
-		if s != shard && !m.down[s] {
-			peers |= 1 << uint(s)
+}
+
+// parole recalls shard's paroled block pba, holding fp: its entry and
+// binding go, and its pin joins the next round.
+func (m *modelTier) parole(shard int, fp chunk.Fingerprint, pba alloc.PBA) {
+	m.recall(fp, shard, pba)
+	o := &m.owners[shard]
+	o.queued = append(o.queued, pba)
+	o.recalled++
+	m.held[shardBlock{shard, pba}] = true
+	m.settle(shard)
+}
+
+// settle releases the open round's pins of shard once it owes no ack,
+// then opens a round over the queued pins, a barrier to each live peer.
+func (m *modelTier) settle(shard int) {
+	o := &m.owners[shard]
+	for o.owed == 0 {
+		for _, pba := range o.round {
+			m.held[shardBlock{shard, pba}] = false
+			o.released++
+		}
+		o.round = nil
+		if len(o.queued) == 0 {
+			return
+		}
+		o.round, o.queued, o.since = o.queued, nil, m.crashes
+		o.rounds++
+		for p := range m.owners {
+			if p != shard && !m.down[p] {
+				o.owed |= 1 << uint(p)
+				m.owners[p].inbox = append(m.owners[p].inbox, message{kind: msgBarrier, from: shard, epoch: m.epoch[shard]})
+			}
 		}
 	}
-	return peers
+}
+
+// deliver has shard handle the first n messages of its round traffic.
+// A message its sender's crash made stale is dropped; a barrier is
+// acked; an ack, or a crash notice newer than the open round, clears
+// the peer it owed.
+func (m *modelTier) deliver(shard, n int) {
+	o := &m.owners[shard]
+	msgs := o.inbox[:n]
+	o.inbox = o.inbox[n:]
+	for _, msg := range msgs {
+		bit := uint64(1) << uint(msg.from)
+		switch {
+		case msg.epoch != m.epoch[msg.from]:
+			o.stale++
+		case msg.kind == msgBarrier:
+			if !m.down[msg.from] {
+				m.owners[msg.from].inbox = append(m.owners[msg.from].inbox, message{kind: msgAck, from: shard, epoch: m.epoch[shard]})
+			}
+		case msg.kind == msgAck:
+			o.owed &^= bit
+			m.settle(shard)
+		case msg.kind == msgPeerDown && o.since < msg.seq && o.owed&bit != 0:
+			o.implicit++
+			o.owed &^= bit
+			m.settle(shard)
+		}
+	}
 }
 
 // msgKey names one (destination, partition) message sequence; tier
@@ -104,11 +190,20 @@ type msgKey struct{ to, part int }
 // drainInto moves every queued message of t into log, per
 // (destination, partition), and answers each pin request as an owner
 // that finds its canonical valid does: with an install. It returns the
-// pin requests.
-func drainInto(t *Tier, log map[msgKey][]message) []message {
+// pin requests. With rounds given, the round traffic — barriers, acks
+// and crash notices — also joins rounds[to], where it waits for the
+// destination agent's next delivery; barriers and acks, which only the
+// agents send, stay out of log.
+func drainInto(t *Tier, log map[msgKey][]message, rounds [][]message) []message {
 	var reqs []message
 	for to := range t.inbox {
 		for _, m := range t.inbox[to].take(nil, t.inbox[to].len()) {
+			if m.kind != msgPinReq && rounds != nil {
+				rounds[to] = append(rounds[to], m)
+			}
+			if m.kind == msgBarrier || m.kind == msgAck {
+				continue
+			}
 			k := msgKey{to, -1}
 			if m.kind == msgPinReq {
 				k.part = partOf(&m.fp)
@@ -123,37 +218,44 @@ func drainInto(t *Tier, log map[msgKey][]message) []message {
 
 // checkPublish decodes data into a run of operations and applies each
 // to a tier that lands batches (publish) and probes a request's hints
-// at once (hint), to a twin fed the same ads and probes one at a time,
-// and to modelTier. The first byte picks the shard count; the last
-// shard is down throughout. Then each operation is a crash, a recovery
-// (never of the last shard), a batch stamped with its publisher's
-// previous epoch, a request's hint probe of 1–12 chunks (some of them
-// hot-index hits the probe skips), a recall, or — most often — a batch
-// of 1–12 ads from a pool of 40 fingerprints, each ad fresh or not.
-// Every pin request an operation causes is answered with its owner's
-// install. After every operation the two tiers and the model must agree
-// on every counter, on every probe's answer, and on the entry (canon
-// and granted) and the hint of every fingerprint the operation touched
-// — its ads, or the whole pool after a crash's sweep; every fullEvery
-// operations and at the end, on every table entry and hint; and the
-// tiers on every message sequence per (destination, partition).
+// at once (hint), with an agent seated for every shard, to a twin fed
+// the same ads and probes one at a time, and to modelTier. The first
+// byte picks the shard count; the last shard is down throughout. Then
+// each operation is a crash, a recovery (never of the last shard), a
+// batch stamped with its publisher's previous epoch, a request's hint
+// probe of 1–12 chunks (some of them hot-index hits the probe skips), a
+// tier recall, a live agent's recall of a paroled block holding one of
+// the pool's contents (queued, or opening a round), a live agent's
+// delivery of 1–12 messages of its round traffic (barriers, acks, crash
+// notices), or — most often — a batch of 1–12 ads from a pool of 40
+// fingerprints, each ad fresh or not. Every pin request an operation
+// causes is answered with its owner's install. After every operation
+// the two tiers and the model must agree on every counter, on every
+// probe's answer, and on the entry (canon and granted) and the hint of
+// every fingerprint the operation touched — its ads, or the whole pool
+// after a crash's sweep; every fullEvery operations and at the end, on
+// every table entry and hint; the tiers on every message sequence per
+// (destination, partition); and every agent and the model on its queued
+// and open-round pins, the peers the round waits on, its counters, its
+// undelivered round traffic and which paroled blocks still hold a pin.
 func checkPublish(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
 	}
 	shards := 2 + int(data[0])%7
 	data = data[1:]
-	batched, err := NewTier(shards, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batched, agents := memCluster(t, shards, fuzzMemBytes, fuzzDiskBlocks)
 	twin, _ := NewTier(shards, Params{})
 	batched.sizeHints(1 << 9)
 	twin.sizeHints(1 << 9)
 	model := &modelTier{shards: shards, epoch: make([]uint32, shards), down: make([]bool, shards),
-		tbl: map[chunk.Fingerprint]tierEntry{}, bound: map[chunk.Fingerprint]alloc.PBA{}}
+		tbl: map[chunk.Fingerprint]tierEntry{}, bound: map[chunk.Fingerprint]alloc.PBA{},
+		owners: make([]modelOwner, shards), held: map[shardBlock]bool{}}
+	rounds := make([][]message, shards) // the agents' undelivered round traffic
 	crash := func(i int) {
 		batched.CrashShard(i)
+		agents[i].RecoverReset()
+		rounds[i] = nil
 		twin.CrashShard(i)
 		model.crash(i)
 	}
@@ -174,8 +276,10 @@ func checkPublish(t *testing.T, data []byte) {
 		case kind == 1:
 			if s != shards-1 {
 				batched.RecoverShard(s)
+				rounds[s] = nil
 				twin.RecoverShard(s)
 				model.down[s] = false
+				model.owners[s].inbox = nil
 			}
 		case kind == 3:
 			w := &engine.WriteOp{}
@@ -209,11 +313,31 @@ func checkPublish(t *testing.T, data []byte) {
 			}
 			fp, pba := pool[data[0]%40], alloc.PBA(data[1]%4)
 			data = data[2:]
-			got, want := batched.Recall(fp, s, pba), twin.Recall(fp, s, pba)
-			if m := model.recall(fp, s, pba); got != want || got != m {
-				t.Fatalf("op %d: recall waits on %b, the twin's %b, the model's %b", op, got, want, m)
-			}
+			batched.Recall(fp, s, pba)
+			twin.Recall(fp, s, pba)
+			model.recall(fp, s, pba)
 			touched = append(touched, fp)
+		case kind == 5:
+			if b := agents[s].b; model.down[s] || len(data) < 1 || b.Alloc.Used() == b.DataBlocks() {
+				break // a long input can hold every block of a small shard
+			}
+			k := int(data[0]) % len(pool)
+			data = data[1:]
+			fp := pool[k]
+			pba := paroled(t, agents[s], chunk.ContentID(k+1)) // pool[k]'s content
+			agents[s].processParole(-1)
+			twin.Recall(fp, s, pba)
+			model.parole(s, fp, pba)
+			touched = append(touched, fp)
+		case kind == 6:
+			if model.down[s] {
+				break
+			}
+			n = min(n, len(rounds[s]))
+			batched.inbox[s].pushAll(rounds[s][:n])
+			rounds[s] = rounds[s][n:]
+			agents[s].drainMsgs(0, n)
+			model.deliver(s, n)
 		default:
 			epoch := batched.Epoch(s)
 			if kind == 2 {
@@ -236,12 +360,13 @@ func checkPublish(t *testing.T, data []byte) {
 				touched = append(touched, a.FP)
 			}
 		}
-		for _, m := range drainInto(batched, gotLog) {
+		for _, m := range drainInto(batched, gotLog, rounds) {
 			model.bound[m.fp] = m.canon
 			model.installs++
 		}
-		drainInto(twin, wantLog)
+		drainInto(twin, wantLog, nil)
 		compareTouched(t, op, batched, twin, model, touched)
+		compareRounds(t, op, agents, rounds, model)
 		if op%fullEvery == fullEvery-1 {
 			comparePublished(t, op, batched, twin, model)
 		}
@@ -254,6 +379,48 @@ func checkPublish(t *testing.T, data []byte) {
 	}
 	if len(gotLog) != len(wantLog) {
 		t.Fatalf("%d message sequences, want %d", len(gotLog), len(wantLog))
+	}
+}
+
+// checkPublish seats its agents on the smallest shards that build: the
+// hint table is sized apart, and every block a recall names is one the
+// op fabricated.
+const fuzzMemBytes, fuzzDiskBlocks = 64 * 1024, 1 << 8
+
+// compareRounds holds every agent to the model's owner: the pins queued
+// and in the open round, the peers it waits on and since when, the
+// counters, the round traffic still to deliver, and the pin of every
+// paroled block — held until its round is acked, gone (and the block
+// freed) after.
+func compareRounds(t *testing.T, op int, agents []*Agent, rounds [][]message, m *modelTier) {
+	t.Helper()
+	for s, a := range agents {
+		o := &m.owners[s]
+		if !slices.Equal(a.recallQ, o.queued) || !slices.Equal(a.round, o.round) || a.waiting != o.owed || len(o.round) > 0 && a.since != o.since {
+			t.Fatalf("op %d: shard %d: queued %v, round %v waiting on %b since %d; the model's %v, %v, %b, %d",
+				op, s, a.recallQ, a.round, a.waiting, a.since, o.queued, o.round, o.owed, o.since)
+		}
+		if got, want := [4]int64{a.recallsSent, a.recallsDone, a.rounds, a.implicitGrants}, [4]int64{o.recalled, o.released, o.rounds, o.implicit}; got != want {
+			t.Fatalf("op %d: shard %d: counters (recalled, released, rounds, implicit grants) %v, the model's %v", op, s, got, want)
+		}
+		if len(rounds[s]) != len(o.inbox) {
+			t.Fatalf("op %d: shard %d: %d messages to deliver, the model's %d", op, s, len(rounds[s]), len(o.inbox))
+		}
+		for i, msg := range rounds[s] {
+			if want := o.inbox[i]; msg.kind != want.kind || msg.from != want.from || msg.epoch != want.epoch || msg.seq != want.seq {
+				t.Fatalf("op %d: shard %d: message %d is %+v, the model's %+v", op, s, i, msg, want)
+			}
+		}
+	}
+	for k, held := range m.held {
+		b := agents[k.shard].b
+		want := 0
+		if held {
+			want = 1
+		}
+		if _, live := b.Store.Read(k.pba); b.Map.PinCount(k.pba) != want || live != held {
+			t.Fatalf("op %d: shard %d block %d: %d pins, live %v; the model holds its pin: %v", op, k.shard, k.pba, b.Map.PinCount(k.pba), live, held)
+		}
 	}
 }
 
@@ -353,6 +520,9 @@ func compareCounters(t *testing.T, op int, got, want *Tier, m *modelTier) {
 		return c
 	}
 	g, w := counters(got), counters(want)
+	for i := range m.owners {
+		g[1] -= m.owners[i].stale // the agents' drops: the twin seats none
+	}
 	if g != w {
 		t.Fatalf("op %d: counters (queued, stale, hints, dups, recalls, installs, hits, overwrites, down-dropped) %v, the twin's %v", op, g, w)
 	}

@@ -9,13 +9,13 @@ import (
 )
 
 // TestStagedSendsKeepPairOrder drives one DrainAll on shard 0 that
-// sends all four ordered kinds toward shard 1 — grants and a revoke ack
-// from the message drain (staged), a RefUp from the fold that follows it
-// and a revoke from the parole after that (both direct) — between two
-// direct sends outside it. Shard 1's inbox must hold them in the order
-// they were sent: a staged grant delivered after the later revoke would
-// fold onto a block its owner is about to free, and that is the order
-// any flush later than the end of drainMsgs produces.
+// sends all four ordered kinds toward shard 1 — grants and an ack from
+// the message drain (staged), a RefUp from the fold that follows it and
+// a recall round's barrier from the parole after that (both direct) —
+// between two direct sends outside it. Shard 1's inbox must hold them
+// in the order they were sent: a staged grant delivered after the later
+// barrier would fold onto a block its owner is about to free, and that
+// is the order any flush later than the end of drainMsgs produces.
 func TestStagedSendsKeepPairOrder(t *testing.T) {
 	tier, agents := fenceCluster(t, 3)
 	a, b := agents[0], agents[0].b
@@ -44,7 +44,7 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	a.RemoteRef(remote(1, 40), true) // direct, ahead of the drain
 	tier.send(0, message{kind: msgGrant, fp: fpOf(13), canon: remote(1, 9), dup: dup, from: 1, epoch: ep1})
 	tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), dup: 5, from: 1, epoch: ep1})
-	tier.send(0, message{kind: msgRevoke, fp: fpOf(99), canon: remote(1, 30), from: 1, epoch: ep1})
+	tier.send(0, message{kind: msgBarrier, from: 1, epoch: ep1})
 	tier.send(0, message{kind: msgPinReq, fp: fpOf(12), canon: remote(0, g2), dup: 6, from: 1, epoch: ep1})
 	a.DrainAll(0)
 	a.RemoteRef(remote(1, 41), false) // direct, after it
@@ -56,10 +56,10 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 	want := []sent{
 		{msgRefUp, remote(1, 40)},
 		{msgGrant, remote(0, g1)},
-		{msgRevokeAck, remote(1, 30)},
+		{msgAck, 0},
 		{msgGrant, remote(0, g2)},
 		{msgRefUp, remote(1, 9)},
-		{msgRevoke, remote(0, par)},
+		{msgBarrier, 0},
 		{msgRefDown, remote(1, 41)},
 	}
 	got := tier.inbox[1].take(nil, 64)
@@ -72,8 +72,8 @@ func TestStagedSendsKeepPairOrder(t *testing.T) {
 				i, m.kind, m.canon, m.from, m.epoch, want[i].kind, want[i].canon, tier.Epoch(0))
 		}
 	}
-	if a.remapsApplied != 1 || a.recallsSent != 1 {
-		t.Fatalf("the drain applied %d folds and sent %d recalls, want 1 and 1", a.remapsApplied, a.recallsSent)
+	if a.remapsApplied != 1 || a.recallsSent != 1 || len(a.round) != 1 || a.round[0] != par {
+		t.Fatalf("the drain applied %d folds and recalled %d pins, the open round %v; want 1, 1 and the paroled block %d", a.remapsApplied, a.recallsSent, a.round, par)
 	}
 	staged := func() (n int) {
 		for _, run := range a.out {

@@ -79,7 +79,7 @@ func NewTier(shards int, _ Params) (*Tier, error) {
 		down:   make([]atomic.Bool, shards),
 	}
 	for i := range t.parts {
-		t.parts[i].tbl = probe.NewMap[chunk.Fingerprint, tierEntry](1 << 12)
+		t.parts[i].tbl = probe.NewMap[chunk.Fingerprint, tierEntry](0)
 	}
 	t.sizeHints(0)
 	return t, nil
@@ -158,7 +158,8 @@ func (t *Tier) downMask() uint64 {
 }
 
 // peers is the set of every live shard but shard: the peers a recall
-// it starts must hear from.
+// round it opens must hear from. Down peers hold no hint, and their
+// rejoin re-audit covers any reference they journaled before crashing.
 func (t *Tier) peers(shard int) uint64 {
 	return (uint64(1)<<uint(t.shards) - 1) &^ (uint64(1) << uint(shard)) &^ t.downMask()
 }
@@ -393,12 +394,9 @@ func (t *Tier) Fix(fp chunk.Fingerprint, canon alloc.PBA) {
 
 // Recall starts reclaiming a canonical whose owner paroled it: the
 // table entry and the hint binding are dropped, so no new grant can
-// name the block and no lookup can find it. Returns
-// the bitmask of peers the owner must now revoke and collect acks from
-// before it releases the hinted pin; currently-down peers are excluded
-// up front (they hold no hint, and their rejoin re-audit covers any
-// reference they journaled before crashing).
-func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
+// name the block and no lookup can find it. The owner releases the
+// hinted pin once the next barrier round it opens is acked.
+func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) {
 	enc := alloc.MakeRemote(shard, pba)
 	p := t.part(fp)
 	p.mu.Lock()
@@ -408,7 +406,6 @@ func (t *Tier) Recall(fp chunk.Fingerprint, shard int, pba alloc.PBA) uint64 {
 	p.hints.remove(fp, enc)
 	p.mu.Unlock()
 	t.recalls.Add(1)
-	return t.peers(shard)
 }
 
 // CrashShard marks shard i a dead failure domain: its fencing epoch is
@@ -475,7 +472,7 @@ func (t *Tier) Reset() {
 	for i := range t.parts {
 		p := &t.parts[i]
 		p.mu.Lock()
-		p.tbl = probe.NewMap[chunk.Fingerprint, tierEntry](1 << 12)
+		p.tbl = probe.NewMap[chunk.Fingerprint, tierEntry](0)
 		p.hints.clear()
 		p.mu.Unlock()
 	}

@@ -449,9 +449,6 @@ func (t *Table) Lookup(lba uint64) (alloc.PBA, bool) {
 // RefCount reports the logical-reference count of pba (pins excluded).
 func (t *Table) RefCount(pba alloc.PBA) int { return int(t.refs.get(uint64(pba))) }
 
-// Pinned reports whether the hot index currently pins pba.
-func (t *Table) Pinned(pba alloc.PBA) bool { return t.pins.get(uint64(pba)) > 0 }
-
 // Set maps lba to pba. shared marks mappings created by deduplication
 // (the data was not written; it references a pre-existing copy). The
 // returned slice lists physical blocks whose last reference disappeared

@@ -54,8 +54,8 @@ func TestPinPreventsFree(t *testing.T) {
 	if freed := tb.Set(1, 200, false); len(freed) != 0 {
 		t.Fatalf("pinned block freed: %v", freed)
 	}
-	if !tb.Pinned(100) {
-		t.Fatal("pin lost")
+	if pins := tb.PinCount(100); pins != 1 {
+		t.Fatalf("%d pins, want the one taken", pins)
 	}
 	if reclaim := tb.Unpin(100); !reclaim {
 		t.Fatal("unpin of dead block must report reclaimable")
