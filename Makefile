@@ -31,7 +31,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/globalfp/ ./internal/server/ ./internal/replay/
-	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/probe/ ./internal/icache/ ./internal/maptable/ ./internal/globalfp/
+	$(GO) test -run '^$$' -bench '$(ZERO_ALLOC_BENCH)' -benchtime 1x ./internal/probe/ ./internal/icache/ ./internal/maptable/ ./internal/globalfp/ ./internal/engine/
 	$(MAKE) smoke-cli
 	$(MAKE) repro-check bench-delta
 	$(MAKE) traffic
@@ -176,7 +176,8 @@ test:
 # whole split (rotating windows: *Chunk; sequential requests:
 # *Stream), fixed-4K split and fingerprinting, the generic map (an
 # empty one filled to a million fingerprints, and hits and misses in
-# one that large), the Map table, the
+# one that large), the Map table, the content model (a block's write,
+# read and free on warm pages), the
 # iCache's directory (a miss's insert + evict + ghost-evict, a 16-chunk
 # request's lookups with and without the warming pass, the read path's
 # probe + insert + purge, one Swap Module repartition, one three-stream
@@ -187,13 +188,14 @@ test:
 # the inbox behind a 1k and a 100k backlog and filled in runs of
 # 1 / 7 / 256, Close settling eight loaded agents on
 # one core and on two). The CDC split and hash, the generic map's gets,
-# the directory, the hint/grant/publish benchmarks and the Map table's
-# Set with the reverse index on fail unless they run at 0 allocs/op; make check
+# the directory, the hint/grant/publish benchmarks, the content model
+# and the Map table's Set with the reverse index on fail unless they run
+# at 0 allocs/op; make check
 # runs those (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as
 # a gate.
-ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss|BenchmarkPublishRequest)$$
+ZERO_ALLOC_BENCH = ^(BenchmarkIndexMissInsertEvict|BenchmarkReadPath|BenchmarkRepartition|BenchmarkReapportion|BenchmarkSetReverseIndexed|BenchmarkHintPut|BenchmarkHintGet|BenchmarkAgentDrainGrants|BenchmarkLookupRequest|BenchmarkMapGetHit|BenchmarkMapGetMiss|BenchmarkPublishRequest|BenchmarkStorePath)$$
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/icache/ ./internal/globalfp/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/cdc/ ./internal/chunk/ ./internal/probe/ ./internal/maptable/ ./internal/engine/ ./internal/icache/ ./internal/globalfp/
 	$(GO) test -run '^$$' -bench BenchmarkSettle8 -cpu 1,2 ./internal/server/
 
 # Full-scale reproduction of every table and figure (a few minutes).
@@ -204,7 +206,7 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/podbench -scale 0.1
 
-# Short fuzz pass, fourteen targets: the parsers (the FIU reader's
+# Short fuzz pass, fifteen targets: the parsers (the FIU reader's
 # allocation held to its input), the journal recovery, the CDC landmark
 # sweeps (batched bitmap vs the scalar predicate), the carried split
 # window (one long-lived Splitter vs a fresh one per request) and
@@ -215,7 +217,8 @@ repro-fast:
 # per-block counts), the generic map (vs a Go map, with uniform keys and
 # with every key in one chain), the tier's batch publish (vs the same
 # ads one at a time, and a model), the dense reference volume (vs a Go
-# map) and the extent allocator (vs a block-flag model, the double-free
+# map), the engines' content model (vs a map of residual content and
+# liveness) and the extent allocator (vs a block-flag model, the double-free
 # panic included). Minimising an input is capped at 20 runs: on the
 # stateful drivers a second's minimising of every input that finds new
 # coverage took most of the pass. After each target one line gives its
@@ -224,7 +227,7 @@ repro-fast:
 FUZZ_TARGETS = trace:FuzzReadText trace:FuzzReadBinary trace:FuzzReadFIU trace:FuzzVolume maptable:FuzzLoad \
 	cdc:FuzzSeqMarks cdc:FuzzGearMarks cdc:FuzzSplitterCarried cdc:FuzzStreamCuts \
 	icache:FuzzDirectoryOps maptable:FuzzReverseIndexOps probe:FuzzMapOps globalfp:FuzzPublish \
-	alloc:FuzzAllocOps
+	alloc:FuzzAllocOps engine:FuzzStoreOps
 fuzz:
 	@log=$$(mktemp); trap 'rm -f $$log' EXIT; \
 	for t in $(FUZZ_TARGETS); do \

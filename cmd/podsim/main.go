@@ -86,6 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{!(*scale > 0), "-scale", "must be > 0"},
 		{*disks < 3, "-disks", "must be at least 3 (the array is RAID5)"},
+		{*diskBlocks > trace.LBALimit, "-diskblocks", "must be at most 2^28, the content model's bound"}, // alone too: the array's capacity product could wrap
 		{*stripeKB < 4 || *stripeKB%4 != 0, "-stripe", "must be a positive multiple of the 4 KB chunk"},
 		{!(*memoryMB >= 0), "-memory", "must be >= 0 (0 = the trace profile's budget)"},
 		{!(*indexFrac > 0 && *indexFrac < 1), "-indexfrac", "must be in (0, 1)"},
@@ -97,10 +98,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, "%s %s", f.flag, f.want)
 		}
 	}
+	// The array must hold the index zone and stay within the content
+	// model's bound, trace.LBALimit: an explicit -diskblocks is checked
+	// before any trace is built, a derived one once it is known.
+	arrayErr := func(blocks uint64) string {
+		switch n := experiments.Platform(*disks, blocks, raid.RAID5, uint64(*stripeKB/4), 1, 0).Array.DataBlocks(); {
+		case n < engine.IndexZoneFrac:
+			return fmt.Sprintf("-diskblocks %d leaves %d data blocks on %d disks; the engines need at least %d", blocks, n, *disks, engine.IndexZoneFrac)
+		case n > trace.LBALimit:
+			return fmt.Sprintf("-disks %d of %d blocks hold %d data blocks; the content model addresses at most %d", *disks, blocks, n, uint64(trace.LBALimit))
+		}
+		return ""
+	}
 	if *diskBlocks != 0 {
-		arr := experiments.Platform(*disks, *diskBlocks, raid.RAID5, uint64(*stripeKB/4), 1, 0).Array
-		if arr.DataBlocks() < engine.IndexZoneFrac {
-			return fail(2, "-diskblocks %d leaves %d data blocks on %d disks; the engines need at least %d", *diskBlocks, arr.DataBlocks(), *disks, engine.IndexZoneFrac)
+		if msg := arrayErr(*diskBlocks); msg != "" {
+			return fail(2, "%s", msg)
 		}
 	}
 	var tr *trace.Trace
@@ -138,6 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			blocks = prof.FootprintChunks / 2
 		default:
 			blocks = 1 << 19
+		}
+		if msg := arrayErr(blocks); msg != "" {
+			return fail(2, "%s", msg)
 		}
 	}
 	mem := int64(*memoryMB * (1 << 20))

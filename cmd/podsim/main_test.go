@@ -27,6 +27,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{"-scale NaN", "podsim: -scale"},
 		{"-memory -5", "podsim: -memory"},
 		{"-diskblocks 1", "podsim: -diskblocks"},
+		{"-diskblocks 4611686018427387920", "podsim: -diskblocks"}, // 4 data disks' worth wraps to 64 blocks
 		{"-scheme ZFS", "podsim: -scheme"},
 		{"-chunking rabin", "podsim: -chunking"},
 		{"-chunking gear -scheme Native", "podsim: -chunking gear needs a deduplicating scheme"},
@@ -43,6 +44,26 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s: refused, yet printed %q", row.args, stdout.String())
+		}
+	}
+}
+
+// TestRunRefusesAnArrayPastTheContentBound: an array holding more than
+// trace.LBALimit data blocks is refused with exit 2 and one "podsim:
+// -disks …" line, whether -diskblocks sizes its spindles or the trace
+// does (web-vm's are 2^18 blocks, so 1 100 disks hold ~2^28.1).
+func TestRunRefusesAnArrayPastTheContentBound(t *testing.T) {
+	for _, args := range []string{"-diskblocks 268435456", "-disks 1100"} {
+		var stdout, stderr bytes.Buffer
+		argv := append([]string{"-trace", "web-vm", "-scale", "0.01"}, strings.Fields(args)...)
+		if code := run(argv, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+		if got := stderr.String(); !strings.HasPrefix(got, "podsim: -disks") || !strings.Contains(got, "addresses at most") || strings.Count(got, "\n") != 1 {
+			t.Errorf("%s: stderr %q, want one line naming -disks and the bound", args, got)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: refused, yet printed %q", args, stdout.String())
 		}
 	}
 }

@@ -207,6 +207,12 @@ func NewBase(cfg Config) *Base {
 	if zone == 0 {
 		panic(fmt.Sprintf("engine: an array of %d data blocks leaves no index zone: need at least %d", total, IndexZoneFrac))
 	}
+	if total > trace.LBALimit {
+		// The content model is a trace.Volume, whose pages cover
+		// [0, trace.LBALimit). pod.New and podsim's -disks/-diskblocks
+		// check refuse a larger array, so one here is a bug.
+		panic(fmt.Sprintf("engine: an array of %d data blocks is past the %d the content model addresses", total, uint64(trace.LBALimit)))
+	}
 	data := total - zone
 
 	icp := icache.DefaultParams(cfg.MemoryBytes)
@@ -568,7 +574,6 @@ func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 			continue
 		}
 		b.Alloc.Free(pba, 1)
-		b.Store.Free(pba)
 		// Neither the hot index nor the exact table keeps a block →
 		// fingerprint map: an entry is only ever made for a live block
 		// under the fingerprint of what it holds, and a dedup engine
@@ -576,7 +581,7 @@ func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 		// freed block's residual content names the one fingerprint whose
 		// entries can name it. Each goes only if it still names the
 		// block: a newer copy keeps it.
-		id, ok := b.Store.Residual(pba)
+		id, ok := b.Store.Free(pba)
 		if !ok {
 			continue
 		}

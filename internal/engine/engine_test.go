@@ -44,6 +44,9 @@ func TestNewBaseValidation(t *testing.T) {
 	mustPanic("no index zone", func() { // 16 data blocks: 16/32 rounds to a zone of none
 		NewBase(Config{Array: raid.New(raid.RAID0, []*disk.Disk{disk.New(disk.DefaultParams(16))}, 16), MemoryBytes: 1 << 20})
 	})
+	mustPanic("past the content model's bound", func() { // 2^28 + 16 data blocks; pod.New and podsim refuse it
+		NewBase(Config{Array: raid.New(raid.RAID0, []*disk.Disk{disk.New(disk.DefaultParams(trace.LBALimit + 16))}, 16), MemoryBytes: 1 << 20})
+	})
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -53,73 +56,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.Fingerprinter == nil || c.HashWorkers != 1 {
 		t.Fatal("fingerprinter defaults wrong")
-	}
-}
-
-func TestStoreRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.Write(5, 100)
-	if id, ok := s.Read(5); !ok || id != 100 {
-		t.Fatal("read back failed")
-	}
-	s.Free(5)
-	if _, ok := s.Read(5); ok {
-		t.Fatal("freed block still readable")
-	}
-	if s.Len() != 0 {
-		t.Fatal("len wrong")
-	}
-}
-
-// TestStoreTouched: the page-granular "ever written" query is true
-// exactly for ranges overlapping a page some write reached — whatever
-// became of the block since — and never probes past the directory.
-func TestStoreTouched(t *testing.T) {
-	s := NewStore()
-	if s.Touched(0, 1<<40) {
-		t.Fatal("empty store reports a written page")
-	}
-	const pg = storePageSize
-	s.Write(3*pg+7, 1) // page 3; pages 0–2 stay unallocated
-	s.Free(3*pg + 7)   // dead, but written once
-	for _, c := range []struct {
-		from, n uint64
-		want    bool
-	}{
-		{0, 3 * pg, false},       // everything below the page
-		{0, 3*pg + 1, true},      // one block into it
-		{3*pg + 100, 1, true},    // a block of the page that was never written itself
-		{4*pg - 1, 256, true},    // its last block, running past the directory
-		{4 * pg, 1 << 30, false}, // everything above it
-		{3 * pg, 0, false},       // an empty range
-		{2*pg + 5, pg - 5, false},
-	} {
-		if got := s.Touched(c.from, c.n); got != c.want {
-			t.Errorf("Touched(%d, %d) = %v, want %v", c.from, c.n, got, c.want)
-		}
-	}
-	s.Release()
-	if s.Touched(0, 1<<40) {
-		t.Fatal("released store reports a written page")
-	}
-}
-
-func TestStoreMustMatchPanics(t *testing.T) {
-	s := NewStore()
-	s.Write(1, 10)
-	s.MustMatch(1, 10) // fine
-	for _, c := range []struct {
-		pba alloc.PBA
-		id  chunk.ContentID
-	}{{1, 11}, {2, 10}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			s.MustMatch(c.pba, c.id)
-		}()
 	}
 }
 

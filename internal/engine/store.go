@@ -2,10 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // Store models the contents of the physical block space: which content
@@ -21,95 +21,34 @@ import (
 // while crash recovery may legitimately re-admit a block whose free was
 // only in DRAM when the power failed.
 //
-// Cells live in lazily-allocated fixed-size pages indexed directly by
-// PBA rather than a hash map: the write path touches the Store once per
-// chunk (TryDedupe reads, WriteFresh writes), and at trace scale the
-// map's hashing and growth rehashes dominated the simulator's profile.
-// Pages are arenas drawn from a process-wide pool: an experiment run
-// constructs hundreds of engines back to back, and recycling whole
-// pages at engine teardown (Release) keeps the content model from
-// being the run's largest garbage producer.
+// The model is one trace.Volume indexed by PBA (NewBase bounds the
+// array's data blocks at trace.LBALimit): a block's content is the
+// volume's content ID, "ever written" its presence bit and "dead" its
+// mark, at 8.25 bytes a block on pages one routing granule wide. Its
+// pages come from the volume's process-wide pool, and Release hands
+// them back at engine teardown, so hundreds of engines built back to
+// back do not make the content model the run's largest garbage
+// producer.
 type Store struct {
-	pages []*cellPage
+	v trace.Volume
 }
-
-// storePageBits sizes one page at 2^16 cells (1 MiB of cells), small
-// enough that sparse address use stays cheap and large enough that the
-// page directory stays tiny.
-const storePageBits = 16
-const storePageSize = 1 << storePageBits
-
-type cellPage [storePageSize]cell
-
-type cell struct {
-	id    chunk.ContentID
-	state uint8 // cellEmpty, cellDead, cellLive
-}
-
-const (
-	cellEmpty uint8 = iota // never written
-	cellDead               // freed; residual content remains
-	cellLive               // allocated and holding id
-)
-
-// pagePool recycles content-model pages across engine lifetimes. Pages
-// are zeroed when returned, so Get always yields an all-cellEmpty page.
-var pagePool = sync.Pool{New: func() any { return new(cellPage) }}
 
 // NewStore returns an empty physical content model.
 func NewStore() *Store { return &Store{} }
-
-// page returns the page holding pba, allocating it when grow is set.
-func (s *Store) page(pba alloc.PBA, grow bool) *cellPage {
-	pg := int(pba >> storePageBits)
-	if pg >= len(s.pages) {
-		if !grow {
-			return nil
-		}
-		pages := make([]*cellPage, pg+1)
-		copy(pages, s.pages)
-		s.pages = pages
-	}
-	if s.pages[pg] == nil {
-		if !grow {
-			return nil
-		}
-		s.pages[pg] = pagePool.Get().(*cellPage)
-	}
-	return s.pages[pg]
-}
 
 // Release returns every page to the process-wide pool and empties the
 // store. The replay harness calls it at engine teardown (after the
 // result is extracted); the store must not be used afterwards except by
 // constructing new contents from scratch.
-func (s *Store) Release() {
-	for i, p := range s.pages {
-		if p != nil {
-			clear(p[:])
-			pagePool.Put(p)
-			s.pages[i] = nil
-		}
-	}
-	s.pages = s.pages[:0]
-}
+func (s *Store) Release() { s.v.Release() }
 
 // Write records that pba now holds id and is live.
-func (s *Store) Write(pba alloc.PBA, id chunk.ContentID) {
-	s.page(pba, true)[pba&(storePageSize-1)] = cell{id: id, state: cellLive}
-}
+func (s *Store) Write(pba alloc.PBA, id chunk.ContentID) { s.v.Set(uint64(pba), id) }
 
 // Read returns the content at pba; ok only for live blocks.
 func (s *Store) Read(pba alloc.PBA) (chunk.ContentID, bool) {
-	p := s.page(pba, false)
-	if p == nil {
-		return 0, false
-	}
-	c := p[pba&(storePageSize-1)]
-	if c.state != cellLive {
-		return 0, false
-	}
-	return c.id, true
+	id, has, dead := s.v.Lookup(uint64(pba))
+	return id, has && !dead
 }
 
 // Touched reports whether any block of [from, from+n) lies on a page
@@ -117,55 +56,28 @@ func (s *Store) Read(pba alloc.PBA) (chunk.ContentID, bool) {
 // nothing about the range itself; false says every block in it is in
 // the never-written state, without probing one — what lets a sweep of a
 // mostly unwritten region cost its written part.
-func (s *Store) Touched(from, n uint64) bool {
-	if n == 0 {
-		return false
-	}
-	for pg, last := from>>storePageBits, (from+n-1)>>storePageBits; pg <= last && pg < uint64(len(s.pages)); pg++ {
-		if s.pages[pg] != nil {
-			return true
-		}
-	}
-	return false
-}
+func (s *Store) Touched(from, n uint64) bool { return s.v.Touched(from, n) }
 
 // Residual returns the content remaining at pba even if the block is
 // dead (what a disk forensics pass would see).
 func (s *Store) Residual(pba alloc.PBA) (chunk.ContentID, bool) {
-	p := s.page(pba, false)
-	if p == nil {
-		return 0, false
-	}
-	c := p[pba&(storePageSize-1)]
-	return c.id, c.state != cellEmpty
+	id, has, _ := s.v.Lookup(uint64(pba))
+	return id, has
 }
 
-// Free marks pba dead; the residual content remains until overwritten.
-func (s *Store) Free(pba alloc.PBA) {
-	p := s.page(pba, false)
-	if p == nil {
-		return
+// Free marks pba dead if it is live; the residual content remains until
+// overwritten, and Free returns it as Residual would.
+func (s *Store) Free(pba alloc.PBA) (chunk.ContentID, bool) {
+	id, has, dead := s.v.Lookup(uint64(pba))
+	if has && !dead {
+		s.v.Mark(uint64(pba))
 	}
-	if c := &p[pba&(storePageSize-1)]; c.state == cellLive {
-		c.state = cellDead
-	}
+	return id, has
 }
 
-// Len reports the number of live physical blocks.
-func (s *Store) Len() int {
-	n := 0
-	for _, p := range s.pages {
-		if p == nil {
-			continue
-		}
-		for i := range p {
-			if p[i].state == cellLive {
-				n++
-			}
-		}
-	}
-	return n
-}
+// Len reports the number of live physical blocks: only a block holding
+// content is ever marked dead.
+func (s *Store) Len() int { return s.v.Len() - s.v.Marks() }
 
 // Retain reconciles liveness with the recovered Map table: blocks in
 // keep become live again (their frees never became durable), everything
@@ -173,27 +85,21 @@ func (s *Store) Len() int {
 // the data write always precedes the journal record, so that would be
 // an ordering bug.
 func (s *Store) Retain(keep map[alloc.PBA]bool) {
-	for pg, p := range s.pages {
-		if p == nil {
-			continue
+	var dead []uint64
+	s.v.Each(func(pba uint64, _ chunk.ContentID, marked bool) {
+		if !marked && !keep[alloc.PBA(pba)] {
+			dead = append(dead, pba)
 		}
-		base := alloc.PBA(pg) << storePageBits
-		for i := range p {
-			c := &p[i]
-			if c.state == cellEmpty {
-				continue
-			}
-			if keep[base+alloc.PBA(i)] {
-				c.state = cellLive
-			} else {
-				c.state = cellDead
-			}
-		}
+	})
+	for _, pba := range dead {
+		s.v.Mark(pba)
 	}
 	for pba := range keep {
-		if _, ok := s.Residual(pba); !ok {
+		id, ok := s.Residual(pba)
+		if !ok {
 			panic(fmt.Sprintf("store: recovered mapping references block %d with no content", pba))
 		}
+		s.v.Set(uint64(pba), id)
 	}
 }
 

@@ -82,7 +82,7 @@ var (
 	}
 	tierBlock = []string{
 		"globalfp: ads=${globalfp_ads_queued} | dups detected=${globalfp_dups_detected} hints broadcast=${globalfp_hints_broadcast} installed=${globalfp_hints_installed} | table entries=${globalfp_table_entries} fixes=${globalfp_table_fixes}",
-		"globalfp: remaps applied=${globalfp_remaps_applied} rejected=${globalfp_remaps_rejected} reclaimed=${globalfp_reclaimed_blocks} blocks | pins granted=${globalfp_pins_granted} rejects=${globalfp_pin_rejects} | recalls ${globalfp_recalls_sent} sent ${globalfp_recalls_done} done in ${globalfp_recall_rounds} rounds",
+		"globalfp: remaps applied=${globalfp_remaps_applied} rejected=${globalfp_remaps_rejected} reclaimed=${globalfp_reclaimed_blocks} blocks | pins granted=${globalfp_pins_granted} rejects=${globalfp_pin_rejects} | recalls ${globalfp_recalls_sent} sent ${globalfp_recalls_done} done ${globalfp_recalls_dropped} dropped in ${globalfp_recall_rounds} rounds",
 		"globalfp: messages handled pinreq=${globalfp_msgs_pinreq} grant=${globalfp_msgs_grant} refup=${globalfp_msgs_refup} refdown=${globalfp_msgs_refdown} barrier=${globalfp_msgs_barrier} ack=${globalfp_msgs_ack} peerdown=${globalfp_msgs_peerdown}",
 		"globalfp: hint table ${hint-table-kib} KiB | hits=${globalfp_hint_hits} of ${globalfp_hints_installed} installed (${hint-hit-pct}%) overwrites=${globalfp_hint_overwrites}",
 		"globalfp: inboxes ${inbox-kib} KiB held, ${globalfp_inbox_peak_msgs} messages at the shards' peaks | map reverse indexes ${reverse-index-kib} KiB",

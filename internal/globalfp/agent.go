@@ -92,6 +92,7 @@ type Agent struct {
 	refUnpins      int64
 	recallsSent    int64 // pins recalled
 	recallsDone    int64 // recalled pins released
+	recallsDropped int64 // recalled pins a crash dropped unreleased
 	rounds         int64
 	implicitGrants int64 // rounds a crash notice acked for a dead peer
 	staleDropped   int64
@@ -128,6 +129,7 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	b.Reg.GaugeFunc("globalfp_ref_unpins", func() int64 { return a.refUnpins })
 	b.Reg.GaugeFunc("globalfp_recalls_sent", func() int64 { return a.recallsSent })
 	b.Reg.GaugeFunc("globalfp_recalls_done", func() int64 { return a.recallsDone })
+	b.Reg.GaugeFunc("globalfp_recalls_dropped", func() int64 { return a.recallsDropped })
 	b.Reg.GaugeFunc("globalfp_recall_rounds", func() int64 { return a.rounds })
 	b.Reg.GaugeFunc("globalfp_recall_implicit_grants", func() int64 { return a.implicitGrants })
 	for k := range a.handled {
@@ -208,7 +210,9 @@ func (a *Agent) Flush(now sim.Time) {
 
 // RecoverReset implements engine.BackgroundTask: all agent state is
 // volatile DRAM bookkeeping — queued folds, paroles, queued recalls,
-// the open round and the hinted bitset die with the crash.
+// the open round and the hinted bitset die with the crash (the
+// recalled pins among them count as dropped, so sent = done + dropped
+// once the rounds settle).
 // Post-recovery pins are rebuilt by the serving layer as ref pins only;
 // the hinted pins are simply gone, and so are the hint bindings naming
 // them, which the tier drops while every shard lock is held
@@ -217,6 +221,7 @@ func (a *Agent) Flush(now sim.Time) {
 func (a *Agent) RecoverReset() {
 	a.foldQ = a.foldQ[:0]
 	a.paroleQ = a.paroleQ[:0]
+	a.recallsDropped += int64(len(a.recallQ) + len(a.round))
 	a.recallQ, a.round, a.waiting = a.recallQ[:0], a.round[:0], 0
 	a.hinted = make([]uint64, (a.b.DataBlocks()+63)/64)
 	a.inner.RecoverReset()

@@ -69,3 +69,49 @@ func TestRecallRacingCrashReleasesPinOnNotice(t *testing.T) {
 	c.tier.RecoverShard(2)
 	c.check(t)
 }
+
+// TestOwnerCrashCountsDroppedRecalls: the owner crashes with one round
+// open (four pins waiting on acks no peer has sent) and four more pins
+// recalled behind it. Recovery drops both with the agent's volatile
+// state; they count as dropped, so once the cluster settles every
+// recalled pin is done or dropped.
+func TestOwnerCrashCountsDroppedRecalls(t *testing.T) {
+	c := newCluster(t, 3)
+	first, second := seq(1300, 4), seq(1600, 4)
+
+	write(t, c.engs[0], 0, 0, first) // canonicals on shard 0
+	write(t, c.engs[0], 0, 100, second)
+	c.settle(1000) // hints installed for shards 1 and 2
+	write(t, c.engs[1], 2000, 0, first)
+	write(t, c.engs[1], 2000, 100, second)
+	c.settle(3000)
+	write(t, c.engs[1], 4000, 0, seq(1400, 4)) // shard 1 drops its refs
+	write(t, c.engs[1], 4000, 100, seq(1700, 4))
+	c.settle(5000)
+
+	// Shard 0 paroles the first set; its drain opens a round whose
+	// barriers stay unanswered. The second set is recalled behind it.
+	write(t, c.engs[0], 6000, 0, seq(1500, 4))
+	c.agents[0].DrainAll(7000)
+	write(t, c.engs[0], 8000, 100, seq(1800, 4))
+	c.agents[0].DrainAll(9000)
+	st := c.engs[0].Metrics().Snapshot().Gauges
+	if st["globalfp_recalls_sent"] != 8 || st["globalfp_recalls_done"] != 0 || st["globalfp_recall_rounds"] != 1 {
+		t.Fatalf("before the crash: recalls sent %d done %d in %d rounds, want 8, 0 and the one open round",
+			st["globalfp_recalls_sent"], st["globalfp_recalls_done"], st["globalfp_recall_rounds"])
+	}
+
+	c.tier.CrashShard(0)
+	if _, err := c.engs[0].CrashAndRecover(); err != nil {
+		t.Fatal(err)
+	}
+	c.tier.RecoverShard(0)
+	c.settle(10000)
+
+	st = c.engs[0].Metrics().Snapshot().Gauges
+	sent, done, dropped := st["globalfp_recalls_sent"], st["globalfp_recalls_done"], st["globalfp_recalls_dropped"]
+	if dropped != 8 || sent != done+dropped {
+		t.Fatalf("after settling: recalls sent %d, done %d, dropped %d; want all 8 dropped and sent = done + dropped", sent, done, dropped)
+	}
+	c.check(t)
+}

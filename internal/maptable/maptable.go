@@ -58,7 +58,7 @@ const (
 // a record past it), so the forward map and the reverse index's links
 // are pages alone; a block at or above pagedCap — every remote-encoded
 // canonical — spills its counters to a map. Pages are pooled across
-// table lifetimes like the content model's (see engine/store.go);
+// table lifetimes like the content model's (trace.Volume);
 // Release returns them.
 //
 // A page is one routing granule wide (trace.PageBits), and the page

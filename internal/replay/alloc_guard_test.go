@@ -56,17 +56,26 @@ func TestEngineWriteHotPathAllocFree(t *testing.T) {
 // handed to the other engine mid-replay. If any engine retains a
 // pooled buffer past its ownership window, the results diverge from
 // the serial (cold-pool, no cross-engine reuse) reference — or the
-// race detector fires. Run under -race via make check.
+// race detector fires; so do they if a released page comes back from
+// its pool holding what its last owner wrote. Run under -race via make
+// check.
 func TestConcurrentPooledRepliesMatchSerial(t *testing.T) {
 	tr := smallTrace(300)
 	wantPOD := Run(newEngine(), tr, 0)
 	wantNative := Run(newNativeEngine(), tr, 0)
+	// released replays like the harness's jobs: the engine's pages go
+	// back to the pools once its result is taken.
+	released := func(e engine.Engine) *Result {
+		res := Run(e, tr, 0)
+		e.(Releaser).Release()
+		return res
+	}
 	for round := 0; round < 4; round++ {
 		got := make([]*Result, 2)
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); got[0] = Run(newEngine(), tr, 0) }()
-		go func() { defer wg.Done(); got[1] = Run(newNativeEngine(), tr, 0) }()
+		go func() { defer wg.Done(); got[0] = released(newEngine()) }()
+		go func() { defer wg.Done(); got[1] = released(newNativeEngine()) }()
 		wg.Wait()
 		if !reflect.DeepEqual(got[0], wantPOD) {
 			t.Fatalf("round %d: pooled concurrent POD replay diverged from serial reference", round)

@@ -86,7 +86,7 @@ func Analyze(t *Trace) *Analysis {
 			lba := r.LBA + uint64(j)
 			if _, ok := seen[id]; ok {
 				redundant++
-				if cur, ok := at.Get(lba); ok && cur == id {
+				if cur, ok, _ := at.Lookup(lba); ok && cur == id {
 					sameLBA++
 				} else {
 					diffLBA++

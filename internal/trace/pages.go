@@ -70,6 +70,21 @@ func (d *Pages[P]) Each(fn func(pg uint64, p *P) bool) bool {
 	return true
 }
 
+// Any reports whether any page of [lo, hi] is present; hi must be a
+// page below LBALimit. It skips a missing leaf whole, so it costs the
+// leaves the range meets and the pages of those present, not the
+// range's length.
+func (d *Pages[P]) Any(lo, hi uint64) bool {
+	for pg := lo; pg <= hi; pg++ {
+		if d.top[pg>>dirBits] == nil {
+			pg |= dirMask
+		} else if d.Page(pg) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // Clear hands every page to put, in ascending order, and empties the
 // directory. It keeps the leaves, so a directory refilled over the
 // same span allocates nothing.

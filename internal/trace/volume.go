@@ -2,24 +2,30 @@ package trace
 
 import (
 	"math/bits"
+	"sync"
 
 	"github.com/pod-dedup/pod/internal/chunk"
 )
 
-// Volume is a dense LBA → content map over the bounded logical address
-// space: the reference a read-back check or a redundancy count keeps of
-// what each block holds. Beside each block's content it keeps one mark
-// bit, a second plane that is independent of the content (a block may
-// be marked without holding any).
+// Volume is a dense block → content map over the bounded address space
+// [0, LBALimit). Beside each block's content it keeps one mark bit, a
+// second plane that is independent of the content (a block may be
+// marked without holding any). It has two users: the reference a
+// read-back check or a redundancy count keeps of what each LBA holds
+// (the chaos oracle's shadow, Analyze's current content), and the
+// engines' physical content model, engine.Store, where a block's
+// presence says it was ever written and its mark that it is dead.
 //
-// LBAs are indexed directly, like the Map table's: pages of one routing
-// granule (PageBits) of content IDs and presence bits, in a Pages
-// directory. A sparse volume pays one page per granule it touches, plus
-// one directory leaf per 2^19 LBAs that hold any. The zero Volume is
-// empty and ready.
+// Blocks are indexed directly, like the Map table's LBAs: pages of one
+// routing granule (PageBits) of content IDs, presence and mark bits, in
+// a Pages directory — 8.25 bytes a block. A sparse volume pays one page
+// per granule it touches, plus one directory leaf per 2^20 blocks that
+// hold any. Pages come from a process-wide pool of zeroed pages, which
+// Release hands them back to. The zero Volume is empty and ready.
 type Volume struct {
 	pages  Pages[volPage]
-	marked int // LBAs marked
+	n      int // blocks holding content
+	marked int // blocks marked
 }
 
 const (
@@ -33,13 +39,17 @@ type volPage struct {
 	id     [volPageSize]chunk.ContentID
 }
 
+// volPagePool holds zeroed pages: a page belongs to one Volume from
+// Get until that volume's Release, which zeroes it before Put.
+var volPagePool = sync.Pool{New: func() any { return new(volPage) }}
+
 // page returns lba's page, adding it when absent. lba must be below
 // LBALimit (Slot panics past it): every door refuses a request past
 // it, so one here is a bug.
 func (v *Volume) page(lba uint64) *volPage {
 	s := v.pages.Slot(lba >> PageBits)
 	if *s == nil {
-		*s = new(volPage)
+		*s = volPagePool.Get().(*volPage)
 	}
 	return *s
 }
@@ -50,7 +60,10 @@ func (v *Volume) Set(lba uint64, id chunk.ContentID) {
 	p := v.page(lba)
 	i := lba & volPageMask
 	w, bit := i/64, uint64(1)<<(i%64)
-	p.has[w] |= bit
+	if p.has[w]&bit == 0 {
+		p.has[w] |= bit
+		v.n++
+	}
 	if p.marked[w]&bit != 0 {
 		p.marked[w] &^= bit
 		v.marked--
@@ -58,14 +71,15 @@ func (v *Volume) Set(lba uint64, id chunk.ContentID) {
 	p.id[i] = id
 }
 
-// Get returns lba's content and whether it holds any.
-func (v *Volume) Get(lba uint64) (chunk.ContentID, bool) {
+// Lookup returns lba's content, whether it holds any, and its mark.
+func (v *Volume) Lookup(lba uint64) (id chunk.ContentID, has, marked bool) {
 	p := v.pages.Page(lba >> PageBits)
 	if p == nil {
-		return 0, false
+		return 0, false, false
 	}
 	i := lba & volPageMask
-	return p.id[i], p.has[i/64]>>(i%64)&1 != 0
+	w, b := i/64, i%64
+	return p.id[i], p.has[w]>>b&1 != 0, p.marked[w]>>b&1 != 0
 }
 
 // Mark sets lba's mark, whether or not it holds content.
@@ -79,10 +93,29 @@ func (v *Volume) Mark(lba uint64) {
 	}
 }
 
-// Marks returns how many LBAs are marked.
+// Len returns how many blocks hold content.
+func (v *Volume) Len() int { return v.n }
+
+// Marks returns how many blocks are marked.
 func (v *Volume) Marks() int { return v.marked }
 
-// Each visits every LBA holding content in ascending order, with its
+// Touched reports whether any block of [from, from+n) lies on a page
+// the volume holds, one a Set or Mark reached. It answers per page, so
+// true promises nothing about the range itself; false says no block in
+// it holds content or a mark. It costs what Pages.Any does, not the
+// range's length, and ignores the part at or past LBALimit.
+func (v *Volume) Touched(from, n uint64) bool {
+	if n == 0 || from >= LBALimit {
+		return false
+	}
+	last := uint64(LBALimit - 1)
+	if n-1 < last-from {
+		last = from + n - 1
+	}
+	return v.pages.Any(from>>PageBits, last>>PageBits)
+}
+
+// Each visits every block holding content in ascending order, with its
 // content and mark. fn must not change the volume.
 func (v *Volume) Each(fn func(lba uint64, id chunk.ContentID, marked bool)) {
 	v.pages.Each(func(pg uint64, p *volPage) bool {
@@ -96,4 +129,16 @@ func (v *Volume) Each(fn func(lba uint64, id chunk.ContentID, marked bool)) {
 		}
 		return true
 	})
+}
+
+// Release empties the volume and hands its pages, zeroed, to the
+// process-wide pool every volume draws its pages from: an engine's
+// content model is released at teardown, so the next engine's pages
+// cost no allocation.
+func (v *Volume) Release() {
+	v.pages.Clear(func(p *volPage) {
+		*p = volPage{}
+		volPagePool.Put(p)
+	})
+	v.n, v.marked = 0, 0
 }

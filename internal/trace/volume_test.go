@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -25,33 +26,61 @@ func volLBA(b byte) uint64 {
 	}
 }
 
+// volSpans are the range lengths a Touched op asks about.
+var volSpans = [...]uint64{0, 1, 100, volPageSize, 3*volPageSize + 5, 1 << 40, math.MaxUint64}
+
 // runVolumeOps drives a Volume through data, two bytes per operation
-// (op, LBA selector), against a Go-map model: Set, Mark and Get, the
-// counts after every operation, and at the end a walk that must visit
-// exactly the model's LBAs, ascending, with their content and marks.
+// (op, LBA selector), against a Go-map model: Set, Mark, Lookup,
+// Touched over a range from the LBA (against the set of pages a
+// Set or Mark reached), and Release with the volume used again
+// afterwards; the counts after every operation, and at the end a walk
+// that must visit exactly the model's LBAs, ascending, with their
+// content and marks.
 func runVolumeOps(t *testing.T, data []byte) {
 	var v Volume
+	defer v.Release()
 	want := map[uint64]chunk.ContentID{}
 	marked := map[uint64]bool{}
+	pages := map[uint64]bool{}
 	for i := 0; i+1 < len(data); i += 2 {
 		op, lba := data[i], volLBA(data[i+1])
-		switch op % 4 {
-		case 0, 1:
+		switch op % 8 {
+		case 0, 1, 6:
 			id := chunk.ContentID(i / 2) // the first is content 0
 			v.Set(lba, id)
 			want[lba] = id
 			delete(marked, lba)
-		case 2:
+			pages[lba>>PageBits] = true
+		case 2, 7:
 			v.Mark(lba)
 			marked[lba] = true
+			pages[lba>>PageBits] = true
 		case 3:
-			id, ok := v.Get(lba)
-			if mid, mok := want[lba]; ok != mok || id != mid {
-				t.Fatalf("op %d: Get(%d) = %d, %v; model %d, %v", i/2, lba, id, ok, mid, mok)
+			mid, mok := want[lba]
+			if id, has, mark := v.Lookup(lba); has != mok || id != mid || mark != marked[lba] {
+				t.Fatalf("op %d: Lookup(%d) = %d, %v, %v; model %d, %v, %v", i/2, lba, id, has, mark, mid, mok, marked[lba])
 			}
+		case 4:
+			n := volSpans[int(op/8)%len(volSpans)]
+			last := uint64(LBALimit - 1)
+			if n > 0 && n-1 < last-lba {
+				last = lba + n - 1
+			}
+			touched := false
+			for pg := range pages {
+				touched = touched || n > 0 && pg >= lba>>PageBits && pg <= last>>PageBits
+			}
+			if got := v.Touched(lba, n); got != touched {
+				t.Fatalf("op %d: Touched(%d, %d) = %v, model %v", i/2, lba, n, got, touched)
+			}
+		case 5:
+			v.Release()
+			clear(want)
+			clear(marked)
+			clear(pages)
 		}
-		if v.Marks() != len(marked) {
-			t.Fatalf("op %d: %d marked, model %d", i/2, v.Marks(), len(marked))
+		if v.Marks() != len(marked) || v.Len() != len(want) {
+			t.Fatalf("op %d: %d marked and %d holding content, model %d and %d", i/2, v.Marks(), v.Len(), len(marked), len(want))
 		}
 	}
 	lbas := make([]uint64, 0, len(want))
@@ -77,6 +106,7 @@ func FuzzVolume(f *testing.F) {
 	f.Add([]byte{0, 65, 1, 64, 2, 65, 3, 64, 3, 65}) // either side of the first page edge
 	f.Add([]byte{2, 200, 0, 255, 2, 255, 0, 200})    // the last LBAs: marked, then set
 	f.Add([]byte{1, 130, 0, 190, 2, 160, 3, 130, 0, 10, 3, 190})
+	f.Add([]byte{2, 70, 4, 0, 12, 69, 44, 200, 5, 0, 3, 70, 4, 0}) // Touched around a marked page, Release, then empty
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runVolumeOps(t, data)
 	})

@@ -38,6 +38,7 @@ import (
 	"github.com/pod-dedup/pod/internal/experiments"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
+	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // Request is one I/O against a System: Time is the virtual arrival in
@@ -245,12 +246,18 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("pod: NVRAMKB %d: -1 disables journaling, no other negative value means anything", cfg.NVRAMKB)
 	case cfg.BGDedupBlocksPerSec < 0:
 		return nil, fmt.Errorf("pod: negative BGDedupBlocksPerSec %d", cfg.BGDedupBlocksPerSec)
+	case cfg.DiskBlocks > trace.LBALimit: // checked alone too: the array's capacity product could wrap
+		return nil, fmt.Errorf("pod: DiskBlocks %d: one disk past the %d blocks the content model addresses", cfg.DiskBlocks, uint64(trace.LBALimit))
 	}
 
 	ecfg := experiments.Platform(cfg.Disks, cfg.DiskBlocks, level, uint64(cfg.StripeUnitKB/4), int64(cfg.MemoryMB)<<20, 0)
-	if n := ecfg.Array.DataBlocks(); n < engine.IndexZoneFrac {
+	switch n := ecfg.Array.DataBlocks(); {
+	case n < engine.IndexZoneFrac:
 		return nil, fmt.Errorf("pod: %d disks of %d blocks hold %d data blocks under this layout; the engines need at least %d (1/%d of the array is the index zone)",
 			cfg.Disks, cfg.DiskBlocks, n, engine.IndexZoneFrac, engine.IndexZoneFrac)
+	case n > trace.LBALimit:
+		return nil, fmt.Errorf("pod: %d disks of %d blocks hold %d data blocks under this layout; the content model addresses at most %d",
+			cfg.Disks, cfg.DiskBlocks, n, uint64(trace.LBALimit))
 	}
 	switch {
 	case cfg.NVRAMKB > 0:

@@ -376,6 +376,21 @@ func TestLayoutSelection(t *testing.T) {
 	}
 }
 
+// TestArrayPastTheContentBoundRefused: the engines' content model
+// addresses [0, trace.LBALimit) physical blocks, so New refuses an
+// array holding more, and a disk whose blocks alone exceed it.
+func TestArrayPastTheContentBoundRefused(t *testing.T) {
+	_, err := New(Config{Layout: "raid0", Disks: 2, DiskBlocks: 1<<27 + 16, Scheme: SchemeNative})
+	if err == nil || !strings.Contains(err.Error(), "addresses at most") {
+		t.Fatalf("an array of 2^28 + 32 data blocks: want a refusal naming the bound, got %v", err)
+	}
+	// 5 × (2^62 + 16) blocks of RAID5 data would wrap to 64
+	_, err = New(Config{Disks: 5, DiskBlocks: 1<<62 + 16, Scheme: SchemeNative})
+	if err == nil || !strings.Contains(err.Error(), "the content model addresses") {
+		t.Fatalf("disks of 2^62 + 16 blocks: want a refusal naming the bound, got %v", err)
+	}
+}
+
 // TestSmallArrays: the index zone at the top of the array is 1/32 of
 // it, and the iCache's swap-in reads used to assume that zone exceeds
 // one 256-block batch. An array whose zone is exactly one batch, just
