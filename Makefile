@@ -185,10 +185,9 @@ test:
 # install and a request's locked hint probes on a table past L2, a
 # tick's drain of targeted grants,
 # one request's seven ads landing on a 200k-entry tier,
-# the inbox behind a 1k and a 100k backlog and filled in runs of
-# 1 / 7 / 256, Close settling eight loaded agents on
-# one core and on two). The CDC split and hash, the generic map's gets,
-# the directory, the hint/grant/publish benchmarks, the content model
+# the inbox behind a 1k and a 100k backlog, Close settling eight
+# loaded agents on one core and on two). The CDC split and hash, the
+# generic map's gets, the directory, the hint/grant/publish benchmarks, the content model
 # and the Map table's Set with the reverse index on fail unless they run
 # at 0 allocs/op; make check
 # runs those (ZERO_ALLOC_BENCH, with the CDC split's in bench-delta) as

@@ -78,11 +78,6 @@ type Agent struct {
 	waiting uint64
 	since   uint32
 
-	// out[s] is the run of messages toward shard s staged by the
-	// drainMsgs call in progress (staging); empty whenever none is.
-	out     [][]message
-	staging bool
-
 	remapsApplied  int64
 	remapsRejected int64
 	reclaimed      int64
@@ -112,7 +107,6 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 		inner:  inner,
 		core:   inner.Core(),
 		hinted: make([]uint64, (b.DataBlocks()+63)/64),
-		out:    make([][]message, t.shards),
 	}
 	b.Background = a
 	b.SetTier(a)
@@ -283,63 +277,24 @@ func (a *Agent) ReAdvertise() {
 }
 
 // drainMsgs handles up to budget queued control messages and returns the
-// number handled. What the handlers send is staged per destination and
-// delivered in runs (see send); every run is out before drainMsgs
-// returns.
+// number handled.
 func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 	a.msgBuf = a.t.inbox[a.shard].take(a.msgBuf[:0], budget)
-	a.staging = true
 	for _, m := range a.msgBuf {
 		a.handle(now, m)
-	}
-	a.staging = false
-	for to := range a.out {
-		a.flush(to)
 	}
 	return len(a.msgBuf)
 }
 
-// outboxRun is the longest run send stages before delivering it: it
-// bounds an agent's outboxes at shards × 16 KiB however many messages a
-// settlement drain handles at once.
-const outboxRun = 256
-
 // send is the one way the agent sends: every message it originates,
-// stamped with its shard and current epoch. Outside drainMsgs the
-// message goes straight to the destination's inbox. Inside, where a
-// drain emits a grant per duplicate pin request and an ack per barrier,
-// it joins the destination's staged run, delivered under one lock hold
-// when the run reaches outboxRun or the drain ends.
-//
-// Per-(sender, receiver) FIFO — a grant before the barrier of a round
-// that may free its canonical, a RefUp before the ack that lets a round
-// release the block it references — survives because a run keeps send
-// order, runs toward one destination are delivered in the order they
-// filled, and nothing staged outlives the drainMsgs call (so the
-// shard-lock hold) that staged it: a direct send always finds the
-// outboxes empty, and
-// Tier.Backlog misses nothing between lock holds. A shard cannot go
-// down while a peer holds its own shard lock (Server.CrashShard takes
-// them all), so checking the down flag once per run drops, and counts,
-// exactly the messages checking it per message would.
+// stamped with its shard and current epoch, goes straight into the
+// destination's inbox. Every call runs under the agent's shard lock, so
+// per-(sender, receiver) FIFO is program order — a grant before the
+// barrier of a round that may free its canonical, a RefUp before the
+// ack that lets a round release the block it references.
 func (a *Agent) send(to int, m message) {
 	m.from, m.epoch = a.shard, a.t.Epoch(a.shard)
-	if !a.staging {
-		a.t.send(to, m)
-		return
-	}
-	a.out[to] = append(a.out[to], m)
-	if len(a.out[to]) == outboxRun {
-		a.flush(to)
-	}
-}
-
-// flush delivers the run staged toward one shard.
-func (a *Agent) flush(to int) {
-	if len(a.out[to]) > 0 {
-		a.t.sendAll(to, a.out[to])
-		a.out[to] = a.out[to][:0]
-	}
+	a.t.send(to, m)
 }
 
 func (a *Agent) handle(now sim.Time, m message) {

@@ -26,9 +26,10 @@
 // open: a payload-free barrier to every live peer, whose ack follows
 // every RefUp the peer sent before it, and on the last ack the round
 // releases every pin queued before it opened. Delivery is one FIFO per
-// receiving shard, and every send of an Agent goes through Agent.send,
-// so per-(sender, receiver) order holds. A peer drops its cached reads
-// of a remote block with its last reference to it (Base.FreeBlocks).
+// receiving shard, and every send of an Agent is one Tier.send made
+// under its shard lock, so per-(sender, receiver) order is send order.
+// A peer drops its cached reads of a remote block with its last
+// reference to it (Base.FreeBlocks).
 // Shards are failure domains: epochs fence a crashed shard's old
 // messages, a crash notice stands in for its acks, and a crash drops
 // only its own state and the hints naming its canonicals. The tier is
@@ -63,7 +64,8 @@ const (
 	// barriers) a shard agent processes per engine tick. Control work
 	// is pure bookkeeping — no disk I/O — so it is never idle-gated:
 	// hints must land while the system is busy or the inline recovery
-	// never happens.
+	// never happens. 256, one inbox chunk, bounds what one tick
+	// charges the request whose engine call runs it.
 	msgsPerTick = 256
 )
 
@@ -148,21 +150,16 @@ type inboxChunk struct {
 	next *inboxChunk
 }
 
-func (in *inbox) push(m message) { in.pushAll([]message{m}) }
-
-// pushAll queues a run of messages, in order, under one lock hold.
-func (in *inbox) pushAll(ms []message) {
+// push queues one message.
+func (in *inbox) push(m message) {
 	in.mu.Lock()
-	in.n += len(ms)
-	in.peak = max(in.peak, in.n)
-	for len(ms) > 0 {
-		if in.tail == nil || in.w == inboxChunkLen {
-			in.link()
-		}
-		k := copy(in.tail.msgs[in.w:], ms)
-		in.w += k
-		ms = ms[k:]
+	if in.tail == nil || in.w == inboxChunkLen {
+		in.link()
 	}
+	in.tail.msgs[in.w] = m
+	in.w++
+	in.n++
+	in.peak = max(in.peak, in.n)
 	in.mu.Unlock()
 }
 

@@ -262,14 +262,14 @@ func TestCrashDropsDeadOwnersHints(t *testing.T) {
 	}
 }
 
-// TestInboxMatchesSliceModel interleaves push, pushAll (runs from empty
-// to several chunks), take and clear against a plain slice, holding the
+// TestInboxMatchesSliceModel interleaves pushes (up to 40 at a time, or
+// none to three chunks' worth), take and clear against a plain slice, holding the
 // chunk list to its accounting at every step: the chunks it says it
 // holds are the ones queued plus the spares, and they are as many as
 // were ever queued at once.
 func TestInboxMatchesSliceModel(t *testing.T) {
 	var in inbox
-	var model, got, run []message
+	var model, got []message
 	rng := rand.New(rand.NewSource(2))
 	next, peak, peakChunks := 0, 0, 0
 	for step := 0; step < 50000; step++ {
@@ -282,13 +282,12 @@ func TestInboxMatchesSliceModel(t *testing.T) {
 				model = append(model, m)
 			}
 		case op < 60:
-			run = run[:0]
 			for k := rng.Intn(3*inboxChunkLen) * rng.Intn(2); k > 0; k-- {
-				run = append(run, message{from: next})
+				m := message{from: next}
 				next++
+				in.push(m)
+				model = append(model, m)
 			}
-			in.pushAll(run)
-			model = append(model, run...)
 		case op < 97:
 			n := rng.Intn(80) << uint(rng.Intn(5))
 			got = in.take(got[:0], n)
@@ -329,12 +328,17 @@ func TestInboxMatchesSliceModel(t *testing.T) {
 
 // TestInboxRecyclesChunks: a drained flood keeps its chunks, so a
 // second flood as large allocates nothing; and a tick's traffic — a few
-// runs in, a budget out — goes through spare chunks and allocates
-// nothing either, whatever the backlog did before.
+// hundred messages in, a budget out — goes through spare chunks and
+// allocates nothing either, whatever the backlog did before.
 func TestInboxRecyclesChunks(t *testing.T) {
 	var in inbox
 	flood := make([]message, 100*inboxChunkLen)
-	in.pushAll(flood)
+	pushEach := func(ms []message) {
+		for _, m := range ms {
+			in.push(m)
+		}
+	}
+	pushEach(flood)
 	if got := in.bytes(); got < int64(len(flood))*int64(unsafe.Sizeof(message{})) {
 		t.Fatalf("inbox reports %d bytes for %d queued messages", got, len(flood))
 	}
@@ -343,7 +347,7 @@ func TestInboxRecyclesChunks(t *testing.T) {
 		t.Fatalf("drained flood leaves %d chunks held, want its 100", in.chunks)
 	}
 	if avg := testing.AllocsPerRun(3, func() {
-		in.pushAll(flood)
+		pushEach(flood)
 		buf = in.take(buf[:0], len(flood))
 	}); avg != 0 || in.chunks != 100 {
 		t.Fatalf("second flood: %.2f allocs, %d chunks held; want 0 and 100", avg, in.chunks)
@@ -351,7 +355,7 @@ func TestInboxRecyclesChunks(t *testing.T) {
 	run := flood[:7]
 	tick := func() {
 		for k := 0; k < 60; k++ {
-			in.pushAll(run)
+			pushEach(run)
 		}
 		buf = in.take(buf[:0], 256)
 		buf = in.take(buf[:0], 256)

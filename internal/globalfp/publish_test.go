@@ -334,7 +334,9 @@ func checkPublish(t *testing.T, data []byte) {
 				break
 			}
 			n = min(n, len(rounds[s]))
-			batched.inbox[s].pushAll(rounds[s][:n])
+			for _, m := range rounds[s][:n] {
+				batched.inbox[s].push(m)
+			}
 			rounds[s] = rounds[s][n:]
 			agents[s].drainMsgs(0, n)
 			model.deliver(s, n)

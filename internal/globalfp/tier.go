@@ -129,17 +129,6 @@ func (t *Tier) send(shard int, m message) {
 	t.inbox[shard].push(m)
 }
 
-// sendAll delivers a run of control messages to one shard's inbox in
-// order, under one lock hold; toward a down shard the whole run is
-// dropped and counted, message for message as send would.
-func (t *Tier) sendAll(shard int, ms []message) {
-	if t.down[shard].Load() {
-		t.downDropped.Add(int64(len(ms)))
-		return
-	}
-	t.inbox[shard].pushAll(ms)
-}
-
 // Epoch reports a shard's current fencing epoch.
 func (t *Tier) Epoch(shard int) uint32 { return t.epochs[shard].Load() }
 
@@ -176,12 +165,11 @@ func (t *Tier) fenced(shard int, epoch uint32) bool {
 const warmRun = 16
 
 // pubScratch is a publisher's reusable scratch for landing a batch: the
-// ads grouped by partition, their fingerprints beside them for the
-// warm, and one partition run's pin requests staged per destination.
+// ads grouped by partition, and their fingerprints beside them for the
+// warm.
 type pubScratch struct {
 	ads []engine.Ad
 	fps []chunk.Fingerprint
-	out [][]message
 }
 
 // publish lands a batch of advertisements from shard, stamped with
@@ -192,9 +180,9 @@ type pubScratch struct {
 // ads are grouped by partition,
 // stably, so each partition sees them in publishing order; each
 // partition's run lands under one lock hold, its table buckets warmed
-// first, and the pin requests it implies leave, one pushAll per
-// destination, before the partition lock does — the shard → partition
-// → inbox order of every other tier call.
+// first, and each pin request leaves as processAd returns it, before
+// the partition lock does — the shard → partition → inbox order of
+// every other tier call.
 func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch) {
 	if len(ads) == 0 {
 		return
@@ -222,9 +210,6 @@ func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch)
 		sc.ads[*k], sc.fps[*k] = ads[i], ads[i].FP
 		*k++
 	}
-	if len(sc.out) < t.shards {
-		sc.out = make([][]message, t.shards)
-	}
 
 	var hints, dups int64
 	for pi := range t.parts {
@@ -233,7 +218,6 @@ func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch)
 			continue
 		}
 		p := &t.parts[pi]
-		var dests uint64
 		p.mu.Lock()
 		for ; lo < hi; lo += warmRun {
 			end := min(lo+warmRun, hi)
@@ -248,14 +232,8 @@ func (t *Tier) publish(shard int, epoch uint32, ads []engine.Ad, sc *pubScratch)
 				} else {
 					hints++
 				}
-				sc.out[to] = append(sc.out[to], m)
-				dests |= uint64(1) << uint(to)
+				t.send(to, m)
 			}
-		}
-		for ; dests != 0; dests &= dests - 1 {
-			to := bits.TrailingZeros64(dests)
-			t.sendAll(to, sc.out[to])
-			sc.out[to] = sc.out[to][:0]
 		}
 		p.mu.Unlock()
 	}

@@ -32,6 +32,7 @@ package raid
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/fault"
@@ -117,15 +118,23 @@ func New(level Level, disks []*disk.Disk, unit uint64) *Array {
 	}
 	a := &Array{level: level, disks: disks, unit: unit, failed: -1}
 	a.stripes = blocks / unit
+	data := uint64(len(disks)) // spindles' worth of data a stripe holds
 	switch level {
-	case RAID0:
-		a.dataBlocks = a.stripes * unit * uint64(len(disks))
 	case RAID5:
-		a.dataBlocks = a.stripes * unit * uint64(len(disks)-1)
+		data--
 	case RAID1:
 		// mirrored pairs: half the spindles hold data, half mirrors
-		a.dataBlocks = a.stripes * unit * uint64(len(disks)/2)
+		data /= 2
 	}
+	// The product can wrap: five RAID5 disks of 2^62 + 16 blocks would
+	// report 64 data blocks. No input reaches this panic — pod.New and
+	// podsim refuse a disk past 2^28 blocks — but a wrapped capacity
+	// must not reach any other caller either.
+	hi, lo := bits.Mul64(a.stripes*unit, data)
+	if hi != 0 {
+		panic(fmt.Sprintf("raid: %d disks of %d blocks hold more than 2^64 data blocks", len(disks), blocks))
+	}
+	a.dataBlocks = lo
 	// Default rebuild pace: one stripe unit per sequential
 	// read-plus-write of that unit (the transfer-bound rate of a
 	// dedicated spare, ~100 MB/s on the default drive model).

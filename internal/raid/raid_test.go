@@ -40,6 +40,21 @@ func TestConstructorValidation(t *testing.T) {
 	})
 }
 
+// TestCapacityProductPanicsPastUint64: five RAID5 disks of 2^62 + 16
+// blocks hold 2^64 + 64 data blocks, which a plain product wraps to 64.
+func TestCapacityProductPanicsPastUint64(t *testing.T) {
+	ds := make([]*disk.Disk, 5)
+	for i := range ds {
+		ds[i] = disk.New(disk.DefaultParams(1<<62 + 16))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New built an array whose capacity wraps past 2^64 blocks")
+		}
+	}()
+	New(RAID5, ds, 16)
+}
+
 func TestCapacity(t *testing.T) {
 	a := new5(t)
 	// 4 disks × 2^18 blocks, unit 16: stripes = 2^18/16 = 16384,

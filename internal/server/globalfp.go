@@ -64,8 +64,9 @@ func (s *Server) initGlobalFP() error {
 // shard lock, exactly as the agents' ticks interleave while serving
 // (shard → partition → inbox lock order, never two shard locks). A
 // round ends at a barrier, so the termination test reads a still
-// system: no agent is mid-drain and nothing is staged, so a round that
-// moved nothing with every inbox empty leaves no work anywhere.
+// system: no agent is mid-drain and every message sent is in its
+// receiver's inbox, so a round that moved nothing with every inbox
+// empty leaves no work anywhere.
 func (s *Server) settleGlobalFP() {
 	s.eachLiveAgent(func(a *globalfp.Agent, _ sim.Time) int {
 		a.ReAdvertise()
