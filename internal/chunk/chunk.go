@@ -28,9 +28,17 @@ const Size = 4096
 // chunks with equal ContentID have byte-identical payloads.
 type ContentID uint64
 
-// Fingerprint is a 20-byte content hash (SHA-1 sized, as in most
-// deduplication literature including the POD paper's 20-byte entries).
-type Fingerprint [20]byte
+// Fingerprint is a chunk's content fingerprint: one little-endian
+// 64-bit word, ContentID.Fingerprint. The paper's entries hold a 20-byte
+// SHA-1; here a fingerprint is a bijection of the content ID, so one
+// word decides equality. It stays an array, not a uint64, so a
+// fingerprint-keyed table hashes the word as it is instead of re-mixing
+// it as an integer key (probe.Key).
+type Fingerprint [8]byte
+
+// Word is f's one word, already uniform: tables pick buckets from its
+// bits.
+func (f Fingerprint) Word() uint64 { return binary.LittleEndian.Uint64(f[:]) }
 
 // Chunk is one fixed-size unit of write data flowing down the I/O path.
 type Chunk struct {
@@ -63,18 +71,13 @@ func FillPayload(id ContentID, buf []byte) {
 	}
 }
 
-// Fingerprint is the fingerprint of the content id names: three rounds
-// of the MurmurHash3 finalizer, a golden-ratio step apart, fill bytes
-// 0–7, 8–15 and 16–19. The finalizer is a bijection, so the first
-// round alone makes the function injective: equal fingerprints mean
-// equal content.
+// Fingerprint is the fingerprint of the content id names: the
+// MurmurHash3 finalizer of the ID, little-endian. The finalizer is a
+// bijection, so the function is injective (equal fingerprints mean
+// equal content) and ContentID 0 fingerprints to the zero value, which
+// is ordinary content like any other.
 func (id ContentID) Fingerprint() (f Fingerprint) {
-	x := fmix64(uint64(id))
-	binary.LittleEndian.PutUint64(f[0:], x)
-	x = fmix64(x + 0x9e3779b97f4a7c15)
-	binary.LittleEndian.PutUint64(f[8:], x)
-	x = fmix64(x + 0x9e3779b97f4a7c15)
-	binary.LittleEndian.PutUint32(f[16:], uint32(x))
+	binary.LittleEndian.PutUint64(f[:], fmix64(uint64(id)))
 	return f
 }
 

@@ -49,11 +49,14 @@ func TestSyntheticConsistent(t *testing.T) {
 	}
 }
 
-// syntheticRef is the loop ContentID.Fingerprint was before it became
-// three straight-line rounds, kept as the reference that defines every
+// syntheticRef is the loop ContentID.Fingerprint was when a
+// fingerprint was 20 bytes, three finalizer rounds a golden-ratio step
+// apart, cut to the first eight bytes: the word every fingerprint-keyed
+// table hashed and compared first, so keeping it keeps every bucket
+// layout and every figure. It is the reference that defines every
 // fingerprint.
 func syntheticRef(id ContentID) Fingerprint {
-	var f Fingerprint
+	var f [20]byte
 	x := uint64(id)
 	for i := 0; i < 20; i += 8 {
 		x ^= x >> 33
@@ -70,11 +73,11 @@ func syntheticRef(id ContentID) Fingerprint {
 		copy(f[i:i+n], tmp[:n])
 		x += 0x9e3779b97f4a7c15
 	}
-	return f
+	return Fingerprint(f[:8])
 }
 
 // TestSyntheticMatchesReference: the fingerprint is bit-identical to
-// the reference loop over a seeded million IDs and both ends of the
+// the reference's word over a seeded million IDs and both ends of the
 // range — directly, through SyntheticFingerprinter, SplitInto and a
 // HashEngine.
 func TestSyntheticMatchesReference(t *testing.T) {
@@ -99,6 +102,54 @@ func TestSyntheticMatchesReference(t *testing.T) {
 	}
 }
 
+// unmix64 inverts fmix64: x ^= x>>33 is its own inverse (the shift is
+// past half the word), and each odd multiplier has an inverse mod 2^64,
+// found by Newton's iteration (each step doubles the correct low bits).
+func unmix64(x uint64) uint64 {
+	inv := func(c uint64) uint64 {
+		y := c // correct to 3 bits: c·c ≡ 1 mod 8 for any odd c
+		for i := 0; i < 5; i++ {
+			y *= 2 - c*y
+		}
+		return y
+	}
+	x ^= x >> 33
+	x *= inv(0xc4ceb9fe1a85ec53)
+	x ^= x >> 33
+	x *= inv(0xff51afd7ed558ccd)
+	x ^= x >> 33
+	return x
+}
+
+// TestFingerprintIsABijection: a fingerprint is fmix64 of the ID as one
+// little-endian word, an inverse round gives the ID back — so no two
+// IDs share a fingerprint, which a set of them checks directly as well
+// — and ContentID 0 fingerprints to the zero value.
+func TestFingerprintIsABijection(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	ids := []ContentID{0, 1, math.MaxUint64}
+	for len(ids) < 100_000 {
+		ids = append(ids, ContentID(r.Uint64()), ContentID(len(ids)))
+	}
+	seen := make(map[Fingerprint]ContentID, len(ids))
+	for _, id := range ids {
+		fp := id.Fingerprint()
+		if w := binary.LittleEndian.Uint64(fp[:]); w != fmix64(uint64(id)) || fp.Word() != w {
+			t.Fatalf("id %#x: fingerprint %x (word %#x), want fmix64 %#x", uint64(id), fp, fp.Word(), fmix64(uint64(id)))
+		}
+		if back := unmix64(fp.Word()); back != uint64(id) {
+			t.Fatalf("id %#x: the inverse round gives %#x", uint64(id), back)
+		}
+		if other, ok := seen[fp]; ok && other != id {
+			t.Fatalf("ids %#x and %#x share fingerprint %x", uint64(other), uint64(id), fp)
+		}
+		seen[fp] = id
+	}
+	if ContentID(0).Fingerprint() != (Fingerprint{}) {
+		t.Fatal("ContentID 0 must fingerprint to the zero value")
+	}
+}
+
 // TestFingerprintEqualityProperty: the equivalence every dedup
 // decision rests on — fingerprints are equal iff content IDs are.
 func TestFingerprintEqualityProperty(t *testing.T) {
@@ -110,11 +161,12 @@ func TestFingerprintEqualityProperty(t *testing.T) {
 	}
 }
 
-// TestChunkSize: a chunk is its content ID and fingerprint, nothing
-// more — every chunk scratch buffer and WriteOp is sized by it.
+// TestChunkSize: a chunk is its content ID and fingerprint, two words
+// and nothing more — every chunk scratch buffer and WriteOp is sized by
+// it.
 func TestChunkSize(t *testing.T) {
-	if n := unsafe.Sizeof(Chunk{}); n != 32 {
-		t.Fatalf("a chunk is %d B, want 32", n)
+	if n := unsafe.Sizeof(Chunk{}); n != 16 {
+		t.Fatalf("a chunk is %d B, want 16", n)
 	}
 }
 

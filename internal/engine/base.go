@@ -968,7 +968,7 @@ func (b *Base) CheckConsistency() error {
 	}
 	return b.IC.CheckIndex(func(fp chunk.Fingerprint, pba alloc.PBA) error {
 		if id, ok := b.Store.Read(pba); !ok || id.Fingerprint() != fp {
-			return fmt.Errorf("engine: hot index binds %x to block %d, which holds content %d (live %v)", fp[:4], pba, id, ok)
+			return fmt.Errorf("engine: hot index binds %x to block %d, which holds content %d (live %v)", fp, pba, id, ok)
 		}
 		return nil
 	})

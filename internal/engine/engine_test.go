@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
@@ -24,6 +25,15 @@ func testBase(t testing.TB) *Base {
 		Array:       raid.New(raid.RAID5, disks, 16),
 		MemoryBytes: 1 << 20,
 	})
+}
+
+// TestAdSize: an ad is a fingerprint, a block and a flag, three words,
+// and every write request carries its chunks' ads to the tier: a field
+// added here grows them all.
+func TestAdSize(t *testing.T) {
+	if n := unsafe.Sizeof(Ad{}); n != 24 {
+		t.Fatalf("an ad is %d B, want 24", n)
+	}
 }
 
 func TestNewBaseValidation(t *testing.T) {

@@ -293,7 +293,7 @@ func (a *Agent) drainMsgs(now sim.Time, budget int) int {
 // barrier of a round that may free its canonical, a RefUp before the
 // ack that lets a round release the block it references.
 func (a *Agent) send(to int, m message) {
-	m.from, m.epoch = a.shard, a.t.Epoch(a.shard)
+	m.from, m.epoch = int32(a.shard), a.t.Epoch(a.shard)
 	a.t.send(to, m)
 }
 
@@ -309,7 +309,7 @@ func (a *Agent) handle(now sim.Time, m message) {
 	// one lock hold, so a queued ref message is always backed by a
 	// durable state change.)
 	a.handled[m.kind]++
-	if m.epoch != a.t.Epoch(m.from) && m.kind != msgRefUp && m.kind != msgRefDown {
+	if m.epoch != a.t.Epoch(int(m.from)) && m.kind != msgRefUp && m.kind != msgRefDown {
 		a.staleDropped++
 		a.t.staleDropped.Add(1)
 		return
@@ -333,7 +333,7 @@ func (a *Agent) handle(now sim.Time, m message) {
 		// Everything this shard sent the owner before now — a RefUp
 		// formed from a binding the owner's recalls since deleted —
 		// is queued ahead of the ack.
-		a.send(m.from, message{kind: msgAck})
+		a.send(int(m.from), message{kind: msgAck})
 	case msgAck:
 		a.waiting &^= uint64(1) << uint(m.from)
 		a.settleRound()
@@ -367,8 +367,8 @@ func (a *Agent) handlePinReq(m message) {
 		a.pinsGranted++
 	}
 	a.t.install(m.fp, m.canon)
-	if m.from != a.shard {
-		a.send(m.from, message{kind: msgGrant, fp: m.fp, canon: m.canon, dup: m.dup})
+	if from := int(m.from); from != a.shard {
+		a.send(from, message{kind: msgGrant, fp: m.fp, canon: m.canon, dup: m.dup})
 	}
 }
 

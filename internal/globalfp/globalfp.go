@@ -114,15 +114,16 @@ var msgNames = [msgKinds]string{"pinreq", "grant", "refup", "refdown", "barrier"
 // messages are stamped with the epoch of the shard they concern: a
 // PinReq with its advertiser's, a PeerDown with the dead shard's new
 // one, so a later crash of that shard fences an earlier notice that its
-// own notice covers.
+// own notice covers. The fields run widest first, so a message packs
+// into 40 B (TestHotLayouts).
 type message struct {
-	kind  msgKind
 	fp    chunk.Fingerprint
 	canon alloc.PBA // remote-encoded owner+pba
 	dup   alloc.PBA // msgPinReq/msgGrant: advertiser's local duplicate
-	from  int       // sending shard (ad origin for msgPinReq, the dead shard for msgPeerDown)
+	from  int32     // sending shard (ad origin for msgPinReq, the dead shard for msgPeerDown)
 	epoch uint32    // sender's epoch at send time
 	seq   uint32    // msgPeerDown: the tier's crash count after this crash
+	kind  msgKind
 }
 
 // inbox is a shard's reliable control queue: a mutex-guarded list of
@@ -143,7 +144,7 @@ type inbox struct {
 	chunks     int         // chunks held, queued and spare
 }
 
-const inboxChunkLen = 256 // messages per chunk: 16 KiB
+const inboxChunkLen = 256 // messages per chunk: 10 KiB
 
 type inboxChunk struct {
 	msgs [inboxChunkLen]message

@@ -1,7 +1,6 @@
 package globalfp
 
 import (
-	"encoding/binary"
 	"unsafe"
 
 	"github.com/pod-dedup/pod/internal/alloc"
@@ -67,11 +66,11 @@ func newHintTable(entries int) *hintTable {
 // bytes reports the table's fixed memory footprint.
 func (h *hintTable) bytes() int64 { return int64(len(h.slots)) * int64(unsafe.Sizeof(hintSlot{})) }
 
-// bucket returns fp's bucket. Fingerprints are uniform (SHA-1 or the
-// synthetic mixer), so a word of the fingerprint is the hash — the
-// second word, leaving the first to the tier's partition choice.
+// bucket returns fp's bucket. A fingerprint's word is uniform, so its
+// bits are the hash: those above the ones partOf reads, since every
+// fingerprint of one partition shares those.
 func (h *hintTable) bucket(fp *chunk.Fingerprint) []hintSlot {
-	i := (binary.LittleEndian.Uint64(fp[8:16]) & h.mask) * hintWays
+	i := (fp.Word() / partitions & h.mask) * hintWays
 	return h.slots[i : i+hintWays : i+hintWays]
 }
 

@@ -1,6 +1,7 @@
 package globalfp
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -11,13 +12,26 @@ import (
 )
 
 // modelFP builds a fingerprint whose bucket the model knows without
-// sharing hintTable.bucket: byte 8 is the low byte of the word the
-// table hashes on, id tells fingerprints of one bucket apart.
+// sharing hintTable.bucket: the word's bits just above the partition's
+// are the bucket, and id, in the word's top half, tells fingerprints of
+// one bucket apart.
 func modelFP(bucket, id int) chunk.Fingerprint {
 	var fp chunk.Fingerprint
-	fp[8] = byte(bucket)
-	fp[0], fp[1] = byte(id), byte(id>>8)
+	binary.LittleEndian.PutUint64(fp[:], uint64(bucket)*partitions|uint64(id)<<32)
 	return fp
+}
+
+// TestHotLayouts pins the sizes of what the tier holds most of: a hint
+// slot is 16 B, so a four-way bucket fills one 64-byte cache line, and
+// a message is 40 B, each inbox chunk and drain buffer a multiple of
+// it. A field added to either grows every bucket or queued message.
+func TestHotLayouts(t *testing.T) {
+	if n := unsafe.Sizeof(hintSlot{}); n != 16 || hintWays*n != 64 {
+		t.Fatalf("a hint slot is %d B, a bucket %d B; want 16 and 64", n, hintWays*n)
+	}
+	if n := unsafe.Sizeof(message{}); n != 40 {
+		t.Fatalf("a message is %d B, want 40", n)
+	}
 }
 
 // TestHintTableMatchesModel drives the table and a reference model —
@@ -276,14 +290,14 @@ func TestInboxMatchesSliceModel(t *testing.T) {
 		switch op := rng.Intn(100); {
 		case op < 40:
 			for k := rng.Intn(40); k >= 0; k-- {
-				m := message{from: next}
+				m := message{from: int32(next)}
 				next++
 				in.push(m)
 				model = append(model, m)
 			}
 		case op < 60:
 			for k := rng.Intn(3*inboxChunkLen) * rng.Intn(2); k > 0; k-- {
-				m := message{from: next}
+				m := message{from: int32(next)}
 				next++
 				in.push(m)
 				model = append(model, m)
@@ -378,13 +392,13 @@ func BenchmarkInboxDrain(b *testing.B) {
 		b.Run(bl.name, func(b *testing.B) {
 			var in inbox
 			for i := 0; i < bl.n; i++ {
-				in.push(message{from: i})
+				in.push(message{from: int32(i)})
 			}
 			var buf []message
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < 256; k++ {
-					in.push(message{from: k})
+					in.push(message{from: int32(k)})
 				}
 				buf = in.take(buf[:0], 256)
 			}

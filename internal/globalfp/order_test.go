@@ -82,7 +82,7 @@ func TestSendsKeepPairOrder(t *testing.T) {
 	before := tier.downDropped.Load()
 	for k := 0; k < 3; k++ {
 		for _, from := range []int{1, 2} {
-			tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), dup: alloc.PBA(k), from: from, epoch: tier.Epoch(from)})
+			tier.send(0, message{kind: msgPinReq, fp: fpOf(11), canon: remote(0, g1), dup: alloc.PBA(k), from: int32(from), epoch: tier.Epoch(from)})
 		}
 	}
 	if n := a.drainMsgs(0, 16); n != 7 {

@@ -79,7 +79,7 @@ func (m *modelTier) crash(i int) {
 	o.queued, o.round, o.owed, o.inbox = nil, nil, 0, nil // its pins are never released
 	for j := range m.owners {
 		if j != i && !m.down[j] {
-			m.owners[j].inbox = append(m.owners[j].inbox, message{kind: msgPeerDown, from: i, epoch: m.epoch[i], seq: m.crashes})
+			m.owners[j].inbox = append(m.owners[j].inbox, message{kind: msgPeerDown, from: int32(i), epoch: m.epoch[i], seq: m.crashes})
 		}
 	}
 	for fp, e := range m.tbl {
@@ -148,7 +148,7 @@ func (m *modelTier) settle(shard int) {
 		for p := range m.owners {
 			if p != shard && !m.down[p] {
 				o.owed |= 1 << uint(p)
-				m.owners[p].inbox = append(m.owners[p].inbox, message{kind: msgBarrier, from: shard, epoch: m.epoch[shard]})
+				m.owners[p].inbox = append(m.owners[p].inbox, message{kind: msgBarrier, from: int32(shard), epoch: m.epoch[shard]})
 			}
 		}
 	}
@@ -169,7 +169,7 @@ func (m *modelTier) deliver(shard, n int) {
 			o.stale++
 		case msg.kind == msgBarrier:
 			if !m.down[msg.from] {
-				m.owners[msg.from].inbox = append(m.owners[msg.from].inbox, message{kind: msgAck, from: shard, epoch: m.epoch[shard]})
+				m.owners[msg.from].inbox = append(m.owners[msg.from].inbox, message{kind: msgAck, from: int32(shard), epoch: m.epoch[shard]})
 			}
 		case msg.kind == msgAck:
 			o.owed &^= bit

@@ -1,7 +1,6 @@
 package globalfp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -111,7 +110,7 @@ func (t *Tier) sizeHints(entries int) {
 
 // partOf is the partition fp's advertisements land on.
 func partOf(fp *chunk.Fingerprint) int {
-	return int(binary.LittleEndian.Uint64(fp[:8]) % partitions)
+	return int(fp.Word() % partitions)
 }
 
 func (t *Tier) part(fp chunk.Fingerprint) *partition { return &t.parts[partOf(&fp)] }
@@ -290,7 +289,7 @@ func (t *Tier) processAd(p *partition, shard int, epoch uint32, a *engine.Ad) (i
 		// push that lets a peer's first write of this content
 		// deduplicate inline instead of becoming a per-shard copy.
 		*e = tierEntry{canon: enc}
-		return shard, message{kind: msgPinReq, fp: a.FP, canon: enc, from: shard, epoch: epoch}, true
+		return shard, message{kind: msgPinReq, fp: a.FP, canon: enc, from: int32(shard), epoch: epoch}, true
 	}
 	if e.canon == enc {
 		return 0, message{}, false // the canonical advertising itself
@@ -311,7 +310,7 @@ func (t *Tier) processAd(p *partition, shard int, epoch uint32, a *engine.Ad) (i
 		return 0, message{}, false
 	}
 	e.granted |= bit
-	return owner, message{kind: msgPinReq, fp: a.FP, canon: e.canon, dup: a.PBA, from: shard, epoch: epoch}, true
+	return owner, message{kind: msgPinReq, fp: a.FP, canon: e.canon, dup: a.PBA, from: int32(shard), epoch: epoch}, true
 }
 
 // install binds fp → canon in the hint table, for every peer's lookup
@@ -402,7 +401,7 @@ func (t *Tier) CrashShard(i int) {
 	ep := t.epochs[i].Add(1)
 	t.down[i].Store(true)
 	t.inbox[i].clear()
-	notice := message{kind: msgPeerDown, from: i, epoch: ep, seq: t.crashSweeps.Add(1)}
+	notice := message{kind: msgPeerDown, from: int32(i), epoch: ep, seq: t.crashSweeps.Add(1)}
 	for j := range t.inbox {
 		if j != i {
 			t.send(j, notice)
@@ -517,7 +516,7 @@ func (t *Tier) CheckHints() error {
 			id, live := a.b.Store.Read(local)
 			if held := live && id.Fingerprint() == s.fp; down || !a.hintedTest(local) || !held {
 				return fmt.Errorf("globalfp: hint %x names block %d of shard %d (down %v, hinted pin %v, holds the content %v)",
-					s.fp[:4], local, owner, down, a.hintedTest(local), held)
+					s.fp, local, owner, down, a.hintedTest(local), held)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package icache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"unsafe"
 
@@ -44,7 +43,7 @@ const (
 	readGhostList  = 3
 	firstIndexList = 4 // the single index's list, or one list per stream
 
-	slabPageBits  = 10 // 1 024 slots, 48 KiB a page
+	slabPageBits  = 10 // 1 024 slots, 40 KiB a page
 	slabPageSlots = 1 << slabPageBits
 
 	minBucketBits = 3
@@ -53,7 +52,7 @@ const (
 
 // slot is one directory entry: a fingerprint and the block it binds, or
 // a read-side block. Slot 0 is never used, so 0 means "none" in the
-// buckets and in the chains. Its 48 B hold no padding.
+// buckets and in the chains. Its 40 B hold 4 B of padding.
 type slot struct {
 	pba        alloc.PBA
 	fp         chunk.Fingerprint // zero on the read side
@@ -67,11 +66,11 @@ type slot struct {
 // slot — rather than a read-side block, keyed by the block alone.
 func (s *slot) hashed() bool { return s.home >= firstIndexList }
 
-// word is the uniform word slot s is bucketed by: its fingerprint's
-// first word, or its block's.
+// word is the uniform word slot s is bucketed by: its fingerprint's,
+// or its block's.
 func (s *slot) word() uint64 {
 	if s.hashed() {
-		return firstWord(&s.fp)
+		return s.fp.Word()
 	}
 	return blockWord(s.pba)
 }
@@ -150,13 +149,6 @@ func (d *directory) addList(capacity int, ghost int32) int32 {
 	return int32(len(d.lists) - 1)
 }
 
-// firstWord is a fingerprint's first eight bytes, already uniform (a
-// SHA-1, or the synthetic fingerprinter's finalised mix): its bucket,
-// and the compare that settles most chained mismatches.
-func firstWord(fp *chunk.Fingerprint) uint64 {
-	return binary.LittleEndian.Uint64(fp[:8])
-}
-
 // blockWord spreads block numbers, which are dense, by Fibonacci
 // hashing: a bucket is the product's top bits, which give consecutive
 // blocks distinct buckets (its middle bits fill only about a quarter of
@@ -185,10 +177,9 @@ func (d *directory) holding(l int32, pba alloc.PBA) int32 {
 
 // find returns fp's slot, or 0.
 func (d *directory) find(fp chunk.Fingerprint) int32 {
-	w := firstWord(&fp)
-	for i := *d.byFP.head(w); i != 0; {
+	for i := *d.byFP.head(fp.Word()); i != 0; {
 		s := d.at(i)
-		if firstWord(&s.fp) == w && s.fp == fp {
+		if s.fp == fp {
 			return i
 		}
 		i = s.chain
@@ -204,12 +195,12 @@ func (d *directory) find(fp chunk.Fingerprint) int32 {
 func (d *directory) warm(fps []chunk.Fingerprint) {
 	var sum uint64
 	for k := range fps {
-		sum += uint64(*d.byFP.head(firstWord(&fps[k])))
+		sum += uint64(*d.byFP.head(fps[k].Word()))
 	}
 	for k := range fps {
-		if i := *d.byFP.head(firstWord(&fps[k])); i != 0 {
+		if i := *d.byFP.head(fps[k].Word()); i != 0 {
 			s := d.at(i)
-			sum += firstWord(&s.fp) + uint64(s.chain)
+			sum += s.fp.Word() + uint64(s.chain)
 		}
 	}
 	d.warmed += sum
@@ -400,9 +391,8 @@ func (d *directory) purge(pba alloc.PBA) {
 // forget drops fp's index entry, cached or ghosted, if it binds pba: a
 // newer copy of the content keeps its entry.
 func (d *directory) forget(fp chunk.Fingerprint, pba alloc.PBA) {
-	w := firstWord(&fp)
-	for p := d.byFP.head(w); *p != 0; p = &d.at(*p).chain {
-		if i, s := *p, d.at(*p); firstWord(&s.fp) == w && s.fp == fp {
+	for p := d.byFP.head(fp.Word()); *p != 0; p = &d.at(*p).chain {
+		if i, s := *p, d.at(*p); s.fp == fp {
 			if s.pba == pba {
 				*p = s.chain
 				d.unlink(i)

@@ -1,6 +1,7 @@
 package icache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -500,10 +501,11 @@ var dirModes = []struct {
 	// arrivals: no shares are ever set and a new stream shows up every
 	// 64 operations, so the equal split keeps being re-divided under load
 	arrivals bool
-	// oneWord: every fingerprint shares its first eight bytes, so all of
-	// them chain through one bucket at every size, the first-word compare
-	// always passes and entries leave from the middle of the chain
-	oneWord bool
+	// oneBucket: every fingerprint shares its word's top half, so all of
+	// them chain through one bucket at every size, every chained compare
+	// is a mismatch of distinct words and entries leave from the middle
+	// of the chain
+	oneBucket bool
 }{
 	{name: "classic-fixed"},
 	{name: "classic-adaptive", adaptive: true},
@@ -512,16 +514,17 @@ var dirModes = []struct {
 	{name: "streams-dynamic", adaptive: true, stream: true},
 	{name: "streams-dynamic-fixed", stream: true},
 	{name: "streams-arriving", adaptive: true, stream: true, arrivals: true},
-	{name: "streams-one-bucket", adaptive: true, stream: true, oneWord: true},
+	{name: "streams-one-bucket", adaptive: true, stream: true, oneBucket: true},
 }
 
-// modeFP is fingerprint id as a mode sees it: with oneWord, every
-// fingerprint has the same first word.
-func modeFP(oneWord bool, id int) chunk.Fingerprint {
-	f := fp(uint64(id))
-	if oneWord {
-		copy(f[:8], "one word")
+// modeFP is fingerprint id as a mode sees it: with oneBucket, every
+// fingerprint has the same top half, and id is its bottom half.
+func modeFP(oneBucket bool, id int) chunk.Fingerprint {
+	if !oneBucket {
+		return fp(uint64(id))
 	}
+	var f chunk.Fingerprint
+	binary.LittleEndian.PutUint64(f[:], 0x5eed<<32|uint64(uint32(id)))
 	return f
 }
 
@@ -589,7 +592,7 @@ func runDirectoryOps(mode int, data []byte) error {
 		// 96 fingerprints written over 256 blocks, one to a block at a
 		// time: more than the directory holds, with two or three copies
 		// of each, so frequent remaps
-		stream, f, pba := uint32(1+a>>6), modeFP(cfg.oneWord, int(a%96)), alloc.PBA(b)
+		stream, f, pba := uint32(1+a>>6), modeFP(cfg.oneBucket, int(a%96)), alloc.PBA(b)
 		if cfg.arrivals {
 			stream = 1 + uint32(a>>4)%uint32(1+n/64)
 			if op %= 32; op >= 29 {
@@ -627,7 +630,7 @@ func runDirectoryOps(mode int, data []byte) error {
 			// must leave everything as it was, the model included
 			var batch [8]chunk.Fingerprint
 			for k := range batch {
-				batch[k] = modeFP(cfg.oneWord, (int(a)+11*k)%96)
+				batch[k] = modeFP(cfg.oneBucket, (int(a)+11*k)%96)
 			}
 			what = fmt.Sprintf("warm(%d from fp %d)", 1+b%8, a%96)
 			before := stateOf(c)
@@ -777,15 +780,15 @@ func TestWarmChangesNothing(t *testing.T) {
 			// each write followed by a lookup and a read
 			for id := 0; id < 96; id++ {
 				stream := uint32(1 + id%3)
-				c.IndexInsertS(stream, modeFP(cfg.oneWord, id), alloc.PBA(id))
-				c.IndexLookupS(stream, modeFP(cfg.oneWord, id/2))
+				c.IndexInsertS(stream, modeFP(cfg.oneBucket, id), alloc.PBA(id))
+				c.IndexLookupS(stream, modeFP(cfg.oneBucket, id/2))
 				if !c.ReadHit(alloc.PBA(id % 24)) {
 					c.ReadInsert(alloc.PBA(id % 24))
 				}
 			}
 			var cached, ghosted, absent []chunk.Fingerprint
 			for id := 0; id < 112; id++ {
-				f := modeFP(cfg.oneWord, id)
+				f := modeFP(cfg.oneBucket, id)
 				switch i := c.dir.find(f); {
 				case i == 0:
 					absent = append(absent, f)
@@ -1036,7 +1039,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		"wrong bucket": func(c *Controller) {
 			d := &c.dir
 			i := d.find(fp(1))
-			move(d, i, &d.byFP, (firstWord(&d.at(i).fp)>>d.byFP.shift+1)%uint64(len(d.byFP.heads)))
+			move(d, i, &d.byFP, (d.at(i).fp.Word()>>d.byFP.shift+1)%uint64(len(d.byFP.heads)))
 		},
 		"self-loop":       func(c *Controller) { i := c.dir.find(fp(1)); c.dir.at(i).chain = i },
 		"list count":      func(c *Controller) { c.dir.lists[firstIndexList].n++ },
@@ -1119,13 +1122,13 @@ func TestSlabSlotsNeverMove(t *testing.T) {
 	checkAll(t, c)
 }
 
-// The directory's keys live only in the slab: a slot is 48 bytes with
+// The directory's keys live only in the slab: a slot is 40 bytes with
 // its one chain link, and the buckets are one int32 each, each array
 // sized by its own keys — at most four buckets per key held, and never
 // grown by the other family's.
 func TestDirectoryFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(slot{}); n != 48 {
-		t.Fatalf("a slot is %d B, want 48", n)
+	if n := unsafe.Sizeof(slot{}); n != 40 {
+		t.Fatalf("a slot is %d B, want 40", n)
 	}
 	c := New(benchParams()) // 16 384 index entries, 256 read blocks
 	d := &c.dir

@@ -23,8 +23,6 @@
 package locality
 
 import (
-	"encoding/binary"
-
 	"github.com/pod-dedup/pod/internal/cache"
 	"github.com/pod-dedup/pod/internal/chunk"
 )
@@ -98,7 +96,7 @@ func New(p Params) *Estimator {
 // the fingerprint's own bits, so the same content samples identically
 // on every shard and run.
 func (e *Estimator) Record(stream uint32, fp chunk.Fingerprint) {
-	k := binary.LittleEndian.Uint64(fp[:8])
+	k := fp.Word()
 	if k&e.mask != 0 {
 		return
 	}

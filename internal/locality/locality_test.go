@@ -13,7 +13,7 @@ import (
 // pass the default 1/4 sampling mask.
 func sfp(k uint64) chunk.Fingerprint {
 	var f chunk.Fingerprint
-	binary.LittleEndian.PutUint64(f[:8], k)
+	binary.LittleEndian.PutUint64(f[:], k)
 	return f
 }
 

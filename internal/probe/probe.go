@@ -10,12 +10,12 @@
 // hashing, probes SIMD control groups, and grows by incremental
 // rehash. The simulator's keys are of two kinds, and Key admits no
 // other: 64-bit integers (LBA, PBA, ContentID, a stream's block key)
-// or fingerprints whose bytes are already uniformly distributed (SHA-1,
-// or the synthetic fingerprinter's murmur-style finalizer). Hashing
-// collapses to one finalizer over the integer — or to reading the
-// fingerprint's first eight bytes — and the layout is fully
-// deterministic: it depends only on the sequence of operations, never
-// on a per-process seed.
+// or fingerprints, one word already uniformly distributed (the
+// MurmurHash3 finalizer of a content ID). Both are one word, so key
+// equality is word equality, and hashing collapses to one finalizer
+// over the integer — or to the fingerprint's word as it is — and the
+// layout is fully deterministic: it depends only on the sequence of
+// operations, never on a per-process seed.
 //
 // Entries live in 1 024-entry pages that never move; a bucket is a
 // chain through them, named by a head picked by the hash's top bits.
@@ -29,17 +29,15 @@ package probe
 
 import "unsafe"
 
-// Key is what a Map is keyed by: a uint64-kind integer or a 20-byte
-// array (chunk.Fingerprint). Both are flat and padding-free, so key
-// equality is byte equality and the hash reads the key's first word.
+// Key is what a Map is keyed by: a uint64-kind integer or an 8-byte
+// array (chunk.Fingerprint). Either is one word, read as it is.
 type Key interface {
-	~uint64 | ~[20]byte
+	~uint64 | ~[8]byte
 }
 
-// word is a key's first eight bytes: the whole of an integer key, and
-// the already uniform head of a fingerprint. The bucket is picked from
-// it, and a chain compares it before the whole key, which settles most
-// mismatches.
+// word is a key's eight bytes: an integer key, or a fingerprint's
+// already uniform word. The bucket is picked from it, and two keys are
+// equal when their words are.
 func word[K Key](k *K) uint64 { return *(*uint64)(unsafe.Pointer(k)) }
 
 // mix64 is the 64-bit finalizer from MurmurHash3: bijective, cheap,
@@ -93,14 +91,14 @@ func NewMap[K Key, V any](hint int) *Map[K, V] {
 // Len reports the number of entries.
 func (m *Map[K, V]) Len() int { return m.n }
 
-// head returns the bucket head of a key whose first word is w: the top
-// bits of the word itself for a fingerprint — the first eight bytes of
-// a SHA-1, or of the synthetic fingerprinter's finalized mix, are
-// already uniform — or of its mix64 for an integer. The size test is
-// resolved at compile time per instantiation shape.
+// head returns the bucket head of a key whose word is w: the top bits
+// of the word itself for a fingerprint, which is already uniform, or of
+// its mix64 for an integer. An array key is byte-aligned and an integer
+// is not, so the test is resolved at compile time per instantiation
+// shape.
 func (m *Map[K, V]) head(w uint64) *int32 {
 	var k K
-	if unsafe.Sizeof(k) != 20 {
+	if unsafe.Alignof(k) != 1 {
 		w = mix64(w)
 	}
 	return &m.heads[w>>m.shift]
@@ -118,7 +116,7 @@ func (m *Map[K, V]) find(k *K) *entry[K, V] {
 	w := word(k)
 	for i := *m.head(w); i != 0; {
 		e := m.at(i)
-		if word(&e.key) == w && e.key == *k {
+		if word(&e.key) == w {
 			return e
 		}
 		i = e.next
@@ -178,7 +176,7 @@ func (m *Map[K, V]) Ref(k K) (p *V, inserted bool) {
 	b := m.head(w)
 	for i := *b; i != 0; {
 		e := m.at(i)
-		if word(&e.key) == w && e.key == k {
+		if word(&e.key) == w {
 			return &e.val, false
 		}
 		i = e.next
@@ -236,7 +234,7 @@ func (m *Map[K, V]) Take(k K) (V, bool) {
 	for l := m.head(w); *l != 0; {
 		i := *l
 		e := m.at(i)
-		if word(&e.key) == w && e.key == k {
+		if word(&e.key) == w {
 			v := e.val
 			*l = e.next
 			*e = entry[K, V]{next: m.free}

@@ -9,14 +9,16 @@ import (
 
 // TestMatchesGoMap cross-checks every operation against a Go map under
 // a randomized workload, for both kinds of key: an integer and a
-// fingerprint-shaped array.
+// fingerprint-shaped array. The fingerprints take eight values of their
+// top byte and 64 of their low one, so each bucket they fill chains up
+// to 64 distinct words and most unlinks happen mid-chain.
 func TestMatchesGoMap(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) { crossCheck(t, func(r *rand.Rand) uint64 { return uint64(r.Intn(512)) }) })
-	t.Run("fp20", func(t *testing.T) {
-		crossCheck(t, func(r *rand.Rand) [20]byte {
-			var k [20]byte
+	t.Run("fp", func(t *testing.T) {
+		crossCheck(t, func(r *rand.Rand) [8]byte {
+			var k [8]byte
 			k[0] = byte(r.Intn(64))
-			k[19] = byte(r.Intn(8))
+			k[7] = byte(r.Intn(8))
 			return k
 		})
 	})
@@ -103,13 +105,11 @@ func TestDeterministicLayout(t *testing.T) {
 	}
 }
 
-// fp20 is a fingerprint-shaped key whose twenty bytes are spread from
-// x, as a SHA-1's or the synthetic fingerprinter's are.
-func fp20(x uint64) [20]byte {
-	var k [20]byte
-	binary.LittleEndian.PutUint64(k[0:], mix64(x))
-	binary.LittleEndian.PutUint64(k[8:], mix64(x^0x9e3779b97f4a7c15))
-	binary.LittleEndian.PutUint32(k[16:], uint32(mix64(x+1)))
+// fpKey is a fingerprint-shaped key whose word is spread from x, as
+// the synthetic fingerprinter's is.
+func fpKey(x uint64) [8]byte {
+	var k [8]byte
+	binary.LittleEndian.PutUint64(k[:], mix64(x))
 	return k
 }
 
@@ -118,19 +118,19 @@ func fp20(x uint64) [20]byte {
 // the buckets and new pages — and writes through it are what Get reads.
 func TestEntriesNeverMove(t *testing.T) {
 	const n = 2000
-	m := NewMap[[20]byte, uint64](0)
+	m := NewMap[[8]byte, uint64](0)
 	ptrs := make([]*uint64, n)
 	for i := range ptrs {
-		p, inserted := m.Ref(fp20(uint64(i)))
+		p, inserted := m.Ref(fpKey(uint64(i)))
 		if !inserted {
 			t.Fatalf("key %d already present", i)
 		}
 		*p = uint64(i)
 		ptrs[i] = p
 	}
-	found, _ := m.Find(fp20(7))
+	found, _ := m.Find(fpKey(7))
 	for i := n; i < 11*n; i++ {
-		m.Put(fp20(uint64(i)), uint64(i))
+		m.Put(fpKey(uint64(i)), uint64(i))
 	}
 	if found != ptrs[7] {
 		t.Fatal("Find and Ref disagree on where key 7 lives")
@@ -140,7 +140,7 @@ func TestEntriesNeverMove(t *testing.T) {
 			t.Fatalf("key %d: pointer reads %d after growth", i, *p)
 		}
 		*p += 1 << 32
-		if v, ok := m.Get(fp20(uint64(i))); !ok || v != uint64(i)+1<<32 {
+		if v, ok := m.Get(fpKey(uint64(i))); !ok || v != uint64(i)+1<<32 {
 			t.Fatalf("key %d: Get=(%d,%v) after a write through its pointer", i, v, ok)
 		}
 	}
@@ -181,7 +181,7 @@ func TestWarmChangesNothing(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) {
 		warmUnchanged(t, func(i int) uint64 { return uint64(i) })
 	})
-	t.Run("fp20", func(t *testing.T) { warmUnchanged(t, func(i int) [20]byte { return fp20(uint64(i)) }) })
+	t.Run("fp", func(t *testing.T) { warmUnchanged(t, func(i int) [8]byte { return fpKey(uint64(i)) }) })
 }
 
 func warmUnchanged[K Key](t *testing.T, key func(int) K) {
@@ -218,8 +218,9 @@ func warmUnchanged[K Key](t *testing.T, key func(int) K) {
 
 // FuzzMapOps drives a map with a stream of operations, each three bytes
 // (op, key, value), against a Go map. The mode picks the keys: uniform
-// fingerprints, or fingerprints that all share their first word, so
-// every key sits in one chain and every unlink happens mid-chain.
+// fingerprints, or fingerprints whose words differ only in their low
+// byte, so every key sits in one chain, every unlink happens mid-chain
+// and every mismatch is a distinct word.
 func FuzzMapOps(f *testing.F) {
 	for mode := uint8(0); mode < 2; mode++ {
 		data := make([]byte, 3*600)
@@ -227,16 +228,16 @@ func FuzzMapOps(f *testing.F) {
 		f.Add(mode, data)
 	}
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
-		key := func(b byte) [20]byte { return fp20(uint64(b)) }
+		key := func(b byte) [8]byte { return fpKey(uint64(b)) }
 		if mode%2 == 1 {
-			key = func(b byte) [20]byte {
-				k := fp20(uint64(b))
-				binary.LittleEndian.PutUint64(k[:8], 0x5eed)
+			key = func(b byte) [8]byte {
+				var k [8]byte
+				binary.LittleEndian.PutUint64(k[:], 0x5eed<<32|uint64(b))
 				return k
 			}
 		}
-		m := NewMap[[20]byte, uint32](0)
-		ref := map[[20]byte]uint32{}
+		m := NewMap[[8]byte, uint32](0)
+		ref := map[[8]byte]uint32{}
 		for len(data) >= 3 {
 			op, k, v := data[0], key(data[1]), uint32(data[2])
 			data = data[3:]
@@ -272,7 +273,7 @@ func FuzzMapOps(f *testing.F) {
 			}
 		}
 		seen := 0
-		m.Each(func(k [20]byte, v uint32) bool {
+		m.Each(func(k [8]byte, v uint32) bool {
 			if want, ok := ref[k]; !ok || want != v {
 				t.Fatalf("Each: key %x holds %d, want (%d,%v)", k[:4], v, want, ok)
 			}
@@ -286,10 +287,10 @@ func FuzzMapOps(f *testing.F) {
 }
 
 // benchMap returns a map of n uniform fingerprints, keyed 0..n-1.
-func benchMap(n int) *Map[[20]byte, uint64] {
-	m := NewMap[[20]byte, uint64](0)
+func benchMap(n int) *Map[[8]byte, uint64] {
+	m := NewMap[[8]byte, uint64](0)
 	for i := 0; i < n; i++ {
-		m.Put(fp20(uint64(i)), uint64(i))
+		m.Put(fpKey(uint64(i)), uint64(i))
 	}
 	return m
 }
@@ -299,14 +300,14 @@ const benchEntries = 1 << 20
 // BenchmarkMapFill fills an empty map to a million fingerprints, as a
 // fresh engine's exact tables fill: B/op is what growing costs.
 func BenchmarkMapFill(b *testing.B) {
-	fps := make([][20]byte, benchEntries)
+	fps := make([][8]byte, benchEntries)
 	for i := range fps {
-		fps[i] = fp20(uint64(i))
+		fps[i] = fpKey(uint64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewMap[[20]byte, uint64](0)
+		m := NewMap[[8]byte, uint64](0)
 		for j, fp := range fps {
 			m.Put(fp, uint64(j))
 		}
@@ -314,7 +315,7 @@ func BenchmarkMapFill(b *testing.B) {
 }
 
 // BenchmarkMapGetHit and BenchmarkMapGetMiss look up a million-entry
-// map (32 MiB of entries and 16 MiB of heads, past L2) in a scattered
+// map (24 MiB of entries and 8 MiB of heads, past L2) in a scattered
 // order. They fail unless they run at 0 allocs/op.
 func BenchmarkMapGetHit(b *testing.B) {
 	benchGet(b, 0)
@@ -326,10 +327,10 @@ func BenchmarkMapGetMiss(b *testing.B) {
 
 func benchGet(b *testing.B, from int) {
 	m := benchMap(benchEntries)
-	fps := make([][20]byte, 1<<16)
+	fps := make([][8]byte, 1<<16)
 	r := rand.New(rand.NewSource(1))
 	for i := range fps {
-		fps[i] = fp20(uint64(from + r.Intn(benchEntries)))
+		fps[i] = fpKey(uint64(from + r.Intn(benchEntries)))
 	}
 	var sink uint64
 	b.ReportAllocs()

@@ -198,6 +198,31 @@ func TestDeduplicationVisibleThroughAPI(t *testing.T) {
 	}
 }
 
+// TestZeroContentDeduplicates: content 0 fingerprints to the zero
+// value, which marks nothing as empty anywhere — written at two LBAs,
+// it deduplicates like any content and reads back at both.
+func TestZeroContentDeduplicates(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeFullDedupe, SchemeSelectDedupe, SchemePOD} {
+		sys, err := New(Config{Scheme: scheme, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Do(wr(0, 0, 0))
+		sys.Do(wr(1_000_000, 500, 0))
+		if st := sys.Stats(); st.WritesRemovedPct != 50 || st.UsedBlocks != 1 {
+			t.Fatalf("%s: removed %.1f%% of writes into %d blocks, want 50%% into 1", scheme, st.WritesRemovedPct, st.UsedBlocks)
+		}
+		for _, lba := range []uint64{0, 500} {
+			if got, ok := sys.ReadBack(lba); !ok || got != 0 {
+				t.Fatalf("%s: readback lba %d = %d,%v want content 0", scheme, lba, got, ok)
+			}
+		}
+		if res, err := sys.Do(rd(2_000_000, 500, 1)); err != nil || res.Service <= 0 {
+			t.Fatalf("%s: read of lba 500: service=%d err=%v", scheme, res.Service, err)
+		}
+	}
+}
+
 func TestGenerateWorkload(t *testing.T) {
 	reqs, warm, err := GenerateWorkload("web-vm", 0.005)
 	if err != nil {
