@@ -9,17 +9,16 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	pod "github.com/pod-dedup/pod"
 	"github.com/pod-dedup/pod/internal/cdc"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
-	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/replay"
 	"github.com/pod-dedup/pod/internal/stats"
 	"github.com/pod-dedup/pod/internal/trace"
@@ -48,9 +47,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fiu := fs.Bool("fiu", false, "treat -file as an FIU SRT record stream (reassembled at 1 ms)")
 	scale := fs.Float64("scale", 1.0, "built-in trace scale")
 	disks := fs.Int("disks", 4, "spindles (RAID5: at least 3)")
-	diskBlocks := fs.Uint64("diskblocks", 0, "blocks per spindle (default: derived from trace)")
+	diskBlocks := fs.Uint64("diskblocks", 0, "blocks per spindle (default: the trace's platform)")
 	stripeKB := fs.Int("stripe", 64, "stripe unit in KB (a multiple of 4)")
-	memoryMB := fs.Float64("memory", 0, "cache DRAM in MB (default: trace profile)")
+	memoryMB := fs.Float64("memory", 0, "cache DRAM in MB (default: the trace's platform)")
 	indexFrac := fs.Float64("indexfrac", 0.5, "initial index-cache share, in (0, 1)")
 	threshold := fs.Int("threshold", 3, "Select-Dedupe redundancy threshold (chunks)")
 	idedupThresh := fs.Int("idedup-threshold", 8, "iDedup minimum duplicate sequence (chunks)")
@@ -66,58 +65,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "unexpected argument %q", fs.Arg(0))
 	}
 
-	schemeName, err := pod.ParseScheme(*scheme)
-	if err != nil {
-		return fail(2, "-scheme: %v", err)
-	}
-	*scheme = string(schemeName)
 	algo, err := cdc.ParseAlgo(*chunking)
 	if err != nil {
 		return fail(2, "-chunking: %v", err)
 	}
-	if err := experiments.CheckAxes(*scheme, experiments.Axes{Chunking: algo}); err != nil {
-		return fail(2, "-%v", err) // the error leads with the axis, which is the flag
+	// a built-in trace runs on the platform podbench replays it on, a
+	// trace file on the library's default; each platform flag overrides
+	// one dimension, and Build refuses what it cannot build before any
+	// trace is generated
+	p, builtIn := experiments.CellPlatform(*traceName, *scale)
+	if *file != "" {
+		p = experiments.DefaultPlatform()
 	}
-	shifted := *file == "" && *traceName == "shifted"
-	prof, profOK := workload.ByName(*traceName)
 	for _, f := range []struct {
 		bad        bool
 		flag, want string
 	}{
 		{!(*scale > 0), "-scale", "must be > 0"},
-		{*disks < 3, "-disks", "must be at least 3 (the array is RAID5)"},
-		{*diskBlocks > trace.LBALimit, "-diskblocks", "must be at most 2^28, the content model's bound"}, // alone too: the array's capacity product could wrap
-		{*stripeKB < 4 || *stripeKB%4 != 0, "-stripe", "must be a positive multiple of the 4 KB chunk"},
-		{!(*memoryMB >= 0), "-memory", "must be >= 0 (0 = the trace profile's budget)"},
 		{!(*indexFrac > 0 && *indexFrac < 1), "-indexfrac", "must be in (0, 1)"},
 		{*threshold < 0, "-threshold", "must be >= 0"},
 		{*idedupThresh < 0, "-idedup-threshold", "must be >= 0"},
-		{*file == "" && !shifted && !profOK, "-trace", "must be web-vm, homes, mail, or shifted"},
+		{*file == "" && !builtIn, "-trace", "must be web-vm, homes, mail, or shifted"},
 	} {
 		if f.bad {
 			return fail(2, "%s %s", f.flag, f.want)
 		}
 	}
-	// The array must hold the index zone and stay within the content
-	// model's bound, trace.LBALimit: an explicit -diskblocks is checked
-	// before any trace is built, a derived one once it is known.
-	arrayErr := func(blocks uint64) string {
-		switch n := experiments.Platform(*disks, blocks, raid.RAID5, uint64(*stripeKB/4), 1, 0).Array.DataBlocks(); {
-		case n < engine.IndexZoneFrac:
-			return fmt.Sprintf("-diskblocks %d leaves %d data blocks on %d disks; the engines need at least %d", blocks, n, *disks, engine.IndexZoneFrac)
-		case n > trace.LBALimit:
-			return fmt.Sprintf("-disks %d of %d blocks hold %d data blocks; the content model addresses at most %d", *disks, blocks, n, uint64(trace.LBALimit))
-		}
-		return ""
+	p.Disks, p.StripeKB, p.DiskBlocks = *disks, *stripeKB, cmp.Or(*diskBlocks, p.DiskBlocks)
+	if *memoryMB != 0 {
+		p.MemoryBytes = int64(*memoryMB * (1 << 20))
 	}
-	if *diskBlocks != 0 {
-		if msg := arrayErr(*diskBlocks); msg != "" {
-			return fail(2, "%s", msg)
-		}
+	eng, err := experiments.Build(*scheme, p, experiments.Axes{Chunking: algo}, func(c *engine.Config) {
+		c.IndexFrac, c.Threshold, c.IDedupThreshold = *indexFrac, *threshold, *idedupThresh
+	})
+	if err != nil {
+		return fail(2, "-%v", err) // the error leads with the flag's name
 	}
+
 	var tr *trace.Trace
 	var warmup int
-	var shiftedDims workload.MixedDims
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
@@ -135,48 +121,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(1, "%v", err)
 		}
-	} else if shifted {
-		tr, warmup, shiftedDims = workload.ShiftedSnapshot(*scale)
+	} else if *traceName == "shifted" {
+		tr, warmup, _ = workload.ShiftedSnapshot(*scale)
 	} else {
+		prof, _ := workload.ByName(*traceName)
 		tr, warmup = workload.Generate(prof, *scale)
 	}
-
-	blocks := *diskBlocks
-	if blocks == 0 {
-		switch {
-		case shifted:
-			blocks = shiftedDims.FootprintChunks
-		case profOK && *file == "":
-			blocks = prof.FootprintChunks / 2
-		default:
-			blocks = 1 << 19
-		}
-		if msg := arrayErr(blocks); msg != "" {
-			return fail(2, "%s", msg)
-		}
-	}
-	mem := int64(*memoryMB * (1 << 20))
-	if mem == 0 {
-		switch {
-		case shifted:
-			// the shifted profile's budget is tuned to its chunk
-			// fingerprint population, not the request count
-			mem = shiftedDims.MemoryBytes
-		case profOK && *file == "":
-			mem = int64(float64(prof.MemoryBytes) * *scale)
-		default:
-			mem = 32 << 20
-		}
-		if mem < 1<<19 {
-			mem = 1 << 19
-		}
-	}
-	cfg := experiments.Platform(*disks, blocks, raid.RAID5, uint64(*stripeKB/4), mem, int(blocks*uint64(*disks)*24))
-	cfg.IndexFrac = *indexFrac
-	cfg.Threshold = *threshold
-	cfg.IDedupThreshold = *idedupThresh
-	cfg.Chunking = cdc.Params{Algo: algo}
-	eng := experiments.NewEngine(*scheme, cfg)
 
 	var lat *os.File
 	if *latencies != "" {
@@ -205,9 +155,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.Err != nil {
 		return fail(1, "%v", res.Err)
 	}
+	fmt.Fprintln(stdout, report(fmt.Sprintf("%s on %s (%d requests, %d warm-up)",
+		eng.Name(), tr.Name, len(tr.Requests), warmup), algo, res))
+
+	if *history {
+		// every scheme is an *engine.Pipeline over a Base with an iCache
+		pts := eng.(*engine.Pipeline).Base().IC.History()
+		ht := stats.NewTable(fmt.Sprintf("iCache partition trajectory (%d repartitions)", len(pts)),
+			"Virtual time", "Index share")
+		for _, p := range pts {
+			ht.AddRow(p.Time.String(), stats.Pct(p.IndexFrac*100))
+		}
+		fmt.Fprintln(stdout, ht)
+	}
+	return 0
+}
+
+// report renders a replay's measurements under title; a chunker other
+// than fixed4k gets a row of its own.
+func report(title string, algo cdc.Algo, res *replay.Result) *stats.Table {
 	st := res.Stats
-	t := stats.NewTable(fmt.Sprintf("%s on %s (%d requests, %d warm-up)",
-		*scheme, tr.Name, len(tr.Requests), warmup), "Metric", "Value")
+	t := stats.NewTable(title, "Metric", "Value")
 	if algo != cdc.Fixed4K {
 		t.AddRow("Chunker", algo.String())
 	}
@@ -225,17 +193,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 	t.AddRow("Background dedup reads", fmt.Sprintf("%d", st.BackgroundIOs))
 	t.AddRow("Physical blocks used", fmt.Sprintf("%d", res.UsedBlocks))
 	t.AddRow("Map-table NVRAM peak", fmt.Sprintf("%.2f MB", float64(st.NVRAMPeakBytes)/(1<<20)))
-	fmt.Fprintln(stdout, t)
-
-	if *history {
-		// every scheme is an *engine.Pipeline over a Base with an iCache
-		pts := eng.(*engine.Pipeline).Base().IC.History()
-		ht := stats.NewTable(fmt.Sprintf("iCache partition trajectory (%d repartitions)", len(pts)),
-			"Virtual time", "Index share")
-		for _, p := range pts {
-			ht.AddRow(p.Time.String(), stats.Pct(p.IndexFrac*100))
-		}
-		fmt.Fprintln(stdout, ht)
-	}
-	return 0
+	return t
 }

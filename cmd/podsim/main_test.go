@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	pod "github.com/pod-dedup/pod"
+	"github.com/pod-dedup/pod/internal/cdc"
+	"github.com/pod-dedup/pod/internal/experiments"
+	"github.com/pod-dedup/pod/internal/replay"
 )
 
 // TestRunRefusesBadFlags drives run at the argv level: each platform
@@ -93,5 +98,67 @@ func TestRunReportsAFullArray(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("a replay that did not complete printed %q", stdout.String())
+	}
+}
+
+// TestPlatformRefusalsAgree feeds the same bad platform shapes to
+// pod.New and to podsim: both refuse each through the one rule
+// (experiments.Platform.Admit), so podsim's line is the library's error
+// under the flag's dash.
+func TestPlatformRefusalsAgree(t *testing.T) {
+	for _, c := range []struct {
+		cfg  pod.Config
+		args string
+	}{
+		{pod.Config{Disks: 2}, "-disks 2"},
+		{pod.Config{Disks: -1}, "-disks -1"},
+		{pod.Config{StripeUnitKB: 6}, "-stripe 6"},
+		{pod.Config{StripeUnitKB: -4}, "-stripe -4"},
+		{pod.Config{MemoryMB: -1}, "-memory -1"},
+		{pod.Config{DiskBlocks: 8}, "-diskblocks 8"},                                               // no index zone
+		{pod.Config{DiskBlocks: 1 << 28}, "-diskblocks 268435456"},                                 // the array past trace.LBALimit
+		{pod.Config{Disks: 5, DiskBlocks: 1<<62 + 16}, "-disks 5 -diskblocks 4611686018427387920"}, // one disk past it; the product would wrap
+	} {
+		_, err := pod.New(c.cfg)
+		if err == nil {
+			t.Errorf("pod.New(%+v) accepted", c.cfg)
+			continue
+		}
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-trace", "web-vm", "-scale", "0.01"}, strings.Fields(c.args)...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", c.args, code)
+		}
+		if want := "podsim: -" + strings.TrimPrefix(err.Error(), "pod: ") + "\n"; stderr.String() != want {
+			t.Errorf("%s: podsim says %q, pod.New %q", c.args, stderr.String(), err)
+		}
+	}
+}
+
+// TestBareRunIsThePodbenchCell: a built-in trace replays on the
+// platform podbench gives it, so podsim without platform flags prints
+// what the experiment's cell measured, row for row — writes removed,
+// response times, read-cache hits, used blocks and the rest.
+func TestBareRunIsThePodbenchCell(t *testing.T) {
+	env := experiments.NewEnv(0.05, 1)
+	env.Chunking()
+	for _, c := range []struct {
+		args string
+		algo cdc.Algo
+		cell *replay.Result
+	}{
+		// at 0.05 the cell's 256 KiB cache floor binds; podsim once
+		// floored its own at 512 KiB
+		{"-scheme POD -trace homes -scale 0.05", cdc.Fixed4K, env.Result(experiments.POD, "homes")},
+		{"-scheme Select-Dedupe -trace shifted -chunking gear -scale 0.05", cdc.Gear, env.CellResult("chunking/gear")},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(c.args), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", c.args, code, stderr.String())
+		}
+		title, _, _ := strings.Cut(stdout.String(), "\n")
+		if want := report(title, c.algo, c.cell).String() + "\n"; stdout.String() != want {
+			t.Errorf("%s prints\n%s\nthe cell measured\n%s", c.args, stdout.String(), want)
+		}
 	}
 }

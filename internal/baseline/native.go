@@ -18,8 +18,10 @@ import (
 // native is the paper's reference system: writes go to disk in place at
 // their logical addresses, reads pass through the storage read cache.
 // No fingerprinting, no Map table, no space savings — so it services
-// both request types itself and answers occupancy and content from the
-// identity mapping.
+// its writes itself and answers occupancy and content from the identity
+// mapping. Its reads take the shared path: it never maps an LBA, so
+// every Map-table lookup misses and falls to the block's home position,
+// lba mod the data blocks, which is where Write put it.
 type native struct{ engine.Passthrough }
 
 // NewNative returns a Native engine over cfg's array and cache budget.
@@ -53,9 +55,4 @@ func (native) Write(b *engine.Base, req *trace.Request) (sim.Duration, error) {
 	}
 	b.St.ChunksWritten += int64(req.N)
 	return done.Sub(t), nil
-}
-
-// Read services a read at identity addresses.
-func (native) Read(b *engine.Base, req *trace.Request) (sim.Duration, error) {
-	return b.ReadMapped(req, true)
 }

@@ -90,7 +90,7 @@ func Algos() []Algo { return []Algo{Fixed4K, Gear, SeqCDC} }
 
 // ParseAlgo resolves a chunker name case-insensitively, ignoring
 // hyphen/underscore/space punctuation ("fixed4k", "Fixed-4K", "gear",
-// "SeqCDC" all resolve), mirroring pod.ParseScheme so every
+// "SeqCDC" all resolve), mirroring experiments.ParseScheme so every
 // command-line tool validates -chunking the same way.
 func ParseAlgo(s string) (Algo, error) {
 	norm := func(v string) string {

@@ -209,8 +209,9 @@ func NewBase(cfg Config) *Base {
 	}
 	if total > trace.LBALimit {
 		// The content model is a trace.Volume, whose pages cover
-		// [0, trace.LBALimit). pod.New and podsim's -disks/-diskblocks
-		// check refuse a larger array, so one here is a bug.
+		// [0, trace.LBALimit). experiments.Platform.Admit, the one door
+		// a platform comes through, refuses a larger array (and every
+		// other shape this function panics on), so one here is a bug.
 		panic(fmt.Sprintf("engine: an array of %d data blocks is past the %d the content model addresses", total, uint64(trace.LBALimit)))
 	}
 	data := total - zone
@@ -734,13 +735,13 @@ func (b *Base) WriteFresh(at sim.Time, req *trace.Request, positions []int, chs 
 	return done, pbas, nil
 }
 
-// ReadMapped services a read request through the Map table (or at
-// identity addresses when identity is set), filtering through the read
+// ReadMapped services a read request through the Map table (a block
+// never mapped is read at its home position), filtering through the read
 // cache and coalescing cache misses into contiguous disk runs. A disk
 // error aborts the request with the virtual time already spent; blocks
 // read before the failure stay cached (they were read successfully, and
 // a retry benefits from them).
-func (b *Base) ReadMapped(req *trace.Request, identity bool) (sim.Duration, error) {
+func (b *Base) ReadMapped(req *trace.Request) (sim.Duration, error) {
 	t := req.Time
 	if cap(b.rdScratch) < req.N {
 		b.rdScratch = make([]alloc.PBA, req.N)
@@ -749,10 +750,6 @@ func (b *Base) ReadMapped(req *trace.Request, identity bool) (sim.Duration, erro
 	b.rdScratch = pbas
 	for i := 0; i < req.N; i++ {
 		lba := req.LBA + uint64(i)
-		if identity {
-			pbas[i] = alloc.PBA(lba % b.dataBlocks)
-			continue
-		}
 		if pba, ok := b.Map.Lookup(lba); ok {
 			pbas[i] = pba
 		} else {

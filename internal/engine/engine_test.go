@@ -199,7 +199,7 @@ func TestReadMappedCoalescing(t *testing.T) {
 	b.WriteFresh(0, req, pos, chunk.SplitInto(nil, ids, chunk.SyntheticFingerprinter{}, false))
 
 	read := &trace.Request{Time: sim.Time(sim.Second), Op: trace.Read, LBA: 0, N: 8}
-	rt, _ := b.ReadMapped(read, false)
+	rt, _ := b.ReadMapped(read)
 	if rt <= 0 {
 		t.Fatal("read must take time")
 	}
@@ -212,7 +212,7 @@ func TestReadMappedCoalescing(t *testing.T) {
 
 	// second read: fully cached
 	read2 := &trace.Request{Time: sim.Time(2 * sim.Second), Op: trace.Read, LBA: 0, N: 8}
-	rt2, _ := b.ReadMapped(read2, false)
+	rt2, _ := b.ReadMapped(read2)
 	if rt2 != MemHitUS {
 		t.Fatalf("cached read rt = %v, want %d", rt2, MemHitUS)
 	}
@@ -234,7 +234,7 @@ func TestReadMappedFragmentationCounted(t *testing.T) {
 	mk(1, 3)
 	// LBAs 0 and 1 now map to non-adjacent physical blocks
 	read := &trace.Request{Time: sim.Time(sim.Second), Op: trace.Read, LBA: 0, N: 2}
-	b.ReadMapped(read, false)
+	b.ReadMapped(read)
 	if b.St.ReadIOs != 2 {
 		t.Fatalf("fragmented read issued %d IOs, want 2", b.St.ReadIOs)
 	}

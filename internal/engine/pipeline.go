@@ -176,7 +176,7 @@ func (p *Pipeline) Read(req *trace.Request) (sim.Duration, error) {
 	if p.reader != nil {
 		rt, err = p.reader.Read(b, req)
 	} else {
-		rt, err = b.ReadMapped(req, false)
+		rt, err = b.ReadMapped(req)
 	}
 	if err != nil {
 		b.St.ReadErrors++

@@ -44,7 +44,7 @@ func (e *Env) thresholdCell(traceName string, threshold int) Cell {
 func (e *Env) ThresholdPoint(traceName string, threshold int) (float64, float64) {
 	c := e.thresholdCell(traceName, threshold)
 	e.EnsureCells([]Cell{c})
-	r := e.cellResult(c.Key)
+	r := e.CellResult(c.Key)
 	return r.MeanRT, r.Stats.WriteRemovalPct()
 }
 
@@ -78,7 +78,9 @@ func (e *Env) stripeCell(traceName string, stripeKB int) Cell {
 	return Cell{
 		Key: fmt.Sprintf("ablate/stripe/%s/%d", traceName, stripeKB),
 		Factory: func() engine.Engine {
-			return core.NewPOD(profileConfig(p.prof, e.Scale, p.prof.FootprintChunks/2, raid.RAID5, uint64(stripeKB/4)))
+			pl := ProfilePlatform(p.prof, e.Scale)
+			pl.StripeKB = stripeKB
+			return core.NewPOD(pl.Config())
 		},
 		TraceFn: p.generate,
 	}
@@ -89,7 +91,7 @@ func (e *Env) stripeCell(traceName string, stripeKB int) Cell {
 func (e *Env) StripeUnitPoint(traceName string, stripeKB int) float64 {
 	c := e.stripeCell(traceName, stripeKB)
 	e.EnsureCells([]Cell{c})
-	return e.cellResult(c.Key).MeanRT
+	return e.CellResult(c.Key).MeanRT
 }
 
 // StripeUnitSweep runs StripeUnitPoint across units and formats the
@@ -175,7 +177,7 @@ func (e *Env) dupCell(engineName string, dupFrac float64) Cell {
 func (e *Env) DupSweepPoint(engineName string, dupFrac float64) float64 {
 	c := e.dupCell(engineName, dupFrac)
 	e.EnsureCells([]Cell{c})
-	return e.cellResult(c.Key).MeanWriteRT
+	return e.CellResult(c.Key).MeanWriteRT
 }
 
 // DupSweep compares POD against Native across redundancy levels.
@@ -210,17 +212,18 @@ func (e *Env) layoutCell(engineName, traceName string, level raid.Level) Cell {
 	return Cell{
 		Key: fmt.Sprintf("ablate/layout/%s/%s/%d", engineName, traceName, level),
 		Factory: func() engine.Engine {
-			diskBlocks := p.prof.FootprintChunks / 2
+			pl := ProfilePlatform(p.prof, e.Scale)
+			pl.Level = level
 			if level == raid.RAID0 {
 				// RAID0 over 4 disks has 4/3 the data capacity; keep capacity
 				// comparable by shrinking the disks
-				diskBlocks = diskBlocks * 3 / 4
+				pl.DiskBlocks = pl.DiskBlocks * 3 / 4
 			}
 			if level == raid.RAID1 {
 				// mirrored pairs halve capacity: double the disk size
-				diskBlocks = diskBlocks * 3 / 2
+				pl.DiskBlocks = pl.DiskBlocks * 3 / 2
 			}
-			return NewEngine(engineName, profileConfig(p.prof, e.Scale, diskBlocks, level, 16))
+			return NewEngine(engineName, pl.Config())
 		},
 		TraceFn: p.generate,
 	}
@@ -231,7 +234,7 @@ func (e *Env) layoutCell(engineName, traceName string, level raid.Level) Cell {
 func (e *Env) LayoutPoint(engineName, traceName string, level raid.Level) float64 {
 	c := e.layoutCell(engineName, traceName, level)
 	e.EnsureCells([]Cell{c})
-	return e.cellResult(c.Key).MeanWriteRT
+	return e.CellResult(c.Key).MeanWriteRT
 }
 
 // LayoutSweep compares Native and POD write latency across layouts.
@@ -272,5 +275,5 @@ func (e *Env) DegradedPoint(traceName string) (healthy, degraded float64) {
 		TraceFn: p.generate,
 	}
 	e.EnsureCells([]Cell{hc, dc})
-	return e.cellResult(hc.Key).MeanReadRT, e.cellResult(dc.Key).MeanReadRT
+	return e.CellResult(hc.Key).MeanReadRT, e.CellResult(dc.Key).MeanReadRT
 }

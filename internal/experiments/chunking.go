@@ -20,8 +20,8 @@ import (
 // writes by construction. Content-defined chunking re-derives chunk
 // boundaries from the materialized bytes, so the byte-shifted
 // redundancy dedups. The experiment replays the same trace under each
-// chunker on the POD engine and reports write removal plus the raw
-// chunking+fingerprint throughput of each splitter.
+// chunker on the Select-Dedupe engine and reports write removal plus
+// the raw chunking+fingerprint throughput of each splitter.
 
 // ChunkingRow is one chunker's outcome on the shifted trace.
 type ChunkingRow struct {
@@ -98,12 +98,12 @@ func measureMBs(pass func() int64) float64 {
 func chunkingAlgos() []cdc.Algo { return []cdc.Algo{cdc.Fixed4K, cdc.Gear, cdc.SeqCDC} }
 
 // Chunking replays the shifted snapshot trace under each chunker on
-// the POD engine. The claim under test: gear and seqcdc remove a
-// substantial fraction of the shifted rewrites while fixed4k removes
-// exactly none, at a bounded chunking-throughput cost. The outcome is
-// computed once per Env: podbench prints the table through the
-// catalogue, then asks again for the rows it annotates its trajectory
-// with, and must get the throughput figures it printed.
+// the Select-Dedupe engine. The claim under test: gear and seqcdc
+// remove a substantial fraction of the shifted rewrites while fixed4k
+// removes exactly none, at a bounded chunking-throughput cost. The
+// outcome is computed once per Env: podbench prints the table through
+// the catalogue, then asks again for the rows it annotates its
+// trajectory with, and must get the throughput figures it printed.
 func (e *Env) Chunking() (*stats.Table, []ChunkingRow) {
 	if e.chunkTable != nil {
 		return e.chunkTable, e.chunkRows
@@ -114,7 +114,7 @@ func (e *Env) Chunking() (*stats.Table, []ChunkingRow) {
 		cells = append(cells, Cell{
 			Key: "chunking/" + algo.String(),
 			Factory: func() engine.Engine {
-				cfg := dimsConfig(dims)
+				cfg := dimsPlatform(dims).Config()
 				cfg.Chunking = cdc.Params{Algo: algo}
 				return core.NewSelectDedupe(cfg)
 			},
@@ -125,7 +125,7 @@ func (e *Env) Chunking() (*stats.Table, []ChunkingRow) {
 
 	rows := make([]ChunkingRow, 0, 3)
 	for _, algo := range chunkingAlgos() {
-		r := e.cellResult("chunking/" + algo.String())
+		r := e.CellResult("chunking/" + algo.String())
 		rows = append(rows, ChunkingRow{
 			Algo:          algo.String(),
 			Removed:       r.Stats.WritesRemoved,
@@ -138,7 +138,7 @@ func (e *Env) Chunking() (*stats.Table, []ChunkingRow) {
 		})
 	}
 
-	t := stats.NewTable("Chunking axis — shifted snapshot trace (POD engine)",
+	t := stats.NewTable("Chunking axis — shifted snapshot trace (Select-Dedupe engine)",
 		"Chunker", "writes removed", "removed %", "chunks deduped %", "used blocks", "mean write ms", "chunk+fp MB/s")
 	for _, row := range rows {
 		pct := 0.0

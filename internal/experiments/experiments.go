@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/pod-dedup/pod/internal/baseline"
@@ -53,52 +54,156 @@ var Fig11Engines = []string{Native, FullDedupe, IDedup, SelectDedupe, POD}
 // TraceNames are the evaluation traces in Table II order.
 var TraceNames = []string{"web-vm", "homes", "mail"}
 
-// Platform assembles a simulated storage platform — the one place a
-// disk array is built: disks spindles of diskBlocks 4 KiB blocks each
-// under the given RAID level with a stripe unit of stripeChunks chunks,
-// memoryBytes of storage-cache DRAM and nvramBytes of Map-table journal.
-// Every other engine.Config field is the caller's to set on the result.
-func Platform(disks int, diskBlocks uint64, level raid.Level, stripeChunks uint64, memoryBytes int64, nvramBytes int) engine.Config {
-	ds := make([]*disk.Disk, disks)
-	for i := range ds {
-		ds[i] = disk.New(disk.DefaultParams(diskBlocks))
-	}
-	return engine.Config{
-		Array:       raid.New(level, ds, stripeChunks),
-		MemoryBytes: memoryBytes,
-		NVRAMBytes:  nvramBytes,
-	}
+// A Platform describes one simulated storage system before it is
+// built: Disks spindles of DiskBlocks 4 KiB blocks each under Level
+// with a StripeKB stripe unit, MemoryBytes of storage-cache DRAM and a
+// Map-table journal of NVRAMBytes (0 sizes it to the array, 24 B a data
+// block; negative means none). pod.New, podsim and the serving shards
+// describe their platform as one and build it through Build.
+type Platform struct {
+	Disks       int
+	DiskBlocks  uint64
+	Level       raid.Level
+	StripeKB    int
+	MemoryBytes int64
+	NVRAMBytes  int
 }
 
-// BuildConfig assembles the experimental platform of §IV-A for one
-// trace: a 4-disk RAID5 array with a 64 KB stripe unit (16 chunks) and
-// the trace's DRAM budget, split 50/50 between index and read cache
-// unless an engine adapts it.
-func BuildConfig(p workload.Profile, memScale float64) engine.Config {
-	return profileConfig(p, memScale, p.FootprintChunks/2, raid.RAID5, 16)
+// DefaultPlatform is the paper's array (§IV-A) at the library's
+// defaults: four 2 GiB spindles in RAID5 with a 64 KB stripe unit,
+// 32 MB of cache and a journal sized to the array.
+func DefaultPlatform() Platform {
+	return Platform{Disks: 4, DiskBlocks: 1 << 19, Level: raid.RAID5, StripeKB: 64, MemoryBytes: 32 << 20}
 }
 
-// profileConfig is BuildConfig with the array shape left open (the
-// ablations vary disk size, layout and stripe unit under one trace's
-// cache and journal budgets). memScale shrinks the cache budget along
-// with the trace scale so that sub-sampled runs keep the paper's cache
-// pressure (an unscaled cache would hold the whole scaled-down working
-// set and hide every miss-path effect).
-func profileConfig(p workload.Profile, memScale float64, diskBlocks uint64, level raid.Level, stripeChunks uint64) engine.Config {
+// ProfilePlatform is the experimental platform of §IV-A for one trace:
+// a 4-disk RAID5 array over half the trace's footprint per spindle with
+// a 64 KB stripe unit, and the trace's DRAM budget, split 50/50 between
+// index and read cache unless an engine adapts it. memScale shrinks the
+// cache budget along with the trace scale so that sub-sampled runs keep
+// the paper's cache pressure (an unscaled cache would hold the whole
+// scaled-down working set and hide every miss-path effect).
+func ProfilePlatform(p workload.Profile, memScale float64) Platform {
 	mem := int64(float64(p.MemoryBytes) * memScale)
 	if mem < 1<<18 {
 		mem = 1 << 18
 	}
-	return Platform(4, diskBlocks, level, stripeChunks, mem, int(p.FootprintChunks*40))
+	return Platform{Disks: 4, DiskBlocks: p.FootprintChunks / 2, Level: raid.RAID5, StripeKB: 64,
+		MemoryBytes: mem, NVRAMBytes: int(p.FootprintChunks * 40)}
 }
 
-// dimsConfig is the fixed platform of the merged-trace experiments
+// BuildConfig builds ProfilePlatform(p, memScale).
+func BuildConfig(p workload.Profile, memScale float64) engine.Config {
+	return ProfilePlatform(p, memScale).Config()
+}
+
+// dimsPlatform is the fixed platform of the merged-trace experiments
 // (stream sweep, chunking axis): the §IV-A array shape over the mix's
 // footprint with the DRAM budget its pools are tuned against —
 // deliberately NOT scaled with the trace; the pool / partition ratios
 // are the experiment.
-func dimsConfig(dims workload.MixedDims) engine.Config {
-	return Platform(4, dims.FootprintChunks, raid.RAID5, 16, dims.MemoryBytes, int(dims.FootprintChunks*40))
+func dimsPlatform(dims workload.MixedDims) Platform {
+	return Platform{Disks: 4, DiskBlocks: dims.FootprintChunks, Level: raid.RAID5, StripeKB: 64,
+		MemoryBytes: dims.MemoryBytes, NVRAMBytes: int(dims.FootprintChunks * 40)}
+}
+
+// CellPlatform is the platform podbench replays the built-in trace
+// name on at scale: a paper trace's §IV-A cell, or the chunking
+// experiment's for "shifted". ok is false for any other name.
+func CellPlatform(name string, scale float64) (p Platform, ok bool) {
+	if name == "shifted" {
+		return dimsPlatform(workload.ShiftedDims(scale)), true
+	}
+	prof, ok := workload.ByName(name)
+	return ProfilePlatform(prof, scale), ok
+}
+
+// Admit reports the first rule p breaks, or nil: a stripe unit of whole
+// chunks, a positive cache, a disk count the RAID level supports, disks
+// and an array within the content model's trace.LBALimit blocks, and
+// the 1/32 index zone. It is the one door that keeps a platform away
+// from the panics of raid.New and engine.NewBase. The error leads with
+// the dimension at fault under the name of podsim's flag for it.
+func (p Platform) Admit() error {
+	switch {
+	case p.StripeKB < 4 || p.StripeKB%4 != 0:
+		return fmt.Errorf("stripe %d KB is not a positive multiple of the 4 KB chunk", p.StripeKB)
+	case p.MemoryBytes <= 0:
+		return fmt.Errorf("memory %d B: the storage cache needs a positive budget", p.MemoryBytes)
+	case p.DiskBlocks > trace.LBALimit: // alone first: the capacity product could wrap
+		return fmt.Errorf("diskblocks %d: one disk past the %d blocks the content model addresses", p.DiskBlocks, uint64(trace.LBALimit))
+	}
+	switch n, err := raid.DataBlocks(p.Level, p.Disks, p.DiskBlocks, uint64(p.StripeKB/4)); {
+	case err != nil:
+		return fmt.Errorf("disks %d: %v", p.Disks, err)
+	case n > trace.LBALimit:
+		return fmt.Errorf("disks %d of %d blocks hold %d data blocks; the content model addresses at most %d",
+			p.Disks, p.DiskBlocks, n, uint64(trace.LBALimit))
+	case n < engine.IndexZoneFrac:
+		return fmt.Errorf("diskblocks %d: %d disks hold %d data blocks; the engines need at least %d (1/%d of the array is the index zone)",
+			p.DiskBlocks, p.Disks, n, engine.IndexZoneFrac, engine.IndexZoneFrac)
+	}
+	return nil
+}
+
+// Config builds p, which Admit must have passed, into an engine.Config
+// — the one place a disk array is built. Every other field is the
+// caller's to set on the result.
+func (p Platform) Config() engine.Config {
+	ds := make([]*disk.Disk, p.Disks)
+	for i := range ds {
+		ds[i] = disk.New(disk.DefaultParams(p.DiskBlocks))
+	}
+	cfg := engine.Config{Array: raid.New(p.Level, ds, uint64(p.StripeKB/4)), MemoryBytes: p.MemoryBytes, NVRAMBytes: max(p.NVRAMBytes, 0)}
+	if p.NVRAMBytes == 0 {
+		cfg.NVRAMBytes = int(cfg.Array.DataBlocks() * 24)
+	}
+	return cfg
+}
+
+var schemePunct = strings.NewReplacer("-", "", "/", "", "_", "", " ", "")
+
+// ParseScheme resolves a scheme name to its engine name,
+// case-insensitively and ignoring hyphen/slash/underscore/space
+// punctuation: "pod", "Select-Dedupe", "selectdedupe" and "i/o-dedup"
+// all resolve. The error leads with "scheme", the flag that names one.
+func ParseScheme(s string) (string, error) {
+	want := schemePunct.Replace(s)
+	for _, name := range AllEngines {
+		if want != "" && strings.EqualFold(want, schemePunct.Replace(name)) {
+			return name, nil
+		}
+	}
+	return "", fmt.Errorf("scheme %q unknown (have %s)", s, strings.Join(AllEngines, ", "))
+}
+
+// Build is the one recipe for a single engine: it resolves scheme,
+// checks the axes, admits the platform and builds it, lets tune set the
+// scheme's knobs on the built config (nil sets none), and returns the
+// engine with the axes switched on. An error leads with the flag name
+// of what is at fault: the scheme, an axis or a platform dimension.
+func Build(scheme string, p Platform, a Axes, tune func(*engine.Config)) (engine.Engine, error) {
+	name, err := ParseScheme(scheme)
+	if err == nil {
+		err = CheckAxes(name, a)
+	}
+	if err == nil {
+		err = p.Admit()
+	}
+	if err != nil {
+		return nil, err
+	}
+	cfg := p.Config()
+	cfg.Chunking = cdc.Params{Algo: a.Chunking}
+	cfg.Streams = engine.StreamParams{Enabled: a.Streams}
+	if tune != nil {
+		tune(&cfg)
+	}
+	e := NewEngine(name, cfg)
+	if a.BGDedup {
+		bgdedup.Attach(e, bgdedup.Params{BlocksPerSec: a.BGDedupRate}) // CheckAxes admitted the scheme
+	}
+	return e, nil
 }
 
 // NewEngine constructs a scheme by name over cfg.
@@ -132,12 +237,15 @@ type Axes struct {
 	Chunking cdc.Algo
 	Streams  bool // per-stream index-cache apportionment
 	BGDedup  bool // background out-of-line dedup scanner
-	Tier     bool // global fingerprint tier across Shards shards
-	Shards   int
+	// BGDedupRate budgets the scanner in blocks per simulated second
+	// (0 = its default).
+	BGDedupRate int64
+	Tier        bool // global fingerprint tier across Shards shards
+	Shards      int
 }
 
-// CheckAxes states the scheme × feature rules once, for the library
-// facade, the replay CLI and the serving run spec alike. scheme is a
+// CheckAxes states the scheme × feature rules once, for Build and the
+// serving run spec alike. scheme is a
 // canonical engine name; the error leads with the axis at fault under
 // the name its command-line flag has.
 func CheckAxes(scheme string, a Axes) error {
@@ -312,9 +420,9 @@ func (e *Env) EnsureCells(cells []Cell) {
 	e.mu.Unlock()
 }
 
-// cellResult returns the cached result for a cell key; the caller must
+// CellResult returns the cached result for a cell key; the caller must
 // have run it through EnsureCells first.
-func (e *Env) cellResult(k string) *replay.Result {
+func (e *Env) CellResult(k string) *replay.Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r, ok := e.results[k]
@@ -352,7 +460,7 @@ func (e *Env) EnsureMatrix(engines, traces []string) {
 // needed.
 func (e *Env) Result(engineName, traceName string) *replay.Result {
 	e.EnsureMatrix([]string{engineName}, []string{traceName})
-	return e.cellResult(key(engineName, traceName))
+	return e.CellResult(key(engineName, traceName))
 }
 
 // MetricsSnapshot merges the metrics of every replay this Env has run

@@ -261,7 +261,7 @@ func TestPlannerFoldsDefaultPointsOntoMatrix(t *testing.T) {
 	if rt != matrix.MeanRT {
 		t.Errorf("threshold-3 point (%.2f) must reuse the Select-Dedupe/homes matrix cell (%.2f)", rt, matrix.MeanRT)
 	}
-	if got := env.cellResult(key(SelectDedupe, "homes")); got != matrix {
+	if got := env.CellResult(key(SelectDedupe, "homes")); got != matrix {
 		t.Error("threshold-3 must not replace the cached matrix result")
 	}
 
@@ -313,7 +313,7 @@ func TestEnsureCellsDeduplicatesWithinBatch(t *testing.T) {
 	if built != 1 {
 		t.Fatalf("duplicate keys in one batch built %d engines, want 1", built)
 	}
-	if env.cellResult("test/dup-batch") == nil {
+	if env.CellResult("test/dup-batch") == nil {
 		t.Fatal("missing cached result")
 	}
 }

@@ -126,7 +126,7 @@ func (e *Env) Fig3(fracs []float64) (*stats.Table, []Fig3Row) {
 		"Index cache", "Read RT", "Write RT")
 	var rows []Fig3Row
 	for i := range cells {
-		r := e.cellResult(cells[i].Key)
+		r := e.CellResult(cells[i].Key)
 		rows = append(rows, Fig3Row{
 			IndexFrac: fracs[i],
 			ReadRTms:  r.MeanReadRT / 1000,

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 
 	"github.com/pod-dedup/pod/internal/api"
-	"github.com/pod-dedup/pod/internal/bgdedup"
-	"github.com/pod-dedup/pod/internal/cdc"
 	"github.com/pod-dedup/pod/internal/chaos"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
@@ -80,29 +78,27 @@ func Run(spec Spec) (*Report, error) {
 		RetrySeed:   p.ChaosSeed,
 		GlobalFP:    p.Tier,
 		NewEngine: func(shard int) engine.Engine {
-			cfg := experiments.BuildConfig(prof, p.Scale)
-			cfg.Chunking = cdc.Params{Algo: p.algo}
-			cfg.Streams = engine.StreamParams{Enabled: p.Streams}
+			pl := experiments.ProfilePlatform(prof, p.Scale)
 			if p.StreamProfile != "" {
 				// the adversarial pools are tuned against the profile's
 				// DRAM budget; scaling it with the trace would break the
 				// pool / index-partition ratios the mix is built around
-				cfg.MemoryBytes = prof.MemoryBytes
+				pl.MemoryBytes = prof.MemoryBytes
 			}
-			if p.Chaos != "" {
+			e, err := experiments.Build(p.scheme, pl, p.axes, nil)
+			if err == nil && p.Chaos != "" {
 				// one fault plan against every shard's array; the
 				// transient coin varies per shard via the seed
-				sched, err := chaos.Build(p.Chaos, cfg.Array.NumDisks(), cfg.Array.PerDiskBlocks(),
-					rep.Horizon, p.ChaosSeed^uint64(shard)*0x9E3779B97F4A7C15)
-				if err != nil {
-					planErr = err
-					return nil
+				arr := e.(*engine.Pipeline).Base().Array
+				var sched fault.Schedule
+				if sched, err = chaos.Build(p.Chaos, arr.NumDisks(), arr.PerDiskBlocks(),
+					rep.Horizon, p.ChaosSeed^uint64(shard)*0x9E3779B97F4A7C15); err == nil {
+					arr.SetInjector(fault.NewInjector(sched, arr.NumDisks()))
 				}
-				cfg.Array.SetInjector(fault.NewInjector(sched, cfg.Array.NumDisks()))
 			}
-			e := experiments.NewEngine(p.scheme, cfg)
-			if p.BGDedup {
-				bgdedup.Attach(e, bgdedup.Params{}) // CheckAxes admitted the scheme
+			if err != nil {
+				planErr = err
+				return nil
 			}
 			return e
 		},

@@ -15,7 +15,6 @@ package serving
 import (
 	"fmt"
 
-	pod "github.com/pod-dedup/pod"
 	"github.com/pod-dedup/pod/internal/cdc"
 	"github.com/pod-dedup/pod/internal/chaos"
 	"github.com/pod-dedup/pod/internal/experiments"
@@ -79,8 +78,8 @@ type plan struct {
 	Spec
 	scheme   string
 	policy   server.Policy
-	algo     cdc.Algo
-	scenario chaos.Scenario // zero without Chaos
+	axes     experiments.Axes // what every shard's engine switches on
+	scenario chaos.Scenario   // zero without Chaos
 }
 
 // Validate reports why the spec cannot be run, or nil.
@@ -95,12 +94,10 @@ func (s Spec) resolve() (plan, error) {
 	if p.policy, err = server.ParsePolicy(s.Policy); err != nil {
 		return p, refuse("-policy: %v", err)
 	}
-	scheme, err := pod.ParseScheme(s.Scheme)
-	if err != nil {
-		return p, refuse("-scheme: %v", err)
+	if p.scheme, err = experiments.ParseScheme(s.Scheme); err != nil {
+		return p, refuse("-%v", err) // the error leads with "scheme"
 	}
-	p.scheme = string(scheme)
-	if p.algo, err = cdc.ParseAlgo(s.Chunking); err != nil {
+	if p.axes.Chunking, err = cdc.ParseAlgo(s.Chunking); err != nil {
 		return p, refuse("-chunking: %v", err)
 	}
 	for _, f := range []struct {
@@ -144,10 +141,10 @@ func (s Spec) resolve() (plan, error) {
 		if p.scenario, err = chaos.Lookup(s.Chaos); err != nil {
 			return p, refuse("-chaos: %v", err)
 		}
-		if p.algo != cdc.Fixed4K {
+		if p.axes.Chunking != cdc.Fixed4K {
 			// the oracle compares each LBA against the ContentID the trace
 			// wrote there; CDC stores derived chunk IDs
-			return p, refuse("-chunking %s is incompatible with -chaos (the read-back oracle checks trace ContentIDs per LBA)", p.algo)
+			return p, refuse("-chunking %s is incompatible with -chaos (the read-back oracle checks trace ContentIDs per LBA)", p.axes.Chunking)
 		}
 		if s.Rate <= 0 {
 			return p, refuse("-chaos requires -rate > 0 (faults are placed within the arrival horizon)")
@@ -158,9 +155,8 @@ func (s Spec) resolve() (plan, error) {
 	}
 	p.Tier = s.Tier || p.scenario.Tier
 	p.BGDedup = s.BGDedup || p.scenario.Scanner || p.Tier // the tier's shard agents wrap the scanner
-	if err := experiments.CheckAxes(p.scheme, experiments.Axes{
-		Chunking: p.algo, Streams: s.Streams, BGDedup: p.BGDedup, Tier: p.Tier, Shards: s.Shards,
-	}); err != nil {
+	p.axes.Streams, p.axes.BGDedup, p.axes.Tier, p.axes.Shards = s.Streams, p.BGDedup, p.Tier, s.Shards
+	if err := experiments.CheckAxes(p.scheme, p.axes); err != nil {
 		return p, refuse("-%v", err) // the error leads with the axis, which is the flag
 	}
 

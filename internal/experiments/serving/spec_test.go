@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	pod "github.com/pod-dedup/pod"
 	"github.com/pod-dedup/pod/internal/cdc"
 	"github.com/pod-dedup/pod/internal/chaos"
+	"github.com/pod-dedup/pod/internal/experiments"
 )
 
 // TestSpecValidateMatrix walks the whole feature matrix — scheme ×
@@ -18,12 +18,12 @@ import (
 // admitted count under it).
 func TestSpecValidateMatrix(t *testing.T) {
 	type cell struct {
-		scheme                 pod.Scheme
+		scheme                 string
 		chunking, chaos        string
 		streams, bgdedup, tier bool
 		shards                 int
 	}
-	selective := func(c cell) bool { return c.scheme == pod.SchemePOD || c.scheme == pod.SchemeSelectDedupe }
+	selective := func(c cell) bool { return c.scheme == experiments.POD || c.scheme == experiments.SelectDedupe }
 	armsTier := func(c cell) bool { return c.tier || c.chaos == "globalfp" || c.chaos == "shardcrash" }
 	armsScanner := func(c cell) bool { return c.bgdedup || c.chaos == "bgdedup" || armsTier(c) }
 	refusals := []struct {
@@ -36,7 +36,7 @@ func TestSpecValidateMatrix(t *testing.T) {
 		// an outage is about the survivors
 		{func(c cell) bool { return c.chaos == "shardcrash" && c.shards < 2 }, "-chaos shardcrash", "requires -shards >= 2"},
 		// Native writes in place and never looks at chunk content
-		{func(c cell) bool { return c.chunking != "fixed4k" && c.scheme == pod.SchemeNative }, "-chunking", "needs a deduplicating scheme"},
+		{func(c cell) bool { return c.chunking != "fixed4k" && c.scheme == experiments.Native }, "-chunking", "needs a deduplicating scheme"},
 		// the three features below complement the selective inline path
 		{func(c cell) bool { return c.streams && !selective(c) }, "-streams", "supports schemes Select-Dedupe and POD only"},
 		{func(c cell) bool { return armsScanner(c) && !selective(c) }, "-bgdedup", "supports schemes Select-Dedupe and POD only"},
@@ -45,14 +45,14 @@ func TestSpecValidateMatrix(t *testing.T) {
 	}
 
 	admitted := 0
-	for _, scheme := range pod.Schemes() {
+	for _, scheme := range experiments.AllEngines {
 		for _, algo := range cdc.Algos() {
 			for _, scenario := range append([]string{""}, chaos.Scenarios()...) {
 				for flags := 0; flags < 8; flags++ {
 					for _, shards := range []int{1, 4} {
 						c := cell{scheme, algo.String(), scenario, flags&1 != 0, flags&2 != 0, flags&4 != 0, shards}
 						s := at("mixed", 0.01, c.shards, 500)
-						s.Scheme, s.Chunking, s.Chaos = string(c.scheme), c.chunking, c.chaos
+						s.Scheme, s.Chunking, s.Chaos = c.scheme, c.chunking, c.chaos
 						s.Streams, s.BGDedup, s.Tier = c.streams, c.bgdedup, c.tier
 						flag, reason := "", ""
 						for _, r := range refusals {

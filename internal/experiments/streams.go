@@ -70,7 +70,7 @@ func (e *Env) streamCells(prefix string, tr *trace.Trace, warm int, dims workloa
 		cells = append(cells, Cell{
 			Key: prefix + "/" + v.key,
 			Factory: func() engine.Engine {
-				cfg := dimsConfig(dims)
+				cfg := dimsPlatform(dims).Config()
 				cfg.Streams = v.streams
 				return core.NewSelectDedupe(cfg)
 			},
@@ -138,7 +138,7 @@ func (e *Env) Streams() (*stats.Table, []StreamsRow) {
 	streams := []uint32{1, 2}
 	rows := make([]StreamsRow, 0, len(variants))
 	for _, v := range variants {
-		rows = append(rows, streamRow(v, e.cellResult("streams/"+v.key), streams))
+		rows = append(rows, streamRow(v, e.CellResult("streams/"+v.key), streams))
 	}
 	return streamsTable("Index-cache apportionment — adversarial two-tenant mix (writes removed inline)",
 		rows, streams), rows
@@ -159,7 +159,7 @@ func (e *Env) StreamsScan() (*stats.Table, []StreamsRow) {
 	streams := []uint32{1, 2, 3}
 	rows := make([]StreamsRow, 0, len(variants))
 	for _, v := range variants {
-		rows = append(rows, streamRow(v, e.cellResult("streams-scan/"+v.key), streams))
+		rows = append(rows, streamRow(v, e.CellResult("streams-scan/"+v.key), streams))
 	}
 	return streamsTable("Index-cache apportionment — burst tenants + churning scan (writes removed inline)",
 		rows, streams), rows

@@ -21,8 +21,6 @@ func (c *Controller) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("icache_ghost_read_hits_total", func() int64 { return c.totalGhostReadHits })
 	reg.GaugeFunc("icache_swapins_index", func() int64 { return c.swapInsIdx })
 	reg.GaugeFunc("icache_swapins_read", func() int64 { return c.swapInsRd })
-	reg.GaugeFunc("index_hot_entries", func() int64 { return int64(c.dir.live()) })
-	reg.GaugeFunc("index_hot_cap", func() int64 { return int64(c.icEntries) })
 	if c.streamMode {
 		// hit accounting is per stream, registered lazily as streams appear
 		c.streamReg = reg

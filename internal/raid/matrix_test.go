@@ -102,8 +102,6 @@ var faultMatrix = map[string]string{
 	"RAID5/rmw/other/diskfail":      "1000 data-loss/permanent writes=1 io=1 rmw=1 dataloss=1 fails=1",
 }
 
-var levelNames = map[Level]string{RAID0: "RAID0", RAID1: "RAID1", RAID5: "RAID5"}
-
 // outcome renders one access's result in the matrix's format.
 func outcome(done sim.Time, err error, st Stats) string {
 	var b strings.Builder

@@ -33,6 +33,7 @@ package raid
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"github.com/pod-dedup/pod/internal/disk"
 	"github.com/pod-dedup/pod/internal/fault"
@@ -90,51 +91,63 @@ type Array struct {
 	rebuildsDone                int64
 }
 
+// ParseLevel resolves a layout name: "raid5", "raid0" or "raid1".
+func ParseLevel(name string) (Level, error) {
+	for l, n := range levelNames {
+		if strings.EqualFold(name, n) {
+			return Level(l), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown layout %q (want raid5, raid0 or raid1)", name)
+}
+
+var levelNames = [...]string{RAID0: "RAID0", RAID5: "RAID5", RAID1: "RAID1"}
+
+// DataBlocks reports the data capacity of n spindles of blocks blocks
+// each at level with a stripe unit of unit blocks (whole stripes only;
+// parity and mirrors excluded), or why no such array can be built:
+// RAID5 needs at least 3 disks, RAID1 an even count of at least 2,
+// RAID0 at least 1, the unit must be positive and the capacity must
+// fit in 64 bits.
+func DataBlocks(level Level, n int, blocks, unit uint64) (uint64, error) {
+	switch {
+	case level == RAID5 && n < 3:
+		return 0, fmt.Errorf("RAID5 needs at least 3 disks, have %d", n)
+	case level == RAID1 && (n < 2 || n%2 != 0):
+		return 0, fmt.Errorf("RAID1 needs an even disk count ≥ 2, have %d", n)
+	case n < 1:
+		return 0, fmt.Errorf("RAID0 needs at least 1 disk, have %d", n)
+	case unit == 0:
+		return 0, fmt.Errorf("zero stripe unit")
+	}
+	hi, lo := bits.Mul64(blocks/unit*unit, uint64(dataDisks(level, n)))
+	if hi != 0 {
+		return 0, fmt.Errorf("%d disks of %d blocks hold more than 2^64 data blocks", n, blocks)
+	}
+	return lo, nil
+}
+
 // New assembles an array. All disks must have equal capacity; unit is
-// the stripe unit in blocks. RAID5 requires at least 3 disks, RAID0 at
-// least 1.
+// the stripe unit in blocks. A shape DataBlocks refuses panics (five
+// RAID5 disks of 2^62 + 16 blocks would wrap to 64):
+// experiments.Platform.Admit, the one door a platform comes through,
+// refuses it before any array is built, so one here is a bug.
 func New(level Level, disks []*disk.Disk, unit uint64) *Array {
-	if unit == 0 {
-		panic("raid: zero stripe unit")
+	var blocks uint64
+	if len(disks) > 0 {
+		blocks = disks[0].Params().Blocks
 	}
-	min := 1
-	switch level {
-	case RAID5:
-		min = 3
-	case RAID1:
-		min = 2
+	data, err := DataBlocks(level, len(disks), blocks, unit)
+	if err != nil {
+		panic("raid: " + err.Error())
 	}
-	if len(disks) < min {
-		panic(fmt.Sprintf("raid: level %d needs at least %d disks", level, min))
-	}
-	blocks := disks[0].Params().Blocks
 	for _, d := range disks {
 		if d.Params().Blocks != blocks {
 			panic("raid: disks must have equal capacity")
 		}
 	}
-	if level == RAID1 && len(disks)%2 != 0 {
-		panic("raid: RAID1 needs an even number of disks")
-	}
-	a := &Array{level: level, disks: disks, unit: unit, failed: -1}
+	a := &Array{level: level, disks: disks, unit: unit, failed: -1, dataBlocks: data}
 	a.stripes = blocks / unit
-	data := uint64(len(disks)) // spindles' worth of data a stripe holds
-	switch level {
-	case RAID5:
-		data--
-	case RAID1:
-		// mirrored pairs: half the spindles hold data, half mirrors
-		data /= 2
-	}
-	// The product can wrap: five RAID5 disks of 2^62 + 16 blocks would
-	// report 64 data blocks. No input reaches this panic — pod.New and
-	// podsim refuse a disk past 2^28 blocks — but a wrapped capacity
-	// must not reach any other caller either.
-	hi, lo := bits.Mul64(a.stripes*unit, data)
-	if hi != 0 {
-		panic(fmt.Sprintf("raid: %d disks of %d blocks hold more than 2^64 data blocks", len(disks), blocks))
-	}
-	a.dataBlocks = lo
 	// Default rebuild pace: one stripe unit per sequential
 	// read-plus-write of that unit (the transfer-bound rate of a
 	// dedicated spare, ~100 MB/s on the default drive model).
@@ -169,14 +182,19 @@ func (a *Array) SetInjector(in *fault.Injector) {
 }
 
 // DataDisksPerStripe reports how many data units each stripe holds.
-func (a *Array) DataDisksPerStripe() int {
-	switch a.level {
+func (a *Array) DataDisksPerStripe() int { return dataDisks(a.level, len(a.disks)) }
+
+// dataDisks reports how many of n spindles' worth of data a stripe
+// holds at level.
+func dataDisks(level Level, n int) int {
+	switch level {
 	case RAID5:
-		return len(a.disks) - 1
+		return n - 1
 	case RAID1:
-		return len(a.disks) / 2
+		// mirrored pairs: half the spindles hold data, half mirrors
+		return n / 2
 	}
-	return len(a.disks)
+	return n
 }
 
 // mirrorOf maps a RAID1 disk to its partner (primary ↔ mirror).

@@ -583,7 +583,7 @@ func TestShardRatioGaugesCarryShardLabel(t *testing.T) {
 // what it holds.
 func TestFullShardFailsWritesWithoutRetry(t *testing.T) {
 	srv, err := New(Config{Shards: 1, NewEngine: func(int) engine.Engine {
-		return experiments.NewEngine(experiments.POD, experiments.Platform(4, 2048, raid.RAID5, 16, 1<<20, 0))
+		return experiments.NewEngine(experiments.POD, experiments.Platform{Disks: 4, DiskBlocks: 2048, Level: raid.RAID5, StripeKB: 64, MemoryBytes: 1 << 20, NVRAMBytes: -1}.Config())
 	}})
 	if err != nil {
 		t.Fatal(err)

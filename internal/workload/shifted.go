@@ -111,9 +111,14 @@ func ShiftedSnapshot(scale float64) (*trace.Trace, int, MixedDims) {
 		now = now.Add(50 * sim.Second)
 	}
 
-	dims := MixedDims{
-		FootprintChunks: uint64(objects*shiftedGens*shiftedReqChunks*shiftedStride) + shiftedStride,
+	return tr, warmup, ShiftedDims(scale)
+}
+
+// ShiftedDims reports the platform dimensions of the shifted trace at
+// the given scale without generating it.
+func ShiftedDims(scale float64) MixedDims {
+	return MixedDims{
+		FootprintChunks: uint64(ShiftedObjects(scale)*shiftedGens*shiftedReqChunks*shiftedStride) + shiftedStride,
 		MemoryBytes:     shiftedMemoryBytes,
 	}
-	return tr, warmup, dims
 }

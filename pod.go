@@ -28,17 +28,15 @@
 package pod
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
 
 	"github.com/pod-dedup/pod/internal/api"
-	"github.com/pod-dedup/pod/internal/bgdedup"
 	"github.com/pod-dedup/pod/internal/cdc"
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/experiments"
 	"github.com/pod-dedup/pod/internal/raid"
 	"github.com/pod-dedup/pod/internal/sim"
-	"github.com/pod-dedup/pod/internal/trace"
 )
 
 // Request is one I/O against a System: Time is the virtual arrival in
@@ -101,29 +99,13 @@ func Schemes() []Scheme {
 // ParseScheme resolves a scheme name case-insensitively, ignoring
 // hyphen/slash/underscore/space punctuation: "pod", "Select-Dedupe",
 // "selectdedupe" and "i/o-dedup" all resolve. The command-line tools
-// share this instead of each validating flags its own way.
+// and New share this one name table.
 func ParseScheme(s string) (Scheme, error) {
-	norm := func(v string) string {
-		v = strings.ToLower(v)
-		for _, cut := range []string{"-", "/", "_", " "} {
-			v = strings.ReplaceAll(v, cut, "")
-		}
-		return v
+	name, err := experiments.ParseScheme(s)
+	if err != nil {
+		return "", fmt.Errorf("pod: %w", err)
 	}
-	want := norm(s)
-	if want == "" {
-		return "", fmt.Errorf("pod: empty scheme name")
-	}
-	for _, sc := range Schemes() {
-		if norm(string(sc)) == want {
-			return sc, nil
-		}
-	}
-	var names []string
-	for _, sc := range Schemes() {
-		names = append(names, string(sc))
-	}
-	return "", fmt.Errorf("pod: unknown scheme %q (have %s)", s, strings.Join(names, ", "))
+	return Scheme(name), nil
 }
 
 // Config describes the simulated platform. The zero value of every
@@ -191,51 +173,19 @@ type System struct {
 // New builds a system. It returns an error (never panics) for invalid
 // configurations.
 func New(cfg Config) (*System, error) {
-	if cfg.Scheme == "" {
-		cfg.Scheme = SchemePOD
-	}
-	scheme, err := ParseScheme(string(cfg.Scheme))
+	scheme, err := ParseScheme(string(cmp.Or(cfg.Scheme, SchemePOD)))
 	if err != nil {
 		return nil, err
 	}
-	cfg.Scheme = scheme
-	if cfg.Disks == 0 {
-		cfg.Disks = 4
+	level, err := raid.ParseLevel(cmp.Or(cfg.Layout, "raid5"))
+	if err != nil {
+		return nil, fmt.Errorf("pod: %w", err)
 	}
-	var level raid.Level
-	switch cfg.Layout {
-	case "", "raid5":
-		level = raid.RAID5
-		if cfg.Disks < 3 {
-			return nil, fmt.Errorf("pod: RAID5 needs at least 3 disks, have %d", cfg.Disks)
-		}
-	case "raid0":
-		level = raid.RAID0
-		if cfg.Disks < 1 {
-			return nil, fmt.Errorf("pod: RAID0 needs at least 1 disk")
-		}
-	case "raid1":
-		level = raid.RAID1
-		if cfg.Disks < 2 || cfg.Disks%2 != 0 {
-			return nil, fmt.Errorf("pod: RAID1 needs an even disk count ≥ 2, have %d", cfg.Disks)
-		}
-	default:
-		return nil, fmt.Errorf("pod: unknown layout %q", cfg.Layout)
-	}
-	if cfg.DiskBlocks == 0 {
-		cfg.DiskBlocks = 1 << 19
-	}
-	if cfg.StripeUnitKB == 0 {
-		cfg.StripeUnitKB = 64
-	}
-	if cfg.StripeUnitKB%4 != 0 {
-		return nil, fmt.Errorf("pod: stripe unit %d KB is not a multiple of the 4 KB chunk", cfg.StripeUnitKB)
-	}
-	if cfg.MemoryMB == 0 {
-		cfg.MemoryMB = 32
-	}
-	if cfg.MemoryMB < 1 {
-		return nil, fmt.Errorf("pod: memory budget %d MB is too small", cfg.MemoryMB)
+	def := experiments.DefaultPlatform()
+	p := experiments.Platform{
+		Disks: cmp.Or(cfg.Disks, def.Disks), DiskBlocks: cmp.Or(cfg.DiskBlocks, def.DiskBlocks), Level: level,
+		StripeKB: cmp.Or(cfg.StripeUnitKB, def.StripeKB), MemoryBytes: cmp.Or(int64(cfg.MemoryMB)<<20, def.MemoryBytes),
+		NVRAMBytes: cfg.NVRAMKB * 1024, // 0 sizes the journal to the array, -1 KB disables it
 	}
 	switch {
 	case cfg.Threshold < 0:
@@ -246,46 +196,19 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("pod: NVRAMKB %d: -1 disables journaling, no other negative value means anything", cfg.NVRAMKB)
 	case cfg.BGDedupBlocksPerSec < 0:
 		return nil, fmt.Errorf("pod: negative BGDedupBlocksPerSec %d", cfg.BGDedupBlocksPerSec)
-	case cfg.DiskBlocks > trace.LBALimit: // checked alone too: the array's capacity product could wrap
-		return nil, fmt.Errorf("pod: DiskBlocks %d: one disk past the %d blocks the content model addresses", cfg.DiskBlocks, uint64(trace.LBALimit))
 	}
 
-	ecfg := experiments.Platform(cfg.Disks, cfg.DiskBlocks, level, uint64(cfg.StripeUnitKB/4), int64(cfg.MemoryMB)<<20, 0)
-	switch n := ecfg.Array.DataBlocks(); {
-	case n < engine.IndexZoneFrac:
-		return nil, fmt.Errorf("pod: %d disks of %d blocks hold %d data blocks under this layout; the engines need at least %d (1/%d of the array is the index zone)",
-			cfg.Disks, cfg.DiskBlocks, n, engine.IndexZoneFrac, engine.IndexZoneFrac)
-	case n > trace.LBALimit:
-		return nil, fmt.Errorf("pod: %d disks of %d blocks hold %d data blocks under this layout; the content model addresses at most %d",
-			cfg.Disks, cfg.DiskBlocks, n, uint64(trace.LBALimit))
-	}
-	switch {
-	case cfg.NVRAMKB > 0:
-		ecfg.NVRAMBytes = cfg.NVRAMKB * 1024
-	case cfg.NVRAMKB == 0:
-		ecfg.NVRAMBytes = int(ecfg.Array.DataBlocks() * 24)
-	}
-
+	axes := experiments.Axes{Streams: cfg.StreamAware, BGDedup: cfg.BGDedup, BGDedupRate: cfg.BGDedupBlocksPerSec}
 	if cfg.Chunking != "" {
-		algo, err := cdc.ParseAlgo(cfg.Chunking)
-		if err != nil {
+		if axes.Chunking, err = cdc.ParseAlgo(cfg.Chunking); err != nil {
 			return nil, fmt.Errorf("pod: %w", err)
 		}
-		ecfg.Chunking = cdc.Params{Algo: algo}
 	}
-	if err := experiments.CheckAxes(string(scheme), experiments.Axes{
-		Chunking: ecfg.Chunking.Algo, Streams: cfg.StreamAware, BGDedup: cfg.BGDedup,
-	}); err != nil {
+	eng, err := experiments.Build(string(scheme), p, axes, func(c *engine.Config) {
+		c.Threshold, c.IDedupThreshold, c.Verify = cfg.Threshold, cfg.IDedupThreshold, cfg.Verify
+	})
+	if err != nil {
 		return nil, fmt.Errorf("pod: %w", err)
-	}
-
-	ecfg.Threshold = cfg.Threshold
-	ecfg.IDedupThreshold = cfg.IDedupThreshold
-	ecfg.Verify = cfg.Verify
-	ecfg.Streams = engine.StreamParams{Enabled: cfg.StreamAware}
-	eng := experiments.NewEngine(string(scheme), ecfg)
-	if cfg.BGDedup {
-		bgdedup.Attach(eng, bgdedup.Params{BlocksPerSec: cfg.BGDedupBlocksPerSec})
 	}
 	return &System{eng: eng.(*engine.Pipeline)}, nil
 }
